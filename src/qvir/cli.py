@@ -36,7 +36,7 @@ from .qvirasoro import (
     classical_limit_check,
 )
 from .report import Report
-from .vertexcalc import exchange_suite, verify_ee_ope
+from .vertexcalc import EXCHANGE_MIN_WINDOW, exchange_suite, verify_ee_ope
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -101,7 +101,10 @@ class RunConfig:
             raise ConfigError("expansion order must be >= 0")
         if self.fmt not in ("json", "markdown"):
             raise ConfigError(f"unknown format {self.fmt!r}")
-        self.resolve_suites()
+        if "exchange" in self.resolve_suites() and self.window < EXCHANGE_MIN_WINDOW:
+            raise ConfigError(
+                f"the exchange suite needs window >= {EXCHANGE_MIN_WINDOW} "
+                f"to reconstruct and verify its kernels; got {self.window}")
 
 
 def _timed(records_fn):

@@ -356,7 +356,7 @@ def affine_check(reduced: TermSum, amap: AffineMap, W: ModeWindow,
     parts = split_reduced(reduced, current, W.N)
     out = []
 
-    out.append(record("affine-map-consistency", "qdirb", amap.consistent(),
+    out.append(record(f"affine-map-consistency[{tag}]", "qdirb", amap.consistent(),
                       engine=f"a^2={amap.a2}, ab={amap.ab}, b^2={amap.b2}"))
 
     fpat = reduced_quad_pattern(W, weighted)
@@ -508,9 +508,8 @@ def reduce_suite(sc: Scenario, W: ModeWindow) -> list[CheckRecord]:
     reduced = reduce(sc.current, sc.table, sc.constraints, W)
 
     ok = reduced.reflect() == -reduced
-    out.append(record("reduce-antisymmetry", "dirb", ok))
-
     if sc.key == "classical-sl2":
+        out.append(record("reduce-antisymmetry", "dirb", ok))
         parts = split_reduced(reduced, sc.current, W.N)
         out.append(compare_dists("reduce-linear-z", "virasoro", parts.lin_z,
                                  classical_linear_pattern(W)))
@@ -522,5 +521,7 @@ def reduce_suite(sc: Scenario, W: ModeWindow) -> list[CheckRecord]:
                           engine=str(parts.quad)))
     else:
         weighted = sc.table.weight_exponent != 0
+        tag = "qvir" if weighted else "qdirb"
+        out.append(record(f"reduce-antisymmetry[{tag}]", "dirb", ok))
         out.extend(affine_check(reduced, sc.affine, W, weighted, sc.current))
     return out

@@ -11,11 +11,18 @@ two degeneration maps is applied:
 All values are immutable; equality is exact and decidable through a
 canonical form (gcd-reduced rational functions with a normalized
 denominator).
+
+Coefficients in Q(i) are :class:`GaussianRational` triples of Python ints,
+(a + b*i)/d, kept reduced by one 3-way gcd per operation; no
+``fractions.Fraction`` is stored on the arithmetic path.  The loops over
+polynomial coefficients fuse w + x*y into one reduction (:func:`_mul_add`)
+and build results from dicts they know to be clean.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 class PoleAtQ1Error(ArithmeticError):
@@ -27,86 +34,196 @@ class PoleAtQ1Error(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 class GaussianRational:
-    """A number a + b*i with exact rational a, b."""
+    """A number (a + b*i)/d with Python ints a, b, d in canonical form.
 
-    __slots__ = ("re", "im")
+    Canonical means d > 0 and gcd(a, b, d) = 1, with zero stored as
+    (0, 0, 1); equality and hashing then compare the triples.  Every
+    operation is integer arithmetic followed by one 3-way gcd.  ``re`` and
+    ``im`` give the parts as ``Fraction`` for printing and for callers
+    that want them.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            # reduced parts over d = lcm of their denominators are already coprime
+            re, im = Fraction(re), Fraction(im)
+            dr, di = re.denominator, im.denominator
+            d = dr // gcd(dr, di) * di
+            a = re.numerator * (d // dr)
+            b = im.numerator * (d // di)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
+
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not self.a and not self.b
 
     def __add__(self, other):
-        other = _as_gaussian(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            if d1 == 1:
+                return _make(self.a + other.a, self.b + other.b, 1)
+            return _reduce(self.a + other.a, self.b + other.b, d1)
+        return _reduce(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_gaussian(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            if d1 == 1:
+                return _make(self.a - other.a, self.b - other.b, 1)
+            return _reduce(self.a - other.a, self.b - other.b, d1)
+        return _reduce(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
     def __rsub__(self, other):
-        return _as_gaussian(other) - self
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
-        other = _as_gaussian(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        d = self.d * other.d
+        if d == 1:
+            return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 1)
+        return _reduce(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def inverse(self):
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
+        # d/(a + b i) = d (a - b i)/(a^2 + b^2)
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
+        if not n:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _reduce(d * a, -d * b, n)
 
     def __truediv__(self, other):
-        return self * _as_gaussian(other).inverse()
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        n = a2 * a2 + b2 * b2
+        if not n:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        d2 = other.d
+        return _reduce((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self.d * n)
 
     def __rtruediv__(self, other):
-        return _as_gaussian(other) * self.inverse()
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
 
     def __eq__(self, other):
-        try:
-            other = _as_gaussian(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        im = "i" if abs(self.im) == 1 else f"{abs(self.im)}*i"
-        if self.re == 0:
-            return im if self.im > 0 else "-" + im
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{im}"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        ims = "i" if abs(im) == 1 else f"{abs(im)}*i"
+        if re == 0:
+            return ims if im > 0 else "-" + ims
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{ims}"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-def _as_gaussian(x):
-    if isinstance(x, GaussianRational):
-        return x
+_new = object.__new__
+_set_a = GaussianRational.a.__set__
+_set_b = GaussianRational.b.__set__
+_set_d = GaussianRational.d.__set__
+
+
+def _make(a, b, d):
+    """The GaussianRational (a + b i)/d for a triple already in canonical form."""
+    g = _new(GaussianRational)
+    _set_a(g, a)
+    _set_b(g, b)
+    _set_d(g, d)
+    return g
+
+
+def _reduce(a, b, d):
+    """The canonical GaussianRational (a + b i)/d, for any d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _make(a, b, d)
+
+
+def _mul_add(w, x, y):
+    """w + x*y with a single reduction."""
+    xa, xb, ya, yb = x.a, x.b, y.a, y.b
+    pa, pb = xa * ya - xb * yb, xa * yb + xb * ya
+    wd, pd = w.d, x.d * y.d
+    if wd == pd:
+        if wd == 1:
+            return _make(w.a + pa, w.b + pb, 1)
+        return _reduce(w.a + pa, w.b + pb, wd)
+    return _reduce(w.a * pd + pa * wd, w.b * pd + pb * wd, wd * pd)
+
+
+def _coerce(x):
+    """An int or Fraction as a GaussianRational; None for any other type."""
+    if type(x) is int:
+        return _make(x, 0, 1)
     if isinstance(x, (int, Fraction)):
         return GaussianRational(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
+    return None
+
+
+def _as_gaussian(x):
+    if type(x) is GaussianRational:
+        return x
+    g = _coerce(x)
+    if g is None:
+        raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
+    return g
 
 
 G_ZERO = GaussianRational(0)
@@ -128,9 +245,9 @@ class LaurentPoly:
         if coeffs:
             for k, v in coeffs.items():
                 v = _as_gaussian(v)
-                if not v.is_zero():
+                if v.a or v.b:
                     c[k] = v
-        object.__setattr__(self, "c", c)
+        _set_c(self, c)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -159,37 +276,40 @@ class LaurentPoly:
     def __add__(self, other):
         out = dict(self.c)
         for k, v in other.c.items():
-            w = out.get(k, G_ZERO) + v
-            if w.is_zero():
-                out.pop(k, None)
-            else:
+            w = out.get(k)
+            if w is None:
+                out[k] = v
+                continue
+            w = w + v
+            if w.a or w.b:
                 out[k] = w
-        return LaurentPoly(out)
+            else:
+                del out[k]
+        return _lp(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return LaurentPoly({k: -v for k, v in self.c.items()})
+        return _lp({k: -v for k, v in self.c.items()})
 
     def __mul__(self, other):
         out = {}
         for k1, v1 in self.c.items():
             for k2, v2 in other.c.items():
                 k = k1 + k2
-                w = out.get(k, G_ZERO) + v1 * v2
-                if w.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = w
-        return LaurentPoly(out)
+                w = out.get(k)
+                out[k] = v1 * v2 if w is None else _mul_add(w, v1, v2)
+        return _lp({k: v for k, v in out.items() if v.a or v.b})
 
     def scale(self, g):
         g = _as_gaussian(g)
-        return LaurentPoly({k: v * g for k, v in self.c.items()})
+        if g.is_zero():
+            return LP_ZERO
+        return _lp({k: v * g for k, v in self.c.items()})
 
     def shift(self, d):
-        return LaurentPoly({k + d: v for k, v in self.c.items()})
+        return _lp({k + d: v for k, v in self.c.items()})
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -208,7 +328,7 @@ class LaurentPoly:
 
     def subst_qinv(self):
         """Apply s -> 1/s (i.e. q -> 1/q)."""
-        return LaurentPoly({-k: v for k, v in self.c.items()})
+        return _lp({-k: v for k, v in self.c.items()})
 
     def __str__(self):
         if not self.c:
@@ -228,6 +348,16 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.c!r})"
+
+
+_set_c = LaurentPoly.c.__set__
+
+
+def _lp(c):
+    """The LaurentPoly of a dict that holds only nonzero GaussianRationals."""
+    p = _new(LaurentPoly)
+    _set_c(p, c)
+    return p
 
 
 LP_ZERO = LaurentPoly()
@@ -260,8 +390,9 @@ def _poly_divmod(a, b):
         if f.is_zero():
             continue
         q[i] = f
+        neg_f = -f
         for j, bj in enumerate(b):
-            a[i + j] = a[i + j] - f * bj
+            a[i + j] = _mul_add(a[i + j], neg_f, bj)
     return _trim(q), _trim(a)
 
 
@@ -285,7 +416,7 @@ def _poly_gcd(a, b):
 
 
 def _from_dense(v, coeffs):
-    return LaurentPoly({v + i: g for i, g in enumerate(coeffs) if not g.is_zero()})
+    return _lp({v + i: g for i, g in enumerate(coeffs) if g.a or g.b})
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +739,9 @@ class Scalar:
         if set(f.num.c) != {0}:
             return None
         g = f.num.c[0]
-        if g.im != 0 or g.re.denominator != 1:
+        if g.b or g.d != 1:
             return None
-        return int(g.re)
+        return g.a
 
     def __str__(self):
         if self.is_zero():
@@ -799,7 +930,9 @@ class HSeries:
                 if k >= prec:
                     continue
                 a, b = out.get(k, (G_ZERO, G_ZERO))
-                out[k] = (a + a1 * a2 + 2 * b1 * b2, b + a1 * b2 + b1 * a2)
+                # (a1 + b1 t)(a2 + b2 t) with t^2 = 2
+                out[k] = (_mul_add(_mul_add(a, a1, a2), b1 + b1, b2),
+                          _mul_add(_mul_add(b, a1, b2), b1, a2))
         return HSeries(out, prec)
 
     def inverse(self):

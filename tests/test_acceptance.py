@@ -78,7 +78,8 @@ def test_criterion_2_commutator_suite():
     records += verify_ee_ope(W, +1)
     records += verify_ee_ope(W, -1)
     ids = {r.id for r in records}
-    assert "ee-ope-poles" in ids and "ee-ope-fusion" in ids
+    assert {"ee-ope-poles[+]", "ee-ope-poles[-]",
+            "ee-ope-fusion[+]", "ee-ope-fusion[-]"} <= ids
     _verdict("criterion 2: commutator distributions, poles and residue fusion",
              records)
 

@@ -49,6 +49,22 @@ def test_bad_window_rejected():
         RunConfig(window=0).validate()
 
 
+def test_exchange_window_too_small_rejected():
+    # the degree-2/2 psi-phi kernel needs five modes to fit and one to verify
+    with pytest.raises(ConfigError, match="window >= 5"):
+        RunConfig(scenario="q-sl2", window=4, suites=("exchange",)).validate()
+    with pytest.raises(ConfigError, match="window >= 5"):
+        RunConfig(scenario="q-sl2", window=4).validate()      # "all" includes it
+    RunConfig(scenario="q-sl2", window=5, suites=("exchange",)).validate()
+    RunConfig(scenario="q-sl2", window=SMALL, suites=("commutators",)).validate()
+
+
+def test_main_exchange_window_too_small_exits_2(capsys):
+    code = main(["--scenario", "q-sl2", "--window", "4", "--suite", "exchange"])
+    assert code == EXIT_CONFIG_ERROR
+    assert "window >= 5" in capsys.readouterr().err
+
+
 def test_suite_resolution_order():
     cfg = RunConfig(scenario="q-sl2", window=4,
                     suites=("reduce", "dirac", "dirac"))
@@ -111,6 +127,15 @@ def test_failing_check_serializes_both_values():
     assert doc["checks"][0]["expected_value"] == "s^-2"
 
 
+def test_check_ids_unique():
+    rep = run(RunConfig(scenario="q-sl2", window=5))
+    ids = [r.id for r in rep.checks]
+    assert len(ids) == 103
+    assert len(set(ids)) == len(ids), sorted(i for i in set(ids) if ids.count(i) > 1)
+    assert sorted(r.id for r in rep.documented) == \
+        ["dirac-inverse-mode0", "reduce-mode0[qdirb]"]
+
+
 def test_determinism_identical_config():
     a = run(small_config())
     b = run(small_config())
@@ -156,10 +181,10 @@ def test_main_unwritable_output(tmp_path):
 
 
 def test_main_check_failure_exit(monkeypatch, capsys, tmp_path):
-    rep = Report("q-sl2", 4)
+    rep = Report("q-sl2", 5)
     rep.checks.append(CheckRecord("broken", "ope1", FAIL, 1, "a", "b"))
     monkeypatch.setattr("qvir.cli.run", lambda cfg: rep)
-    code = main(["--window", "4", "--output", str(tmp_path / "r.json")])
+    code = main(["--window", "5", "--output", str(tmp_path / "r.json")])
     assert code == EXIT_CHECK_FAILED
 
 

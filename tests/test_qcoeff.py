@@ -1,13 +1,16 @@
 """Field-tower arithmetic: q-integers, canonical forms, degeneration maps."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qvir.qcoeff import (
     GaussianRational,
+    LaurentPoly,
     PoleAtQ1Error,
+    RatFunc,
     S_I,
     S_ONE,
     S_R,
@@ -24,6 +27,141 @@ from qvir.qcoeff import (
 
 def spow(k):
     return Scalar.s_power(k)
+
+
+# ---------------------------------------------------------------------------
+# GaussianRational: integer triples against a reference on Fraction pairs
+# ---------------------------------------------------------------------------
+
+# integers too, so the d = 1 fast paths are drawn often
+fractions = st.one_of(
+    st.integers(-40, 40).map(Fraction),
+    st.fractions(min_value=-40, max_value=40, max_denominator=60),
+)
+pairs = st.tuples(fractions, fractions)
+nonzero_pairs = pairs.filter(lambda p: p != (0, 0))
+
+
+def assert_canonical(g):
+    assert type(g.a) is int and type(g.b) is int and type(g.d) is int
+    assert g.d > 0
+    assert gcd(g.a, g.b, g.d) == 1
+    if g.a == 0 and g.b == 0:
+        assert g.d == 1
+
+
+def assert_matches(g, ref):
+    """g is canonical and equals the Fraction pair ref, also in its hash."""
+    assert_canonical(g)
+    assert (g.re, g.im) == ref
+    want = GaussianRational(*ref)
+    assert g == want and hash(g) == hash(want)
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_inverse(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs, pairs)
+def test_gaussian_ring_ops_match_reference(x, y):
+    gx, gy = GaussianRational(*x), GaussianRational(*y)
+    assert_matches(gx, x)
+    assert_matches(gx + gy, (x[0] + y[0], x[1] + y[1]))
+    assert_matches(gx - gy, (x[0] - y[0], x[1] - y[1]))
+    assert_matches(gx * gy, ref_mul(x, y))
+    assert_matches(-gx, (-x[0], -x[1]))
+    assert (gx == gy) == (x == y)
+    assert gx.is_zero() == (x == (0, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs, nonzero_pairs)
+def test_gaussian_division_matches_reference(x, y):
+    gx, gy = GaussianRational(*x), GaussianRational(*y)
+    assert_matches(gy.inverse(), ref_inverse(y))
+    assert_matches(gx / gy, ref_mul(x, ref_inverse(y)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs, fractions, st.integers(-50, 50))
+def test_gaussian_mixed_with_int_and_fraction(x, f, n):
+    gx = GaussianRational(*x)
+    assert_matches(gx + n, (x[0] + n, x[1]))
+    assert_matches(n - gx, (n - x[0], -x[1]))
+    assert_matches(n * gx, (n * x[0], n * x[1]))
+    assert_matches(gx * f, (x[0] * f, x[1] * f))
+    if f:
+        assert_matches(gx / f, (x[0] / f, x[1] / f))
+    if x != (0, 0):
+        assert_matches(f / gx, ref_mul((f, Fraction(0)), ref_inverse(x)))
+    assert (GaussianRational(f) == f) and (GaussianRational(n) == n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs, pairs, pairs)
+def test_polynomial_product_accumulates_exactly(w, x, y):
+    # the s^0 coefficient of (w + x s)(1 + y/s) is w + x*y, summed in place
+    p = LaurentPoly({0: GaussianRational(*w), 1: GaussianRational(*x)}) \
+        * LaurentPoly({0: 1, -1: GaussianRational(*y)})
+    xy = ref_mul(x, y)
+    assert_matches(p.c.get(0, GaussianRational(0)), (w[0] + xy[0], w[1] + xy[1]))
+
+
+def test_gaussian_zero_and_inverse_of_zero():
+    zero = GaussianRational(3, 4) - GaussianRational(3, 4)
+    assert (zero.a, zero.b, zero.d) == (0, 0, 1)
+    assert (GaussianRational(Fraction(-5, 7), 0) * 0).d == 1
+    with pytest.raises(ZeroDivisionError):
+        zero.inverse()
+    with pytest.raises(ZeroDivisionError):
+        GaussianRational(1) / zero
+
+
+def test_gaussian_from_fractions():
+    g = GaussianRational(Fraction(-3, 4), Fraction(5, 6))
+    assert (g.a, g.b, g.d) == (-9, 10, 12)
+    assert type(g.re) is Fraction and type(g.im) is Fraction
+    assert (g.re, g.im) == (Fraction(-3, 4), Fraction(5, 6))
+    assert str(g) == "-3/4+5/6*i" and repr(g) == \
+        "GaussianRational(Fraction(-3, 4), Fraction(5, 6))"
+    with pytest.raises(AttributeError):
+        g.a = 1
+    # unreduced input lands on the same canonical triple
+    assert GaussianRational(Fraction(2, 4), 0) == GaussianRational(Fraction(1, 2))
+    assert hash(GaussianRational(Fraction(2, 4), 0)) == hash(GaussianRational(Fraction(1, 2)))
+
+
+# ---------------------------------------------------------------------------
+# representation guard: no Fraction stored inside the hot-path values
+# ---------------------------------------------------------------------------
+
+def gaussians_in(x):
+    """Every GaussianRational held by a Scalar or a RatFunc."""
+    for f in (x.c if isinstance(x, Scalar) else (x,)):
+        for p in (f.num, f.den):
+            yield from p.c.values()
+
+
+def test_gaussian_rationals_hold_only_ints():
+    assert GaussianRational.__slots__ == ("a", "b", "d")
+    x = qint(7) * qint(5) / qint(3)
+    # (s^2 - 1)(s/3 + 2) / ((s^2 - 1)(s - 3)) reduces through the polynomial gcd
+    common = LaurentPoly({2: 1, 0: -1})
+    num = common * LaurentPoly({1: Fraction(1, 3), 0: 2})
+    den = common * LaurentPoly({1: 1, 0: -3})
+    f = RatFunc(num, den)
+    assert f == RatFunc(LaurentPoly({1: Fraction(1, 3), 0: 2}), LaurentPoly({1: 1, 0: -3}))
+    seen = list(gaussians_in(x)) + list(gaussians_in(f))
+    assert any(g.d != 1 for g in seen)
+    for g in seen:
+        assert not hasattr(g, "__dict__")
+        assert all(type(getattr(g, name)) is int for name in GaussianRational.__slots__)
 
 
 # ---------------------------------------------------------------------------
