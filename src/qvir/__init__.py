@@ -54,6 +54,7 @@ from .dirac import (
     AffineMap,
     ConstraintSet,
     DiracMatrix,
+    Reduction,
     SingularModeError,
     affine_check,
     build_dirac_matrix,
@@ -76,9 +77,9 @@ __all__ = [
     "ConstraintSet", "DiracMatrix", "Dist2", "ExpField", "FieldFactor",
     "GaussianRational", "HSeries", "KacMoodyLevel", "ModeWindow",
     "NonExpandableError", "PoleAtQ1Error", "QVirasoroBracket", "RatKernel",
-    "ReconstructionError", "Report", "RunConfig", "Scalar", "SingularModeError",
-    "SurdRational", "TermSum", "WindowMismatchError", "affine_check",
-    "antisymmetry_check", "build_dirac_matrix", "classical_bracket",
+    "ReconstructionError", "Reduction", "Report", "RunConfig", "Scalar",
+    "SingularModeError", "SurdRational", "TermSum", "WindowMismatchError",
+    "affine_check", "antisymmetry_check", "build_dirac_matrix", "classical_bracket",
     "classical_bracket_table", "classical_jacobi_check", "classical_limit_check",
     "commutator_from_exchange", "contract", "emit", "eval_q1",
     "exchange_suite", "expand_inner", "expand_outer", "fuse", "invert",

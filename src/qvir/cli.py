@@ -22,9 +22,9 @@ from .currents import (
 )
 from .dirac import (
     SCENARIO_KEYS,
+    Reduction,
     UnknownScenarioError,
     dirac_suite,
-    reduce,
     reduce_suite,
     scenario,
 )
@@ -123,8 +123,8 @@ def run(config: RunConfig) -> Report:
     W = ModeWindow(config.window)
     rep = Report(config.scenario, config.window)
 
-    sc = scenario(config.scenario) if config.scenario == "classical-sl2" \
-        else scenario(config.scenario, weighted=False)
+    # one Dirac chain per scenario variant, shared by the suites that read it
+    chain = Reduction(scenario(config.scenario), W)
 
     for name in suites:
         if name == "exchange":
@@ -140,32 +140,30 @@ def run(config: RunConfig) -> Report:
             rep.extend(_timed(lambda: verify_serre_mode_equivalence(W)))
             rep.extend(_timed(lambda: verify_table_degeneration(W)))
         elif name == "dirac":
-            rep.extend(_timed(lambda: dirac_suite(sc, W)))
+            rep.extend(_timed(lambda: dirac_suite(chain)))
         elif name == "reduce":
-            rep.extend(_timed(lambda: reduce_suite(sc, W)))
+            rep.extend(_timed(lambda: reduce_suite(chain)))
             if config.scenario == "q-sl2" and config.weight_on:
                 weighted = scenario("q-sl2", weighted=True,
                                     weight_exponent=config.weight_exponent)
-                rep.extend(_timed(lambda: reduce_suite(weighted, W)))
+                rep.extend(_timed(lambda: reduce_suite(Reduction(weighted, W))))
             if config.scenario == "classical-sl2":
-                rep.extend(_timed(lambda: _classical_jacobi(sc, W)))
+                rep.extend(_timed(lambda: _classical_jacobi(chain)))
         elif name == "limit":
-            rep.extend(_timed(lambda: _limit_suite(sc, W, config.order)))
+            classical = Reduction(scenario("classical-sl2"), W)
+            rep.extend(_timed(lambda: _limit_suite(chain, classical, config.order)))
     return rep
 
 
-def _classical_jacobi(sc, W):
-    reduced = reduce(sc.current, sc.table, sc.constraints, W)
-    V = ClassicalVirasoro.from_reduced(reduced, sc.current, W.N)
+def _classical_jacobi(chain):
+    V = ClassicalVirasoro.from_reduced(chain.reduced, chain.scenario.current, chain.W.N)
     return classical_jacobi_check(V, JACOBI_CUTOFF)
 
 
-def _limit_suite(sc, W, order):
-    classical = scenario("classical-sl2")
-    reduced_q = reduce(sc.current, sc.table, sc.constraints, W)
-    reduced_c = reduce(classical.current, classical.table, classical.constraints, W)
-    out = antisymmetry_check(QVirasoroBracket(False), W)
-    out.extend(classical_limit_check(reduced_q, reduced_c, order, W))
+def _limit_suite(q_chain, classical_chain, order):
+    out = antisymmetry_check(QVirasoroBracket(False), q_chain.W)
+    out.extend(classical_limit_check(q_chain.reduced, classical_chain.reduced,
+                                     order, q_chain.W))
     return out
 
 

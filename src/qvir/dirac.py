@@ -6,11 +6,16 @@ corrected by the chain {A, chi_i} (Delta^-1)_ij {chi_j, B}.  Translation
 covariance makes every contour pairing diagonal in modes, so the whole
 reduction is an exact per-mode computation: a 2x2 inversion followed by
 coefficient products.
+
+A `Reduction` holds one scenario's chain on one window and computes the
+Dirac matrix, its per-mode inverse and the reduced bracket at most once
+each, on first use; the involution check still inverts the inverse afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .qcoeff import S_I, S_ONE, S_R, S_T, S_ZERO, Scalar, q_minus_qinv, qint
@@ -185,8 +190,12 @@ class DiracMatrix:
         return all(self.e[i][j] == other.e[i][j] for i in (0, 1) for j in (0, 1))
 
 
+def _on_surface(a: str, b: str, table, constraints, W) -> TermSum:
+    return classical_bracket(a, b, table, W).substitute(constraints.on_surface)
+
+
 def _onsurface_cnumber(a: str, b: str, table, constraints, W) -> Dist2:
-    T = classical_bracket(a, b, table, W).substitute(constraints.on_surface)
+    T = _on_surface(a, b, table, constraints, W)
     if T.is_zero():
         return Dist2.zero(W.N)
     try:
@@ -242,26 +251,48 @@ def matrix_pair(A: DiracMatrix, B: DiracMatrix) -> list[list[Dist2]]:
 # ---------------------------------------------------------------------------
 
 def reduce(current: str, table: BracketTable, constraints: ConstraintSet,
-           W: ModeWindow) -> TermSum:
+           W: ModeWindow, dinv: DiracMatrix | None = None) -> TermSum:
     """Dirac bracket of the surviving current with itself: the direct
-    bracket minus the constraint-chain correction, all on-surface."""
-    dm = build_dirac_matrix(table, constraints, W)
-    dinv = invert(dm, W)
-    direct = classical_bracket(current, current, table, W).substitute(
-        constraints.on_surface)
+    bracket minus the constraint-chain correction, all on-surface.  The
+    per-mode inverse ``dinv`` of the constraint matrix is computed if not given."""
+    if dinv is None:
+        dinv = invert(build_dirac_matrix(table, constraints, W), W)
+    reduced = _on_surface(current, current, table, constraints, W)
     syms = constraints.symbols()
-    correction = TermSum.zero()
-    for i, ci in enumerate(syms):
-        Ti = classical_bracket(current, ci, table, W).substitute(constraints.on_surface)
-        for j, cj in enumerate(syms):
-            Tj = classical_bracket(cj, current, table, W).substitute(constraints.on_surface)
+    left = [_on_surface(current, c, table, constraints, W) for c in syms]
+    right = [_on_surface(c, current, table, constraints, W) for c in syms]
+    for i, Ti in enumerate(left):
+        for j, Tj in enumerate(right):
             for (mono_i, zi), di in Ti.terms.items():
                 for (mono_j, zj), dj in Tj.terms.items():
                     if zi or zj:
                         raise SubstitutionError("constraint-chain terms must be degree-free")
                     dist = pair(pair(di, dinv.entry(i, j)), dj)
-                    correction = correction + TermSum.single(mono_i + mono_j, dist)
-    return direct - correction
+                    reduced = reduced - TermSum.single(mono_i + mono_j, dist)
+    return reduced
+
+
+@dataclass(eq=False)
+class Reduction:
+    """One scenario's Dirac chain on one window: the constraint matrix, its
+    per-mode inverse and the reduced bracket, each computed at most once."""
+
+    scenario: Scenario
+    W: ModeWindow
+
+    @cached_property
+    def matrix(self) -> DiracMatrix:
+        sc = self.scenario
+        return build_dirac_matrix(sc.table, sc.constraints, self.W)
+
+    @cached_property
+    def inverse(self) -> DiracMatrix:
+        return invert(self.matrix, self.W)
+
+    @cached_property
+    def reduced(self) -> TermSum:
+        sc = self.scenario
+        return reduce(sc.current, sc.table, sc.constraints, self.W, self.inverse)
 
 
 @dataclass(frozen=True)
@@ -435,13 +466,14 @@ def printed_inverse_patterns(W: ModeWindow):
     }
 
 
-def dirac_suite(sc: Scenario, W: ModeWindow) -> list[CheckRecord]:
+def dirac_suite(red: Reduction) -> list[CheckRecord]:
     """Build, compare, invert and pair the constraint matrix."""
     out = []
+    sc, W = red.scenario, red.W
     table, constraints = sc.table, sc.constraints
     out.append(record("constraints-idempotent", "ain1/ain2",
                       constraints.idempotent() and constraints.vanish_on_surface()))
-    dm = build_dirac_matrix(table, constraints, W)
+    dm = red.matrix
 
     if sc.key == "q-sl2" and table.weight_exponent == 0:
         half2 = qint(2) * Scalar.from_rat(Fraction(1, 2))
@@ -467,7 +499,7 @@ def dirac_suite(sc: Scenario, W: ModeWindow) -> list[CheckRecord]:
                                  Dist2.zero(W.N)))
 
     try:
-        dinv = invert(dm, W)
+        dinv = red.inverse
         out.append(record("dirac-invertible", "inver", True,
                           engine=f"det(0) = {dm.det(0)}"))
     except SingularModeError as err:
@@ -502,12 +534,14 @@ def dirac_suite(sc: Scenario, W: ModeWindow) -> list[CheckRecord]:
     return out
 
 
-def reduce_suite(sc: Scenario, W: ModeWindow) -> list[CheckRecord]:
+def reduce_suite(red: Reduction) -> list[CheckRecord]:
     """Run the reduction and compare with the closed forms."""
     out = []
-    reduced = reduce(sc.current, sc.table, sc.constraints, W)
+    sc, W = red.scenario, red.W
+    reduced = red.reduced
 
-    ok = reduced.reflect() == -reduced
+    # reflect(A) == -A, tested as reflect(A) + A == 0 to build no negated copy
+    ok = (reduced.reflect() + reduced).is_zero()
     if sc.key == "classical-sl2":
         out.append(record("reduce-antisymmetry", "dirb", ok))
         parts = split_reduced(reduced, sc.current, W.N)

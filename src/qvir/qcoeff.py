@@ -400,11 +400,15 @@ def _poly_gcd(a, b):
     """Monic gcd of dense coefficient lists.
 
     Every remainder is rescaled to be monic, which keeps the rational
-    coefficients from exploding during the Euclidean descent.
+    coefficients from exploding during the Euclidean descent, which ends
+    because each remainder is shorter than its divisor (else ArithmeticError).
     """
     a, b = _trim(list(a)), _trim(list(b))
     while b:
         _, r = _poly_divmod(a, b)
+        if len(r) >= len(b):
+            raise ArithmeticError(f"remainder of length {len(r)} is not shorter "
+                                  f"than its divisor of length {len(b)}")
         if r:
             inv_lead = r[-1].inverse()
             r = [x * inv_lead for x in r]

@@ -21,7 +21,7 @@ from qvir.currents import (
     verify_serre_mode_equivalence,
 )
 from qvir.cli import RunConfig, run
-from qvir.dirac import dirac_suite, reduce, reduce_suite, scenario
+from qvir.dirac import Reduction, dirac_suite, reduce, reduce_suite, scenario
 from qvir.qvirasoro import (
     ClassicalVirasoro,
     classical_jacobi_check,
@@ -94,7 +94,7 @@ def test_criterion_3_mode_algebra():
 
 
 def test_criterion_4_dirac_matrix(q_scenario):
-    records = dirac_suite(q_scenario, W)
+    records = dirac_suite(Reduction(q_scenario, W))
     docs = [r for r in records if r.status == DOCUMENTED]
     assert [r.id for r in docs] == ["dirac-inverse-mode0"]
     assert docs[0].engine_value and docs[0].expected_value
@@ -106,7 +106,7 @@ def test_criterion_4_dirac_matrix(q_scenario):
 
 
 def test_criterion_5_classical_pipeline(classical_scenario, reductions):
-    records = reduce_suite(classical_scenario, W)
+    records = reduce_suite(Reduction(classical_scenario, W))
     _, rc = reductions
     V = ClassicalVirasoro.from_reduced(rc, "E-", N)
     records += classical_jacobi_check(V, 6)
@@ -114,9 +114,9 @@ def test_criterion_5_classical_pipeline(classical_scenario, reductions):
 
 
 def test_criterion_6_q_pipeline(q_scenario):
-    records = reduce_suite(q_scenario, W)
+    records = reduce_suite(Reduction(q_scenario, W))
     weighted = scenario("q-sl2", weighted=True)
-    records += reduce_suite(weighted, W)
+    records += reduce_suite(Reduction(weighted, W))
     ids = {r.id for r in records}
     assert {"reduce-quadratic[qdirb]", "reduce-quadratic[qvir]",
             "reduce-linear-cancellation[qdirb]", "reduce-linear-cancellation[qvir]",

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qvir import cli, dirac
 from qvir.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -14,7 +15,7 @@ from qvir.cli import (
     main,
     run,
 )
-from qvir.report import FAIL, CheckRecord, Report
+from qvir.report import DOCUMENTED, FAIL, PASS, CheckRecord, Report
 
 SMALL = 4
 
@@ -134,6 +135,98 @@ def test_check_ids_unique():
     assert len(set(ids)) == len(ids), sorted(i for i in set(ids) if ids.count(i) > 1)
     assert sorted(r.id for r in rep.documented) == \
         ["dirac-inverse-mode0", "reduce-mode0[qdirb]"]
+
+
+# The ordered check list of a full q-sl2 run at window 5.  A change that
+# reorders, renames or drops a check fails here, not first in the benchmark.
+GOLDEN_Q5_IDS = (
+    # exchange
+    "exchange-psi-phi-kernel", "exchange-psi-phi-window", "exchange-psi-e+-kernel",
+    "exchange-psi-e+-window", "exchange-psi-e--kernel", "exchange-psi-e--window",
+    "exchange-e+-phi-kernel", "exchange-e+-phi-window", "exchange-e--phi-kernel",
+    "exchange-e--phi-window", "exchange-e+-e+-kernel", "exchange-e+-e+-window",
+    "exchange-e--e--kernel", "exchange-e--e--window", "exchange-psi-psi-kernel",
+    "exchange-psi-psi-window", "exchange-phi-phi-kernel", "exchange-phi-phi-window",
+    # commutators
+    "commutator-constraint-pair", "commutator-constraint-step+",
+    "commutator-constraint-step-", "commutator-step-same+", "commutator-step-same-",
+    "antisymmetry-constraint-pair", "antisymmetry-step-same+",
+    "antisymmetry-step-same-", "antisymmetry-mixed", "ee-ope-prefactor[+]",
+    "ee-ope-poles[+]", "ee-ope-residues[+]", "ee-ope-degree-bound[+]",
+    "ee-ope-fusion[+]", "ee-ope-region-difference[+]", "ee-ope-prefactor[-]",
+    "ee-ope-poles[-]", "ee-ope-residues[-]", "ee-ope-degree-bound[-]",
+    "ee-ope-fusion[-]", "ee-ope-region-difference[-]",
+    # modes
+    "modes-hh-k1", "modes-he+-k1", "modes-h0-e+-k1", "modes-he+-vertex", "modes-he--k1",
+    "modes-h0-e--k1", "modes-he--vertex", "modes-ee-k1", "modes-hh-k2", "modes-he+-k2",
+    "modes-h0-e+-k2", "modes-he--k2", "modes-h0-e--k2", "modes-ee-k2", "modes-hh-k3",
+    "modes-he+-k3", "modes-h0-e+-k3", "modes-he--k3", "modes-h0-e--k3", "modes-ee-k3",
+    "serre-mode+", "serre-mode-", "degeneration-chi1,chi1", "degeneration-chi1,E+",
+    "degeneration-E+,E+", "degeneration-E-,chi1", "degeneration-E-,E+",
+    "degeneration-E-,E-",
+    # dirac
+    "constraints-idempotent", "dirac-matrix-11", "dirac-matrix-12", "dirac-matrix-21",
+    "dirac-matrix-22", "dirac-invertible", "dirac-pairing-identity",
+    "dirac-invert-involution", "dirac-inverse-11", "dirac-inverse-12",
+    "dirac-inverse-21", "dirac-inverse-22", "dirac-inverse-mode0",
+    # reduce
+    "reduce-antisymmetry[qdirb]", "affine-map-consistency[qdirb]",
+    "reduce-quadratic[qdirb]", "reduce-linear-cancellation[qdirb]",
+    "reduce-central[qdirb]", "reduce-mode0[qdirb]", "reduce-rational-sector[qdirb]",
+    "reduce-antisymmetry[qvir]", "affine-map-consistency[qvir]",
+    "reduce-quadratic[qvir]", "reduce-linear-cancellation[qvir]",
+    "reduce-central[qvir]", "reduce-rational-sector[qvir]",
+    # limit
+    "qvir-quad-kernel-odd", "qvir-central-zero-mode", "qvir-bracket-antisymmetry",
+    "qvir-rational-sector", "qvir-weight-relation", "limit-overall-factor",
+    "limit-h2-piece-cancellation", "limit-subleading-cancellation", "limit-h4-linear",
+    "limit-h4-central",
+)
+
+
+def test_report_golden_ids():
+    rep = run(RunConfig(scenario="q-sl2", window=5))
+    documented = {"dirac-inverse-mode0", "reduce-mode0[qdirb]"}
+    assert [(r.id, r.status) for r in rep.checks] == \
+        [(i, DOCUMENTED if i in documented else PASS) for i in GOLDEN_Q5_IDS]
+
+
+def _count_dirac_stages(monkeypatch):
+    """Wrap the Dirac-chain stages wherever dirac or cli binds them."""
+    counts = {}
+    for name in ("build_dirac_matrix", "invert", "reduce"):
+        fn = getattr(dirac, name)
+        counts[name] = 0
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for ns in (dirac, cli):
+            for key, value in list(vars(ns).items()):
+                if value is fn:
+                    monkeypatch.setattr(ns, key, counted)
+    return counts
+
+
+@pytest.mark.parametrize("scenario,window,want", (
+    ("classical-sl2", 8, {"build_dirac_matrix": 1, "invert": 2, "reduce": 1}),
+    ("q-sl2", 5, {"build_dirac_matrix": 3, "invert": 4, "reduce": 3}),
+))
+def test_dirac_stage_counts(monkeypatch, scenario, window, want):
+    # each scenario variant (q unweighted, q weighted, classical) builds,
+    # inverts and reduces once; the involution check inverts once more
+    counts = _count_dirac_stages(monkeypatch)
+    rep = run(RunConfig(scenario=scenario, window=window))
+    assert rep.ok()
+    assert counts == want
+
+
+def test_runs_leave_no_state_behind():
+    first = run(RunConfig(scenario="q-sl2", window=5))
+    run(RunConfig(scenario="classical-sl2", window=16))
+    again = run(RunConfig(scenario="q-sl2", window=5))
+    assert again.strip_durations() == first.strip_durations()
 
 
 def test_determinism_identical_config():

@@ -6,11 +6,13 @@ import pytest
 
 from qvir.qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, q_minus_qinv, qint
 from qvir.distcalc import Dist2, ModeWindow
-from qvir.currents import classical_bracket, verify_table_degeneration
+from qvir import dirac
+from qvir.currents import TermSum, classical_bracket, verify_table_degeneration
 from qvir.dirac import (
     AffineMap,
     ConstraintSet,
     DiracMatrix,
+    Reduction,
     SingularModeError,
     SubstitutionError,
     UnknownScenarioError,
@@ -25,7 +27,7 @@ from qvir.dirac import (
     scenario,
     split_reduced,
 )
-from qvir.report import DOCUMENTED, FAIL
+from qvir.report import DOCUMENTED, FAIL, PASS
 
 W = ModeWindow(8)
 Q = Scalar.q_power
@@ -239,22 +241,78 @@ def test_weighted_reduction_is_weighted_unweighted():
 
 @pytest.mark.parametrize("key", ("q-sl2", "classical-sl2"))
 def test_dirac_suite(key):
-    all_pass(dirac_suite(scenario(key), W))
+    all_pass(dirac_suite(Reduction(scenario(key), W)))
 
 
 @pytest.mark.parametrize("key,weighted", (("q-sl2", False), ("q-sl2", True),
                                           ("classical-sl2", False)))
 def test_reduce_suite(key, weighted):
     sc = scenario(key, weighted=weighted) if key == "q-sl2" else scenario(key)
-    all_pass(reduce_suite(sc, W))
+    all_pass(reduce_suite(Reduction(sc, W)))
 
 
 def test_mode0_documented_records():
-    recs = dirac_suite(scenario("q-sl2"), W) + reduce_suite(scenario("q-sl2"), W)
+    chain = Reduction(scenario("q-sl2"), W)
+    recs = dirac_suite(chain) + reduce_suite(chain)
     docs = [r for r in recs if r.status == DOCUMENTED]
     assert sorted(r.id for r in docs) == ["dirac-inverse-mode0", "reduce-mode0[qdirb]"]
     for r in docs:
         assert r.engine_value and r.expected_value
+
+
+def _perturbed(dm, i, j, n):
+    """dm with entry (i, j) shifted by one at mode n."""
+    e = [[dm.entry(a, b) for b in (0, 1)] for a in (0, 1)]
+    D = e[i][j]
+    e[i][j] = Dist2(D.N, {**D.c, n: D.coeff(n) + S_ONE})
+    return DiracMatrix(e[0][0], e[0][1], e[1][0], e[1][1])
+
+
+def test_involution_check_inverts_the_inverse_again(monkeypatch):
+    # the shared inverse is the first invert call; the involution check must
+    # make a second one and compare it with the matrix
+    real_invert, calls = dirac.invert, []
+
+    def second_call_perturbed(dm, W):
+        calls.append(dm)
+        dinv = real_invert(dm, W)
+        return _perturbed(dinv, 0, 1, 1) if len(calls) == 2 else dinv
+
+    monkeypatch.setattr(dirac, "invert", second_call_perturbed)
+    status = {r.id: r.status for r in dirac_suite(Reduction(scenario("q-sl2"), W))}
+    assert len(calls) == 2
+    assert status["dirac-pairing-identity"] == PASS
+    assert status["dirac-invert-involution"] == FAIL
+
+
+def test_pairing_identity_reads_the_shared_inverse():
+    chain = Reduction(scenario("q-sl2"), W)
+    chain.inverse = _perturbed(chain.inverse, 1, 1, 2)
+    status = {r.id: r.status for r in dirac_suite(chain)}
+    assert status["dirac-pairing-identity"] == FAIL
+
+
+@pytest.mark.parametrize("key,tag", (("q-sl2", "[qdirb]"), ("classical-sl2", "")))
+def test_antisymmetry_check_fails_on_symmetric_part(key, tag):
+    chain = Reduction(scenario(key), W)
+    chain.reduced = chain.reduced + TermSum.single((), Dist2.delta(W.N))
+    status = {r.id: r.status for r in reduce_suite(chain)}
+    assert status[f"reduce-antisymmetry{tag}"] == FAIL
+
+
+def test_reduction_computes_each_stage_once(monkeypatch):
+    counts = {"build_dirac_matrix": 0, "invert": 0, "reduce": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(dirac, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(dirac, name, counted)
+    chain = Reduction(scenario("classical-sl2"), W)
+    assert chain.reduced is chain.reduced
+    assert chain.matrix is chain.matrix and chain.inverse is chain.inverse
+    assert counts == {"build_dirac_matrix": 1, "invert": 1, "reduce": 1}
+    assert chain.reduced == reduce("E-", chain.scenario.table,
+                                   chain.scenario.constraints, W)
 
 
 def test_table_degeneration_to_undeformed():

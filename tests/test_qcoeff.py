@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qvir import qcoeff
 from qvir.qcoeff import (
     GaussianRational,
     LaurentPoly,
@@ -255,6 +256,15 @@ def test_division_with_surds():
     x = (S_T + S_R) * spow(3) + S_I
     y = S_R * S_T - spow(-2)
     assert (x / y) * y == x
+
+
+def test_gcd_raises_when_a_remainder_does_not_shrink(monkeypatch):
+    # a division that hands the dividend back as its remainder would make the
+    # Euclidean loop swap the two polynomials forever
+    monkeypatch.setattr(qcoeff, "_poly_divmod", lambda a, b: ([], list(a)))
+    one = GaussianRational(1)
+    with pytest.raises(ArithmeticError, match="not shorter than its divisor"):
+        qcoeff._poly_gcd([one, one, one], [one, one])
 
 
 # ---------------------------------------------------------------------------
