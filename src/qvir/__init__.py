@@ -1,8 +1,8 @@
 """Exact verification engine for the q-deformed Virasoro algebra obtained by
 Hamiltonian (Dirac) reduction of the quantum affine sl(2) current algebra.
 
-Everything is computed in exact arithmetic over Q(i)(s)[t, r] with
-s^2 = q, t^2 = 2 and r^2 = q + 1/q; no floating point appears anywhere.
+Everything is computed in exact arithmetic over Q(i)(s)[t] with
+s^2 = q and t^2 = 2; no floating point appears anywhere.
 """
 
 from .qcoeff import (

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .qcoeff import S_I, S_ONE, S_R, S_T, S_ZERO, Scalar, q_minus_qinv, qint
+from .qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, q_minus_qinv, qint
 from .distcalc import Dist2, ModeWindow, pair
 from .currents import (
     BracketTable,
@@ -98,33 +98,31 @@ def classical_constraints(N: int = 1) -> ConstraintSet:
 class AffineMap:
     """Affine redefinition Et- = a*E- + b of the surviving current.
 
-    The reduced-bracket comparisons only ever need the rational-sector
-    products a^2, a*b, b^2; the full surd-valued a and b are kept so the
-    stored products can be validated against the field tower.
+    a and b themselves are surd-valued, but the reduced-bracket comparisons
+    only ever need the rational-sector products a^2, a*b and b^2, which are
+    all that is stored.
     """
 
-    a: Scalar
-    b: Scalar
     a2: Scalar
     ab: Scalar
     b2: Scalar
 
+    @staticmethod
+    def closed_forms() -> tuple:
+        """(a^2, ab, b^2) = ((q-1/q)^4 [2]/2, 2 (q-1/q)^2, 8/[2])."""
+        dq2 = q_minus_qinv() ** 2
+        return (dq2 * dq2 * qint(2) * Scalar.from_rat(Fraction(1, 2)),
+                Scalar.from_rat(2) * dq2,
+                Scalar.from_rat(8) / qint(2))
+
     @classmethod
     def standard(cls) -> "AffineMap":
-        dq = q_minus_qinv()
-        two = Scalar.from_rat(2)
-        half = Scalar.from_rat(Fraction(1, 2))
-        a = dq * dq * S_R * S_T * half                 # (q-1/q)^2 sqrt([2]/2)
-        b = two * S_T * S_R / qint(2)                  # 4/sqrt(2[2])
-        a2 = dq ** 4 * qint(2) * half
-        ab = two * dq * dq
-        b2 = Scalar.from_rat(8) / qint(2)
-        return cls(a, b, a2, ab, b2)
+        return cls(*cls.closed_forms())
 
     def consistent(self) -> bool:
-        return (self.a * self.a == self.a2
-                and self.a * self.b == self.ab
-                and self.b * self.b == self.b2)
+        """a^2 b^2 == (ab)^2, and each product equals its closed form."""
+        return (self.a2 * self.b2 == self.ab * self.ab
+                and (self.a2, self.ab, self.b2) == self.closed_forms())
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,10 @@
-"""Exact arithmetic in the coefficient field tower Q(i)(s)[t, r].
+"""Exact arithmetic in the coefficient field tower Q(i)(s)[t].
 
 ``s`` is a formal square root of the deformation parameter ``q``, so every
-half-integer power of q is a monomial in s.  ``t`` and ``r`` are formal
-surds with t^2 = 2 and r^2 = q + 1/q; they stay symbolic until one of the
-two degeneration maps is applied:
+half-integer power of q is a monomial in s.  ``t`` is a formal surd with
+t^2 = 2; it stays symbolic under both degeneration maps:
 
-* :func:`eval_q1` substitutes s = 1 (keeping t formal, with r -> t),
+* :func:`eval_q1` substitutes s = 1,
 * :func:`taylor_q1` expands in h after substituting s = exp(i h / 2).
 
 All values are immutable; equality is exact and decidable through a
@@ -460,9 +459,9 @@ class RatFunc:
         return self.num.is_zero()
 
     def __add__(self, other):
-        if self.num.is_zero():
+        if not self.num.c:
             return other
-        if other.num.is_zero():
+        if not other.num.c:
             return self
         if self.den == other.den:
             if self.den == LP_ONE:
@@ -471,9 +470,9 @@ class RatFunc:
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other):
-        if other.num.is_zero():
+        if not other.num.c:
             return self
-        if self.num.is_zero():
+        if not self.num.c:
             return -other
         if self.den == other.den:
             if self.den == LP_ONE:
@@ -482,10 +481,12 @@ class RatFunc:
         return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self):
+        if not self.num.c:
+            return self
         return RatFunc(-self.num, self.den, _canonical=True)
 
     def __mul__(self, other):
-        if self.num.is_zero() or other.num.is_zero():
+        if not self.num.c or not other.num.c:
             return RF_ZERO
         if self.den == LP_ONE and other.den == LP_ONE:
             return RatFunc(self.num * other.num, LP_ONE, _canonical=True)
@@ -566,8 +567,6 @@ def _cross_reduce(p: LaurentPoly, q: LaurentPoly):
 RF_ZERO = RatFunc.const(0)
 RF_ONE = RatFunc.const(1)
 RF_TWO = RatFunc.const(2)
-# r^2 = q + 1/q = s^2 + s^-2
-RF_QBRACKET2 = RatFunc(LaurentPoly({2: G_ONE, -2: G_ONE}), LP_ONE, _canonical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -575,15 +574,17 @@ RF_QBRACKET2 = RatFunc(LaurentPoly({2: G_ONE, -2: G_ONE}), LP_ONE, _canonical=Tr
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """Element of Q(i)(s)[t, r] with t^2 = 2 and r^2 = s^2 + s^-2.
+    """Element of Q(i)(s)[t] with t^2 = 2.
 
-    Stored as four RatFunc components on the basis (1, t, r, t*r).
+    Stored as two RatFunc components on the basis (1, t).  Every operation
+    skips the products of a zero t-component, so values in the rational
+    sector cost one RatFunc operation.
     """
 
     __slots__ = ("c",)
 
-    def __init__(self, c0=RF_ZERO, c1=RF_ZERO, c2=RF_ZERO, c3=RF_ZERO):
-        object.__setattr__(self, "c", (c0, c1, c2, c3))
+    def __init__(self, c0=RF_ZERO, c1=RF_ZERO):
+        _set_sc(self, (c0, c1))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -607,10 +608,6 @@ class Scalar:
         return cls(RF_ZERO, RF_ONE)
 
     @classmethod
-    def r(cls):
-        return cls(RF_ZERO, RF_ZERO, RF_ONE)
-
-    @classmethod
     def s_power(cls, k, coef=G_ONE):
         """The monomial coef * s^k."""
         return cls(RatFunc.monomial(k, coef))
@@ -623,81 +620,69 @@ class Scalar:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self):
-        return all(f.is_zero() for f in self.c)
+        c0, c1 = self.c
+        return not c0.num.c and not c1.num.c
 
     def is_rational_sector(self):
-        """True when the t-, r- and t*r-components all vanish."""
-        return all(f.is_zero() for f in self.c[1:])
+        """True when the t-component vanishes."""
+        return not self.c[1].num.c
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_scalar(other)
-        return Scalar(*(a + b for a, b in zip(self.c, other.c)))
+        if type(other) is not Scalar:
+            other = _as_scalar(other)
+        a0, a1 = self.c
+        b0, b1 = other.c
+        return _scalar(a0 + b0, a1 + b1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_scalar(other)
-        return Scalar(*(a - b for a, b in zip(self.c, other.c)))
+        if type(other) is not Scalar:
+            other = _as_scalar(other)
+        a0, a1 = self.c
+        b0, b1 = other.c
+        return _scalar(a0 - b0, a1 - b1)
 
     def __rsub__(self, other):
         return _as_scalar(other) - self
 
     def __neg__(self):
-        return Scalar(*(-a for a in self.c))
+        c0, c1 = self.c
+        return _scalar(-c0, -c1)
 
     def __mul__(self, other):
-        other = _as_scalar(other)
-        a0, a1, a2, a3 = self.c
-        b0, b1, b2, b3 = other.c
-        # fast path: both in the rational sector (the overwhelming case)
-        if a1.is_zero() and a2.is_zero() and a3.is_zero():
-            if b1.is_zero() and b2.is_zero() and b3.is_zero():
-                return Scalar(a0 * b0)
-            return Scalar(a0 * b0, a0 * b1, a0 * b2, a0 * b3)
-        if b1.is_zero() and b2.is_zero() and b3.is_zero():
-            return Scalar(a0 * b0, a1 * b0, a2 * b0, a3 * b0)
-        B = RF_QBRACKET2
-        return Scalar(
-            a0 * b0 + RF_TWO * (a1 * b1) + B * (a2 * b2) + RF_TWO * B * (a3 * b3),
-            a0 * b1 + a1 * b0 + B * (a2 * b3 + a3 * b2),
-            a0 * b2 + a2 * b0 + RF_TWO * (a1 * b3 + a3 * b1),
-            a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
-        )
+        if type(other) is not Scalar:
+            other = _as_scalar(other)
+        a0, a1 = self.c
+        b0, b1 = other.c
+        if not a1.num.c:
+            if not b1.num.c:
+                return _scalar(a0 * b0, RF_ZERO)
+            return _scalar(a0 * b0, a0 * b1)
+        if not b1.num.c:
+            return _scalar(a0 * b0, a1 * b0)
+        return _scalar(a0 * b0 + RF_TWO * (a1 * b1), a0 * b1 + a1 * b0)
 
     __rmul__ = __mul__
 
-    def conj_r(self):
-        return Scalar(self.c[0], self.c[1], -self.c[2], -self.c[3])
-
     def conj_t(self):
-        return Scalar(self.c[0], -self.c[1], self.c[2], -self.c[3])
+        c0, c1 = self.c
+        return _scalar(c0, -c1)
 
     def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero Scalar")
-        c0, c1, c2, c3 = self.c
-        nz = [not f.is_zero() for f in self.c]
-        # single-component fast paths (1/x for x = c * basis element)
-        if nz == [True, False, False, False]:
-            return Scalar(RF_ONE / c0)
-        if nz == [False, True, False, False]:
-            return Scalar(RF_ZERO, RF_ONE / (RF_TWO * c1))
-        if nz == [False, False, True, False]:
-            return Scalar(RF_ZERO, RF_ZERO, RF_ONE / (RF_QBRACKET2 * c2))
-        if nz == [False, False, False, True]:
-            return Scalar(RF_ZERO, RF_ZERO, RF_ZERO,
-                          RF_ONE / (RF_TWO * RF_QBRACKET2 * c3))
-        # kill r, then t, by norm-form conjugations
-        xr = self.conj_r()
-        y = self * xr                      # lives in Q(i)(s)[t]
-        yt = y.conj_t()
-        z = y * yt                         # lives in Q(i)(s)
-        z0 = z.c[0]
-        inv_z = RF_ONE / z0
-        w = xr * yt
-        return Scalar(*(f * inv_z for f in w.c))
+        c0, c1 = self.c
+        if not c1.num.c:
+            if not c0.num.c:
+                raise ZeroDivisionError("inverse of zero Scalar")
+            return _scalar(RF_ONE / c0, RF_ZERO)
+        if not c0.num.c:
+            return _scalar(RF_ZERO, RF_ONE / (RF_TWO * c1))
+        # norm form: 1/(c0 + c1 t) = (c0 - c1 t)/(c0^2 - 2 c1^2); the norm is
+        # nonzero because sqrt(2) is not in Q(i)(s)
+        inv_norm = RF_ONE / (c0 * c0 - RF_TWO * (c1 * c1))
+        return _scalar(c0 * inv_norm, -(c1 * inv_norm))
 
     def __truediv__(self, other):
         return self * _as_scalar(other).inverse()
@@ -728,8 +713,9 @@ class Scalar:
         return hash(self.c)
 
     def subst_qinv(self):
-        """Apply q -> 1/q (r and t are fixed: their defining relations are symmetric)."""
-        return Scalar(*(f.subst_qinv() for f in self.c))
+        """Apply q -> 1/q (t is fixed)."""
+        c0, c1 = self.c
+        return _scalar(c0.subst_qinv(), c1.subst_qinv())
 
     def as_int(self):
         """Return the value as a plain int when it is one, else None."""
@@ -750,9 +736,8 @@ class Scalar:
     def __str__(self):
         if self.is_zero():
             return "0"
-        names = ("", "t", "r", "t*r")
         parts = []
-        for f, name in zip(self.c, names):
+        for f, name in zip(self.c, ("", "t")):
             if f.is_zero():
                 continue
             fs = str(f)
@@ -772,6 +757,16 @@ class Scalar:
         return f"Scalar<{self}>"
 
 
+_set_sc = Scalar.c.__set__
+
+
+def _scalar(c0, c1):
+    """The Scalar c0 + c1*t, built without going through __init__."""
+    x = _new(Scalar)
+    _set_sc(x, (c0, c1))
+    return x
+
+
 def _as_scalar(x):
     if isinstance(x, Scalar):
         return x
@@ -786,7 +781,6 @@ S_ZERO = Scalar()
 S_ONE = Scalar.from_rat(1)
 S_I = Scalar.i()
 S_T = Scalar.t()
-S_R = Scalar.r()
 
 
 from functools import lru_cache
@@ -853,12 +847,12 @@ class SurdRational:
 
 
 def eval_q1(x: Scalar) -> SurdRational:
-    """Substitute s = 1; r degenerates to t since r^2 -> 2.
+    """Substitute s = 1, keeping t formal.
 
     Raises PoleAtQ1Error when any normalized denominator vanishes at s = 1.
     """
-    f0, f1, f2, f3 = (f.eval_one() for f in x.c)
-    return SurdRational(f0 + 2 * f3, f1 + f2)
+    c0, c1 = x.c
+    return SurdRational(c0.eval_one(), c1.eval_one())
 
 
 # ---------------------------------------------------------------------------
@@ -1010,58 +1004,43 @@ def _lp_to_hseries(p: LaurentPoly, prec: int) -> HSeries:
     return HSeries(out, prec)
 
 
-def _sqrt_cos_series(prec: int) -> HSeries:
-    """sqrt(cos h) as an exact rational series (r = t * sqrt(cos h))."""
-    cos = [Fraction(0)] * prec
-    sign = 1
-    fact = 1
-    for m in range(0, prec, 2):
-        if m:
-            fact *= (m - 1) * m
-        cos[m] = Fraction(sign, fact)
-        sign = -sign
-    c = [Fraction(0)] * prec
-    c[0] = Fraction(1)
-    for m in range(1, prec):
-        acc = cos[m]
-        for j in range(1, m):
-            acc -= c[j] * c[m - j]
-        c[m] = acc / 2
-    return HSeries({m: (GaussianRational(c[m]), G_ZERO) for m in range(prec)}, prec)
+def _order_at_one(p: LaurentPoly) -> int:
+    """The order in h of p(exp(i h / 2)): the number of factors (s - 1) of p.
+
+    The h^k coefficient is proportional to the moment sum_j c_j j^k, and the
+    moments k < m of m distinct exponents cannot all vanish (Vandermonde),
+    so the order is below the number of terms.
+    """
+    for k in range(len(p.c)):
+        total = G_ZERO
+        for j, g in p.c.items():
+            total = _mul_add(total, g, _make(j ** k, 0, 1))
+        if total.a or total.b:
+            return k
+    raise ArithmeticError(f"no nonzero moment below {len(p.c)} for {p}")
 
 
 def taylor_q1(x: Scalar, order: int) -> HSeries:
-    """Exact Laurent expansion in h of x under q = exp(i h), through h^order."""
+    """Exact Laurent expansion in h of x under q = exp(i h), through h^order.
+
+    Each component num/den is expanded once: a denominator of order v in h
+    loses 2v orders of precision in the division (v in its inverse, v more
+    in the product), so the series are taken to order + 1 + 2v.
+    """
     if order < 0:
         raise ValueError("order must be >= 0")
     target = order + 1
-    guard = 4
-    while guard <= 4096:
-        prec = target + guard
-        series = []
-        ok = True
-        for f in x.c:
-            if f.num.is_zero():
-                series.append(HSeries({}, prec))
-                continue
-            den_h = _lp_to_hseries(f.den, prec)
-            if den_h.is_zero() or den_h.valuation() > guard // 2:
-                ok = False
-                break
-            series.append(_lp_to_hseries(f.num, prec) / den_h)
-        if ok and all(s.prec >= target for s in series):
-            s0, s1, s2, s3 = series
-            root = _sqrt_cos_series(prec)
-            rat = s0 + s3 * root + s3 * root       # 1-component: f0 + 2*f3*sqrt(cos h)
-            tco = s1 + s2 * root                   # t-component: f1 + f2*sqrt(cos h)
-            prec_out = min(rat.prec, tco.prec)
-            if prec_out >= target:
-                out = {}
-                for k, (a, _) in rat.c.items():
-                    out[k] = (a, G_ZERO)
-                for k, (a, _) in tco.c.items():
-                    prev = out.get(k, (G_ZERO, G_ZERO))
-                    out[k] = (prev[0], a)
-                return HSeries(out, prec_out).truncate(target)
-        guard *= 4
-    raise ArithmeticError("taylor_q1 failed to reach the requested order")
+    parts = []
+    for f in x.c:
+        if f.num.is_zero():
+            parts.append({})
+            continue
+        prec = target + 2 * _order_at_one(f.den)
+        series = _lp_to_hseries(f.num, prec) / _lp_to_hseries(f.den, prec)
+        if series.prec < target:
+            raise ArithmeticError(f"taylor_q1 reached O(h^{series.prec}), "
+                                  f"short of O(h^{target})")
+        parts.append({k: a for k, (a, _) in series.c.items()})
+    rat, tco = parts
+    keys = rat.keys() | tco.keys()
+    return HSeries({k: (rat.get(k, G_ZERO), tco.get(k, G_ZERO)) for k in keys}, target)

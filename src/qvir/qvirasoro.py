@@ -92,10 +92,6 @@ def antisymmetry_check(B: QVirasoroBracket, W: ModeWindow) -> list[CheckRecord]:
 # Exact classical limit
 # ---------------------------------------------------------------------------
 
-def _surd_of(x: Scalar) -> SurdRational:
-    return eval_q1(x)
-
-
 def classical_limit_check(reduced_q: TermSum, reduced_classical: TermSum,
                           order: int, W: ModeWindow,
                           current: str = "E-") -> list[CheckRecord]:
@@ -145,8 +141,8 @@ def classical_limit_check(reduced_q: TermSum, reduced_classical: TermSum,
             if h_lin.coeff(k) != SurdRational(0) or h_cn.coeff(k) != SurdRational(0):
                 bad_low = (n, k, str(h_lin), str(h_cn))
                 break
-        want_lin = _surd_of(sixteen * c.lin_z.coeff(n))
-        want_cen = _surd_of(sixteen * c.cnum.coeff(n))
+        want_lin = eval_q1(sixteen * c.lin_z.coeff(n))
+        want_cen = eval_q1(sixteen * c.cnum.coeff(n))
         if h_lin.coeff(4) != want_lin and bad_lin is None:
             bad_lin = (n, str(h_lin.coeff(4)), str(want_lin))
         if h_cn.coeff(4) != want_cen and bad_cen is None:

@@ -137,21 +137,16 @@ class ExpField:
         return f"ExpField<{self.name}>"
 
 
-def _sqrt2():
-    return S_T
-
-
 from functools import lru_cache
 
 
 @lru_cache(maxsize=1)
 def standard_fields() -> dict[str, ExpField]:
     """The four level-1 vertex operators, keyed 'E+', 'E-', 'Psi', 'Phi'."""
-    rt2 = _sqrt2()
     dq = q_minus_qinv()
     out = {}
     for sgn, name in ((+1, "E+"), (-1, "E-")):
-        beta = Scalar.from_rat(sgn) * S_I * rt2
+        beta = Scalar.from_rat(sgn) * S_I * S_T
         # creation side (n<0) carries q^{-sgn/2} per mode, annihilation side q^{+sgn/2}
         pos = (ModeTerm(S_I, -sgn, True),)
         neg = (ModeTerm(S_I, +sgn, True),)
@@ -159,10 +154,10 @@ def standard_fields() -> dict[str, ExpField]:
         out[name] = ExpField(name, beta, form)
     out["Psi"] = ExpField(
         "Psi", S_ONE,
-        OscLinearForm("z", qpow=rt2, pos=(ModeTerm(rt2 * dq, 0, False),)))
+        OscLinearForm("z", qpow=S_T, pos=(ModeTerm(S_T * dq, 0, False),)))
     out["Phi"] = ExpField(
         "Phi", S_ONE,
-        OscLinearForm("z", qpow=-rt2, neg=(ModeTerm(-(rt2 * dq), 0, False),)))
+        OscLinearForm("z", qpow=-S_T, neg=(ModeTerm(-(S_T * dq), 0, False),)))
     return out
 
 
@@ -521,13 +516,10 @@ def h_h_contraction(W: ModeWindow) -> Dist2:
 
 
 def h_e_contraction(sign: int, W: ModeWindow) -> Dist2:
-    """Singular part of H(z)E^sign(w): +-sqrt2 (1 + sum_{n>0} ([2n]/2n) (q^(-+1/2) x)^n)."""
-    F = standard_fields()
-    E = F["E+"] if sign > 0 else F["E-"]
-    out = {0: (-S_I) * E.eff_qt}
-    for n in range(1, W.N + 1):
-        out[n] = E.eff_mode(-n) * oscillator_norm(n)
-    return Dist2(W.N, out)
+    """Singular part of H(z)E^sign(w): +-sqrt2 (1 + sum_{n>0} ([2n]/2n) (q^(-+1/2) x)^n),
+    the n >= 0 part of :func:`h_e_commutator_dist`."""
+    D = h_e_commutator_dist(sign, W)
+    return Dist2(W.N, {n: v for n, v in D.c.items() if n >= 0})
 
 
 def h_e_commutator_dist(sign: int, W: ModeWindow) -> Dist2:

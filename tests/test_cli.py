@@ -1,6 +1,7 @@
 """Batch driver: configuration, suite selection, emission, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +190,34 @@ def test_report_golden_ids():
     documented = {"dirac-inverse-mode0", "reduce-mode0[qdirb]"}
     assert [(r.id, r.status) for r in rep.checks] == \
         [(i, DOCUMENTED if i in documented else PASS) for i in GOLDEN_Q5_IDS]
+
+
+# Full reports without the "seconds" fields.  They are written by
+# _report_without_seconds and change only when a report is meant to change.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _report_without_seconds(config):
+    d = run(config).to_dict()
+    for c in d["checks"]:
+        del c["seconds"]
+    return d
+
+
+@pytest.mark.parametrize("scenario,window", (("classical-sl2", 8), ("q-sl2", 5)))
+def test_report_matches_golden(scenario, window):
+    # the full report, every engine and expected string included, is fixed
+    golden = json.loads((GOLDEN / f"{scenario}-window{window}.json").read_text())
+    assert _report_without_seconds(RunConfig(scenario=scenario, window=window)) == golden
+
+
+def test_limit_records_match_golden():
+    golden = json.loads((GOLDEN / "q-sl2-window5.json").read_text())
+    limit = _report_without_seconds(RunConfig(scenario="q-sl2", window=5,
+                                              suites=("limit",)))["checks"]
+    ids = {c["id"] for c in limit}
+    assert any(i.startswith("limit-h4") for i in ids)
+    assert limit == [c for c in golden["checks"] if c["id"] in ids]
 
 
 def _count_dirac_stages(monkeypatch):

@@ -1,5 +1,6 @@
 """Constraint matrix, per-mode inversion, and the reduced brackets."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -220,8 +221,24 @@ def test_affine_map_consistency():
     assert amap.a2 == q_minus_qinv() ** 4 * qint(2) * HALF
     assert amap.ab == Scalar.from_rat(2) * q_minus_qinv() ** 2
     assert amap.b2 == Scalar.from_rat(8) / qint(2)
-    assert not amap.a.is_rational_sector()
     assert amap.a2.is_rational_sector()
+
+
+def test_affine_map_consistency_negative_controls():
+    amap = AffineMap.standard()
+    two = Scalar.from_rat(2)
+    # b^2 doubled breaks a^2 b^2 == (ab)^2
+    doubled = dataclasses.replace(amap, b2=two * amap.b2)
+    assert doubled.a2 * doubled.b2 != doubled.ab * doubled.ab
+    assert not doubled.consistent()
+    # ab negated keeps the identity; only the closed form catches it
+    negated = dataclasses.replace(amap, ab=-amap.ab)
+    assert negated.a2 * negated.b2 == negated.ab * negated.ab
+    assert not negated.consistent()
+    for bad in (doubled, negated):
+        rec = next(r for r in affine_check(TermSum([]), bad, W, False)
+                   if r.id == "affine-map-consistency[qdirb]")
+        assert rec.status == FAIL
 
 
 def test_weighted_reduction_is_weighted_unweighted():

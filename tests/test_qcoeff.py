@@ -14,7 +14,6 @@ from qvir.qcoeff import (
     RatFunc,
     S_I,
     S_ONE,
-    S_R,
     S_T,
     S_ZERO,
     Scalar,
@@ -199,8 +198,13 @@ def test_qint_identities_window(n):
 
 def test_surd_relations():
     assert S_T * S_T == Scalar.from_rat(2)
-    assert S_R * S_R == spow(2) + spow(-2)
-    assert (S_T * S_R) * (S_T * S_R) == 2 * (spow(2) + spow(-2))
+    assert (S_T * spow(1)) * (S_T * spow(-1)) == Scalar.from_rat(2)
+
+
+def test_scalar_has_two_components():
+    # the tower is Q(i)(s)[t] on the basis (1, t)
+    assert len(Scalar().c) == 2
+    assert len((S_T * spow(3) + S_I).c) == 2
 
 
 def test_i_squares_to_minus_one():
@@ -226,8 +230,7 @@ def scalars(draw):
             out = out + Scalar.s_power(k, g)
         return out
 
-    x = comp() + comp() * S_T + comp() * S_R + comp() * S_T * S_R
-    return x
+    return comp() + comp() * S_T
 
 
 @settings(max_examples=25, deadline=None)
@@ -252,9 +255,24 @@ def test_normalization_canonicity(x):
         assert x * x.inverse() == S_ONE
 
 
+# a nonzero rational-sector value: one or two monomials at distinct exponents
+nonzero_components = st.dictionaries(
+    st.integers(-4, 4), gaussians.filter(lambda g: not g.is_zero()),
+    min_size=1, max_size=2,
+).map(lambda terms: sum((Scalar.s_power(k, g) for k, g in terms.items()), S_ZERO))
+
+
+@settings(max_examples=25, deadline=None)
+@given(nonzero_components, nonzero_components)
+def test_inverse_is_norm_form(c0, c1):
+    x = c0 + c1 * S_T
+    assert x * x.inverse() == S_ONE
+    assert x.inverse() == x.conj_t() / (c0 * c0 - 2 * c1 * c1)
+
+
 def test_division_with_surds():
-    x = (S_T + S_R) * spow(3) + S_I
-    y = S_R * S_T - spow(-2)
+    x = (S_T + spow(1)) * spow(3) + S_I
+    y = S_T * spow(2) - spow(-2)
     assert (x / y) * y == x
 
 
@@ -283,9 +301,7 @@ def test_eval_q1_constants_fixed():
 
 def test_eval_q1_surds():
     assert eval_q1(S_T) == SurdRational(0, 1)
-    # r degenerates to t
-    assert eval_q1(S_R) == SurdRational(0, 1)
-    assert eval_q1(S_T * S_R) == SurdRational(2)
+    assert eval_q1(S_T * S_T) == SurdRational(2)
 
 
 def test_eval_q1_pole_raises():
@@ -295,7 +311,7 @@ def test_eval_q1_pole_raises():
 
 
 def test_taylor_order0_agrees_with_eval():
-    xs = [qint(5), (qint(3) + S_T) / (qint(2) + S_ONE), S_R * qint(2)]
+    xs = [qint(5), (qint(3) + S_T) / (qint(2) + S_ONE), S_T * qint(2)]
     for x in xs:
         h = taylor_q1(x, 0)
         assert h.coeff(0) == eval_q1(x)
@@ -336,14 +352,33 @@ def test_taylor_pole_in_h():
     assert h.coeff(-1) == SurdRational(GaussianRational(0, Fraction(-1, 2)))
 
 
-def test_taylor_of_r_uses_sqrt_cos():
-    # r = t*sqrt(cos h) = t*(1 - h^2/4 - h^4/96 + ...)
-    h = taylor_q1(S_R, 4)
-    assert h.coeff(0) == SurdRational(0, 1)
-    assert h.coeff(2) == SurdRational(0, Fraction(-1, 4))
-    assert h.coeff(4) == SurdRational(0, Fraction(-1, 96))
-    # and r^2 expands like [2] = 2 cos h
-    assert taylor_q1(S_R * S_R, 4) == taylor_q1(qint(2), 4)
+def test_taylor_third_order_pole_in_one_pass(monkeypatch):
+    # 1/(q - 1/q)^3 = 1/(2i sin h)^3 = (i/8) h^-3 (1 + h^2/2 + ...): the
+    # denominator vanishes to third order in h, and numerator and denominator
+    # are each expanded once
+    calls = []
+    expand = qcoeff._lp_to_hseries
+    monkeypatch.setattr(qcoeff, "_lp_to_hseries",
+                        lambda p, prec: calls.append(prec) or expand(p, prec))
+    dq3 = q_minus_qinv() ** 3
+    h = taylor_q1(S_ONE / dq3, 2)
+    assert len(calls) == 2
+    assert h.prec == 3 and h.valuation() == -3
+    assert h.coeff(-3) == SurdRational(GaussianRational(0, Fraction(1, 8)))
+    assert h.coeff(-2) == SurdRational(0)
+    assert h.coeff(-1) == SurdRational(GaussianRational(0, Fraction(1, 16)))
+    # the product with the expansion of (q - 1/q)^3 is one through h^2
+    one = h * taylor_q1(dq3, 5)
+    assert one.prec >= 3
+    assert [one.coeff(k) for k in range(3)] == [SurdRational(1), SurdRational(0),
+                                                 SurdRational(0)]
+
+
+def test_taylor_of_t_component():
+    # t*[2] = t*(2 - h^2 + ...): the t-part expands like a rational value
+    h = taylor_q1(S_T * qint(2) + S_ONE, 2)
+    assert h.coeff(0) == SurdRational(1, 2)
+    assert h.coeff(2) == SurdRational(0, -1)
 
 
 def test_qint_taylor_limit():
