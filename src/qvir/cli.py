@@ -15,10 +15,8 @@ from .distcalc import ModeWindow
 from .currents import (
     KacMoodyLevel,
     modes_from_ope,
-    verify_commutator_antisymmetry,
     verify_commutators,
     verify_serre_mode_equivalence,
-    verify_table_degeneration,
 )
 from .dirac import (
     SCENARIO_KEYS,
@@ -27,8 +25,10 @@ from .dirac import (
     dirac_suite,
     reduce_suite,
     scenario,
+    verify_table_degeneration,
 )
 from .qvirasoro import (
+    LIMIT_MIN_ORDER,
     ClassicalVirasoro,
     QVirasoroBracket,
     antisymmetry_check,
@@ -101,10 +101,15 @@ class RunConfig:
             raise ConfigError("expansion order must be >= 0")
         if self.fmt not in ("json", "markdown"):
             raise ConfigError(f"unknown format {self.fmt!r}")
-        if "exchange" in self.resolve_suites() and self.window < EXCHANGE_MIN_WINDOW:
+        suites = self.resolve_suites()
+        if "exchange" in suites and self.window < EXCHANGE_MIN_WINDOW:
             raise ConfigError(
                 f"the exchange suite needs window >= {EXCHANGE_MIN_WINDOW} "
                 f"to reconstruct and verify its kernels; got {self.window}")
+        if "limit" in suites and self.order < LIMIT_MIN_ORDER:
+            raise ConfigError(
+                f"the limit suite needs order >= {LIMIT_MIN_ORDER} to reach the "
+                f"first matching order h^{LIMIT_MIN_ORDER}; got {self.order}")
 
 
 def _timed(records_fn):
@@ -131,7 +136,6 @@ def run(config: RunConfig) -> Report:
             rep.extend(_timed(lambda: exchange_suite(W)))
         elif name == "commutators":
             rep.extend(_timed(lambda: verify_commutators(W)))
-            rep.extend(_timed(lambda: verify_commutator_antisymmetry(W)))
             rep.extend(_timed(lambda: verify_ee_ope(W, +1)))
             rep.extend(_timed(lambda: verify_ee_ope(W, -1)))
         elif name == "modes":

@@ -27,6 +27,7 @@ from .vertexcalc import (
     ContractionData,
     ExpField,
     contraction_kernel,
+    exchange_kernel,
     h_e_commutator_dist,
     oscillator_norm,
     standard_fields,
@@ -249,13 +250,13 @@ def difference_constraint_combo():
     return [(norm, "Psi"), (-norm, "Phi")]
 
 
-def combo_commutator(left, right, W: ModeWindow) -> TermSum:
-    """Bilinear quantum commutator of two linear combinations of fields."""
-    F = standard_fields()
+def combo_commutator(left, right, comm) -> TermSum:
+    """Bilinear quantum commutator of two linear combinations of fields,
+    read from ``comm``, the field commutators keyed by symbol pair."""
     out = TermSum.zero()
     for ca, a in left:
         for cb, b in right:
-            out = out + field_commutator(F[a], F[b], W).scale(ca * cb)
+            out = out + comm[(a, b)].scale(ca * cb)
     return out
 
 
@@ -349,30 +350,48 @@ def opposite_charge_bracket(sign: int, W: ModeWindow, k: int = 1) -> TermSum:
 # Commutator verification suite
 # ---------------------------------------------------------------------------
 
-def verify_commutators(W: ModeWindow) -> list[CheckRecord]:
-    """Derive the printed commutators from the exchange kernels and compare
-    exactly, term by term and mode by mode."""
-    pad = ModeWindow(W.N + 4)
-    out = []
+# The ordered field pairs whose commutators the commutator stage derives:
+# chi1's two fields against themselves and both step operators, each step
+# operator against itself, and E+ against chi1's fields (mixed antisymmetry).
+COMMUTATOR_PAIRS = (
+    tuple((a, b) for a in ("Psi", "Phi") for b in ("Psi", "Phi", "E+", "E-"))
+    + (("E+", "E+"), ("E-", "E-"), ("E+", "Psi"), ("E+", "Phi")))
 
-    combo = difference_constraint_combo()
-    engine = combo_commutator(combo, combo, pad).truncate(W.N)
-    printed = printed_pair_exchange_bracket(W)
-    out.append(_compare_termsums("commutator-constraint-pair", "eva1", engine, printed))
+
+def verify_commutators(W: ModeWindow) -> list[CheckRecord]:
+    """Derive each field pair's commutator once on a padded window; compare
+    the printed commutators exactly, term by term and mode by mode, then
+    check that each flips sign under reflection + slot swap."""
+    pad = ModeWindow(W.N + 4)
+    F = standard_fields()
+    comm = {(a, b): field_commutator(F[a], F[b], pad) for a, b in COMMUTATOR_PAIRS}
+    chi = difference_constraint_combo()
+    chi_chi = combo_commutator(chi, chi, comm)
+    chi_e = {sign: combo_commutator(chi, [(S_ONE, E)], comm)
+             for sign, E in ((+1, "E+"), (-1, "E-"))}
+    out = [_compare_termsums("commutator-constraint-pair", "eva1", chi_chi.truncate(W.N),
+                             printed_pair_exchange_bracket(W))]
 
     for sign, tag in ((+1, "eva2+"), (-1, "eva2-")):
-        E = "E+" if sign > 0 else "E-"
-        engine = combo_commutator(combo, [(S_ONE, E)], pad).truncate(W.N)
         printed = printed_chi_e_bracket(sign, pad, normalized=True).truncate(W.N)
-        out.append(_compare_termsums(f"commutator-constraint-step{tag[-1]}", tag, engine, printed))
+        out.append(_compare_termsums(f"commutator-constraint-step{tag[-1]}", tag,
+                                     chi_e[sign].truncate(W.N), printed))
 
-    F = standard_fields()
     for sign, tag in ((+1, "eva3+"), (-1, "eva3-")):
-        E = F["E+"] if sign > 0 else F["E-"]
-        engine = field_commutator(E, E, pad).truncate(W.N)
+        E = "E+" if sign > 0 else "E-"
         printed = printed_ee_same_bracket(sign, pad, normalized=True).truncate(W.N)
-        out.append(_compare_termsums(f"commutator-step-same{tag[-1]}", tag, engine, printed))
+        out.append(_compare_termsums(f"commutator-step-same{tag[-1]}", tag,
+                                     comm[(E, E)].truncate(W.N), printed))
 
+    # antisymmetry: rho([A, A]) == -[A, A], and rho([A, B]) == -[B, A]
+    for name, T in (("constraint-pair", chi_chi), ("step-same+", comm[("E+", "E+")]),
+                    ("step-same-", comm[("E-", "E-")])):
+        ok = T.reflect().truncate(W.N) == (-T).truncate(W.N)
+        out.append(record(f"antisymmetry-{name}", "eva1/eva3", ok,
+                          engine="reflection equals negation" if ok else str(T)))
+    e_chi = combo_commutator([(S_ONE, "E+")], chi, comm)
+    ok = chi_e[+1].reflect().truncate(W.N) == (-e_chi).truncate(W.N)
+    out.append(record("antisymmetry-mixed", "eva2", ok))
     return out
 
 
@@ -387,33 +406,6 @@ def _compare_termsums(check_id, tag, engine: TermSum, printed: TermSum) -> Check
     pv = str(p.coeff(n)) if p is not None else "<term absent>"
     mono = "*".join(str(f) for f in key[0]) or "1"
     return CheckRecord(check_id, tag, "fail", n, f"{mono}: {ev}", f"{mono}: {pv}")
-
-
-# ---------------------------------------------------------------------------
-# Antisymmetry
-# ---------------------------------------------------------------------------
-
-def verify_commutator_antisymmetry(W: ModeWindow) -> list[CheckRecord]:
-    """Every derived commutator flips sign under reflection + slot swap."""
-    pad = ModeWindow(W.N + 4)
-    F = standard_fields()
-    combo = difference_constraint_combo()
-    out = []
-    cases = [
-        ("constraint-pair", combo_commutator(combo, combo, pad)),
-        ("step-same+", field_commutator(F["E+"], F["E+"], pad)),
-        ("step-same-", field_commutator(F["E-"], F["E-"], pad)),
-    ]
-    for name, T in cases:
-        ok = T.reflect().truncate(W.N) == (-T).truncate(W.N)
-        out.append(record(f"antisymmetry-{name}", "eva1/eva3", ok,
-                          engine="reflection equals negation" if ok else str(T)))
-    # mixed pairs: rho([A,B]) == -[B,A]
-    ab = combo_commutator(combo, [(S_ONE, "E+")], pad)
-    ba = combo_commutator([(S_ONE, "E+")], combo, pad)
-    ok = ab.reflect().truncate(W.N) == (-ba).truncate(W.N)
-    out.append(record("antisymmetry-mixed", "eva2", ok))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -527,45 +519,6 @@ def classical_bracket_table(level: int = 1) -> BracketTable:
         ("E-", "E-"): rule_zero,
     }
     return BracketTable(rules, quantum_source=False)
-
-
-def verify_table_degeneration(W: ModeWindow) -> list[CheckRecord]:
-    """At q = 1 (weight off) the deformed table's on-surface brackets reduce
-    to the undeformed ones, per mode."""
-    from .dirac import scenario  # local import to avoid a cycle
-
-    qs = scenario("q-sl2", weighted=False)
-    cs = scenario("classical-sl2")
-    out = []
-    for (qa, qb), (ca, cb), tag in (
-        (("chi1", "chi1"), ("H", "H"), "cor1"),
-        (("chi1", "E+"), ("H", "E+"), "cor2"),
-        (("E+", "E+"), ("E+", "E+"), "cor-trivial"),
-        (("E-", "chi1"), ("E-", "H"), "cor2"),
-        (("E-", "E+"), ("E-", "E+"), "cor3"),
-        (("E-", "E-"), ("E-", "E-"), "cor-trivial"),
-    ):
-        Tq = classical_bracket(qa, qb, qs.table, W).substitute(qs.constraints.on_surface)
-        Tc = classical_bracket(ca, cb, cs.table, W).substitute(cs.constraints.on_surface)
-        ok, detail = _termsum_q1_equal(Tq, Tc)
-        out.append(record(f"degeneration-{qa},{qb}", tag, ok, engine=detail))
-    return out
-
-
-def _termsum_q1_equal(Tq: TermSum, Tc: TermSum):
-    from .qcoeff import eval_q1
-
-    keys = set(Tq.terms) | set(Tc.terms)
-    for key in keys:
-        a = Tq.terms.get(key)
-        b = Tc.terms.get(key)
-        N = (a or b).N
-        for n in range(-N, N + 1):
-            va = eval_q1(a.coeff(n)) if a is not None else eval_q1(S_ZERO)
-            vb = eval_q1(b.coeff(n)) if b is not None else eval_q1(S_ZERO)
-            if va != vb:
-                return False, f"{key} mode {n}: {va} vs {vb}"
-    return True, "all on-surface entries agree at q=1"
 
 
 # ---------------------------------------------------------------------------
@@ -691,19 +644,29 @@ def _extract_ee_modes(T: TermSum, a: int, m: int):
 
 
 def verify_serre_mode_equivalence(W: ModeWindow) -> list[CheckRecord]:
-    """Extracting coefficients from the quadratic exchange identity yields
-    exactly the printed quadratic mode relation, as free words."""
+    """The engine's self-exchange kernel of E^s, K = c x^m P(x)/Q(x), cleared
+    of its denominator, Q(x) E(z)E(w) = c x^m P(x) E(w)E(z), and read off at
+    z^(-n-2) w^(-m-1), yields exactly the printed quadratic mode relation,
+    as free words."""
+    F = standard_fields()
+    # the commutator stage's padded window: the kernel reconstructs there
+    # for every N >= 1
+    pad = ModeWindow(W.N + 4)
     out = []
     for sign in (+1, -1):
+        E = F["E+"] if sign > 0 else F["E-"]
+        K = exchange_kernel(E, E, pad)
         q2 = Scalar.q_power(2 * sign)
         bad = None
         for n in W.modes():
             for m in W.modes():
+                # x^j E(z)E(w) contributes the word E_(n+1-j) E_(m+j), and
+                # x^j E(w)E(z) the reversed word E_(m+j) E_(n+1-j)
                 lhs = {}
-                _word_add(lhs, (n + 1, m), S_ONE)
-                _word_add(lhs, (n, m + 1), -q2)
-                _word_add(lhs, (m, n + 1), -q2)
-                _word_add(lhs, (m + 1, n), S_ONE)
+                for j, d in enumerate(K.den):
+                    _word_add(lhs, (n + 1 - j, m + j), d)
+                for j, p in enumerate(K.num, start=K.m):
+                    _word_add(lhs, (m + j, n + 1 - j), -(K.c * p))
                 rhs = {}
                 _word_add(rhs, (n + 1, m), S_ONE)
                 _word_add(rhs, (m, n + 1), -q2)

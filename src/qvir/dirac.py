@@ -10,6 +10,8 @@ coefficient products.
 A `Reduction` holds one scenario's chain on one window and computes the
 Dirac matrix, its per-mode inverse and the reduced bracket at most once
 each, on first use; the involution check still inverts the inverse afresh.
+`QVirasoroBracket` states the closed form the reduced bracket is matched
+against, once, for every check that reads it.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, q_minus_qinv, qint
-from .distcalc import Dist2, ModeWindow, pair
+from .qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, eval_q1, q_minus_qinv, qint
+from .distcalc import Dist2, ModeWindow, pair, weight_abs
 from .currents import (
     BracketTable,
     FieldFactor,
@@ -132,6 +134,7 @@ class Scenario:
     constraints: ConstraintSet
     current: str
     affine: AffineMap | None
+    weighted: bool = False      # the weight-absorbed variant, whatever its exponent
 
 
 SCENARIO_KEYS = ("classical-sl2", "q-sl2")
@@ -143,13 +146,52 @@ def scenario(key: str, weighted: bool = False, weight_exponent: int = 2) -> Scen
         table = q_bracket_table()
         if weighted:
             table = table.with_weight(weight_exponent)
-        return Scenario(key, table, q_constraints(), "E-", AffineMap.standard())
+        return Scenario(key, table, q_constraints(), "E-", AffineMap.standard(), weighted)
     if key == "classical-sl2":
         if weighted:
             raise UnknownScenarioError("the undeformed scenario takes no mode weight")
         return Scenario(key, classical_bracket_table(1), classical_constraints(),
                         "E-", None)
     raise UnknownScenarioError(f"unknown scenario {key!r}; known: {SCENARIO_KEYS}")
+
+
+def _on_surface(a: str, b: str, table, constraints, W) -> TermSum:
+    return classical_bracket(a, b, table, W).substitute(constraints.on_surface)
+
+
+def verify_table_degeneration(W: ModeWindow) -> list[CheckRecord]:
+    """At q = 1 (weight off) the deformed table's on-surface brackets reduce
+    to the undeformed ones, per mode."""
+    qs = scenario("q-sl2", weighted=False)
+    cs = scenario("classical-sl2")
+    out = []
+    for (qa, qb), (ca, cb), tag in (
+        (("chi1", "chi1"), ("H", "H"), "cor1"),
+        (("chi1", "E+"), ("H", "E+"), "cor2"),
+        (("E+", "E+"), ("E+", "E+"), "cor-trivial"),
+        (("E-", "chi1"), ("E-", "H"), "cor2"),
+        (("E-", "E+"), ("E-", "E+"), "cor3"),
+        (("E-", "E-"), ("E-", "E-"), "cor-trivial"),
+    ):
+        Tq = _on_surface(qa, qb, qs.table, qs.constraints, W)
+        Tc = _on_surface(ca, cb, cs.table, cs.constraints, W)
+        ok, detail = _termsum_q1_equal(Tq, Tc)
+        out.append(record(f"degeneration-{qa},{qb}", tag, ok, engine=detail))
+    return out
+
+
+def _termsum_q1_equal(Tq: TermSum, Tc: TermSum):
+    keys = set(Tq.terms) | set(Tc.terms)
+    for key in keys:
+        a = Tq.terms.get(key)
+        b = Tc.terms.get(key)
+        N = (a or b).N
+        for n in range(-N, N + 1):
+            va = eval_q1(a.coeff(n)) if a is not None else eval_q1(S_ZERO)
+            vb = eval_q1(b.coeff(n)) if b is not None else eval_q1(S_ZERO)
+            if va != vb:
+                return False, f"{key} mode {n}: {va} vs {vb}"
+    return True, "all on-surface entries agree at q=1"
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +228,6 @@ class DiracMatrix:
         if not isinstance(other, DiracMatrix):
             return NotImplemented
         return all(self.e[i][j] == other.e[i][j] for i in (0, 1) for j in (0, 1))
-
-
-def _on_surface(a: str, b: str, table, constraints, W) -> TermSum:
-    return classical_bracket(a, b, table, W).substitute(constraints.on_surface)
 
 
 def _onsurface_cnumber(a: str, b: str, table, constraints, W) -> Dist2:
@@ -328,35 +366,38 @@ def split_reduced(T: TermSum, current: str, N: int) -> ReducedContents:
 # Expected closed forms
 # ---------------------------------------------------------------------------
 
-def reduced_quad_pattern(W: ModeWindow, weighted: bool) -> Dist2:
-    """Quadratic kernel of the reduced bracket in x-orientation:
-    -(i[2]/2)(q-1/q)^2 q^(-2|n|) [n]^2/[2n], weight dropped when absorbed."""
-    pref = -(S_I * qint(2) * Scalar.from_rat(Fraction(1, 2))) * q_minus_qinv() ** 2
+@dataclass(frozen=True)
+class QVirasoroBracket:
+    """Closed form of the reduced bracket in (z/w)-orientation.
 
-    def f(n):
-        if n == 0:
-            return S_ZERO
-        v = pref * qint(n) * qint(n) / qint(2 * n)
-        if not weighted:
-            v = v * Scalar.q_power(-2 * abs(n))
-        return v
+    Quadratic kernel f_n = [n]^2/[2n] (0 at n=0) against Et-(z)Et-(w) with
+    overall i[2](q-1/q)^2/2, central kernel g_n = [2n] with -i(q-1/q)^2;
+    with ``residual_weight`` both kernels carry the extra q^(-2|n|) of the
+    unabsorbed form.  Both kernels are odd, so the x-orientation forms are
+    -kappa * kernel.
+    """
 
-    return Dist2.from_func(W.N, f)
+    residual_weight: bool = False
 
+    @property
+    def kappa_quad(self) -> Scalar:
+        return S_I * qint(2) * q_minus_qinv() ** 2 * Scalar.from_rat(Fraction(1, 2))
 
-def reduced_central_pattern(W: ModeWindow, weighted: bool) -> Dist2:
-    """Central kernel in x-orientation: +i (q-1/q)^2 q^(-2|n|) [2n]."""
-    pref = S_I * q_minus_qinv() ** 2
+    @property
+    def kappa_cent(self) -> Scalar:
+        return -S_I * q_minus_qinv() ** 2
 
-    def g(n):
-        if n == 0:
-            return S_ZERO
-        v = pref * qint(2 * n)
-        if not weighted:
-            v = v * Scalar.q_power(-2 * abs(n))
-        return v
+    def quad_kernel(self, W: ModeWindow) -> Dist2:
+        def f(n):
+            if n == 0:
+                return S_ZERO
+            return qint(n) * qint(n) / qint(2 * n)
+        D = Dist2.from_func(W.N, f)
+        return weight_abs(D, -2) if self.residual_weight else D
 
-    return Dist2.from_func(W.N, g)
+    def central_kernel(self, W: ModeWindow) -> Dist2:
+        D = Dist2.from_func(W.N, lambda n: qint(2 * n))
+        return weight_abs(D, -2) if self.residual_weight else D
 
 
 def classical_linear_pattern(W: ModeWindow) -> Dist2:
@@ -388,8 +429,10 @@ def affine_check(reduced: TermSum, amap: AffineMap, W: ModeWindow,
     out.append(record(f"affine-map-consistency[{tag}]", "qdirb", amap.consistent(),
                       engine=f"a^2={amap.a2}, ab={amap.ab}, b^2={amap.b2}"))
 
-    fpat = reduced_quad_pattern(W, weighted)
-    gpat = reduced_central_pattern(W, weighted)
+    # x-orientation closed forms; the unweighted pass keeps the residual weight
+    B = QVirasoroBracket(residual_weight=not weighted)
+    fpat = B.quad_kernel(W).scale(-B.kappa_quad)
+    gpat = B.central_kernel(W).scale(-B.kappa_cent)
 
     out.append(compare_dists(f"reduce-quadratic[{tag}]", tag, _drop0(parts.quad), fpat))
 
@@ -451,16 +494,13 @@ def printed_inverse_patterns(W: ModeWindow):
             return S_ZERO
         return -(two_i * S_T / br2) * Scalar.s_power(-abs(n)) * qint(n) / qint(2 * n)
 
-    def inv22(n):
-        if n == 0:
-            return S_ZERO
-        return (two_i / br2) * Scalar.q_power(-2 * abs(n)) * qint(n) ** 2 / qint(2 * n)
-
+    # (2i/[2]) q^(-2|n|) [n]^2/[2n]: the residual-weight quadratic kernel
+    inv22 = QVirasoroBracket(residual_weight=True).quad_kernel(W).scale(two_i / br2)
     return {
         (0, 0): Dist2.from_func(W.N, inv11),
         (0, 1): Dist2.from_func(W.N, inv12),
         (1, 0): Dist2.from_func(W.N, lambda n: -inv12(n)),
-        (1, 1): Dist2.from_func(W.N, inv22),
+        (1, 1): inv22,
     }
 
 
@@ -468,12 +508,12 @@ def dirac_suite(red: Reduction) -> list[CheckRecord]:
     """Build, compare, invert and pair the constraint matrix."""
     out = []
     sc, W = red.scenario, red.W
-    table, constraints = sc.table, sc.constraints
+    constraints = sc.constraints
     out.append(record("constraints-idempotent", "ain1/ain2",
                       constraints.idempotent() and constraints.vanish_on_surface()))
     dm = red.matrix
 
-    if sc.key == "q-sl2" and table.weight_exponent == 0:
+    if sc.key == "q-sl2" and not sc.weighted:
         half2 = qint(2) * Scalar.from_rat(Fraction(1, 2))
         dq = q_minus_qinv()
         elem11 = Dist2.from_func(W.N, lambda n: -S_I * half2 * qint(n))
@@ -514,7 +554,7 @@ def dirac_suite(red: Reduction) -> list[CheckRecord]:
     out.append(record("dirac-invert-involution", "inver",
                       invert(dinv, W) == dm))
 
-    if sc.key == "q-sl2" and sc.table.weight_exponent == 0:
+    if sc.key == "q-sl2" and not sc.weighted:
         printed = printed_inverse_patterns(W)
         names = {(0, 0): "11", (0, 1): "12", (1, 0): "21", (1, 1): "22"}
         for ij, pat in printed.items():
@@ -552,8 +592,7 @@ def reduce_suite(red: Reduction) -> list[CheckRecord]:
         out.append(record("reduce-no-quadratic", "virasoro", parts.quad.is_zero(),
                           engine=str(parts.quad)))
     else:
-        weighted = sc.table.weight_exponent != 0
-        tag = "qvir" if weighted else "qdirb"
+        tag = "qvir" if sc.weighted else "qdirb"
         out.append(record(f"reduce-antisymmetry[{tag}]", "dirb", ok))
-        out.extend(affine_check(reduced, sc.affine, W, weighted, sc.current))
+        out.extend(affine_check(reduced, sc.affine, W, sc.weighted, sc.current))
     return out

@@ -36,9 +36,6 @@ class ModeWindow:
     def modes(self):
         return range(-self.N, self.N + 1)
 
-    def padded(self, k: int) -> "ModeWindow":
-        return ModeWindow(self.N + k)
-
 
 class Dist2:
     """Orientation-fixed two-point distribution sum_n c_n (w/z)^n, |n| <= N."""
@@ -133,10 +130,6 @@ class Dist2:
     def reflect(self):
         """z <-> w, i.e. mode reflection n -> -n."""
         return Dist2(self.N, {-n: v for n, v in self.c.items()})
-
-    def shift(self, d: int):
-        """Multiply by x^d; modes pushed outside the window are dropped."""
-        return Dist2(self.N, {n + d: v for n, v in self.c.items() if abs(n + d) <= self.N})
 
     def mul_laurent(self, poly: dict[int, Scalar]) -> "Dist2":
         """Multiply by a finite Laurent polynomial in x.
@@ -270,16 +263,6 @@ class RatKernel:
         return RatKernel(self.c, -self.m - dn + dd,
                          list(reversed(self.num)), list(reversed(self.den)))
 
-    def subst_qinv(self) -> "RatKernel":
-        return RatKernel(self.c.subst_qinv(), self.m,
-                         [a.subst_qinv() for a in self.num],
-                         [a.subst_qinv() for a in self.den])
-
-    def eval_at(self, x0: Scalar) -> Scalar:
-        num = _poly_eval(self.num, x0)
-        den = _poly_eval(self.den, x0)
-        return self.c * (x0 ** self.m) * num / den
-
     def den_root_check(self, x0: Scalar) -> bool:
         return _poly_eval(self.den, x0).is_zero()
 
@@ -366,6 +349,8 @@ def _poly_divmod_s(a, b):
 
 
 def _poly_gcd_s(a, b):
+    """Monic gcd over the Scalar field; the Euclidean descent ends because
+    each remainder is shorter than its divisor (else ArithmeticError)."""
     a, b = _poly_trim(a), _poly_trim(b)
     if a == [S_ZERO] or (len(a) == 1 and a[0].is_zero()):
         a = []
@@ -375,6 +360,9 @@ def _poly_gcd_s(a, b):
         _, r = _poly_divmod_s(a, b)
         if len(r) == 1 and r[0].is_zero():
             r = []
+        if len(r) >= len(b):
+            raise ArithmeticError(f"remainder of length {len(r)} is not shorter "
+                                  f"than its divisor of length {len(b)}")
         if r:
             inv = r[-1].inverse()
             r = [x * inv for x in r]
@@ -408,8 +396,7 @@ def _kernel_normalize(c, m, num, den):
     d0 = den[0].inverse()
     den = [a * d0 for a in den]
     num = [a * d0 for a in num]
-    # pull the numerator's constant into c when it is the only normal spot?
-    # keep c as given; canonicalization for equality goes through cross-multiplication
+    # c is kept as given; equality goes through cross-multiplication
     return c, m, num, den
 
 

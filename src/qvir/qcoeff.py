@@ -301,15 +301,6 @@ class LaurentPoly:
                 out[k] = v1 * v2 if w is None else _mul_add(w, v1, v2)
         return _lp({k: v for k, v in out.items() if v.a or v.b})
 
-    def scale(self, g):
-        g = _as_gaussian(g)
-        if g.is_zero():
-            return LP_ZERO
-        return _lp({k: v * g for k, v in self.c.items()})
-
-    def shift(self, d):
-        return _lp({k + d: v for k, v in self.c.items()})
-
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -324,10 +315,6 @@ class LaurentPoly:
         for v in self.c.values():
             total = total + v
         return total
-
-    def subst_qinv(self):
-        """Apply s -> 1/s (i.e. q -> 1/q)."""
-        return _lp({-k: v for k, v in self.c.items()})
 
     def __str__(self):
         if not self.c:
@@ -513,9 +500,6 @@ class RatFunc:
         if d.is_zero():
             raise PoleAtQ1Error("denominator vanishes at q = 1")
         return self.num.eval_one() / d
-
-    def subst_qinv(self):
-        return RatFunc(self.num.subst_qinv(), self.den.subst_qinv())
 
     def __str__(self):
         if self.den == LP_ONE:
@@ -711,11 +695,6 @@ class Scalar:
 
     def __hash__(self):
         return hash(self.c)
-
-    def subst_qinv(self):
-        """Apply q -> 1/q (t is fixed)."""
-        c0, c1 = self.c
-        return _scalar(c0.subst_qinv(), c1.subst_qinv())
 
     def as_int(self):
         """Return the value as a plain int when it is one, else None."""

@@ -5,21 +5,11 @@ of the undeformed endpoint."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .qcoeff import (
-    S_I,
-    S_ZERO,
-    Scalar,
-    SurdRational,
-    eval_q1,
-    q_minus_qinv,
-    qint,
-    taylor_q1,
-)
+from .qcoeff import S_ZERO, Scalar, SurdRational, eval_q1, q_minus_qinv, taylor_q1
 from .distcalc import Dist2, ModeWindow, weight_abs
 from .currents import TermSum
-from .dirac import AffineMap, split_reduced
+from .dirac import AffineMap, QVirasoroBracket, split_reduced
 from .report import CheckRecord, compare_dists, record
 
 
@@ -27,42 +17,13 @@ class InsufficientOrderError(ValueError):
     """The requested expansion order cannot see the first matching order."""
 
 
+# The deformed and undeformed reduced brackets first match at order h^4.
+LIMIT_MIN_ORDER = 4
+
+
 # ---------------------------------------------------------------------------
-# The closed-form quadratic bracket
+# Antisymmetry of the closed-form bracket (QVirasoroBracket, in dirac)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QVirasoroBracket:
-    """Closed form of the reduced bracket in (z/w)-orientation.
-
-    Quadratic kernel f_n = [n]^2/[2n] (0 at n=0) against Et-(z)Et-(w) with
-    overall i[2](q-1/q)^2/2, central kernel g_n = [2n] with -i(q-1/q)^2;
-    with ``residual_weight`` both kernels carry the extra q^(-2|n|) of the
-    unabsorbed form.
-    """
-
-    residual_weight: bool = False
-
-    @property
-    def kappa_quad(self) -> Scalar:
-        return S_I * qint(2) * q_minus_qinv() ** 2 * Scalar.from_rat(Fraction(1, 2))
-
-    @property
-    def kappa_cent(self) -> Scalar:
-        return -S_I * q_minus_qinv() ** 2
-
-    def quad_kernel(self, W: ModeWindow) -> Dist2:
-        def f(n):
-            if n == 0:
-                return S_ZERO
-            return qint(n) * qint(n) / qint(2 * n)
-        D = Dist2.from_func(W.N, f)
-        return weight_abs(D, -2) if self.residual_weight else D
-
-    def central_kernel(self, W: ModeWindow) -> Dist2:
-        D = Dist2.from_func(W.N, lambda n: qint(2 * n))
-        return weight_abs(D, -2) if self.residual_weight else D
-
 
 def antisymmetry_check(B: QVirasoroBracket, W: ModeWindow) -> list[CheckRecord]:
     """Swapping the two points negates the bracket exactly, mode by mode."""
@@ -99,9 +60,9 @@ def classical_limit_check(reduced_q: TermSum, reduced_classical: TermSum,
     in h with q = exp(i h): the orders h^0..h^3 vanish identically and the
     h^4 content, divided by the leading coefficient of (q-1/q)^4, equals the
     undeformed reduced bracket mode by mode."""
-    if order < 4:
+    if order < LIMIT_MIN_ORDER:
         raise InsufficientOrderError(
-            f"order {order} cannot reach the first matching order h^4")
+            f"order {order} cannot reach the first matching order h^{LIMIT_MIN_ORDER}")
     amap = AffineMap.standard()
     q = split_reduced(reduced_q, current, W.N)
     c = split_reduced(reduced_classical, current, W.N)
@@ -119,8 +80,9 @@ def classical_limit_check(reduced_q: TermSum, reduced_classical: TermSum,
     n0 = 1
     quad_pat = q.quad.coeff(n0)
     piece_quad = taylor_q1(amap.b2 * quad_pat, 2).coeff(2)
+    residual = QVirasoroBracket(residual_weight=True)
     piece_cent = taylor_q1(
-        S_I * q_minus_qinv() ** 2 * Scalar.q_power(-2 * n0) * qint(2 * n0), 2).coeff(2)
+        -residual.kappa_cent * residual.central_kernel(W).coeff(n0), 2).coeff(2)
     out.append(record(
         "limit-h2-piece-cancellation", "qdirb",
         _surd_sum_zero(piece_quad, piece_cent)

@@ -67,6 +67,29 @@ def test_main_exchange_window_too_small_exits_2(capsys):
     assert "window >= 5" in capsys.readouterr().err
 
 
+def test_limit_order_too_small_rejected(capsys):
+    # the deformed and undeformed brackets first match at h^4
+    assert main(["--window", "5", "--suite", "limit", "--order", "3"]) == EXIT_CONFIG_ERROR
+    assert "order >= 4" in capsys.readouterr().err
+    assert main(["--window", "5", "--suite", "dirac", "--order", "3"]) == EXIT_OK
+
+
+def test_weight_exponent_zero_keeps_ids_unique_and_fails(tmp_path):
+    # the weighted pass is told apart by the scenario, not by its exponent;
+    # with exponent 0 the bracket keeps its residual weight, which the
+    # absorbed closed form must reject
+    out = tmp_path / "r.json"
+    code = main(["--window", "5", "--suite", "reduce", "--weight-exponent", "0",
+                 "--output", str(out)])
+    assert code == EXIT_CHECK_FAILED
+    checks = json.loads(out.read_text())["checks"]
+    ids = [c["id"] for c in checks]
+    assert len(set(ids)) == len(ids)
+    status = {c["id"]: c["status"] for c in checks}
+    assert status["reduce-quadratic[qvir]"] == FAIL
+    assert status["reduce-quadratic[qdirb]"] == PASS
+
+
 def test_suite_resolution_order():
     cfg = RunConfig(scenario="q-sl2", window=4,
                     suites=("reduce", "dirac", "dirac"))

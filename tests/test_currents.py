@@ -18,12 +18,12 @@ from qvir.currents import (
     opposite_charge_bracket,
     printed_pair_exchange_bracket,
     q_bracket_table,
-    verify_commutator_antisymmetry,
     verify_commutators,
     verify_serre_mode_equivalence,
 )
-from qvir.report import FAIL
-from qvir.vertexcalc import standard_fields
+from qvir import currents
+from qvir.report import FAIL, PASS
+from qvir.vertexcalc import self_exchange_kernel, standard_fields
 
 W = ModeWindow(8)
 Q = Scalar.q_power
@@ -72,7 +72,43 @@ def test_commutator_suite_passes():
 
 
 def test_commutator_antisymmetry():
-    all_pass(verify_commutator_antisymmetry(W))
+    records = [r for r in verify_commutators(W) if r.id.startswith("antisymmetry-")]
+    assert len(records) == 4
+    all_pass(records)
+
+
+def test_commutator_stage_derives_each_pair_once(monkeypatch):
+    # the eva and antisymmetry records read one commutator per ordered pair
+    calls = []
+    derive = currents.field_commutator
+    monkeypatch.setattr(currents, "field_commutator",
+                        lambda A, B, W: calls.append((A.name, B.name)) or derive(A, B, W))
+    records = verify_commutators(W)
+    assert len(calls) == 12 and len(set(calls)) == 12
+    assert [r.id for r in records] == [
+        "commutator-constraint-pair", "commutator-constraint-step+",
+        "commutator-constraint-step-", "commutator-step-same+", "commutator-step-same-",
+        "antisymmetry-constraint-pair", "antisymmetry-step-same+",
+        "antisymmetry-step-same-", "antisymmetry-mixed"]
+
+
+def test_perturbed_commutator_fails_its_eva_and_antisymmetry_records(monkeypatch):
+    # a reflection-symmetric extra term on [E+(z), E+(w)] (delta-supported,
+    # so rho(S) = S) breaks both the printed form and rho(T) = -T
+    derive = currents.field_commutator
+    mono = (FieldFactor("E+", "z"), FieldFactor("E+", "w"))
+
+    def perturbed(A, B, pad):
+        T = derive(A, B, pad)
+        if A.name == B.name == "E+":
+            T = T + TermSum.single(mono, Dist2.delta(pad.N))
+        return T
+
+    monkeypatch.setattr(currents, "field_commutator", perturbed)
+    status = {r.id: r.status for r in verify_commutators(W)}
+    assert status.pop("commutator-step-same+") == FAIL
+    assert status.pop("antisymmetry-step-same+") == FAIL
+    assert set(status.values()) == {PASS}
 
 
 def test_constraint_pair_bracket_values():
@@ -190,3 +226,13 @@ def test_hh_mode_value_k2():
 
 def test_serre_mode_equivalence():
     all_pass(verify_serre_mode_equivalence(W))
+
+
+def test_serre_mode_fails_with_the_opposite_self_exchange_kernel(monkeypatch):
+    # the mode relation is read from the engine's kernel, so the kernel of
+    # the opposite charge must fail both records
+    monkeypatch.setattr(currents, "exchange_kernel",
+                        lambda A, B, W: self_exchange_kernel(-1 if A.name == "E+" else +1))
+    records = verify_serre_mode_equivalence(W)
+    assert [(r.id, r.status) for r in records] == [("serre-mode+", FAIL),
+                                                    ("serre-mode-", FAIL)]

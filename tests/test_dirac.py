@@ -8,7 +8,7 @@ import pytest
 from qvir.qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, q_minus_qinv, qint
 from qvir.distcalc import Dist2, ModeWindow
 from qvir import dirac
-from qvir.currents import TermSum, classical_bracket, verify_table_degeneration
+from qvir.currents import TermSum, classical_bracket
 from qvir.dirac import (
     AffineMap,
     ConstraintSet,
@@ -27,6 +27,7 @@ from qvir.dirac import (
     reduce_suite,
     scenario,
     split_reduced,
+    verify_table_degeneration,
 )
 from qvir.report import DOCUMENTED, FAIL, PASS
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from qvir import distcalc
 from qvir.qcoeff import S_I, S_ONE, S_ZERO, Scalar, q_minus_qinv, qint
 from qvir.distcalc import (
     Dist2,
@@ -302,3 +303,11 @@ def test_symmetric_kernel_fixed_by_reciprocal():
     # the palindromic kernel satisfies K(1/x) = K(x)
     K = ope_exchange_kernel()
     assert K.reciprocal_arg() == K
+
+
+def test_kernel_gcd_raises_when_a_remainder_does_not_shrink(monkeypatch):
+    # a division that hands the dividend back as its remainder would make the
+    # Euclidean loop swap the two polynomials forever
+    monkeypatch.setattr(distcalc, "_poly_divmod_s", lambda a, b: ([S_ZERO], list(a)))
+    with pytest.raises(ArithmeticError, match="not shorter than its divisor"):
+        distcalc._poly_gcd_s([S_ONE, S_ONE, S_ONE], [S_ONE, S_ONE])
