@@ -36,7 +36,7 @@ from .qvirasoro import (
     classical_limit_check,
 )
 from .report import Report
-from .vertexcalc import EXCHANGE_MIN_WINDOW, exchange_suite, verify_ee_ope
+from .vertexcalc import exchange_suite, verify_ee_ope
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -102,10 +102,6 @@ class RunConfig:
         if self.fmt not in ("json", "markdown"):
             raise ConfigError(f"unknown format {self.fmt!r}")
         suites = self.resolve_suites()
-        if "exchange" in suites and self.window < EXCHANGE_MIN_WINDOW:
-            raise ConfigError(
-                f"the exchange suite needs window >= {EXCHANGE_MIN_WINDOW} "
-                f"to reconstruct and verify its kernels; got {self.window}")
         if "limit" in suites and self.order < LIMIT_MIN_ORDER:
             raise ConfigError(
                 f"the limit suite needs order >= {LIMIT_MIN_ORDER} to reach the "
@@ -199,7 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     wg.add_argument("--no-weight", dest="weight", action="store_false",
                     help="skip the weight-absorbed verification")
     p.add_argument("--weight-exponent", type=int, default=2, metavar="H",
-                   help="mode-weight exponent h in q^(h|n|) (default 2)")
+                   help="mode-weight exponent H in q^(H|n|) (default 2); the "
+                        "absorbed [qvir] form holds at H = 2 only, so any other "
+                        "H is a negative control that fails the [qvir] checks")
     p.add_argument("--order", type=int, default=6, metavar="K",
                    help="h-expansion order for the limit suite (default 6)")
     p.add_argument("--format", dest="fmt", default="json",

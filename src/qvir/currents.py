@@ -24,13 +24,14 @@ from .distcalc import (
 )
 from .report import CheckRecord, compare_dists, record
 from .vertexcalc import (
-    ContractionData,
     ExpField,
     contraction_kernel,
+    contraction_window,
     exchange_kernel,
     h_e_commutator_dist,
     oscillator_norm,
     standard_fields,
+    xform_of_contraction,
 )
 
 
@@ -118,7 +119,7 @@ class TermSum:
         """Swap the two variable slots: monomial tags flip and the carried
         distribution reflects around the z-degree (z^D = w^D x^D).  Terms
         with a nonzero z-degree lose |D| boundary modes, so reflections of
-        degree-carrying sums should be taken on padded windows."""
+        degree-carrying sums should be taken on the contraction window."""
         out = []
         for (mono, zdeg), dist in self.terms.items():
             new_mono = tuple(f.reflected() for f in mono)
@@ -207,19 +208,6 @@ class TermSum:
 # Quantum commutators from exchange data
 # ---------------------------------------------------------------------------
 
-def xform_of_contraction(data: ContractionData, swap: bool) -> RatKernel:
-    """The contraction as a rational function of x = w/z.
-
-    With ``swap`` the contraction was computed with its first field at w
-    (so its own ratio variable is z/w); the x-form picks up x^zdeg from
-    w^zdeg = z^zdeg x^zdeg.
-    """
-    base = data.kernel * RatKernel.const(data.const)
-    if not swap:
-        return base
-    return base.reciprocal_arg() * RatKernel.monomial(S_ONE, data.zdeg)
-
-
 def commutator_from_exchange(K: RatKernel, back: RatKernel, mono, zdeg: int,
                              W: ModeWindow) -> TermSum:
     """[A(z), B(w)] for an exchange pair A(z)B(w) = K * B(w)A(z).
@@ -234,14 +222,11 @@ def commutator_from_exchange(K: RatKernel, back: RatKernel, mono, zdeg: int,
 
 def field_commutator(A: ExpField, B: ExpField, W: ModeWindow) -> TermSum:
     """Quantum [A(z), B(w)] as (normal-ordered monomial) x distribution."""
-    ab = contraction_kernel(A, B, W)
+    K = exchange_kernel(A, B, W)
     ba = contraction_kernel(B, A, W)
-    if ab.zdeg != ba.zdeg:
-        raise ArithmeticError("commutator of fields with mismatched z-degrees")
-    back = xform_of_contraction(ba, swap=True)
-    front = xform_of_contraction(ab, swap=False)
     mono = (FieldFactor(A.name, "z"), FieldFactor(B.name, "w"))
-    return commutator_from_exchange(front / back, back, mono, ab.zdeg, W)
+    return commutator_from_exchange(K, xform_of_contraction(ba, swap=True),
+                                    mono, ba.zdeg, W)
 
 
 def difference_constraint_combo():
@@ -359,10 +344,10 @@ COMMUTATOR_PAIRS = (
 
 
 def verify_commutators(W: ModeWindow) -> list[CheckRecord]:
-    """Derive each field pair's commutator once on a padded window; compare
-    the printed commutators exactly, term by term and mode by mode, then
-    check that each flips sign under reflection + slot swap."""
-    pad = ModeWindow(W.N + 4)
+    """Derive each field pair's commutator once on the contraction window;
+    compare the printed commutators exactly, term by term and mode by mode,
+    then check that each flips sign under reflection + slot swap."""
+    pad = contraction_window(W)
     F = standard_fields()
     comm = {(a, b): field_commutator(F[a], F[b], pad) for a, b in COMMUTATOR_PAIRS}
     chi = difference_constraint_combo()
@@ -649,13 +634,10 @@ def verify_serre_mode_equivalence(W: ModeWindow) -> list[CheckRecord]:
     z^(-n-2) w^(-m-1), yields exactly the printed quadratic mode relation,
     as free words."""
     F = standard_fields()
-    # the commutator stage's padded window: the kernel reconstructs there
-    # for every N >= 1
-    pad = ModeWindow(W.N + 4)
     out = []
     for sign in (+1, -1):
         E = F["E+"] if sign > 0 else F["E-"]
-        K = exchange_kernel(E, E, pad)
+        K = exchange_kernel(E, E, contraction_window(W))
         q2 = Scalar.q_power(2 * sign)
         bad = None
         for n in W.modes():

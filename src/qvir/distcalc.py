@@ -179,9 +179,6 @@ class Dist2:
                 return n
         return None
 
-    def is_odd(self):
-        return all(self.coeff(-n) == -v for n, v in self.c.items())
-
     def __str__(self):
         if not self.c:
             return "0"

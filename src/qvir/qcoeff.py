@@ -651,10 +651,6 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    def conj_t(self):
-        c0, c1 = self.c
-        return _scalar(c0, -c1)
-
     def inverse(self):
         c0, c1 = self.c
         if not c1.num.c:

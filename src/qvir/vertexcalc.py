@@ -128,11 +128,6 @@ class ExpField:
                 return False
         return True
 
-    def is_identity(self, W: ModeWindow) -> bool:
-        if not (self.eff_qt.is_zero() and self.eff_lnv.is_zero() and self.eff_qpow.is_zero()):
-            return False
-        return all(self.eff_mode(n).is_zero() for n in W.modes() if n != 0)
-
     def __repr__(self):
         return f"ExpField<{self.name}>"
 
@@ -321,6 +316,18 @@ class ContractionData:
 _CONTRACTION_MEMO: dict = {}
 
 
+def contraction_window(W: ModeWindow) -> ModeWindow:
+    """The one window every contraction of a run is reconstructed on.
+
+    Four modes beyond W serve two needs.  The degree-2/2 psi-phi kernel
+    takes five series modes to fit and one more to verify the fit, so
+    N + 4 >= 5 reconstructs it at every N >= 1.  Reflecting a term that
+    carries a z-degree D loses |D| boundary modes, and the step-operator
+    contractions carry |D| = 2.  Comparisons still run on W itself.
+    """
+    return ModeWindow(W.N + 4)
+
+
 def contraction_kernel(A: ExpField, B: ExpField, W: ModeWindow,
                        max_deg: int = 4) -> ContractionData:
     """Contraction of A(z)B(w) as verified exact rational data.
@@ -338,15 +345,25 @@ def contraction_kernel(A: ExpField, B: ExpField, W: ModeWindow,
     return data
 
 
+def xform_of_contraction(data: ContractionData, swap: bool) -> RatKernel:
+    """The contraction as a rational function of x = w/z.
+
+    With ``swap`` the contraction was computed with its first field at w
+    (so its own ratio variable is z/w); the x-form picks up x^zdeg from
+    w^zdeg = z^zdeg x^zdeg.
+    """
+    if not swap:
+        return data.kernel * RatKernel.const(data.const)
+    return data.kernel.reciprocal_arg() * RatKernel.monomial(data.const, data.zdeg)
+
+
 def exchange_kernel(A: ExpField, B: ExpField, W: ModeWindow) -> RatKernel:
     """The kernel K with A(z)B(w) = K(w/z) B(w)A(z), from both contractions."""
     ab = contraction_kernel(A, B, W)
     ba = contraction_kernel(B, A, W)
     if ab.zdeg != ba.zdeg:
         raise ArithmeticError("exchange kernel is not of degree zero")
-    back = ba.kernel.reciprocal_arg() * RatKernel.monomial(ba.const, ba.zdeg)
-    front = ab.kernel * RatKernel.const(ab.const)
-    return front / back
+    return xform_of_contraction(ab, swap=False) / xform_of_contraction(ba, swap=True)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +376,7 @@ def verify_exchange(A: ExpField, B: ExpField, K: RatKernel, W: ModeWindow,
     per-mode agreement of the region expansion on the window."""
     out = []
     try:
-        engine = exchange_kernel(A, B, W)
+        engine = exchange_kernel(A, B, contraction_window(W))
     except (ReconstructionError, ArithmeticError) as err:
         out.append(record(check_id, tag, False, engine=f"error: {err}", expected=str(K)))
         return out
@@ -389,12 +406,6 @@ def self_exchange_kernel(sign: int) -> RatKernel:
     return RatKernel.from_linear_factors(
         Scalar.q_power(2 * sign), 0,
         [Scalar.q_power(-2 * sign)], [Scalar.q_power(2 * sign)])
-
-
-# The psi-phi kernel has numerator and denominator degree 2, and
-# reconstruct_kernel needs dp + dq + 1 <= N so that one mode is left over
-# to verify the fit; a smaller window reports a false failure.
-EXCHANGE_MIN_WINDOW = 5
 
 
 def exchange_suite(W: ModeWindow) -> list[CheckRecord]:
@@ -460,7 +471,7 @@ def verify_ee_ope(W: ModeWindow, sign: int = +1) -> list[CheckRecord]:
     tag = "mame" if sign > 0 else "mame/eva"
     suffix = "[+]" if sign > 0 else "[-]"
     out = []
-    data = contraction_kernel(A, B, W)
+    data = contraction_kernel(A, B, contraction_window(W))
     K = data.kernel
     q = Scalar.q_power(1)
     qi = Scalar.q_power(-1)
@@ -507,20 +518,8 @@ def verify_ee_ope(W: ModeWindow, sign: int = +1) -> list[CheckRecord]:
 
 
 # ---------------------------------------------------------------------------
-# Contraction-linearity entries for the diagonal current
+# The diagonal current against the step operators
 # ---------------------------------------------------------------------------
-
-def h_h_contraction(W: ModeWindow) -> Dist2:
-    """Singular part of H(z)H(w) at level one: sum_{n>0} [2n][n]/(2n) x^n."""
-    return Dist2(W.N, {n: oscillator_norm(n) for n in range(1, W.N + 1)})
-
-
-def h_e_contraction(sign: int, W: ModeWindow) -> Dist2:
-    """Singular part of H(z)E^sign(w): +-sqrt2 (1 + sum_{n>0} ([2n]/2n) (q^(-+1/2) x)^n),
-    the n >= 0 part of :func:`h_e_commutator_dist`."""
-    D = h_e_commutator_dist(sign, W)
-    return Dist2(W.N, {n: v for n, v in D.c.items() if n >= 0})
-
 
 def h_e_commutator_dist(sign: int, W: ModeWindow) -> Dist2:
     """Full commutator content of [H(z), E^sign(w)] as a c-number times E^sign(w)."""

@@ -1,11 +1,15 @@
 """Batch driver: configuration, suite selection, emission, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from qvir import cli, dirac
+from qvir import vertexcalc as vc
 from qvir.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -51,20 +55,18 @@ def test_bad_window_rejected():
         RunConfig(window=0).validate()
 
 
-def test_exchange_window_too_small_rejected():
-    # the degree-2/2 psi-phi kernel needs five modes to fit and one to verify
-    with pytest.raises(ConfigError, match="window >= 5"):
-        RunConfig(scenario="q-sl2", window=4, suites=("exchange",)).validate()
-    with pytest.raises(ConfigError, match="window >= 5"):
-        RunConfig(scenario="q-sl2", window=4).validate()      # "all" includes it
-    RunConfig(scenario="q-sl2", window=5, suites=("exchange",)).validate()
-    RunConfig(scenario="q-sl2", window=SMALL, suites=("commutators",)).validate()
-
-
-def test_main_exchange_window_too_small_exits_2(capsys):
-    code = main(["--scenario", "q-sl2", "--window", "4", "--suite", "exchange"])
-    assert code == EXIT_CONFIG_ERROR
-    assert "window >= 5" in capsys.readouterr().err
+@pytest.mark.parametrize("window", (1, 2, 3, 4))
+def test_every_suite_runs_at_small_windows(tmp_path, window):
+    # contractions are reconstructed on the padded contraction window, so no
+    # suite has a window floor above 1 and none ends in a traceback
+    for scenario, names in (("q-sl2", cli.SUITES["q-sl2"] + ("all",)),
+                            ("classical-sl2", ("dirac", "reduce", "all"))):
+        for name in names:
+            out = tmp_path / f"{scenario}-{name}-{window}.json"
+            code = main(["--scenario", scenario, "--window", str(window),
+                         "--suite", name, "--output", str(out)])
+            assert code == EXIT_OK, (scenario, name, window)
+            assert json.loads(out.read_text())["checks"]
 
 
 def test_limit_order_too_small_rejected(capsys):
@@ -74,12 +76,13 @@ def test_limit_order_too_small_rejected(capsys):
     assert main(["--window", "5", "--suite", "dirac", "--order", "3"]) == EXIT_OK
 
 
-def test_weight_exponent_zero_keeps_ids_unique_and_fails(tmp_path):
+@pytest.mark.parametrize("h", (0, -2, 4))
+def test_weight_exponent_off_two_keeps_ids_unique_and_fails(tmp_path, h):
     # the weighted pass is told apart by the scenario, not by its exponent;
-    # with exponent 0 the bracket keeps its residual weight, which the
-    # absorbed closed form must reject
+    # the absorbed closed form holds at exponent 2 only, so any other
+    # exponent is a negative control that must fail both [qvir] kernels
     out = tmp_path / "r.json"
-    code = main(["--window", "5", "--suite", "reduce", "--weight-exponent", "0",
+    code = main(["--window", "5", "--suite", "reduce", "--weight-exponent", str(h),
                  "--output", str(out)])
     assert code == EXIT_CHECK_FAILED
     checks = json.loads(out.read_text())["checks"]
@@ -87,6 +90,7 @@ def test_weight_exponent_zero_keeps_ids_unique_and_fails(tmp_path):
     assert len(set(ids)) == len(ids)
     status = {c["id"]: c["status"] for c in checks}
     assert status["reduce-quadratic[qvir]"] == FAIL
+    assert status["reduce-central[qvir]"] == FAIL
     assert status["reduce-quadratic[qdirb]"] == PASS
 
 
@@ -274,6 +278,26 @@ def test_dirac_stage_counts(monkeypatch, scenario, window, want):
     assert counts == want
 
 
+def test_each_contraction_reconstructed_once(monkeypatch):
+    # every suite reads its contractions off one window, N + 4, so a full
+    # run reconstructs each ordered pair of the four fields exactly once
+    monkeypatch.setattr(vc, "_CONTRACTION_MEMO", {})
+    calls = []
+
+    def counted(*args, _fn=vc.reconstruct_kernel, **kwargs):
+        calls.append(args)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(vc, "reconstruct_kernel", counted)
+    rep = run(RunConfig(scenario="q-sl2", window=5))
+    assert rep.ok()
+    assert len(calls) == 16
+    fields = ("E+", "E-", "Psi", "Phi")
+    assert {key[:2] for key in vc._CONTRACTION_MEMO} == \
+        {(a, b) for a in fields for b in fields}
+    assert {key[2] for key in vc._CONTRACTION_MEMO} == {9}
+
+
 def test_runs_leave_no_state_behind():
     first = run(RunConfig(scenario="q-sl2", window=5))
     run(RunConfig(scenario="classical-sl2", window=16))
@@ -339,3 +363,19 @@ def test_main_stdout(capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "Verification report" in out
+
+
+def test_python_m_qvir_runs(tmp_path):
+    # the package runs as a module; stderr carries the summary line only
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = tmp_path / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qvir", "--window", "1", "--suite", "dirac",
+         "--output", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr.splitlines() == [
+        "13 checks: 12 passed, 0 failed, 1 documented discrepancies."]
+    assert json.loads(out.read_text())["checks"]

@@ -187,7 +187,7 @@ def test_region_difference_exchange_kernel():
     pref = -qint(2) * q_minus_qinv() * q_minus_qinv()
     for n in W.modes():
         assert D.coeff(n) == pref * qint(n)
-    assert D.is_odd()
+    assert D.reflect() == -D
 
 
 def test_region_difference_matches_constraint_bracket_pattern():
@@ -211,7 +211,7 @@ def test_region_difference_odd_for_qint_generator():
     D = region_difference(K, W)
     for n in W.modes():
         assert D.coeff(n) == qint(n)
-    assert D.is_odd()
+    assert D.reflect() == -D
 
 
 # ---------------------------------------------------------------------------

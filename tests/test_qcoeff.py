@@ -267,7 +267,7 @@ nonzero_components = st.dictionaries(
 def test_inverse_is_norm_form(c0, c1):
     x = c0 + c1 * S_T
     assert x * x.inverse() == S_ONE
-    assert x.inverse() == x.conj_t() / (c0 * c0 - 2 * c1 * c1)
+    assert x.inverse() == (c0 - c1 * S_T) / (c0 * c0 - 2 * c1 * c1)
 
 
 def test_division_with_surds():

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from qvir.qcoeff import S_ONE, S_T, S_ZERO, Scalar, q_minus_qinv, qint
+from qvir.qcoeff import S_ONE, S_T, Scalar, q_minus_qinv, qint
 from qvir.distcalc import Dist2, ModeWindow, RatKernel, expand_inner, region_difference
 from qvir.vertexcalc import (
+    ExpField,
+    OscLinearForm,
     ReconstructionError,
     contract,
     contraction_kernel,
@@ -14,8 +16,6 @@ from qvir.vertexcalc import (
     exp_series,
     fuse,
     h_e_commutator_dist,
-    h_e_contraction,
-    h_h_contraction,
     oscillator_norm,
     reconstruct_kernel,
     standard_fields,
@@ -91,13 +91,6 @@ def test_reconstruct_failure():
 def test_oscillator_norm_is_ope_entry():
     for n in range(1, W.N + 1):
         assert oscillator_norm(n) == qint(2 * n) * qint(n) / Scalar.from_rat(2 * n)
-
-
-def test_h_h_contraction():
-    D = h_h_contraction(W)
-    for n in W.modes():
-        want = oscillator_norm(n) if n >= 1 else S_ZERO
-        assert D.coeff(n) == want
 
 
 def test_contract_psi_psi_trivial():
@@ -203,7 +196,7 @@ def test_fuse_with_inverse_exponent_is_identity():
     A = F["E+"]
     Ainv = type(A)("E+inv", -A.beta, A.form)
     got = fuse(A, Ainv, 0, W)
-    assert got.is_identity(W)
+    assert got.matches(ExpField("1", S_ONE, OscLinearForm("w")), W)
 
 
 def test_fuse_mismatch_detected():
@@ -233,20 +226,6 @@ def test_ee_region_difference_is_shifted_delta_pair():
 # ---------------------------------------------------------------------------
 # diagonal-current entries by contraction linearity
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("sign", (+1, -1))
-def test_h_e_contraction_entry(sign):
-    D = h_e_contraction(sign, W)
-    rt2 = Scalar.from_rat(sign) * S_T
-    for n in W.modes():
-        if n < 0:
-            want = S_ZERO
-        elif n == 0:
-            want = rt2
-        else:
-            want = rt2 * SP(-sign * n) * qint(2 * n) / Scalar.from_rat(2 * n)
-        assert D.coeff(n) == want
-
 
 @pytest.mark.parametrize("sign", (+1, -1))
 def test_h_e_commutator_even_pattern(sign):
