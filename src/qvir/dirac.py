@@ -28,6 +28,7 @@ from .currents import (
     TermSum,
     classical_bracket,
     classical_bracket_table,
+    difference_constraint_combo,
     q_bracket_table,
 )
 from .report import CheckRecord, DOCUMENTED, compare_dists, record
@@ -83,8 +84,7 @@ def _unit_term(symbol, coef, N):
 
 
 def q_constraints(N: int = 1) -> ConstraintSet:
-    norm = S_ONE / (S_T * q_minus_qinv())
-    chi1 = TermSum([_unit_term("Psi", norm, N), _unit_term("Phi", -norm, N)])
+    chi1 = TermSum([_unit_term(sym, c, N) for c, sym in difference_constraint_combo()])
     chi2 = TermSum([_unit_term("E+", S_ONE, N), ((), 0, Dist2.unit0(N, -S_ONE))])
     return ConstraintSet("chi1", "E+", chi1, chi2,
                          {"Psi": 1, "Phi": 1, "E+": 1})

@@ -418,7 +418,8 @@ class RatFunc:
 
     The denominator is gcd-coprime to the numerator, has lowest exponent
     zero and leading (top) coefficient one; this makes equality a plain
-    component comparison.
+    component comparison.  A unit denominator is always the shared
+    ``LP_ONE``, so the polynomial fast paths test it by identity.
     """
 
     __slots__ = ("num", "den")
@@ -450,9 +451,9 @@ class RatFunc:
             return other
         if not other.num.c:
             return self
+        if self.den is LP_ONE and other.den is LP_ONE:
+            return RatFunc(self.num + other.num, LP_ONE, _canonical=True)
         if self.den == other.den:
-            if self.den == LP_ONE:
-                return RatFunc(self.num + other.num, LP_ONE, _canonical=True)
             return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
@@ -461,9 +462,9 @@ class RatFunc:
             return self
         if not self.num.c:
             return -other
+        if self.den is LP_ONE and other.den is LP_ONE:
+            return RatFunc(self.num - other.num, LP_ONE, _canonical=True)
         if self.den == other.den:
-            if self.den == LP_ONE:
-                return RatFunc(self.num - other.num, LP_ONE, _canonical=True)
             return RatFunc(self.num - other.num, self.den)
         return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
 
@@ -475,7 +476,7 @@ class RatFunc:
     def __mul__(self, other):
         if not self.num.c or not other.num.c:
             return RF_ZERO
-        if self.den == LP_ONE and other.den == LP_ONE:
+        if self.den is LP_ONE and other.den is LP_ONE:
             return RatFunc(self.num * other.num, LP_ONE, _canonical=True)
         # cross-reduce before multiplying so degrees stay minimal
         n1, d2 = _cross_reduce(self.num, other.den)
@@ -527,14 +528,15 @@ def _normalize(num: LaurentPoly, den: LaurentPoly, skip_gcd=False):
             dd, _ = _poly_divmod(dd, g)
     # fold the denominator's monomial into the numerator, scale top coeff to 1
     inv_lead = dd[-1].inverse()
-    dd = [x * inv_lead for x in dd]
     dn = [x * inv_lead for x in dn]
-    return _from_dense(vn - vd, dn), _from_dense(0, dd)
+    if len(dd) == 1:
+        return _from_dense(vn - vd, dn), LP_ONE
+    return _from_dense(vn - vd, dn), _from_dense(0, [x * inv_lead for x in dd])
 
 
 def _cross_reduce(p: LaurentPoly, q: LaurentPoly):
     """Divide out gcd(p, q); monomial parts are left untouched."""
-    if q == LP_ONE or p.is_zero():
+    if q is LP_ONE or p.is_zero():
         return p, q
     vp, dp = _dense(p)
     vq, dq_ = _dense(q)

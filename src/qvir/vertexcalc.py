@@ -12,8 +12,9 @@ exact rational function on the mode window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, qint, q_minus_qinv
 from .distcalc import Dist2, ModeWindow, RatKernel, expand_inner, region_difference
@@ -37,34 +38,27 @@ class ModeTerm:
     over_qint: bool    # divide by [n]
 
 
-class OscLinearForm:
-    """Linear form in the oscillators and zero modes, attached to one variable.
+@dataclass(frozen=True)
+class ExpField:
+    """The normal-ordered exponential :exp(X(v)): of one vertex operator.
 
-    Mode coefficients for n != 0 are closed-form term sums (or an explicit
-    table for fused fields); the zero-mode content is the coefficient of qt,
-    the coefficient of pt*ln(v), and the coefficient of pt*ln(q).
+    X(v) = qt*Q + lnv*P*ln(v) + qpow*P*ln(q) + sum_{n != 0} mode(n) alpha_n v^-n
+    with (Q, P) the zero-mode pair and any overall coupling already
+    multiplied into every slot.  The mode coefficient at n > 0 (n < 0) is
+    the sum of the closed-form ``pos`` (``neg``) terms.  Fields compare and
+    hash by their exponent data; the name is only a label.
     """
 
-    __slots__ = ("var", "qt", "lnv", "qpow", "pos", "neg", "table")
+    name: str = field(compare=False)
+    qt: Scalar = S_ZERO
+    lnv: Scalar = S_ZERO
+    qpow: Scalar = S_ZERO
+    pos: tuple = ()
+    neg: tuple = ()
 
-    def __init__(self, var, qt=S_ZERO, lnv=S_ZERO, qpow=S_ZERO,
-                 pos=(), neg=(), table=None):
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "qt", qt)
-        object.__setattr__(self, "lnv", lnv)
-        object.__setattr__(self, "qpow", qpow)
-        object.__setattr__(self, "pos", tuple(pos))
-        object.__setattr__(self, "neg", tuple(neg))
-        object.__setattr__(self, "table", dict(table) if table else None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OscLinearForm is immutable")
-
-    def mode_coeff(self, n: int) -> Scalar:
+    def mode(self, n: int) -> Scalar:
         if n == 0:
             raise ValueError("mode 0 lives in the zero-mode slots")
-        if self.table is not None:
-            return self.table.get(n, S_ZERO)
         acc = S_ZERO
         for term in (self.pos if n > 0 else self.neg):
             v = term.coef * Scalar.s_power(term.spow * n)
@@ -73,66 +67,22 @@ class OscLinearForm:
             acc = acc + v
         return acc
 
-
-class ExpField:
-    """Normal-ordered exponential exp(beta * form)."""
-
-    __slots__ = ("name", "beta", "form")
-
-    def __init__(self, name, beta: Scalar, form: OscLinearForm):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "form", form)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExpField is immutable")
-
-    # effective (beta-folded) exponent data used by contractions and comparisons
-
-    def eff_mode(self, n: int) -> Scalar:
-        return self.beta * self.form.mode_coeff(n)
-
-    @property
-    def eff_qt(self) -> Scalar:
-        return self.beta * self.form.qt
-
-    @property
-    def eff_lnv(self) -> Scalar:
-        return self.beta * self.form.lnv
-
-    @property
-    def eff_qpow(self) -> Scalar:
-        return self.beta * self.form.qpow
-
     def shifted(self, half: int) -> "ExpField":
         """The same field with argument v*q^(half/2) (half in units of sqrt(q))."""
-        f = self.form
-        table = None
-        pos = tuple(ModeTerm(t.coef, t.spow - half, t.over_qint) for t in f.pos)
-        neg = tuple(ModeTerm(t.coef, t.spow - half, t.over_qint) for t in f.neg)
-        if f.table is not None:
-            table = {n: v * Scalar.s_power(-half * n) for n, v in f.table.items()}
-        qpow = f.qpow + f.lnv * Scalar.from_rat(Fraction(half, 2))
-        form = OscLinearForm(f.var, f.qt, f.lnv, qpow, pos, neg, table)
-        label = f"{self.name}@q^{Fraction(half, 2)}"
-        return ExpField(label, self.beta, form)
+        def move(terms):
+            return tuple(ModeTerm(t.coef, t.spow - half, t.over_qint) for t in terms)
+        qpow = self.qpow + self.lnv * Scalar.from_rat(Fraction(half, 2))
+        return ExpField(f"{self.name}@q^{Fraction(half, 2)}", self.qt, self.lnv, qpow,
+                        move(self.pos), move(self.neg))
 
     def matches(self, other: "ExpField", W: ModeWindow) -> bool:
-        """Exact equality of the effective exponents on the window."""
-        if (self.eff_qt, self.eff_lnv, self.eff_qpow) != (other.eff_qt, other.eff_lnv, other.eff_qpow):
+        """Exact equality of the exponents on the window."""
+        if (self.qt, self.lnv, self.qpow) != (other.qt, other.lnv, other.qpow):
             return False
-        for n in W.modes():
-            if n == 0:
-                continue
-            if self.eff_mode(n) != other.eff_mode(n):
-                return False
-        return True
+        return all(self.mode(n) == other.mode(n) for n in W.modes() if n != 0)
 
     def __repr__(self):
         return f"ExpField<{self.name}>"
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=1)
@@ -141,18 +91,14 @@ def standard_fields() -> dict[str, ExpField]:
     dq = q_minus_qinv()
     out = {}
     for sgn, name in ((+1, "E+"), (-1, "E-")):
-        beta = Scalar.from_rat(sgn) * S_I * S_T
+        beta = Scalar.from_rat(sgn) * S_I * S_T     # the coupling, folded into every slot
         # creation side (n<0) carries q^{-sgn/2} per mode, annihilation side q^{+sgn/2}
-        pos = (ModeTerm(S_I, -sgn, True),)
-        neg = (ModeTerm(S_I, +sgn, True),)
-        form = OscLinearForm("z", qt=S_ONE, lnv=-S_I, qpow=S_ZERO, pos=pos, neg=neg)
-        out[name] = ExpField(name, beta, form)
-    out["Psi"] = ExpField(
-        "Psi", S_ONE,
-        OscLinearForm("z", qpow=S_T, pos=(ModeTerm(S_T * dq, 0, False),)))
-    out["Phi"] = ExpField(
-        "Phi", S_ONE,
-        OscLinearForm("z", qpow=-S_T, neg=(ModeTerm(-(S_T * dq), 0, False),)))
+        i_beta = S_I * beta
+        out[name] = ExpField(name, qt=beta, lnv=-i_beta,
+                             pos=(ModeTerm(i_beta, -sgn, True),),
+                             neg=(ModeTerm(i_beta, +sgn, True),))
+    out["Psi"] = ExpField("Psi", qpow=S_T, pos=(ModeTerm(S_T * dq, 0, False),))
+    out["Phi"] = ExpField("Phi", qpow=-S_T, neg=(ModeTerm(-(S_T * dq), 0, False),))
     return out
 
 
@@ -178,17 +124,17 @@ class LogKernel:
 def contract(A: ExpField, B: ExpField, W: ModeWindow) -> LogKernel:
     """Commute A's annihilation half past B's creation half, exactly.
 
-    The series term at n >= 1 is  betaA*betaB * fA(n) * fB(-n) * [2n][n]/(2n);
+    The series term at n >= 1 is  A.mode(n) * B.mode(-n) * [2n][n]/(2n);
     the zero modes produce the exact prefactor q^e and the z-degree.
     """
     series = {}
     for n in range(1, W.N + 1):
-        v = A.eff_mode(n) * B.eff_mode(-n) * oscillator_norm(n)
+        v = A.mode(n) * B.mode(-n) * oscillator_norm(n)
         if not v.is_zero():
             series[n] = v
     # [pt-content of A, qt-content of B] with [pt, qt] = -i
-    qexp = (-S_I) * B.eff_qt * A.eff_qpow
-    zexp = (-S_I) * B.eff_qt * A.eff_lnv
+    qexp = (-S_I) * B.qt * A.qpow
+    zexp = (-S_I) * B.qt * A.lnv
     e = qexp.as_int()
     if e is None:
         raise ArithmeticError(f"non-integer q-power in zero-mode contraction: {qexp}")
@@ -328,18 +274,16 @@ def contraction_window(W: ModeWindow) -> ModeWindow:
     return ModeWindow(W.N + 4)
 
 
-def contraction_kernel(A: ExpField, B: ExpField, W: ModeWindow,
-                       max_deg: int = 4) -> ContractionData:
+def contraction_kernel(A: ExpField, B: ExpField, W: ModeWindow) -> ContractionData:
     """Contraction of A(z)B(w) as verified exact rational data.
 
-    Results are memoized by field name and window (field names identify
-    their data for the standard operators)."""
-    key = (A.name, B.name, W.N, max_deg)
+    Results are memoized by the two fields' exponent data and the window."""
+    key = (A, B, W.N)
     hit = _CONTRACTION_MEMO.get(key)
     if hit is not None:
         return hit
     L = contract(A, B, W)
-    K = reconstruct_kernel(exp_series(L.series), max_deg)
+    K = reconstruct_kernel(exp_series(L.series))
     data = ContractionData(L.prefactor, L.zdeg, K)
     _CONTRACTION_MEMO[key] = data
     return data
@@ -433,26 +377,13 @@ def exchange_suite(W: ModeWindow) -> list[CheckRecord]:
 # Fusion
 # ---------------------------------------------------------------------------
 
-def fuse(A: ExpField, B: ExpField, half: int, W: ModeWindow) -> ExpField:
-    """Combined exponent of :A(z)B(w): evaluated at z = w*q^(half/2).
-
-    Returns a single field in w; the mode coefficients are tabulated on the
-    window (that is where fusion equality is tested).
-    """
-    if A.form.var == B.form.var and A.form.var not in ("z", "w"):
-        raise ValueError("incompatible oscillator sets")
-    table = {}
-    for n in W.modes():
-        if n == 0:
-            continue
-        v = A.eff_mode(n) * Scalar.s_power(-half * n) + B.eff_mode(n)
-        if not v.is_zero():
-            table[n] = v
-    qt = A.eff_qt + B.eff_qt
-    lnv = A.eff_lnv + B.eff_lnv
-    qpow = A.eff_qpow + B.eff_qpow + A.eff_lnv * Scalar.from_rat(Fraction(half, 2))
-    form = OscLinearForm("w", qt, lnv, qpow, table=table)
-    return ExpField(f"fuse({A.name},{B.name};q^{Fraction(half,2)})", S_ONE, form)
+def fuse(A: ExpField, B: ExpField, half: int) -> ExpField:
+    """Combined exponent of :A(z)B(w): evaluated at z = w*q^(half/2), a
+    single field in w."""
+    a = A.shifted(half)
+    return ExpField(f"fuse({A.name},{B.name};q^{Fraction(half, 2)})",
+                    a.qt + B.qt, a.lnv + B.lnv, a.qpow + B.qpow,
+                    a.pos + B.pos, a.neg + B.neg)
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +428,8 @@ def verify_ee_ope(W: ModeWindow, sign: int = +1) -> list[CheckRecord]:
                       engine=f"deg num={len(K.num)-1}, deg den={deg_den}",
                       expected="deg num <= deg den + 1"))
     # residue fields at the poles z = w*q and z = w/q
-    up = fuse(A, B, +2, W)
-    down = fuse(A, B, -2, W)
+    up = fuse(A, B, +2)
+    down = fuse(A, B, -2)
     if sign > 0:
         up_ok = up.matches(psi_like.shifted(+1), W)
         down_ok = down.matches(phi_like.shifted(-1), W)
@@ -525,8 +456,8 @@ def h_e_commutator_dist(sign: int, W: ModeWindow) -> Dist2:
     """Full commutator content of [H(z), E^sign(w)] as a c-number times E^sign(w)."""
     F = standard_fields()
     E = F["E+"] if sign > 0 else F["E-"]
-    out = {0: (-S_I) * E.eff_qt}
+    out = {0: (-S_I) * E.qt}
     for n in range(1, W.N + 1):
-        out[n] = E.eff_mode(-n) * oscillator_norm(n)
-        out[-n] = -(E.eff_mode(n) * oscillator_norm(n))
+        out[n] = E.mode(-n) * oscillator_norm(n)
+        out[-n] = -(E.mode(n) * oscillator_norm(n))
     return Dist2(W.N, out)

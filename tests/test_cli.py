@@ -293,9 +293,9 @@ def test_each_contraction_reconstructed_once(monkeypatch):
     assert rep.ok()
     assert len(calls) == 16
     fields = ("E+", "E-", "Psi", "Phi")
-    assert {key[:2] for key in vc._CONTRACTION_MEMO} == \
+    assert {(A.name, B.name) for A, B, _ in vc._CONTRACTION_MEMO} == \
         {(a, b) for a in fields for b in fields}
-    assert {key[2] for key in vc._CONTRACTION_MEMO} == {9}
+    assert {N for _, _, N in vc._CONTRACTION_MEMO} == {9}
 
 
 def test_runs_leave_no_state_behind():
@@ -379,3 +379,20 @@ def test_python_m_qvir_runs(tmp_path):
     assert proc.stderr.splitlines() == [
         "13 checks: 12 passed, 0 failed, 1 documented discrepancies."]
     assert json.loads(out.read_text())["checks"]
+
+
+def test_benchmark_probe_trace_contract(tmp_path):
+    # the benchmark's traced runs read these fields off perfbench/probe.py
+    root = Path(cli.__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    out = tmp_path / "t.json"
+    proc = subprocess.run(
+        [sys.executable, "perfbench/probe.py", "trace", str(out), "--window", "2"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    trace = json.loads(out.read_text())
+    assert trace["contraction_memo_entries"] > 0
+    assert "qint_hits" in trace
+    assert trace["stats"]["vertexcalc.contraction_kernel"][0] > 0

@@ -270,6 +270,28 @@ def test_inverse_is_norm_form(c0, c1):
     assert x.inverse() == (c0 - c1 * S_T) / (c0 * c0 - 2 * c1 * c1)
 
 
+small_polys = st.dictionaries(
+    st.integers(-2, 2), gaussians.filter(lambda g: not g.is_zero()),
+    min_size=1, max_size=2,
+).map(LaurentPoly)
+ratfuncs = st.builds(RatFunc, small_polys, small_polys)
+OPS = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
+       "mul": lambda a, b: a * b, "div": lambda a, b: a / b}
+
+
+@settings(max_examples=50, deadline=None)
+@given(ratfuncs, st.lists(st.tuples(st.sampled_from(sorted(OPS)), ratfuncs),
+                          min_size=1, max_size=4))
+def test_unit_denominator_is_the_shared_one(x, steps):
+    # whatever arithmetic leaves a denominator of 1 holds LP_ONE itself, the
+    # identity the polynomial fast paths of RatFunc rely on
+    acc = x
+    for op, y in steps:
+        acc = OPS[op](acc, y)
+        for r in (acc, y / y, (acc * y) / y, acc - acc + RatFunc(y.num)):
+            assert (r.den == qcoeff.LP_ONE) == (r.den is qcoeff.LP_ONE)
+
+
 def test_division_with_surds():
     x = (S_T + spow(1)) * spow(3) + S_I
     y = S_T * spow(2) - spow(-2)

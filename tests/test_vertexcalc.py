@@ -1,14 +1,16 @@
 """Contractions, exchange relations, fusion, and the opposite-charge OPE."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from qvir import vertexcalc as vc
 from qvir.qcoeff import S_ONE, S_T, Scalar, q_minus_qinv, qint
 from qvir.distcalc import Dist2, ModeWindow, RatKernel, expand_inner, region_difference
 from qvir.vertexcalc import (
     ExpField,
-    OscLinearForm,
+    ModeTerm,
     ReconstructionError,
     contract,
     contraction_kernel,
@@ -129,6 +131,18 @@ def test_contract_ee_opposite_kernel():
     assert data.kernel == RatKernel.from_linear_factors(S_ONE, 0, [], [Q(1), Q(-1)])
 
 
+def test_contraction_memo_is_keyed_by_field_data(monkeypatch):
+    # a field that only borrows a standard name gets its own contraction
+    monkeypatch.setattr(vc, "_CONTRACTION_MEMO", {})
+    real = contraction_kernel(F["E+"], F["E-"], W)
+    impostor = replace(F["Psi"], name="E-")
+    got = contraction_kernel(F["E+"], impostor, W)
+    assert got != real
+    assert got.zdeg == contract(F["E+"], F["Psi"], W).zdeg == 0
+    assert got.kernel == RatKernel.const(S_ONE)
+    assert len(vc._CONTRACTION_MEMO) == 2
+
+
 def test_contract_ee_same_kernel_is_polynomial():
     # E^+(z)E^+(w) contracts to (z-w)(z-w/q^2) = z^2 (1-x)(1-x/q^2)
     data = contraction_kernel(F["E+"], F["E+"], W)
@@ -183,25 +197,41 @@ def test_exchange_kernel_engine_value():
 # ---------------------------------------------------------------------------
 
 def test_fuse_to_raising_field():
-    got = fuse(F["E+"], F["E-"], +2, W)     # z = w*q
+    got = fuse(F["E+"], F["E-"], +2)     # z = w*q
     assert got.matches(F["Psi"].shifted(+1), W)
 
 
 def test_fuse_to_lowering_field():
-    got = fuse(F["E+"], F["E-"], -2, W)     # z = w/q
+    got = fuse(F["E+"], F["E-"], -2)     # z = w/q
     assert got.matches(F["Phi"].shifted(-1), W)
 
 
 def test_fuse_with_inverse_exponent_is_identity():
     A = F["E+"]
-    Ainv = type(A)("E+inv", -A.beta, A.form)
-    got = fuse(A, Ainv, 0, W)
-    assert got.matches(ExpField("1", S_ONE, OscLinearForm("w")), W)
+
+    def negated(terms):
+        return tuple(ModeTerm(-t.coef, t.spow, t.over_qint) for t in terms)
+
+    Ainv = ExpField("E+inv", -A.qt, -A.lnv, -A.qpow, negated(A.pos), negated(A.neg))
+    got = fuse(A, Ainv, 0)
+    assert got.matches(ExpField("1"), W)
+    assert not A.matches(ExpField("1"), W)
 
 
 def test_fuse_mismatch_detected():
-    got = fuse(F["E+"], F["E-"], +2, W)
+    got = fuse(F["E+"], F["E-"], +2)
     assert not got.matches(F["Phi"].shifted(-1), W)
+
+
+@pytest.mark.parametrize("sign", (+1, -1))
+def test_ee_ope_fusion_fails_without_the_pole_shift(monkeypatch, sign):
+    # negative control: fusing at z = w instead of z = w q^(+-1) must fail
+    unshifted = vc.fuse
+    monkeypatch.setattr(vc, "fuse", lambda A, B, half: unshifted(A, B, 0))
+    suffix = "[+]" if sign > 0 else "[-]"
+    status = {r.id: r.status for r in verify_ee_ope(W, sign)}
+    assert status[f"ee-ope-fusion{suffix}"] == FAIL
+    assert [i for i, st in status.items() if st == FAIL] == [f"ee-ope-fusion{suffix}"]
 
 
 # ---------------------------------------------------------------------------
