@@ -45,7 +45,6 @@ from .currents import (
     TermSum,
     classical_bracket,
     classical_bracket_table,
-    commutator_from_exchange,
     modes_from_ope,
     q_bracket_table,
     verify_serre_mode_equivalence,
@@ -81,7 +80,7 @@ __all__ = [
     "SingularModeError", "SurdRational", "TermSum", "WindowMismatchError",
     "affine_check", "antisymmetry_check", "build_dirac_matrix", "classical_bracket",
     "classical_bracket_table", "classical_jacobi_check", "classical_limit_check",
-    "commutator_from_exchange", "contract", "emit", "eval_q1",
+    "contract", "emit", "eval_q1",
     "exchange_suite", "expand_inner", "expand_outer", "fuse", "invert",
     "modes_from_ope", "pair", "q_bracket_table", "q_minus_qinv", "qint",
     "reduce", "region_difference", "run", "scenario", "standard_fields",

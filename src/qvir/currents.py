@@ -2,8 +2,8 @@
 
 Operator-valued distributions are finite sums of (monomial in field
 symbols with q-shifted arguments) x (two-point distribution), the TermSum.
-Quantum commutators are derived from exchange kernels by region
-difference; the classical bracket table transcribes them through the
+Quantum commutators are the region difference of the two orderings'
+contraction kernels; the classical bracket table transcribes them through the
 correspondence sign map into commuting monomials, optionally with a
 q^(h|n|) mode weight.  Mode-algebra consistency checks live here too.
 """
@@ -17,7 +17,6 @@ from .qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, q_minus_qinv, qint
 from .distcalc import (
     Dist2,
     ModeWindow,
-    RatKernel,
     expand_inner,
     expand_outer,
     weight_abs,
@@ -205,28 +204,21 @@ class TermSum:
 
 
 # ---------------------------------------------------------------------------
-# Quantum commutators from exchange data
+# Quantum commutators from contraction data
 # ---------------------------------------------------------------------------
 
-def commutator_from_exchange(K: RatKernel, back: RatKernel, mono, zdeg: int,
-                             W: ModeWindow) -> TermSum:
-    """[A(z), B(w)] for an exchange pair A(z)B(w) = K * B(w)A(z).
-
-    ``back`` is the x-form of the contraction of the reversed ordering
-    B(w)A(z) (a constant for regular orderings); the bound markers'
-    constant terms are exactly its outer expansion.
-    """
-    dist = expand_inner(K * back, W) - expand_outer(back, W)
-    return TermSum.single(mono, dist, zdeg)
-
-
 def field_commutator(A: ExpField, B: ExpField, W: ModeWindow) -> TermSum:
-    """Quantum [A(z), B(w)] as (normal-ordered monomial) x distribution."""
-    K = exchange_kernel(A, B, W)
+    """Quantum [A(z), B(w)] as (normal-ordered monomial) x distribution: the
+    region difference of the two orderings' contraction kernels, A(z)B(w)
+    expanded at |z| > |w| minus B(w)A(z) expanded at |w| > |z|."""
+    ab = contraction_kernel(A, B, W)
     ba = contraction_kernel(B, A, W)
+    if ab.zdeg != ba.zdeg:
+        raise ArithmeticError("exchange kernel is not of degree zero")
+    dist = (expand_inner(xform_of_contraction(ab, swap=False), W)
+            - expand_outer(xform_of_contraction(ba, swap=True), W))
     mono = (FieldFactor(A.name, "z"), FieldFactor(B.name, "w"))
-    return commutator_from_exchange(K, xform_of_contraction(ba, swap=True),
-                                    mono, ba.zdeg, W)
+    return TermSum.single(mono, dist, ab.zdeg)
 
 
 def difference_constraint_combo():
@@ -258,10 +250,6 @@ def ordered_product_laurent(first: ExpField, second: ExpField, W: ModeWindow,
     return R.as_laurent(), data.zdeg
 
 
-def _geom(N, ratio, include_zero, side=+1, coef=S_ONE):
-    return Dist2.one_sided(N, ratio, include_zero, side, coef)
-
-
 def printed_pair_exchange_bracket(W: ModeWindow) -> TermSum:
     """[chi1(z), chi1(w)] as printed: step-pair monomials against the odd
     q-integer sums, coefficient [2]/2."""
@@ -283,8 +271,8 @@ def printed_chi_e_bracket(sign: int, W: ModeWindow, normalized: bool) -> TermSum
     E = F["E+"] if sign > 0 else F["E-"]
     coef = Scalar.from_rat(sign) * qint(2) * S_T * Scalar.from_rat(Fraction(1, 2))  # +-[2]/sqrt2
     cconst = Scalar.q_power(-sign) / qint(2)
-    d1 = _geom(W.N, Scalar.s_power(3 * sign), True, +1) - Dist2.unit0(W.N, cconst)
-    d2 = _geom(W.N, Scalar.s_power(3 * sign), True, -1) - Dist2.unit0(W.N, cconst)
+    d1 = Dist2.one_sided(W.N, Scalar.s_power(3 * sign), +1) - Dist2.unit0(W.N, cconst)
+    d2 = Dist2.one_sided(W.N, Scalar.s_power(3 * sign), -1) - Dist2.unit0(W.N, cconst)
     if normalized:
         # E(w)Psi(z) is already normal ordered; Phi(z)E(w) carries q^(-2 sign)
         lau1, z1 = ordered_product_laurent(E, F["Psi"], W, first_at_w=True)
@@ -305,8 +293,8 @@ def printed_ee_same_bracket(sign: int, W: ModeWindow, normalized: bool) -> TermS
     coef = Scalar.from_rat(sign) * q_minus_qinv() * Scalar.from_rat(Fraction(1, 2))
     two = qint(2)
     cconst = Scalar.q_power(-sign)
-    d1 = _geom(W.N, Scalar.q_power(2 * sign), True, +1, two) - Dist2.unit0(W.N, cconst)
-    d2 = _geom(W.N, Scalar.q_power(2 * sign), True, -1, two) - Dist2.unit0(W.N, cconst)
+    d1 = Dist2.one_sided(W.N, Scalar.q_power(2 * sign), +1, two) - Dist2.unit0(W.N, cconst)
+    d2 = Dist2.one_sided(W.N, Scalar.q_power(2 * sign), -1, two) - Dist2.unit0(W.N, cconst)
     mono = (FieldFactor(E.name, "z"), FieldFactor(E.name, "w"))
     if not normalized:
         return TermSum([(mono, 0, d1.scale(coef)), (mono, 0, d2.scale(-coef))])
@@ -317,18 +305,17 @@ def printed_ee_same_bracket(sign: int, W: ModeWindow, normalized: bool) -> TermS
     return TermSum([t1, t2])
 
 
-def opposite_charge_bracket(sign: int, W: ModeWindow, k: int = 1) -> TermSum:
-    """[E^s(z), E^-s(w)] in the mode-algebra normalization: the delta pair
+def opposite_charge_bracket(W: ModeWindow, k: int = 1) -> TermSum:
+    """[E+(z), E-(w)] in the mode-algebra normalization: the delta pair
     at z = w q^(+-k) against the shifted step operators, over (q - 1/q)."""
     inv_dq = S_ONE / q_minus_qinv()
-    s = sign
     psi = TermSum.single(
-        (FieldFactor("Psi", "w", s * k),),
-        Dist2.from_func(W.N, lambda n: inv_dq * Scalar.q_power(s * k * n)))
+        (FieldFactor("Psi", "w", k),),
+        Dist2.from_func(W.N, lambda n: inv_dq * Scalar.q_power(k * n)))
     phi = TermSum.single(
-        (FieldFactor("Phi", "w", -s * k),),
-        Dist2.from_func(W.N, lambda n: -(inv_dq * Scalar.q_power(-s * k * n))))
-    return (psi + phi).scale(Scalar.from_rat(s))
+        (FieldFactor("Phi", "w", -k),),
+        Dist2.from_func(W.N, lambda n: -(inv_dq * Scalar.q_power(-k * n))))
+    return psi + phi
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +441,7 @@ def q_bracket_table() -> BracketTable:
         return lambda W: printed_ee_same_bracket(sign, W, normalized=False)
 
     def rule_ee_opposite(W):
-        return opposite_charge_bracket(+1, W)
+        return opposite_charge_bracket(W)
 
     rules = {
         ("chi1", "chi1"): rule_chi_chi,
@@ -589,7 +576,7 @@ def modes_from_ope(level: KacMoodyLevel, W: ModeWindow) -> list[CheckRecord]:
 
     # E+E- sector: extract z^-a w^-m coefficients from the delta-pair
     # distribution form and compare with the printed mode relation
-    T = opposite_charge_bracket(+1, W, k)
+    T = opposite_charge_bracket(W, k)
     bad = None
     for a in W.modes():
         for m in W.modes():

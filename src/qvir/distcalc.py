@@ -75,13 +75,11 @@ class Dist2:
         return cls(N, {n: fn(n) for n in range(-N, N + 1)})
 
     @classmethod
-    def one_sided(cls, N, ratio: Scalar, include_zero: bool, side: int = +1,
-                  coef: Scalar = S_ONE):
-        """Geometric sum coef * sum ratio^|n| x^(side*n) over n >= 0 or n >= 1."""
+    def one_sided(cls, N, ratio: Scalar, side: int = +1, coef: Scalar = S_ONE):
+        """Geometric sum coef * sum ratio^|n| x^(side*n) over n >= 0."""
         out = {}
-        start = 0 if include_zero else 1
-        power = S_ONE if start == 0 else ratio
-        for n in range(start, N + 1):
+        power = S_ONE
+        for n in range(N + 1):
             out[side * n] = coef * power
             power = power * ratio
         return cls(N, out)

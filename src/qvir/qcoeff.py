@@ -784,7 +784,11 @@ def q_minus_qinv() -> Scalar:
 # ---------------------------------------------------------------------------
 
 class SurdRational:
-    """A value a + b*sqrt(2) with Gaussian-rational a, b (image of eval_q1)."""
+    """A constant a + b*t of Q(i)[t], t^2 = 2, with Gaussian-rational a, b.
+
+    The values at q = 1: the image of eval_q1 and the coefficients of an
+    HSeries.  This is the one place where constant t-arithmetic is written.
+    """
 
     __slots__ = ("rat", "t_coef")
 
@@ -797,6 +801,26 @@ class SurdRational:
 
     def is_zero(self):
         return self.rat.is_zero() and self.t_coef.is_zero()
+
+    def __add__(self, other):
+        return SurdRational(self.rat + other.rat, self.t_coef + other.t_coef)
+
+    def __sub__(self, other):
+        return SurdRational(self.rat - other.rat, self.t_coef - other.t_coef)
+
+    def __mul__(self, other):
+        a1, b1, a2, b2 = self.rat, self.t_coef, other.rat, other.t_coef
+        # (a1 + b1 t)(a2 + b2 t) with t^2 = 2
+        return SurdRational(_mul_add(a1 * a2, b1 + b1, b2), _mul_add(a1 * b2, b1, a2))
+
+    def inverse(self):
+        # norm form: 1/(a + b t) = (a - b t)/(a^2 - 2 b^2); the norm vanishes
+        # only at zero because sqrt(2) is not in Q(i)
+        a, b = self.rat, self.t_coef
+        n = _mul_add(a * a, -(b + b), b)
+        if n.is_zero():
+            raise ZeroDivisionError("inverse of zero SurdRational")
+        return SurdRational(a / n, -b / n)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -823,6 +847,9 @@ class SurdRational:
         return f"SurdRational<{self}>"
 
 
+SR_ZERO = SurdRational()
+
+
 def eval_q1(x: Scalar) -> SurdRational:
     """Substitute s = 1, keeping t formal.
 
@@ -837,7 +864,7 @@ def eval_q1(x: Scalar) -> SurdRational:
 # ---------------------------------------------------------------------------
 
 class HSeries:
-    """Truncated Laurent series in h with coefficients in Q(i)[t].
+    """Truncated Laurent series in h with SurdRational coefficients.
 
     Coefficients are exact for every exponent below ``prec``; the tail is
     O(h^prec).  A finite principal part (pole in h) is allowed.
@@ -846,107 +873,65 @@ class HSeries:
     __slots__ = ("c", "prec")
 
     def __init__(self, coeffs, prec):
-        c = {}
-        for k, v in (coeffs or {}).items():
-            if k < prec and not (v[0].is_zero() and v[1].is_zero()):
-                c[k] = v
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", {k: v for k, v in coeffs.items()
+                                       if k < prec and not v.is_zero()})
         object.__setattr__(self, "prec", prec)
 
     def __setattr__(self, name, value):
         raise AttributeError("HSeries is immutable")
 
-    @classmethod
-    def const(cls, v, prec):
-        return cls({0: (_as_gaussian(v), G_ZERO)}, prec)
-
     def coeff(self, k):
         """Coefficient of h^k as a SurdRational (must be below precision)."""
         if k >= self.prec:
             raise ValueError(f"coefficient h^{k} is beyond precision O(h^{self.prec})")
-        a, b = self.c.get(k, (G_ZERO, G_ZERO))
-        return SurdRational(a, b)
-
-    def is_zero(self):
-        return not self.c
+        return self.c.get(k, SR_ZERO)
 
     def valuation(self):
-        if not self.c:
-            return None
-        return min(self.c)
+        return min(self.c, default=None)
 
     def truncate(self, prec):
         return HSeries(self.c, min(self.prec, prec))
 
-    def __add__(self, other):
-        prec = min(self.prec, other.prec)
-        out = dict(self.c)
-        for k, v in other.c.items():
-            a, b = out.get(k, (G_ZERO, G_ZERO))
-            out[k] = (a + v[0], b + v[1])
-        return HSeries(out, prec)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return HSeries({k: (-a, -b) for k, (a, b) in self.c.items()}, self.prec)
-
     def __mul__(self, other):
-        if not self.c or not other.c:
-            # zero factor: precision of the product is limited by the known tails
-            prec = min(self.prec + _val_or0(other), other.prec + _val_or0(self))
-            return HSeries({}, prec)
-        prec = min(self.prec + other.valuation(), other.prec + self.valuation())
+        # a zero factor counts as valuation 0 in the precision of the product
+        va, vb = min(self.c, default=0), min(other.c, default=0)
+        prec = min(self.prec + vb, other.prec + va)
         out = {}
-        for k1, (a1, b1) in self.c.items():
-            for k2, (a2, b2) in other.c.items():
+        for k1, x in self.c.items():
+            for k2, y in other.c.items():
                 k = k1 + k2
-                if k >= prec:
-                    continue
-                a, b = out.get(k, (G_ZERO, G_ZERO))
-                # (a1 + b1 t)(a2 + b2 t) with t^2 = 2
-                out[k] = (_mul_add(_mul_add(a, a1, a2), b1 + b1, b2),
-                          _mul_add(_mul_add(b, a1, b2), b1, a2))
+                if k < prec:
+                    out[k] = out.get(k, SR_ZERO) + x * y
         return HSeries(out, prec)
-
-    def inverse(self):
-        if not self.c:
-            raise ZeroDivisionError("inverse of (truncated) zero series")
-        v = self.valuation()
-        lead = self.c[v]
-        n = lead[0] * lead[0] - 2 * (lead[1] * lead[1])
-        inv_lead = ((lead[0] / n), (-lead[1] / n))
-        terms = self.prec - v
-        # w = shifted/lead - 1, then 1/(1+w) = sum (-w)^k
-        shifted = HSeries({k - v: c for k, c in self.c.items()}, terms)
-        one = HSeries.const(1, terms)
-        lead_s = HSeries({0: inv_lead}, terms)
-        w = shifted * lead_s - one
-        acc = one
-        pw = one
-        for _ in range(terms):
-            pw = pw * (-w)
-            if pw.is_zero():
-                break
-            acc = acc + pw
-        inv = acc * lead_s
-        return HSeries({k - v: c for k, c in inv.c.items()}, terms - v)
 
     def __truediv__(self, other):
-        return self * other.inverse()
+        """a/b in one pass of q_k = (a_(k+v) - sum_(j>=1) b_j q_(k-j)) / b_0,
+        b = h^v (b_0 + b_1 h + ...); exact below min(p_a - v, p_b - 2v + v_a)."""
+        if not other.c:
+            raise ZeroDivisionError("division by a (truncated) zero series")
+        v = min(other.c)
+        va = min(self.c, default=0)
+        prec = min(self.prec - v, other.prec - 2 * v + va)
+        inv0 = other.c[v].inverse()
+        tail = [(k - v, b) for k, b in other.c.items() if k > v]
+        q = {}
+        for k in range(va - v, prec):
+            acc = self.c.get(k + v, SR_ZERO)
+            for j, b in tail:
+                if k - j in q:
+                    acc = acc - b * q[k - j]
+            q[k] = acc * inv0
+        return HSeries(q, prec)
 
     def __eq__(self, other):
         if not isinstance(other, HSeries):
             return NotImplemented
-        prec = min(self.prec, other.prec)
-        keys = {k for k in self.c if k < prec} | {k for k in other.c if k < prec}
-        return all(self.c.get(k, (G_ZERO, G_ZERO)) == other.c.get(k, (G_ZERO, G_ZERO)) for k in keys)
+        return self.truncate(other.prec).c == other.truncate(self.prec).c
 
     def __str__(self):
         parts = []
         for k in sorted(self.c):
-            cs = str(SurdRational(*self.c[k]))
+            cs = str(self.c[k])
             if " " in cs:
                 cs = f"({cs})"
             if k == 0:
@@ -961,24 +946,17 @@ class HSeries:
         return f"HSeries<{self}>"
 
 
-def _val_or0(h):
-    v = h.valuation()
-    return 0 if v is None else v
-
-
 def _lp_to_hseries(p: LaurentPoly, prec: int) -> HSeries:
     """Substitute s = exp(i h / 2) exactly, order by order."""
     out = {}
     for k, g in p.c.items():
         base = GaussianRational(0, Fraction(k, 2))  # i*k/2
         cur = g
-        a, b = out.get(0, (G_ZERO, G_ZERO))
-        out[0] = (a + cur, b)
+        out[0] = out.get(0, G_ZERO) + cur
         for m in range(1, prec):
             cur = cur * base / m
-            a, b = out.get(m, (G_ZERO, G_ZERO))
-            out[m] = (a + cur, b)
-    return HSeries(out, prec)
+            out[m] = out.get(m, G_ZERO) + cur
+    return HSeries({m: SurdRational(g) for m, g in out.items()}, prec)
 
 
 def _order_at_one(p: LaurentPoly) -> int:
@@ -1001,8 +979,8 @@ def taylor_q1(x: Scalar, order: int) -> HSeries:
     """Exact Laurent expansion in h of x under q = exp(i h), through h^order.
 
     Each component num/den is expanded once: a denominator of order v in h
-    loses 2v orders of precision in the division (v in its inverse, v more
-    in the product), so the series are taken to order + 1 + 2v.
+    loses 2v orders of precision in the division, so the series are taken
+    to order + 1 + 2v.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -1017,7 +995,7 @@ def taylor_q1(x: Scalar, order: int) -> HSeries:
         if series.prec < target:
             raise ArithmeticError(f"taylor_q1 reached O(h^{series.prec}), "
                                   f"short of O(h^{target})")
-        parts.append({k: a for k, (a, _) in series.c.items()})
+        parts.append({k: c.rat for k, c in series.c.items()})
     rat, tco = parts
-    keys = rat.keys() | tco.keys()
-    return HSeries({k: (rat.get(k, G_ZERO), tco.get(k, G_ZERO)) for k in keys}, target)
+    return HSeries({k: SurdRational(rat.get(k, G_ZERO), tco.get(k, G_ZERO))
+                    for k in rat.keys() | tco.keys()}, target)

@@ -85,7 +85,7 @@ def classical_limit_check(reduced_q: TermSum, reduced_classical: TermSum,
         -residual.kappa_cent * residual.central_kernel(W).coeff(n0), 2).coeff(2)
     out.append(record(
         "limit-h2-piece-cancellation", "qdirb",
-        _surd_sum_zero(piece_quad, piece_cent)
+        (piece_quad + piece_cent).is_zero()
         and not piece_quad.is_zero() and not piece_cent.is_zero(),
         engine=f"b^2-quad piece: {piece_quad}; central piece: {piece_cent}",
         expected="equal and opposite at h^2"))
@@ -128,10 +128,6 @@ def classical_limit_check(reduced_q: TermSum, reduced_classical: TermSum,
                       expected="matches (i/2) n^3 per mode" if bad_cen is None
                       else bad_cen[2]))
     return out
-
-
-def _surd_sum_zero(a: SurdRational, b: SurdRational) -> bool:
-    return (a.rat + b.rat).is_zero() and (a.t_coef + b.t_coef).is_zero()
 
 
 # ---------------------------------------------------------------------------

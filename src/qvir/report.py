@@ -47,9 +47,9 @@ class CheckRecord:
 
 
 def record(check_id: str, paper_eq: str, ok: bool, mode=None,
-           engine="", expected="", documented=False) -> CheckRecord:
-    status = DOCUMENTED if documented else (PASS if ok else FAIL)
-    return CheckRecord(check_id, paper_eq, status, mode, str(engine), str(expected))
+           engine="", expected="") -> CheckRecord:
+    return CheckRecord(check_id, paper_eq, PASS if ok else FAIL, mode, str(engine),
+                       str(expected))
 
 
 def compare_dists(check_id: str, paper_eq: str, engine, expected) -> CheckRecord:

@@ -396,3 +396,6 @@ def test_benchmark_probe_trace_contract(tmp_path):
     assert trace["contraction_memo_entries"] > 0
     assert "qint_hits" in trace
     assert trace["stats"]["vertexcalc.contraction_kernel"][0] > 0
+    # the h-expansion and the gcd are wrapped by name as well
+    assert trace["stats"]["qcoeff.taylor_q1"][0] > 0
+    assert "qcoeff.gcd" in trace["stats"]

@@ -203,7 +203,7 @@ def test_weighted_table():
 
 def test_opposite_charge_bracket_on_surface():
     # with the step operators erased the delta pair collapses to -+[n]
-    T = opposite_charge_bracket(+1, W).substitute({"Psi": 1, "Phi": 1})
+    T = opposite_charge_bracket(W).substitute({"Psi": 1, "Phi": 1})
     d = T.field_free_dist()
     for n in W.modes():
         assert d.coeff(n) == qint(n)

@@ -56,7 +56,6 @@ def test_scenario_registry():
 def test_constraints_idempotent_and_vanishing():
     for key in ("q-sl2", "classical-sl2"):
         cs = scenario(key).constraints
-        assert cs.idempotent()
         assert cs.vanish_on_surface()
 
 
@@ -277,6 +276,17 @@ def test_mode0_documented_records():
     assert sorted(r.id for r in docs) == ["dirac-inverse-mode0", "reduce-mode0[qdirb]"]
     for r in docs:
         assert r.engine_value and r.expected_value
+
+
+def test_constraints_check_fails_off_the_surface():
+    # sending E+ to 0 leaves chi2 = E+ - 1 at -1 on the "surface"; chi1's own
+    # matrix entry reads only Psi and Phi and still matches
+    sc = scenario("q-sl2")
+    off = dataclasses.replace(sc.constraints, on_surface={"Psi": 1, "Phi": 1, "E+": 0})
+    status = {r.id: r.status for r in dirac_suite(Reduction(
+        dataclasses.replace(sc, constraints=off), W))}
+    assert status["constraints-idempotent"] == FAIL
+    assert status["dirac-matrix-11"] == PASS
 
 
 def _perturbed(dm, i, j, n):

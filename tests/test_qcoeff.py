@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qvir import qcoeff
 from qvir.qcoeff import (
@@ -326,6 +326,32 @@ def test_eval_q1_surds():
     assert eval_q1(S_T * S_T) == SurdRational(2)
 
 
+@settings(max_examples=40, deadline=None)
+@given(scalars(), scalars(), scalars())
+def test_eval_q1_is_a_ring_map_onto_surd_rationals(a, b, c):
+    # a / c, for c nonzero at q = 1, has a denominator that stays regular
+    # there; t^2 = 2 in SurdRational must match Scalar's
+    if not eval_q1(c).is_zero():
+        a = a / c
+    ea, eb = eval_q1(a), eval_q1(b)
+    assert eval_q1(a + b) == ea + eb
+    assert eval_q1(a - b) == ea - eb
+    assert eval_q1(a * b) == ea * eb
+    if b.is_zero():
+        return
+    if eb.is_zero():
+        with pytest.raises(PoleAtQ1Error):
+            eval_q1(b.inverse())
+    else:
+        assert eval_q1(b.inverse()) == eb.inverse()
+        assert eb * eb.inverse() == SurdRational(1)
+
+
+def test_surd_rational_inverse_of_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        SurdRational(0).inverse()
+
+
 def test_eval_q1_pole_raises():
     x = S_ONE / q_minus_qinv()
     with pytest.raises(PoleAtQ1Error):
@@ -409,6 +435,47 @@ def test_qint_taylor_limit():
         h = taylor_q1(qint(n), 2)
         assert h.coeff(0) == SurdRational(n)
         assert h.coeff(2) == SurdRational(Fraction(-n * (n * n - 1), 6))
+
+
+# values with t-parts and poles of order 0..3 at q = 1
+poled = st.builds(lambda x, p: x / q_minus_qinv() ** p,
+                  scalars().filter(lambda x: not x.is_zero()), st.integers(0, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(poled, poled, st.integers(0, 4), st.integers(0, 4))
+def test_hseries_division_inverts_the_product(x, y, ox, oy):
+    a, b = taylor_q1(x, ox), taylor_q1(y, oy)
+    assume(b.c)
+    q = a / b
+    va, vb = a.valuation() or 0, b.valuation()
+    assert q.prec == min(a.prec - vb, b.prec - 2 * vb + va)
+    back = q * b
+    assert back == a.truncate(back.prec)
+
+
+def test_taylor_matches_sympy_series_with_t_part_and_third_order_pole():
+    import sympy
+
+    h = sympy.symbols("h")
+    x = (qint(3) + S_T * Scalar.q_power(1) + S_I * spow(-1)) / q_minus_qinv() ** 3
+    order = 2
+    engine = taylor_q1(x, order)
+
+    def gauss(z):
+        return sympy.Rational(z.a, z.d) + sympy.I * sympy.Rational(z.b, z.d)
+
+    def at_exp(f):
+        def lp(p):
+            return sum(gauss(g) * sympy.exp(sympy.I * k * h / 2) for k, g in p.c.items())
+        return lp(f.num) / lp(f.den)
+
+    assert engine.valuation() == -3
+    for part, pick in ((x.c[0], lambda v: v.rat), (x.c[1], lambda v: v.t_coef)):
+        series = sympy.series(at_exp(part), h, 0, order + 1).removeO()
+        for k in range(-3, order + 1):
+            want = sympy.expand(series.coeff(h, k))
+            assert sympy.simplify(gauss(pick(engine.coeff(k))) - want) == 0, (k, want)
 
 
 def test_hseries_arithmetic_roundtrip():
