@@ -34,6 +34,10 @@ from .vertexcalc import (
 )
 
 
+# 1/(q - 1/q), the scale of every opposite-charge step-operator bracket
+INV_DQ = S_ONE / q_minus_qinv()
+
+
 class MissingPairError(KeyError):
     """The bracket table has no rule for the requested symbol pair."""
 
@@ -308,13 +312,12 @@ def printed_ee_same_bracket(sign: int, W: ModeWindow, normalized: bool) -> TermS
 def opposite_charge_bracket(W: ModeWindow, k: int = 1) -> TermSum:
     """[E+(z), E-(w)] in the mode-algebra normalization: the delta pair
     at z = w q^(+-k) against the shifted step operators, over (q - 1/q)."""
-    inv_dq = S_ONE / q_minus_qinv()
     psi = TermSum.single(
         (FieldFactor("Psi", "w", k),),
-        Dist2.from_func(W.N, lambda n: inv_dq * Scalar.q_power(k * n)))
+        Dist2.from_func(W.N, lambda n: INV_DQ * Scalar.q_power(k * n)))
     phi = TermSum.single(
         (FieldFactor("Phi", "w", -k),),
-        Dist2.from_func(W.N, lambda n: -(inv_dq * Scalar.q_power(-k * n))))
+        Dist2.from_func(W.N, lambda n: -(INV_DQ * Scalar.q_power(-k * n))))
     return psi + phi
 
 
@@ -408,9 +411,6 @@ class BracketTable:
 
     def with_weight(self, h: int) -> "BracketTable":
         return BracketTable(self.rules, self.quantum_source, h)
-
-    def pairs(self):
-        return sorted(self.rules)
 
 
 def classical_bracket(a: str, b: str, table: BracketTable, W: ModeWindow) -> TermSum:
@@ -519,10 +519,9 @@ class KacMoodyLevel:
 
     def ee(self, n: int, m: int):
         """[E+_n, E-_m] as {(symbol, mode): coefficient}."""
-        inv_dq = S_ONE / q_minus_qinv()
         return {
-            ("Psi", n + m): inv_dq * Scalar.s_power(self.k * (n - m)),
-            ("Phi", n + m): -(inv_dq * Scalar.s_power(self.k * (m - n))),
+            ("Psi", n + m): INV_DQ * Scalar.s_power(self.k * (n - m)),
+            ("Phi", n + m): -(INV_DQ * Scalar.s_power(self.k * (m - n))),
         }
 
 

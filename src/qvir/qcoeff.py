@@ -13,9 +13,12 @@ denominator).
 
 Coefficients in Q(i) are :class:`GaussianRational` triples of Python ints,
 (a + b*i)/d, kept reduced by one 3-way gcd per operation; no
-``fractions.Fraction`` is stored on the arithmetic path.  The loops over
-polynomial coefficients fuse w + x*y into one reduction (:func:`_mul_add`)
-and build results from dicts they know to be clean.
+``fractions.Fraction`` is stored on the arithmetic path.  A Laurent
+polynomial in s is a plain dict from exponent to nonzero coefficient that
+no code mutates once built (:func:`laurent` builds one from any
+coefficients).  The loops over polynomial coefficients fuse w + x*y into
+one reduction (:func:`_mul_add`) and build results from dicts they know to
+be clean.
 """
 
 from __future__ import annotations
@@ -231,131 +234,87 @@ G_I = GaussianRational(0, 1)
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in s
+# Laurent polynomials in s: plain dicts {exponent: nonzero GaussianRational}
 # ---------------------------------------------------------------------------
+# No code mutates a polynomial's dict once it is built, so the constants and
+# the operands of an operation are shared freely.
 
-class LaurentPoly:
-    """Laurent polynomial in s with GaussianRational coefficients."""
+def laurent(coeffs):
+    """The polynomial of {exponent: int, Fraction or GaussianRational}, zeros dropped."""
+    out = {}
+    for k, v in coeffs.items():
+        v = _as_gaussian(v)
+        if v.a or v.b:
+            out[k] = v
+    return out
 
-    __slots__ = ("c",)
 
-    def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                v = _as_gaussian(v)
-                if v.a or v.b:
-                    c[k] = v
-        _set_c(self, c)
+LP_ZERO = {}
+LP_ONE = {0: G_ONE}
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
-    @classmethod
-    def const(cls, v):
-        return cls({0: _as_gaussian(v)})
+def _lp_add(p, q):
+    out = dict(p)
+    for k, v in q.items():
+        w = out.get(k)
+        if w is None:
+            out[k] = v
+            continue
+        w = w + v
+        if w.a or w.b:
+            out[k] = w
+        else:
+            del out[k]
+    return out
 
-    @classmethod
-    def monomial(cls, exp, coef=G_ONE):
-        return cls({exp: _as_gaussian(coef)})
 
-    def is_zero(self):
-        return not self.c
+def _lp_neg(p):
+    return {k: -v for k, v in p.items()}
 
-    def valuation(self):
-        if not self.c:
-            raise ValueError("valuation of zero polynomial")
-        return min(self.c)
 
-    def degree(self):
-        if not self.c:
-            raise ValueError("degree of zero polynomial")
-        return max(self.c)
+def _lp_sub(p, q):
+    return _lp_add(p, _lp_neg(q))
 
-    def __add__(self, other):
-        out = dict(self.c)
-        for k, v in other.c.items():
+
+def _lp_mul(p, q):
+    out = {}
+    for k1, v1 in p.items():
+        for k2, v2 in q.items():
+            k = k1 + k2
             w = out.get(k)
-            if w is None:
-                out[k] = v
-                continue
-            w = w + v
-            if w.a or w.b:
-                out[k] = w
-            else:
-                del out[k]
-        return _lp(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return _lp({k: -v for k, v in self.c.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for k1, v1 in self.c.items():
-            for k2, v2 in other.c.items():
-                k = k1 + k2
-                w = out.get(k)
-                out[k] = v1 * v2 if w is None else _mul_add(w, v1, v2)
-        return _lp({k: v for k, v in out.items() if v.a or v.b})
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.c == other.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
-    def eval_one(self):
-        """Value at s = 1."""
-        total = G_ZERO
-        for v in self.c.values():
-            total = total + v
-        return total
-
-    def __str__(self):
-        if not self.c:
-            return "0"
-        parts = []
-        for k in sorted(self.c, reverse=True):
-            v = self.c[k]
-            vs = str(v)
-            if ("+" in vs[1:]) or ("-" in vs[1:]):
-                vs = f"({vs})"
-            if k == 0:
-                parts.append(vs)
-            else:
-                mono = "s" if k == 1 else f"s^{k}"
-                parts.append(mono if vs == "1" else f"-{mono}" if vs == "-1" else f"{vs}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"LaurentPoly({self.c!r})"
+            out[k] = v1 * v2 if w is None else _mul_add(w, v1, v2)
+    return {k: v for k, v in out.items() if v.a or v.b}
 
 
-_set_c = LaurentPoly.c.__set__
+def _lp_eval_one(p):
+    """Value at s = 1."""
+    total = G_ZERO
+    for v in p.values():
+        total = total + v
+    return total
 
 
-def _lp(c):
-    """The LaurentPoly of a dict that holds only nonzero GaussianRationals."""
-    p = _new(LaurentPoly)
-    _set_c(p, c)
-    return p
+def _lp_str(p):
+    if not p:
+        return "0"
+    parts = []
+    for k in sorted(p, reverse=True):
+        vs = str(p[k])
+        if ("+" in vs[1:]) or ("-" in vs[1:]):
+            vs = f"({vs})"
+        if k == 0:
+            parts.append(vs)
+        else:
+            mono = "s" if k == 1 else f"s^{k}"
+            parts.append(mono if vs == "1" else f"-{mono}" if vs == "-1" else f"{vs}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ")
 
 
-LP_ZERO = LaurentPoly()
-LP_ONE = LaurentPoly.const(1)
-
-
-def _dense(p: LaurentPoly):
+def _dense(p):
     """Shift to nonnegative exponents; return (valuation, coefficient list)."""
-    v = p.valuation()
-    d = p.degree()
-    out = [G_ZERO] * (d - v + 1)
-    for k, g in p.c.items():
+    v = min(p)
+    out = [G_ZERO] * (max(p) - v + 1)
+    for k, g in p.items():
         out[k - v] = g
     return v, out
 
@@ -406,7 +365,7 @@ def _poly_gcd(a, b):
 
 
 def _from_dense(v, coeffs):
-    return _lp({v + i: g for i, g in enumerate(coeffs) if g.a or g.b})
+    return {v + i: g for i, g in enumerate(coeffs) if g.a or g.b}
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +383,8 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = LP_ONE, _canonical=False, _coprime=False):
-        if den.is_zero():
+    def __init__(self, num: dict, den: dict = LP_ONE, _canonical=False, _coprime=False):
+        if not den:
             raise ZeroDivisionError("zero denominator")
         if not _canonical:
             num, den = _normalize(num, den, skip_gcd=_coprime)
@@ -437,54 +396,56 @@ class RatFunc:
 
     @classmethod
     def const(cls, v):
-        return cls(LaurentPoly.const(v), LP_ONE, _canonical=True)
+        return cls(laurent({0: v}), LP_ONE, _canonical=True)
 
     @classmethod
     def monomial(cls, exp, coef=G_ONE):
-        return cls(LaurentPoly.monomial(exp, coef), LP_ONE, _canonical=True)
+        return cls(laurent({exp: coef}), LP_ONE, _canonical=True)
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num
 
     def __add__(self, other):
-        if not self.num.c:
+        if not self.num:
             return other
-        if not other.num.c:
+        if not other.num:
             return self
         if self.den is LP_ONE and other.den is LP_ONE:
-            return RatFunc(self.num + other.num, LP_ONE, _canonical=True)
+            return RatFunc(_lp_add(self.num, other.num), LP_ONE, _canonical=True)
         if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+            return RatFunc(_lp_add(self.num, other.num), self.den)
+        return RatFunc(_lp_add(_lp_mul(self.num, other.den), _lp_mul(other.num, self.den)),
+                       _lp_mul(self.den, other.den))
 
     def __sub__(self, other):
-        if not other.num.c:
+        if not other.num:
             return self
-        if not self.num.c:
+        if not self.num:
             return -other
         if self.den is LP_ONE and other.den is LP_ONE:
-            return RatFunc(self.num - other.num, LP_ONE, _canonical=True)
+            return RatFunc(_lp_sub(self.num, other.num), LP_ONE, _canonical=True)
         if self.den == other.den:
-            return RatFunc(self.num - other.num, self.den)
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
+            return RatFunc(_lp_sub(self.num, other.num), self.den)
+        return RatFunc(_lp_sub(_lp_mul(self.num, other.den), _lp_mul(other.num, self.den)),
+                       _lp_mul(self.den, other.den))
 
     def __neg__(self):
-        if not self.num.c:
+        if not self.num:
             return self
-        return RatFunc(-self.num, self.den, _canonical=True)
+        return RatFunc(_lp_neg(self.num), self.den, _canonical=True)
 
     def __mul__(self, other):
-        if not self.num.c or not other.num.c:
+        if not self.num or not other.num:
             return RF_ZERO
         if self.den is LP_ONE and other.den is LP_ONE:
-            return RatFunc(self.num * other.num, LP_ONE, _canonical=True)
+            return RatFunc(_lp_mul(self.num, other.num), LP_ONE, _canonical=True)
         # cross-reduce before multiplying so degrees stay minimal
         n1, d2 = _cross_reduce(self.num, other.den)
         n2, d1 = _cross_reduce(other.num, self.den)
-        return RatFunc(n1 * n2, d1 * d2, _coprime=True)
+        return RatFunc(_lp_mul(n1, n2), _lp_mul(d1, d2), _coprime=True)
 
     def __truediv__(self, other):
-        if other.num.is_zero():
+        if not other.num:
             raise ZeroDivisionError("division by zero RatFunc")
         return self * RatFunc(other.den, other.num, _coprime=True)
 
@@ -494,18 +455,18 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
 
     def eval_one(self):
-        d = self.den.eval_one()
+        d = _lp_eval_one(self.den)
         if d.is_zero():
             raise PoleAtQ1Error("denominator vanishes at q = 1")
-        return self.num.eval_one() / d
+        return _lp_eval_one(self.num) / d
 
     def __str__(self):
-        if self.den == LP_ONE:
-            return str(self.num)
-        ns, ds = str(self.num), str(self.den)
+        if self.den is LP_ONE:
+            return _lp_str(self.num)
+        ns, ds = _lp_str(self.num), _lp_str(self.den)
         if " " in ns:
             ns = f"({ns})"
         if " " in ds:
@@ -516,8 +477,8 @@ class RatFunc:
         return f"RatFunc({self.num!r}, {self.den!r})"
 
 
-def _normalize(num: LaurentPoly, den: LaurentPoly, skip_gcd=False):
-    if num.is_zero():
+def _normalize(num, den, skip_gcd=False):
+    if not num:
         return LP_ZERO, LP_ONE
     vn, dn = _dense(num)
     vd, dd = _dense(den)
@@ -534,9 +495,9 @@ def _normalize(num: LaurentPoly, den: LaurentPoly, skip_gcd=False):
     return _from_dense(vn - vd, dn), _from_dense(0, [x * inv_lead for x in dd])
 
 
-def _cross_reduce(p: LaurentPoly, q: LaurentPoly):
+def _cross_reduce(p, q):
     """Divide out gcd(p, q); monomial parts are left untouched."""
-    if q is LP_ONE or p.is_zero():
+    if q is LP_ONE or not p:
         return p, q
     vp, dp = _dense(p)
     vq, dq_ = _dense(q)
@@ -607,11 +568,11 @@ class Scalar:
 
     def is_zero(self):
         c0, c1 = self.c
-        return not c0.num.c and not c1.num.c
+        return not c0.num and not c1.num
 
     def is_rational_sector(self):
         """True when the t-component vanishes."""
-        return not self.c[1].num.c
+        return not self.c[1].num
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -643,11 +604,11 @@ class Scalar:
             other = _as_scalar(other)
         a0, a1 = self.c
         b0, b1 = other.c
-        if not a1.num.c:
-            if not b1.num.c:
+        if not a1.num:
+            if not b1.num:
                 return _scalar(a0 * b0, RF_ZERO)
             return _scalar(a0 * b0, a0 * b1)
-        if not b1.num.c:
+        if not b1.num:
             return _scalar(a0 * b0, a1 * b0)
         return _scalar(a0 * b0 + RF_TWO * (a1 * b1), a0 * b1 + a1 * b0)
 
@@ -655,11 +616,11 @@ class Scalar:
 
     def inverse(self):
         c0, c1 = self.c
-        if not c1.num.c:
-            if not c0.num.c:
+        if not c1.num:
+            if not c0.num:
                 raise ZeroDivisionError("inverse of zero Scalar")
             return _scalar(RF_ONE / c0, RF_ZERO)
-        if not c0.num.c:
+        if not c0.num:
             return _scalar(RF_ZERO, RF_ONE / (RF_TWO * c1))
         # norm form: 1/(c0 + c1 t) = (c0 - c1 t)/(c0^2 - 2 c1^2); the norm is
         # nonzero because sqrt(2) is not in Q(i)(s)
@@ -699,13 +660,13 @@ class Scalar:
         if not self.is_rational_sector():
             return None
         f = self.c[0]
-        if f.den != LP_ONE:
+        if f.den is not LP_ONE:
             return None
-        if f.num.is_zero():
+        if not f.num:
             return 0
-        if set(f.num.c) != {0}:
+        if f.num.keys() != {0}:
             return None
-        g = f.num.c[0]
+        g = f.num[0]
         if g.b or g.d != 1:
             return None
         return g.a
@@ -763,7 +724,7 @@ S_T = Scalar.t()
 from functools import lru_cache
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)     # a q-sl2 run at window 48 asks for 198 distinct n
 def qint(n: int) -> Scalar:
     """The q-integer [n] = (q^n - q^-n)/(q - q^-1) as a Laurent polynomial in s."""
     if n == 0:
@@ -771,12 +732,12 @@ def qint(n: int) -> Scalar:
     if n < 0:
         return -qint(-n)
     coeffs = {2 * (n - 1 - 2 * j): G_ONE for j in range(n)}
-    return Scalar(RatFunc(LaurentPoly(coeffs), LP_ONE, _canonical=True))
+    return Scalar(RatFunc(coeffs, LP_ONE, _canonical=True))
 
 
 def q_minus_qinv() -> Scalar:
     """q - 1/q = s^2 - s^-2."""
-    return Scalar(RatFunc(LaurentPoly({2: G_ONE, -2: -G_ONE}), LP_ONE, _canonical=True))
+    return Scalar(RatFunc({2: G_ONE, -2: -G_ONE}, LP_ONE, _canonical=True))
 
 
 # ---------------------------------------------------------------------------
@@ -946,10 +907,10 @@ class HSeries:
         return f"HSeries<{self}>"
 
 
-def _lp_to_hseries(p: LaurentPoly, prec: int) -> HSeries:
+def _lp_to_hseries(p: dict, prec: int) -> HSeries:
     """Substitute s = exp(i h / 2) exactly, order by order."""
     out = {}
-    for k, g in p.c.items():
+    for k, g in p.items():
         base = GaussianRational(0, Fraction(k, 2))  # i*k/2
         cur = g
         out[0] = out.get(0, G_ZERO) + cur
@@ -959,20 +920,20 @@ def _lp_to_hseries(p: LaurentPoly, prec: int) -> HSeries:
     return HSeries({m: SurdRational(g) for m, g in out.items()}, prec)
 
 
-def _order_at_one(p: LaurentPoly) -> int:
+def _order_at_one(p: dict) -> int:
     """The order in h of p(exp(i h / 2)): the number of factors (s - 1) of p.
 
     The h^k coefficient is proportional to the moment sum_j c_j j^k, and the
     moments k < m of m distinct exponents cannot all vanish (Vandermonde),
     so the order is below the number of terms.
     """
-    for k in range(len(p.c)):
+    for k in range(len(p)):
         total = G_ZERO
-        for j, g in p.c.items():
+        for j, g in p.items():
             total = _mul_add(total, g, _make(j ** k, 0, 1))
         if total.a or total.b:
             return k
-    raise ArithmeticError(f"no nonzero moment below {len(p.c)} for {p}")
+    raise ArithmeticError(f"no nonzero moment below {len(p)} for {_lp_str(p)}")
 
 
 def taylor_q1(x: Scalar, order: int) -> HSeries:
@@ -987,7 +948,7 @@ def taylor_q1(x: Scalar, order: int) -> HSeries:
     target = order + 1
     parts = []
     for f in x.c:
-        if f.num.is_zero():
+        if not f.num:
             parts.append({})
             continue
         prec = target + 2 * _order_at_one(f.den)

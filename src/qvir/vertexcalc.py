@@ -102,7 +102,7 @@ def standard_fields() -> dict[str, ExpField]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)     # a q-sl2 run at window 48 asks for 52 distinct n
 def oscillator_norm(n: int) -> Scalar:
     """[2n][n]/(2n), the two-point pairing of the oscillator modes."""
     return qint(2 * n) * qint(n) * Scalar.from_rat(Fraction(1, 2 * n))

@@ -399,3 +399,6 @@ def test_benchmark_probe_trace_contract(tmp_path):
     # the h-expansion and the gcd are wrapped by name as well
     assert trace["stats"]["qcoeff.taylor_q1"][0] > 0
     assert "qcoeff.gcd" in trace["stats"]
+    # and the field tower's methods by class attribute
+    assert trace["stats"]["qcoeff.RatFunc.new"][0] > 0
+    assert trace["stats"]["qcoeff.Scalar.mul"][0] > 0

@@ -154,7 +154,7 @@ def test_missing_pair_raises():
 
 def test_classical_bracket_antisymmetry():
     table = q_bracket_table()
-    for a, b in table.pairs():
+    for a, b in sorted(table.rules):
         ab = classical_bracket(a, b, table, W)
         ba = classical_bracket(b, a, table, W)
         assert ab == -(ba.reflect()), (a, b)

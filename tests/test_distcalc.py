@@ -46,7 +46,7 @@ def scalar_to_sympy(v: Scalar):
     def lp(p):
         return sum(
             (sympy.Rational(g.re) + sympy.I * sympy.Rational(g.im)) * _s**k
-            for k, g in p.c.items()
+            for k, g in p.items()
         )
 
     return sympy.cancel(lp(f.num) / lp(f.den))

@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 from qvir import qcoeff
 from qvir.qcoeff import (
     GaussianRational,
-    LaurentPoly,
     PoleAtQ1Error,
     RatFunc,
     S_I,
@@ -19,6 +18,7 @@ from qvir.qcoeff import (
     Scalar,
     SurdRational,
     eval_q1,
+    laurent,
     q_minus_qinv,
     qint,
     taylor_q1,
@@ -107,10 +107,10 @@ def test_gaussian_mixed_with_int_and_fraction(x, f, n):
 @given(pairs, pairs, pairs)
 def test_polynomial_product_accumulates_exactly(w, x, y):
     # the s^0 coefficient of (w + x s)(1 + y/s) is w + x*y, summed in place
-    p = LaurentPoly({0: GaussianRational(*w), 1: GaussianRational(*x)}) \
-        * LaurentPoly({0: 1, -1: GaussianRational(*y)})
+    p = qcoeff._lp_mul(laurent({0: GaussianRational(*w), 1: GaussianRational(*x)}),
+                       laurent({0: 1, -1: GaussianRational(*y)}))
     xy = ref_mul(x, y)
-    assert_matches(p.c.get(0, GaussianRational(0)), (w[0] + xy[0], w[1] + xy[1]))
+    assert_matches(p.get(0, GaussianRational(0)), (w[0] + xy[0], w[1] + xy[1]))
 
 
 def test_gaussian_zero_and_inverse_of_zero():
@@ -145,18 +145,18 @@ def gaussians_in(x):
     """Every GaussianRational held by a Scalar or a RatFunc."""
     for f in (x.c if isinstance(x, Scalar) else (x,)):
         for p in (f.num, f.den):
-            yield from p.c.values()
+            yield from p.values()
 
 
 def test_gaussian_rationals_hold_only_ints():
     assert GaussianRational.__slots__ == ("a", "b", "d")
     x = qint(7) * qint(5) / qint(3)
     # (s^2 - 1)(s/3 + 2) / ((s^2 - 1)(s - 3)) reduces through the polynomial gcd
-    common = LaurentPoly({2: 1, 0: -1})
-    num = common * LaurentPoly({1: Fraction(1, 3), 0: 2})
-    den = common * LaurentPoly({1: 1, 0: -3})
+    common = laurent({2: 1, 0: -1})
+    num = qcoeff._lp_mul(common, laurent({1: Fraction(1, 3), 0: 2}))
+    den = qcoeff._lp_mul(common, laurent({1: 1, 0: -3}))
     f = RatFunc(num, den)
-    assert f == RatFunc(LaurentPoly({1: Fraction(1, 3), 0: 2}), LaurentPoly({1: 1, 0: -3}))
+    assert f == RatFunc(laurent({1: Fraction(1, 3), 0: 2}), laurent({1: 1, 0: -3}))
     seen = list(gaussians_in(x)) + list(gaussians_in(f))
     assert any(g.d != 1 for g in seen)
     for g in seen:
@@ -273,7 +273,7 @@ def test_inverse_is_norm_form(c0, c1):
 small_polys = st.dictionaries(
     st.integers(-2, 2), gaussians.filter(lambda g: not g.is_zero()),
     min_size=1, max_size=2,
-).map(LaurentPoly)
+).map(laurent)
 ratfuncs = st.builds(RatFunc, small_polys, small_polys)
 OPS = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
        "mul": lambda a, b: a * b, "div": lambda a, b: a / b}
@@ -284,12 +284,25 @@ OPS = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
                           min_size=1, max_size=4))
 def test_unit_denominator_is_the_shared_one(x, steps):
     # whatever arithmetic leaves a denominator of 1 holds LP_ONE itself, the
-    # identity the polynomial fast paths of RatFunc rely on
+    # identity the polynomial fast paths of RatFunc rely on; every result is
+    # in canonical form, and no operation mutates an operand's polynomials
+    def polys(*values):
+        return [(dict(v.num), dict(v.den)) for v in values]
+
     acc = x
     for op, y in steps:
+        prev, before = acc, polys(acc, y)
         acc = OPS[op](acc, y)
-        for r in (acc, y / y, (acc * y) / y, acc - acc + RatFunc(y.num)):
+        after_op = polys(acc)
+        results = (acc, y / y, (acc * y) / y, acc - acc + RatFunc(y.num))
+        assert polys(prev, y, acc) == before + after_op
+        for r in results:
             assert (r.den == qcoeff.LP_ONE) == (r.den is qcoeff.LP_ONE)
+            for p in (r.num, r.den):
+                assert all(type(g) is GaussianRational and not g.is_zero()
+                           for g in p.values())
+            assert min(r.den) == 0 and r.den[max(r.den)] == GaussianRational(1)
+    assert qcoeff.LP_ONE == {0: GaussianRational(1)} and qcoeff.LP_ZERO == {}
 
 
 def test_division_with_surds():
@@ -467,7 +480,7 @@ def test_taylor_matches_sympy_series_with_t_part_and_third_order_pole():
 
     def at_exp(f):
         def lp(p):
-            return sum(gauss(g) * sympy.exp(sympy.I * k * h / 2) for k, g in p.c.items())
+            return sum(gauss(g) * sympy.exp(sympy.I * k * h / 2) for k, g in p.items())
         return lp(f.num) / lp(f.den)
 
     assert engine.valuation() == -3

@@ -95,6 +95,11 @@ def test_oscillator_norm_is_ope_entry():
         assert oscillator_norm(n) == qint(2 * n) * qint(n) / Scalar.from_rat(2 * n)
 
 
+def test_module_caches_are_bounded():
+    for cached in (qint, oscillator_norm):
+        assert cached.cache_info().maxsize is not None, cached.__name__
+
+
 def test_contract_psi_psi_trivial():
     L = contract(F["Psi"], F["Psi"], W)
     assert L.series.is_zero()
