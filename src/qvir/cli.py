@@ -28,7 +28,6 @@ from .dirac import (
     verify_table_degeneration,
 )
 from .qvirasoro import (
-    LIMIT_MIN_ORDER,
     ClassicalVirasoro,
     QVirasoroBracket,
     antisymmetry_check,
@@ -56,14 +55,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """One batch run: scenario, window, suites, weight and expansion knobs."""
+    """One batch run: scenario, window, suites and output."""
 
     scenario: str = "q-sl2"
     window: int = 12
     suites: tuple = ("all",)
-    weight_on: bool = True
-    weight_exponent: int = 2
-    order: int = 6
     fmt: str = "json"
     output: str | None = None
 
@@ -95,17 +91,12 @@ class RunConfig:
         return seen
 
     def validate(self):
+        """Raise ConfigError on a bad value; return the resolved suites."""
         if self.window < 1:
             raise ConfigError("window must be >= 1")
-        if self.order < 0:
-            raise ConfigError("expansion order must be >= 0")
         if self.fmt not in ("json", "markdown"):
             raise ConfigError(f"unknown format {self.fmt!r}")
-        suites = self.resolve_suites()
-        if "limit" in suites and self.order < LIMIT_MIN_ORDER:
-            raise ConfigError(
-                f"the limit suite needs order >= {LIMIT_MIN_ORDER} to reach the "
-                f"first matching order h^{LIMIT_MIN_ORDER}; got {self.order}")
+        return self.resolve_suites()
 
 
 def _timed(records_fn):
@@ -119,8 +110,7 @@ def _timed(records_fn):
 
 def run(config: RunConfig) -> Report:
     """Execute the selected suites in dependency order."""
-    config.validate()
-    suites = config.resolve_suites()
+    suites = config.validate()
     W = ModeWindow(config.window)
     rep = Report(config.scenario, config.window)
 
@@ -143,27 +133,26 @@ def run(config: RunConfig) -> Report:
             rep.extend(_timed(lambda: dirac_suite(chain)))
         elif name == "reduce":
             rep.extend(_timed(lambda: reduce_suite(chain)))
-            if config.scenario == "q-sl2" and config.weight_on:
-                weighted = scenario("q-sl2", weighted=True,
-                                    weight_exponent=config.weight_exponent)
+            if config.scenario == "q-sl2":
+                weighted = scenario("q-sl2", weighted=True)
                 rep.extend(_timed(lambda: reduce_suite(Reduction(weighted, W))))
-            if config.scenario == "classical-sl2":
+            else:
                 rep.extend(_timed(lambda: _classical_jacobi(chain)))
         elif name == "limit":
             classical = Reduction(scenario("classical-sl2"), W)
-            rep.extend(_timed(lambda: _limit_suite(chain, classical, config.order)))
+            rep.extend(_timed(lambda: _limit_suite(chain, classical)))
     return rep
 
 
 def _classical_jacobi(chain):
-    V = ClassicalVirasoro.from_reduced(chain.reduced, chain.scenario.current, chain.W.N)
+    V = ClassicalVirasoro.from_reduced(chain.reduced, chain.W.N)
     return classical_jacobi_check(V, JACOBI_CUTOFF)
 
 
-def _limit_suite(q_chain, classical_chain, order):
+def _limit_suite(q_chain, classical_chain):
     out = antisymmetry_check(QVirasoroBracket(False), q_chain.W)
     out.extend(classical_limit_check(q_chain.reduced, classical_chain.reduced,
-                                     order, q_chain.W))
+                                     q_chain.W))
     return out
 
 
@@ -189,17 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", action="append", default=None, metavar="NAME",
                    help="suite selection (repeatable or comma-separated): "
                         "exchange, commutators, modes, dirac, reduce, limit, all")
-    wg = p.add_mutually_exclusive_group()
-    wg.add_argument("--weight", dest="weight", action="store_true", default=True,
-                    help="also verify the weight-absorbed bracket (default)")
-    wg.add_argument("--no-weight", dest="weight", action="store_false",
-                    help="skip the weight-absorbed verification")
-    p.add_argument("--weight-exponent", type=int, default=2, metavar="H",
-                   help="mode-weight exponent H in q^(H|n|) (default 2); the "
-                        "absorbed [qvir] form holds at H = 2 only, so any other "
-                        "H is a negative control that fails the [qvir] checks")
-    p.add_argument("--order", type=int, default=6, metavar="K",
-                   help="h-expansion order for the limit suite (default 6)")
     p.add_argument("--format", dest="fmt", default="json",
                    choices=("json", "markdown"), help="output format")
     p.add_argument("--output", default=None, metavar="PATH",
@@ -213,9 +191,6 @@ def main(argv=None) -> int:
         scenario=args.scenario,
         window=args.window,
         suites=tuple(args.suite) if args.suite else ("all",),
-        weight_on=args.weight,
-        weight_exponent=args.weight_exponent,
-        order=args.order,
         fmt=args.fmt,
         output=args.output,
     )

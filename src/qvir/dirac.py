@@ -72,20 +72,28 @@ class ConstraintSet:
                 and self.chi2.substitute(self.on_surface).is_zero())
 
 
-def _unit_term(symbol, coef, N):
-    return ((FieldFactor(symbol, "z"),), 0, Dist2.unit0(N, coef))
+# The surviving current: both scenarios reduce onto the lowering current.
+CURRENT = "E-"
+
+# The mode weight q^(WEIGHT_EXPONENT |n|) that the weighted q-sl2 table
+# carries; the reduced bracket takes the absorbed [qvir] form at 2 only.
+WEIGHT_EXPONENT = 2
 
 
-def q_constraints(N: int = 1) -> ConstraintSet:
-    chi1 = TermSum([_unit_term(sym, c, N) for c, sym in difference_constraint_combo()])
-    chi2 = TermSum([_unit_term("E+", S_ONE, N), ((), 0, Dist2.unit0(N, -S_ONE))])
+def _unit_term(symbol, coef):
+    return ((FieldFactor(symbol, "z"),), 0, Dist2.unit0(1, coef))
+
+
+def q_constraints() -> ConstraintSet:
+    chi1 = TermSum([_unit_term(sym, c) for c, sym in difference_constraint_combo()])
+    chi2 = TermSum([_unit_term("E+", S_ONE), ((), 0, Dist2.unit0(1, -S_ONE))])
     return ConstraintSet("chi1", "E+", chi1, chi2,
                          {"Psi": 1, "Phi": 1, "E+": 1})
 
 
-def classical_constraints(N: int = 1) -> ConstraintSet:
-    chi1 = TermSum([_unit_term("H", S_ONE, N)])
-    chi2 = TermSum([_unit_term("E+", S_ONE, N), ((), 0, Dist2.unit0(N, -S_ONE))])
+def classical_constraints() -> ConstraintSet:
+    chi1 = TermSum([_unit_term("H", S_ONE)])
+    chi2 = TermSum([_unit_term("E+", S_ONE), ((), 0, Dist2.unit0(1, -S_ONE))])
     return ConstraintSet("H", "E+", chi1, chi2, {"H": 0, "E+": 1})
 
 
@@ -125,26 +133,23 @@ class Scenario:
     key: str
     table: BracketTable
     constraints: ConstraintSet
-    current: str
-    affine: AffineMap | None
-    weighted: bool = False      # the weight-absorbed variant, whatever its exponent
+    weighted: bool = False      # the table carries q^(WEIGHT_EXPONENT |n|)
 
 
 SCENARIO_KEYS = ("classical-sl2", "q-sl2")
 
 
-def scenario(key: str, weighted: bool = False, weight_exponent: int = 2) -> Scenario:
+def scenario(key: str, weighted: bool = False) -> Scenario:
     """Registry of the two reduction scenarios."""
     if key == "q-sl2":
         table = q_bracket_table()
         if weighted:
-            table = table.with_weight(weight_exponent)
-        return Scenario(key, table, q_constraints(), "E-", AffineMap.standard(), weighted)
+            table = table.with_weight(WEIGHT_EXPONENT)
+        return Scenario(key, table, q_constraints(), weighted)
     if key == "classical-sl2":
         if weighted:
             raise UnknownScenarioError("the undeformed scenario takes no mode weight")
-        return Scenario(key, classical_bracket_table(1), classical_constraints(),
-                        "E-", None)
+        return Scenario(key, classical_bracket_table(1), classical_constraints())
     raise UnknownScenarioError(f"unknown scenario {key!r}; known: {SCENARIO_KEYS}")
 
 
@@ -279,17 +284,15 @@ def matrix_pair(A: DiracMatrix, B: DiracMatrix) -> list[list[Dist2]]:
 # The reduced bracket
 # ---------------------------------------------------------------------------
 
-def reduce(current: str, table: BracketTable, constraints: ConstraintSet,
-           W: ModeWindow, dinv: DiracMatrix | None = None) -> TermSum:
+def reduce(table: BracketTable, constraints: ConstraintSet, W: ModeWindow,
+           dinv: DiracMatrix) -> TermSum:
     """Dirac bracket of the surviving current with itself: the direct
-    bracket minus the constraint-chain correction, all on-surface.  The
-    per-mode inverse ``dinv`` of the constraint matrix is computed if not given."""
-    if dinv is None:
-        dinv = invert(build_dirac_matrix(table, constraints, W), W)
-    reduced = _on_surface(current, current, table, constraints, W)
+    bracket minus the constraint-chain correction through the per-mode
+    inverse ``dinv`` of the constraint matrix, all on-surface."""
+    reduced = _on_surface(CURRENT, CURRENT, table, constraints, W)
     syms = constraints.symbols()
-    left = [_on_surface(current, c, table, constraints, W) for c in syms]
-    right = [_on_surface(c, current, table, constraints, W) for c in syms]
+    left = [_on_surface(CURRENT, c, table, constraints, W) for c in syms]
+    right = [_on_surface(c, CURRENT, table, constraints, W) for c in syms]
     for i, Ti in enumerate(left):
         for j, Tj in enumerate(right):
             for (mono_i, zi), di in Ti.terms.items():
@@ -321,7 +324,7 @@ class Reduction:
     @cached_property
     def reduced(self) -> TermSum:
         sc = self.scenario
-        return reduce(sc.current, sc.table, sc.constraints, self.W, self.inverse)
+        return reduce(sc.table, sc.constraints, self.W, self.inverse)
 
 
 @dataclass(frozen=True)
@@ -334,10 +337,10 @@ class ReducedContents:
     cnum: Dist2     # field-free part
 
 
-def split_reduced(T: TermSum, current: str, N: int) -> ReducedContents:
+def split_reduced(T: TermSum, N: int) -> ReducedContents:
     quad = lin_z = lin_w = cnum = Dist2.zero(N)
-    fz = FieldFactor(current, "z")
-    fw = FieldFactor(current, "w")
+    fz = FieldFactor(CURRENT, "z")
+    fw = FieldFactor(CURRENT, "w")
     for (mono, zdeg), dist in T.terms.items():
         if zdeg != 0:
             raise ValueError("reduced bracket should carry no z-degree")
@@ -411,12 +414,12 @@ def _drop0(D: Dist2) -> Dist2:
 
 
 def affine_check(reduced: TermSum, amap: AffineMap, W: ModeWindow,
-                 weighted: bool, current: str = "E-") -> list[CheckRecord]:
+                 weighted: bool) -> list[CheckRecord]:
     """Compare the reduced bracket, rewritten through Et- = a E- + b, with
     the closed-form quadratic algebra; modes n != 0, with the zero mode
     reported separately."""
     tag = "qvir" if weighted else "qdirb"
-    parts = split_reduced(reduced, current, W.N)
+    parts = split_reduced(reduced, W.N)
     out = []
 
     out.append(record(f"affine-map-consistency[{tag}]", "qdirb", amap.consistent(),
@@ -573,7 +576,7 @@ def reduce_suite(red: Reduction) -> list[CheckRecord]:
     ok = (reduced.reflect() + reduced).is_zero()
     if sc.key == "classical-sl2":
         out.append(record("reduce-antisymmetry", "dirb", ok))
-        parts = split_reduced(reduced, sc.current, W.N)
+        parts = split_reduced(reduced, W.N)
         out.append(compare_dists("reduce-linear-z", "virasoro", parts.lin_z,
                                  classical_linear_pattern(W)))
         out.append(compare_dists("reduce-linear-w", "virasoro", parts.lin_w,
@@ -585,5 +588,5 @@ def reduce_suite(red: Reduction) -> list[CheckRecord]:
     else:
         tag = "qvir" if sc.weighted else "qdirb"
         out.append(record(f"reduce-antisymmetry[{tag}]", "dirb", ok))
-        out.extend(affine_check(reduced, sc.affine, W, sc.weighted, sc.current))
+        out.extend(affine_check(reduced, AffineMap.standard(), W, sc.weighted))
     return out

@@ -13,12 +13,9 @@ from .dirac import AffineMap, QVirasoroBracket, split_reduced
 from .report import CheckRecord, compare_dists, record
 
 
-class InsufficientOrderError(ValueError):
-    """The requested expansion order cannot see the first matching order."""
-
-
-# The deformed and undeformed reduced brackets first match at order h^4.
-LIMIT_MIN_ORDER = 4
+# The deformed and undeformed reduced brackets first match at order h^4,
+# so the limit expands to h^4 and no further.
+LIMIT_ORDER = 4
 
 
 # ---------------------------------------------------------------------------
@@ -54,22 +51,18 @@ def antisymmetry_check(B: QVirasoroBracket, W: ModeWindow) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 
 def classical_limit_check(reduced_q: TermSum, reduced_classical: TermSum,
-                          order: int, W: ModeWindow,
-                          current: str = "E-") -> list[CheckRecord]:
+                          W: ModeWindow) -> list[CheckRecord]:
     """Expand the deformed reduced bracket (written through the affine map)
     in h with q = exp(i h): the orders h^0..h^3 vanish identically and the
     h^4 content, divided by the leading coefficient of (q-1/q)^4, equals the
     undeformed reduced bracket mode by mode."""
-    if order < LIMIT_MIN_ORDER:
-        raise InsufficientOrderError(
-            f"order {order} cannot reach the first matching order h^{LIMIT_MIN_ORDER}")
     amap = AffineMap.standard()
-    q = split_reduced(reduced_q, current, W.N)
-    c = split_reduced(reduced_classical, current, W.N)
+    q = split_reduced(reduced_q, W.N)
+    c = split_reduced(reduced_classical, W.N)
     out = []
 
     # overall factor: (q - 1/q)^4 = 16 h^4 + O(h^6)
-    dq4 = taylor_q1(q_minus_qinv() ** 4, 4)
+    dq4 = taylor_q1(q_minus_qinv() ** 4, LIMIT_ORDER)
     factor = dq4.coeff(4)
     out.append(record("limit-overall-factor", "qdirb", factor == SurdRational(16),
                       engine=str(dq4), expected="16*h^4 + O(h^5)"))
@@ -97,9 +90,9 @@ def classical_limit_check(reduced_q: TermSum, reduced_classical: TermSum,
         cn_limit = (Scalar.from_rat(2) * amap.b2 * q.quad.coeff(n)
                     - Scalar.from_rat(2) * amap.ab * q.lin_z.coeff(n)
                     + amap.a2 * q.cnum.coeff(n))
-        h_lin = taylor_q1(lin_limit, order)
-        h_cn = taylor_q1(cn_limit, order)
-        for k in range(0, 4):
+        h_lin = taylor_q1(lin_limit, LIMIT_ORDER)
+        h_cn = taylor_q1(cn_limit, LIMIT_ORDER)
+        for k in range(0, LIMIT_ORDER):
             if h_lin.coeff(k) != SurdRational(0) or h_cn.coeff(k) != SurdRational(0):
                 bad_low = (n, k, str(h_lin), str(h_cn))
                 break
@@ -142,8 +135,8 @@ class ClassicalVirasoro:
     cnum: Dist2
 
     @classmethod
-    def from_reduced(cls, reduced: TermSum, current: str, N: int) -> "ClassicalVirasoro":
-        parts = split_reduced(reduced, current, N)
+    def from_reduced(cls, reduced: TermSum, N: int) -> "ClassicalVirasoro":
+        parts = split_reduced(reduced, N)
         if parts.lin_z != parts.lin_w:
             raise ValueError("reduced bracket is not slot-symmetric in its linear part")
         if not parts.quad.is_zero():

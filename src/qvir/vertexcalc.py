@@ -260,6 +260,7 @@ class ContractionData:
 
 
 _CONTRACTION_MEMO: dict = {}
+_CONTRACTION_MEMO_SIZE = 64     # a run fills 16: the 4 x 4 field pairs on one window
 
 
 def contraction_window(W: ModeWindow) -> ModeWindow:
@@ -277,7 +278,8 @@ def contraction_window(W: ModeWindow) -> ModeWindow:
 def contraction_kernel(A: ExpField, B: ExpField, W: ModeWindow) -> ContractionData:
     """Contraction of A(z)B(w) as verified exact rational data.
 
-    Results are memoized by the two fields' exponent data and the window."""
+    Results are memoized by the two fields' exponent data and the window;
+    past _CONTRACTION_MEMO_SIZE entries the oldest is evicted."""
     key = (A, B, W.N)
     hit = _CONTRACTION_MEMO.get(key)
     if hit is not None:
@@ -285,6 +287,8 @@ def contraction_kernel(A: ExpField, B: ExpField, W: ModeWindow) -> ContractionDa
     L = contract(A, B, W)
     K = reconstruct_kernel(exp_series(L.series))
     data = ContractionData(L.prefactor, L.zdeg, K)
+    if len(_CONTRACTION_MEMO) >= _CONTRACTION_MEMO_SIZE:
+        del _CONTRACTION_MEMO[next(iter(_CONTRACTION_MEMO))]
     _CONTRACTION_MEMO[key] = data
     return data
 

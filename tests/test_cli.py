@@ -55,7 +55,7 @@ def test_bad_window_rejected():
         RunConfig(window=0).validate()
 
 
-@pytest.mark.parametrize("window", (1, 2, 3, 4))
+@pytest.mark.parametrize("window", (1, 2, 3, 4, 5, 6))
 def test_every_suite_runs_at_small_windows(tmp_path, window):
     # contractions are reconstructed on the padded contraction window, so no
     # suite has a window floor above 1 and none ends in a traceback
@@ -69,21 +69,14 @@ def test_every_suite_runs_at_small_windows(tmp_path, window):
             assert json.loads(out.read_text())["checks"]
 
 
-def test_limit_order_too_small_rejected(capsys):
-    # the deformed and undeformed brackets first match at h^4
-    assert main(["--window", "5", "--suite", "limit", "--order", "3"]) == EXIT_CONFIG_ERROR
-    assert "order >= 4" in capsys.readouterr().err
-    assert main(["--window", "5", "--suite", "dirac", "--order", "3"]) == EXIT_OK
-
-
 @pytest.mark.parametrize("h", (0, -2, 4))
-def test_weight_exponent_off_two_keeps_ids_unique_and_fails(tmp_path, h):
+def test_weight_exponent_off_two_keeps_ids_unique_and_fails(monkeypatch, tmp_path, h):
     # the weighted pass is told apart by the scenario, not by its exponent;
     # the absorbed closed form holds at exponent 2 only, so any other
     # exponent is a negative control that must fail both [qvir] kernels
+    monkeypatch.setattr(dirac, "WEIGHT_EXPONENT", h)
     out = tmp_path / "r.json"
-    code = main(["--window", "5", "--suite", "reduce", "--weight-exponent", str(h),
-                 "--output", str(out)])
+    code = main(["--window", "5", "--suite", "reduce", "--output", str(out)])
     assert code == EXIT_CHECK_FAILED
     checks = json.loads(out.read_text())["checks"]
     ids = [c["id"] for c in checks]
@@ -365,20 +358,34 @@ def test_main_stdout(capsys):
     assert "Verification report" in out
 
 
-def test_python_m_qvir_runs(tmp_path):
-    # the package runs as a module; stderr carries the summary line only
+def _python_m_qvir(args):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "qvir", *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_qvir_runs(tmp_path):
+    # the package runs as a module; stderr carries the summary line only
     out = tmp_path / "r.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "qvir", "--window", "1", "--suite", "dirac",
-         "--output", str(out)],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = _python_m_qvir(["--window", "1", "--suite", "dirac", "--output", str(out)])
     assert proc.returncode == EXIT_OK
     assert proc.stderr.splitlines() == [
         "13 checks: 12 passed, 0 failed, 1 documented discrepancies."]
     assert json.loads(out.read_text())["checks"]
+
+
+@pytest.mark.parametrize("option", (("--order", "6"), ("--weight-exponent", "2"),
+                                    ("--weight",), ("--no-weight",)))
+def test_removed_options_are_usage_errors(option):
+    # the expansion order and the mode weight are constants, not options
+    proc = _python_m_qvir(["--window", "1", "--suite", "dirac", *option])
+    assert proc.returncode == EXIT_CONFIG_ERROR
+    assert proc.stderr.startswith("usage: qvir")
+    assert "unrecognized arguments" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_benchmark_probe_trace_contract(tmp_path):
@@ -396,6 +403,10 @@ def test_benchmark_probe_trace_contract(tmp_path):
     assert trace["contraction_memo_entries"] > 0
     assert "qint_hits" in trace
     assert trace["stats"]["vertexcalc.contraction_kernel"][0] > 0
+    # the Dirac chain and the limit are wrapped by module attribute
+    assert trace["stats"]["dirac.reduce"][0] > 0
+    assert trace["stats"]["dirac.build_dirac_matrix"][0] > 0
+    assert trace["stats"]["qvirasoro.classical_limit_check"][0] > 0
     # the h-expansion and the gcd are wrapped by name as well
     assert trace["stats"]["qcoeff.taylor_q1"][0] > 0
     assert "qcoeff.gcd" in trace["stats"]

@@ -47,10 +47,12 @@ def all_pass(records):
 # ---------------------------------------------------------------------------
 
 def test_scenario_registry():
-    assert scenario("q-sl2").current == "E-"
-    assert scenario("classical-sl2").affine is None
+    assert scenario("q-sl2", weighted=True).weighted
     with pytest.raises(UnknownScenarioError):
         scenario("su3-wzw")
+    # the undeformed scenario has no mode weight to carry
+    with pytest.raises(UnknownScenarioError):
+        scenario("classical-sl2", weighted=True)
 
 
 def test_constraints_idempotent_and_vanishing():
@@ -172,8 +174,7 @@ def test_classical_matrix_entries():
 # ---------------------------------------------------------------------------
 
 def test_classical_reduction_exact():
-    sc = scenario("classical-sl2")
-    parts = split_reduced(reduce(sc.current, sc.table, sc.constraints, W), "E-", W.N)
+    parts = split_reduced(Reduction(scenario("classical-sl2"), W).reduced, W.N)
     for n in W.modes():
         assert parts.lin_z.coeff(n) == -S_I * Scalar.from_rat(n)
         assert parts.lin_w.coeff(n) == -S_I * Scalar.from_rat(n)
@@ -183,8 +184,7 @@ def test_classical_reduction_exact():
 
 def test_q_reduction_contents():
     # frozen from the hand computation of the chain corrections
-    sc = scenario("q-sl2")
-    parts = split_reduced(reduce(sc.current, sc.table, sc.constraints, W), "E-", W.N)
+    parts = split_reduced(Reduction(scenario("q-sl2"), W).reduced, W.N)
     dq = q_minus_qinv()
     for n in W.modes():
         if n == 0:
@@ -243,10 +243,8 @@ def test_affine_map_consistency_negative_controls():
 
 
 def test_weighted_reduction_is_weighted_unweighted():
-    plain = scenario("q-sl2")
-    weighted = scenario("q-sl2", weighted=True)
-    p = split_reduced(reduce("E-", plain.table, plain.constraints, W), "E-", W.N)
-    w = split_reduced(reduce("E-", weighted.table, weighted.constraints, W), "E-", W.N)
+    p = split_reduced(Reduction(scenario("q-sl2"), W).reduced, W.N)
+    w = split_reduced(Reduction(scenario("q-sl2", weighted=True), W).reduced, W.N)
     for n in W.modes():
         factor = Q(2 * abs(n))
         assert w.quad.coeff(n) == factor * p.quad.coeff(n)
@@ -340,8 +338,9 @@ def test_reduction_computes_each_stage_once(monkeypatch):
     assert chain.reduced is chain.reduced
     assert chain.matrix is chain.matrix and chain.inverse is chain.inverse
     assert counts == {"build_dirac_matrix": 1, "invert": 1, "reduce": 1}
-    assert chain.reduced == reduce("E-", chain.scenario.table,
-                                   chain.scenario.constraints, W)
+    sc = chain.scenario
+    dinv = invert(build_dirac_matrix(sc.table, sc.constraints, W), W)
+    assert chain.reduced == reduce(sc.table, sc.constraints, W, dinv)
 
 
 def test_table_degeneration_to_undeformed():
@@ -349,8 +348,7 @@ def test_table_degeneration_to_undeformed():
 
 
 def test_affine_check_detects_wrong_bracket():
-    sc = scenario("q-sl2")
-    reduced = reduce(sc.current, sc.table, sc.constraints, W)
+    reduced = Reduction(scenario("q-sl2"), W).reduced
     broken = reduced.scale(Scalar.from_rat(2))
-    recs = affine_check(broken, sc.affine, W, weighted=False)
+    recs = affine_check(broken, AffineMap.standard(), W, weighted=False)
     assert any(r.status == FAIL for r in recs)

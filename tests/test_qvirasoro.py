@@ -15,10 +15,9 @@ from qvir.qcoeff import (
     taylor_q1,
 )
 from qvir.distcalc import Dist2, ModeWindow, weight_abs
-from qvir.dirac import reduce, scenario, split_reduced
+from qvir.dirac import Reduction, scenario, split_reduced
 from qvir.qvirasoro import (
     ClassicalVirasoro,
-    InsufficientOrderError,
     QVirasoroBracket,
     antisymmetry_check,
     classical_jacobi_check,
@@ -37,10 +36,8 @@ def all_pass(records):
 
 @pytest.fixture(scope="module")
 def reductions():
-    q = scenario("q-sl2")
-    c = scenario("classical-sl2")
-    return (reduce(q.current, q.table, q.constraints, W),
-            reduce(c.current, c.table, c.constraints, W))
+    return (Reduction(scenario("q-sl2"), W).reduced,
+            Reduction(scenario("classical-sl2"), W).reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -79,13 +76,7 @@ def test_weighted_unweighted_differ_by_weight():
 
 def test_limit_suite(reductions):
     rq, rc = reductions
-    all_pass(classical_limit_check(rq, rc, 6, W))
-
-
-def test_limit_insufficient_order(reductions):
-    rq, rc = reductions
-    with pytest.raises(InsufficientOrderError):
-        classical_limit_check(rq, rc, 3, W)
+    all_pass(classical_limit_check(rq, rc, W))
 
 
 def test_limit_h4_values_by_hand(reductions):
@@ -95,7 +86,7 @@ def test_limit_h4_values_by_hand(reductions):
     rq, _ = reductions
     from qvir.dirac import AffineMap
     amap = AffineMap.standard()
-    parts = split_reduced(rq, "E-", W.N)
+    parts = split_reduced(rq, W.N)
     for n in (1, 2, 3):
         lin = taylor_q1(amap.ab * parts.quad.coeff(n), 4)
         assert lin.coeff(4) == SurdRational(GaussianRational(0, -16 * n))
@@ -108,7 +99,7 @@ def test_limit_h4_values_by_hand(reductions):
 def test_limit_detects_wrong_central(reductions):
     rq, rc = reductions
     broken = rc.scale(Scalar.from_rat(3))
-    recs = classical_limit_check(rq, broken, 6, W)
+    recs = classical_limit_check(rq, broken, W)
     assert any(r.status == FAIL for r in recs)
 
 
@@ -118,13 +109,13 @@ def test_limit_detects_wrong_central(reductions):
 
 def test_jacobi_passes(reductions):
     _, rc = reductions
-    V = ClassicalVirasoro.from_reduced(rc, "E-", W.N)
+    V = ClassicalVirasoro.from_reduced(rc, W.N)
     all_pass(classical_jacobi_check(V, 6))
 
 
 def test_jacobi_specific_triples(reductions):
     _, rc = reductions
-    V = ClassicalVirasoro.from_reduced(rc, "E-", W.N)
+    V = ClassicalVirasoro.from_reduced(rc, W.N)
     # (1,-1,0): antisymmetry and grading force cancellation
     for triple in ((1, -1, 0), (2, -1, -1), (3, -2, 1)):
         a, b, c = triple
@@ -149,7 +140,7 @@ def test_jacobi_detects_wrong_central():
 
 def test_mode_bracket_extraction(reductions):
     _, rc = reductions
-    V = ClassicalVirasoro.from_reduced(rc, "E-", W.N)
+    V = ClassicalVirasoro.from_reduced(rc, W.N)
     # {L_a, L_b} = -i(a-b) L_{a+b} + (i/2) a^3 delta
     coef, cent = V.bracket(2, 1)
     assert coef == -S_I * Scalar.from_rat(1)

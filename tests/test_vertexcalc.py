@@ -148,6 +148,17 @@ def test_contraction_memo_is_keyed_by_field_data(monkeypatch):
     assert len(vc._CONTRACTION_MEMO) == 2
 
 
+def test_contraction_memo_is_bounded(monkeypatch):
+    # past its cap the memo drops its oldest entry
+    monkeypatch.setattr(vc, "_CONTRACTION_MEMO", {})
+    monkeypatch.setattr(vc, "_CONTRACTION_MEMO_SIZE", 2)
+    pairs = (("E+", "E-"), ("E-", "E+"), ("Psi", "Phi"))
+    for a, b in pairs:
+        contraction_kernel(F[a], F[b], W)
+    assert len(vc._CONTRACTION_MEMO) == 2
+    assert [(A.name, B.name) for A, B, _ in vc._CONTRACTION_MEMO] == list(pairs[1:])
+
+
 def test_contract_ee_same_kernel_is_polynomial():
     # E^+(z)E^+(w) contracts to (z-w)(z-w/q^2) = z^2 (1-x)(1-x/q^2)
     data = contraction_kernel(F["E+"], F["E+"], W)
