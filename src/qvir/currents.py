@@ -25,12 +25,12 @@ from .report import CheckRecord, compare_dists, record
 from .vertexcalc import (
     ExpField,
     contraction_kernel,
-    contraction_window,
     exchange_kernel,
     h_e_commutator_dist,
     oscillator_norm,
     standard_fields,
     xform_of_contraction,
+    z_degree,
 )
 
 
@@ -122,7 +122,7 @@ class TermSum:
         """Swap the two variable slots: monomial tags flip and the carried
         distribution reflects around the z-degree (z^D = w^D x^D).  Terms
         with a nonzero z-degree lose |D| boundary modes, so reflections of
-        degree-carrying sums should be taken on the contraction window."""
+        degree-carrying sums should be taken on a window padded by |D|."""
         out = []
         for (mono, zdeg), dist in self.terms.items():
             new_mono = tuple(f.reflected() for f in mono)
@@ -215,8 +215,8 @@ def field_commutator(A: ExpField, B: ExpField, W: ModeWindow) -> TermSum:
     """Quantum [A(z), B(w)] as (normal-ordered monomial) x distribution: the
     region difference of the two orderings' contraction kernels, A(z)B(w)
     expanded at |z| > |w| minus B(w)A(z) expanded at |w| > |z|."""
-    ab = contraction_kernel(A, B, W)
-    ba = contraction_kernel(B, A, W)
+    ab = contraction_kernel(A, B)
+    ba = contraction_kernel(B, A)
     if ab.zdeg != ba.zdeg:
         raise ArithmeticError("exchange kernel is not of degree zero")
     dist = (expand_inner(xform_of_contraction(ab, swap=False), W)
@@ -245,11 +245,10 @@ def combo_commutator(left, right, comm) -> TermSum:
 # Printed commutator forms (ordered products normalized exactly)
 # ---------------------------------------------------------------------------
 
-def ordered_product_laurent(first: ExpField, second: ExpField, W: ModeWindow,
-                            first_at_w: bool):
+def ordered_product_laurent(first: ExpField, second: ExpField, first_at_w: bool):
     """The ordered product first*second as (Laurent dict in x, zdeg) times
     the normal-ordered monomial; requires a Laurent contraction."""
-    data = contraction_kernel(first, second, W)
+    data = contraction_kernel(first, second)
     R = xform_of_contraction(data, swap=first_at_w)
     return R.as_laurent(), data.zdeg
 
@@ -279,8 +278,8 @@ def printed_chi_e_bracket(sign: int, W: ModeWindow, normalized: bool) -> TermSum
     d2 = Dist2.one_sided(W.N, Scalar.s_power(3 * sign), -1) - Dist2.unit0(W.N, cconst)
     if normalized:
         # E(w)Psi(z) is already normal ordered; Phi(z)E(w) carries q^(-2 sign)
-        lau1, z1 = ordered_product_laurent(E, F["Psi"], W, first_at_w=True)
-        lau2, z2 = ordered_product_laurent(F["Phi"], E, W, first_at_w=False)
+        lau1, z1 = ordered_product_laurent(E, F["Psi"], first_at_w=True)
+        lau2, z2 = ordered_product_laurent(F["Phi"], E, first_at_w=False)
         (c1,), (c2,) = lau1.values(), lau2.values()
         d1 = d1.scale(c1)
         d2 = d2.scale(c2)
@@ -302,8 +301,8 @@ def printed_ee_same_bracket(sign: int, W: ModeWindow, normalized: bool) -> TermS
     mono = (FieldFactor(E.name, "z"), FieldFactor(E.name, "w"))
     if not normalized:
         return TermSum([(mono, 0, d1.scale(coef)), (mono, 0, d2.scale(-coef))])
-    lau_wz, zd = ordered_product_laurent(E, E, W, first_at_w=True)
-    lau_zw, zd2 = ordered_product_laurent(E, E, W, first_at_w=False)
+    lau_wz, zd = ordered_product_laurent(E, E, first_at_w=True)
+    lau_zw, zd2 = ordered_product_laurent(E, E, first_at_w=False)
     t1 = (mono, zd, d1.scale(coef).mul_laurent(lau_wz))
     t2 = (mono, zd2, d2.scale(-coef).mul_laurent(lau_zw))
     return TermSum([t1, t2])
@@ -334,11 +333,13 @@ COMMUTATOR_PAIRS = (
 
 
 def verify_commutators(W: ModeWindow) -> list[CheckRecord]:
-    """Derive each field pair's commutator once on the contraction window;
-    compare the printed commutators exactly, term by term and mode by mode,
-    then check that each flips sign under reflection + slot swap."""
-    pad = contraction_window(W)
+    """Derive each field pair's commutator once on a padded window; compare
+    the printed commutators exactly, term by term and mode by mode, then
+    check that each flips sign under reflection + slot swap."""
     F = standard_fields()
+    # reflecting a term of z-degree D, or multiplying by its ordered-product
+    # polynomial of x-degree |D|, loses |D| boundary modes
+    pad = ModeWindow(W.N + max(abs(z_degree(F[a], F[b])) for a, b in COMMUTATOR_PAIRS))
     comm = {(a, b): field_commutator(F[a], F[b], pad) for a, b in COMMUTATOR_PAIRS}
     chi = difference_constraint_combo()
     chi_chi = combo_commutator(chi, chi, comm)
@@ -623,7 +624,7 @@ def verify_serre_mode_equivalence(W: ModeWindow) -> list[CheckRecord]:
     out = []
     for sign in (+1, -1):
         E = F["E+"] if sign > 0 else F["E-"]
-        K = exchange_kernel(E, E, contraction_window(W))
+        K = exchange_kernel(E, E)
         q2 = Scalar.q_power(2 * sign)
         bad = None
         for n in W.modes():

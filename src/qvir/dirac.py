@@ -17,7 +17,7 @@ against, once, for every check that reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 
 from .qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, eval_q1, q_minus_qinv, qint
@@ -111,8 +111,10 @@ class AffineMap:
     b2: Scalar
 
     @staticmethod
+    @lru_cache(maxsize=1)
     def closed_forms() -> tuple:
-        """(a^2, ab, b^2) = ((q-1/q)^4 [2]/2, 2 (q-1/q)^2, 8/[2])."""
+        """(a^2, ab, b^2) = ((q-1/q)^4 [2]/2, 2 (q-1/q)^2, 8/[2]), computed
+        once per process, on first use."""
         dq2 = q_minus_qinv() ** 2
         return (dq2 * dq2 * qint(2) * Scalar.from_rat(Fraction(1, 2)),
                 Scalar.from_rat(2) * dq2,

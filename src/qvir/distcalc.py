@@ -136,7 +136,7 @@ class Dist2:
         every retained mode is exact (no truncation leakage at the edges).
         """
         if not poly:
-            return Dist2.zero(1)
+            return Dist2.zero(self.N)
         span = max(abs(e) for e in poly)
         newN = self.N - span
         if newN < 1:
@@ -163,16 +163,13 @@ class Dist2:
     def __eq__(self, other):
         if not isinstance(other, Dist2):
             return NotImplemented
-        N = min(self.N, other.N)
-        for n in range(-N, N + 1):
-            if self.c.get(n, S_ZERO) != other.c.get(n, S_ZERO):
-                return False
-        return True
+        self._check(other)
+        return self.c == other.c
 
     def first_mismatch(self, other):
         """Smallest |n| (ties: negative first) where coefficients differ, or None."""
-        N = min(self.N, other.N)
-        for n in sorted(range(-N, N + 1), key=lambda m: (abs(m), m)):
+        self._check(other)
+        for n in sorted(range(-self.N, self.N + 1), key=lambda m: (abs(m), m)):
             if self.c.get(n, S_ZERO) != other.c.get(n, S_ZERO):
                 return n
         return None

@@ -6,8 +6,8 @@ linear form in one oscillator family alpha_n (with
 (qt, pt) with [qt, pt] = i.  Moving the annihilation half of one
 exponential past the creation half of another produces an exact scalar
 kernel: a rational function of x = w/z times a monomial in z and an
-integer power of q.  Everything here is reconstructed and verified as an
-exact rational function on the mode window.
+integer power of q.  Each kernel is read off the two fields' closed-form
+mode terms as a product prod (1 - lambda x)^(-c), exact for every mode.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .report import CheckRecord, compare_dists, record
 
 
 class ReconstructionError(ArithmeticError):
-    """No rational function of the allowed degree matches the series."""
+    """A contraction is not an integer product prod (1 - lambda x)^(-c)."""
 
 
 # ---------------------------------------------------------------------------
@@ -114,140 +114,83 @@ def oscillator_norm(n: int) -> Scalar:
 
 @dataclass(frozen=True)
 class LogKernel:
-    """Scalar contraction of A(z)B(w): prefactor * z^zdeg * exp(series in x)."""
+    """Scalar contraction of A(z)B(w): prefactor * z^zdeg * exp(sum_n L_n x^n),
+    with n L_n = sum_e mult[e] s^(e n), i.e. prod_e (1 - s^e x)^(-mult[e])."""
 
     prefactor: Scalar
     zdeg: int
-    series: Dist2      # supported on n >= 1
+    mult: dict         # s-exponent -> nonzero integer multiplicity
 
 
-def contract(A: ExpField, B: ExpField, W: ModeWindow) -> LogKernel:
-    """Commute A's annihilation half past B's creation half, exactly.
-
-    The series term at n >= 1 is  A.mode(n) * B.mode(-n) * [2n][n]/(2n);
-    the zero modes produce the exact prefactor q^e and the z-degree.
-    """
-    series = {}
-    for n in range(1, W.N + 1):
-        v = A.mode(n) * B.mode(-n) * oscillator_norm(n)
-        if not v.is_zero():
-            series[n] = v
-    # [pt-content of A, qt-content of B] with [pt, qt] = -i
-    qexp = (-S_I) * B.qt * A.qpow
+def z_degree(A: ExpField, B: ExpField) -> int:
+    """The z-degree of the contraction A(z)B(w): [lnv-content of A,
+    qt-content of B] with [pt, qt] = -i."""
     zexp = (-S_I) * B.qt * A.lnv
-    e = qexp.as_int()
-    if e is None:
-        raise ArithmeticError(f"non-integer q-power in zero-mode contraction: {qexp}")
     d = zexp.as_int()
     if d is None:
         raise ArithmeticError(f"non-integer z-degree in zero-mode contraction: {zexp}")
-    return LogKernel(Scalar.q_power(e), d, Dist2(W.N, series))
+    return d
 
 
-def exp_series(L: Dist2) -> Dist2:
-    """exp of a series supported on n >= 1, holding exp(0) = 1 at the origin."""
-    if any(n <= 0 for n in L.c):
-        raise ValueError("exp_series expects support on n >= 1")
-    out = {0: S_ONE}
-    for n in range(1, L.N + 1):
-        acc = S_ZERO
-        for k in range(1, n + 1):
-            lk = L.c.get(k)
-            if lk is None:
-                continue
-            prev = out.get(n - k)
-            if prev is None:
-                continue
-            acc = acc + Scalar.from_rat(k) * lk * prev
-        if not acc.is_zero():
-            out[n] = acc * Scalar.from_rat(Fraction(1, n))
-    return Dist2(L.N, out)
+def contract(A: ExpField, B: ExpField) -> LogKernel:
+    """Commute A's annihilation half past B's creation half, exactly, for
+    every mode at once.
 
-
-# ---------------------------------------------------------------------------
-# Rational reconstruction from a one-sided series
-# ---------------------------------------------------------------------------
-
-def _solve_linear(rows, rhs):
-    """Gaussian elimination over the Scalar field; returns None if singular."""
-    n = len(rows)
-    m = len(rows[0]) if n else 0
-    A = [list(r) + [v] for r, v in zip(rows, rhs)]
-    piv_cols = []
-    r = 0
-    for col in range(m):
-        piv = None
-        for k in range(r, n):
-            if not A[k][col].is_zero():
-                piv = k
-                break
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = A[r][col].inverse()
-        A[r] = [a * inv for a in A[r]]
-        for k in range(n):
-            if k != r and not A[k][col].is_zero():
-                f = A[k][col]
-                A[k] = [a - f * b for a, b in zip(A[k], A[r])]
-        piv_cols.append(col)
-        r += 1
-        if r == n:
-            break
-    # consistency
-    for k in range(r, n):
-        if not A[k][m].is_zero():
-            return None
-    sol = [S_ZERO] * m
-    for row, col in enumerate(piv_cols):
-        sol[col] = A[row][m]
-    return sol
-
-
-def reconstruct_kernel(series: Dist2, max_deg: int = 4) -> RatKernel:
-    """Find the rational function P/Q (deg <= max_deg each) whose inner
-    expansion reproduces the one-sided series, then verify every remaining
-    window mode.  Raises ReconstructionError when nothing fits.
+    The log-series term at n >= 1 is A.mode(n) * B.mode(-n) * [2n][n]/(2n).
+    One pair of mode terms gives n L_n = C s^(d n) [2n] [n]^(1-o), with
+    C = coef_a coef_b / 2 (negated when B's term divides by [-n] = -[n]),
+    d = spow_a - spow_b and o the number of 1/[n] factors.  With
+    [2n]/[n] = q^n + q^-n and [m] = (q^m - q^-m)/(q - 1/q) this is a sum of
+    powers s^(e n); the zero modes give the prefactor q^e and the z-degree.
+    Raises ReconstructionError when a merged multiplicity is not an integer.
     """
-    N = series.N
-    u = [series.coeff(n) for n in range(0, N + 1)]
-    for total in range(0, 2 * max_deg + 1):
-        for dq_ in range(0, min(total, max_deg) + 1):
-            dp = total - dq_
-            if dp > max_deg or dp + dq_ + 1 > N:
-                continue
-            # unknowns q_1..q_dq with q_0 = 1
-            rows, rhs = [], []
-            for n in range(dp + 1, dp + dq_ + 1):
-                rows.append([u[n - j] if 0 <= n - j <= N else S_ZERO
-                             for j in range(1, dq_ + 1)])
-                rhs.append(-u[n])
-            if rows:
-                sol = _solve_linear(rows, rhs)
-                if sol is None:
-                    continue
-                qcoeffs = [S_ONE] + sol
+    dq = q_minus_qinv()
+    acc: dict[int, Scalar] = {}
+
+    def add(e, v):
+        acc[e] = acc.get(e, S_ZERO) + v
+
+    for ta in A.pos:
+        for tb in B.neg:
+            C = ta.coef * tb.coef * Scalar.from_rat(Fraction(-1 if tb.over_qint else 1, 2))
+            d = ta.spow - tb.spow
+            o = ta.over_qint + tb.over_qint
+            if o == 2:
+                add(d + 2, C)
+                add(d - 2, C)
+            elif o == 1:
+                C = C / dq
+                add(d + 4, C)
+                add(d - 4, -C)
             else:
-                qcoeffs = [S_ONE]
-            pcoeffs = []
-            for n in range(0, dp + 1):
-                acc = S_ZERO
-                for j in range(0, min(n, dq_) + 1):
-                    acc = acc + qcoeffs[j] * u[n - j]
-                pcoeffs.append(acc)
-            # verify all the remaining window modes
-            good = True
-            for n in range(dp + 1, N + 1):
-                acc = S_ZERO
-                for j in range(0, min(n, dq_) + 1):
-                    acc = acc + qcoeffs[j] * u[n - j]
-                if not acc.is_zero():
-                    good = False
-                    break
-            if good:
-                return RatKernel(S_ONE, 0, pcoeffs or [S_ZERO], qcoeffs)
-    raise ReconstructionError(
-        f"no rational function of degree <= {max_deg} matches the series")
+                C = C / (dq * dq)
+                add(d + 6, C)
+                add(d - 6, C)
+                add(d + 2, -C)
+                add(d - 2, -C)
+    mult = {}
+    for e in sorted(acc):
+        c = acc[e].as_int()
+        if c is None:
+            raise ReconstructionError(
+                f"not an integer product: multiplicity {acc[e]} at s^{e} in {A} {B}")
+        if c:
+            mult[e] = c
+    # [pt-content of A, qt-content of B] with [pt, qt] = -i
+    qexp = (-S_I) * B.qt * A.qpow
+    e = qexp.as_int()
+    if e is None:
+        raise ArithmeticError(f"non-integer q-power in zero-mode contraction: {qexp}")
+    return LogKernel(Scalar.q_power(e), z_degree(A, B), mult)
+
+
+def reconstruct_kernel(mult: dict) -> RatKernel:
+    """prod_e (1 - s^e x)^(-mult[e]): the exponential of the log series
+    sum_n sum_e mult[e] s^(e n) x^n / n, exact for every mode."""
+    num, den = [], []
+    for e, c in mult.items():
+        (den if c > 0 else num).extend([Scalar.s_power(e)] * abs(c))
+    return RatKernel.from_linear_factors(S_ONE, 0, num, den)
 
 
 @dataclass(frozen=True)
@@ -260,33 +203,20 @@ class ContractionData:
 
 
 _CONTRACTION_MEMO: dict = {}
-_CONTRACTION_MEMO_SIZE = 64     # a run fills 16: the 4 x 4 field pairs on one window
+_CONTRACTION_MEMO_SIZE = 64     # a run fills 16: the 4 x 4 field pairs
 
 
-def contraction_window(W: ModeWindow) -> ModeWindow:
-    """The one window every contraction of a run is reconstructed on.
+def contraction_kernel(A: ExpField, B: ExpField) -> ContractionData:
+    """Contraction of A(z)B(w) as exact rational data.
 
-    Four modes beyond W serve two needs.  The degree-2/2 psi-phi kernel
-    takes five series modes to fit and one more to verify the fit, so
-    N + 4 >= 5 reconstructs it at every N >= 1.  Reflecting a term that
-    carries a z-degree D loses |D| boundary modes, and the step-operator
-    contractions carry |D| = 2.  Comparisons still run on W itself.
-    """
-    return ModeWindow(W.N + 4)
-
-
-def contraction_kernel(A: ExpField, B: ExpField, W: ModeWindow) -> ContractionData:
-    """Contraction of A(z)B(w) as verified exact rational data.
-
-    Results are memoized by the two fields' exponent data and the window;
-    past _CONTRACTION_MEMO_SIZE entries the oldest is evicted."""
-    key = (A, B, W.N)
+    Results are memoized by the two fields' exponent data; past
+    _CONTRACTION_MEMO_SIZE entries the oldest is evicted."""
+    key = (A, B)
     hit = _CONTRACTION_MEMO.get(key)
     if hit is not None:
         return hit
-    L = contract(A, B, W)
-    K = reconstruct_kernel(exp_series(L.series))
-    data = ContractionData(L.prefactor, L.zdeg, K)
+    L = contract(A, B)
+    data = ContractionData(L.prefactor, L.zdeg, reconstruct_kernel(L.mult))
     if len(_CONTRACTION_MEMO) >= _CONTRACTION_MEMO_SIZE:
         del _CONTRACTION_MEMO[next(iter(_CONTRACTION_MEMO))]
     _CONTRACTION_MEMO[key] = data
@@ -305,10 +235,10 @@ def xform_of_contraction(data: ContractionData, swap: bool) -> RatKernel:
     return data.kernel.reciprocal_arg() * RatKernel.monomial(data.const, data.zdeg)
 
 
-def exchange_kernel(A: ExpField, B: ExpField, W: ModeWindow) -> RatKernel:
+def exchange_kernel(A: ExpField, B: ExpField) -> RatKernel:
     """The kernel K with A(z)B(w) = K(w/z) B(w)A(z), from both contractions."""
-    ab = contraction_kernel(A, B, W)
-    ba = contraction_kernel(B, A, W)
+    ab = contraction_kernel(A, B)
+    ba = contraction_kernel(B, A)
     if ab.zdeg != ba.zdeg:
         raise ArithmeticError("exchange kernel is not of degree zero")
     return xform_of_contraction(ab, swap=False) / xform_of_contraction(ba, swap=True)
@@ -324,8 +254,8 @@ def verify_exchange(A: ExpField, B: ExpField, K: RatKernel, W: ModeWindow,
     per-mode agreement of the region expansion on the window."""
     out = []
     try:
-        engine = exchange_kernel(A, B, contraction_window(W))
-    except (ReconstructionError, ArithmeticError) as err:
+        engine = exchange_kernel(A, B)
+    except ArithmeticError as err:
         out.append(record(check_id, tag, False, engine=f"error: {err}", expected=str(K)))
         return out
     ok = engine == K
@@ -395,7 +325,7 @@ def fuse(A: ExpField, B: ExpField, half: int) -> ExpField:
 # ---------------------------------------------------------------------------
 
 def verify_ee_ope(W: ModeWindow, sign: int = +1) -> list[CheckRecord]:
-    """Checks on E^sgn(z) E^-sgn(w): reconstruct its contraction kernel, pin
+    """Checks on E^sgn(z) E^-sgn(w): read off its contraction kernel, pin
     the poles at x = q and 1/q, match the residue scalars against
     -+1/(q - 1/q), and fuse the residue fields into the shifted step
     operators.  The region difference of the kernel is the delta-pair
@@ -406,7 +336,7 @@ def verify_ee_ope(W: ModeWindow, sign: int = +1) -> list[CheckRecord]:
     tag = "mame" if sign > 0 else "mame/eva"
     suffix = "[+]" if sign > 0 else "[-]"
     out = []
-    data = contraction_kernel(A, B, contraction_window(W))
+    data = contraction_kernel(A, B)
     K = data.kernel
     q = Scalar.q_power(1)
     qi = Scalar.q_power(-1)

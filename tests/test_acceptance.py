@@ -163,6 +163,7 @@ def test_criterion_8_property_suites(q_scenario, classical_scenario, reductions)
 
 def test_criterion_9_performance_envelope():
     import qvir.vertexcalc as vc
+    from qvir.dirac import AffineMap
     from qvir.qcoeff import qint as _qint
 
     results = []
@@ -170,6 +171,7 @@ def test_criterion_9_performance_envelope():
         vc._CONTRACTION_MEMO.clear()
         vc.standard_fields.cache_clear()
         vc.oscillator_norm.cache_clear()
+        AffineMap.closed_forms.cache_clear()
         _qint.cache_clear()
         t0 = time.perf_counter()
         rep = run(RunConfig(scenario="q-sl2", window=window))

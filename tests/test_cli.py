@@ -272,8 +272,8 @@ def test_dirac_stage_counts(monkeypatch, scenario, window, want):
 
 
 def test_each_contraction_reconstructed_once(monkeypatch):
-    # every suite reads its contractions off one window, N + 4, so a full
-    # run reconstructs each ordered pair of the four fields exactly once
+    # a contraction kernel is exact for every mode, so runs at any window
+    # build each ordered pair of the four fields exactly once
     monkeypatch.setattr(vc, "_CONTRACTION_MEMO", {})
     calls = []
 
@@ -282,13 +282,13 @@ def test_each_contraction_reconstructed_once(monkeypatch):
         return _fn(*args, **kwargs)
 
     monkeypatch.setattr(vc, "reconstruct_kernel", counted)
-    rep = run(RunConfig(scenario="q-sl2", window=5))
-    assert rep.ok()
-    assert len(calls) == 16
     fields = ("E+", "E-", "Psi", "Phi")
-    assert {(A.name, B.name) for A, B, _ in vc._CONTRACTION_MEMO} == \
-        {(a, b) for a in fields for b in fields}
-    assert {N for _, _, N in vc._CONTRACTION_MEMO} == {9}
+    for window in (5, 1, 12):
+        rep = run(RunConfig(scenario="q-sl2", window=window))
+        assert rep.ok()
+        assert len(calls) == 16
+        assert {(A.name, B.name) for A, B in vc._CONTRACTION_MEMO} == \
+            {(a, b) for a in fields for b in fields}
 
 
 def test_runs_leave_no_state_behind():
@@ -400,9 +400,10 @@ def test_benchmark_probe_trace_contract(tmp_path):
         cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == EXIT_OK, proc.stderr
     trace = json.loads(out.read_text())
-    assert trace["contraction_memo_entries"] > 0
+    assert trace["contraction_memo_entries"] == 16
     assert "qint_hits" in trace
     assert trace["stats"]["vertexcalc.contraction_kernel"][0] > 0
+    assert trace["stats"]["vertexcalc.reconstruct_kernel"][0] == 16
     # the Dirac chain and the limit are wrapped by module attribute
     assert trace["stats"]["dirac.reduce"][0] > 0
     assert trace["stats"]["dirac.build_dirac_matrix"][0] > 0

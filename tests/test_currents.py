@@ -232,7 +232,7 @@ def test_serre_mode_fails_with_the_opposite_self_exchange_kernel(monkeypatch):
     # the mode relation is read from the engine's kernel, so the kernel of
     # the opposite charge must fail both records
     monkeypatch.setattr(currents, "exchange_kernel",
-                        lambda A, B, W: self_exchange_kernel(-1 if A.name == "E+" else +1))
+                        lambda A, B: self_exchange_kernel(-1 if A.name == "E+" else +1))
     records = verify_serre_mode_equivalence(W)
     assert [(r.id, r.status) for r in records] == [("serre-mode+", FAIL),
                                                     ("serre-mode-", FAIL)]

@@ -8,6 +8,7 @@ import pytest
 from qvir.qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, q_minus_qinv, qint
 from qvir.distcalc import Dist2, ModeWindow
 from qvir import dirac
+from qvir.cli import RunConfig, run
 from qvir.currents import TermSum, classical_bracket
 from qvir.dirac import (
     AffineMap,
@@ -240,6 +241,17 @@ def test_affine_map_consistency_negative_controls():
         rec = next(r for r in affine_check(TermSum([]), bad, W, False)
                    if r.id == "affine-map-consistency[qdirb]")
         assert rec.status == FAIL
+
+
+def test_affine_closed_forms_computed_once_on_first_use():
+    AffineMap.closed_forms.cache_clear()
+    scenario("q-sl2")
+    scenario("q-sl2", weighted=True)
+    assert AffineMap.closed_forms.cache_info().misses == 0
+    run(RunConfig(scenario="q-sl2", window=2, suites=("reduce", "limit")))
+    info = AffineMap.closed_forms.cache_info()
+    assert info.misses == 1
+    assert info.hits >= 3     # both reduce passes' consistency checks and the limit
 
 
 def test_weighted_reduction_is_weighted_unweighted():

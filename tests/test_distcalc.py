@@ -247,6 +247,19 @@ def test_pair_window_mismatch():
         pair(Dist2.delta(4), Dist2.delta(5))
 
 
+@pytest.mark.parametrize("op", (Dist2.__eq__, Dist2.__ne__, Dist2.first_mismatch, Dist2.__add__))
+def test_window_mismatch_fails_loudly(op):
+    # a result that lost modes must not compare equal on the smaller window
+    with pytest.raises(WindowMismatchError):
+        op(Dist2.delta(1), Dist2.delta(5))
+
+
+def test_mul_laurent_by_zero_keeps_the_window():
+    D = Dist2.delta(W.N).mul_laurent({})
+    assert D.N == W.N
+    assert D.is_zero()
+
+
 def test_pair_mode_diagonality_no_leakage():
     big, small = ModeWindow(12), ModeWindow(6)
     A_big = Dist2.from_func(big.N, lambda n: qint(n) + S_ONE)

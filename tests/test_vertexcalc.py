@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qvir import vertexcalc as vc
-from qvir.qcoeff import S_ONE, S_T, Scalar, q_minus_qinv, qint
+from qvir.qcoeff import S_ONE, S_T, S_ZERO, Scalar, q_minus_qinv, qint
 from qvir.distcalc import Dist2, ModeWindow, RatKernel, expand_inner, region_difference
 from qvir.vertexcalc import (
     ExpField,
@@ -15,11 +15,9 @@ from qvir.vertexcalc import (
     contract,
     contraction_kernel,
     exchange_kernel,
-    exp_series,
     fuse,
     h_e_commutator_dist,
     oscillator_norm,
-    reconstruct_kernel,
     standard_fields,
     verify_ee_ope,
     verify_exchange,
@@ -61,8 +59,29 @@ def kernel_self_exchange(sign):
 
 
 # ---------------------------------------------------------------------------
-# exp / reconstruct machinery
+# the mode-by-mode oracle: exp of the log series, one mode product at a time
 # ---------------------------------------------------------------------------
+
+def exp_series(L: Dist2) -> Dist2:
+    """exp of a series supported on n >= 1, holding exp(0) = 1 at the origin:
+    n E_n = sum_k k L_k E_(n-k)."""
+    assert all(n >= 1 for n in L.c)
+    out = {0: S_ONE}
+    for n in range(1, L.N + 1):
+        acc = S_ZERO
+        for k in range(1, n + 1):
+            if k in L.c and n - k in out:
+                acc = acc + Scalar.from_rat(k) * L.c[k] * out[n - k]
+        if not acc.is_zero():
+            out[n] = acc * Scalar.from_rat(Fraction(1, n))
+    return Dist2(L.N, out)
+
+
+def contraction_series(A, B, W):
+    """exp(sum_n A.mode(n) B.mode(-n) [2n][n]/(2n) x^n) on the window."""
+    log = {n: A.mode(n) * B.mode(-n) * oscillator_norm(n) for n in range(1, W.N + 1)}
+    return exp_series(Dist2(W.N, log))
+
 
 def test_exp_series_geometric():
     # exp(sum x^n/n) = 1/(1-x)
@@ -72,18 +91,35 @@ def test_exp_series_geometric():
         assert E.coeff(n) == S_ONE
 
 
-def test_reconstruct_two_pole_kernel():
-    K = RatKernel.from_linear_factors(S_ONE, 0, [], [Q(1), Q(-1)])
-    series = expand_inner(K, W)
-    R = reconstruct_kernel(series)
-    assert R == K
+@pytest.mark.parametrize("a", ("E+", "E-", "Psi", "Phi"))
+@pytest.mark.parametrize("b", ("E+", "E-", "Psi", "Phi"))
+def test_contraction_product_matches_mode_products(a, b):
+    kernel = contraction_kernel(F[a], F[b]).kernel
+    assert expand_inner(kernel, W) == contraction_series(F[a], F[b], W)
 
 
-def test_reconstruct_failure():
-    # [n]^2 coefficients are not a rational function of small degree
-    series = Dist2(W.N, {n: qint(n) * qint(n) * qint(n) for n in range(0, W.N + 1)})
-    with pytest.raises(ReconstructionError):
-        reconstruct_kernel(series, max_deg=2)
+def test_mode_oracle_tells_the_charges_apart():
+    kernel = contraction_kernel(F["E+"], F["E+"]).kernel
+    assert expand_inner(kernel, W) != contraction_series(F["E+"], F["E-"], W)
+
+
+def half_psi():
+    (term,) = F["Psi"].pos
+    half = replace(term, coef=term.coef * Scalar.from_rat(Fraction(1, 2)))
+    return replace(F["Psi"], pos=(half,))
+
+
+def test_non_integer_multiplicity_is_a_typed_error():
+    # Psi/2 against Phi: the s^(+-6) multiplicities become -1/2
+    with pytest.raises(ReconstructionError, match=r"-1/2 at s\^-6 "):
+        contract(half_psi(), F["Phi"])
+
+
+def test_non_integer_multiplicity_fails_the_exchange_check(monkeypatch):
+    monkeypatch.setattr(vc, "_CONTRACTION_MEMO", {})
+    records = verify_exchange(half_psi(), F["Phi"], kernel_step_pair(), W, "ope1", "x")
+    assert [r.status for r in records] == [FAIL]
+    assert records[0].engine_value.startswith("error: not an integer product")
 
 
 # ---------------------------------------------------------------------------
@@ -101,14 +137,14 @@ def test_module_caches_are_bounded():
 
 
 def test_contract_psi_psi_trivial():
-    L = contract(F["Psi"], F["Psi"], W)
-    assert L.series.is_zero()
+    L = contract(F["Psi"], F["Psi"])
+    assert L.mult == {}
     assert L.prefactor == S_ONE
     assert L.zdeg == 0
 
 
 def test_contract_psi_eplus_prefactor():
-    L = contract(F["Psi"], F["E+"], W)
+    L = contract(F["Psi"], F["E+"])
     assert L.prefactor == Q(2)
     assert L.zdeg == 0
 
@@ -122,15 +158,16 @@ def test_contract_regular_orders():
         ("Phi", "E+", Q(-2)),     # zero-mode factor only
         ("Phi", "E-", Q(2)),
     ):
-        L = contract(F[a], F[b], W)
-        assert L.series.is_zero(), (a, b)
+        L = contract(F[a], F[b])
+        assert L.mult == {}, (a, b)
         assert L.prefactor == const, (a, b)
         assert L.zdeg == 0
 
 
 def test_contract_ee_opposite_kernel():
     # E^+(z)E^-(w) contracts to z^-2 / ((1-qx)(1-x/q))
-    data = contraction_kernel(F["E+"], F["E-"], W)
+    data = contraction_kernel(F["E+"], F["E-"])
+    assert contract(F["E+"], F["E-"]).mult == {2: 1, -2: 1}
     assert data.const == S_ONE
     assert data.zdeg == -2
     assert data.kernel == RatKernel.from_linear_factors(S_ONE, 0, [], [Q(1), Q(-1)])
@@ -139,11 +176,11 @@ def test_contract_ee_opposite_kernel():
 def test_contraction_memo_is_keyed_by_field_data(monkeypatch):
     # a field that only borrows a standard name gets its own contraction
     monkeypatch.setattr(vc, "_CONTRACTION_MEMO", {})
-    real = contraction_kernel(F["E+"], F["E-"], W)
+    real = contraction_kernel(F["E+"], F["E-"])
     impostor = replace(F["Psi"], name="E-")
-    got = contraction_kernel(F["E+"], impostor, W)
+    got = contraction_kernel(F["E+"], impostor)
     assert got != real
-    assert got.zdeg == contract(F["E+"], F["Psi"], W).zdeg == 0
+    assert got.zdeg == contract(F["E+"], F["Psi"]).zdeg == 0
     assert got.kernel == RatKernel.const(S_ONE)
     assert len(vc._CONTRACTION_MEMO) == 2
 
@@ -154,14 +191,14 @@ def test_contraction_memo_is_bounded(monkeypatch):
     monkeypatch.setattr(vc, "_CONTRACTION_MEMO_SIZE", 2)
     pairs = (("E+", "E-"), ("E-", "E+"), ("Psi", "Phi"))
     for a, b in pairs:
-        contraction_kernel(F[a], F[b], W)
+        contraction_kernel(F[a], F[b])
     assert len(vc._CONTRACTION_MEMO) == 2
-    assert [(A.name, B.name) for A, B, _ in vc._CONTRACTION_MEMO] == list(pairs[1:])
+    assert [(A.name, B.name) for A, B in vc._CONTRACTION_MEMO] == list(pairs[1:])
 
 
 def test_contract_ee_same_kernel_is_polynomial():
     # E^+(z)E^+(w) contracts to (z-w)(z-w/q^2) = z^2 (1-x)(1-x/q^2)
-    data = contraction_kernel(F["E+"], F["E+"], W)
+    data = contraction_kernel(F["E+"], F["E+"])
     assert data.zdeg == 2
     assert data.kernel == RatKernel.from_linear_factors(S_ONE, 0, [Q(0), Q(-2)], [])
 
@@ -204,7 +241,7 @@ def test_exchange_wrong_kernel_fails():
 
 
 def test_exchange_kernel_engine_value():
-    K = exchange_kernel(F["Psi"], F["Phi"], W)
+    K = exchange_kernel(F["Psi"], F["Phi"])
     assert K == kernel_step_pair()
 
 
@@ -261,7 +298,7 @@ def test_ee_ope_suite(sign):
 
 def test_ee_region_difference_is_shifted_delta_pair():
     # independent: [n+1] = (q*q^n - q^-1 q^-n)/(q - 1/q), the weighted delta pair
-    data = contraction_kernel(F["E+"], F["E-"], W)
+    data = contraction_kernel(F["E+"], F["E-"])
     D = region_difference(data.kernel, W)
     dq = q_minus_qinv()
     for n in W.modes():
