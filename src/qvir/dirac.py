@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 
-from .qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, eval_q1, q_minus_qinv, qint
+from .qcoeff import (S_I, S_ONE, S_T, S_ZERO, Scalar, eval_q1, q_minus_qinv, qint,
+                     qint_over_qsum)
 from .distcalc import Dist2, ModeWindow, pair, weight_abs
 from .currents import (
     BracketTable,
@@ -389,7 +390,7 @@ class QVirasoroBracket:
         def f(n):
             if n == 0:
                 return S_ZERO
-            return qint(n) * qint(n) / qint(2 * n)
+            return qint_over_qsum(n, 1)     # [n]^2/[2n] in lowest terms
         D = Dist2.from_func(W.N, f)
         return weight_abs(D, -2) if self.residual_weight else D
 
@@ -485,12 +486,12 @@ def printed_inverse_patterns(W: ModeWindow):
     def inv11(n):
         if n == 0:
             return S_ZERO
-        return -(two_i * dq / br2) * sign(n) * qint(n) / qint(2 * n)
+        return -(two_i * dq / br2) * sign(n) * qint_over_qsum(n, 0)
 
     def inv12(n):
         if n == 0:
             return S_ZERO
-        return -(two_i * S_T / br2) * Scalar.s_power(-abs(n)) * qint(n) / qint(2 * n)
+        return -(two_i * S_T / br2) * Scalar.s_power(-abs(n)) * qint_over_qsum(n, 0)
 
     # (2i/[2]) q^(-2|n|) [n]^2/[2n]: the residual-weight quadratic kernel
     inv22 = QVirasoroBracket(residual_weight=True).quad_kernel(W).scale(two_i / br2)

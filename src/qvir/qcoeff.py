@@ -439,10 +439,13 @@ class RatFunc:
             return RF_ZERO
         if self.den is LP_ONE and other.den is LP_ONE:
             return RatFunc(_lp_mul(self.num, other.num), LP_ONE, _canonical=True)
-        # cross-reduce before multiplying so degrees stay minimal
+        # a product of reduced fractions needs only cross-cancellation: monic
+        # denominators divided by monic gcds stay monic with a nonzero
+        # constant term, so the product is canonical as built
         n1, d2 = _cross_reduce(self.num, other.den)
         n2, d1 = _cross_reduce(other.num, self.den)
-        return RatFunc(_lp_mul(n1, n2), _lp_mul(d1, d2), _coprime=True)
+        den = d2 if d1 is LP_ONE else d1 if d2 is LP_ONE else _lp_mul(d1, d2)
+        return RatFunc(_lp_mul(n1, n2), den, _canonical=True)
 
     def __truediv__(self, other):
         if not other.num:
@@ -496,19 +499,33 @@ def _normalize(num, den, skip_gcd=False):
 
 
 def _cross_reduce(p, q):
-    """Divide out gcd(p, q); monomial parts are left untouched."""
-    if q is LP_ONE or not p:
+    """Divide gcd(p, q) out of a numerator p and a canonical denominator q.
+
+    Monomial parts are left untouched.  The first Euclidean step divides the
+    longer operand by the shorter; when that is exact the quotient is the
+    answer and no gcd runs.  A denominator reduced to 1 is ``LP_ONE``.
+    """
+    if q is LP_ONE:
         return p, q
     vp, dp = _dense(p)
-    vq, dq_ = _dense(q)
-    if len(dp) == 1 or len(dq_) == 1:
+    dq = _dense(q)[1]
+    if len(dp) == 1:
         return p, q
-    g = _poly_gcd(dp, dq_)
+    if len(dp) >= len(dq):
+        quo, rem = _poly_divmod(dp, dq)
+        if not rem:     # q | p
+            return _from_dense(vp, quo), LP_ONE
+        g = _poly_gcd(dq, rem)
+    else:
+        quo, rem = _poly_divmod(dq, dp)
+        if not rem:     # p | q: the gcd is p/lead(p)
+            lead = dp[-1]
+            return {vp: lead}, _from_dense(0, [x * lead for x in quo])
+        g = _poly_gcd(dp, rem)
     if len(g) == 1:
         return p, q
-    dp, _ = _poly_divmod(dp, g)
-    dq_, _ = _poly_divmod(dq_, g)
-    return _from_dense(vp, dp), _from_dense(vq, dq_)
+    # g is a proper divisor of q here, so q/g is not a constant
+    return _from_dense(vp, _poly_divmod(dp, g)[0]), _from_dense(0, _poly_divmod(dq, g)[0])
 
 
 RF_ZERO = RatFunc.const(0)
@@ -733,6 +750,20 @@ def qint(n: int) -> Scalar:
         return -qint(-n)
     coeffs = {2 * (n - 1 - 2 * j): G_ONE for j in range(n)}
     return Scalar(RatFunc(coeffs, LP_ONE, _canonical=True))
+
+
+def qint_over_qsum(n: int, a: int) -> Scalar:
+    """[n]^a/(q^n + q^-n) for n != 0 and a in {0, 1}, built in lowest terms.
+
+    It is s^(2|n|) [n]^a/(s^(4|n|) + 1): no root of s^(4|n|) = -1 is a root
+    of [n], so numerator and denominator are coprime.  With a = 1 this is
+    [n]^2/[2n], with a = 0 it is [n]/[2n].
+    """
+    if n == 0 or a not in (0, 1):
+        raise ValueError(f"[n]^a/(q^n + q^-n) needs n != 0 and a in {{0, 1}}, got {n}, {a}")
+    m, sign = abs(n), G_ONE if n > 0 else -G_ONE
+    num = {4 * m - 2 - 4 * j: sign for j in range(m)} if a else {2 * m: G_ONE}
+    return Scalar(RatFunc(num, {4 * m: G_ONE, 0: G_ONE}, _canonical=True))
 
 
 def q_minus_qinv() -> Scalar:

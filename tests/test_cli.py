@@ -1,5 +1,6 @@
 """Batch driver: configuration, suite selection, emission, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -20,7 +21,9 @@ from qvir.cli import (
     main,
     run,
 )
-from qvir.report import DOCUMENTED, FAIL, PASS, CheckRecord, Report
+from qvir.distcalc import Dist2, ModeWindow
+from qvir.qcoeff import S_ZERO, qint, qint_over_qsum
+from qvir.report import DOCUMENTED, FAIL, PASS, CheckRecord, Report, _dist_str, compare_dists
 
 SMALL = 4
 
@@ -149,6 +152,18 @@ def test_failing_check_serializes_both_values():
     assert doc["checks"][0]["expected_value"] == "s^-2"
 
 
+def test_passing_comparison_prints_the_expected_value_itself():
+    # a pass formats one distribution for both strings; it must read exactly
+    # as the expected distribution formatted on its own
+    W = ModeWindow(3)
+    engine = Dist2.from_func(W.N, lambda n: qint(n) * qint(n) / qint(2 * n) if n else S_ZERO)
+    expected = Dist2.from_func(W.N, lambda n: qint_over_qsum(n, 1) if n else S_ZERO)
+    rec = compare_dists("x", "qdirb", engine, expected)
+    assert rec.status == PASS
+    assert rec.expected_value == _dist_str(expected) == rec.engine_value
+    assert rec.expected_value.startswith("[-3: ") and "/" in rec.expected_value
+
+
 def test_check_ids_unique():
     rep = run(RunConfig(scenario="q-sl2", window=5))
     ids = [r.id for r in rep.checks]
@@ -229,6 +244,15 @@ def test_report_matches_golden(scenario, window):
     # the full report, every engine and expected string included, is fixed
     golden = json.loads((GOLDEN / f"{scenario}-window{window}.json").read_text())
     assert _report_without_seconds(RunConfig(scenario=scenario, window=window)) == golden
+
+
+def test_report_matches_golden_digest_at_window_12():
+    # the gcd path reaches degree 48 here, far beyond the window-5 golden; the
+    # digest pins every engine and expected string of the full report
+    want = (GOLDEN / "q-sl2-window12.sha256").read_text().split()[0]
+    rep = run(RunConfig(scenario="q-sl2", window=12))
+    text = json.dumps(rep.strip_durations(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
 def test_limit_records_match_golden():

@@ -14,6 +14,7 @@ from qvir.dirac import (
     AffineMap,
     ConstraintSet,
     DiracMatrix,
+    QVirasoroBracket,
     Reduction,
     SingularModeError,
     SubstitutionError,
@@ -119,6 +120,30 @@ def test_inverse_matches_printed_away_from_zero(q_matrix):
     # spot value: inv11 at n=1 is -2i(q-1/q)/[2]^2
     want = Scalar.from_rat(-2) * S_I * q_minus_qinv() / (qint(2) * qint(2))
     assert dinv.entry(0, 0).coeff(1) == want
+
+
+def test_closed_forms_match_the_quotients_of_q_integers():
+    # the lowest-terms kernels equal the plain quotients of q-integers; the
+    # n = 0 entries stay the documented 0
+    def ratio(n, power):
+        return qint(n) ** power / qint(2 * n) if n else S_ZERO
+
+    for weight in (False, True):
+        D = QVirasoroBracket(residual_weight=weight).quad_kernel(W)
+        for n in W.modes():
+            want = ratio(n, 2) * (Q(-2 * abs(n)) if weight else S_ONE)
+            assert D.coeff(n) == want, (weight, n)
+    printed = printed_inverse_patterns(W)
+    dq, two_i = q_minus_qinv(), Scalar.from_rat(2) * S_I
+    for n in W.modes():
+        sign = Scalar.from_rat(1 if n > 0 else -1)
+        inv11 = -(two_i * dq / qint(2)) * sign * ratio(n, 1)
+        inv12 = -(two_i * S_T / qint(2)) * Scalar.s_power(-abs(n)) * ratio(n, 1)
+        assert printed[0, 0].coeff(n) == inv11, n
+        assert printed[0, 1].coeff(n) == inv12 and printed[1, 0].coeff(n) == -inv12, n
+        assert printed[1, 1].coeff(n) == \
+            ratio(n, 2) * Q(-2 * abs(n)) * two_i / qint(2), n
+    assert all(printed[k].coeff(0) == S_ZERO for k in printed)
 
 
 def test_pairing_identity_all_modes(q_matrix):

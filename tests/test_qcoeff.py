@@ -21,6 +21,7 @@ from qvir.qcoeff import (
     laurent,
     q_minus_qinv,
     qint,
+    qint_over_qsum,
     taylor_q1,
 )
 
@@ -192,6 +193,21 @@ def test_qint_identities_window(n):
     assert qint(-n) == -qint(n)
 
 
+def test_qint_over_qsum_matches_the_gcd_path():
+    # [n]^2/[2n] and [n]/[2n], reduced by the polynomial gcd of the plain
+    # quotients, against the closed form built in lowest terms
+    for n in [m for m in range(-48, 49) if m]:
+        qn, q2n = qint(n).c[0].num, qint(2 * n).c[0].num
+        for a, num in ((1, qcoeff._lp_mul(qn, qn)), (0, qn)):
+            got = qint_over_qsum(n, a)
+            assert got.c[0] == RatFunc(num, q2n) and got.is_rational_sector(), (n, a)
+        assert qint_over_qsum(n, 1) == qint(n) * qint(n) / qint(2 * n)
+        assert qint_over_qsum(n, 0) == qint(n) / qint(2 * n)
+    for n, a in ((0, 1), (0, 0), (3, 2)):
+        with pytest.raises(ValueError):
+            qint_over_qsum(n, a)
+
+
 # ---------------------------------------------------------------------------
 # tower relations and field axioms
 # ---------------------------------------------------------------------------
@@ -279,6 +295,14 @@ OPS = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
        "mul": lambda a, b: a * b, "div": lambda a, b: a / b}
 
 
+def assert_canonical_ratfunc(r):
+    # a monic denominator of lowest exponent 0, the shared LP_ONE when it is 1
+    assert (r.den == qcoeff.LP_ONE) == (r.den is qcoeff.LP_ONE)
+    assert min(r.den) == 0 and r.den[max(r.den)] == GaussianRational(1)
+    for p in (r.num, r.den):
+        assert all(type(g) is GaussianRational and not g.is_zero() for g in p.values())
+
+
 @settings(max_examples=50, deadline=None)
 @given(ratfuncs, st.lists(st.tuples(st.sampled_from(sorted(OPS)), ratfuncs),
                           min_size=1, max_size=4))
@@ -297,12 +321,57 @@ def test_unit_denominator_is_the_shared_one(x, steps):
         results = (acc, y / y, (acc * y) / y, acc - acc + RatFunc(y.num))
         assert polys(prev, y, acc) == before + after_op
         for r in results:
-            assert (r.den == qcoeff.LP_ONE) == (r.den is qcoeff.LP_ONE)
-            for p in (r.num, r.den):
-                assert all(type(g) is GaussianRational and not g.is_zero()
-                           for g in p.values())
-            assert min(r.den) == 0 and r.den[max(r.den)] == GaussianRational(1)
+            assert_canonical_ratfunc(r)
     assert qcoeff.LP_ONE == {0: GaussianRational(1)} and qcoeff.LP_ZERO == {}
+
+
+def cross_branch(p, q):
+    """Which path _cross_reduce(p, q) takes: 'q|p', 'p|q' or 'gcd'."""
+    dp, dq = qcoeff._dense(p)[1], qcoeff._dense(q)[1]
+    if len(dp) >= len(dq):
+        return "q|p" if not qcoeff._poly_divmod(dp, dq)[1] else "gcd"
+    return "p|q" if not qcoeff._poly_divmod(dq, dp)[1] else "gcd"
+
+
+# at least two terms, so no factor is a monomial (a unit of the Laurent ring)
+factors = st.dictionaries(
+    st.integers(-2, 2), gaussians.filter(lambda g: not g.is_zero()),
+    min_size=2, max_size=3,
+).map(laurent)
+
+
+@st.composite
+def cross_pairs(draw):
+    """(branch, a, b): a.num against b.den takes the drawn _cross_reduce path.
+
+    a.num = f*g and b.den = f, f*g or f*h share the factor f; the other two
+    polynomials are arbitrary, so the second cross-reduction varies too.
+    """
+    branch = draw(st.sampled_from(("q|p", "p|q", "gcd")))
+    f, g, h = draw(factors), draw(factors), draw(factors)
+    num_a, den_b = {"q|p": (qcoeff._lp_mul(f, g), f),
+                    "p|q": (f, qcoeff._lp_mul(f, g)),
+                    "gcd": (qcoeff._lp_mul(f, g), qcoeff._lp_mul(f, h))}[branch]
+    a, b = RatFunc(num_a, draw(small_polys)), RatFunc(draw(small_polys), den_b)
+    # a draw whose factors cancel or divide one another takes another path
+    assume(cross_branch(a.num, b.den) == branch)
+    return branch, a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(cross_pairs(), st.tuples(st.just("any"), ratfuncs, ratfuncs)))
+def test_products_are_canonical_by_construction(case):
+    # a product of canonical fractions, built by cross-reduction alone, is
+    # the fully gcd-normalized fraction of the plain products
+    _, a, b = case
+    b_inv = RatFunc(b.den, b.num)
+    mul = qcoeff._lp_mul
+    for got, num, den in ((a * b, mul(a.num, b.num), mul(a.den, b.den)),
+                          (b * a, mul(a.num, b.num), mul(a.den, b.den)),
+                          (a / b_inv, mul(a.num, b_inv.den), mul(a.den, b_inv.num)),
+                          (a / b, mul(a.num, b.den), mul(a.den, b.num))):
+        assert got == RatFunc(num, den)
+        assert_canonical_ratfunc(got)
 
 
 def test_division_with_surds():
