@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, q_minus_qinv, qint
+from .qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, q_minus_qinv, qint, qint_ratio
 from .distcalc import (
     Dist2,
     ModeWindow,
@@ -552,8 +552,7 @@ def modes_from_ope(level: KacMoodyLevel, W: ModeWindow) -> list[CheckRecord]:
     k = level.k
 
     # H-H sector: commutator = one-sided entry minus its reflection
-    entry = Dist2(W.N, {n: oscillator_norm(n) * qint(k * n) / qint(n)
-                        for n in range(1, W.N + 1)})
+    entry = Dist2(W.N, {n: oscillator_norm(n) * qint_ratio(k, n) for n in range(1, W.N + 1)})
     D = entry - entry.reflect()
     expected = Dist2.from_func(W.N, lambda n: level.hh(n))
     out.append(compare_dists(f"modes-hh-k{k}", "kac-moody", D, expected))

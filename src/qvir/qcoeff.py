@@ -8,8 +8,8 @@ t^2 = 2; it stays symbolic under both degeneration maps:
 * :func:`taylor_q1` expands in h after substituting s = exp(i h / 2).
 
 All values are immutable; equality is exact and decidable through a
-canonical form (gcd-reduced rational functions with a normalized
-denominator).
+canonical form: a rational function whose numerator and denominator are
+coprime, with a monic denominator of lowest exponent zero.
 
 Coefficients in Q(i) are :class:`GaussianRational` triples of Python ints,
 (a + b*i)/d, kept reduced by one 3-way gcd per operation; no
@@ -19,12 +19,22 @@ no code mutates once built (:func:`laurent` builds one from any
 coefficients).  The loops over polynomial coefficients fuse w + x*y into
 one reduction (:func:`_mul_add`) and build results from dicts they know to
 be clean.
+
+The gcd path (cross-reduction of products, normalization, the polynomial
+gcd and the exact divisions by it) runs on an integer form instead:
+(v, d, re, im) is s^v (re + i*im)/d, with dense lists of ints over one
+common denominator d.  Division is pseudo-division by a divisor whose lead
+is a positive integer, so a monic integral divisor costs a plain
+multiply-subtract; the gcd is the primitive Euclidean algorithm, each
+remainder times the conjugate of its lead and over its integer content.
+GaussianRationals are built only for the results, one reduction per
+coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class PoleAtQ1Error(ArithmeticError):
@@ -310,62 +320,105 @@ def _lp_str(p):
     return " + ".join(parts).replace("+ -", "- ")
 
 
-def _dense(p):
-    """Shift to nonnegative exponents; return (valuation, coefficient list)."""
+def _ints(p):
+    """The integer form (v, d, re, im) of p (module docstring), constant term
+    first, d the lcm of its coefficient denominators."""
     v = min(p)
-    out = [G_ZERO] * (max(p) - v + 1)
+    d = lcm(*[g.d for g in p.values()])
+    re, im = [0] * (max(p) - v + 1), [0] * (max(p) - v + 1)
     for k, g in p.items():
-        out[k - v] = g
-    return v, out
+        m = d // g.d
+        re[k - v], im[k - v] = g.a * m, g.b * m
+    return v, d, re, im
 
 
-def _trim(a):
-    while a and a[-1].is_zero():
-        a.pop()
-    return a
+def _from_ints(v, d, re, im):
+    """The polynomial s^v (re + i*im)/d, one reduction per nonzero coefficient."""
+    return {v + k: _reduce(x, y, d) for k, (x, y) in enumerate(zip(re, im)) if x or y}
 
 
-def _poly_divmod(a, b):
-    """Divide dense coefficient lists over the Gaussian rationals."""
-    a = list(a)
-    q = [G_ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = b[-1].inverse()
-    for i in range(len(a) - len(b), -1, -1):
-        f = a[i + len(b) - 1] * inv_lead
-        if f.is_zero():
-            continue
-        q[i] = f
-        neg_f = -f
-        for j, bj in enumerate(b):
-            a[i + j] = _mul_add(a[i + j], neg_f, bj)
-    return _trim(q), _trim(a)
+def _scale(re, im, cr, ci):
+    """(re + i*im) * (cr + i*ci) coefficientwise."""
+    if ci:
+        return ([x * cr - y * ci for x, y in zip(re, im)],
+                [x * ci + y * cr for x, y in zip(re, im)])
+    if cr == 1:
+        return re, im
+    return [x * cr for x in re], [y * cr for y in im]
+
+
+def _primitive(re, im):
+    """re + i*im times the conjugate of its lead, over its integer content.
+
+    The lead becomes a positive integer, as a divisor's must be.
+    """
+    if im[-1] or re[-1] < 0:
+        re, im = _scale(re, im, re[-1], -im[-1])
+    g = gcd(*re, *im)
+    if g != 1:
+        re, im = [x // g for x in re], [y // g for y in im]
+    return re, im
+
+
+def _pdivmod(ar, ai, br, bi):
+    """Pseudo-division L^k a = quo*b + rem of integer coefficient lists.
+
+    b's lead L is a positive integer and k = len(a) - len(b) + 1 is the number
+    of steps; with L = 1 each step is a plain multiply-subtract.  Returns
+    (qr, qi), (rr, ri) with the remainder trimmed, shorter than b.
+    """
+    ar, ai = list(ar), list(ai)
+    L, real = br[-1], not any(bi)
+    br, bi = br[:-1], bi[:-1]
+    k = max(0, len(ar) - len(br))
+    qr, qi = [0] * k, [0] * k
+    for i in range(k - 1, -1, -1):
+        fr, fi = ar.pop(), ai.pop()     # the lead cancels: L*f - f*L
+        qr[i], qi[i] = fr, fi
+        if L != 1:
+            ar, ai = [x * L for x in ar], [y * L for y in ai]
+        if real:
+            if fr:
+                ar[i:] = [x - fr * y for x, y in zip(ar[i:], br)]
+            if fi:
+                ai[i:] = [x - fi * y for x, y in zip(ai[i:], br)]
+        elif fr or fi:
+            ar[i:], ai[i:] = ([x - fr * y + fi * z for x, y, z in zip(ar[i:], br, bi)],
+                              [x - fr * z - fi * y for x, y, z in zip(ai[i:], br, bi)])
+    if L != 1:      # the step for s^i leaves i further steps to scale it by L
+        qr, qi = [x * L ** i for i, x in enumerate(qr)], [y * L ** i for i, y in enumerate(qi)]
+    while ar and not ar[-1] and not ai[-1]:
+        ar.pop()
+        ai.pop()
+    return (qr, qi), (ar, ai)
+
+
+def _divide(re, im, d, g):
+    """(re + i*im)/d over g/L, for g with positive integer lead L.
+
+    Returns the quotient as (d', re', im') and the pseudo-remainder, which is
+    zero exactly when g divides: L^k x = quo*g in k steps gives
+    x/(g/L) = quo/L^(k-1).
+    """
+    quo, rem = _pdivmod(re, im, *g)
+    return (d * g[0][-1] ** (len(re) - len(g[0])), *quo), rem
 
 
 def _poly_gcd(a, b):
-    """Monic gcd of dense coefficient lists.
+    """Primitive gcd (re, im) of integer coefficient lists a and b.
 
-    Every remainder is rescaled to be monic, which keeps the rational
-    coefficients from exploding during the Euclidean descent, which ends
-    because each remainder is shorter than its divisor (else ArithmeticError).
+    b has a positive integer lead.  Every pseudo-remainder is made primitive
+    (_primitive), which keeps the integers from exploding during the
+    Euclidean descent, which ends because each remainder is shorter than its
+    divisor (else ArithmeticError).  The gcd has a positive integer lead.
     """
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        _, r = _poly_divmod(a, b)
-        if len(r) >= len(b):
-            raise ArithmeticError(f"remainder of length {len(r)} is not shorter "
-                                  f"than its divisor of length {len(b)}")
-        if r:
-            inv_lead = r[-1].inverse()
-            r = [x * inv_lead for x in r]
-        a, b = b, r
-    if not a:
-        return [G_ONE]
-    inv_lead = a[-1].inverse()
-    return [x * inv_lead for x in a]
-
-
-def _from_dense(v, coeffs):
-    return {v + i: g for i, g in enumerate(coeffs) if g.a or g.b}
+    while b[0]:
+        _, r = _pdivmod(*a, *b)
+        if len(r[0]) >= len(b[0]):
+            raise ArithmeticError(f"remainder of length {len(r[0])} is not shorter "
+                                  f"than its divisor of length {len(b[0])}")
+        a, b = b, _primitive(*r) if r[0] else r
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -483,19 +536,21 @@ class RatFunc:
 def _normalize(num, den, skip_gcd=False):
     if not num:
         return LP_ZERO, LP_ONE
-    vn, dn = _dense(num)
-    vd, dd = _dense(den)
-    if not skip_gcd and len(dd) > 1 and len(dn) > 1:
-        g = _poly_gcd(dn, dd)
-        if len(g) > 1:
-            dn, _ = _poly_divmod(dn, g)
-            dd, _ = _poly_divmod(dd, g)
-    # fold the denominator's monomial into the numerator, scale top coeff to 1
-    inv_lead = dd[-1].inverse()
-    dn = [x * inv_lead for x in dn]
-    if len(dd) == 1:
-        return _from_dense(vn - vd, dn), LP_ONE
-    return _from_dense(vn - vd, dn), _from_dense(0, [x * inv_lead for x in dd])
+    vn, dn, nr, ni = _ints(num)
+    vd, dd, dr, di = _ints(den)
+    if not skip_gcd and len(nr) > 1 and len(dr) > 1:
+        g = _poly_gcd((nr, ni), _primitive(dr, di))
+        if len(g[0]) > 1:
+            dn, nr, ni = _divide(nr, ni, dn, g)[0]
+            dd, dr, di = _divide(dr, di, dd, g)[0]
+    # fold the denominator's monomial into the numerator; both times
+    # dd*conj(c)/|c|^2, for c the denominator's integer lead, make it monic
+    cr, ci = dr[-1], -di[-1]
+    norm = cr * cr + ci * ci
+    num = _from_ints(vn - vd, dn * norm, *_scale(nr, ni, cr * dd, ci * dd))
+    if len(dr) == 1:
+        return num, LP_ONE
+    return num, _from_ints(0, norm, *_scale(dr, di, cr, ci))
 
 
 def _cross_reduce(p, q):
@@ -505,27 +560,25 @@ def _cross_reduce(p, q):
     longer operand by the shorter; when that is exact the quotient is the
     answer and no gcd runs.  A denominator reduced to 1 is ``LP_ONE``.
     """
-    if q is LP_ONE:
+    if q is LP_ONE or len(p) == 1:
         return p, q
-    vp, dp = _dense(p)
-    dq = _dense(q)[1]
-    if len(dp) == 1:
-        return p, q
-    if len(dp) >= len(dq):
-        quo, rem = _poly_divmod(dp, dq)
-        if not rem:     # q | p
-            return _from_dense(vp, quo), LP_ONE
-        g = _poly_gcd(dq, rem)
+    vp, dp, pr, pi = _ints(p)
+    _, dq, qr, qi = _ints(q)        # q is monic, so its integer lead is dq
+    if len(pr) >= len(qr):
+        quo, rem = _divide(pr, pi, dp, (qr, qi))
+        if not rem[0]:      # q | p
+            return _from_ints(vp, *quo), LP_ONE
+        g = _poly_gcd((qr, qi), _primitive(*rem))
     else:
-        quo, rem = _poly_divmod(dq, dp)
-        if not rem:     # p | q: the gcd is p/lead(p)
-            lead = dp[-1]
-            return {vp: lead}, _from_dense(0, [x * lead for x in quo])
-        g = _poly_gcd(dp, rem)
-    if len(g) == 1:
+        pp = _primitive(pr, pi)
+        quo, rem = _divide(qr, qi, dq, pp)
+        if not rem[0]:      # p | q: the gcd is p/lead(p)
+            return {vp: p[max(p)]}, _from_ints(0, *quo)
+        g = _poly_gcd(pp, _primitive(*rem))
+    if len(g[0]) == 1:
         return p, q
     # g is a proper divisor of q here, so q/g is not a constant
-    return _from_dense(vp, _poly_divmod(dp, g)[0]), _from_dense(0, _poly_divmod(dq, g)[0])
+    return _from_ints(vp, *_divide(pr, pi, dp, g)[0]), _from_ints(0, *_divide(qr, qi, dq, g)[0])
 
 
 RF_ZERO = RatFunc.const(0)
@@ -636,12 +689,13 @@ class Scalar:
         if not c1.num:
             if not c0.num:
                 raise ZeroDivisionError("inverse of zero Scalar")
-            return _scalar(RF_ONE / c0, RF_ZERO)
+            return _scalar(RatFunc(c0.den, c0.num, _coprime=True), RF_ZERO)
         if not c0.num:
-            return _scalar(RF_ZERO, RF_ONE / (RF_TWO * c1))
+            return _scalar(RF_ZERO, RatFunc(c1.den, _lp_add(c1.num, c1.num), _coprime=True))
         # norm form: 1/(c0 + c1 t) = (c0 - c1 t)/(c0^2 - 2 c1^2); the norm is
         # nonzero because sqrt(2) is not in Q(i)(s)
-        inv_norm = RF_ONE / (c0 * c0 - RF_TWO * (c1 * c1))
+        norm = c0 * c0 - RF_TWO * (c1 * c1)
+        inv_norm = RatFunc(norm.den, norm.num, _coprime=True)
         return _scalar(c0 * inv_norm, -(c1 * inv_norm))
 
     def __truediv__(self, other):
@@ -764,6 +818,14 @@ def qint_over_qsum(n: int, a: int) -> Scalar:
     m, sign = abs(n), G_ONE if n > 0 else -G_ONE
     num = {4 * m - 2 - 4 * j: sign for j in range(m)} if a else {2 * m: G_ONE}
     return Scalar(RatFunc(num, {4 * m: G_ONE, 0: G_ONE}, _canonical=True))
+
+
+def qint_ratio(k: int, n: int) -> Scalar:
+    """[kn]/[n] = sum_(j<k) q^((k-1-2j)n) for k >= 1 and n != 0, a Laurent polynomial."""
+    if k < 1 or n == 0:
+        raise ValueError(f"[kn]/[n] needs k >= 1 and n != 0, got {k}, {n}")
+    return Scalar(RatFunc({2 * (k - 1 - 2 * j) * n: G_ONE for j in range(k)}, LP_ONE,
+                          _canonical=True))
 
 
 def q_minus_qinv() -> Scalar:

@@ -246,13 +246,23 @@ def test_report_matches_golden(scenario, window):
     assert _report_without_seconds(RunConfig(scenario=scenario, window=window)) == golden
 
 
+def _golden_digest_matches(window):
+    want = (GOLDEN / f"q-sl2-window{window}.sha256").read_text().split()[0]
+    rep = run(RunConfig(scenario="q-sl2", window=window))
+    text = json.dumps(rep.strip_durations(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest() == want
+
+
 def test_report_matches_golden_digest_at_window_12():
     # the gcd path reaches degree 48 here, far beyond the window-5 golden; the
     # digest pins every engine and expected string of the full report
-    want = (GOLDEN / "q-sl2-window12.sha256").read_text().split()[0]
-    rep = run(RunConfig(scenario="q-sl2", window=12))
-    text = json.dumps(rep.strip_durations(), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == want
+    assert _golden_digest_matches(12)
+
+
+def test_report_matches_golden_digest_at_window_24():
+    # degrees reach 216 here, where pseudo-division growth and the removal of
+    # integer content matter and window 12 does not reach
+    assert _golden_digest_matches(24)
 
 
 def test_limit_records_match_golden():

@@ -1,6 +1,7 @@
 """Field-tower arithmetic: q-integers, canonical forms, degeneration maps."""
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qvir import qcoeff
 from qvir.qcoeff import (
+    G_ZERO,
     GaussianRational,
     PoleAtQ1Error,
     RatFunc,
@@ -22,6 +24,7 @@ from qvir.qcoeff import (
     q_minus_qinv,
     qint,
     qint_over_qsum,
+    qint_ratio,
     taylor_q1,
 )
 
@@ -208,6 +211,20 @@ def test_qint_over_qsum_matches_the_gcd_path():
             qint_over_qsum(n, a)
 
 
+def test_qint_ratio_matches_the_division_path():
+    # [kn]/[n] as a Laurent polynomial against the quotient of q-integers,
+    # through Scalar division and through the gcd of a fresh fraction
+    for k in (1, 2, 3):
+        for n in [m for m in range(-48, 49) if m]:
+            got = qint_ratio(k, n)
+            assert got == qint(k * n) / qint(n), (k, n)
+            assert got.c[0] == RatFunc(qint(k * n).c[0].num, qint(n).c[0].num), (k, n)
+            assert got.c[0].den is qcoeff.LP_ONE and got.is_rational_sector()
+    for k, n in ((0, 1), (2, 0)):
+        with pytest.raises(ValueError):
+            qint_ratio(k, n)
+
+
 # ---------------------------------------------------------------------------
 # tower relations and field axioms
 # ---------------------------------------------------------------------------
@@ -284,6 +301,11 @@ def test_inverse_is_norm_form(c0, c1):
     x = c0 + c1 * S_T
     assert x * x.inverse() == S_ONE
     assert x.inverse() == (c0 - c1 * S_T) / (c0 * c0 - 2 * c1 * c1)
+    # the reciprocal is built directly in each branch, canonical as built
+    for y in (x, c0, c1 * S_T):
+        assert y * y.inverse() == S_ONE
+        for f in y.inverse().c:
+            assert_canonical_ratfunc(f)
 
 
 small_polys = st.dictionaries(
@@ -325,12 +347,111 @@ def test_unit_denominator_is_the_shared_one(x, steps):
     assert qcoeff.LP_ONE == {0: GaussianRational(1)} and qcoeff.LP_ZERO == {}
 
 
+# ---------------------------------------------------------------------------
+# reference: the Euclidean algorithm over GaussianRational coefficients
+# ---------------------------------------------------------------------------
+# The engine's gcd path runs in integers (pseudo-division, primitive
+# remainders); this is the independent field-arithmetic version it replaced.
+# Canonical forms are unique, so both must give the same RatFunc.
+
+def ref_dense(p):
+    """Shift to nonnegative exponents; return (valuation, coefficient list)."""
+    v = min(p)
+    out = [G_ZERO] * (max(p) - v + 1)
+    for k, g in p.items():
+        out[k - v] = g
+    return v, out
+
+
+def ref_trim(a):
+    while a and a[-1].is_zero():
+        a.pop()
+    return a
+
+
+def ref_poly_divmod(a, b):
+    """Divide dense coefficient lists over the Gaussian rationals."""
+    a = list(a)
+    q = [G_ZERO] * max(0, len(a) - len(b) + 1)
+    inv_lead = b[-1].inverse()
+    for i in range(len(a) - len(b), -1, -1):
+        f = a[i + len(b) - 1] * inv_lead
+        if f.is_zero():
+            continue
+        q[i] = f
+        for j, bj in enumerate(b):
+            a[i + j] = a[i + j] - f * bj
+    return ref_trim(q), ref_trim(a)
+
+
+def ref_poly_gcd(a, b):
+    """Monic gcd of dense coefficient lists, every remainder made monic."""
+    a, b = ref_trim(list(a)), ref_trim(list(b))
+    while b:
+        _, r = ref_poly_divmod(a, b)
+        assert len(r) < len(b)
+        if r:
+            inv_lead = r[-1].inverse()
+            r = [x * inv_lead for x in r]
+        a, b = b, r
+    inv_lead = a[-1].inverse()
+    return [x * inv_lead for x in a]
+
+
+def ref_from_dense(v, coeffs):
+    return {v + i: g for i, g in enumerate(coeffs) if not g.is_zero()}
+
+
+def ref_normalize(num, den):
+    """Canonical (num, den): gcd divided out, denominator monic of lowest exponent 0."""
+    if not num:
+        return {}, qcoeff.LP_ONE
+    vn, dn = ref_dense(num)
+    vd, dd = ref_dense(den)
+    g = ref_poly_gcd(dn, dd)
+    if len(g) > 1:
+        dn, dd = ref_poly_divmod(dn, g)[0], ref_poly_divmod(dd, g)[0]
+    inv_lead = dd[-1].inverse()
+    num = ref_from_dense(vn - vd, [x * inv_lead for x in dn])
+    if len(dd) == 1:
+        return num, qcoeff.LP_ONE
+    return num, ref_from_dense(0, [x * inv_lead for x in dd])
+
+
+def ref_ratfunc(num, den):
+    return RatFunc(*ref_normalize(num, den), _canonical=True)
+
+
+def test_reference_euclid_reduces_by_hand():
+    # (s^2 - 1)/(s^2 + (1/2 - i) s - i/2) = (s - 1)/(s + 1/2) over the common
+    # factor s + 1, with s - i cancelled: a non-integral and a Gaussian root
+    common = laurent({1: 1, 0: 1})
+    num = qcoeff._lp_mul(common, laurent({1: 1, 0: -1}))
+    den = qcoeff._lp_mul(common, laurent({1: 1, 0: Fraction(1, 2)}))
+    den_i = qcoeff._lp_mul(den, laurent({1: 1, 0: -GaussianRational(0, 1)}))
+    num_i = qcoeff._lp_mul(num, laurent({1: 1, 0: -GaussianRational(0, 1)}))
+    want = ({1: GaussianRational(1), 0: GaussianRational(-1)},
+            {1: GaussianRational(1), 0: GaussianRational(Fraction(1, 2))})
+    assert ref_normalize(num, den) == want == ref_normalize(num_i, den_i)
+    assert (RatFunc(num_i, den_i).num, RatFunc(num_i, den_i).den) == want
+
+
 def cross_branch(p, q):
-    """Which path _cross_reduce(p, q) takes: 'q|p', 'p|q' or 'gcd'."""
-    dp, dq = qcoeff._dense(p)[1], qcoeff._dense(q)[1]
-    if len(dp) >= len(dq):
-        return "q|p" if not qcoeff._poly_divmod(dp, dq)[1] else "gcd"
-    return "p|q" if not qcoeff._poly_divmod(dq, dp)[1] else "gcd"
+    """Which path _cross_reduce(p, q) takes: 'q|p', 'p|q' or 'gcd'.
+
+    Read off the engine's integer pseudo-division, and checked against the
+    reference division over the Gaussian rationals.
+    """
+    pr, pi = qcoeff._ints(p)[2:]
+    qr, qi = qcoeff._ints(q)[2:]
+    dp, dq = ref_dense(p)[1], ref_dense(q)[1]
+    if len(pr) >= len(qr):
+        exact = not qcoeff._pdivmod(pr, pi, qr, qi)[1][0]
+        assert exact == (not ref_poly_divmod(dp, dq)[1])
+        return "q|p" if exact else "gcd"
+    exact = not qcoeff._pdivmod(qr, qi, *qcoeff._primitive(pr, pi))[1][0]
+    assert exact == (not ref_poly_divmod(dq, dp)[1])
+    return "p|q" if exact else "gcd"
 
 
 # at least two terms, so no factor is a monomial (a unit of the Laurent ring)
@@ -374,6 +495,55 @@ def test_products_are_canonical_by_construction(case):
         assert_canonical_ratfunc(got)
 
 
+# four kinds of polynomial factor for the reference property, each of at
+# least two terms: non-integral monic (s^k + 1/2), a Gaussian lead (i s + 1,
+# monic s - i), cyclotomic products (s^k +- 1) of degree up to 96, and the
+# small Gaussian-rational ones of `factors`
+half_factors = st.builds(
+    lambda k, c: laurent({k: 1, 0: c}), st.integers(1, 3),
+    st.fractions(-3, 3, max_denominator=6).filter(lambda c: c.denominator > 1))
+gaussian_factors = st.builds(
+    lambda lead, c: laurent({1: lead, 0: c}),
+    gaussians.filter(lambda g: g.b != 0), gaussians.filter(lambda g: not g.is_zero()))
+cyclotomic_factors = st.lists(
+    st.tuples(st.integers(1, 96), st.sampled_from((1, -1))), min_size=1, max_size=3,
+).filter(lambda ks: sum(k for k, _ in ks) <= 96).map(
+    lambda ks: reduce(qcoeff._lp_mul, [laurent({k: 1, 0: e}) for k, e in ks]))
+any_factors = st.one_of(half_factors, gaussian_factors, cyclotomic_factors, factors)
+small_factors = st.one_of(half_factors, gaussian_factors, factors)
+
+
+@st.composite
+def reference_pairs(draw):
+    """(branch, a, b), canonical by the reference, a.num against b.den taking
+    the drawn _cross_reduce path, with denominators of every kind."""
+    branch = draw(st.sampled_from(("q|p", "p|q", "gcd")))
+    f, g, h = draw(any_factors), draw(small_factors), draw(small_factors)
+    num_a, den_b = {"q|p": (qcoeff._lp_mul(f, g), f),
+                    "p|q": (f, qcoeff._lp_mul(f, g)),
+                    "gcd": (qcoeff._lp_mul(f, g), qcoeff._lp_mul(f, h))}[branch]
+    a = ref_ratfunc(num_a, draw(st.one_of(any_factors, small_polys)))
+    b = ref_ratfunc(draw(st.one_of(small_factors, small_polys)), den_b)
+    assume(cross_branch(a.num, b.den) == branch)
+    return branch, a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(reference_pairs())
+def test_arithmetic_matches_the_reference_euclid(case):
+    # products, quotients, sums and fresh fractions from the integer gcd path
+    # are the canonical fractions of the GaussianRational Euclid
+    _, a, b = case
+    mul, add = qcoeff._lp_mul, qcoeff._lp_add
+    for got, num, den in ((a * b, mul(a.num, b.num), mul(a.den, b.den)),
+                          (a / b, mul(a.num, b.den), mul(a.den, b.num)),
+                          (a + b, add(mul(a.num, b.den), mul(b.num, a.den)), mul(a.den, b.den)),
+                          (RatFunc(a.num, b.den), a.num, b.den)):
+        want = ref_ratfunc(num, den)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert_canonical_ratfunc(got)
+
+
 def test_division_with_surds():
     x = (S_T + spow(1)) * spow(3) + S_I
     y = S_T * spow(2) - spow(-2)
@@ -383,10 +553,13 @@ def test_division_with_surds():
 def test_gcd_raises_when_a_remainder_does_not_shrink(monkeypatch):
     # a division that hands the dividend back as its remainder would make the
     # Euclidean loop swap the two polynomials forever
-    monkeypatch.setattr(qcoeff, "_poly_divmod", lambda a, b: ([], list(a)))
-    one = GaussianRational(1)
+    monkeypatch.setattr(qcoeff, "_pdivmod",
+                        lambda ar, ai, br, bi: (([], []), (list(ar), list(ai))))
     with pytest.raises(ArithmeticError, match="not shorter than its divisor"):
-        qcoeff._poly_gcd([one, one, one], [one, one])
+        qcoeff._poly_gcd(([1, 1, 1], [0, 0, 0]), ([1, 1], [0, 0]))
+    # and the guard is reached from the public arithmetic
+    with pytest.raises(ArithmeticError, match="not shorter than its divisor"):
+        RatFunc(laurent({2: 1, 1: 1, 0: 1}), laurent({1: 1, 0: 1}))
 
 
 # ---------------------------------------------------------------------------
