@@ -11,30 +11,28 @@ All values are immutable; equality is exact and decidable through a
 canonical form: a rational function whose numerator and denominator are
 coprime, with a monic denominator of lowest exponent zero.
 
-Coefficients in Q(i) are :class:`GaussianRational` triples of Python ints,
-(a + b*i)/d, kept reduced by one 3-way gcd per operation; no
-``fractions.Fraction`` is stored on the arithmetic path.  A Laurent
-polynomial in s is a plain dict from exponent to nonzero coefficient that
-no code mutates once built (:func:`laurent` builds one from any
-coefficients).  The loops over polynomial coefficients fuse w + x*y into
-one reduction (:func:`_mul_add`) and build results from dicts they know to
-be clean.
+A Laurent polynomial in s has one integer form: the tuple (v, d, re, im) is
+s^v (re + i*im)/d, with re and im tuples of Python ints over one common
+denominator d, canonical when both ends are nonzero and gcd(d, re, im) = 1
+(:func:`laurent` builds one from any coefficients).  Sums, products (an
+integer convolution over the nonzero entries) and the gcd path
+(cross-reduction of products, normalization, the polynomial gcd and the
+exact divisions by it) all run on it, with one content gcd per result.
+Division is pseudo-division by a divisor whose lead is a positive integer,
+so a monic integral divisor costs a plain multiply-subtract; the gcd is the
+primitive Euclidean algorithm, each remainder times the conjugate of its
+lead and over its integer content.
 
-The gcd path (cross-reduction of products, normalization, the polynomial
-gcd and the exact divisions by it) runs on an integer form instead:
-(v, d, re, im) is s^v (re + i*im)/d, with dense lists of ints over one
-common denominator d.  Division is pseudo-division by a divisor whose lead
-is a positive integer, so a monic integral divisor costs a plain
-multiply-subtract; the gcd is the primitive Euclidean algorithm, each
-remainder times the conjugate of its lead and over its integer content.
-GaussianRationals are built only for the results, one reduction per
-coefficient.
+:class:`GaussianRational` triples (a + b*i)/d serve the constants in Q(i)
+(:class:`SurdRational`, :class:`HSeries`, :func:`eval_q1`) and printing;
+no ``fractions.Fraction`` is stored on the arithmetic path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 
 class PoleAtQ1Error(ArithmeticError):
@@ -91,10 +89,6 @@ class GaussianRational:
             if other is None:
                 return NotImplemented
         d1, d2 = self.d, other.d
-        if d1 == d2:
-            if d1 == 1:
-                return _make(self.a + other.a, self.b + other.b, 1)
-            return _reduce(self.a + other.a, self.b + other.b, d1)
         return _reduce(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
     __radd__ = __add__
@@ -105,10 +99,6 @@ class GaussianRational:
             if other is None:
                 return NotImplemented
         d1, d2 = self.d, other.d
-        if d1 == d2:
-            if d1 == 1:
-                return _make(self.a - other.a, self.b - other.b, 1)
-            return _reduce(self.a - other.a, self.b - other.b, d1)
         return _reduce(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
     def __rsub__(self, other):
@@ -123,10 +113,7 @@ class GaussianRational:
             if other is None:
                 return NotImplemented
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        d = self.d * other.d
-        if d == 1:
-            return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 1)
-        return _reduce(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d)
+        return _reduce(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -208,18 +195,6 @@ def _reduce(a, b, d):
     return _make(a, b, d)
 
 
-def _mul_add(w, x, y):
-    """w + x*y with a single reduction."""
-    xa, xb, ya, yb = x.a, x.b, y.a, y.b
-    pa, pb = xa * ya - xb * yb, xa * yb + xb * ya
-    wd, pd = w.d, x.d * y.d
-    if wd == pd:
-        if wd == 1:
-            return _make(w.a + pa, w.b + pb, 1)
-        return _reduce(w.a + pa, w.b + pb, wd)
-    return _reduce(w.a * pd + pa * wd, w.b * pd + pb * wd, wd * pd)
-
-
 def _coerce(x):
     """An int or Fraction as a GaussianRational; None for any other type."""
     if type(x) is int:
@@ -244,72 +219,121 @@ G_I = GaussianRational(0, 1)
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in s: plain dicts {exponent: nonzero GaussianRational}
+# Laurent polynomials in s: integer tuples (v, d, re, im), constant term first
 # ---------------------------------------------------------------------------
-# No code mutates a polynomial's dict once it is built, so the constants and
-# the operands of an operation are shared freely.
+# Canonical tuples (module docstring) are equal exactly when the polynomials are.
+
+LP_ZERO = ()
+LP_ONE = (0, 1, (1,), (0,))
+
 
 def laurent(coeffs):
     """The polynomial of {exponent: int, Fraction or GaussianRational}, zeros dropped."""
-    out = {}
-    for k, v in coeffs.items():
-        v = _as_gaussian(v)
-        if v.a or v.b:
-            out[k] = v
-    return out
+    gs = {k: _as_gaussian(x) for k, x in coeffs.items()}
+    if not gs:
+        return LP_ZERO
+    v, d = min(gs), lcm(*[g.d for g in gs.values()])
+    terms = [gs.get(k, G_ZERO) for k in range(v, max(gs) + 1)]
+    return _canon(v, d, [g.a * (d // g.d) for g in terms], [g.b * (d // g.d) for g in terms])
 
 
-LP_ZERO = {}
-LP_ONE = {0: G_ONE}
+def _monomial(k, x):
+    """The polynomial x*s^k of an int, Fraction or GaussianRational x."""
+    if type(x) is int:
+        return (k, 1, (x,), (0,)) if x else LP_ZERO
+    g = _as_gaussian(x)
+    return (k, g.d, (g.a,), (g.b,)) if g.a or g.b else LP_ZERO
+
+
+def _canon(v, d, re, im):
+    """The canonical s^v (re + i*im)/d: zero ends trimmed, content divided out."""
+    lo, hi = 0, len(re)
+    while hi and not (re[hi - 1] or im[hi - 1]):
+        hi -= 1
+    if not hi:
+        return LP_ZERO
+    while not (re[lo] or im[lo]):
+        lo += 1
+    if d != 1:
+        g = gcd(d, *re, *im)
+        if g != 1:
+            d //= g
+            re, im = [x // g for x in re], [y // g for y in im]
+    return v + lo, d, tuple(re[lo:hi]), tuple(im[lo:hi])
 
 
 def _lp_add(p, q):
-    out = dict(p)
-    for k, v in q.items():
-        w = out.get(k)
-        if w is None:
-            out[k] = v
-            continue
-        w = w + v
-        if w.a or w.b:
-            out[k] = w
-        else:
-            del out[k]
-    return out
+    if not p:
+        return q
+    if not q:
+        return p
+    if p[0] > q[0]:
+        p, q = q, p
+    v, dp, pr, pi = p
+    vq, dq, qr, qi = q
+    if v == vq and len(pr) == 1 == len(qr):     # a sum of monomials
+        return _canon(v, dp * dq, (pr[0] * dq + qr[0] * dp,), (pi[0] * dq + qi[0] * dp,))
+    d = dp // gcd(dp, dq) * dq
+    pr, pi = _scale(pr, pi, d // dp, 0)
+    qr, qi = _scale(qr, qi, d // dq, 0)
+    o, n = vq - v, len(qr)
+    pad = [0] * (o + n - len(pr))
+    re, im = [*pr, *pad], [*pi, *pad]
+    re[o:o + n] = map(add, re[o:o + n], qr)
+    im[o:o + n] = map(add, im[o:o + n], qi)
+    return _canon(v, d, re, im)
 
 
 def _lp_neg(p):
-    return {k: -v for k, v in p.items()}
-
-
-def _lp_sub(p, q):
-    return _lp_add(p, _lp_neg(q))
+    if not p:
+        return p
+    v, d, re, im = p
+    return v, d, tuple([-x for x in re]), tuple([-y for y in im])
 
 
 def _lp_mul(p, q):
-    out = {}
-    for k1, v1 in p.items():
-        for k2, v2 in q.items():
-            k = k1 + k2
-            w = out.get(k)
-            out[k] = v1 * v2 if w is None else _mul_add(w, v1, v2)
-    return {k: v for k, v in out.items() if v.a or v.b}
+    """The product, an integer convolution over the nonzero entries only."""
+    if not p or not q:
+        return LP_ZERO
+    vp, dp, pr, pi = p
+    vq, dq, qr, qi = q
+    if len(pr) == 1 == len(qr):     # a nonzero product of monomials
+        a, b, c, e = pr[0], pi[0], qr[0], qi[0]
+        x, y, d = a * c - b * e, a * e + b * c, dp * dq
+        if d != 1:
+            g = gcd(x, y, d)
+            if g != 1:
+                x, y, d = x // g, y // g, d // g
+        return vp + vq, d, (x,), (y,)
+    n = len(pr) + len(qr) - 1
+    re, im = [0] * n, [0] * n
+    tq = [(j, c, e) for j, (c, e) in enumerate(zip(qr, qi)) if c or e]
+    real = not any(qi)
+    for i, (a, b) in enumerate(zip(pr, pi)):
+        if b or (a and not real):
+            for j, c, e in tq:
+                re[i + j] += a * c - b * e
+                im[i + j] += a * e + b * c
+        elif a:
+            for j, c, _ in tq:
+                re[i + j] += a * c
+    return _canon(vp + vq, dp * dq, re, im)
 
 
 def _lp_eval_one(p):
     """Value at s = 1."""
-    total = G_ZERO
-    for v in p.values():
-        total = total + v
-    return total
+    return _reduce(sum(p[2]), sum(p[3]), p[1]) if p else G_ZERO
 
 
 def _lp_str(p):
     if not p:
         return "0"
+    v, d, re, im = p
     parts = []
-    for k in sorted(p, reverse=True):
-        vs = str(p[k])
+    for j in range(len(re) - 1, -1, -1):
+        if not (re[j] or im[j]):
+            continue
+        k, vs = v + j, str(_reduce(re[j], im[j], d))
         if ("+" in vs[1:]) or ("-" in vs[1:]):
             vs = f"({vs})"
         if k == 0:
@@ -318,23 +342,6 @@ def _lp_str(p):
             mono = "s" if k == 1 else f"s^{k}"
             parts.append(mono if vs == "1" else f"-{mono}" if vs == "-1" else f"{vs}*{mono}")
     return " + ".join(parts).replace("+ -", "- ")
-
-
-def _ints(p):
-    """The integer form (v, d, re, im) of p (module docstring), constant term
-    first, d the lcm of its coefficient denominators."""
-    v = min(p)
-    d = lcm(*[g.d for g in p.values()])
-    re, im = [0] * (max(p) - v + 1), [0] * (max(p) - v + 1)
-    for k, g in p.items():
-        m = d // g.d
-        re[k - v], im[k - v] = g.a * m, g.b * m
-    return v, d, re, im
-
-
-def _from_ints(v, d, re, im):
-    """The polynomial s^v (re + i*im)/d, one reduction per nonzero coefficient."""
-    return {v + k: _reduce(x, y, d) for k, (x, y) in enumerate(zip(re, im)) if x or y}
 
 
 def _scale(re, im, cr, ci):
@@ -436,24 +443,23 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: dict, den: dict = LP_ONE, _canonical=False, _coprime=False):
+    def __init__(self, num: tuple, den: tuple = LP_ONE, _coprime=False):
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if not _canonical:
-            num, den = _normalize(num, den, skip_gcd=_coprime)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        num, den = _normalize(num, den, skip_gcd=_coprime)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
 
     @classmethod
     def const(cls, v):
-        return cls(laurent({0: v}), LP_ONE, _canonical=True)
+        return _ratfunc(_monomial(0, v), LP_ONE)
 
     @classmethod
     def monomial(cls, exp, coef=G_ONE):
-        return cls(laurent({exp: coef}), LP_ONE, _canonical=True)
+        return _ratfunc(_monomial(exp, coef), LP_ONE)
 
     def is_zero(self):
         return not self.num
@@ -464,41 +470,32 @@ class RatFunc:
         if not other.num:
             return self
         if self.den is LP_ONE and other.den is LP_ONE:
-            return RatFunc(_lp_add(self.num, other.num), LP_ONE, _canonical=True)
+            return _ratfunc(_lp_add(self.num, other.num), LP_ONE)
         if self.den == other.den:
             return RatFunc(_lp_add(self.num, other.num), self.den)
         return RatFunc(_lp_add(_lp_mul(self.num, other.den), _lp_mul(other.num, self.den)),
                        _lp_mul(self.den, other.den))
 
     def __sub__(self, other):
-        if not other.num:
-            return self
-        if not self.num:
-            return -other
-        if self.den is LP_ONE and other.den is LP_ONE:
-            return RatFunc(_lp_sub(self.num, other.num), LP_ONE, _canonical=True)
-        if self.den == other.den:
-            return RatFunc(_lp_sub(self.num, other.num), self.den)
-        return RatFunc(_lp_sub(_lp_mul(self.num, other.den), _lp_mul(other.num, self.den)),
-                       _lp_mul(self.den, other.den))
+        return self + -other
 
     def __neg__(self):
         if not self.num:
             return self
-        return RatFunc(_lp_neg(self.num), self.den, _canonical=True)
+        return _ratfunc(_lp_neg(self.num), self.den)
 
     def __mul__(self, other):
         if not self.num or not other.num:
             return RF_ZERO
         if self.den is LP_ONE and other.den is LP_ONE:
-            return RatFunc(_lp_mul(self.num, other.num), LP_ONE, _canonical=True)
+            return _ratfunc(_lp_mul(self.num, other.num), LP_ONE)
         # a product of reduced fractions needs only cross-cancellation: monic
         # denominators divided by monic gcds stay monic with a nonzero
         # constant term, so the product is canonical as built
         n1, d2 = _cross_reduce(self.num, other.den)
         n2, d1 = _cross_reduce(other.num, self.den)
         den = d2 if d1 is LP_ONE else d1 if d2 is LP_ONE else _lp_mul(d1, d2)
-        return RatFunc(_lp_mul(n1, n2), den, _canonical=True)
+        return _ratfunc(_lp_mul(n1, n2), den)
 
     def __truediv__(self, other):
         if not other.num:
@@ -511,7 +508,7 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
+        return hash((self.num, self.den))
 
     def eval_one(self):
         d = _lp_eval_one(self.den)
@@ -533,11 +530,23 @@ class RatFunc:
         return f"RatFunc({self.num!r}, {self.den!r})"
 
 
+_set_num = RatFunc.num.__set__
+_set_den = RatFunc.den.__set__
+
+
+def _ratfunc(num, den):
+    """The RatFunc num/den for a pair already in canonical form, built without __init__."""
+    f = _new(RatFunc)
+    _set_num(f, num)
+    _set_den(f, den)
+    return f
+
+
 def _normalize(num, den, skip_gcd=False):
     if not num:
         return LP_ZERO, LP_ONE
-    vn, dn, nr, ni = _ints(num)
-    vd, dd, dr, di = _ints(den)
+    vn, dn, nr, ni = num
+    vd, dd, dr, di = den
     if not skip_gcd and len(nr) > 1 and len(dr) > 1:
         g = _poly_gcd((nr, ni), _primitive(dr, di))
         if len(g[0]) > 1:
@@ -547,10 +556,10 @@ def _normalize(num, den, skip_gcd=False):
     # dd*conj(c)/|c|^2, for c the denominator's integer lead, make it monic
     cr, ci = dr[-1], -di[-1]
     norm = cr * cr + ci * ci
-    num = _from_ints(vn - vd, dn * norm, *_scale(nr, ni, cr * dd, ci * dd))
+    num = _canon(vn - vd, dn * norm, *_scale(nr, ni, cr * dd, ci * dd))
     if len(dr) == 1:
         return num, LP_ONE
-    return num, _from_ints(0, norm, *_scale(dr, di, cr, ci))
+    return num, _canon(0, norm, *_scale(dr, di, cr, ci))
 
 
 def _cross_reduce(p, q):
@@ -560,25 +569,25 @@ def _cross_reduce(p, q):
     longer operand by the shorter; when that is exact the quotient is the
     answer and no gcd runs.  A denominator reduced to 1 is ``LP_ONE``.
     """
-    if q is LP_ONE or len(p) == 1:
+    vp, dp, pr, pi = p
+    if q is LP_ONE or len(pr) == 1:
         return p, q
-    vp, dp, pr, pi = _ints(p)
-    _, dq, qr, qi = _ints(q)        # q is monic, so its integer lead is dq
+    _, dq, qr, qi = q       # q is monic, so its integer lead is dq
     if len(pr) >= len(qr):
         quo, rem = _divide(pr, pi, dp, (qr, qi))
         if not rem[0]:      # q | p
-            return _from_ints(vp, *quo), LP_ONE
+            return _canon(vp, *quo), LP_ONE
         g = _poly_gcd((qr, qi), _primitive(*rem))
     else:
         pp = _primitive(pr, pi)
         quo, rem = _divide(qr, qi, dq, pp)
         if not rem[0]:      # p | q: the gcd is p/lead(p)
-            return {vp: p[max(p)]}, _from_ints(0, *quo)
+            return _canon(vp, dp, pr[-1:], pi[-1:]), _canon(0, *quo)
         g = _poly_gcd(pp, _primitive(*rem))
     if len(g[0]) == 1:
         return p, q
     # g is a proper divisor of q here, so q/g is not a constant
-    return _from_ints(vp, *_divide(pr, pi, dp, g)[0]), _from_ints(0, *_divide(qr, qi, dq, g)[0])
+    return _canon(vp, *_divide(pr, pi, dp, g)[0]), _canon(0, *_divide(qr, qi, dq, g)[0])
 
 
 RF_ZERO = RatFunc.const(0)
@@ -611,10 +620,6 @@ class Scalar:
     @classmethod
     def from_rat(cls, v):
         return cls(RatFunc.const(v))
-
-    @classmethod
-    def from_gaussian(cls, g):
-        return cls(RatFunc.const(_as_gaussian(g)))
 
     @classmethod
     def i(cls):
@@ -735,12 +740,8 @@ class Scalar:
             return None
         if not f.num:
             return 0
-        if f.num.keys() != {0}:
-            return None
-        g = f.num[0]
-        if g.b or g.d != 1:
-            return None
-        return g.a
+        v, d, re, im = f.num
+        return re[0] if not v and d == 1 and len(re) == 1 and not im[0] else None
 
     def __str__(self):
         if self.is_zero():
@@ -779,10 +780,8 @@ def _scalar(c0, c1):
 def _as_scalar(x):
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction, GaussianRational)):
         return Scalar.from_rat(x)
-    if isinstance(x, GaussianRational):
-        return Scalar.from_gaussian(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
 
 
@@ -802,8 +801,7 @@ def qint(n: int) -> Scalar:
         return S_ZERO
     if n < 0:
         return -qint(-n)
-    coeffs = {2 * (n - 1 - 2 * j): G_ONE for j in range(n)}
-    return Scalar(RatFunc(coeffs, LP_ONE, _canonical=True))
+    return Scalar(_ratfunc(laurent({2 * (n - 1 - 2 * j): 1 for j in range(n)}), LP_ONE))
 
 
 def qint_over_qsum(n: int, a: int) -> Scalar:
@@ -815,22 +813,21 @@ def qint_over_qsum(n: int, a: int) -> Scalar:
     """
     if n == 0 or a not in (0, 1):
         raise ValueError(f"[n]^a/(q^n + q^-n) needs n != 0 and a in {{0, 1}}, got {n}, {a}")
-    m, sign = abs(n), G_ONE if n > 0 else -G_ONE
-    num = {4 * m - 2 - 4 * j: sign for j in range(m)} if a else {2 * m: G_ONE}
-    return Scalar(RatFunc(num, {4 * m: G_ONE, 0: G_ONE}, _canonical=True))
+    m, sign = abs(n), 1 if n > 0 else -1
+    num = {4 * m - 2 - 4 * j: sign for j in range(m)} if a else {2 * m: 1}
+    return Scalar(_ratfunc(laurent(num), laurent({4 * m: 1, 0: 1})))
 
 
 def qint_ratio(k: int, n: int) -> Scalar:
     """[kn]/[n] = sum_(j<k) q^((k-1-2j)n) for k >= 1 and n != 0, a Laurent polynomial."""
     if k < 1 or n == 0:
         raise ValueError(f"[kn]/[n] needs k >= 1 and n != 0, got {k}, {n}")
-    return Scalar(RatFunc({2 * (k - 1 - 2 * j) * n: G_ONE for j in range(k)}, LP_ONE,
-                          _canonical=True))
+    return Scalar(_ratfunc(laurent({2 * (k - 1 - 2 * j) * n: 1 for j in range(k)}), LP_ONE))
 
 
 def q_minus_qinv() -> Scalar:
     """q - 1/q = s^2 - s^-2."""
-    return Scalar(RatFunc({2: G_ONE, -2: -G_ONE}, LP_ONE, _canonical=True))
+    return Scalar(_ratfunc(laurent({2: 1, -2: -1}), LP_ONE))
 
 
 # ---------------------------------------------------------------------------
@@ -865,13 +862,13 @@ class SurdRational:
     def __mul__(self, other):
         a1, b1, a2, b2 = self.rat, self.t_coef, other.rat, other.t_coef
         # (a1 + b1 t)(a2 + b2 t) with t^2 = 2
-        return SurdRational(_mul_add(a1 * a2, b1 + b1, b2), _mul_add(a1 * b2, b1, a2))
+        return SurdRational(a1 * a2 + (b1 + b1) * b2, a1 * b2 + b1 * a2)
 
     def inverse(self):
         # norm form: 1/(a + b t) = (a - b t)/(a^2 - 2 b^2); the norm vanishes
         # only at zero because sqrt(2) is not in Q(i)
         a, b = self.rat, self.t_coef
-        n = _mul_add(a * a, -(b + b), b)
+        n = a * a - (b + b) * b
         if n.is_zero():
             raise ZeroDivisionError("inverse of zero SurdRational")
         return SurdRational(a / n, -b / n)
@@ -1000,12 +997,15 @@ class HSeries:
         return f"HSeries<{self}>"
 
 
-def _lp_to_hseries(p: dict, prec: int) -> HSeries:
+def _lp_to_hseries(p: tuple, prec: int) -> HSeries:
     """Substitute s = exp(i h / 2) exactly, order by order."""
     out = {}
-    for k, g in p.items():
+    v, d, re, im = p
+    for k, (x, y) in enumerate(zip(re, im), start=v):
+        if not (x or y):
+            continue
         base = GaussianRational(0, Fraction(k, 2))  # i*k/2
-        cur = g
+        cur = _reduce(x, y, d)
         out[0] = out.get(0, G_ZERO) + cur
         for m in range(1, prec):
             cur = cur * base / m
@@ -1013,20 +1013,19 @@ def _lp_to_hseries(p: dict, prec: int) -> HSeries:
     return HSeries({m: SurdRational(g) for m, g in out.items()}, prec)
 
 
-def _order_at_one(p: dict) -> int:
+def _order_at_one(p: tuple) -> int:
     """The order in h of p(exp(i h / 2)): the number of factors (s - 1) of p.
 
     The h^k coefficient is proportional to the moment sum_j c_j j^k, and the
     moments k < m of m distinct exponents cannot all vanish (Vandermonde),
     so the order is below the number of terms.
     """
-    for k in range(len(p)):
-        total = G_ZERO
-        for j, g in p.items():
-            total = _mul_add(total, g, _make(j ** k, 0, 1))
-        if total.a or total.b:
+    v, _, re, im = p
+    terms = [(j, x, y) for j, (x, y) in enumerate(zip(re, im), start=v) if x or y]
+    for k in range(len(terms)):
+        if sum(x * j ** k for j, x, _ in terms) or sum(y * j ** k for j, _, y in terms):
             return k
-    raise ArithmeticError(f"no nonzero moment below {len(p)} for {_lp_str(p)}")
+    raise ArithmeticError(f"no nonzero moment below {len(terms)} for {_lp_str(p)}")
 
 
 def taylor_q1(x: Scalar, order: int) -> HSeries:

@@ -246,9 +246,9 @@ def test_report_matches_golden(scenario, window):
     assert _report_without_seconds(RunConfig(scenario=scenario, window=window)) == golden
 
 
-def _golden_digest_matches(window):
-    want = (GOLDEN / f"q-sl2-window{window}.sha256").read_text().split()[0]
-    rep = run(RunConfig(scenario="q-sl2", window=window))
+def _golden_digest_matches(window, scenario="q-sl2"):
+    want = (GOLDEN / f"{scenario}-window{window}.sha256").read_text().split()[0]
+    rep = run(RunConfig(scenario=scenario, window=window))
     text = json.dumps(rep.strip_durations(), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest() == want
 
@@ -263,6 +263,12 @@ def test_report_matches_golden_digest_at_window_24():
     # degrees reach 216 here, where pseudo-division growth and the removal of
     # integer content matter and window 12 does not reach
     assert _golden_digest_matches(24)
+
+
+def test_report_matches_golden_digest_classical_at_window_512():
+    # 1025 modes of degree-0 coefficients, the benchmark's classical-wide-512
+    # workload: every engine and expected string of its report is pinned
+    assert _golden_digest_matches(512, scenario="classical-sl2")
 
 
 def test_limit_records_match_golden():

@@ -44,9 +44,13 @@ def scalar_to_sympy(v: Scalar):
     f = v.c[0]
 
     def lp(p):
+        # the engine's polynomial s^v (re + i*im)/d, or () for zero
+        if not p:
+            return sympy.Integer(0)
+        v, d, re, im = p
         return sum(
-            (sympy.Rational(g.re) + sympy.I * sympy.Rational(g.im)) * _s**k
-            for k, g in p.items()
+            (sympy.Rational(x, d) + sympy.I * sympy.Rational(y, d)) * _s**k
+            for k, (x, y) in enumerate(zip(re, im), start=v)
         )
 
     return sympy.cancel(lp(f.num) / lp(f.den))

@@ -5,10 +5,11 @@ from functools import reduce
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from qvir import qcoeff
 from qvir.qcoeff import (
+    G_ONE,
     G_ZERO,
     GaussianRational,
     PoleAtQ1Error,
@@ -31,6 +32,20 @@ from qvir.qcoeff import (
 
 def spow(k):
     return Scalar.s_power(k)
+
+
+def as_dict(p):
+    """The engine's polynomial s^v (re + i*im)/d as {exponent: nonzero GaussianRational}."""
+    if not p:
+        return {}
+    v, d, re, im = p
+    return {v + j: GaussianRational(Fraction(x, d), Fraction(y, d))
+            for j, (x, y) in enumerate(zip(re, im)) if x or y}
+
+
+# the same examples, without hypothesis shrinking: the draws of the
+# reference properties are costly to replay, so a failure is reported as found
+NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +129,7 @@ def test_polynomial_product_accumulates_exactly(w, x, y):
     p = qcoeff._lp_mul(laurent({0: GaussianRational(*w), 1: GaussianRational(*x)}),
                        laurent({0: 1, -1: GaussianRational(*y)}))
     xy = ref_mul(x, y)
-    assert_matches(p.get(0, GaussianRational(0)), (w[0] + xy[0], w[1] + xy[1]))
+    assert_matches(as_dict(p).get(0, GaussianRational(0)), (w[0] + xy[0], w[1] + xy[1]))
 
 
 def test_gaussian_zero_and_inverse_of_zero():
@@ -145,11 +160,10 @@ def test_gaussian_from_fractions():
 # representation guard: no Fraction stored inside the hot-path values
 # ---------------------------------------------------------------------------
 
-def gaussians_in(x):
-    """Every GaussianRational held by a Scalar or a RatFunc."""
+def polys_in(x):
+    """Every nonzero polynomial tuple held by a Scalar or a RatFunc."""
     for f in (x.c if isinstance(x, Scalar) else (x,)):
-        for p in (f.num, f.den):
-            yield from p.values()
+        yield from (p for p in (f.num, f.den) if p)
 
 
 def test_gaussian_rationals_hold_only_ints():
@@ -161,11 +175,14 @@ def test_gaussian_rationals_hold_only_ints():
     den = qcoeff._lp_mul(common, laurent({1: 1, 0: -3}))
     f = RatFunc(num, den)
     assert f == RatFunc(laurent({1: Fraction(1, 3), 0: 2}), laurent({1: 1, 0: -3}))
-    seen = list(gaussians_in(x)) + list(gaussians_in(f))
-    assert any(g.d != 1 for g in seen)
-    for g in seen:
-        assert not hasattr(g, "__dict__")
-        assert all(type(getattr(g, name)) is int for name in GaussianRational.__slots__)
+    # every polynomial is a tuple (v, d, re, im) of ints and tuples of ints
+    seen = list(polys_in(x)) + list(polys_in(f))
+    assert any(p[1] != 1 for p in seen)
+    for p in seen:
+        assert type(p) is tuple and len(p) == 4
+        v, d, re, im = p
+        assert type(re) is tuple and type(im) is tuple
+        assert all(type(n) is int for n in (v, d, *re, *im))
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +334,26 @@ OPS = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
        "mul": lambda a, b: a * b, "div": lambda a, b: a / b}
 
 
+def assert_canonical_lp(p):
+    # zero is LP_ZERO; else both ends are nonzero, d > 0 and the content is 1
+    if not p:
+        assert type(p) is tuple and p == qcoeff.LP_ZERO
+        return
+    v, d, re, im = p
+    assert type(re) is tuple and type(im) is tuple and len(re) == len(im) >= 1
+    assert all(type(n) is int for n in (v, d, *re, *im))
+    assert d > 0 and gcd(d, *re, *im) == 1
+    assert (re[0] or im[0]) and (re[-1] or im[-1])
+
+
 def assert_canonical_ratfunc(r):
     # a monic denominator of lowest exponent 0, the shared LP_ONE when it is 1
+    assert_canonical_lp(r.num)
+    assert_canonical_lp(r.den)
+    v, d, re, im = r.den
+    assert v == 0 and re[-1] == d and im[-1] == 0
     assert (r.den == qcoeff.LP_ONE) == (r.den is qcoeff.LP_ONE)
-    assert min(r.den) == 0 and r.den[max(r.den)] == GaussianRational(1)
-    for p in (r.num, r.den):
-        assert all(type(g) is GaussianRational and not g.is_zero() for g in p.values())
+    assert r.num or r.den is qcoeff.LP_ONE
 
 
 @settings(max_examples=50, deadline=None)
@@ -333,7 +364,7 @@ def test_unit_denominator_is_the_shared_one(x, steps):
     # identity the polynomial fast paths of RatFunc rely on; every result is
     # in canonical form, and no operation mutates an operand's polynomials
     def polys(*values):
-        return [(dict(v.num), dict(v.den)) for v in values]
+        return [(v.num, v.den) for v in values]
 
     acc = x
     for op, y in steps:
@@ -344,7 +375,100 @@ def test_unit_denominator_is_the_shared_one(x, steps):
         assert polys(prev, y, acc) == before + after_op
         for r in results:
             assert_canonical_ratfunc(r)
-    assert qcoeff.LP_ONE == {0: GaussianRational(1)} and qcoeff.LP_ZERO == {}
+    assert qcoeff.LP_ONE == (0, 1, (1,), (0,)) and qcoeff.LP_ZERO == ()
+
+
+# ---------------------------------------------------------------------------
+# reference: polynomials as dicts {exponent: nonzero GaussianRational}
+# ---------------------------------------------------------------------------
+# The engine's polynomials are integer tuples over one common denominator;
+# this is the dict-of-GaussianRational arithmetic they replaced, one exact
+# reduction per coefficient.  Both must agree term by term and in print.
+
+def ref_lp_add(p, q):
+    out = dict(p)
+    for k, v in q.items():
+        w = out.get(k, G_ZERO) + v
+        if w.is_zero():
+            out.pop(k, None)
+        else:
+            out[k] = w
+    return out
+
+
+def ref_lp_neg(p):
+    return {k: -v for k, v in p.items()}
+
+
+def ref_lp_mul(p, q):
+    out = {}
+    for k1, v1 in p.items():
+        for k2, v2 in q.items():
+            out[k1 + k2] = out.get(k1 + k2, G_ZERO) + v1 * v2
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def ref_lp_eval_one(p):
+    return sum(p.values(), G_ZERO)
+
+
+def ref_lp_str(p):
+    if not p:
+        return "0"
+    parts = []
+    for k in sorted(p, reverse=True):
+        vs = str(p[k])
+        if ("+" in vs[1:]) or ("-" in vs[1:]):
+            vs = f"({vs})"
+        if k == 0:
+            parts.append(vs)
+        else:
+            mono = "s" if k == 1 else f"s^{k}"
+            parts.append(mono if vs == "1" else f"-{mono}" if vs == "-1" else f"{vs}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+nonzero_gaussians = gaussians.filter(lambda g: not g.is_zero())
+# sparse q-integer-like polynomials c*s^shift*[n]_(s^2), one term in every 4th
+# power, and dense ones with non-integral and Gaussian coefficients, zero included
+lp_dicts = st.one_of(
+    st.builds(lambda n, c, shift: {shift + 2 * (n - 1 - 2 * j): c for j in range(n)},
+              st.integers(1, 8), st.one_of(st.just(GaussianRational(1)), nonzero_gaussians),
+              st.integers(-3, 3)),
+    st.dictionaries(st.integers(-6, 6), nonzero_gaussians, max_size=5),
+)
+
+
+@st.composite
+def lp_pairs(draw):
+    """(p, q) as dicts; in about half the draws p + q cancels p's top term,
+    its lowest term or all of p."""
+    p, q = draw(lp_dicts), draw(lp_dicts)
+    if p and draw(st.booleans()):
+        keys = {"top": [max(p)], "low": [min(p)], "all": list(p)}[
+            draw(st.sampled_from(("top", "low", "all")))]
+        q = {k: v for k, v in q.items() if k not in keys} | {k: -p[k] for k in keys}
+    return p, q
+
+
+@settings(max_examples=200, deadline=None, phases=NO_SHRINK)
+@given(lp_pairs())
+def test_polynomial_ops_match_the_dict_reference(pq):
+    # sum, difference, product and negation of integer tuples are the
+    # canonical tuples of the dict results, with the same value at s = 1 and
+    # the same printed form
+    p, q = pq
+    tp, tq = laurent(p), laurent(q)
+    assert as_dict(tp) == p and as_dict(tq) == q
+    for got, want in ((qcoeff._lp_add(tp, tq), ref_lp_add(p, q)),
+                      (qcoeff._lp_add(tp, qcoeff._lp_neg(tq)), ref_lp_add(p, ref_lp_neg(q))),
+                      (qcoeff._lp_mul(tp, tq), ref_lp_mul(p, q)),
+                      (qcoeff._lp_mul(tq, tp), ref_lp_mul(p, q)),
+                      (qcoeff._lp_neg(tp), ref_lp_neg(p))):
+        assert_canonical_lp(got)
+        assert as_dict(got) == want and got == laurent(want)
+        assert qcoeff._lp_eval_one(got) == ref_lp_eval_one(want)
+        assert qcoeff._lp_str(got) == ref_lp_str(want)
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +526,14 @@ def ref_from_dense(v, coeffs):
     return {v + i: g for i, g in enumerate(coeffs) if not g.is_zero()}
 
 
+REF_ONE = {0: GaussianRational(1)}
+
+
 def ref_normalize(num, den):
-    """Canonical (num, den): gcd divided out, denominator monic of lowest exponent 0."""
+    """Canonical (num, den) of dicts: gcd divided out, denominator monic of
+    lowest exponent 0."""
     if not num:
-        return {}, qcoeff.LP_ONE
+        return {}, REF_ONE
     vn, dn = ref_dense(num)
     vd, dd = ref_dense(den)
     g = ref_poly_gcd(dn, dd)
@@ -414,26 +542,29 @@ def ref_normalize(num, den):
     inv_lead = dd[-1].inverse()
     num = ref_from_dense(vn - vd, [x * inv_lead for x in dn])
     if len(dd) == 1:
-        return num, qcoeff.LP_ONE
+        return num, REF_ONE
     return num, ref_from_dense(0, [x * inv_lead for x in dd])
 
 
 def ref_ratfunc(num, den):
-    return RatFunc(*ref_normalize(num, den), _canonical=True)
+    """The RatFunc of dicts num/den, in canonical form by the reference Euclid."""
+    num, den = ref_normalize(num, den)
+    return qcoeff._ratfunc(laurent(num), qcoeff.LP_ONE if den == REF_ONE else laurent(den))
 
 
 def test_reference_euclid_reduces_by_hand():
     # (s^2 - 1)/(s^2 + (1/2 - i) s - i/2) = (s - 1)/(s + 1/2) over the common
     # factor s + 1, with s - i cancelled: a non-integral and a Gaussian root
-    common = laurent({1: 1, 0: 1})
-    num = qcoeff._lp_mul(common, laurent({1: 1, 0: -1}))
-    den = qcoeff._lp_mul(common, laurent({1: 1, 0: Fraction(1, 2)}))
-    den_i = qcoeff._lp_mul(den, laurent({1: 1, 0: -GaussianRational(0, 1)}))
-    num_i = qcoeff._lp_mul(num, laurent({1: 1, 0: -GaussianRational(0, 1)}))
+    common = {1: G_ONE, 0: G_ONE}
+    num = ref_lp_mul(common, {1: G_ONE, 0: -G_ONE})
+    den = ref_lp_mul(common, {1: G_ONE, 0: GaussianRational(Fraction(1, 2))})
+    den_i = ref_lp_mul(den, {1: G_ONE, 0: -GaussianRational(0, 1)})
+    num_i = ref_lp_mul(num, {1: G_ONE, 0: -GaussianRational(0, 1)})
     want = ({1: GaussianRational(1), 0: GaussianRational(-1)},
             {1: GaussianRational(1), 0: GaussianRational(Fraction(1, 2))})
     assert ref_normalize(num, den) == want == ref_normalize(num_i, den_i)
-    assert (RatFunc(num_i, den_i).num, RatFunc(num_i, den_i).den) == want
+    got = RatFunc(laurent(num_i), laurent(den_i))
+    assert (as_dict(got.num), as_dict(got.den)) == want
 
 
 def cross_branch(p, q):
@@ -442,9 +573,9 @@ def cross_branch(p, q):
     Read off the engine's integer pseudo-division, and checked against the
     reference division over the Gaussian rationals.
     """
-    pr, pi = qcoeff._ints(p)[2:]
-    qr, qi = qcoeff._ints(q)[2:]
-    dp, dq = ref_dense(p)[1], ref_dense(q)[1]
+    pr, pi = p[2:]
+    qr, qi = q[2:]
+    dp, dq = ref_dense(as_dict(p))[1], ref_dense(as_dict(q))[1]
     if len(pr) >= len(qr):
         exact = not qcoeff._pdivmod(pr, pi, qr, qi)[1][0]
         assert exact == (not ref_poly_divmod(dp, dq)[1])
@@ -522,23 +653,25 @@ def reference_pairs(draw):
     num_a, den_b = {"q|p": (qcoeff._lp_mul(f, g), f),
                     "p|q": (f, qcoeff._lp_mul(f, g)),
                     "gcd": (qcoeff._lp_mul(f, g), qcoeff._lp_mul(f, h))}[branch]
-    a = ref_ratfunc(num_a, draw(st.one_of(any_factors, small_polys)))
-    b = ref_ratfunc(draw(st.one_of(small_factors, small_polys)), den_b)
+    a = ref_ratfunc(as_dict(num_a), as_dict(draw(st.one_of(any_factors, small_polys))))
+    b = ref_ratfunc(as_dict(draw(st.one_of(small_factors, small_polys))), as_dict(den_b))
     assume(cross_branch(a.num, b.den) == branch)
     return branch, a, b
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, phases=NO_SHRINK)
 @given(reference_pairs())
 def test_arithmetic_matches_the_reference_euclid(case):
     # products, quotients, sums and fresh fractions from the integer gcd path
-    # are the canonical fractions of the GaussianRational Euclid
+    # are the canonical fractions of the GaussianRational Euclid, with the
+    # unreduced numerators and denominators built by the dict reference
     _, a, b = case
-    mul, add = qcoeff._lp_mul, qcoeff._lp_add
-    for got, num, den in ((a * b, mul(a.num, b.num), mul(a.den, b.den)),
-                          (a / b, mul(a.num, b.den), mul(a.den, b.num)),
-                          (a + b, add(mul(a.num, b.den), mul(b.num, a.den)), mul(a.den, b.den)),
-                          (RatFunc(a.num, b.den), a.num, b.den)):
+    mul, add = ref_lp_mul, ref_lp_add
+    an, ad, bn, bd = (as_dict(p) for p in (a.num, a.den, b.num, b.den))
+    for got, num, den in ((a * b, mul(an, bn), mul(ad, bd)),
+                          (a / b, mul(an, bd), mul(ad, bn)),
+                          (a + b, add(mul(an, bd), mul(bn, ad)), mul(ad, bd)),
+                          (RatFunc(a.num, b.den), an, bd)):
         want = ref_ratfunc(num, den)
         assert (got.num, got.den) == (want.num, want.den)
         assert_canonical_ratfunc(got)
@@ -722,7 +855,7 @@ def test_taylor_matches_sympy_series_with_t_part_and_third_order_pole():
 
     def at_exp(f):
         def lp(p):
-            return sum(gauss(g) * sympy.exp(sympy.I * k * h / 2) for k, g in p.items())
+            return sum(gauss(g) * sympy.exp(sympy.I * k * h / 2) for k, g in as_dict(p).items())
         return lp(f.num) / lp(f.den)
 
     assert engine.valuation() == -3
