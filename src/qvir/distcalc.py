@@ -2,10 +2,11 @@
 
 A two-point distribution is a bilateral series sum_n c_n x^n in x = w/z,
 held as exact per-mode coefficients for |n| <= N.  Rational exchange
-kernels expand into either region (|z|>|w| or |w|>|z|); the difference of
-the two expansions is the delta-supported content of a commutator.  The
-residue pairing of translation-covariant distributions is diagonal in
-modes, which is what makes the whole calculus windowable without loss.
+kernels, products of linear factors (1 - r x)^(-k), expand into either
+region (|z|>|w| or |w|>|z|); the difference of the two expansions is the
+delta-supported content of a commutator.  The residue pairing of
+translation-covariant distributions is diagonal in modes, which is what
+makes the whole calculus windowable without loss.
 """
 
 from __future__ import annotations
@@ -184,21 +185,32 @@ class Dist2:
 
 
 class RatKernel:
-    """Degree-zero rational kernel c * x^m * P(x)/Q(x) in x = w/z.
+    """Degree-zero rational kernel c * x^m * u * prod_r (1 - r x)^(-k_r) in x = w/z.
 
-    P and Q are polynomials with Scalar coefficients (lists indexed by
-    degree), kept coprime with Q(0) != 0 after monomial factoring.
+    ``roots`` maps each nonzero Scalar root r to a nonzero integer
+    multiplicity k_r (positive for a denominator factor); c is kept as
+    given and u is the numerator's constant term.  Products and quotients
+    cancel common factors by merging multiplicities, with no gcd.  The
+    expansions ``num`` = u * prod (1 - a x) and ``den`` = prod (1 - b x)
+    (tuples indexed by degree, den[0] = 1) serve printing, the region
+    expansions and the pole checks.
     """
 
-    __slots__ = ("c", "m", "num", "den")
+    __slots__ = ("c", "m", "u", "roots", "num", "den")
 
-    def __init__(self, c: Scalar, m: int, num, den, _canonical=False):
-        num = list(num)
-        den = list(den)
-        if not _canonical:
-            c, m, num, den = _kernel_normalize(c, m, num, den)
+    def __init__(self, c: Scalar, m: int, u: Scalar, roots: dict):
+        roots = {r: k for r, k in roots.items() if k}
+        num, den = [u], [S_ONE]
+        for r, k in roots.items():
+            for _ in range(abs(k)):
+                if k > 0:
+                    den = _poly_mul(den, [S_ONE, -r])
+                else:
+                    num = _poly_mul(num, [S_ONE, -r])
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "m", m)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "num", tuple(num))
         object.__setattr__(self, "den", tuple(den))
 
@@ -207,53 +219,48 @@ class RatKernel:
 
     @classmethod
     def const(cls, c: Scalar):
-        return cls(c, 0, [S_ONE], [S_ONE])
+        return cls(c, 0, S_ONE, {})
 
     @classmethod
     def monomial(cls, c: Scalar, m: int):
-        return cls(c, m, [S_ONE], [S_ONE])
+        return cls(c, m, S_ONE, {})
 
     @classmethod
     def from_linear_factors(cls, c: Scalar, m: int, num_roots, den_roots):
         """c * x^m * prod(1 - a*x) / prod(1 - b*x) for a in num_roots, b in den_roots."""
-        num = [S_ONE]
-        for a in num_roots:
-            num = _poly_mul(num, [S_ONE, -a])
-        den = [S_ONE]
-        for b in den_roots:
-            den = _poly_mul(den, [S_ONE, -b])
-        return cls(c, m, num, den)
+        roots = {}
+        for sign, rs in ((-1, num_roots), (1, den_roots)):
+            for r in rs:
+                if not r.is_zero():
+                    roots[r] = roots.get(r, 0) + sign
+        return cls(c, m, S_ONE, roots)
 
     def is_zero(self):
         return self.c.is_zero()
 
-    def is_laurent(self):
-        """True when the kernel is a Laurent polynomial (trivial denominator)."""
-        return len(self.den) == 1
-
     def as_laurent(self) -> dict[int, Scalar]:
-        if not self.is_laurent():
+        if len(self.den) > 1:
             raise ValueError("kernel has a nontrivial denominator")
-        inv = self.den[0].inverse()
-        return {self.m + j: self.c * a * inv for j, a in enumerate(self.num) if not a.is_zero()}
+        return {self.m + j: self.c * a for j, a in enumerate(self.num) if not a.is_zero()}
 
     def __mul__(self, other):
-        return RatKernel(self.c * other.c, self.m + other.m,
-                         _poly_mul(list(self.num), list(other.num)),
-                         _poly_mul(list(self.den), list(other.den)))
+        return RatKernel(self.c * other.c, self.m + other.m, self.u * other.u,
+                         _merge(self.roots, other.roots, 1))
 
     def __truediv__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("division by zero kernel")
-        return RatKernel(self.c / other.c, self.m - other.m,
-                         _poly_mul(list(self.num), list(other.den)),
-                         _poly_mul(list(self.den), list(other.num)))
+        return RatKernel(self.c / other.c, self.m - other.m, self.u / other.u,
+                         _merge(self.roots, other.roots, -1))
 
     def reciprocal_arg(self) -> "RatKernel":
-        """The kernel K(1/x) as a rational kernel in x."""
-        dn, dd = len(self.num) - 1, len(self.den) - 1
-        return RatKernel(self.c, -self.m - dn + dd,
-                         list(reversed(self.num)), list(reversed(self.den)))
+        """The kernel K(1/x) as a rational kernel in x, through
+        (1 - r/x) = (-r/x)(1 - x/r)."""
+        u = self.u
+        for r, k in self.roots.items():
+            u = u * (-r) ** -k
+        return RatKernel(self.c, -self.m + sum(self.roots.values()), u,
+                         {r.inverse(): k for r, k in self.roots.items()})
 
     def den_root_check(self, x0: Scalar) -> bool:
         return _poly_eval(self.den, x0).is_zero()
@@ -270,13 +277,9 @@ class RatKernel:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return self.is_zero() and other.is_zero()
-        # cross-multiplied comparison: c1 x^m1 P1 Q2 == c2 x^m2 P2 Q1
-        left = _poly_mul([self.c * a for a in self.num], list(other.den))
-        right = _poly_mul([other.c * a for a in other.num], list(self.den))
-        shift = self.m - other.m
-        l = {i + shift: v for i, v in enumerate(left) if not v.is_zero()}
-        r = {i: v for i, v in enumerate(right) if not v.is_zero()}
-        return l == r
+        # polynomials over a field factor uniquely: equal values share m and roots
+        return (self.m == other.m and self.roots == other.roots
+                and self.c * self.u == other.c * other.u)
 
     def __str__(self):
         def poly_str(p):
@@ -295,6 +298,13 @@ class RatKernel:
 
     def __repr__(self):
         return f"RatKernel<{self}>"
+
+
+def _merge(a: dict, b: dict, sign: int) -> dict:
+    out = dict(a)
+    for r, k in b.items():
+        out[r] = out.get(r, 0) + sign * k
+    return out
 
 
 def _poly_mul(a, b):
@@ -316,80 +326,6 @@ def _poly_eval(p, x0: Scalar) -> Scalar:
 
 def _poly_derivative(p):
     return [a * k for k, a in enumerate(p)][1:] or [S_ZERO]
-
-
-def _poly_trim(p):
-    p = list(p)
-    while len(p) > 1 and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def _poly_divmod_s(a, b):
-    """Polynomial division over the Scalar field."""
-    a = list(a)
-    q = [S_ZERO] * max(1, len(a) - len(b) + 1)
-    inv_lead = b[-1].inverse()
-    for i in range(len(a) - len(b), -1, -1):
-        f = a[i + len(b) - 1] * inv_lead
-        if f.is_zero():
-            continue
-        q[i] = f
-        for j, bj in enumerate(b):
-            a[i + j] = a[i + j] - f * bj
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_gcd_s(a, b):
-    """Monic gcd over the Scalar field; the Euclidean descent ends because
-    each remainder is shorter than its divisor (else ArithmeticError)."""
-    a, b = _poly_trim(a), _poly_trim(b)
-    if a == [S_ZERO] or (len(a) == 1 and a[0].is_zero()):
-        a = []
-    if len(b) == 1 and b[0].is_zero():
-        b = []
-    while b:
-        _, r = _poly_divmod_s(a, b)
-        if len(r) == 1 and r[0].is_zero():
-            r = []
-        if len(r) >= len(b):
-            raise ArithmeticError(f"remainder of length {len(r)} is not shorter "
-                                  f"than its divisor of length {len(b)}")
-        if r:
-            inv = r[-1].inverse()
-            r = [x * inv for x in r]
-        a, b = b, r
-    if not a:
-        return [S_ONE]
-    inv = a[-1].inverse()
-    return [x * inv for x in a]
-
-
-def _kernel_normalize(c, m, num, den):
-    num = _poly_trim(num)
-    den = _poly_trim(den)
-    if all(a.is_zero() for a in num):
-        return S_ZERO, 0, [S_ONE], [S_ONE]
-    if all(a.is_zero() for a in den):
-        raise ZeroDivisionError("zero kernel denominator")
-    # factor pure powers of x into the monomial exponent
-    while num[0].is_zero():
-        num.pop(0)
-        m += 1
-    while den[0].is_zero():
-        den.pop(0)
-        m -= 1
-    if len(num) > 1 and len(den) > 1:
-        g = _poly_gcd_s(list(num), list(den))
-        if len(g) > 1:
-            num, _ = _poly_divmod_s(num, g)
-            den, _ = _poly_divmod_s(den, g)
-    # scale so the constant coefficient of the denominator is one
-    d0 = den[0].inverse()
-    den = [a * d0 for a in den]
-    num = [a * d0 for a in num]
-    # c is kept as given; equality goes through cross-multiplication
-    return c, m, num, den
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,9 @@ class GaussianRational:
 
     Canonical means d > 0 and gcd(a, b, d) = 1, with zero stored as
     (0, 0, 1); equality and hashing then compare the triples.  Every
-    operation is integer arithmetic followed by one 3-way gcd.  ``re`` and
-    ``im`` give the parts as ``Fraction`` for printing and for callers
-    that want them.
+    operation is integer arithmetic followed by one 3-way gcd, and printing
+    reduces each part by one gcd.  ``re`` and ``im`` give the parts as
+    ``Fraction`` for callers that want them.
     """
 
     __slots__ = ("a", "b", "d")
@@ -157,17 +157,23 @@ class GaussianRational:
         return hash((self.a, self.b, self.d))
 
     def __str__(self):
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        ims = "i" if abs(im) == 1 else f"{abs(im)}*i"
-        if re == 0:
-            return ims if im > 0 else "-" + ims
-        sign = "+" if im > 0 else "-"
-        return f"{re}{sign}{ims}"
+        a, b, d = self.a, self.b, self.d
+        re = _ratio_str(a, d)
+        if not b:
+            return re
+        ims = "i" if abs(b) == d else f"{_ratio_str(abs(b), d)}*i"
+        if not a:
+            return ims if b > 0 else "-" + ims
+        return f"{re}{'+' if b > 0 else '-'}{ims}"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+def _ratio_str(n, d):
+    """n/d (d > 0) printed in lowest terms, as str(Fraction(n, d)) prints it."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 _new = object.__new__

@@ -7,7 +7,8 @@ linear form in one oscillator family alpha_n (with
 exponential past the creation half of another produces an exact scalar
 kernel: a rational function of x = w/z times a monomial in z and an
 integer power of q.  Each kernel is read off the two fields' closed-form
-mode terms as a product prod (1 - lambda x)^(-c), exact for every mode.
+mode terms as a product prod (1 - lambda x)^(-c), exact for every mode,
+and reconstructed as a RatKernel with those roots and multiplicities.
 """
 
 from __future__ import annotations
@@ -187,10 +188,7 @@ def contract(A: ExpField, B: ExpField) -> LogKernel:
 def reconstruct_kernel(mult: dict) -> RatKernel:
     """prod_e (1 - s^e x)^(-mult[e]): the exponential of the log series
     sum_n sum_e mult[e] s^(e n) x^n / n, exact for every mode."""
-    num, den = [], []
-    for e, c in mult.items():
-        (den if c > 0 else num).extend([Scalar.s_power(e)] * abs(c))
-    return RatKernel.from_linear_factors(S_ONE, 0, num, den)
+    return RatKernel(S_ONE, 0, S_ONE, {Scalar.s_power(e): c for e, c in mult.items()})
 
 
 @dataclass(frozen=True)

@@ -253,6 +253,12 @@ def _golden_digest_matches(window, scenario="q-sl2"):
     return hashlib.sha256(text.encode()).hexdigest() == want
 
 
+def test_report_matches_golden_digest_at_window_6():
+    # the benchmark's q-full-6 workload: every engine and expected string of
+    # its report is pinned
+    assert _golden_digest_matches(6)
+
+
 def test_report_matches_golden_digest_at_window_12():
     # the gcd path reaches degree 48 here, far beyond the window-5 golden; the
     # digest pins every engine and expected string of the full report

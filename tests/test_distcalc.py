@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import Phase, given, settings, strategies as st
 
-from qvir import distcalc
 from qvir.qcoeff import S_I, S_ONE, S_ZERO, Scalar, q_minus_qinv, qint
 from qvir.distcalc import (
     Dist2,
@@ -96,14 +96,14 @@ def assert_matches_oracle(D: Dist2, oracle: dict, N: int):
 # ---------------------------------------------------------------------------
 
 def test_inner_geometric():
-    K = RatKernel(S_ONE, 0, [S_ONE], [S_ONE, -S_ONE])  # 1/(1-x)
+    K = RatKernel.from_linear_factors(S_ONE, 0, [], [S_ONE])  # 1/(1-x)
     D = expand_inner(K, W)
     for n in W.modes():
         assert D.coeff(n) == (S_ONE if n >= 0 else S_ZERO)
 
 
 def test_inner_geometric_shifted():
-    K = RatKernel(S_ONE, 0, [S_ONE], [S_ONE, -Q(1)])  # 1/(1-qx)
+    K = RatKernel.from_linear_factors(S_ONE, 0, [], [Q(1)])  # 1/(1-qx)
     D = expand_inner(K, W)
     for n in W.modes():
         assert D.coeff(n) == (qpow(n) if n >= 0 else S_ZERO)
@@ -137,7 +137,7 @@ def test_inner_times_denominator_recovers_numerator():
 # ---------------------------------------------------------------------------
 
 def test_outer_geometric():
-    K = RatKernel(S_ONE, 0, [S_ONE], [S_ONE, -S_ONE])  # 1/(1-x) -> -sum_{n>=1} x^-n
+    K = RatKernel.from_linear_factors(S_ONE, 0, [], [S_ONE])  # 1/(1-x) -> -sum_{n>=1} x^-n
     D = expand_outer(K, W)
     for n in W.modes():
         assert D.coeff(n) == (-S_ONE if n <= -1 else S_ZERO)
@@ -168,14 +168,15 @@ def test_outer_against_sympy_oracle():
 # ---------------------------------------------------------------------------
 
 def test_region_difference_delta():
-    K = RatKernel(S_ONE, 0, [S_ONE], [S_ONE, -Q(1)])  # 1/(1-qx)
+    K = RatKernel.from_linear_factors(S_ONE, 0, [], [Q(1)])  # 1/(1-qx)
     D = region_difference(K, W)
     for n in W.modes():
         assert D.coeff(n) == qpow(n)
 
 
 def test_region_difference_polynomial_vanishes():
-    K = RatKernel(S_I, -2, [S_ONE, Q(1), Q(-3)], [S_ONE])
+    # i x^-2 (1 - q x)(1 - q^-3 x): a Laurent kernel needs linear factors
+    K = RatKernel.from_linear_factors(S_I, -2, [Q(1), Q(-3)], [])
     assert region_difference(K, W).is_zero()
 
 
@@ -299,8 +300,8 @@ def test_weight_inverse_pair():
 
 def test_kernel_equality_cross_multiplied():
     K1 = RatKernel.from_linear_factors(Q(2), 0, [Q(-2)], [Q(2)])
-    # same kernel written as (q^2 z - w)/(z - q^2 w) = q^2 (1 - q^-2 x)/(1 - q^2 x)
-    K2 = RatKernel(S_ONE, 0, [Q(2), -S_ONE], [S_ONE, -Q(2)])
+    # the same kernel with the constant q^2 in u instead of c
+    K2 = RatKernel(S_ONE, 0, Q(2), {Q(-2): -1, Q(2): 1})
     assert K1 == K2
 
 
@@ -322,9 +323,181 @@ def test_symmetric_kernel_fixed_by_reciprocal():
     assert K.reciprocal_arg() == K
 
 
-def test_kernel_gcd_raises_when_a_remainder_does_not_shrink(monkeypatch):
-    # a division that hands the dividend back as its remainder would make the
-    # Euclidean loop swap the two polynomials forever
-    monkeypatch.setattr(distcalc, "_poly_divmod_s", lambda a, b: ([S_ZERO], list(a)))
-    with pytest.raises(ArithmeticError, match="not shorter than its divisor"):
-        distcalc._poly_gcd_s([S_ONE, S_ONE, S_ONE], [S_ONE, S_ONE])
+
+# ---------------------------------------------------------------------------
+# Factored kernels against the dense reference: expanded polynomials made
+# coprime by a Euclidean gcd over the Scalar field, equality by
+# cross-multiplication (test-only)
+# ---------------------------------------------------------------------------
+
+def ref_poly_mul(a, b):
+    out = [S_ZERO] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def ref_poly_trim(p):
+    p = list(p)
+    while len(p) > 1 and p[-1].is_zero():
+        p.pop()
+    return p
+
+
+def ref_poly_divmod(a, b):
+    a = list(a)
+    q = [S_ZERO] * max(1, len(a) - len(b) + 1)
+    inv_lead = b[-1].inverse()
+    for i in range(len(a) - len(b), -1, -1):
+        f = a[i + len(b) - 1] * inv_lead
+        if f.is_zero():
+            continue
+        q[i] = f
+        for j, bj in enumerate(b):
+            a[i + j] = a[i + j] - f * bj
+    return ref_poly_trim(q), ref_poly_trim(a)
+
+
+def ref_poly_gcd(a, b):
+    """Monic gcd over the Scalar field."""
+    a, b = ref_poly_trim(a), ref_poly_trim(b)
+    if len(a) == 1 and a[0].is_zero():
+        a = []
+    if len(b) == 1 and b[0].is_zero():
+        b = []
+    while b:
+        _, r = ref_poly_divmod(a, b)
+        if len(r) == 1 and r[0].is_zero():
+            r = []
+        assert len(r) < len(b), "a Euclidean remainder did not shrink"
+        if r:
+            inv = r[-1].inverse()
+            r = [x * inv for x in r]
+        a, b = b, r
+    if not a:
+        return [S_ONE]
+    inv = a[-1].inverse()
+    return [x * inv for x in a]
+
+
+def ref_kernel(c, m, num, den):
+    """(c, m, num, den) with num and den coprime, free of x and den[0] = 1."""
+    num, den = ref_poly_trim(num), ref_poly_trim(den)
+    if all(a.is_zero() for a in num):
+        return S_ZERO, 0, [S_ONE], [S_ONE]
+    while num[0].is_zero():
+        num.pop(0)
+        m += 1
+    while den[0].is_zero():
+        den.pop(0)
+        m -= 1
+    if len(num) > 1 and len(den) > 1:
+        g = ref_poly_gcd(num, den)
+        if len(g) > 1:
+            num, _ = ref_poly_divmod(num, g)
+            den, _ = ref_poly_divmod(den, g)
+    d0 = den[0].inverse()
+    return c, m, [a * d0 for a in num], [a * d0 for a in den]
+
+
+def ref_mul(A, B):
+    return ref_kernel(A[0] * B[0], A[1] + B[1], ref_poly_mul(A[2], B[2]), ref_poly_mul(A[3], B[3]))
+
+
+def ref_div(A, B):
+    return ref_kernel(A[0] / B[0], A[1] - B[1], ref_poly_mul(A[2], B[3]), ref_poly_mul(A[3], B[2]))
+
+
+def ref_reciprocal_arg(A):
+    c, m, num, den = A
+    return ref_kernel(c, -m - (len(num) - 1) + (len(den) - 1), num[::-1], den[::-1])
+
+
+def ref_eq(A, B):
+    """c1 x^m1 P1 Q2 == c2 x^m2 P2 Q1."""
+    left = ref_poly_mul([A[0] * a for a in A[2]], B[3])
+    right = ref_poly_mul([B[0] * a for a in B[2]], A[3])
+    shift = A[1] - B[1]
+    return ({i + shift: v for i, v in enumerate(left) if not v.is_zero()}
+            == {i: v for i, v in enumerate(right) if not v.is_zero()})
+
+
+def ref_str(A):
+    def poly_str(p):
+        parts = []
+        for j, a in enumerate(p):
+            if a.is_zero():
+                continue
+            xs = "1" if j == 0 else ("x" if j == 1 else f"x^{j}")
+            parts.append(xs if (str(a) == "1" and j) else f"({a})" + ("" if j == 0 else f"*{xs}"))
+        return " + ".join(parts) or "0"
+
+    c, m, num, den = A
+    return f"({c})" + (f"*x^{m}" if m else "") + f"*[{poly_str(num)}]/[{poly_str(den)}]"
+
+
+def assert_matches_reference(K, A):
+    assert (K.c, K.m, K.num, K.den) == (A[0], A[1], tuple(A[2]), tuple(A[3]))
+    assert str(K) == ref_str(A)
+
+
+# the same examples, without hypothesis shrinking: each replay runs the
+# reference Euclid, so a failure is reported as found
+NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
+
+# a small pool, so that two kernels often share roots: monomials s^e,
+# Gaussian monomials i s^e and roots that are not monomials
+_ROOTS = [Scalar.s_power(e) for e in (-3, -2, 1, 2)] + \
+    [S_I * Scalar.s_power(e) for e in (-1, 2)] + \
+    [S_ONE + Scalar.s_power(2), Scalar.from_rat(Fraction(1, 2)) - S_I * Scalar.s_power(-1)]
+_CONSTS = [S_ONE, -S_ONE, Scalar.from_rat(Fraction(2, 3)), S_I * Q(1), Q(-2) + S_ONE]
+
+consts = st.sampled_from(_CONSTS)
+multiplicities = st.sampled_from((-2, -1, 1, 2))
+
+
+@st.composite
+def factored_kernels(draw):
+    """A RatKernel and its reference form, expanded from the same factors
+    (distinct roots, so already coprime)."""
+    c, u, m = draw(consts), draw(consts), draw(st.integers(-3, 3))
+    roots = draw(st.dictionaries(st.sampled_from(range(len(_ROOTS))), multiplicities, max_size=2))
+    roots = {_ROOTS[i]: k for i, k in roots.items()}
+    num, den = [u], [S_ONE]
+    for r, k in roots.items():
+        for _ in range(abs(k)):
+            if k > 0:
+                den = ref_poly_mul(den, [S_ONE, -r])
+            else:
+                num = ref_poly_mul(num, [S_ONE, -r])
+    return RatKernel(c, m, u, roots), (c, m, num, den)
+
+
+def resplit(K, A, z):
+    """The same value with z moved from u into c."""
+    return (RatKernel(K.c * z, K.m, K.u / z, K.roots),
+            (A[0] * z, A[1], [a / z for a in A[2]], A[3]))
+
+
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
+@given(factored_kernels(), factored_kernels(), consts, st.integers(-2, 2), consts)
+def test_factored_kernels_match_the_dense_reference(ka, kb, c, zdeg, z):
+    # products, quotients, reciprocal arguments and the exchange shape of
+    # the engine carry the reference's c, m, num, den and printed form, and
+    # == agrees with cross-multiplication, also across c/u splits
+    (a, A), (b, B) = ka, kb
+    assert_matches_reference(a, A)
+    mono = RatKernel.monomial(c, zdeg)
+    cases = [(a * b, ref_mul(A, B)), (a / b, ref_div(A, B)),
+             (a.reciprocal_arg(), ref_reciprocal_arg(A)),
+             (a / (b.reciprocal_arg() * mono),
+              ref_div(A, ref_mul(ref_reciprocal_arg(B), (c, zdeg, [S_ONE], [S_ONE]))))]
+    for K, R in cases:
+        assert_matches_reference(K, R)
+        K2, R2 = resplit(K, R, z)
+        assert ref_eq(R, R2) and K == K2
+        assert (K == a) == ref_eq(R, A)
+    assert (a == b) == ref_eq(A, B)
+    assert a * b / b == a and ref_eq(ref_div(ref_mul(A, B), B), A)
+    assert a.reciprocal_arg().reciprocal_arg() == a

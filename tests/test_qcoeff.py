@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from math import gcd
 
 import pytest
@@ -154,6 +155,24 @@ def test_gaussian_from_fractions():
     # unreduced input lands on the same canonical triple
     assert GaussianRational(Fraction(2, 4), 0) == GaussianRational(Fraction(1, 2))
     assert hash(GaussianRational(Fraction(2, 4), 0)) == hash(GaussianRational(Fraction(1, 2)))
+
+
+def ref_gaussian_str(re, im):
+    """The printed form of re + im*i, through the two Fraction parts."""
+    if im == 0:
+        return str(re)
+    ims = "i" if abs(im) == 1 else f"{abs(im)}*i"
+    if re == 0:
+        return ims if im > 0 else "-" + ims
+    return f"{re}{'+' if im > 0 else '-'}{ims}"
+
+
+def test_gaussian_str_matches_the_fraction_reference():
+    # every (a + b*i)/d on the grid, where the two parts reduce by different
+    # gcds, one of them or both vanish, or |im| is 1
+    for a, b, d in product(range(-7, 8), range(-7, 8), range(1, 7)):
+        re, im = Fraction(a, d), Fraction(b, d)
+        assert str(GaussianRational(re, im)) == ref_gaussian_str(re, im)
 
 
 # ---------------------------------------------------------------------------
