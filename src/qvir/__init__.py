@@ -19,7 +19,6 @@ from .qcoeff import (
 from .distcalc import (
     Dist2,
     ModeWindow,
-    NonExpandableError,
     RatKernel,
     WindowMismatchError,
     expand_inner,
@@ -75,7 +74,7 @@ __all__ = [
     "AffineMap", "BracketTable", "CheckRecord", "ClassicalVirasoro",
     "ConstraintSet", "DiracMatrix", "Dist2", "ExpField", "FieldFactor",
     "GaussianRational", "HSeries", "KacMoodyLevel", "ModeWindow",
-    "NonExpandableError", "PoleAtQ1Error", "QVirasoroBracket", "RatKernel",
+    "PoleAtQ1Error", "QVirasoroBracket", "RatKernel",
     "ReconstructionError", "Reduction", "Report", "RunConfig", "Scalar",
     "SingularModeError", "SurdRational", "TermSum", "WindowMismatchError",
     "affine_check", "antisymmetry_check", "build_dirac_matrix", "classical_bracket",

@@ -423,7 +423,9 @@ def classical_bracket(a: str, b: str, table: BracketTable, W: ModeWindow) -> Ter
         T = -(table.rules[(b, a)](W).reflect())
     else:
         raise MissingPairError(f"no bracket rule for ({a}, {b})")
-    T = T.scale(table.sigma(a, b))
+    sigma = table.sigma(a, b)
+    if sigma != S_ONE:      # the undeformed table's sigma is 1
+        T = T.scale(sigma)
     if table.weight_exponent:
         T = T.map_dist(lambda d: weight_abs(d, table.weight_exponent))
     return T
@@ -457,11 +459,10 @@ def q_bracket_table() -> BracketTable:
 
 def classical_bracket_table(level: int = 1) -> BracketTable:
     """The undeformed Poisson table at level k (central term weight)."""
-    k = Scalar.from_rat(level)
+    minus_ik, minus_it = -S_I * Scalar.from_rat(level), -S_I * S_T
 
     def rule_hh(W):
-        return TermSum.single(
-            (), Dist2.from_func(W.N, lambda n: -S_I * k * Scalar.from_rat(n)))
+        return TermSum.single((), Dist2.from_func(W.N, lambda n: minus_ik * Scalar.from_rat(n)))
 
     def rule_he(sign):
         # the emitted field rides the delta support, so it may be placed at
@@ -474,11 +475,8 @@ def classical_bracket_table(level: int = 1) -> BracketTable:
         return rule
 
     def rule_ee_opposite(W):
-        field = TermSum.single((FieldFactor("H", "z"),),
-                               Dist2.from_func(W.N, lambda n: -S_I * S_T))
-        central = TermSum.single(
-            (), Dist2.from_func(W.N, lambda n: -S_I * k * Scalar.from_rat(n)))
-        return field + central
+        field = TermSum.single((FieldFactor("H", "z"),), Dist2.from_func(W.N, lambda n: minus_it))
+        return field + rule_hh(W)       # the same level-k central term as {H, H}
 
     def rule_zero(W):
         return TermSum.zero()

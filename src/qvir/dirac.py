@@ -400,12 +400,13 @@ class QVirasoroBracket:
 
 
 def classical_linear_pattern(W: ModeWindow) -> Dist2:
-    return Dist2.from_func(W.N, lambda n: -S_I * Scalar.from_rat(n))
+    minus_i = -S_I
+    return Dist2.from_func(W.N, lambda n: minus_i * Scalar.from_rat(n))
 
 
 def classical_central_pattern(W: ModeWindow) -> Dist2:
-    return Dist2.from_func(
-        W.N, lambda n: S_I * Scalar.from_rat(Fraction(n ** 3, 2)))
+    half_i = S_I * Scalar.from_rat(Fraction(1, 2))
+    return Dist2.from_func(W.N, lambda n: half_i * Scalar.from_rat(n ** 3))
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +527,9 @@ def dirac_suite(red: Reduction) -> list[CheckRecord]:
         out.append(compare_dists("dirac-matrix-21", "elem2", dm.entry(1, 0), -(elem12.reflect())))
         out.append(compare_dists("dirac-matrix-22", "elem3", dm.entry(1, 1), elem22))
     elif sc.key == "classical-sl2":
-        elem11 = Dist2.from_func(W.N, lambda n: -S_I * Scalar.from_rat(n))
-        elem12 = Dist2.from_func(W.N, lambda n: -S_I * S_T)
+        elem11 = classical_linear_pattern(W)
+        minus_it = -S_I * S_T
+        elem12 = Dist2.from_func(W.N, lambda n: minus_it)
         out.append(compare_dists("dirac-matrix-11", "cor1", dm.entry(0, 0), elem11))
         out.append(compare_dists("dirac-matrix-12", "cor2", dm.entry(0, 1), elem12))
         out.append(compare_dists("dirac-matrix-22", "cor-trivial", dm.entry(1, 1),
@@ -580,10 +582,9 @@ def reduce_suite(red: Reduction) -> list[CheckRecord]:
     if sc.key == "classical-sl2":
         out.append(record("reduce-antisymmetry", "dirb", ok))
         parts = split_reduced(reduced, W.N)
-        out.append(compare_dists("reduce-linear-z", "virasoro", parts.lin_z,
-                                 classical_linear_pattern(W)))
-        out.append(compare_dists("reduce-linear-w", "virasoro", parts.lin_w,
-                                 classical_linear_pattern(W)))
+        lin = classical_linear_pattern(W)
+        out.append(compare_dists("reduce-linear-z", "virasoro", parts.lin_z, lin))
+        out.append(compare_dists("reduce-linear-w", "virasoro", parts.lin_w, lin))
         out.append(compare_dists("reduce-central", "virasoro", parts.cnum,
                                  classical_central_pattern(W)))
         out.append(record("reduce-no-quadratic", "virasoro", parts.quad.is_zero(),

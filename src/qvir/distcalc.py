@@ -16,10 +16,6 @@ from dataclasses import dataclass
 from .qcoeff import S_ONE, S_ZERO, Scalar
 
 
-class NonExpandableError(ArithmeticError):
-    """The kernel has no power-series expansion in the requested region."""
-
-
 class WindowMismatchError(ValueError):
     """Operands live on different mode windows."""
 
@@ -355,15 +351,12 @@ def region_difference(K: RatKernel, W: ModeWindow) -> Dist2:
 
 def _series_from_recurrence(num, den, length):
     """Coefficients of P(x)/Q(x) with Q(0) = 1, by exact linear recurrence."""
-    if den[0].is_zero():
-        raise NonExpandableError("denominator vanishes at the expansion point")
-    inv0 = den[0].inverse()
     out = []
     for n in range(length):
         acc = num[n] if n < len(num) else S_ZERO
         for j in range(1, min(n, len(den) - 1) + 1):
             acc = acc - den[j] * out[n - j]
-        out.append(acc * inv0)
+        out.append(acc)
     return out
 
 

@@ -162,9 +162,29 @@ class ClassicalVirasoro:
 
 def classical_jacobi_check(V: ClassicalVirasoro, K: int) -> list[CheckRecord]:
     """{L_a, {L_b, L_c}} + cyclic = 0 for all |a|,|b|,|c| <= K whose
-    intermediate modes stay inside the available mode range."""
+    intermediate modes stay inside the available mode range.
+
+    The rotations of a triple are triples of the same loop, so each bracket
+    coefficient C(y, z) and each term C(y, z) C(x, y + z) is computed once,
+    in memos local to the call (at most (2K+1)^3 entries); the central sum
+    can only be nonzero when a + b + c = 0."""
     N = V.lin.N
     out = [record("virasoro-mode-antisymmetry", "virasoro", V.antisymmetric(K))]
+    coefs = {}
+    terms = {}
+
+    def coef(y, z):
+        v = coefs.get((y, z))
+        if v is None:
+            v = coefs[(y, z)] = V.bracket(y, z)[0]
+        return v
+
+    def term(x, y, z):
+        v = terms.get((x, y, z))
+        if v is None:
+            v = terms[(x, y, z)] = coef(y, z) * coef(x, y + z)
+        return v
+
     bad = None
     checked = 0
     for a in range(-K, K + 1):
@@ -174,13 +194,11 @@ def classical_jacobi_check(V: ClassicalVirasoro, K: int) -> list[CheckRecord]:
                        abs(a + b), abs(a + b + c)) > N:
                     continue
                 checked += 1
-                lcoef = S_ZERO
+                lcoef = term(a, b, c) + term(b, c, a) + term(c, a, b)
                 central = S_ZERO
-                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                    inner_coef, _ = V.bracket(y, z)
-                    outer_coef, outer_cent = V.bracket(x, y + z)
-                    lcoef = lcoef + inner_coef * outer_coef
-                    central = central + inner_coef * outer_cent
+                if a + b + c == 0:
+                    central = (coef(b, c) * V.cnum.coeff(a) + coef(c, a) * V.cnum.coeff(b)
+                               + coef(a, b) * V.cnum.coeff(c))
                 if not (lcoef.is_zero() and central.is_zero()):
                     bad = (a, b, c, str(lcoef), str(central))
                     break

@@ -160,6 +160,30 @@ def test_classical_bracket_antisymmetry():
         assert ab == -(ba.reflect()), (a, b)
 
 
+def test_classical_table_brackets_are_not_scaled_by_sigma(monkeypatch):
+    # sigma is 1 on the undeformed table, so no bracket rescales its modes
+    table = classical_bracket_table()
+    calls = []
+    scale = Dist2.scale
+
+    def counted(self, a):
+        calls.append(a)
+        return scale(self, a)
+
+    monkeypatch.setattr(Dist2, "scale", counted)
+    for a, b in sorted(table.rules):
+        classical_bracket(a, b, table, W)
+        classical_bracket(b, a, table, W)
+    assert calls == []
+
+
+def test_q_table_brackets_still_carry_sigma():
+    table = q_bracket_table()
+    plain = table.rules[("E+", "E+")](W)
+    T = classical_bracket("E+", "E+", table, W)
+    assert T == plain.scale(S_I) and T != plain
+
+
 def test_step_same_bracket_merged():
     # {E-, E-}: one commutative monomial, odd q^(-2|n|)-weighted distribution
     T = classical_bracket("E-", "E-", q_bracket_table(), W)

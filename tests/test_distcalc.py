@@ -493,7 +493,9 @@ def test_factored_kernels_match_the_dense_reference(ka, kb, c, zdeg, z):
              (a.reciprocal_arg(), ref_reciprocal_arg(A)),
              (a / (b.reciprocal_arg() * mono),
               ref_div(A, ref_mul(ref_reciprocal_arg(B), (c, zdeg, [S_ONE], [S_ONE]))))]
+    assert a.den[0] == S_ONE
     for K, R in cases:
+        assert K.den[0] == S_ONE       # the recurrence divides by nothing
         assert_matches_reference(K, R)
         K2, R2 = resplit(K, R, z)
         assert ref_eq(R, R2) and K == K2

@@ -7,6 +7,7 @@ import pytest
 from qvir.qcoeff import (
     GaussianRational,
     S_I,
+    S_ONE,
     S_ZERO,
     Scalar,
     SurdRational,
@@ -15,7 +16,13 @@ from qvir.qcoeff import (
     taylor_q1,
 )
 from qvir.distcalc import Dist2, ModeWindow, weight_abs
-from qvir.dirac import Reduction, scenario, split_reduced
+from qvir.dirac import (
+    Reduction,
+    classical_central_pattern,
+    classical_linear_pattern,
+    scenario,
+    split_reduced,
+)
 from qvir.qvirasoro import (
     ClassicalVirasoro,
     QVirasoroBracket,
@@ -23,7 +30,7 @@ from qvir.qvirasoro import (
     classical_jacobi_check,
     classical_limit_check,
 )
-from qvir.report import FAIL
+from qvir.report import FAIL, record
 
 W = ModeWindow(8)
 
@@ -148,3 +155,89 @@ def test_mode_bracket_extraction(reductions):
     coef, cent = V.bracket(3, -3)
     assert coef == -S_I * Scalar.from_rat(6)
     assert cent == S_I * Scalar.from_rat(Fraction(27, 2))
+
+
+def _jacobi_reference(V, K):
+    """The triple loop without memos: every term and central sum is
+    recomputed from V.bracket for each rotation."""
+    N = V.lin.N
+    out = [record("virasoro-mode-antisymmetry", "virasoro", V.antisymmetric(K))]
+    bad = None
+    checked = 0
+    for a in range(-K, K + 1):
+        for b in range(-K, K + 1):
+            for c in range(-K, K + 1):
+                if max(abs(a), abs(b), abs(c), abs(b + c), abs(c + a),
+                       abs(a + b), abs(a + b + c)) > N:
+                    continue
+                checked += 1
+                lcoef = S_ZERO
+                central = S_ZERO
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    inner_coef, _ = V.bracket(y, z)
+                    outer_coef, outer_cent = V.bracket(x, y + z)
+                    lcoef = lcoef + inner_coef * outer_coef
+                    central = central + inner_coef * outer_cent
+                if not (lcoef.is_zero() and central.is_zero()):
+                    bad = (a, b, c, str(lcoef), str(central))
+                    break
+            if bad:
+                break
+        if bad:
+            break
+    out.append(record("virasoro-jacobi", "virasoro", bad is None,
+                      engine=f"all {checked} triples vanish" if bad is None else str(bad),
+                      expected="0 for every triple"))
+    return out
+
+
+def _virasoro_variants(N):
+    """The true mode data, two other cocycles (n passes, n^2 fails), and the
+    true data with one central or one linear mode shifted."""
+    W = ModeWindow(N)
+    lin, cnum = classical_linear_pattern(W), classical_central_pattern(W)
+
+    def cocycle(power):
+        return Dist2.from_func(N, lambda n: S_I * Scalar.from_rat(n ** power))
+
+    return {
+        "true": ClassicalVirasoro(lin, cnum),
+        "cocycle-n2": ClassicalVirasoro(lin, cocycle(2)),
+        "cocycle-n": ClassicalVirasoro(lin, cocycle(1)),
+        "shifted-central": ClassicalVirasoro(lin, cnum + Dist2(N, {min(2, N): S_ONE})),
+        "shifted-linear": ClassicalVirasoro(lin + Dist2(N, {min(3, N): S_ONE}), cnum),
+    }
+
+
+def _fields(records):
+    return [(r.id, r.status, r.mode, r.engine_value, r.expected_value) for r in records]
+
+
+def test_jacobi_matches_the_reference_loop():
+    # the memoized check gives the same records, failing ones included
+    failing = 0
+    for N in range(1, 21):
+        for name, V in _virasoro_variants(N).items():
+            for K in (4, 6):
+                got = classical_jacobi_check(V, K)
+                assert _fields(got) == _fields(_jacobi_reference(V, K)), (N, name, K)
+                failing += sum(r.status == FAIL for r in got)
+    assert failing > 100
+
+
+def test_jacobi_multiplication_count(monkeypatch):
+    # on a window of at least 3K every triple is checked: one product per
+    # ordered term, (2K+1)^3 = 2197, and three central products on each of
+    # the 127 triples with a + b + c = 0
+    V = _virasoro_variants(18)["true"]
+    calls = []
+    mul = Scalar.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    monkeypatch.setattr(Scalar, "__rmul__", counted)
+    all_pass(classical_jacobi_check(V, 6))
+    assert len(calls) <= 2197 + 3 * 127
