@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from .qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, q_minus_qinv, qint, qint_ratio
 from .distcalc import (
@@ -102,12 +103,22 @@ class TermSum:
     def is_zero(self):
         return not self.terms
 
+    def _combine(self, other, op):
+        """Term by term self op other, for op the Dist2 + or -."""
+        out = dict(self.terms)
+        for key, d in other.terms.items():
+            if key in out:
+                d = op(out[key], d)
+            elif op is sub:
+                d = Dist2.zero(d.N) - d
+            out[key] = d
+        return TermSum([(m, z, d) for (m, z), d in out.items()])
+
     def __add__(self, other):
-        return TermSum([(m, z, d) for (m, z), d in self.terms.items()]
-                       + [(m, z, d) for (m, z), d in other.terms.items()])
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __neg__(self):
         return TermSum([(m, z, -d) for (m, z), d in self.terms.items()])

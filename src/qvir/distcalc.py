@@ -12,6 +12,7 @@ makes the whole calculus windowable without loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 from .qcoeff import S_ONE, S_ZERO, Scalar
 
@@ -100,19 +101,23 @@ class Dist2:
         if self.N != other.N:
             raise WindowMismatchError(f"window {self.N} vs {other.N}")
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """Mode by mode self op other, for op the Scalar + or -."""
         self._check(other)
         out = dict(self.c)
         for n, v in other.c.items():
-            w = out.get(n, S_ZERO) + v
+            w = op(out.get(n, S_ZERO), v)
             if w.is_zero():
                 out.pop(n, None)
             else:
                 out[n] = w
         return Dist2(self.N, out)
 
+    def __add__(self, other):
+        return self._combine(other, add)
+
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __neg__(self):
         return Dist2(self.N, {n: -v for n, v in self.c.items()})

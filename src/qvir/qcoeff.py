@@ -11,163 +11,33 @@ All values are immutable; equality is exact and decidable through a
 canonical form: a rational function whose numerator and denominator are
 coprime, with a monic denominator of lowest exponent zero.
 
-A Laurent polynomial in s has one integer form: the tuple (v, d, re, im) is
-s^v (re + i*im)/d, with re and im tuples of Python ints over one common
-denominator d, canonical when both ends are nonzero and gcd(d, re, im) = 1
-(:func:`laurent` builds one from any coefficients).  Sums, products (an
-integer convolution over the nonzero entries) and the gcd path
-(cross-reduction of products, normalization, the polynomial gcd and the
-exact divisions by it) all run on it, with one content gcd per result.
-Division is pseudo-division by a divisor whose lead is a positive integer,
-so a monic integral divisor costs a plain multiply-subtract; the gcd is the
-primitive Euclidean algorithm, each remainder times the conjugate of its
-lead and over its integer content.
+Every polynomial and every constant has one integer form: the tuple
+(v, d, re, im) is s^v (re + i*im)/d, with re and im tuples of Python ints
+over one common denominator d, canonical when both ends are nonzero and
+gcd(d, re, im) = 1 (:func:`laurent` builds one from int or Fraction
+coefficients).  A constant of Q(i) is the degree-0 tuple (0, d, (a,), (b,)).
+Sums, products (an integer convolution over the nonzero entries) and the
+gcd path (cross-reduction of products, normalization, the polynomial gcd
+and the exact divisions by it) all run on it, with one content gcd per
+result.  Division is pseudo-division by a divisor whose lead is a positive
+integer, so a monic integral divisor costs a plain multiply-subtract; the
+gcd is the primitive Euclidean algorithm, each remainder times the
+conjugate of its lead and over its integer content.
 
-:class:`GaussianRational` triples (a + b*i)/d serve the constants in Q(i)
-(:class:`SurdRational`, :class:`HSeries`, :func:`eval_q1`) and printing;
-no ``fractions.Fraction`` is stored on the arithmetic path.
+The degeneration maps stay in the tower: :func:`eval_q1` gives a constant
+:class:`Scalar` a + b*t, and :class:`HSeries` coefficients are constant
+Scalars, so Scalar's own arithmetic is the constant arithmetic at q = 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import add
 
 
 class PoleAtQ1Error(ArithmeticError):
     """The value has a genuine pole at q = 1 (use taylor_q1 instead)."""
-
-
-# ---------------------------------------------------------------------------
-# Gaussian rationals
-# ---------------------------------------------------------------------------
-
-class GaussianRational:
-    """A number (a + b*i)/d with Python ints a, b, d in canonical form.
-
-    Canonical means d > 0 and gcd(a, b, d) = 1, with zero stored as
-    (0, 0, 1); equality and hashing then compare the triples.  Every
-    operation is integer arithmetic followed by one 3-way gcd, and printing
-    reduces each part by one gcd.  ``re`` and ``im`` give the parts as
-    ``Fraction`` for callers that want them.
-    """
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, re=0, im=0):
-        if type(re) is int and type(im) is int:
-            a, b, d = re, im, 1
-        else:
-            # reduced parts over d = lcm of their denominators are already coprime
-            re, im = Fraction(re), Fraction(im)
-            dr, di = re.denominator, im.denominator
-            d = dr // gcd(dr, di) * di
-            a = re.numerator * (d // dr)
-            b = im.numerator * (d // di)
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_d(self, d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    @property
-    def re(self):
-        return Fraction(self.a, self.d)
-
-    @property
-    def im(self):
-        return Fraction(self.b, self.d)
-
-    def is_zero(self):
-        return not self.a and not self.b
-
-    def __add__(self, other):
-        if type(other) is not GaussianRational:
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
-        d1, d2 = self.d, other.d
-        return _reduce(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if type(other) is not GaussianRational:
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
-        d1, d2 = self.d, other.d
-        return _reduce(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        if type(other) is not GaussianRational:
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return _reduce(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return _make(-self.a, -self.b, self.d)
-
-    def inverse(self):
-        # d/(a + b i) = d (a - b i)/(a^2 + b^2)
-        a, b, d = self.a, self.b, self.d
-        n = a * a + b * b
-        if not n:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return _reduce(d * a, -d * b, n)
-
-    def __truediv__(self, other):
-        if type(other) is not GaussianRational:
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        n = a2 * a2 + b2 * b2
-        if not n:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        d2 = other.d
-        return _reduce((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self.d * n)
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __eq__(self, other):
-        if type(other) is not GaussianRational:
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
-        return self.a == other.a and self.b == other.b and self.d == other.d
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.d))
-
-    def __str__(self):
-        a, b, d = self.a, self.b, self.d
-        re = _ratio_str(a, d)
-        if not b:
-            return re
-        ims = "i" if abs(b) == d else f"{_ratio_str(abs(b), d)}*i"
-        if not a:
-            return ims if b > 0 else "-" + ims
-        return f"{re}{'+' if b > 0 else '-'}{ims}"
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
 def _ratio_str(n, d):
@@ -176,52 +46,18 @@ def _ratio_str(n, d):
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
+def _gaussian_str(a, b, d):
+    """(a + b*i)/d (d > 0) printed as its two Fraction parts print."""
+    re = _ratio_str(a, d)
+    if not b:
+        return re
+    ims = "i" if abs(b) == d else f"{_ratio_str(abs(b), d)}*i"
+    if not a:
+        return ims if b > 0 else "-" + ims
+    return f"{re}{'+' if b > 0 else '-'}{ims}"
+
+
 _new = object.__new__
-_set_a = GaussianRational.a.__set__
-_set_b = GaussianRational.b.__set__
-_set_d = GaussianRational.d.__set__
-
-
-def _make(a, b, d):
-    """The GaussianRational (a + b i)/d for a triple already in canonical form."""
-    g = _new(GaussianRational)
-    _set_a(g, a)
-    _set_b(g, b)
-    _set_d(g, d)
-    return g
-
-
-def _reduce(a, b, d):
-    """The canonical GaussianRational (a + b i)/d, for any d > 0."""
-    g = gcd(a, b, d)
-    if g != 1:
-        a //= g
-        b //= g
-        d //= g
-    return _make(a, b, d)
-
-
-def _coerce(x):
-    """An int or Fraction as a GaussianRational; None for any other type."""
-    if type(x) is int:
-        return _make(x, 0, 1)
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
-    return None
-
-
-def _as_gaussian(x):
-    if type(x) is GaussianRational:
-        return x
-    g = _coerce(x)
-    if g is None:
-        raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
-    return g
-
-
-G_ZERO = GaussianRational(0)
-G_ONE = GaussianRational(1)
-G_I = GaussianRational(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +70,15 @@ LP_ONE = (0, 1, (1,), (0,))
 
 
 def laurent(coeffs):
-    """The polynomial of {exponent: int, Fraction or GaussianRational}, zeros dropped."""
-    gs = {k: _as_gaussian(x) for k, x in coeffs.items()}
-    if not gs:
+    """The real polynomial of {exponent: int or Fraction}, zeros dropped."""
+    cs = {k: x for k, x in coeffs.items() if x}
+    if not cs:
         return LP_ZERO
-    v, d = min(gs), lcm(*[g.d for g in gs.values()])
-    terms = [gs.get(k, G_ZERO) for k in range(v, max(gs) + 1)]
-    return _canon(v, d, [g.a * (d // g.d) for g in terms], [g.b * (d // g.d) for g in terms])
-
-
-def _monomial(k, x):
-    """The polynomial x*s^k of an int, Fraction or GaussianRational x."""
-    if type(x) is int:
-        return (k, 1, (x,), (0,)) if x else LP_ZERO
-    g = _as_gaussian(x)
-    return (k, g.d, (g.a,), (g.b,)) if g.a or g.b else LP_ZERO
+    v, d = min(cs), lcm(*[x.denominator for x in cs.values()])
+    re = [0] * (max(cs) - v + 1)
+    for k, x in cs.items():
+        re[k - v] = x.numerator * (d // x.denominator)
+    return _canon(v, d, re, [0] * len(re))
 
 
 def _canon(v, d, re, im):
@@ -327,8 +157,8 @@ def _lp_mul(p, q):
 
 
 def _lp_eval_one(p):
-    """Value at s = 1."""
-    return _reduce(sum(p[2]), sum(p[3]), p[1]) if p else G_ZERO
+    """Value at s = 1, a constant."""
+    return _canon(0, p[1], [sum(p[2])], [sum(p[3])]) if p else LP_ZERO
 
 
 def _lp_str(p):
@@ -339,7 +169,7 @@ def _lp_str(p):
     for j in range(len(re) - 1, -1, -1):
         if not (re[j] or im[j]):
             continue
-        k, vs = v + j, str(_reduce(re[j], im[j], d))
+        k, vs = v + j, _gaussian_str(re[j], im[j], d)
         if ("+" in vs[1:]) or ("-" in vs[1:]):
             vs = f"({vs})"
         if k == 0:
@@ -461,11 +291,8 @@ class RatFunc:
 
     @classmethod
     def const(cls, v):
-        return _ratfunc(_monomial(0, v), LP_ONE)
-
-    @classmethod
-    def monomial(cls, exp, coef=G_ONE):
-        return _ratfunc(_monomial(exp, coef), LP_ONE)
+        """The constant v, an int or Fraction."""
+        return _ratfunc((0, v.denominator, (v.numerator,), (0,)) if v else LP_ZERO, LP_ONE)
 
     def is_zero(self):
         return not self.num
@@ -517,10 +344,11 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def eval_one(self):
+        """The value at s = 1, a constant RatFunc."""
         d = _lp_eval_one(self.den)
-        if d.is_zero():
+        if not d:
             raise PoleAtQ1Error("denominator vanishes at q = 1")
-        return _lp_eval_one(self.num) / d
+        return RatFunc(_lp_eval_one(self.num), d)
 
     def __str__(self):
         if self.den is LP_ONE:
@@ -629,21 +457,21 @@ class Scalar:
 
     @classmethod
     def i(cls):
-        return cls(RatFunc.const(G_I))
+        return cls(_ratfunc((0, 1, (0,), (1,)), LP_ONE))
 
     @classmethod
     def t(cls):
         return cls(RF_ZERO, RF_ONE)
 
     @classmethod
-    def s_power(cls, k, coef=G_ONE):
-        """The monomial coef * s^k."""
-        return cls(RatFunc.monomial(k, coef))
+    def s_power(cls, k):
+        """The monomial s^k."""
+        return cls(_ratfunc((k, 1, (1,), (0,)), LP_ONE))
 
     @classmethod
-    def q_power(cls, k, coef=G_ONE):
-        """The monomial coef * q^k (k integer)."""
-        return cls.s_power(2 * k, coef)
+    def q_power(cls, k):
+        """The monomial q^k (k integer)."""
+        return cls.s_power(2 * k)
 
     # -- predicates ----------------------------------------------------------
 
@@ -786,7 +614,7 @@ def _scalar(c0, c1):
 def _as_scalar(x):
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, (int, Fraction, GaussianRational)):
+    if isinstance(x, (int, Fraction)):
         return Scalar.from_rat(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
 
@@ -840,80 +668,13 @@ def q_minus_qinv() -> Scalar:
 # Degeneration map 1: evaluation at q = 1
 # ---------------------------------------------------------------------------
 
-class SurdRational:
-    """A constant a + b*t of Q(i)[t], t^2 = 2, with Gaussian-rational a, b.
-
-    The values at q = 1: the image of eval_q1 and the coefficients of an
-    HSeries.  This is the one place where constant t-arithmetic is written.
-    """
-
-    __slots__ = ("rat", "t_coef")
-
-    def __init__(self, rat=G_ZERO, t_coef=G_ZERO):
-        object.__setattr__(self, "rat", _as_gaussian(rat))
-        object.__setattr__(self, "t_coef", _as_gaussian(t_coef))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SurdRational is immutable")
-
-    def is_zero(self):
-        return self.rat.is_zero() and self.t_coef.is_zero()
-
-    def __add__(self, other):
-        return SurdRational(self.rat + other.rat, self.t_coef + other.t_coef)
-
-    def __sub__(self, other):
-        return SurdRational(self.rat - other.rat, self.t_coef - other.t_coef)
-
-    def __mul__(self, other):
-        a1, b1, a2, b2 = self.rat, self.t_coef, other.rat, other.t_coef
-        # (a1 + b1 t)(a2 + b2 t) with t^2 = 2
-        return SurdRational(a1 * a2 + (b1 + b1) * b2, a1 * b2 + b1 * a2)
-
-    def inverse(self):
-        # norm form: 1/(a + b t) = (a - b t)/(a^2 - 2 b^2); the norm vanishes
-        # only at zero because sqrt(2) is not in Q(i)
-        a, b = self.rat, self.t_coef
-        n = a * a - (b + b) * b
-        if n.is_zero():
-            raise ZeroDivisionError("inverse of zero SurdRational")
-        return SurdRational(a / n, -b / n)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = SurdRational(other)
-        if not isinstance(other, SurdRational):
-            return NotImplemented
-        return self.rat == other.rat and self.t_coef == other.t_coef
-
-    def __hash__(self):
-        return hash((self.rat, self.t_coef))
-
-    def __str__(self):
-        if self.t_coef.is_zero():
-            return str(self.rat)
-        ts = str(self.t_coef)
-        if ("+" in ts[1:]) or ("-" in ts[1:]) or "/" in ts:
-            ts = f"({ts})"
-        tpart = "t" if ts == "1" else f"-t" if ts == "-1" else f"{ts}*t"
-        if self.rat.is_zero():
-            return tpart
-        return f"{self.rat} + {tpart}".replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"SurdRational<{self}>"
-
-
-SR_ZERO = SurdRational()
-
-
-def eval_q1(x: Scalar) -> SurdRational:
-    """Substitute s = 1, keeping t formal.
+def eval_q1(x: Scalar) -> Scalar:
+    """Substitute s = 1, keeping t formal: a constant Scalar a + b*t.
 
     Raises PoleAtQ1Error when any normalized denominator vanishes at s = 1.
     """
     c0, c1 = x.c
-    return SurdRational(c0.eval_one(), c1.eval_one())
+    return _scalar(c0.eval_one(), c1.eval_one())
 
 
 # ---------------------------------------------------------------------------
@@ -921,7 +682,7 @@ def eval_q1(x: Scalar) -> SurdRational:
 # ---------------------------------------------------------------------------
 
 class HSeries:
-    """Truncated Laurent series in h with SurdRational coefficients.
+    """Truncated Laurent series in h with constant Scalar coefficients.
 
     Coefficients are exact for every exponent below ``prec``; the tail is
     O(h^prec).  A finite principal part (pole in h) is allowed.
@@ -938,10 +699,10 @@ class HSeries:
         raise AttributeError("HSeries is immutable")
 
     def coeff(self, k):
-        """Coefficient of h^k as a SurdRational (must be below precision)."""
+        """Coefficient of h^k as a constant Scalar (must be below precision)."""
         if k >= self.prec:
             raise ValueError(f"coefficient h^{k} is beyond precision O(h^{self.prec})")
-        return self.c.get(k, SR_ZERO)
+        return self.c.get(k, S_ZERO)
 
     def valuation(self):
         return min(self.c, default=None)
@@ -958,7 +719,7 @@ class HSeries:
             for k2, y in other.c.items():
                 k = k1 + k2
                 if k < prec:
-                    out[k] = out.get(k, SR_ZERO) + x * y
+                    out[k] = out.get(k, S_ZERO) + x * y
         return HSeries(out, prec)
 
     def __truediv__(self, other):
@@ -973,7 +734,7 @@ class HSeries:
         tail = [(k - v, b) for k, b in other.c.items() if k > v]
         q = {}
         for k in range(va - v, prec):
-            acc = self.c.get(k + v, SR_ZERO)
+            acc = self.c.get(k + v, S_ZERO)
             for j, b in tail:
                 if k - j in q:
                     acc = acc - b * q[k - j]
@@ -1003,20 +764,29 @@ class HSeries:
         return f"HSeries<{self}>"
 
 
+def _terms(p: tuple) -> list:
+    """The nonzero terms (j, re_j, im_j) of p, j the exponent of s."""
+    v, _, re, im = p
+    return [(j, x, y) for j, (x, y) in enumerate(zip(re, im), start=v) if x or y]
+
+
+def _moment(terms: list, k: int) -> tuple:
+    """The Gaussian integer sum_j (re_j + i*im_j) j^k, as (real, imaginary)."""
+    return sum(x * j ** k for j, x, _ in terms), sum(y * j ** k for j, _, y in terms)
+
+
 def _lp_to_hseries(p: tuple, prec: int) -> HSeries:
-    """Substitute s = exp(i h / 2) exactly, order by order."""
+    """Substitute s = exp(i h / 2) exactly: the h^m coefficient of p is
+    (i/2)^m/m! * sum_j (re_j + i*im_j) j^m / d, over the exponents j."""
+    d, terms = p[1], _terms(p)
     out = {}
-    v, d, re, im = p
-    for k, (x, y) in enumerate(zip(re, im), start=v):
-        if not (x or y):
-            continue
-        base = GaussianRational(0, Fraction(k, 2))  # i*k/2
-        cur = _reduce(x, y, d)
-        out[0] = out.get(0, G_ZERO) + cur
-        for m in range(1, prec):
-            cur = cur * base / m
-            out[m] = out.get(m, G_ZERO) + cur
-    return HSeries({m: SurdRational(g) for m, g in out.items()}, prec)
+    for m in range(prec):
+        a, b = _moment(terms, m)
+        for _ in range(m % 4):      # times i^m
+            a, b = -b, a
+        out[m] = _scalar(_ratfunc(_canon(0, d * 2 ** m * factorial(m), [a], [b]), LP_ONE),
+                         RF_ZERO)
+    return HSeries(out, prec)
 
 
 def _order_at_one(p: tuple) -> int:
@@ -1026,10 +796,9 @@ def _order_at_one(p: tuple) -> int:
     moments k < m of m distinct exponents cannot all vanish (Vandermonde),
     so the order is below the number of terms.
     """
-    v, _, re, im = p
-    terms = [(j, x, y) for j, (x, y) in enumerate(zip(re, im), start=v) if x or y]
+    terms = _terms(p)
     for k in range(len(terms)):
-        if sum(x * j ** k for j, x, _ in terms) or sum(y * j ** k for j, _, y in terms):
+        if any(_moment(terms, k)):
             return k
     raise ArithmeticError(f"no nonzero moment below {len(terms)} for {_lp_str(p)}")
 
@@ -1054,7 +823,7 @@ def taylor_q1(x: Scalar, order: int) -> HSeries:
         if series.prec < target:
             raise ArithmeticError(f"taylor_q1 reached O(h^{series.prec}), "
                                   f"short of O(h^{target})")
-        parts.append({k: c.rat for k, c in series.c.items()})
+        parts.append({k: c.c[0] for k, c in series.c.items()})
     rat, tco = parts
-    return HSeries({k: SurdRational(rat.get(k, G_ZERO), tco.get(k, G_ZERO))
+    return HSeries({k: _scalar(rat.get(k, RF_ZERO), tco.get(k, RF_ZERO))
                     for k in rat.keys() | tco.keys()}, target)

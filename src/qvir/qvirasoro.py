@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qcoeff import S_ZERO, Scalar, SurdRational, eval_q1, q_minus_qinv, taylor_q1
+from .qcoeff import S_ZERO, Scalar, eval_q1, q_minus_qinv, taylor_q1
 from .distcalc import Dist2, ModeWindow, weight_abs
 from .currents import TermSum
 from .dirac import AffineMap, QVirasoroBracket, split_reduced
@@ -64,7 +64,7 @@ def classical_limit_check(reduced_q: TermSum, reduced_classical: TermSum,
     # overall factor: (q - 1/q)^4 = 16 h^4 + O(h^6)
     dq4 = taylor_q1(q_minus_qinv() ** 4, LIMIT_ORDER)
     factor = dq4.coeff(4)
-    out.append(record("limit-overall-factor", "qdirb", factor == SurdRational(16),
+    out.append(record("limit-overall-factor", "qdirb", factor == 16,
                       engine=str(dq4), expected="16*h^4 + O(h^5)"))
     sixteen = Scalar.from_rat(16)
 
@@ -93,7 +93,7 @@ def classical_limit_check(reduced_q: TermSum, reduced_classical: TermSum,
         h_lin = taylor_q1(lin_limit, LIMIT_ORDER)
         h_cn = taylor_q1(cn_limit, LIMIT_ORDER)
         for k in range(0, LIMIT_ORDER):
-            if h_lin.coeff(k) != SurdRational(0) or h_cn.coeff(k) != SurdRational(0):
+            if not (h_lin.coeff(k).is_zero() and h_cn.coeff(k).is_zero()):
                 bad_low = (n, k, str(h_lin), str(h_cn))
                 break
         want_lin = eval_q1(sixteen * c.lin_z.coeff(n))

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from qvir.qcoeff import Scalar, SurdRational, eval_q1, qint
+from qvir.qcoeff import Scalar, eval_q1, qint
 from qvir.distcalc import ModeWindow
 from qvir.currents import (
     KacMoodyLevel,
@@ -140,7 +140,7 @@ def test_criterion_8_property_suites(q_scenario, classical_scenario, reductions)
     for n in range(-24, 25):
         ok &= qint(2 * n) == qint(n) * (Scalar.q_power(n) + Scalar.q_power(-n))
         ok &= qint(-n) == -qint(n)
-        ok &= eval_q1(qint(n)) == SurdRational(n)
+        ok &= eval_q1(qint(n)) == n
     # antisymmetry of every produced bracket
     for sc in (q_scenario, classical_scenario):
         for a, b in sorted(sc.table.rules):

@@ -434,12 +434,31 @@ def test_removed_options_are_usage_errors(option):
     assert proc.stdout == ""
 
 
-def test_benchmark_probe_trace_contract(tmp_path):
-    # the benchmark's traced runs read these fields off perfbench/probe.py
+def _probe_env():
+    """The checkout's root, and an environment that imports qvir from its src/."""
     root = Path(cli.__file__).resolve().parents[2]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    return root, env
+
+
+@pytest.mark.parametrize("workload", ("q-full-6", "classical-wide-512"))
+def test_benchmark_probe_setup_contract(workload):
+    # the benchmark's set-up samples import the engine modules by name, as
+    # the qvir package binds none of their names, and print one float
+    root, env = _probe_env()
+    proc = subprocess.run(
+        [sys.executable, "perfbench/probe.py", "setup", workload],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.split()
+    assert len(lines) == 1 and float(lines[0]) > 0
+
+
+def test_benchmark_probe_trace_contract(tmp_path):
+    # the benchmark's traced runs read these fields off perfbench/probe.py
+    root, env = _probe_env()
     out = tmp_path / "t.json"
     proc = subprocess.run(
         [sys.executable, "perfbench/probe.py", "trace", str(out), "--window", "2"],

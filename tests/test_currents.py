@@ -49,6 +49,25 @@ def test_termsum_merges_like_monomials():
     assert T.is_zero()
 
 
+def test_termsum_sub_subtracts_per_term_without_negating(monkeypatch):
+    # shared, own and cancelling terms: a - b equals a + (-b), built without
+    # a negated copy of b
+    mono = (FieldFactor("E-", "z"), FieldFactor("E-", "w"))
+    other = (FieldFactor("Psi", "z"), FieldFactor("Phi", "w"))
+    d1 = Dist2.from_func(W.N, lambda n: qint(n))
+    d2 = Dist2.from_func(W.N, lambda n: Q(n) + S_I)
+    a = TermSum([(mono, 0, d1), (other, 1, d2)])
+    b = TermSum([(tuple(reversed(mono)), 0, d2), (other, 1, d2), (other, 0, d1)])
+    want = a + (-b)
+    negations = []
+    neg = Scalar.__neg__
+    monkeypatch.setattr(Scalar, "__neg__", lambda x: negations.append(x) or neg(x))
+    got = a - b
+    assert negations == []
+    assert got == want and (tuple(sorted(other)), 1) not in got.terms
+    assert (a - a).is_zero() and a - TermSum.zero() == a
+
+
 def test_termsum_reflect_is_involution():
     mono = (FieldFactor("Psi", "z"), FieldFactor("Phi", "w"))
     T = TermSum.single(mono, Dist2.from_func(W.N, lambda n: Q(n)))

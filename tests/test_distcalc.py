@@ -5,6 +5,7 @@ a symbolic q (computed first, frozen through exact coefficient comparison).
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
@@ -252,11 +253,43 @@ def test_pair_window_mismatch():
         pair(Dist2.delta(4), Dist2.delta(5))
 
 
-@pytest.mark.parametrize("op", (Dist2.__eq__, Dist2.__ne__, Dist2.first_mismatch, Dist2.__add__))
+@pytest.mark.parametrize("op", (Dist2.__eq__, Dist2.__ne__, Dist2.first_mismatch, Dist2.__add__,
+                                Dist2.__sub__))
 def test_window_mismatch_fails_loudly(op):
     # a result that lost modes must not compare equal on the smaller window
     with pytest.raises(WindowMismatchError):
         op(Dist2.delta(1), Dist2.delta(5))
+
+
+# a sparse window of small mode values, zeros and shared modes drawn often
+mode_values = st.sampled_from((S_ZERO, S_ONE, -S_ONE, S_I, qint(2), qpow(1) - S_I,
+                               Scalar.from_rat(Fraction(1, 3))))
+
+
+@st.composite
+def dist_pairs(draw):
+    N = draw(st.integers(1, 6))
+    modes = st.dictionaries(st.integers(-N, N), mode_values, max_size=2 * N + 1)
+    a, b = Dist2(N, draw(modes)), Dist2(N, draw(modes))
+    if draw(st.booleans()):     # b cancels some of a's modes
+        b = Dist2(N, b.c | {n: v for n, v in a.c.items() if draw(st.booleans())})
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(dist_pairs())
+def test_sub_subtracts_per_mode_without_negating(ab):
+    # a - b runs Scalar.__sub__ per mode: no negated copy of b is built
+    a, b = ab
+    want = a + (-b)
+    negations = []
+    neg = Scalar.__neg__
+    with mock.patch.object(Scalar, "__neg__", lambda x: negations.append(x) or neg(x)):
+        got = a - b
+    assert negations == []
+    assert got == want and got.N == a.N
+    assert all(not v.is_zero() for v in got.c.values())
+    assert (a - a).is_zero() and b - Dist2.zero(b.N) == b
 
 
 def test_mul_laurent_by_zero_keeps_the_window():

@@ -3,16 +3,13 @@
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
 from qvir import qcoeff
 from qvir.qcoeff import (
-    G_ONE,
-    G_ZERO,
-    GaussianRational,
     PoleAtQ1Error,
     RatFunc,
     S_I,
@@ -20,7 +17,6 @@ from qvir.qcoeff import (
     S_T,
     S_ZERO,
     Scalar,
-    SurdRational,
     eval_q1,
     laurent,
     q_minus_qinv,
@@ -35,13 +31,44 @@ def spow(k):
     return Scalar.s_power(k)
 
 
+ZERO = (Fraction(0), Fraction(0))
+
+
 def as_dict(p):
-    """The engine's polynomial s^v (re + i*im)/d as {exponent: nonzero GaussianRational}."""
+    """The engine's polynomial s^v (re + i*im)/d as {exponent: nonzero (re, im) Fraction pair}."""
     if not p:
         return {}
     v, d, re, im = p
-    return {v + j: GaussianRational(Fraction(x, d), Fraction(y, d))
+    return {v + j: (Fraction(x, d), Fraction(y, d))
             for j, (x, y) in enumerate(zip(re, im)) if x or y}
+
+
+def gauss_lp(coeffs):
+    """The polynomial of {exponent: (re, im) pair of ints or Fractions}, zeros
+    dropped, built from the parts over the lcm of their denominators (which
+    leaves no common content) and not through the engine."""
+    cs = {k: (Fraction(a), Fraction(b)) for k, (a, b) in coeffs.items() if (a, b) != (0, 0)}
+    if not cs:
+        return qcoeff.LP_ZERO
+    v = min(cs)
+    d = lcm(*(x.denominator for c in cs.values() for x in c))
+    terms = [cs.get(k, ZERO) for k in range(v, max(cs) + 1)]
+    return v, d, tuple(int(a * d) for a, _ in terms), tuple(int(b * d) for _, b in terms)
+
+
+def const(x):
+    """The constant Scalar re + im*i of a pair x = (re, im)."""
+    return Scalar(RatFunc(gauss_lp({0: x})))
+
+
+def pair_of(f):
+    """A constant RatFunc as its (re, im) Fraction pair."""
+    assert f.den is qcoeff.LP_ONE
+    if not f.num:
+        return ZERO
+    v, d, re, im = f.num
+    assert v == 0 and len(re) == 1
+    return Fraction(re[0], d), Fraction(im[0], d)
 
 
 # the same examples, without hypothesis shrinking: the draws of the
@@ -50,7 +77,7 @@ NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
 # ---------------------------------------------------------------------------
-# GaussianRational: integer triples against a reference on Fraction pairs
+# constants in Q(i): degree-0 integer tuples against a reference on Fraction pairs
 # ---------------------------------------------------------------------------
 
 # integers too, so the d = 1 fast paths are drawn often
@@ -62,20 +89,17 @@ pairs = st.tuples(fractions, fractions)
 nonzero_pairs = pairs.filter(lambda p: p != (0, 0))
 
 
-def assert_canonical(g):
-    assert type(g.a) is int and type(g.b) is int and type(g.d) is int
-    assert g.d > 0
-    assert gcd(g.a, g.b, g.d) == 1
-    if g.a == 0 and g.b == 0:
-        assert g.d == 1
-
-
 def assert_matches(g, ref):
-    """g is canonical and equals the Fraction pair ref, also in its hash."""
-    assert_canonical(g)
-    assert (g.re, g.im) == ref
-    want = GaussianRational(*ref)
+    """g is a canonical constant of Q(i) and equals the Fraction pair ref, also in its hash."""
+    assert not g.c[1].num
+    assert_canonical_ratfunc(g.c[0])
+    assert pair_of(g.c[0]) == ref
+    want = const(ref)
     assert g == want and hash(g) == hash(want)
+
+
+def ref_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
 
 
 def ref_mul(x, y):
@@ -90,7 +114,7 @@ def ref_inverse(x):
 @settings(max_examples=200, deadline=None)
 @given(pairs, pairs)
 def test_gaussian_ring_ops_match_reference(x, y):
-    gx, gy = GaussianRational(*x), GaussianRational(*y)
+    gx, gy = const(x), const(y)
     assert_matches(gx, x)
     assert_matches(gx + gy, (x[0] + y[0], x[1] + y[1]))
     assert_matches(gx - gy, (x[0] - y[0], x[1] - y[1]))
@@ -103,7 +127,7 @@ def test_gaussian_ring_ops_match_reference(x, y):
 @settings(max_examples=200, deadline=None)
 @given(pairs, nonzero_pairs)
 def test_gaussian_division_matches_reference(x, y):
-    gx, gy = GaussianRational(*x), GaussianRational(*y)
+    gx, gy = const(x), const(y)
     assert_matches(gy.inverse(), ref_inverse(y))
     assert_matches(gx / gy, ref_mul(x, ref_inverse(y)))
 
@@ -111,7 +135,7 @@ def test_gaussian_division_matches_reference(x, y):
 @settings(max_examples=100, deadline=None)
 @given(pairs, fractions, st.integers(-50, 50))
 def test_gaussian_mixed_with_int_and_fraction(x, f, n):
-    gx = GaussianRational(*x)
+    gx = const(x)
     assert_matches(gx + n, (x[0] + n, x[1]))
     assert_matches(n - gx, (n - x[0], -x[1]))
     assert_matches(n * gx, (n * x[0], n * x[1]))
@@ -120,41 +144,40 @@ def test_gaussian_mixed_with_int_and_fraction(x, f, n):
         assert_matches(gx / f, (x[0] / f, x[1] / f))
     if x != (0, 0):
         assert_matches(f / gx, ref_mul((f, Fraction(0)), ref_inverse(x)))
-    assert (GaussianRational(f) == f) and (GaussianRational(n) == n)
+    assert (Scalar.from_rat(f) == f) and (Scalar.from_rat(n) == n)
 
 
 @settings(max_examples=100, deadline=None)
 @given(pairs, pairs, pairs)
 def test_polynomial_product_accumulates_exactly(w, x, y):
     # the s^0 coefficient of (w + x s)(1 + y/s) is w + x*y, summed in place
-    p = qcoeff._lp_mul(laurent({0: GaussianRational(*w), 1: GaussianRational(*x)}),
-                       laurent({0: 1, -1: GaussianRational(*y)}))
-    xy = ref_mul(x, y)
-    assert_matches(as_dict(p).get(0, GaussianRational(0)), (w[0] + xy[0], w[1] + xy[1]))
+    p = qcoeff._lp_mul(gauss_lp({0: w, 1: x}), gauss_lp({0: (1, 0), -1: y}))
+    assert as_dict(p).get(0, ZERO) == ref_add(w, ref_mul(x, y))
 
 
 def test_gaussian_zero_and_inverse_of_zero():
-    zero = GaussianRational(3, 4) - GaussianRational(3, 4)
-    assert (zero.a, zero.b, zero.d) == (0, 0, 1)
-    assert (GaussianRational(Fraction(-5, 7), 0) * 0).d == 1
+    zero = const((3, 4)) - const((3, 4))
+    assert zero.c == (qcoeff.RF_ZERO, qcoeff.RF_ZERO) and zero.c[0].num == qcoeff.LP_ZERO
+    assert (const((Fraction(-5, 7), 0)) * 0).c[0].num == qcoeff.LP_ZERO
     with pytest.raises(ZeroDivisionError):
         zero.inverse()
     with pytest.raises(ZeroDivisionError):
-        GaussianRational(1) / zero
+        S_ONE / zero
 
 
 def test_gaussian_from_fractions():
-    g = GaussianRational(Fraction(-3, 4), Fraction(5, 6))
-    assert (g.a, g.b, g.d) == (-9, 10, 12)
-    assert type(g.re) is Fraction and type(g.im) is Fraction
-    assert (g.re, g.im) == (Fraction(-3, 4), Fraction(5, 6))
-    assert str(g) == "-3/4+5/6*i" and repr(g) == \
-        "GaussianRational(Fraction(-3, 4), Fraction(5, 6))"
+    g = Scalar.from_rat(Fraction(-3, 4)) + S_I * Scalar.from_rat(Fraction(5, 6))
+    assert g.c[0].num == (0, 12, (-9,), (10,)) and g.c[0].den is qcoeff.LP_ONE
+    assert pair_of(g.c[0]) == (Fraction(-3, 4), Fraction(5, 6))
+    # a constant prints as a polynomial's s^0 coefficient, bracketed when it has two parts
+    assert qcoeff._gaussian_str(-9, 10, 12) == "-3/4+5/6*i" and str(g) == "(-3/4+5/6*i)"
+    assert str(Scalar.from_rat(Fraction(-3, 4))) == "-3/4" and str(S_I * 5) == "5*i"
     with pytest.raises(AttributeError):
-        g.a = 1
-    # unreduced input lands on the same canonical triple
-    assert GaussianRational(Fraction(2, 4), 0) == GaussianRational(Fraction(1, 2))
-    assert hash(GaussianRational(Fraction(2, 4), 0)) == hash(GaussianRational(Fraction(1, 2)))
+        g.c = (S_ONE, S_ONE)
+    # unreduced input lands on the same canonical tuple
+    half = RatFunc((0, 4, (2,), (0,)))
+    assert half == RatFunc.const(Fraction(1, 2)) and half.num == (0, 2, (1,), (0,))
+    assert hash(half) == hash(RatFunc.const(Fraction(1, 2)))
 
 
 def ref_gaussian_str(re, im):
@@ -171,8 +194,18 @@ def test_gaussian_str_matches_the_fraction_reference():
     # every (a + b*i)/d on the grid, where the two parts reduce by different
     # gcds, one of them or both vanish, or |im| is 1
     for a, b, d in product(range(-7, 8), range(-7, 8), range(1, 7)):
-        re, im = Fraction(a, d), Fraction(b, d)
-        assert str(GaussianRational(re, im)) == ref_gaussian_str(re, im)
+        assert qcoeff._gaussian_str(a, b, d) == ref_gaussian_str(Fraction(a, d), Fraction(b, d))
+
+
+def test_laurent_takes_ints_and_fractions():
+    # the real input path: one denominator for every coefficient, zeros dropped
+    p = laurent({3: Fraction(1, 2), -1: 2, 0: 0, 1: Fraction(-2, 3)})
+    assert p == (-1, 6, (12, 0, -4, 0, 3), (0, 0, 0, 0, 0))
+    assert p == gauss_lp({3: (Fraction(1, 2), 0), -1: (2, 0), 1: (Fraction(-2, 3), 0)})
+    assert laurent({}) == laurent({2: 0}) == qcoeff.LP_ZERO
+    assert RatFunc.const(Fraction(-4, 6)).num == (0, 3, (-2,), (0,))
+    assert RatFunc.const(0).num == qcoeff.LP_ZERO and Scalar.s_power(-3).c[0].num == (-3, 1, (1,), (0,))
+    assert Scalar.i() == S_I == const((0, 1)) and S_I.c[0].num == (0, 1, (0,), (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +219,6 @@ def polys_in(x):
 
 
 def test_gaussian_rationals_hold_only_ints():
-    assert GaussianRational.__slots__ == ("a", "b", "d")
     x = qint(7) * qint(5) / qint(3)
     # (s^2 - 1)(s/3 + 2) / ((s^2 - 1)(s - 3)) reduces through the polynomial gcd
     common = laurent({2: 1, 0: -1})
@@ -195,7 +227,10 @@ def test_gaussian_rationals_hold_only_ints():
     f = RatFunc(num, den)
     assert f == RatFunc(laurent({1: Fraction(1, 3), 0: 2}), laurent({1: 1, 0: -3}))
     # every polynomial is a tuple (v, d, re, im) of ints and tuples of ints
-    seen = list(polys_in(x)) + list(polys_in(f))
+    # and so is every constant of the degeneration maps
+    at_one = eval_q1(Scalar.from_rat(Fraction(1, 3)) + S_T * S_I)
+    h = taylor_q1(S_ONE / q_minus_qinv(), 2).coeff(-1)
+    seen = [p for y in (x, f, at_one, h) for p in polys_in(y)]
     assert any(p[1] != 1 for p in seen)
     for p in seen:
         assert type(p) is tuple and len(p) == 4
@@ -280,11 +315,11 @@ def test_i_squares_to_minus_one():
     assert S_I * S_I == -S_ONE
 
 
-gaussians = st.builds(
-    GaussianRational,
+gaussians = st.tuples(
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
 )
+nonzero_gaussians = gaussians.filter(lambda g: g != (0, 0))
 
 
 @st.composite
@@ -296,7 +331,7 @@ def scalars(draw):
         for _ in range(n_terms):
             k = draw(st.integers(-4, 4))
             g = draw(gaussians)
-            out = out + Scalar.s_power(k, g)
+            out = out + Scalar.s_power(k) * const(g)
         return out
 
     return comp() + comp() * S_T
@@ -326,9 +361,8 @@ def test_normalization_canonicity(x):
 
 # a nonzero rational-sector value: one or two monomials at distinct exponents
 nonzero_components = st.dictionaries(
-    st.integers(-4, 4), gaussians.filter(lambda g: not g.is_zero()),
-    min_size=1, max_size=2,
-).map(lambda terms: sum((Scalar.s_power(k, g) for k, g in terms.items()), S_ZERO))
+    st.integers(-4, 4), nonzero_gaussians, min_size=1, max_size=2,
+).map(lambda terms: sum((Scalar.s_power(k) * const(g) for k, g in terms.items()), S_ZERO))
 
 
 @settings(max_examples=25, deadline=None)
@@ -345,9 +379,8 @@ def test_inverse_is_norm_form(c0, c1):
 
 
 small_polys = st.dictionaries(
-    st.integers(-2, 2), gaussians.filter(lambda g: not g.is_zero()),
-    min_size=1, max_size=2,
-).map(laurent)
+    st.integers(-2, 2), nonzero_gaussians, min_size=1, max_size=2,
+).map(gauss_lp)
 ratfuncs = st.builds(RatFunc, small_polys, small_polys)
 OPS = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
        "mul": lambda a, b: a * b, "div": lambda a, b: a / b}
@@ -398,37 +431,41 @@ def test_unit_denominator_is_the_shared_one(x, steps):
 
 
 # ---------------------------------------------------------------------------
-# reference: polynomials as dicts {exponent: nonzero GaussianRational}
+# reference: polynomials as dicts {exponent: nonzero (re, im) Fraction pair}
 # ---------------------------------------------------------------------------
 # The engine's polynomials are integer tuples over one common denominator;
-# this is the dict-of-GaussianRational arithmetic they replaced, one exact
-# reduction per coefficient.  Both must agree term by term and in print.
+# this is coefficientwise arithmetic on Fraction pairs, one exact reduction
+# per part.  Both must agree term by term and in print.
 
 def ref_lp_add(p, q):
     out = dict(p)
     for k, v in q.items():
-        w = out.get(k, G_ZERO) + v
-        if w.is_zero():
+        w = ref_add(out.get(k, ZERO), v)
+        if w == ZERO:
             out.pop(k, None)
         else:
             out[k] = w
     return out
 
 
+def ref_neg(x):
+    return (-x[0], -x[1])
+
+
 def ref_lp_neg(p):
-    return {k: -v for k, v in p.items()}
+    return {k: ref_neg(v) for k, v in p.items()}
 
 
 def ref_lp_mul(p, q):
     out = {}
     for k1, v1 in p.items():
         for k2, v2 in q.items():
-            out[k1 + k2] = out.get(k1 + k2, G_ZERO) + v1 * v2
-    return {k: v for k, v in out.items() if not v.is_zero()}
+            out[k1 + k2] = ref_add(out.get(k1 + k2, ZERO), ref_mul(v1, v2))
+    return {k: v for k, v in out.items() if v != ZERO}
 
 
 def ref_lp_eval_one(p):
-    return sum(p.values(), G_ZERO)
+    return reduce(ref_add, p.values(), ZERO)
 
 
 def ref_lp_str(p):
@@ -436,7 +473,7 @@ def ref_lp_str(p):
         return "0"
     parts = []
     for k in sorted(p, reverse=True):
-        vs = str(p[k])
+        vs = ref_gaussian_str(*p[k])
         if ("+" in vs[1:]) or ("-" in vs[1:]):
             vs = f"({vs})"
         if k == 0:
@@ -447,12 +484,11 @@ def ref_lp_str(p):
     return " + ".join(parts).replace("+ -", "- ")
 
 
-nonzero_gaussians = gaussians.filter(lambda g: not g.is_zero())
 # sparse q-integer-like polynomials c*s^shift*[n]_(s^2), one term in every 4th
 # power, and dense ones with non-integral and Gaussian coefficients, zero included
 lp_dicts = st.one_of(
     st.builds(lambda n, c, shift: {shift + 2 * (n - 1 - 2 * j): c for j in range(n)},
-              st.integers(1, 8), st.one_of(st.just(GaussianRational(1)), nonzero_gaussians),
+              st.integers(1, 8), st.one_of(st.just((Fraction(1), Fraction(0))), nonzero_gaussians),
               st.integers(-3, 3)),
     st.dictionaries(st.integers(-6, 6), nonzero_gaussians, max_size=5),
 )
@@ -466,7 +502,7 @@ def lp_pairs(draw):
     if p and draw(st.booleans()):
         keys = {"top": [max(p)], "low": [min(p)], "all": list(p)}[
             draw(st.sampled_from(("top", "low", "all")))]
-        q = {k: v for k, v in q.items() if k not in keys} | {k: -p[k] for k in keys}
+        q = {k: v for k, v in q.items() if k not in keys} | {k: ref_neg(p[k]) for k in keys}
     return p, q
 
 
@@ -477,7 +513,7 @@ def test_polynomial_ops_match_the_dict_reference(pq):
     # canonical tuples of the dict results, with the same value at s = 1 and
     # the same printed form
     p, q = pq
-    tp, tq = laurent(p), laurent(q)
+    tp, tq = gauss_lp(p), gauss_lp(q)
     assert as_dict(tp) == p and as_dict(tq) == q
     for got, want in ((qcoeff._lp_add(tp, tq), ref_lp_add(p, q)),
                       (qcoeff._lp_add(tp, qcoeff._lp_neg(tq)), ref_lp_add(p, ref_lp_neg(q))),
@@ -485,29 +521,31 @@ def test_polynomial_ops_match_the_dict_reference(pq):
                       (qcoeff._lp_mul(tq, tp), ref_lp_mul(p, q)),
                       (qcoeff._lp_neg(tp), ref_lp_neg(p))):
         assert_canonical_lp(got)
-        assert as_dict(got) == want and got == laurent(want)
-        assert qcoeff._lp_eval_one(got) == ref_lp_eval_one(want)
+        assert as_dict(got) == want and got == gauss_lp(want)
+        at_one = qcoeff._lp_eval_one(got)
+        assert_canonical_lp(at_one)
+        assert as_dict(at_one).get(0, ZERO) == ref_lp_eval_one(want)
         assert qcoeff._lp_str(got) == ref_lp_str(want)
 
 
 # ---------------------------------------------------------------------------
-# reference: the Euclidean algorithm over GaussianRational coefficients
+# reference: the Euclidean algorithm over Fraction-pair coefficients
 # ---------------------------------------------------------------------------
 # The engine's gcd path runs in integers (pseudo-division, primitive
-# remainders); this is the independent field-arithmetic version it replaced.
+# remainders); this is an independent field-arithmetic version.
 # Canonical forms are unique, so both must give the same RatFunc.
 
 def ref_dense(p):
     """Shift to nonnegative exponents; return (valuation, coefficient list)."""
     v = min(p)
-    out = [G_ZERO] * (max(p) - v + 1)
+    out = [ZERO] * (max(p) - v + 1)
     for k, g in p.items():
         out[k - v] = g
     return v, out
 
 
 def ref_trim(a):
-    while a and a[-1].is_zero():
+    while a and a[-1] == ZERO:
         a.pop()
     return a
 
@@ -515,16 +553,21 @@ def ref_trim(a):
 def ref_poly_divmod(a, b):
     """Divide dense coefficient lists over the Gaussian rationals."""
     a = list(a)
-    q = [G_ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = b[-1].inverse()
+    q = [ZERO] * max(0, len(a) - len(b) + 1)
+    inv_lead = ref_inverse(b[-1])
     for i in range(len(a) - len(b), -1, -1):
-        f = a[i + len(b) - 1] * inv_lead
-        if f.is_zero():
+        f = ref_mul(a[i + len(b) - 1], inv_lead)
+        if f == ZERO:
             continue
         q[i] = f
         for j, bj in enumerate(b):
-            a[i + j] = a[i + j] - f * bj
+            a[i + j] = ref_add(a[i + j], ref_neg(ref_mul(f, bj)))
     return ref_trim(q), ref_trim(a)
+
+
+def ref_monic(a):
+    inv_lead = ref_inverse(a[-1])
+    return [ref_mul(x, inv_lead) for x in a]
 
 
 def ref_poly_gcd(a, b):
@@ -533,19 +576,15 @@ def ref_poly_gcd(a, b):
     while b:
         _, r = ref_poly_divmod(a, b)
         assert len(r) < len(b)
-        if r:
-            inv_lead = r[-1].inverse()
-            r = [x * inv_lead for x in r]
-        a, b = b, r
-    inv_lead = a[-1].inverse()
-    return [x * inv_lead for x in a]
+        a, b = b, ref_monic(r) if r else r
+    return ref_monic(a)
 
 
 def ref_from_dense(v, coeffs):
-    return {v + i: g for i, g in enumerate(coeffs) if not g.is_zero()}
+    return {v + i: g for i, g in enumerate(coeffs) if g != ZERO}
 
 
-REF_ONE = {0: GaussianRational(1)}
+REF_ONE = {0: (Fraction(1), Fraction(0))}
 
 
 def ref_normalize(num, den):
@@ -558,31 +597,31 @@ def ref_normalize(num, den):
     g = ref_poly_gcd(dn, dd)
     if len(g) > 1:
         dn, dd = ref_poly_divmod(dn, g)[0], ref_poly_divmod(dd, g)[0]
-    inv_lead = dd[-1].inverse()
-    num = ref_from_dense(vn - vd, [x * inv_lead for x in dn])
+    inv_lead = ref_inverse(dd[-1])
+    num = ref_from_dense(vn - vd, [ref_mul(x, inv_lead) for x in dn])
     if len(dd) == 1:
         return num, REF_ONE
-    return num, ref_from_dense(0, [x * inv_lead for x in dd])
+    return num, ref_from_dense(0, ref_monic(dd))
 
 
 def ref_ratfunc(num, den):
     """The RatFunc of dicts num/den, in canonical form by the reference Euclid."""
     num, den = ref_normalize(num, den)
-    return qcoeff._ratfunc(laurent(num), qcoeff.LP_ONE if den == REF_ONE else laurent(den))
+    return qcoeff._ratfunc(gauss_lp(num), qcoeff.LP_ONE if den == REF_ONE else gauss_lp(den))
 
 
 def test_reference_euclid_reduces_by_hand():
     # (s^2 - 1)/(s^2 + (1/2 - i) s - i/2) = (s - 1)/(s + 1/2) over the common
     # factor s + 1, with s - i cancelled: a non-integral and a Gaussian root
-    common = {1: G_ONE, 0: G_ONE}
-    num = ref_lp_mul(common, {1: G_ONE, 0: -G_ONE})
-    den = ref_lp_mul(common, {1: G_ONE, 0: GaussianRational(Fraction(1, 2))})
-    den_i = ref_lp_mul(den, {1: G_ONE, 0: -GaussianRational(0, 1)})
-    num_i = ref_lp_mul(num, {1: G_ONE, 0: -GaussianRational(0, 1)})
-    want = ({1: GaussianRational(1), 0: GaussianRational(-1)},
-            {1: GaussianRational(1), 0: GaussianRational(Fraction(1, 2))})
+    one, minus_i = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1))
+    common = {1: one, 0: one}
+    num = ref_lp_mul(common, {1: one, 0: ref_neg(one)})
+    den = ref_lp_mul(common, {1: one, 0: (Fraction(1, 2), Fraction(0))})
+    den_i = ref_lp_mul(den, {1: one, 0: minus_i})
+    num_i = ref_lp_mul(num, {1: one, 0: minus_i})
+    want = ({1: (1, 0), 0: (-1, 0)}, {1: (1, 0), 0: (Fraction(1, 2), 0)})
     assert ref_normalize(num, den) == want == ref_normalize(num_i, den_i)
-    got = RatFunc(laurent(num_i), laurent(den_i))
+    got = RatFunc(gauss_lp(num_i), gauss_lp(den_i))
     assert (as_dict(got.num), as_dict(got.den)) == want
 
 
@@ -606,9 +645,8 @@ def cross_branch(p, q):
 
 # at least two terms, so no factor is a monomial (a unit of the Laurent ring)
 factors = st.dictionaries(
-    st.integers(-2, 2), gaussians.filter(lambda g: not g.is_zero()),
-    min_size=2, max_size=3,
-).map(laurent)
+    st.integers(-2, 2), nonzero_gaussians, min_size=2, max_size=3,
+).map(gauss_lp)
 
 
 @st.composite
@@ -653,8 +691,8 @@ half_factors = st.builds(
     lambda k, c: laurent({k: 1, 0: c}), st.integers(1, 3),
     st.fractions(-3, 3, max_denominator=6).filter(lambda c: c.denominator > 1))
 gaussian_factors = st.builds(
-    lambda lead, c: laurent({1: lead, 0: c}),
-    gaussians.filter(lambda g: g.b != 0), gaussians.filter(lambda g: not g.is_zero()))
+    lambda lead, c: gauss_lp({1: lead, 0: c}),
+    gaussians.filter(lambda g: g[1] != 0), nonzero_gaussians)
 cyclotomic_factors = st.lists(
     st.tuples(st.integers(1, 96), st.sampled_from((1, -1))), min_size=1, max_size=3,
 ).filter(lambda ks: sum(k for k, _ in ks) <= 96).map(
@@ -682,7 +720,7 @@ def reference_pairs(draw):
 @given(reference_pairs())
 def test_arithmetic_matches_the_reference_euclid(case):
     # products, quotients, sums and fresh fractions from the integer gcd path
-    # are the canonical fractions of the GaussianRational Euclid, with the
+    # are the canonical fractions of the Fraction-pair Euclid, with the
     # unreduced numerators and denominators built by the dict reference
     _, a, b = case
     mul, add = ref_lp_mul, ref_lp_add
@@ -718,29 +756,42 @@ def test_gcd_raises_when_a_remainder_does_not_shrink(monkeypatch):
 # eval_q1
 # ---------------------------------------------------------------------------
 
+def assert_constant(x):
+    """x is a constant Scalar a + b*t: both components are canonical constants."""
+    for f in x.c:
+        assert_canonical_ratfunc(f)
+        pair_of(f)
+
+
 @pytest.mark.parametrize("n", list(range(-24, 25)))
 def test_eval_q1_of_qint_is_n(n):
-    assert eval_q1(qint(n)) == SurdRational(n)
+    assert eval_q1(qint(n)) == n
 
 
 def test_eval_q1_constants_fixed():
-    assert eval_q1(S_ONE) == SurdRational(1)
-    assert eval_q1(Scalar.from_rat(Fraction(3, 7))) == SurdRational(Fraction(3, 7))
+    assert eval_q1(S_ONE) == 1
+    assert eval_q1(Scalar.from_rat(Fraction(3, 7))) == Fraction(3, 7)
 
 
 def test_eval_q1_surds():
-    assert eval_q1(S_T) == SurdRational(0, 1)
-    assert eval_q1(S_T * S_T) == SurdRational(2)
+    assert eval_q1(S_T) == S_T
+    assert eval_q1(S_T * S_T) == 2
+    x = eval_q1((S_T + spow(3)) / (qint(2) + S_I))
+    assert_constant(x)
+    assert pair_of(x.c[0]) == (Fraction(2, 5), Fraction(-1, 5)) == pair_of(x.c[1])
 
 
 @settings(max_examples=40, deadline=None)
 @given(scalars(), scalars(), scalars())
 def test_eval_q1_is_a_ring_map_onto_surd_rationals(a, b, c):
     # a / c, for c nonzero at q = 1, has a denominator that stays regular
-    # there; t^2 = 2 in SurdRational must match Scalar's
+    # there; the constants a + b*t at q = 1 are Scalars, and t^2 = 2 holds
+    # in their arithmetic as in every Scalar's
     if not eval_q1(c).is_zero():
         a = a / c
     ea, eb = eval_q1(a), eval_q1(b)
+    for e in (ea, eb):
+        assert_constant(e)
     assert eval_q1(a + b) == ea + eb
     assert eval_q1(a - b) == ea - eb
     assert eval_q1(a * b) == ea * eb
@@ -751,12 +802,26 @@ def test_eval_q1_is_a_ring_map_onto_surd_rationals(a, b, c):
             eval_q1(b.inverse())
     else:
         assert eval_q1(b.inverse()) == eb.inverse()
-        assert eb * eb.inverse() == SurdRational(1)
+        assert eb * eb.inverse() == 1
 
 
 def test_surd_rational_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        SurdRational(0).inverse()
+        eval_q1(S_ZERO).inverse()
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs, pairs)
+def test_constant_surd_inverse_is_norm_form(a, b):
+    # 1/(a + b t) = (a - b t)/(a^2 - 2 b^2) on constants, against Fraction pairs
+    assume((a, b) != ((0, 0), (0, 0)))
+    x = const(a) + const(b) * S_T
+    assert x * x.inverse() == 1
+    norm = ref_add(ref_mul(a, a), ref_neg(ref_mul((2, 0), ref_mul(b, b))))
+    inv = ref_inverse(norm)
+    y = x.inverse()
+    assert_constant(y)
+    assert (pair_of(y.c[0]), pair_of(y.c[1])) == (ref_mul(a, inv), ref_neg(ref_mul(b, inv)))
 
 
 def test_eval_q1_pole_raises():
@@ -779,32 +844,34 @@ def test_taylor_order0_agrees_with_eval():
 def test_taylor_qint2():
     # [2] = 2 cos h = 2 - h^2 + h^4/12 - ...
     h = taylor_q1(qint(2), 2)
-    assert h.coeff(0) == SurdRational(2)
-    assert h.coeff(1) == SurdRational(0)
-    assert h.coeff(2) == SurdRational(-1)
+    assert h.coeff(0) == 2
+    assert h.coeff(1) == 0
+    assert h.coeff(2) == -1
 
 
 def test_taylor_q_minus_qinv():
     # q - 1/q = 2i sin h = 2i h - i h^3 / 3 + ...
     h = taylor_q1(q_minus_qinv(), 3)
-    assert h.coeff(0) == SurdRational(0)
-    assert h.coeff(1) == SurdRational(GaussianRational(0, 2))
-    assert h.coeff(2) == SurdRational(0)
-    assert h.coeff(3) == SurdRational(GaussianRational(0, Fraction(-1, 3)))
+    assert h.coeff(0) == 0
+    assert h.coeff(1) == 2 * S_I
+    assert h.coeff(2) == 0
+    assert h.coeff(3) == Fraction(-1, 3) * S_I
+    for k in range(4):
+        assert_constant(h.coeff(k))
 
 
 def test_taylor_constant():
     for k in (0, 2, 5):
         h = taylor_q1(S_ONE, k)
-        assert h.coeff(0) == SurdRational(1)
-        assert all(h.coeff(m) == SurdRational(0) for m in range(1, k + 1))
+        assert h.coeff(0) == 1
+        assert all(h.coeff(m) == 0 for m in range(1, k + 1))
 
 
 def test_taylor_pole_in_h():
     # 1/(q - 1/q) = 1/(2i h) + O(h): principal part is representable
     h = taylor_q1(S_ONE / q_minus_qinv(), 1)
     assert h.valuation() == -1
-    assert h.coeff(-1) == SurdRational(GaussianRational(0, Fraction(-1, 2)))
+    assert h.coeff(-1) == Fraction(-1, 2) * S_I
 
 
 def test_taylor_third_order_pole_in_one_pass(monkeypatch):
@@ -819,29 +886,28 @@ def test_taylor_third_order_pole_in_one_pass(monkeypatch):
     h = taylor_q1(S_ONE / dq3, 2)
     assert len(calls) == 2
     assert h.prec == 3 and h.valuation() == -3
-    assert h.coeff(-3) == SurdRational(GaussianRational(0, Fraction(1, 8)))
-    assert h.coeff(-2) == SurdRational(0)
-    assert h.coeff(-1) == SurdRational(GaussianRational(0, Fraction(1, 16)))
+    assert h.coeff(-3) == Fraction(1, 8) * S_I
+    assert h.coeff(-2) == 0
+    assert h.coeff(-1) == Fraction(1, 16) * S_I
     # the product with the expansion of (q - 1/q)^3 is one through h^2
     one = h * taylor_q1(dq3, 5)
     assert one.prec >= 3
-    assert [one.coeff(k) for k in range(3)] == [SurdRational(1), SurdRational(0),
-                                                 SurdRational(0)]
+    assert [one.coeff(k) for k in range(3)] == [S_ONE, S_ZERO, S_ZERO]
 
 
 def test_taylor_of_t_component():
     # t*[2] = t*(2 - h^2 + ...): the t-part expands like a rational value
     h = taylor_q1(S_T * qint(2) + S_ONE, 2)
-    assert h.coeff(0) == SurdRational(1, 2)
-    assert h.coeff(2) == SurdRational(0, -1)
+    assert h.coeff(0) == 1 + 2 * S_T
+    assert h.coeff(2) == -S_T
 
 
 def test_qint_taylor_limit():
     # [n] -> n with the first correction -n(n^2-1)/6 * h^2
     for n in (2, 3, 5):
         h = taylor_q1(qint(n), 2)
-        assert h.coeff(0) == SurdRational(n)
-        assert h.coeff(2) == SurdRational(Fraction(-n * (n * n - 1), 6))
+        assert h.coeff(0) == n
+        assert h.coeff(2) == Fraction(-n * (n * n - 1), 6)
 
 
 # values with t-parts and poles of order 0..3 at q = 1
@@ -870,7 +936,7 @@ def test_taylor_matches_sympy_series_with_t_part_and_third_order_pole():
     engine = taylor_q1(x, order)
 
     def gauss(z):
-        return sympy.Rational(z.a, z.d) + sympy.I * sympy.Rational(z.b, z.d)
+        return sympy.Rational(z[0]) + sympy.I * sympy.Rational(z[1])
 
     def at_exp(f):
         def lp(p):
@@ -878,7 +944,7 @@ def test_taylor_matches_sympy_series_with_t_part_and_third_order_pole():
         return lp(f.num) / lp(f.den)
 
     assert engine.valuation() == -3
-    for part, pick in ((x.c[0], lambda v: v.rat), (x.c[1], lambda v: v.t_coef)):
+    for part, pick in ((x.c[0], lambda v: pair_of(v.c[0])), (x.c[1], lambda v: pair_of(v.c[1]))):
         series = sympy.series(at_exp(part), h, 0, order + 1).removeO()
         for k in range(-3, order + 1):
             want = sympy.expand(series.coeff(h, k))

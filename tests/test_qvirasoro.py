@@ -5,12 +5,10 @@ from fractions import Fraction
 import pytest
 
 from qvir.qcoeff import (
-    GaussianRational,
     S_I,
     S_ONE,
     S_ZERO,
     Scalar,
-    SurdRational,
     q_minus_qinv,
     qint,
     taylor_q1,
@@ -96,11 +94,11 @@ def test_limit_h4_values_by_hand(reductions):
     parts = split_reduced(rq, W.N)
     for n in (1, 2, 3):
         lin = taylor_q1(amap.ab * parts.quad.coeff(n), 4)
-        assert lin.coeff(4) == SurdRational(GaussianRational(0, -16 * n))
+        assert lin.coeff(4) == -16 * n * S_I
         cn = taylor_q1(Scalar.from_rat(2) * amap.b2 * parts.quad.coeff(n)
                        - Scalar.from_rat(2) * amap.ab * parts.lin_z.coeff(n)
                        + amap.a2 * parts.cnum.coeff(n), 4)
-        assert cn.coeff(4) == SurdRational(GaussianRational(0, Fraction(16 * n ** 3, 2)))
+        assert cn.coeff(4) == Fraction(16 * n ** 3, 2) * S_I
 
 
 def test_limit_detects_wrong_central(reductions):
