@@ -212,11 +212,7 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
 
-    n_fail = len(report.failed)
-    n_doc = len(report.documented)
-    print(f"{len(report.checks)} checks: "
-          f"{len(report.checks) - n_fail - n_doc} passed, {n_fail} failed, "
-          f"{n_doc} documented discrepancies.", file=sys.stderr)
+    print(report.summary(), file=sys.stderr)
     return EXIT_OK if report.ok() else EXIT_CHECK_FAILED
 
 

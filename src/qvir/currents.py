@@ -3,9 +3,10 @@
 Operator-valued distributions are finite sums of (monomial in field
 symbols with q-shifted arguments) x (two-point distribution), the TermSum.
 Quantum commutators are the region difference of the two orderings'
-contraction kernels; the classical bracket table transcribes them through the
-correspondence sign map into commuting monomials, optionally with a
-q^(h|n|) mode weight.  Mode-algebra consistency checks live here too.
+contraction kernels.  A classical bracket table maps each pair of field
+symbols to its bracket rule; the deformed table's rules are the printed
+commutators times the correspondence sign.  Mode-algebra consistency checks
+live here too.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ from fractions import Fraction
 from operator import add, sub
 
 from .qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, q_minus_qinv, qint, qint_ratio
-from .distcalc import (
-    Dist2,
-    ModeWindow,
-    expand_inner,
-    expand_outer,
-    weight_abs,
-)
+from .distcalc import Dist2, ModeWindow, expand_inner, expand_outer
 from .report import CheckRecord, compare_dists, record
 from .vertexcalc import (
     ExpField,
@@ -399,54 +394,27 @@ def _compare_termsums(check_id, tag, engine: TermSum, printed: TermSum) -> Check
 # Bracket tables and the classical correspondence
 # ---------------------------------------------------------------------------
 
-class BracketTable:
-    """Rules for classical Poisson brackets of the field symbols.
+# A bracket table maps a field-symbol pair (a, b) to its rule, the function
+# of the mode window that gives {a(z), b(w)}.  One orientation per pair is
+# stored; the other follows by antisymmetry.
 
-    One orientation per pair is stored; the other follows structurally from
-    antisymmetry (reflection + negation).  For quantum-sourced tables the
-    correspondence sign map sigma(A, B) (+i only for equal step-operator
-    pairs) is applied on extraction, and an optional mode weight q^(h|n|)
-    multiplies every produced distribution.
-    """
-
-    def __init__(self, rules, quantum_source: bool, weight_exponent: int = 0):
-        self.rules = dict(rules)
-        self.quantum_source = quantum_source
-        self.weight_exponent = weight_exponent
-
-    def sigma(self, a: str, b: str) -> Scalar:
-        if not self.quantum_source:
-            return S_ONE
-        if a == b and a in ("E+", "E-"):
-            return S_I
-        return -S_I
-
-    def with_weight(self, h: int) -> "BracketTable":
-        return BracketTable(self.rules, self.quantum_source, h)
+def classical_bracket(a: str, b: str, table: dict, W: ModeWindow) -> TermSum:
+    """{a(z), b(w)} from the table's rule for (a, b), or else by antisymmetry
+    from its rule for (b, a): reflected and negated."""
+    if (a, b) in table:
+        return table[(a, b)](W)
+    if (b, a) in table:
+        return -(table[(b, a)](W).reflect())
+    raise MissingPairError(f"no bracket rule for ({a}, {b})")
 
 
-def classical_bracket(a: str, b: str, table: BracketTable, W: ModeWindow) -> TermSum:
-    """{a(z), b(w)} from the table: sigma x commutator rule, commutative
-    monomials, optional mode weight."""
-    if (a, b) in table.rules:
-        T = table.rules[(a, b)](W)
-    elif (b, a) in table.rules:
-        T = -(table.rules[(b, a)](W).reflect())
-    else:
-        raise MissingPairError(f"no bracket rule for ({a}, {b})")
-    sigma = table.sigma(a, b)
-    if sigma != S_ONE:      # the undeformed table's sigma is 1
-        T = T.scale(sigma)
-    if table.weight_exponent:
-        T = T.map_dist(lambda d: weight_abs(d, table.weight_exponent))
-    return T
+def q_bracket_table() -> dict:
+    """The deformed table: each quantum commutator rule in its printed form,
+    times the correspondence sign sigma, +i for an equal step-operator pair
+    and -i otherwise."""
 
-
-def q_bracket_table() -> BracketTable:
-    """The deformed table (quantum commutator rules in their printed form)."""
-
-    def rule_chi_chi(W):
-        return printed_pair_exchange_bracket(W)
+    def signed(sigma, rule):
+        return lambda W: rule(W).scale(sigma)
 
     def rule_chi_e(sign):
         return lambda W: printed_chi_e_bracket(sign, W, normalized=False)
@@ -454,26 +422,22 @@ def q_bracket_table() -> BracketTable:
     def rule_ee_same(sign):
         return lambda W: printed_ee_same_bracket(sign, W, normalized=False)
 
-    def rule_ee_opposite(W):
-        return opposite_charge_bracket(W)
-
-    rules = {
-        ("chi1", "chi1"): rule_chi_chi,
-        ("chi1", "E+"): rule_chi_e(+1),
-        ("chi1", "E-"): rule_chi_e(-1),
-        ("E+", "E+"): rule_ee_same(+1),
-        ("E-", "E-"): rule_ee_same(-1),
-        ("E+", "E-"): rule_ee_opposite,
+    return {
+        ("chi1", "chi1"): signed(-S_I, printed_pair_exchange_bracket),
+        ("chi1", "E+"): signed(-S_I, rule_chi_e(+1)),
+        ("chi1", "E-"): signed(-S_I, rule_chi_e(-1)),
+        ("E+", "E+"): signed(S_I, rule_ee_same(+1)),
+        ("E-", "E-"): signed(S_I, rule_ee_same(-1)),
+        ("E+", "E-"): signed(-S_I, opposite_charge_bracket),
     }
-    return BracketTable(rules, quantum_source=True)
 
 
-def classical_bracket_table(level: int = 1) -> BracketTable:
-    """The undeformed Poisson table at level k (central term weight)."""
-    minus_ik, minus_it = -S_I * Scalar.from_rat(level), -S_I * S_T
+def classical_bracket_table() -> dict:
+    """The undeformed Poisson table at level 1."""
+    minus_i, minus_it = -S_I, -S_I * S_T
 
     def rule_hh(W):
-        return TermSum.single((), Dist2.from_func(W.N, lambda n: minus_ik * Scalar.from_rat(n)))
+        return TermSum.single((), Dist2.from_func(W.N, lambda n: minus_i * Scalar.from_rat(n)))
 
     def rule_he(sign):
         # the emitted field rides the delta support, so it may be placed at
@@ -487,12 +451,12 @@ def classical_bracket_table(level: int = 1) -> BracketTable:
 
     def rule_ee_opposite(W):
         field = TermSum.single((FieldFactor("H", "z"),), Dist2.from_func(W.N, lambda n: minus_it))
-        return field + rule_hh(W)       # the same level-k central term as {H, H}
+        return field + rule_hh(W)       # the same central term as {H, H}
 
     def rule_zero(W):
         return TermSum.zero()
 
-    rules = {
+    return {
         ("H", "H"): rule_hh,
         ("H", "E+"): rule_he(+1),
         ("H", "E-"): rule_he(-1),
@@ -500,7 +464,6 @@ def classical_bracket_table(level: int = 1) -> BracketTable:
         ("E+", "E+"): rule_zero,
         ("E-", "E-"): rule_zero,
     }
-    return BracketTable(rules, quantum_source=False)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .qcoeff import (S_I, S_ONE, S_T, S_ZERO, Scalar, eval_q1, q_minus_qinv, qin
                      qint_over_qsum)
 from .distcalc import Dist2, ModeWindow, pair, weight_abs
 from .currents import (
-    BracketTable,
     FieldFactor,
     TermSum,
     classical_bracket,
@@ -134,7 +133,7 @@ class AffineMap:
 @dataclass(frozen=True)
 class Scenario:
     key: str
-    table: BracketTable
+    table: dict
     constraints: ConstraintSet
     weighted: bool = False      # the table carries q^(WEIGHT_EXPONENT |n|)
 
@@ -147,12 +146,16 @@ def scenario(key: str, weighted: bool = False) -> Scenario:
     if key == "q-sl2":
         table = q_bracket_table()
         if weighted:
-            table = table.with_weight(WEIGHT_EXPONENT)
+            # every rule has z-degree 0, so the weight commutes with the
+            # reflection that serves a pair's other orientation
+            h = WEIGHT_EXPONENT
+            table = {pair: lambda W, rule=rule: rule(W).map_dist(lambda d: weight_abs(d, h))
+                     for pair, rule in table.items()}
         return Scenario(key, table, q_constraints(), weighted)
     if key == "classical-sl2":
         if weighted:
             raise UnknownScenarioError("the undeformed scenario takes no mode weight")
-        return Scenario(key, classical_bracket_table(1), classical_constraints())
+        return Scenario(key, classical_bracket_table(), classical_constraints())
     raise UnknownScenarioError(f"unknown scenario {key!r}; known: {SCENARIO_KEYS}")
 
 
@@ -242,7 +245,7 @@ def _onsurface_cnumber(a: str, b: str, table, constraints, W) -> Dist2:
             f"bracket ({a}, {b}) is not a c-number on the surface: {err}") from err
 
 
-def build_dirac_matrix(table: BracketTable, constraints: ConstraintSet,
+def build_dirac_matrix(table: dict, constraints: ConstraintSet,
                        W: ModeWindow) -> DiracMatrix:
     """Mutual constraint brackets with the on-surface substitution applied."""
     c1, c2 = constraints.symbols()
@@ -287,7 +290,7 @@ def matrix_pair(A: DiracMatrix, B: DiracMatrix) -> list[list[Dist2]]:
 # The reduced bracket
 # ---------------------------------------------------------------------------
 
-def reduce(table: BracketTable, constraints: ConstraintSet, W: ModeWindow,
+def reduce(table: dict, constraints: ConstraintSet, W: ModeWindow,
            dinv: DiracMatrix) -> TermSum:
     """Dirac bracket of the surviving current with itself: the direct
     bracket minus the constraint-chain correction through the per-mode

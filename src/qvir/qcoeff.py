@@ -180,6 +180,16 @@ def _lp_str(p):
     return " + ".join(parts).replace("+ -", "- ")
 
 
+def _one_group(s):
+    """Whether s is one bracketed group: its first "(" closes at its end."""
+    depth = 0
+    for j, ch in enumerate(s):
+        depth += (ch == "(") - (ch == ")")
+        if not depth:
+            return j == len(s) - 1
+    return False
+
+
 def _scale(re, im, cr, ci):
     """(re + i*im) * (cr + i*ci) coefficientwise."""
     if ci:
@@ -592,7 +602,7 @@ class Scalar:
             elif fs == "-1":
                 parts.append(f"-{name}")
             else:
-                if " " in fs or "/" in fs:
+                if (" " in fs or "/" in fs) and not _one_group(fs):
                     fs = f"({fs})"
                 parts.append(f"{fs}*{name}")
         return " + ".join(parts).replace("+ -", "- ")

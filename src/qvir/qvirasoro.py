@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qcoeff import S_ZERO, Scalar, eval_q1, q_minus_qinv, taylor_q1
+from .qcoeff import S_ZERO, Scalar, q_minus_qinv, taylor_q1
 from .distcalc import Dist2, ModeWindow, weight_abs
 from .currents import TermSum
 from .dirac import AffineMap, QVirasoroBracket, split_reduced
@@ -96,8 +96,8 @@ def classical_limit_check(reduced_q: TermSum, reduced_classical: TermSum,
             if not (h_lin.coeff(k).is_zero() and h_cn.coeff(k).is_zero()):
                 bad_low = (n, k, str(h_lin), str(h_cn))
                 break
-        want_lin = eval_q1(sixteen * c.lin_z.coeff(n))
-        want_cen = eval_q1(sixteen * c.cnum.coeff(n))
+        want_lin = sixteen * c.lin_z.coeff(n)
+        want_cen = sixteen * c.cnum.coeff(n)
         if h_lin.coeff(4) != want_lin and bad_lin is None:
             bad_lin = (n, str(h_lin.coeff(4)), str(want_lin))
         if h_cn.coeff(4) != want_cen and bad_cen is None:

@@ -125,15 +125,14 @@ class Report:
             lines.append(
                 f"| {c.id} | {c.paper_eq} | {c.status} | {mode} | {eng} | {exp} | {c.seconds:.3f} |"
             )
+        lines += ["", self.summary(), ""]
+        return "\n".join(lines)
+
+    def summary(self) -> str:
         n_fail = len(self.failed)
         n_doc = len(self.documented)
-        lines += [
-            "",
-            f"{len(self.checks)} checks: {len(self.checks) - n_fail - n_doc} passed, "
-            f"{n_fail} failed, {n_doc} documented discrepancies.",
-            "",
-        ]
-        return "\n".join(lines)
+        return (f"{len(self.checks)} checks: {len(self.checks) - n_fail - n_doc} passed, "
+                f"{n_fail} failed, {n_doc} documented discrepancies.")
 
     def strip_durations(self) -> dict:
         d = self.to_dict()

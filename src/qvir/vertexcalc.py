@@ -114,13 +114,12 @@ def oscillator_norm(n: int) -> Scalar:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LogKernel:
-    """Scalar contraction of A(z)B(w): prefactor * z^zdeg * exp(sum_n L_n x^n),
-    with n L_n = sum_e mult[e] s^(e n), i.e. prod_e (1 - s^e x)^(-mult[e])."""
+class ContractionData:
+    """Exact contraction C(z,w) = const * z^zdeg * kernel(x)."""
 
-    prefactor: Scalar
+    const: Scalar
     zdeg: int
-    mult: dict         # s-exponent -> nonzero integer multiplicity
+    kernel: RatKernel
 
 
 def z_degree(A: ExpField, B: ExpField) -> int:
@@ -133,7 +132,7 @@ def z_degree(A: ExpField, B: ExpField) -> int:
     return d
 
 
-def contract(A: ExpField, B: ExpField) -> LogKernel:
+def contract(A: ExpField, B: ExpField) -> ContractionData:
     """Commute A's annihilation half past B's creation half, exactly, for
     every mode at once.
 
@@ -142,8 +141,9 @@ def contract(A: ExpField, B: ExpField) -> LogKernel:
     C = coef_a coef_b / 2 (negated when B's term divides by [-n] = -[n]),
     d = spow_a - spow_b and o the number of 1/[n] factors.  With
     [2n]/[n] = q^n + q^-n and [m] = (q^m - q^-m)/(q - 1/q) this is a sum of
-    powers s^(e n); the zero modes give the prefactor q^e and the z-degree.
-    Raises ReconstructionError when a merged multiplicity is not an integer.
+    powers s^(e n), and the kernel is their exponential; the zero modes give
+    the constant q^e and the z-degree.  Raises ReconstructionError when a
+    merged multiplicity is not an integer.
     """
     dq = q_minus_qinv()
     acc: dict[int, Scalar] = {}
@@ -182,7 +182,7 @@ def contract(A: ExpField, B: ExpField) -> LogKernel:
     e = qexp.as_int()
     if e is None:
         raise ArithmeticError(f"non-integer q-power in zero-mode contraction: {qexp}")
-    return LogKernel(Scalar.q_power(e), z_degree(A, B), mult)
+    return ContractionData(Scalar.q_power(e), z_degree(A, B), reconstruct_kernel(mult))
 
 
 def reconstruct_kernel(mult: dict) -> RatKernel:
@@ -191,30 +191,18 @@ def reconstruct_kernel(mult: dict) -> RatKernel:
     return RatKernel(S_ONE, 0, S_ONE, {Scalar.s_power(e): c for e, c in mult.items()})
 
 
-@dataclass(frozen=True)
-class ContractionData:
-    """Exact contraction C(z,w) = const * z^zdeg * kernel(x)."""
-
-    const: Scalar
-    zdeg: int
-    kernel: RatKernel
-
-
 _CONTRACTION_MEMO: dict = {}
 _CONTRACTION_MEMO_SIZE = 64     # a run fills 16: the 4 x 4 field pairs
 
 
 def contraction_kernel(A: ExpField, B: ExpField) -> ContractionData:
-    """Contraction of A(z)B(w) as exact rational data.
-
-    Results are memoized by the two fields' exponent data; past
+    """contract(A, B), memoized by the two fields' exponent data; past
     _CONTRACTION_MEMO_SIZE entries the oldest is evicted."""
     key = (A, B)
     hit = _CONTRACTION_MEMO.get(key)
     if hit is not None:
         return hit
-    L = contract(A, B)
-    data = ContractionData(L.prefactor, L.zdeg, reconstruct_kernel(L.mult))
+    data = contract(A, B)
     if len(_CONTRACTION_MEMO) >= _CONTRACTION_MEMO_SIZE:
         del _CONTRACTION_MEMO[next(iter(_CONTRACTION_MEMO))]
     _CONTRACTION_MEMO[key] = data

@@ -143,7 +143,7 @@ def test_criterion_8_property_suites(q_scenario, classical_scenario, reductions)
         ok &= eval_q1(qint(n)) == n
     # antisymmetry of every produced bracket
     for sc in (q_scenario, classical_scenario):
-        for a, b in sorted(sc.table.rules):
+        for a, b in sorted(sc.table):
             ab = classical_bracket(a, b, sc.table, W)
             ba = classical_bracket(b, a, sc.table, W)
             ok &= ab == -(ba.reflect())

@@ -16,12 +16,15 @@ from qvir.currents import (
     field_commutator,
     modes_from_ope,
     opposite_charge_bracket,
+    printed_chi_e_bracket,
+    printed_ee_same_bracket,
     printed_pair_exchange_bracket,
     q_bracket_table,
     verify_commutators,
     verify_serre_mode_equivalence,
 )
 from qvir import currents
+from qvir.dirac import scenario
 from qvir.report import FAIL, PASS
 from qvir.vertexcalc import self_exchange_kernel, standard_fields
 
@@ -157,13 +160,20 @@ def test_derived_ee_same_collapses_to_polynomial():
 # bracket tables
 # ---------------------------------------------------------------------------
 
-def test_sigma_map():
+def test_q_table_rules_are_printed_forms_times_sigma():
+    # sigma: +i for an equal step-operator pair, -i for every other pair
+    printed = {
+        ("chi1", "chi1"): (-S_I, printed_pair_exchange_bracket(W)),
+        ("chi1", "E+"): (-S_I, printed_chi_e_bracket(+1, W, normalized=False)),
+        ("chi1", "E-"): (-S_I, printed_chi_e_bracket(-1, W, normalized=False)),
+        ("E+", "E+"): (S_I, printed_ee_same_bracket(+1, W, normalized=False)),
+        ("E-", "E-"): (S_I, printed_ee_same_bracket(-1, W, normalized=False)),
+        ("E+", "E-"): (-S_I, opposite_charge_bracket(W)),
+    }
     table = q_bracket_table()
-    assert table.sigma("E+", "E+") == S_I
-    assert table.sigma("E-", "E-") == S_I
-    assert table.sigma("E+", "E-") == -S_I
-    assert table.sigma("chi1", "chi1") == -S_I
-    assert table.sigma("chi1", "E+") == -S_I
+    assert sorted(table) == sorted(printed)
+    for pair, (sigma, form) in printed.items():
+        assert table[pair](W) == form.scale(sigma), pair
 
 
 def test_missing_pair_raises():
@@ -173,7 +183,7 @@ def test_missing_pair_raises():
 
 def test_classical_bracket_antisymmetry():
     table = q_bracket_table()
-    for a, b in sorted(table.rules):
+    for a, b in sorted(table):
         ab = classical_bracket(a, b, table, W)
         ba = classical_bracket(b, a, table, W)
         assert ab == -(ba.reflect()), (a, b)
@@ -190,7 +200,7 @@ def test_classical_table_brackets_are_not_scaled_by_sigma(monkeypatch):
         return scale(self, a)
 
     monkeypatch.setattr(Dist2, "scale", counted)
-    for a, b in sorted(table.rules):
+    for a, b in sorted(table):
         classical_bracket(a, b, table, W)
         classical_bracket(b, a, table, W)
     assert calls == []
@@ -198,9 +208,13 @@ def test_classical_table_brackets_are_not_scaled_by_sigma(monkeypatch):
 
 def test_q_table_brackets_still_carry_sigma():
     table = q_bracket_table()
-    plain = table.rules[("E+", "E+")](W)
+    plain = printed_ee_same_bracket(+1, W, normalized=False)
     T = classical_bracket("E+", "E+", table, W)
     assert T == plain.scale(S_I) and T != plain
+    # a reflected lookup carries the same sigma
+    plain = printed_chi_e_bracket(-1, W, normalized=False)
+    T = classical_bracket("E-", "chi1", table, W)
+    assert T == -(plain.scale(-S_I).reflect()) and T != -(plain.reflect())
 
 
 def test_step_same_bracket_merged():
@@ -218,16 +232,15 @@ def test_step_same_bracket_merged():
 
 
 def test_classical_table_hh():
-    # undeformed: {H(z), H(w)} = -i k sum n x^n
-    for k in (1, 2):
-        T = classical_bracket("H", "H", classical_bracket_table(k), W)
-        d = T.field_free_dist()
-        for n in W.modes():
-            assert d.coeff(n) == -S_I * Scalar.from_rat(k * n)
+    # undeformed, at level 1: {H(z), H(w)} = -i sum n x^n
+    T = classical_bracket("H", "H", classical_bracket_table(), W)
+    d = T.field_free_dist()
+    for n in W.modes():
+        assert d.coeff(n) == -S_I * Scalar.from_rat(n)
 
 
 def test_classical_table_he_field_at_second_slot():
-    T = classical_bracket("H", "E+", classical_bracket_table(1), W)
+    T = classical_bracket("H", "E+", classical_bracket_table(), W)
     (key, d), = T.terms.items()
     assert key == ((FieldFactor("E+", "w"),), 0)
     for n in W.modes():
@@ -235,13 +248,17 @@ def test_classical_table_he_field_at_second_slot():
 
 
 def test_weighted_table():
-    table = q_bracket_table().with_weight(2)
-    T = classical_bracket("E-", "E-", table, W)
-    (key, d), = T.terms.items()
-    base = classical_bracket("E-", "E-", q_bracket_table(), W)
-    (_, d0), = base.terms.items()
-    for n in W.modes():
-        assert d.coeff(n) == Q(2 * abs(n)) * d0.coeff(n)
+    # every bracket of the weighted scenario, in both orientations, is the
+    # unweighted one with its mode n times q^(2|n|)
+    weighted = scenario("q-sl2", weighted=True).table
+    plain = q_bracket_table()
+    assert sorted(weighted) == sorted(plain)
+    for a, b in sorted(plain):
+        for x, y in ((a, b), (b, a)):
+            T = classical_bracket(x, y, weighted, W)
+            base = classical_bracket(x, y, plain, W)
+            assert T == base.map_dist(
+                lambda d: Dist2.from_func(W.N, lambda n: Q(2 * abs(n)) * d.coeff(n))), (x, y)
 
 
 def test_opposite_charge_bracket_on_surface():

@@ -961,3 +961,14 @@ def test_scalar_str_deterministic():
     x = -S_I * S_T * Scalar.q_power(1)
     assert str(x) == str(-S_I * S_T * Scalar.q_power(1))
     assert "t" in str(x)
+
+
+def test_scalar_str_brackets_a_t_coefficient_once():
+    s = Scalar.s_power(1)
+    half = Scalar.from_rat(Fraction(1, 2))
+    # a complex constant already prints as one bracketed group
+    assert str(S_T * (half + S_I)) == "(1/2+i)*t"
+    assert str(S_T * half) == "(1/2)*t"
+    assert str(S_T * (s + 1)) == "(s + 1)*t"
+    # starts with "(" and ends with ")", but is two groups over a "/"
+    assert str(S_T * (s + 1) / (s * s + 1)) == "((s + 1)/(s^2 + 1))*t"

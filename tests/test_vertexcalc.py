@@ -138,14 +138,14 @@ def test_module_caches_are_bounded():
 
 def test_contract_psi_psi_trivial():
     L = contract(F["Psi"], F["Psi"])
-    assert L.mult == {}
-    assert L.prefactor == S_ONE
+    assert L.kernel.roots == {}
+    assert L.const == S_ONE
     assert L.zdeg == 0
 
 
 def test_contract_psi_eplus_prefactor():
     L = contract(F["Psi"], F["E+"])
-    assert L.prefactor == Q(2)
+    assert L.const == Q(2)
     assert L.zdeg == 0
 
 
@@ -159,15 +159,15 @@ def test_contract_regular_orders():
         ("Phi", "E-", Q(2)),
     ):
         L = contract(F[a], F[b])
-        assert L.mult == {}, (a, b)
-        assert L.prefactor == const, (a, b)
+        assert L.kernel.roots == {}, (a, b)
+        assert L.const == const, (a, b)
         assert L.zdeg == 0
 
 
 def test_contract_ee_opposite_kernel():
     # E^+(z)E^-(w) contracts to z^-2 / ((1-qx)(1-x/q))
     data = contraction_kernel(F["E+"], F["E-"])
-    assert contract(F["E+"], F["E-"]).mult == {2: 1, -2: 1}
+    assert contract(F["E+"], F["E-"]).kernel.roots == {Q(1): 1, Q(-1): 1}
     assert data.const == S_ONE
     assert data.zdeg == -2
     assert data.kernel == RatKernel.from_linear_factors(S_ONE, 0, [], [Q(1), Q(-1)])
