@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from .distcalc import ModeWindow
 from .currents import (
@@ -53,15 +52,16 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
-@dataclass
 class RunConfig:
     """One batch run: scenario, window, suites and output."""
 
-    scenario: str = "q-sl2"
-    window: int = 12
-    suites: tuple = ("all",)
-    fmt: str = "json"
-    output: str | None = None
+    def __init__(self, scenario: str = "q-sl2", window: int = 12, suites: tuple = ("all",),
+                 fmt: str = "json", output: str | None = None):
+        self.scenario = scenario
+        self.window = window
+        self.suites = suites
+        self.fmt = fmt
+        self.output = output
 
     def resolve_suites(self):
         if self.scenario not in SUITES:

@@ -11,7 +11,6 @@ live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 
@@ -42,13 +41,33 @@ class MissingPairError(KeyError):
 # Terms and term sums
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
 class FieldFactor:
-    """A field symbol at one variable, with argument shifted by q^(shift/2)."""
+    """A field symbol at one variable, with argument shifted by q^(shift/2).
 
-    symbol: str
-    var: str          # 'z' (first slot) or 'w' (second slot)
-    shift: int = 0    # in units of sqrt(q)
+    Factors compare, hash and sort by (symbol, var, shift)."""
+
+    __slots__ = ("symbol", "var", "shift")
+
+    def __init__(self, symbol: str, var: str, shift: int = 0):
+        object.__setattr__(self, "symbol", symbol)
+        object.__setattr__(self, "var", var)        # 'z' (first slot) or 'w' (second slot)
+        object.__setattr__(self, "shift", shift)    # in units of sqrt(q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FieldFactor is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, FieldFactor):
+            return NotImplemented
+        return (self.symbol, self.var, self.shift) == (other.symbol, other.var, other.shift)
+
+    def __lt__(self, other):
+        if not isinstance(other, FieldFactor):
+            return NotImplemented
+        return (self.symbol, self.var, self.shift) < (other.symbol, other.var, other.shift)
+
+    def __hash__(self):
+        return hash((self.symbol, self.var, self.shift))
 
     def reflected(self):
         return FieldFactor(self.symbol, "w" if self.var == "z" else "z", self.shift)
@@ -57,6 +76,9 @@ class FieldFactor:
         if self.shift == 0:
             return f"{self.symbol}({self.var})"
         return f"{self.symbol}({self.var}*q^{Fraction(self.shift, 2)})"
+
+    def __repr__(self):
+        return f"FieldFactor(symbol={self.symbol!r}, var={self.var!r}, shift={self.shift!r})"
 
 
 class TermSum:
@@ -470,11 +492,13 @@ def classical_bracket_table() -> dict:
 # Mode algebra at general level
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class KacMoodyLevel:
     """Printed mode relations of the deformed current algebra at level k."""
 
-    k: int
+    __slots__ = ("k",)
+
+    def __init__(self, k: int):
+        self.k = k
 
     def hh(self, n: int) -> Scalar:
         """[H_n, H_-n] = [2n][kn]/(2n)."""
@@ -596,7 +620,8 @@ def verify_serre_mode_equivalence(W: ModeWindow) -> list[CheckRecord]:
     for sign in (+1, -1):
         E = F["E+"] if sign > 0 else F["E-"]
         K = exchange_kernel(E, E)
-        q2 = Scalar.q_power(2 * sign)
+        moved = [-(K.c * p) for p in K.num]     # the cleared kernel, moved to the left
+        minus_q2 = -Scalar.q_power(2 * sign)
         bad = None
         for n in W.modes():
             for m in W.modes():
@@ -605,12 +630,12 @@ def verify_serre_mode_equivalence(W: ModeWindow) -> list[CheckRecord]:
                 lhs = {}
                 for j, d in enumerate(K.den):
                     _word_add(lhs, (n + 1 - j, m + j), d)
-                for j, p in enumerate(K.num, start=K.m):
-                    _word_add(lhs, (m + j, n + 1 - j), -(K.c * p))
+                for j, p in enumerate(moved, start=K.m):
+                    _word_add(lhs, (m + j, n + 1 - j), p)
                 rhs = {}
                 _word_add(rhs, (n + 1, m), S_ONE)
-                _word_add(rhs, (m, n + 1), -q2)
-                _word_add(rhs, (n, m + 1), -q2)
+                _word_add(rhs, (m, n + 1), minus_q2)
+                _word_add(rhs, (n, m + 1), minus_q2)
                 _word_add(rhs, (m + 1, n), S_ONE)
                 if lhs != rhs:
                     bad = (n, m, lhs, rhs)

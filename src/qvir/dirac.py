@@ -16,7 +16,6 @@ against, once, for every check that reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 
@@ -54,15 +53,18 @@ class UnknownScenarioError(ValueError):
 # Constraints and scenarios
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ConstraintSet:
     """The two constraints, their symbols, and the on-surface substitution."""
 
-    chi1_symbol: str
-    chi2_symbol: str
-    chi1: TermSum
-    chi2: TermSum
-    on_surface: dict
+    __slots__ = ("chi1_symbol", "chi2_symbol", "chi1", "chi2", "on_surface")
+
+    def __init__(self, chi1_symbol: str, chi2_symbol: str, chi1: TermSum, chi2: TermSum,
+                 on_surface: dict):
+        self.chi1_symbol = chi1_symbol
+        self.chi2_symbol = chi2_symbol
+        self.chi1 = chi1
+        self.chi2 = chi2
+        self.on_surface = on_surface
 
     def symbols(self):
         return (self.chi1_symbol, self.chi2_symbol)
@@ -97,7 +99,6 @@ def classical_constraints() -> ConstraintSet:
     return ConstraintSet("H", "E+", chi1, chi2, {"H": 0, "E+": 1})
 
 
-@dataclass(frozen=True)
 class AffineMap:
     """Affine redefinition Et- = a*E- + b of the surviving current.
 
@@ -106,9 +107,12 @@ class AffineMap:
     all that is stored.
     """
 
-    a2: Scalar
-    ab: Scalar
-    b2: Scalar
+    __slots__ = ("a2", "ab", "b2")
+
+    def __init__(self, a2: Scalar, ab: Scalar, b2: Scalar):
+        self.a2 = a2
+        self.ab = ab
+        self.b2 = b2
 
     @staticmethod
     @lru_cache(maxsize=1)
@@ -130,12 +134,15 @@ class AffineMap:
                 and (self.a2, self.ab, self.b2) == self.closed_forms())
 
 
-@dataclass(frozen=True)
 class Scenario:
-    key: str
-    table: dict
-    constraints: ConstraintSet
-    weighted: bool = False      # the table carries q^(WEIGHT_EXPONENT |n|)
+    __slots__ = ("key", "table", "constraints", "weighted")
+
+    def __init__(self, key: str, table: dict, constraints: ConstraintSet,
+                 weighted: bool = False):
+        self.key = key
+        self.table = table
+        self.constraints = constraints
+        self.weighted = weighted    # the table carries q^(WEIGHT_EXPONENT |n|)
 
 
 SCENARIO_KEYS = ("classical-sl2", "q-sl2")
@@ -310,13 +317,13 @@ def reduce(table: dict, constraints: ConstraintSet, W: ModeWindow,
     return reduced
 
 
-@dataclass(eq=False)
 class Reduction:
     """One scenario's Dirac chain on one window: the constraint matrix, its
     per-mode inverse and the reduced bracket, each computed at most once."""
 
-    scenario: Scenario
-    W: ModeWindow
+    def __init__(self, scenario: Scenario, W: ModeWindow):
+        self.scenario = scenario
+        self.W = W
 
     @cached_property
     def matrix(self) -> DiracMatrix:
@@ -333,14 +340,16 @@ class Reduction:
         return reduce(sc.table, sc.constraints, self.W, self.inverse)
 
 
-@dataclass(frozen=True)
 class ReducedContents:
     """The three contents of the reduced bracket in the current's variables."""
 
-    quad: Dist2     # E(z)E(w) coefficient
-    lin_z: Dist2    # E(z) coefficient
-    lin_w: Dist2    # E(w) coefficient
-    cnum: Dist2     # field-free part
+    __slots__ = ("quad", "lin_z", "lin_w", "cnum")
+
+    def __init__(self, quad: Dist2, lin_z: Dist2, lin_w: Dist2, cnum: Dist2):
+        self.quad = quad        # E(z)E(w) coefficient
+        self.lin_z = lin_z      # E(z) coefficient
+        self.lin_w = lin_w      # E(w) coefficient
+        self.cnum = cnum        # field-free part
 
 
 def split_reduced(T: TermSum, N: int) -> ReducedContents:
@@ -368,7 +377,6 @@ def split_reduced(T: TermSum, N: int) -> ReducedContents:
 # Expected closed forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class QVirasoroBracket:
     """Closed form of the reduced bracket in (z/w)-orientation.
 
@@ -379,7 +387,10 @@ class QVirasoroBracket:
     -kappa * kernel.
     """
 
-    residual_weight: bool = False
+    __slots__ = ("residual_weight",)
+
+    def __init__(self, residual_weight: bool = False):
+        self.residual_weight = residual_weight
 
     @property
     def kappa_quad(self) -> Scalar:

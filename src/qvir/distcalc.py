@@ -11,7 +11,6 @@ makes the whole calculus windowable without loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, sub
 
 from .qcoeff import S_ONE, S_ZERO, Scalar
@@ -21,15 +20,15 @@ class WindowMismatchError(ValueError):
     """Operands live on different mode windows."""
 
 
-@dataclass(frozen=True)
 class ModeWindow:
     """Symmetric mode range -N..N."""
 
-    N: int
+    __slots__ = ("N",)
 
-    def __post_init__(self):
-        if self.N < 1:
+    def __init__(self, N: int):
+        if N < 1:
             raise ValueError("window size must be >= 1")
+        self.N = N
 
     def modes(self):
         return range(-self.N, self.N + 1)

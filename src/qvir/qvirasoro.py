@@ -4,8 +4,6 @@ of the undeformed endpoint."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .qcoeff import S_ZERO, Scalar, q_minus_qinv, taylor_q1
 from .distcalc import Dist2, ModeWindow, weight_abs
 from .currents import TermSum
@@ -92,10 +90,11 @@ def classical_limit_check(reduced_q: TermSum, reduced_classical: TermSum,
                     + amap.a2 * q.cnum.coeff(n))
         h_lin = taylor_q1(lin_limit, LIMIT_ORDER)
         h_cn = taylor_q1(cn_limit, LIMIT_ORDER)
-        for k in range(0, LIMIT_ORDER):
-            if not (h_lin.coeff(k).is_zero() and h_cn.coeff(k).is_zero()):
-                bad_low = (n, k, str(h_lin), str(h_cn))
-                break
+        if bad_low is None:
+            for k in range(0, LIMIT_ORDER):
+                if not (h_lin.coeff(k).is_zero() and h_cn.coeff(k).is_zero()):
+                    bad_low = (n, k, str(h_lin), str(h_cn))
+                    break
         want_lin = sixteen * c.lin_z.coeff(n)
         want_cen = sixteen * c.cnum.coeff(n)
         if h_lin.coeff(4) != want_lin and bad_lin is None:
@@ -127,12 +126,14 @@ def classical_limit_check(reduced_q: TermSum, reduced_classical: TermSum,
 # The undeformed endpoint: mode form and Jacobi identity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ClassicalVirasoro:
     """Mode data {L_a, L_b} = (lin(a) + lin(-b)) L_{a+b} + cnum(a) delta_{a+b,0}."""
 
-    lin: Dist2
-    cnum: Dist2
+    __slots__ = ("lin", "cnum")
+
+    def __init__(self, lin: Dist2, cnum: Dist2):
+        self.lin = lin
+        self.cnum = cnum
 
     @classmethod
     def from_reduced(cls, reduced: TermSum, N: int) -> "ClassicalVirasoro":

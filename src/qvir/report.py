@@ -3,24 +3,27 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 PASS = "pass"
 FAIL = "fail"
 DOCUMENTED = "discrepancy-documented"
 
 
-@dataclass
 class CheckRecord:
-    """Outcome of a single exact check."""
+    """Outcome of a single exact check; ``seconds`` is set once it is timed."""
 
-    id: str
-    paper_eq: str
-    status: str
-    mode: int | None = None
-    engine_value: str = ""
-    expected_value: str = ""
-    seconds: float = 0.0
+    __slots__ = ("id", "paper_eq", "status", "mode", "engine_value", "expected_value",
+                 "seconds")
+
+    def __init__(self, id: str, paper_eq: str, status: str, mode: int | None = None,
+                 engine_value: str = "", expected_value: str = "", seconds: float = 0.0):
+        self.id = id
+        self.paper_eq = paper_eq
+        self.status = status
+        self.mode = mode
+        self.engine_value = engine_value
+        self.expected_value = expected_value
+        self.seconds = seconds
 
     def to_dict(self):
         return {
@@ -68,13 +71,13 @@ def _dist_str(D):
     return "[" + ", ".join(f"{n}: {D.coeff(n)}" for n in range(-N, N + 1)) + "]"
 
 
-@dataclass
 class Report:
     """Full verification report for one configuration."""
 
-    scenario: str
-    window: int
-    checks: list[CheckRecord] = field(default_factory=list)
+    def __init__(self, scenario: str, window: int, checks: list[CheckRecord] | None = None):
+        self.scenario = scenario
+        self.window = window
+        self.checks = [] if checks is None else checks
 
     def extend(self, records):
         self.checks.extend(records)

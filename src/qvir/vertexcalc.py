@@ -13,7 +13,6 @@ and reconstructed as a RatKernel with those roots and multiplicities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,16 +29,28 @@ class ReconstructionError(ArithmeticError):
 # Field data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ModeTerm:
     """One closed-form contribution c * q^(spow*n/2) / [n] to a mode coefficient."""
 
-    coef: Scalar
-    spow: int          # coefficient of n in the s-exponent
-    over_qint: bool    # divide by [n]
+    __slots__ = ("coef", "spow", "over_qint")
+
+    def __init__(self, coef: Scalar, spow: int, over_qint: bool):
+        object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "spow", spow)              # coefficient of n in the s-exponent
+        object.__setattr__(self, "over_qint", over_qint)    # divide by [n]
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ModeTerm is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, ModeTerm):
+            return NotImplemented
+        return (self.coef, self.spow, self.over_qint) == (other.coef, other.spow, other.over_qint)
+
+    def __hash__(self):
+        return hash((self.coef, self.spow, self.over_qint))
 
 
-@dataclass(frozen=True)
 class ExpField:
     """The normal-ordered exponential :exp(X(v)): of one vertex operator.
 
@@ -50,12 +61,30 @@ class ExpField:
     hash by their exponent data; the name is only a label.
     """
 
-    name: str = field(compare=False)
-    qt: Scalar = S_ZERO
-    lnv: Scalar = S_ZERO
-    qpow: Scalar = S_ZERO
-    pos: tuple = ()
-    neg: tuple = ()
+    __slots__ = ("name", "qt", "lnv", "qpow", "pos", "neg")
+
+    def __init__(self, name: str, qt: Scalar = S_ZERO, lnv: Scalar = S_ZERO,
+                 qpow: Scalar = S_ZERO, pos: tuple = (), neg: tuple = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "qt", qt)
+        object.__setattr__(self, "lnv", lnv)
+        object.__setattr__(self, "qpow", qpow)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "neg", neg)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExpField is immutable")
+
+    def _data(self):
+        return (self.qt, self.lnv, self.qpow, self.pos, self.neg)
+
+    def __eq__(self, other):
+        if not isinstance(other, ExpField):
+            return NotImplemented
+        return self._data() == other._data()
+
+    def __hash__(self):
+        return hash(self._data())
 
     def mode(self, n: int) -> Scalar:
         if n == 0:
@@ -113,13 +142,21 @@ def oscillator_norm(n: int) -> Scalar:
 # Contraction of two exponentials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ContractionData:
     """Exact contraction C(z,w) = const * z^zdeg * kernel(x)."""
 
-    const: Scalar
-    zdeg: int
-    kernel: RatKernel
+    __slots__ = ("const", "zdeg", "kernel")
+
+    def __init__(self, const: Scalar, zdeg: int, kernel: RatKernel):
+        self.const = const
+        self.zdeg = zdeg
+        self.kernel = kernel
+
+    def __eq__(self, other):
+        if not isinstance(other, ContractionData):
+            return NotImplemented
+        return ((self.const, self.zdeg, self.kernel)
+                == (other.const, other.zdeg, other.kernel))
 
 
 def z_degree(A: ExpField, B: ExpField) -> int:

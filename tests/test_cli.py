@@ -479,3 +479,17 @@ def test_benchmark_probe_trace_contract(tmp_path):
     # and the field tower's methods by class attribute
     assert trace["stats"]["qcoeff.RatFunc.new"][0] > 0
     assert trace["stats"]["qcoeff.Scalar.mul"][0] > 0
+    # the report's emitters, wrapped through the Report class's own __dict__
+    assert trace["stats"]["report.emit"][0] > 0
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    # a cold run pays for every module qvir.cli pulls in; dataclasses alone
+    # brings inspect, ast, dis and tokenize
+    root, env = _probe_env()
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qvir.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -44,6 +44,15 @@ def all_pass(records):
 # TermSum mechanics
 # ---------------------------------------------------------------------------
 
+def test_field_factors_sort_and_hash_by_symbol_var_shift():
+    factors = [FieldFactor("Psi", "w"), FieldFactor("E-", "z", -1), FieldFactor("E-", "w", 1),
+               FieldFactor("E-", "w"), FieldFactor("E+", "z", 2)]
+    assert [(f.symbol, f.var, f.shift) for f in sorted(factors)] == [
+        ("E+", "z", 2), ("E-", "w", 0), ("E-", "w", 1), ("E-", "z", -1), ("Psi", "w", 0)]
+    assert FieldFactor("E-", "z") == FieldFactor("E-", "z", 0) != FieldFactor("E-", "w")
+    assert {FieldFactor("E-", "z"): 1}[FieldFactor("E-", "z", 0)] == 1
+
+
 def test_termsum_merges_like_monomials():
     d1 = Dist2.from_func(W.N, lambda n: qint(n))
     d2 = Dist2.from_func(W.N, lambda n: -qint(n))
@@ -286,6 +295,27 @@ def test_hh_mode_value_k2():
 
 def test_serre_mode_equivalence():
     all_pass(verify_serre_mode_equivalence(W))
+
+
+def test_serre_mode_multiplication_count(monkeypatch):
+    # the cleared kernel and -q^(+-2) are formed once per charge, so with the
+    # contraction memo warm the product count does not grow with the window
+    all_pass(verify_serre_mode_equivalence(ModeWindow(1)))
+    calls = []
+    mul = Scalar.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    monkeypatch.setattr(Scalar, "__rmul__", counted)
+    counts = []
+    for N in (6, 12):
+        calls.clear()
+        all_pass(verify_serre_mode_equivalence(ModeWindow(N)))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_serre_mode_fails_with_the_opposite_self_exchange_kernel(monkeypatch):

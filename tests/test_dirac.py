@@ -1,6 +1,5 @@
 """Constraint matrix, per-mode inversion, and the reduced brackets."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -16,6 +15,7 @@ from qvir.dirac import (
     DiracMatrix,
     QVirasoroBracket,
     Reduction,
+    Scenario,
     SingularModeError,
     SubstitutionError,
     UnknownScenarioError,
@@ -255,11 +255,11 @@ def test_affine_map_consistency_negative_controls():
     amap = AffineMap.standard()
     two = Scalar.from_rat(2)
     # b^2 doubled breaks a^2 b^2 == (ab)^2
-    doubled = dataclasses.replace(amap, b2=two * amap.b2)
+    doubled = AffineMap(amap.a2, amap.ab, two * amap.b2)
     assert doubled.a2 * doubled.b2 != doubled.ab * doubled.ab
     assert not doubled.consistent()
     # ab negated keeps the identity; only the closed form catches it
-    negated = dataclasses.replace(amap, ab=-amap.ab)
+    negated = AffineMap(amap.a2, -amap.ab, amap.b2)
     assert negated.a2 * negated.b2 == negated.ab * negated.ab
     assert not negated.consistent()
     for bad in (doubled, negated):
@@ -317,9 +317,11 @@ def test_constraints_check_fails_off_the_surface():
     # sending E+ to 0 leaves chi2 = E+ - 1 at -1 on the "surface"; chi1's own
     # matrix entry reads only Psi and Phi and still matches
     sc = scenario("q-sl2")
-    off = dataclasses.replace(sc.constraints, on_surface={"Psi": 1, "Phi": 1, "E+": 0})
+    c = sc.constraints
+    off = ConstraintSet(c.chi1_symbol, c.chi2_symbol, c.chi1, c.chi2,
+                        {"Psi": 1, "Phi": 1, "E+": 0})
     status = {r.id: r.status for r in dirac_suite(Reduction(
-        dataclasses.replace(sc, constraints=off), W))}
+        Scenario(sc.key, sc.table, off, sc.weighted), W))}
     assert status["constraints-idempotent"] == FAIL
     assert status["dirac-matrix-11"] == PASS
 

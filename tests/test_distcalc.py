@@ -92,6 +92,12 @@ def assert_matches_oracle(D: Dist2, oracle: dict, N: int):
         assert sympy.simplify(scalar_to_sympy(got) - want) == 0, f"mode {n}: {got} vs {want}"
 
 
+@pytest.mark.parametrize("N", (0, -1))
+def test_mode_window_rejects_empty_windows(N):
+    with pytest.raises(ValueError, match="window size must be >= 1"):
+        ModeWindow(N)
+
+
 # ---------------------------------------------------------------------------
 # expand_inner
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from qvir.qcoeff import (
     taylor_q1,
 )
 from qvir.distcalc import Dist2, ModeWindow, weight_abs
+from qvir.currents import FieldFactor, TermSum
 from qvir.dirac import (
     Reduction,
     classical_central_pattern,
@@ -106,6 +107,18 @@ def test_limit_detects_wrong_central(reductions):
     broken = rc.scale(Scalar.from_rat(3))
     recs = classical_limit_check(rq, broken, W)
     assert any(r.status == FAIL for r in recs)
+
+
+def test_limit_reports_the_first_bad_mode(reductions):
+    # the q-bracket's quadratic part off by one at modes 2 and 5: every limit
+    # record names mode 2, the first failing mode of the window
+    rq, rc = reductions
+    quad = (FieldFactor("E-", "z"), FieldFactor("E-", "w"))
+    broken = rq + TermSum.single(quad, Dist2(W.N, {2: S_ONE, 5: S_ONE}))
+    recs = {r.id: r for r in classical_limit_check(broken, rc, W)}
+    for check_id in ("limit-subleading-cancellation", "limit-h4-linear", "limit-h4-central"):
+        assert recs[check_id].status == FAIL
+        assert recs[check_id].mode == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Contractions, exchange relations, fusion, and the opposite-charge OPE."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -104,9 +103,10 @@ def test_mode_oracle_tells_the_charges_apart():
 
 
 def half_psi():
-    (term,) = F["Psi"].pos
-    half = replace(term, coef=term.coef * Scalar.from_rat(Fraction(1, 2)))
-    return replace(F["Psi"], pos=(half,))
+    psi = F["Psi"]
+    (term,) = psi.pos
+    half = ModeTerm(term.coef * Scalar.from_rat(Fraction(1, 2)), term.spow, term.over_qint)
+    return ExpField(psi.name, psi.qt, psi.lnv, psi.qpow, (half,), psi.neg)
 
 
 def test_non_integer_multiplicity_is_a_typed_error():
@@ -177,12 +177,26 @@ def test_contraction_memo_is_keyed_by_field_data(monkeypatch):
     # a field that only borrows a standard name gets its own contraction
     monkeypatch.setattr(vc, "_CONTRACTION_MEMO", {})
     real = contraction_kernel(F["E+"], F["E-"])
-    impostor = replace(F["Psi"], name="E-")
+    psi = F["Psi"]
+    impostor = ExpField("E-", psi.qt, psi.lnv, psi.qpow, psi.pos, psi.neg)
     got = contraction_kernel(F["E+"], impostor)
     assert got != real
     assert got.zdeg == contract(F["E+"], F["Psi"]).zdeg == 0
     assert got.kernel == RatKernel.const(S_ONE)
     assert len(vc._CONTRACTION_MEMO) == 2
+
+
+def test_exp_field_equality_ignores_the_name():
+    A = F["E+"]
+
+    def copied(terms):
+        return tuple(ModeTerm(t.coef * S_ONE, t.spow, t.over_qint) for t in terms)
+
+    renamed = ExpField("E+copy", A.qt * S_ONE, A.lnv * S_ONE, A.qpow * S_ONE,
+                       copied(A.pos), copied(A.neg))
+    assert renamed == A and hash(renamed) == hash(A)
+    assert {A: "memo"}[renamed] == "memo"
+    assert renamed != F["E-"]
 
 
 def test_contraction_memo_is_bounded(monkeypatch):
