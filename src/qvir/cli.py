@@ -116,6 +116,8 @@ def run(config: RunConfig) -> Report:
 
     # one Dirac chain per scenario variant, shared by the suites that read it
     chain = Reduction(scenario(config.scenario), W)
+    classical = (chain if config.scenario == "classical-sl2"
+                 else Reduction(scenario("classical-sl2"), W))
 
     for name in suites:
         if name == "exchange":
@@ -128,7 +130,7 @@ def run(config: RunConfig) -> Report:
             for k in (1, 2, 3):
                 rep.extend(_timed(lambda k=k: modes_from_ope(KacMoodyLevel(k), W)))
             rep.extend(_timed(lambda: verify_serre_mode_equivalence(W)))
-            rep.extend(_timed(lambda: verify_table_degeneration(W)))
+            rep.extend(_timed(lambda: verify_table_degeneration(chain, classical)))
         elif name == "dirac":
             rep.extend(_timed(lambda: dirac_suite(chain)))
         elif name == "reduce":
@@ -139,7 +141,6 @@ def run(config: RunConfig) -> Report:
             else:
                 rep.extend(_timed(lambda: _classical_jacobi(chain)))
         elif name == "limit":
-            classical = Reduction(scenario("classical-sl2"), W)
             rep.extend(_timed(lambda: _limit_suite(chain, classical)))
     return rep
 

@@ -373,19 +373,19 @@ def verify_commutators(W: ModeWindow) -> list[CheckRecord]:
     chi_chi = combo_commutator(chi, chi, comm)
     chi_e = {sign: combo_commutator(chi, [(S_ONE, E)], comm)
              for sign, E in ((+1, "E+"), (-1, "E-"))}
-    out = [_compare_termsums("commutator-constraint-pair", "eva1", chi_chi.truncate(W.N),
-                             printed_pair_exchange_bracket(W))]
+    out = [compare_termsums("commutator-constraint-pair", "eva1", chi_chi.truncate(W.N),
+                            printed_pair_exchange_bracket(W))]
 
     for sign, tag in ((+1, "eva2+"), (-1, "eva2-")):
         printed = printed_chi_e_bracket(sign, pad, normalized=True).truncate(W.N)
-        out.append(_compare_termsums(f"commutator-constraint-step{tag[-1]}", tag,
-                                     chi_e[sign].truncate(W.N), printed))
+        out.append(compare_termsums(f"commutator-constraint-step{tag[-1]}", tag,
+                                    chi_e[sign].truncate(W.N), printed))
 
     for sign, tag in ((+1, "eva3+"), (-1, "eva3-")):
         E = "E+" if sign > 0 else "E-"
         printed = printed_ee_same_bracket(sign, pad, normalized=True).truncate(W.N)
-        out.append(_compare_termsums(f"commutator-step-same{tag[-1]}", tag,
-                                     comm[(E, E)].truncate(W.N), printed))
+        out.append(compare_termsums(f"commutator-step-same{tag[-1]}", tag,
+                                    comm[(E, E)].truncate(W.N), printed))
 
     # antisymmetry: rho([A, A]) == -[A, A], and rho([A, B]) == -[B, A]
     for name, T in (("constraint-pair", chi_chi), ("step-same+", comm[("E+", "E+")]),
@@ -399,9 +399,12 @@ def verify_commutators(W: ModeWindow) -> list[CheckRecord]:
     return out
 
 
-def _compare_termsums(check_id, tag, engine: TermSum, printed: TermSum) -> CheckRecord:
+def compare_termsums(check_id, tag, engine: TermSum, printed: TermSum, agree=None) -> CheckRecord:
+    """First bad term and mode, or a pass printing both sums (or ``agree``)."""
     bad = engine.first_mismatch(printed)
     if bad is None:
+        if agree is not None:
+            return record(check_id, tag, True, engine=agree)
         return record(check_id, tag, True, engine=str(engine), expected=str(printed))
     key, n = bad
     e = engine.terms.get(key)

@@ -7,9 +7,11 @@ covariance makes every contour pairing diagonal in modes, so the whole
 reduction is an exact per-mode computation: a 2x2 inversion followed by
 coefficient products.
 
-A `Reduction` holds one scenario's chain on one window and computes the
-Dirac matrix, its per-mode inverse and the reduced bracket at most once
-each, on first use; the involution check still inverts the inverse afresh.
+A `Reduction` holds one scenario's chain on one window.  It builds each
+on-surface bracket once and computes the Dirac matrix, its per-mode inverse
+and the reduced bracket at most once each, on first use; the involution
+check still inverts the inverse afresh.  The degeneration, dirac, reduce
+and limit suites all read the run's chains.
 `QVirasoroBracket` states the closed form the reduced bracket is matched
 against, once, for every check that reads it.
 """
@@ -27,6 +29,7 @@ from .currents import (
     TermSum,
     classical_bracket,
     classical_bracket_table,
+    compare_termsums,
     difference_constraint_combo,
     q_bracket_table,
 )
@@ -166,43 +169,26 @@ def scenario(key: str, weighted: bool = False) -> Scenario:
     raise UnknownScenarioError(f"unknown scenario {key!r}; known: {SCENARIO_KEYS}")
 
 
-def _on_surface(a: str, b: str, table, constraints, W) -> TermSum:
-    return classical_bracket(a, b, table, W).substitute(constraints.on_surface)
+def verify_table_degeneration(q_chain: "Reduction",
+                              classical_chain: "Reduction") -> list[CheckRecord]:
+    """At q = 1 (weight off) the deformed chain's on-surface brackets reduce
+    to the undeformed chain's, per mode."""
+    return [compare_termsums(f"degeneration-{qa},{qb}", tag,
+                             _at_q1(q_chain.on_surface(qa, qb)),
+                             _at_q1(classical_chain.on_surface(ca, cb)),
+                             agree="all on-surface entries agree at q=1")
+            for (qa, qb), (ca, cb), tag in (
+                (("chi1", "chi1"), ("H", "H"), "cor1"),
+                (("chi1", "E+"), ("H", "E+"), "cor2"),
+                (("E+", "E+"), ("E+", "E+"), "cor-trivial"),
+                (("E-", "chi1"), ("E-", "H"), "cor2"),
+                (("E-", "E+"), ("E-", "E+"), "cor3"),
+                (("E-", "E-"), ("E-", "E-"), "cor-trivial"),
+            )]
 
 
-def verify_table_degeneration(W: ModeWindow) -> list[CheckRecord]:
-    """At q = 1 (weight off) the deformed table's on-surface brackets reduce
-    to the undeformed ones, per mode."""
-    qs = scenario("q-sl2", weighted=False)
-    cs = scenario("classical-sl2")
-    out = []
-    for (qa, qb), (ca, cb), tag in (
-        (("chi1", "chi1"), ("H", "H"), "cor1"),
-        (("chi1", "E+"), ("H", "E+"), "cor2"),
-        (("E+", "E+"), ("E+", "E+"), "cor-trivial"),
-        (("E-", "chi1"), ("E-", "H"), "cor2"),
-        (("E-", "E+"), ("E-", "E+"), "cor3"),
-        (("E-", "E-"), ("E-", "E-"), "cor-trivial"),
-    ):
-        Tq = _on_surface(qa, qb, qs.table, qs.constraints, W)
-        Tc = _on_surface(ca, cb, cs.table, cs.constraints, W)
-        ok, detail = _termsum_q1_equal(Tq, Tc)
-        out.append(record(f"degeneration-{qa},{qb}", tag, ok, engine=detail))
-    return out
-
-
-def _termsum_q1_equal(Tq: TermSum, Tc: TermSum):
-    keys = set(Tq.terms) | set(Tc.terms)
-    for key in keys:
-        a = Tq.terms.get(key)
-        b = Tc.terms.get(key)
-        N = (a or b).N
-        for n in range(-N, N + 1):
-            va = eval_q1(a.coeff(n)) if a is not None else eval_q1(S_ZERO)
-            vb = eval_q1(b.coeff(n)) if b is not None else eval_q1(S_ZERO)
-            if va != vb:
-                return False, f"{key} mode {n}: {va} vs {vb}"
-    return True, "all on-surface entries agree at q=1"
+def _at_q1(T: TermSum) -> TermSum:
+    return T.map_dist(lambda d: Dist2(d.N, {n: eval_q1(v) for n, v in d.c.items()}))
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +227,10 @@ class DiracMatrix:
         return all(self.e[i][j] == other.e[i][j] for i in (0, 1) for j in (0, 1))
 
 
-def _onsurface_cnumber(a: str, b: str, table, constraints, W) -> Dist2:
-    T = _on_surface(a, b, table, constraints, W)
+def _onsurface_cnumber(chain: "Reduction", a: str, b: str) -> Dist2:
+    T = chain.on_surface(a, b)
     if T.is_zero():
-        return Dist2.zero(W.N)
+        return Dist2.zero(chain.W.N)
     try:
         return T.field_free_dist()
     except ValueError as err:
@@ -252,13 +238,12 @@ def _onsurface_cnumber(a: str, b: str, table, constraints, W) -> Dist2:
             f"bracket ({a}, {b}) is not a c-number on the surface: {err}") from err
 
 
-def build_dirac_matrix(table: dict, constraints: ConstraintSet,
-                       W: ModeWindow) -> DiracMatrix:
-    """Mutual constraint brackets with the on-surface substitution applied."""
-    c1, c2 = constraints.symbols()
-    d11 = _onsurface_cnumber(c1, c1, table, constraints, W)
-    d12 = _onsurface_cnumber(c1, c2, table, constraints, W)
-    d22 = _onsurface_cnumber(c2, c2, table, constraints, W)
+def build_dirac_matrix(chain: "Reduction") -> DiracMatrix:
+    """Mutual constraint brackets of the chain, on the constraint surface."""
+    c1, c2 = chain.scenario.constraints.symbols()
+    d11 = _onsurface_cnumber(chain, c1, c1)
+    d12 = _onsurface_cnumber(chain, c1, c2)
+    d22 = _onsurface_cnumber(chain, c2, c2)
     d21 = -(d12.reflect())
     return DiracMatrix(d11, d12, d21, d22)
 
@@ -297,15 +282,14 @@ def matrix_pair(A: DiracMatrix, B: DiracMatrix) -> list[list[Dist2]]:
 # The reduced bracket
 # ---------------------------------------------------------------------------
 
-def reduce(table: dict, constraints: ConstraintSet, W: ModeWindow,
-           dinv: DiracMatrix) -> TermSum:
+def reduce(chain: "Reduction", dinv: DiracMatrix) -> TermSum:
     """Dirac bracket of the surviving current with itself: the direct
     bracket minus the constraint-chain correction through the per-mode
     inverse ``dinv`` of the constraint matrix, all on-surface."""
-    reduced = _on_surface(CURRENT, CURRENT, table, constraints, W)
-    syms = constraints.symbols()
-    left = [_on_surface(CURRENT, c, table, constraints, W) for c in syms]
-    right = [_on_surface(c, CURRENT, table, constraints, W) for c in syms]
+    reduced = chain.on_surface(CURRENT, CURRENT)
+    syms = chain.scenario.constraints.symbols()
+    left = [chain.on_surface(CURRENT, c) for c in syms]
+    right = [chain.on_surface(c, CURRENT) for c in syms]
     for i, Ti in enumerate(left):
         for j, Tj in enumerate(right):
             for (mono_i, zi), di in Ti.terms.items():
@@ -318,17 +302,28 @@ def reduce(table: dict, constraints: ConstraintSet, W: ModeWindow,
 
 
 class Reduction:
-    """One scenario's Dirac chain on one window: the constraint matrix, its
-    per-mode inverse and the reduced bracket, each computed at most once."""
+    """One scenario's Dirac chain on one window: its on-surface brackets, the
+    constraint matrix, its per-mode inverse and the reduced bracket, each
+    computed at most once."""
 
     def __init__(self, scenario: Scenario, W: ModeWindow):
         self.scenario = scenario
         self.W = W
+        self._brackets = {}     # <= 9 pairs of the table's symbols, until `reduced`
+
+    def on_surface(self, a: str, b: str) -> TermSum:
+        """{a(z), b(w)} with the constraint surface substituted."""
+        T = self._brackets.get((a, b))
+        if T is None:
+            sc = self.scenario
+            T = classical_bracket(a, b, sc.table, self.W).substitute(sc.constraints.on_surface)
+            if "reduced" not in vars(self):
+                self._brackets[(a, b)] = T
+        return T
 
     @cached_property
     def matrix(self) -> DiracMatrix:
-        sc = self.scenario
-        return build_dirac_matrix(sc.table, sc.constraints, self.W)
+        return build_dirac_matrix(self)
 
     @cached_property
     def inverse(self) -> DiracMatrix:
@@ -336,8 +331,9 @@ class Reduction:
 
     @cached_property
     def reduced(self) -> TermSum:
-        sc = self.scenario
-        return reduce(sc.table, sc.constraints, self.W, self.inverse)
+        reduced = reduce(self, self.inverse)
+        self._brackets.clear()      # nothing reads a bracket after this
+        return reduced
 
 
 class ReducedContents:

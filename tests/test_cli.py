@@ -287,9 +287,10 @@ def test_limit_records_match_golden():
 
 
 def _count_dirac_stages(monkeypatch):
-    """Wrap the Dirac-chain stages wherever dirac or cli binds them."""
+    """Wrap the Dirac-chain stages and the bracket builds wherever dirac or
+    cli binds them."""
     counts = {}
-    for name in ("build_dirac_matrix", "invert", "reduce"):
+    for name in ("build_dirac_matrix", "invert", "reduce", "classical_bracket"):
         fn = getattr(dirac, name)
         counts[name] = 0
 
@@ -305,16 +306,67 @@ def _count_dirac_stages(monkeypatch):
 
 
 @pytest.mark.parametrize("scenario,window,want", (
-    ("classical-sl2", 8, {"build_dirac_matrix": 1, "invert": 2, "reduce": 1}),
-    ("q-sl2", 5, {"build_dirac_matrix": 3, "invert": 4, "reduce": 3}),
+    ("classical-sl2", 8, {"build_dirac_matrix": 1, "invert": 2, "reduce": 1,
+                          "classical_bracket": 8}),
+    ("q-sl2", 5, {"build_dirac_matrix": 3, "invert": 4, "reduce": 3,
+                  "classical_bracket": 24}),
 ))
 def test_dirac_stage_counts(monkeypatch, scenario, window, want):
     # each scenario variant (q unweighted, q weighted, classical) builds,
-    # inverts and reduces once; the involution check inverts once more
+    # inverts and reduces once; the involution check inverts once more.
+    # Each chain builds its 8 on-surface brackets once, and the degeneration
+    # check reads the run's q and classical chains instead of building its own
     counts = _count_dirac_stages(monkeypatch)
     rep = run(RunConfig(scenario=scenario, window=window))
     assert rep.ok()
     assert counts == want
+
+
+def test_modes_suite_builds_each_degeneration_bracket_once(monkeypatch):
+    # the degeneration check reads 6 brackets from each chain and forms no
+    # Dirac stage of its own
+    counts = _count_dirac_stages(monkeypatch)
+    rep = run(RunConfig(window=SMALL, suites=("modes",)))
+    assert rep.ok()
+    assert counts == {"build_dirac_matrix": 0, "invert": 0, "reduce": 0,
+                      "classical_bracket": 12}
+
+
+# One unit added at mode 0 to two monomials of the q table's (E-, E-) rule:
+# the degeneration check sees two mismatching terms and must name the same one
+# whatever the string hash seed.
+_TWO_TERM_MISMATCH = """
+import json
+from qvir import dirac
+from qvir.cli import RunConfig, run
+from qvir.currents import FieldFactor, TermSum
+from qvir.distcalc import Dist2
+
+def table(_build=dirac.q_bracket_table):
+    t = _build()
+    rule = t[("E-", "E-")]
+    t[("E-", "E-")] = lambda W: rule(W) + TermSum(
+        [((FieldFactor("E-", v),), 0, Dist2.unit0(W.N)) for v in ("z", "w")])
+    return t
+
+dirac.q_bracket_table = table
+rep = run(RunConfig(window=3, suites=("modes",)))
+print(json.dumps([c.to_dict() | {"seconds": 0} for c in rep.failed]))
+"""
+
+
+def test_failing_degeneration_record_ignores_the_hash_seed():
+    root, env = _probe_env()
+    outs = []
+    for seed in ("1", "2", "3", "4"):
+        proc = subprocess.run([sys.executable, "-c", _TWO_TERM_MISMATCH], cwd=root,
+                              env=env | {"PYTHONHASHSEED": seed}, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(json.loads(proc.stdout))
+    assert outs[1:] == outs[:-1]
+    assert [(c["id"], c["mode"], c["engine_value"], c["expected_value"])
+            for c in outs[0]] == [("degeneration-E-,E-", 0, "E-(w): 1", "E-(w): <term absent>")]
 
 
 def test_each_contraction_reconstructed_once(monkeypatch):

@@ -69,8 +69,7 @@ def test_constraints_idempotent_and_vanishing():
 
 @pytest.fixture(scope="module")
 def q_matrix():
-    sc = scenario("q-sl2")
-    return build_dirac_matrix(sc.table, sc.constraints, W)
+    return build_dirac_matrix(Reduction(scenario("q-sl2"), W))
 
 
 def test_matrix_entry_values(q_matrix):
@@ -182,12 +181,11 @@ def test_substitution_error_on_incomplete_surface():
                            sc.constraints.chi1, sc.constraints.chi2,
                            {"E+": 1})  # Psi and Phi survive
     with pytest.raises(SubstitutionError):
-        build_dirac_matrix(sc.table, broken, W)
+        build_dirac_matrix(Reduction(Scenario(sc.key, sc.table, broken), W))
 
 
 def test_classical_matrix_entries():
-    sc = scenario("classical-sl2")
-    dm = build_dirac_matrix(sc.table, sc.constraints, W)
+    dm = build_dirac_matrix(Reduction(scenario("classical-sl2"), W))
     for n in W.modes():
         assert dm.entry(0, 0).coeff(n) == -S_I * Scalar.from_rat(n)
         assert dm.entry(0, 1).coeff(n) == -S_I * S_T
@@ -229,13 +227,11 @@ def test_q_reduction_contents():
 
 def test_q_reduction_correction_structure():
     # the (2,2) chain is a pure c-number; (1,1) carries the quadratic monomial
-    sc = scenario("q-sl2")
-    dm = build_dirac_matrix(sc.table, sc.constraints, W)
+    chain = Reduction(scenario("q-sl2"), W)
+    dm = build_dirac_matrix(chain)
     dinv = invert(dm, W)
-    e_chi1 = classical_bracket("E-", "chi1", sc.table, W).substitute(
-        sc.constraints.on_surface)
-    chi2_e = classical_bracket("E+", "E-", sc.table, W).substitute(
-        sc.constraints.on_surface)
+    e_chi1 = chain.on_surface("E-", "chi1")
+    chi2_e = chain.on_surface("E+", "E-")
     (k1, d1), = e_chi1.terms.items()
     assert [f.symbol for f in k1[0]] == ["E-"]
     (k2, d2), = chi2_e.terms.items()
@@ -377,13 +373,65 @@ def test_reduction_computes_each_stage_once(monkeypatch):
     assert chain.reduced is chain.reduced
     assert chain.matrix is chain.matrix and chain.inverse is chain.inverse
     assert counts == {"build_dirac_matrix": 1, "invert": 1, "reduce": 1}
-    sc = chain.scenario
-    dinv = invert(build_dirac_matrix(sc.table, sc.constraints, W), W)
-    assert chain.reduced == reduce(sc.table, sc.constraints, W, dinv)
+    fresh = Reduction(chain.scenario, W)
+    dinv = invert(build_dirac_matrix(fresh), W)
+    assert chain.reduced == reduce(fresh, dinv)
+
+
+def test_chain_builds_each_on_surface_bracket_once(monkeypatch):
+    # the degeneration check, the matrix and the reduction share a chain's
+    # brackets; the store holds at most its 9 symbol pairs, and it is
+    # emptied once the reduced bracket exists
+    built = []
+
+    def counted(a, b, table, W_, _fn=classical_bracket):
+        built.append((id(table), a, b))
+        return _fn(a, b, table, W_)
+
+    monkeypatch.setattr(dirac, "classical_bracket", counted)
+    q_chain = Reduction(scenario("q-sl2"), W)
+    classical_chain = Reduction(scenario("classical-sl2"), W)
+    assert q_chain.on_surface("E-", "chi1") is q_chain.on_surface("E-", "chi1")
+    all_pass(verify_table_degeneration(q_chain, classical_chain))
+    q_chain.matrix
+    assert len(q_chain._brackets) == 6     # the matrix reads three of these
+    q_chain.reduced
+    classical_chain.reduced
+    assert len(built) == len(set(built)) == 16
+    assert not q_chain._brackets and not classical_chain._brackets
+    # a bracket asked for after the reduction is rebuilt, not stored again
+    q_chain.on_surface("E-", "chi1")
+    assert built.count((id(q_chain.scenario.table), "E-", "chi1")) == 2
+    assert not q_chain._brackets
 
 
 def test_table_degeneration_to_undeformed():
-    all_pass(verify_table_degeneration(W))
+    all_pass(verify_table_degeneration(Reduction(scenario("q-sl2"), W),
+                                       Reduction(scenario("classical-sl2"), W)))
+
+
+_Q_TABLE_RECORDS = {
+    ("chi1", "chi1"): "degeneration-chi1,chi1",
+    ("chi1", "E+"): "degeneration-chi1,E+",
+    ("E+", "E+"): "degeneration-E+,E+",
+    ("chi1", "E-"): "degeneration-E-,chi1",
+    ("E+", "E-"): "degeneration-E-,E+",
+    ("E-", "E-"): "degeneration-E-,E-",
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_Q_TABLE_RECORDS))
+def test_table_degeneration_negative_controls(pair):
+    # one unit at mode 0 added to one q-table rule fails its record alone
+    sc = scenario("q-sl2")
+    table = dict(sc.table)
+    rule = table[pair]
+    table[pair] = lambda W_: rule(W_) + TermSum.single((), Dist2.unit0(W_.N, S_ONE))
+    records = verify_table_degeneration(
+        Reduction(Scenario(sc.key, table, sc.constraints), W),
+        Reduction(scenario("classical-sl2"), W))
+    failed = [(r.id, r.mode) for r in records if r.status == FAIL]
+    assert failed == [(_Q_TABLE_RECORDS[pair], 0)]
 
 
 def test_affine_check_detects_wrong_bracket():
