@@ -19,6 +19,7 @@ from .currents import (
 )
 from .dirac import (
     SCENARIO_KEYS,
+    QVirasoroBracket,
     Reduction,
     UnknownScenarioError,
     dirac_suite,
@@ -28,7 +29,6 @@ from .dirac import (
 )
 from .qvirasoro import (
     ClassicalVirasoro,
-    QVirasoroBracket,
     antisymmetry_check,
     classical_jacobi_check,
     classical_limit_check,
@@ -114,10 +114,13 @@ def run(config: RunConfig) -> Report:
     W = ModeWindow(config.window)
     rep = Report(config.scenario, config.window)
 
-    # one Dirac chain per scenario variant, shared by the suites that read it
+    # one Dirac chain per scenario variant, and on q-sl2 one set of closed
+    # forms, shared by the suites that read them
     chain = Reduction(scenario(config.scenario), W)
-    classical = (chain if config.scenario == "classical-sl2"
-                 else Reduction(scenario("classical-sl2"), W))
+    if config.scenario == "classical-sl2":
+        classical, closed = chain, None
+    else:
+        classical, closed = Reduction(scenario("classical-sl2"), W), QVirasoroBracket(W)
 
     for name in suites:
         if name == "exchange":
@@ -132,28 +135,28 @@ def run(config: RunConfig) -> Report:
             rep.extend(_timed(lambda: verify_serre_mode_equivalence(W)))
             rep.extend(_timed(lambda: verify_table_degeneration(chain, classical)))
         elif name == "dirac":
-            rep.extend(_timed(lambda: dirac_suite(chain)))
+            rep.extend(_timed(lambda: dirac_suite(chain, closed)))
         elif name == "reduce":
-            rep.extend(_timed(lambda: reduce_suite(chain)))
+            rep.extend(_timed(lambda: reduce_suite(chain, closed)))
             if config.scenario == "q-sl2":
                 weighted = scenario("q-sl2", weighted=True)
-                rep.extend(_timed(lambda: reduce_suite(Reduction(weighted, W))))
+                rep.extend(_timed(lambda: reduce_suite(Reduction(weighted, W), closed)))
             else:
                 rep.extend(_timed(lambda: _classical_jacobi(chain)))
         elif name == "limit":
-            rep.extend(_timed(lambda: _limit_suite(chain, classical)))
+            rep.extend(_timed(lambda: _limit_suite(chain, classical, closed)))
     return rep
 
 
 def _classical_jacobi(chain):
-    V = ClassicalVirasoro.from_reduced(chain.reduced, chain.W.N)
-    return classical_jacobi_check(V, JACOBI_CUTOFF)
+    return classical_jacobi_check(ClassicalVirasoro.from_reduced(chain.contents),
+                                  JACOBI_CUTOFF)
 
 
-def _limit_suite(q_chain, classical_chain):
-    out = antisymmetry_check(QVirasoroBracket(False), q_chain.W)
-    out.extend(classical_limit_check(q_chain.reduced, classical_chain.reduced,
-                                     q_chain.W))
+def _limit_suite(q_chain, classical_chain, closed):
+    out = antisymmetry_check(closed)
+    out.extend(classical_limit_check(q_chain.contents, classical_chain.contents,
+                                     closed, q_chain.W))
     return out
 
 

@@ -8,17 +8,19 @@ reduction is an exact per-mode computation: a 2x2 inversion followed by
 coefficient products.
 
 A `Reduction` holds one scenario's chain on one window.  It builds each
-on-surface bracket once and computes the Dirac matrix, its per-mode inverse
-and the reduced bracket at most once each, on first use; the involution
-check still inverts the inverse afresh.  The degeneration, dirac, reduce
-and limit suites all read the run's chains.
-`QVirasoroBracket` states the closed form the reduced bracket is matched
-against, once, for every check that reads it.
+on-surface bracket once and computes the Dirac matrix, its per-mode inverse,
+the reduced bracket and that bracket's split contents at most once each, on
+first use; the involution check still inverts the inverse afresh.  Once the
+reduced bracket exists the chain drops its brackets, matrix and inverse.
+The degeneration, dirac, reduce and limit suites all read the run's chains.
+`QVirasoroBracket(W)` is the closed form the reduced bracket is matched
+against: its kernels in both forms, their prefactors and the affine map,
+built once per q-sl2 run and passed to every check that reads them.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from fractions import Fraction
 
 from .qcoeff import (S_I, S_ONE, S_T, S_ZERO, Scalar, eval_q1, q_minus_qinv, qint,
@@ -117,24 +119,10 @@ class AffineMap:
         self.ab = ab
         self.b2 = b2
 
-    @staticmethod
-    @lru_cache(maxsize=1)
-    def closed_forms() -> tuple:
-        """(a^2, ab, b^2) = ((q-1/q)^4 [2]/2, 2 (q-1/q)^2, 8/[2]), computed
-        once per process, on first use."""
-        dq2 = q_minus_qinv() ** 2
-        return (dq2 * dq2 * qint(2) * Scalar.from_rat(Fraction(1, 2)),
-                Scalar.from_rat(2) * dq2,
-                Scalar.from_rat(8) / qint(2))
-
-    @classmethod
-    def standard(cls) -> "AffineMap":
-        return cls(*cls.closed_forms())
-
-    def consistent(self) -> bool:
-        """a^2 b^2 == (ab)^2, and each product equals its closed form."""
+    def consistent(self, closed: "AffineMap") -> bool:
+        """a^2 b^2 == (ab)^2, and each product equals the closed form's."""
         return (self.a2 * self.b2 == self.ab * self.ab
-                and (self.a2, self.ab, self.b2) == self.closed_forms())
+                and (self.a2, self.ab, self.b2) == (closed.a2, closed.ab, closed.b2))
 
 
 class Scenario:
@@ -303,8 +291,8 @@ def reduce(chain: "Reduction", dinv: DiracMatrix) -> TermSum:
 
 class Reduction:
     """One scenario's Dirac chain on one window: its on-surface brackets, the
-    constraint matrix, its per-mode inverse and the reduced bracket, each
-    computed at most once."""
+    constraint matrix, its per-mode inverse, the reduced bracket and its
+    contents, each computed at most once."""
 
     def __init__(self, scenario: Scenario, W: ModeWindow):
         self.scenario = scenario
@@ -332,8 +320,15 @@ class Reduction:
     @cached_property
     def reduced(self) -> TermSum:
         reduced = reduce(self, self.inverse)
-        self._brackets.clear()      # nothing reads a bracket after this
+        # nothing reads a bracket, the matrix or the inverse after this
+        self._brackets.clear()
+        vars(self).pop("matrix", None)
+        vars(self).pop("inverse", None)
         return reduced
+
+    @cached_property
+    def contents(self) -> "ReducedContents":
+        return split_reduced(self.reduced, self.W.N)
 
 
 class ReducedContents:
@@ -374,39 +369,31 @@ def split_reduced(T: TermSum, N: int) -> ReducedContents:
 # ---------------------------------------------------------------------------
 
 class QVirasoroBracket:
-    """Closed form of the reduced bracket in (z/w)-orientation.
+    """Closed form of the reduced bracket in (z/w)-orientation on one window.
 
     Quadratic kernel f_n = [n]^2/[2n] (0 at n=0) against Et-(z)Et-(w) with
     overall i[2](q-1/q)^2/2, central kernel g_n = [2n] with -i(q-1/q)^2;
-    with ``residual_weight`` both kernels carry the extra q^(-2|n|) of the
-    unabsorbed form.  Both kernels are odd, so the x-orientation forms are
-    -kappa * kernel.
+    the residual-weight forms carry the extra q^(-2|n|) of the unabsorbed
+    bracket.  Both kernels are odd, so the x-orientation forms are
+    -kappa * kernel.  ``amap`` holds the affine map's closed forms
+    (a^2, ab, b^2) = ((q-1/q)^4 [2]/2, 2 (q-1/q)^2, 8/[2]).
     """
 
-    __slots__ = ("residual_weight",)
+    __slots__ = ("quad", "cent", "quad_residual", "cent_residual",
+                 "kappa_quad", "kappa_cent", "amap")
 
-    def __init__(self, residual_weight: bool = False):
-        self.residual_weight = residual_weight
-
-    @property
-    def kappa_quad(self) -> Scalar:
-        return S_I * qint(2) * q_minus_qinv() ** 2 * Scalar.from_rat(Fraction(1, 2))
-
-    @property
-    def kappa_cent(self) -> Scalar:
-        return -S_I * q_minus_qinv() ** 2
-
-    def quad_kernel(self, W: ModeWindow) -> Dist2:
-        def f(n):
-            if n == 0:
-                return S_ZERO
-            return qint_over_qsum(n, 1)     # [n]^2/[2n] in lowest terms
-        D = Dist2.from_func(W.N, f)
-        return weight_abs(D, -2) if self.residual_weight else D
-
-    def central_kernel(self, W: ModeWindow) -> Dist2:
-        D = Dist2.from_func(W.N, lambda n: qint(2 * n))
-        return weight_abs(D, -2) if self.residual_weight else D
+    def __init__(self, W: ModeWindow):
+        dq2 = q_minus_qinv() ** 2
+        half2 = qint(2) * Scalar.from_rat(Fraction(1, 2))
+        # [n]^2/[2n] in lowest terms
+        self.quad = Dist2.from_func(W.N, lambda n: qint_over_qsum(n, 1) if n else S_ZERO)
+        self.cent = Dist2.from_func(W.N, lambda n: qint(2 * n))
+        self.quad_residual = weight_abs(self.quad, -2)
+        self.cent_residual = weight_abs(self.cent, -2)
+        self.kappa_quad = S_I * half2 * dq2
+        self.kappa_cent = -S_I * dq2
+        self.amap = AffineMap(dq2 * dq2 * half2, Scalar.from_rat(2) * dq2,
+                              Scalar.from_rat(8) / qint(2))
 
 
 def classical_linear_pattern(W: ModeWindow) -> Dist2:
@@ -427,22 +414,20 @@ def _drop0(D: Dist2) -> Dist2:
     return Dist2(D.N, {n: v for n, v in D.c.items() if n != 0})
 
 
-def affine_check(reduced: TermSum, amap: AffineMap, W: ModeWindow,
+def affine_check(parts: ReducedContents, amap: AffineMap, B: QVirasoroBracket,
                  weighted: bool) -> list[CheckRecord]:
-    """Compare the reduced bracket, rewritten through Et- = a E- + b, with
-    the closed-form quadratic algebra; modes n != 0, with the zero mode
-    reported separately."""
+    """Compare the reduced bracket's contents, rewritten through
+    Et- = a E- + b, with the closed-form quadratic algebra ``B``; modes
+    n != 0, with the zero mode reported separately."""
     tag = "qvir" if weighted else "qdirb"
-    parts = split_reduced(reduced, W.N)
     out = []
 
-    out.append(record(f"affine-map-consistency[{tag}]", "qdirb", amap.consistent(),
+    out.append(record(f"affine-map-consistency[{tag}]", "qdirb", amap.consistent(B.amap),
                       engine=f"a^2={amap.a2}, ab={amap.ab}, b^2={amap.b2}"))
 
     # x-orientation closed forms; the unweighted pass keeps the residual weight
-    B = QVirasoroBracket(residual_weight=not weighted)
-    fpat = B.quad_kernel(W).scale(-B.kappa_quad)
-    gpat = B.central_kernel(W).scale(-B.kappa_cent)
+    fpat = (B.quad if weighted else B.quad_residual).scale(-B.kappa_quad)
+    gpat = (B.cent if weighted else B.cent_residual).scale(-B.kappa_cent)
 
     out.append(compare_dists(f"reduce-quadratic[{tag}]", tag, _drop0(parts.quad), fpat))
 
@@ -485,7 +470,7 @@ def affine_check(reduced: TermSum, amap: AffineMap, W: ModeWindow,
     return out
 
 
-def printed_inverse_patterns(W: ModeWindow):
+def printed_inverse_patterns(W: ModeWindow, B: QVirasoroBracket):
     """The printed entries of the inverse constraint matrix (modes n != 0)."""
     dq = q_minus_qinv()
     two_i = Scalar.from_rat(2) * S_I
@@ -505,7 +490,7 @@ def printed_inverse_patterns(W: ModeWindow):
         return -(two_i * S_T / br2) * Scalar.s_power(-abs(n)) * qint_over_qsum(n, 0)
 
     # (2i/[2]) q^(-2|n|) [n]^2/[2n]: the residual-weight quadratic kernel
-    inv22 = QVirasoroBracket(residual_weight=True).quad_kernel(W).scale(two_i / br2)
+    inv22 = B.quad_residual.scale(two_i / br2)
     return {
         (0, 0): Dist2.from_func(W.N, inv11),
         (0, 1): Dist2.from_func(W.N, inv12),
@@ -514,8 +499,10 @@ def printed_inverse_patterns(W: ModeWindow):
     }
 
 
-def dirac_suite(red: Reduction) -> list[CheckRecord]:
-    """Build, compare, invert and pair the constraint matrix."""
+def dirac_suite(red: Reduction, B: QVirasoroBracket | None = None) -> list[CheckRecord]:
+    """Build, compare, invert and pair the constraint matrix; an unweighted
+    q-sl2 chain also compares its inverse with the printed one, through the
+    closed forms ``B``."""
     out = []
     sc, W = red.scenario, red.W
     out.append(record("constraints-idempotent", "ain1/ain2", sc.constraints.vanish_on_surface()))
@@ -564,7 +551,7 @@ def dirac_suite(red: Reduction) -> list[CheckRecord]:
                       invert(dinv, W) == dm))
 
     if sc.key == "q-sl2" and not sc.weighted:
-        printed = printed_inverse_patterns(W)
+        printed = printed_inverse_patterns(W, B)
         names = {(0, 0): "11", (0, 1): "12", (1, 0): "21", (1, 1): "22"}
         for ij, pat in printed.items():
             got = _drop0(dinv.entry(*ij))
@@ -581,8 +568,9 @@ def dirac_suite(red: Reduction) -> list[CheckRecord]:
     return out
 
 
-def reduce_suite(red: Reduction) -> list[CheckRecord]:
-    """Run the reduction and compare with the closed forms."""
+def reduce_suite(red: Reduction, B: QVirasoroBracket | None = None) -> list[CheckRecord]:
+    """Run the reduction and compare with the closed forms: the Virasoro
+    patterns for the undeformed chain, ``B`` for a q-sl2 chain."""
     out = []
     sc, W = red.scenario, red.W
     reduced = red.reduced
@@ -591,7 +579,7 @@ def reduce_suite(red: Reduction) -> list[CheckRecord]:
     ok = (reduced.reflect() + reduced).is_zero()
     if sc.key == "classical-sl2":
         out.append(record("reduce-antisymmetry", "dirb", ok))
-        parts = split_reduced(reduced, W.N)
+        parts = red.contents
         lin = classical_linear_pattern(W)
         out.append(compare_dists("reduce-linear-z", "virasoro", parts.lin_z, lin))
         out.append(compare_dists("reduce-linear-w", "virasoro", parts.lin_w, lin))
@@ -602,5 +590,5 @@ def reduce_suite(red: Reduction) -> list[CheckRecord]:
     else:
         tag = "qvir" if sc.weighted else "qdirb"
         out.append(record(f"reduce-antisymmetry[{tag}]", "dirb", ok))
-        out.extend(affine_check(reduced, AffineMap.standard(), W, sc.weighted))
+        out.extend(affine_check(red.contents, B.amap, B, sc.weighted))
     return out

@@ -6,8 +6,7 @@ from __future__ import annotations
 
 from .qcoeff import S_ZERO, Scalar, q_minus_qinv, taylor_q1
 from .distcalc import Dist2, ModeWindow, weight_abs
-from .currents import TermSum
-from .dirac import AffineMap, QVirasoroBracket, split_reduced
+from .dirac import QVirasoroBracket, ReducedContents
 from .report import CheckRecord, compare_dists, record
 
 
@@ -20,10 +19,11 @@ LIMIT_ORDER = 4
 # Antisymmetry of the closed-form bracket (QVirasoroBracket, in dirac)
 # ---------------------------------------------------------------------------
 
-def antisymmetry_check(B: QVirasoroBracket, W: ModeWindow) -> list[CheckRecord]:
-    """Swapping the two points negates the bracket exactly, mode by mode."""
-    f = B.quad_kernel(W)
-    g = B.central_kernel(W)
+def antisymmetry_check(B: QVirasoroBracket) -> list[CheckRecord]:
+    """Swapping the two points negates the bracket exactly, mode by mode;
+    the residual-weight forms are the absorbed ones times q^(-2|n|)."""
+    f = B.quad
+    g = B.cent
     out = []
     out.append(compare_dists("qvir-quad-kernel-odd", "qvir", f.reflect(), -f))
     out.append(record("qvir-central-zero-mode", "qvir", g.coeff(0).is_zero(),
@@ -34,12 +34,9 @@ def antisymmetry_check(B: QVirasoroBracket, W: ModeWindow) -> list[CheckRecord]:
     surd_free = all(v.is_rational_sector() for v in f.c.values()) and \
         all(v.is_rational_sector() for v in g.c.values())
     out.append(record("qvir-rational-sector", "qvir", surd_free))
-    absorbed = QVirasoroBracket(False)
-    residual = QVirasoroBracket(True)
     out.append(record(
         "qvir-weight-relation", "qdirb/qvir",
-        residual.quad_kernel(W) == weight_abs(absorbed.quad_kernel(W), -2)
-        and residual.central_kernel(W) == weight_abs(absorbed.central_kernel(W), -2),
+        B.quad_residual == weight_abs(f, -2) and B.cent_residual == weight_abs(g, -2),
         engine="residual-weight form = weight_abs(absorbed form, -2)"))
     return out
 
@@ -48,15 +45,14 @@ def antisymmetry_check(B: QVirasoroBracket, W: ModeWindow) -> list[CheckRecord]:
 # Exact classical limit
 # ---------------------------------------------------------------------------
 
-def classical_limit_check(reduced_q: TermSum, reduced_classical: TermSum,
+def classical_limit_check(q: ReducedContents, c: ReducedContents, B: QVirasoroBracket,
                           W: ModeWindow) -> list[CheckRecord]:
-    """Expand the deformed reduced bracket (written through the affine map)
-    in h with q = exp(i h): the orders h^0..h^3 vanish identically and the
-    h^4 content, divided by the leading coefficient of (q-1/q)^4, equals the
-    undeformed reduced bracket mode by mode."""
-    amap = AffineMap.standard()
-    q = split_reduced(reduced_q, W.N)
-    c = split_reduced(reduced_classical, W.N)
+    """Expand the deformed reduced bracket's contents ``q`` (written through
+    the affine map of ``B``) in h with q = exp(i h): the orders h^0..h^3
+    vanish identically and the h^4 content, divided by the leading
+    coefficient of (q-1/q)^4, equals the undeformed contents ``c`` mode by
+    mode."""
+    amap = B.amap
     out = []
 
     # overall factor: (q - 1/q)^4 = 16 h^4 + O(h^6)
@@ -71,9 +67,7 @@ def classical_limit_check(reduced_q: TermSum, reduced_classical: TermSum,
     n0 = 1
     quad_pat = q.quad.coeff(n0)
     piece_quad = taylor_q1(amap.b2 * quad_pat, 2).coeff(2)
-    residual = QVirasoroBracket(residual_weight=True)
-    piece_cent = taylor_q1(
-        -residual.kappa_cent * residual.central_kernel(W).coeff(n0), 2).coeff(2)
+    piece_cent = taylor_q1(-B.kappa_cent * B.cent_residual.coeff(n0), 2).coeff(2)
     out.append(record(
         "limit-h2-piece-cancellation", "qdirb",
         (piece_quad + piece_cent).is_zero()
@@ -136,8 +130,7 @@ class ClassicalVirasoro:
         self.cnum = cnum
 
     @classmethod
-    def from_reduced(cls, reduced: TermSum, N: int) -> "ClassicalVirasoro":
-        parts = split_reduced(reduced, N)
+    def from_reduced(cls, parts: ReducedContents) -> "ClassicalVirasoro":
         if parts.lin_z != parts.lin_w:
             raise ValueError("reduced bracket is not slot-symmetric in its linear part")
         if not parts.quad.is_zero():

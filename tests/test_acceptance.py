@@ -5,10 +5,16 @@ field).  One [PASS]/[FAIL] line is printed per criterion; run with
 ``pytest tests/test_acceptance.py -v -s`` to see them inline.
 """
 
+import ast
+import importlib
 import json
+import pathlib
+import pkgutil
 import time
 
 import pytest
+
+import qvir
 
 from qvir.qcoeff import Scalar, eval_q1, qint
 from qvir.distcalc import ModeWindow
@@ -20,7 +26,7 @@ from qvir.currents import (
     verify_serre_mode_equivalence,
 )
 from qvir.cli import RunConfig, run
-from qvir.dirac import Reduction, dirac_suite, reduce_suite, scenario
+from qvir.dirac import QVirasoroBracket, Reduction, dirac_suite, reduce_suite, scenario
 from qvir.qvirasoro import (
     ClassicalVirasoro,
     classical_jacobi_check,
@@ -60,8 +66,12 @@ def classical_scenario():
 
 @pytest.fixture(scope="module")
 def reductions(q_scenario, classical_scenario):
-    return (Reduction(q_scenario, W).reduced,
-            Reduction(classical_scenario, W).reduced)
+    return (Reduction(q_scenario, W), Reduction(classical_scenario, W))
+
+
+@pytest.fixture(scope="module")
+def closed():
+    return QVirasoroBracket(W)
 
 
 def test_criterion_1_exchange_suite():
@@ -90,8 +100,8 @@ def test_criterion_3_mode_algebra():
              records)
 
 
-def test_criterion_4_dirac_matrix(q_scenario):
-    records = dirac_suite(Reduction(q_scenario, W))
+def test_criterion_4_dirac_matrix(q_scenario, closed):
+    records = dirac_suite(Reduction(q_scenario, W), closed)
     docs = [r for r in records if r.status == DOCUMENTED]
     assert [r.id for r in docs] == ["dirac-inverse-mode0"]
     assert docs[0].engine_value and docs[0].expected_value
@@ -105,15 +115,15 @@ def test_criterion_4_dirac_matrix(q_scenario):
 def test_criterion_5_classical_pipeline(classical_scenario, reductions):
     records = reduce_suite(Reduction(classical_scenario, W))
     _, rc = reductions
-    V = ClassicalVirasoro.from_reduced(rc, N)
+    V = ClassicalVirasoro.from_reduced(rc.contents)
     records += classical_jacobi_check(V, 6)
     _verdict("criterion 5: undeformed reduction and Jacobi identity (K=6)", records)
 
 
-def test_criterion_6_q_pipeline(q_scenario):
-    records = reduce_suite(Reduction(q_scenario, W))
+def test_criterion_6_q_pipeline(q_scenario, closed):
+    records = reduce_suite(Reduction(q_scenario, W), closed)
     weighted = scenario("q-sl2", weighted=True)
-    records += reduce_suite(Reduction(weighted, W))
+    records += reduce_suite(Reduction(weighted, W), closed)
     ids = {r.id for r in records}
     assert {"reduce-quadratic[qdirb]", "reduce-quadratic[qvir]",
             "reduce-linear-cancellation[qdirb]", "reduce-linear-cancellation[qvir]",
@@ -124,9 +134,9 @@ def test_criterion_6_q_pipeline(q_scenario):
              records)
 
 
-def test_criterion_7_classical_limit(reductions):
+def test_criterion_7_classical_limit(reductions, closed):
     rq, rc = reductions
-    records = classical_limit_check(rq, rc, W)
+    records = classical_limit_check(rq.contents, rc.contents, closed, W)
     central = [r for r in records if r.id == "limit-h4-central"]
     assert central and central[0].engine_value, \
         "the adjudicating record must carry the engine's exact value"
@@ -147,8 +157,8 @@ def test_criterion_8_property_suites(q_scenario, classical_scenario, reductions)
             ab = classical_bracket(a, b, sc.table, W)
             ba = classical_bracket(b, a, sc.table, W)
             ok &= ab == -(ba.reflect())
-    for T in reductions:
-        ok &= T.reflect() == -T
+    for chain in reductions:
+        ok &= chain.reduced.reflect() == -chain.reduced
     for r in verify_commutators(W):
         if r.id.startswith("antisymmetry-"):
             ok &= r.status != FAIL
@@ -161,18 +171,50 @@ def test_criterion_8_property_suites(q_scenario, classical_scenario, reductions)
              "antisymmetry, deterministic output", ok=ok)
 
 
+def _starts_empty(value):
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if isinstance(value, ast.List):
+        return not value.elts
+    return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "list", "set") and not value.args)
+
+
+def _decorator_name(dec):
+    target = dec.func if isinstance(dec, ast.Call) else dec
+    return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+
+
+def test_process_caches_are_pinned():
+    # every cache that outlives a run: functools caches anywhere in src/, and
+    # module-level containers that start empty; a new one needs an edit here
+    found = set()
+    for path in pathlib.Path(qvir.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and any(
+                    _decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list):
+                found.add(node.name)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and _starts_empty(node.value):
+                found.update(t.id for t in node.targets)
+            elif isinstance(node, ast.AnnAssign) and _starts_empty(node.value):
+                found.add(node.target.id)
+    assert found == {"qint", "oscillator_norm", "standard_fields", "_CONTRACTION_MEMO"}
+
+
 def test_criterion_9_performance_envelope():
     import qvir.vertexcalc as vc
-    from qvir.dirac import AffineMap
-    from qvir.qcoeff import qint as _qint
 
+    modules = [importlib.import_module(f"qvir.{m.name}")
+               for m in pkgutil.iter_modules(qvir.__path__)]
+    caches = {id(v): v for mod in modules for v in vars(mod).values()
+              if hasattr(v, "cache_clear")}
     results = []
     for window, budget in ((12, 120.0), (24, 900.0)):
         vc._CONTRACTION_MEMO.clear()
-        vc.standard_fields.cache_clear()
-        vc.oscillator_norm.cache_clear()
-        AffineMap.closed_forms.cache_clear()
-        _qint.cache_clear()
+        for cached in caches.values():
+            cached.cache_clear()
         t0 = time.perf_counter()
         rep = run(RunConfig(scenario="q-sl2", window=window))
         dt = time.perf_counter() - t0

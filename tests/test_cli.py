@@ -286,11 +286,12 @@ def test_limit_records_match_golden():
     assert limit == [c for c in golden["checks"] if c["id"] in ids]
 
 
-def _count_dirac_stages(monkeypatch):
-    """Wrap the Dirac-chain stages and the bracket builds wherever dirac or
-    cli binds them."""
+def _count_dirac_stages(monkeypatch, names=("build_dirac_matrix", "invert", "reduce",
+                                             "classical_bracket")):
+    """Wrap the Dirac-chain stages and the bracket builds (or the dirac
+    callables ``names``) wherever dirac or cli binds them."""
     counts = {}
-    for name in ("build_dirac_matrix", "invert", "reduce", "classical_bracket"):
+    for name in names:
         fn = getattr(dirac, name)
         counts[name] = 0
 
@@ -305,19 +306,39 @@ def _count_dirac_stages(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("scenario,window,want", (
-    ("classical-sl2", 8, {"build_dirac_matrix": 1, "invert": 2, "reduce": 1,
-                          "classical_bracket": 8}),
-    ("q-sl2", 5, {"build_dirac_matrix": 3, "invert": 4, "reduce": 3,
-                  "classical_bracket": 24}),
+_Q_STAGES = {"build_dirac_matrix": 3, "invert": 4, "reduce": 3, "classical_bracket": 24}
+
+
+@pytest.mark.parametrize("scenario,window,suites,want", (
+    pytest.param("classical-sl2", 8, "all",
+                 {"build_dirac_matrix": 1, "invert": 2, "reduce": 1, "classical_bracket": 8},
+                 id="classical-sl2-8-want0"),
+    pytest.param("q-sl2", 5, "all", _Q_STAGES, id="q-sl2-5-want1"),
+    # the dirac suite reads the q chain's matrix and inverse before the reduce
+    # suite reduces and drops them, and no later suite reads them again
+    pytest.param("q-sl2", 5, "dirac,reduce,limit", _Q_STAGES, id="q-sl2-5-dirac,reduce,limit"),
 ))
-def test_dirac_stage_counts(monkeypatch, scenario, window, want):
+def test_dirac_stage_counts(monkeypatch, scenario, window, suites, want):
     # each scenario variant (q unweighted, q weighted, classical) builds,
     # inverts and reduces once; the involution check inverts once more.
     # Each chain builds its 8 on-surface brackets once, and the degeneration
     # check reads the run's q and classical chains instead of building its own
     counts = _count_dirac_stages(monkeypatch)
-    rep = run(RunConfig(scenario=scenario, window=window))
+    rep = run(RunConfig(scenario=scenario, window=window, suites=(suites,)))
+    assert rep.ok()
+    assert counts == want
+
+
+@pytest.mark.parametrize("scenario,suites,want", (
+    ("q-sl2", "all", {"QVirasoroBracket": 1, "split_reduced": 3}),
+    ("q-sl2", "reduce,limit", {"QVirasoroBracket": 1, "split_reduced": 3}),
+    ("classical-sl2", "all", {"QVirasoroBracket": 0, "split_reduced": 1}),
+))
+def test_closed_forms_and_contents_built_once_per_run(monkeypatch, scenario, suites, want):
+    # one set of closed forms per q-sl2 run and none per classical-sl2 run;
+    # each chain's reduced bracket is split once, whichever suites read it
+    counts = _count_dirac_stages(monkeypatch, names=tuple(want))
+    rep = run(RunConfig(scenario=scenario, window=5, suites=(suites,)))
     assert rep.ok()
     assert counts == want
 

@@ -7,7 +7,6 @@ import pytest
 from qvir.qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, q_minus_qinv, qint
 from qvir.distcalc import Dist2, ModeWindow
 from qvir import dirac
-from qvir.cli import RunConfig, run
 from qvir.currents import TermSum, classical_bracket
 from qvir.dirac import (
     AffineMap,
@@ -36,6 +35,11 @@ from qvir.report import DOCUMENTED, FAIL, PASS
 W = ModeWindow(8)
 Q = Scalar.q_power
 HALF = Scalar.from_rat(Fraction(1, 2))
+
+
+@pytest.fixture(scope="module")
+def closed():
+    return QVirasoroBracket(W)
 
 
 def all_pass(records):
@@ -108,9 +112,9 @@ def test_inverse_mode0_offdiagonal(q_matrix):
     assert dinv.entry(1, 0).coeff(0) == -want01
 
 
-def test_inverse_matches_printed_away_from_zero(q_matrix):
+def test_inverse_matches_printed_away_from_zero(q_matrix, closed):
     dinv = invert(q_matrix, W)
-    printed = printed_inverse_patterns(W)
+    printed = printed_inverse_patterns(W, closed)
     for (i, j), pat in printed.items():
         for n in W.modes():
             if n == 0:
@@ -121,18 +125,18 @@ def test_inverse_matches_printed_away_from_zero(q_matrix):
     assert dinv.entry(0, 0).coeff(1) == want
 
 
-def test_closed_forms_match_the_quotients_of_q_integers():
+def test_closed_forms_match_the_quotients_of_q_integers(closed):
     # the lowest-terms kernels equal the plain quotients of q-integers; the
     # n = 0 entries stay the documented 0
     def ratio(n, power):
         return qint(n) ** power / qint(2 * n) if n else S_ZERO
 
     for weight in (False, True):
-        D = QVirasoroBracket(residual_weight=weight).quad_kernel(W)
+        D = closed.quad_residual if weight else closed.quad
         for n in W.modes():
             want = ratio(n, 2) * (Q(-2 * abs(n)) if weight else S_ONE)
             assert D.coeff(n) == want, (weight, n)
-    printed = printed_inverse_patterns(W)
+    printed = printed_inverse_patterns(W, closed)
     dq, two_i = q_minus_qinv(), Scalar.from_rat(2) * S_I
     for n in W.modes():
         sign = Scalar.from_rat(1 if n > 0 else -1)
@@ -159,10 +163,10 @@ def test_invert_involution(q_matrix):
     assert invert(dinv, W) == q_matrix
 
 
-def test_printed_inverse_fails_pairing_at_mode0(q_matrix):
+def test_printed_inverse_fails_pairing_at_mode0(q_matrix, closed):
     # the printed inverse vanishes at n=0, so the pairing identity cannot
     # hold there; this is the documented discrepancy
-    printed = printed_inverse_patterns(W)
+    printed = printed_inverse_patterns(W, closed)
     pm = DiracMatrix(printed[(0, 0)], printed[(0, 1)], printed[(1, 0)], printed[(1, 1)])
     prod = matrix_pair(q_matrix, pm)
     assert prod[0][0].coeff(0) == S_ZERO != S_ONE
@@ -238,41 +242,30 @@ def test_q_reduction_correction_structure():
     assert k2[0] == ()
 
 
-def test_affine_map_consistency():
-    amap = AffineMap.standard()
-    assert amap.consistent()
+def test_affine_map_consistency(closed):
+    amap = closed.amap
+    assert amap.consistent(closed.amap)
     assert amap.a2 == q_minus_qinv() ** 4 * qint(2) * HALF
     assert amap.ab == Scalar.from_rat(2) * q_minus_qinv() ** 2
     assert amap.b2 == Scalar.from_rat(8) / qint(2)
     assert amap.a2.is_rational_sector()
 
 
-def test_affine_map_consistency_negative_controls():
-    amap = AffineMap.standard()
+def test_affine_map_consistency_negative_controls(closed):
+    amap = closed.amap
     two = Scalar.from_rat(2)
     # b^2 doubled breaks a^2 b^2 == (ab)^2
     doubled = AffineMap(amap.a2, amap.ab, two * amap.b2)
     assert doubled.a2 * doubled.b2 != doubled.ab * doubled.ab
-    assert not doubled.consistent()
+    assert not doubled.consistent(closed.amap)
     # ab negated keeps the identity; only the closed form catches it
     negated = AffineMap(amap.a2, -amap.ab, amap.b2)
     assert negated.a2 * negated.b2 == negated.ab * negated.ab
-    assert not negated.consistent()
+    assert not negated.consistent(closed.amap)
     for bad in (doubled, negated):
-        rec = next(r for r in affine_check(TermSum([]), bad, W, False)
+        rec = next(r for r in affine_check(split_reduced(TermSum([]), W.N), bad, closed, False)
                    if r.id == "affine-map-consistency[qdirb]")
         assert rec.status == FAIL
-
-
-def test_affine_closed_forms_computed_once_on_first_use():
-    AffineMap.closed_forms.cache_clear()
-    scenario("q-sl2")
-    scenario("q-sl2", weighted=True)
-    assert AffineMap.closed_forms.cache_info().misses == 0
-    run(RunConfig(scenario="q-sl2", window=2, suites=("reduce", "limit")))
-    info = AffineMap.closed_forms.cache_info()
-    assert info.misses == 1
-    assert info.hits >= 3     # both reduce passes' consistency checks and the limit
 
 
 def test_weighted_reduction_is_weighted_unweighted():
@@ -289,27 +282,27 @@ def test_weighted_reduction_is_weighted_unweighted():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("key", ("q-sl2", "classical-sl2"))
-def test_dirac_suite(key):
-    all_pass(dirac_suite(Reduction(scenario(key), W)))
+def test_dirac_suite(key, closed):
+    all_pass(dirac_suite(Reduction(scenario(key), W), closed))
 
 
 @pytest.mark.parametrize("key,weighted", (("q-sl2", False), ("q-sl2", True),
                                           ("classical-sl2", False)))
-def test_reduce_suite(key, weighted):
+def test_reduce_suite(key, weighted, closed):
     sc = scenario(key, weighted=weighted) if key == "q-sl2" else scenario(key)
-    all_pass(reduce_suite(Reduction(sc, W)))
+    all_pass(reduce_suite(Reduction(sc, W), closed))
 
 
-def test_mode0_documented_records():
+def test_mode0_documented_records(closed):
     chain = Reduction(scenario("q-sl2"), W)
-    recs = dirac_suite(chain) + reduce_suite(chain)
+    recs = dirac_suite(chain, closed) + reduce_suite(chain, closed)
     docs = [r for r in recs if r.status == DOCUMENTED]
     assert sorted(r.id for r in docs) == ["dirac-inverse-mode0", "reduce-mode0[qdirb]"]
     for r in docs:
         assert r.engine_value and r.expected_value
 
 
-def test_constraints_check_fails_off_the_surface():
+def test_constraints_check_fails_off_the_surface(closed):
     # sending E+ to 0 leaves chi2 = E+ - 1 at -1 on the "surface"; chi1's own
     # matrix entry reads only Psi and Phi and still matches
     sc = scenario("q-sl2")
@@ -317,7 +310,7 @@ def test_constraints_check_fails_off_the_surface():
     off = ConstraintSet(c.chi1_symbol, c.chi2_symbol, c.chi1, c.chi2,
                         {"Psi": 1, "Phi": 1, "E+": 0})
     status = {r.id: r.status for r in dirac_suite(Reduction(
-        Scenario(sc.key, sc.table, off, sc.weighted), W))}
+        Scenario(sc.key, sc.table, off, sc.weighted), W), closed)}
     assert status["constraints-idempotent"] == FAIL
     assert status["dirac-matrix-11"] == PASS
 
@@ -330,7 +323,7 @@ def _perturbed(dm, i, j, n):
     return DiracMatrix(e[0][0], e[0][1], e[1][0], e[1][1])
 
 
-def test_involution_check_inverts_the_inverse_again(monkeypatch):
+def test_involution_check_inverts_the_inverse_again(monkeypatch, closed):
     # the shared inverse is the first invert call; the involution check must
     # make a second one and compare it with the matrix
     real_invert, calls = dirac.invert, []
@@ -341,24 +334,24 @@ def test_involution_check_inverts_the_inverse_again(monkeypatch):
         return _perturbed(dinv, 0, 1, 1) if len(calls) == 2 else dinv
 
     monkeypatch.setattr(dirac, "invert", second_call_perturbed)
-    status = {r.id: r.status for r in dirac_suite(Reduction(scenario("q-sl2"), W))}
+    status = {r.id: r.status for r in dirac_suite(Reduction(scenario("q-sl2"), W), closed)}
     assert len(calls) == 2
     assert status["dirac-pairing-identity"] == PASS
     assert status["dirac-invert-involution"] == FAIL
 
 
-def test_pairing_identity_reads_the_shared_inverse():
+def test_pairing_identity_reads_the_shared_inverse(closed):
     chain = Reduction(scenario("q-sl2"), W)
     chain.inverse = _perturbed(chain.inverse, 1, 1, 2)
-    status = {r.id: r.status for r in dirac_suite(chain)}
+    status = {r.id: r.status for r in dirac_suite(chain, closed)}
     assert status["dirac-pairing-identity"] == FAIL
 
 
 @pytest.mark.parametrize("key,tag", (("q-sl2", "[qdirb]"), ("classical-sl2", "")))
-def test_antisymmetry_check_fails_on_symmetric_part(key, tag):
+def test_antisymmetry_check_fails_on_symmetric_part(key, tag, closed):
     chain = Reduction(scenario(key), W)
     chain.reduced = chain.reduced + TermSum.single((), Dist2.delta(W.N))
-    status = {r.id: r.status for r in reduce_suite(chain)}
+    status = {r.id: r.status for r in reduce_suite(chain, closed)}
     assert status[f"reduce-antisymmetry{tag}"] == FAIL
 
 
@@ -369,9 +362,13 @@ def test_reduction_computes_each_stage_once(monkeypatch):
             counts[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(dirac, name, counted)
+    # the matrix and the inverse are read first, as the dirac suite does
+    # before the reduce suite; the chain drops both once it has reduced
     chain = Reduction(scenario("classical-sl2"), W)
-    assert chain.reduced is chain.reduced
     assert chain.matrix is chain.matrix and chain.inverse is chain.inverse
+    assert chain.reduced is chain.reduced
+    assert chain.contents is chain.contents
+    assert "matrix" not in vars(chain) and "inverse" not in vars(chain)
     assert counts == {"build_dirac_matrix": 1, "invert": 1, "reduce": 1}
     fresh = Reduction(chain.scenario, W)
     dinv = invert(build_dirac_matrix(fresh), W)
@@ -434,8 +431,8 @@ def test_table_degeneration_negative_controls(pair):
     assert failed == [(_Q_TABLE_RECORDS[pair], 0)]
 
 
-def test_affine_check_detects_wrong_bracket():
+def test_affine_check_detects_wrong_bracket(closed):
     reduced = Reduction(scenario("q-sl2"), W).reduced
     broken = reduced.scale(Scalar.from_rat(2))
-    recs = affine_check(broken, AffineMap.standard(), W, weighted=False)
+    recs = affine_check(split_reduced(broken, W.N), closed.amap, closed, weighted=False)
     assert any(r.status == FAIL for r in recs)

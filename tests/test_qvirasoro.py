@@ -1,5 +1,6 @@
 """Closed-form bracket properties, the exact h-limit, and the Jacobi check."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from qvir.qcoeff import (
     S_I,
     S_ONE,
+    S_T,
     S_ZERO,
     Scalar,
     q_minus_qinv,
@@ -42,18 +44,33 @@ def all_pass(records):
 
 @pytest.fixture(scope="module")
 def reductions():
-    return (Reduction(scenario("q-sl2"), W).reduced,
-            Reduction(scenario("classical-sl2"), W).reduced)
+    return (Reduction(scenario("q-sl2"), W), Reduction(scenario("classical-sl2"), W))
+
+
+@pytest.fixture(scope="module")
+def closed():
+    return QVirasoroBracket(W)
+
+
+def _closed_with(B, quad=None, cent=None, quad_residual=None):
+    """A copy of the closed forms with the given kernels; each residual-weight
+    form is the absorbed one times q^(-2|n|) unless given."""
+    C = copy.copy(B)
+    C.quad = B.quad if quad is None else quad
+    C.cent = B.cent if cent is None else cent
+    C.quad_residual = weight_abs(C.quad, -2) if quad_residual is None else quad_residual
+    C.cent_residual = weight_abs(C.cent, -2)
+    return C
 
 
 # ---------------------------------------------------------------------------
 # bracket kernels
 # ---------------------------------------------------------------------------
 
-def test_kernel_values():
-    B = QVirasoroBracket(False)
-    f = B.quad_kernel(W)
-    g = B.central_kernel(W)
+def test_kernel_values(closed):
+    B = closed
+    f = B.quad
+    g = B.cent
     assert f.coeff(0) == S_ZERO
     for n in range(1, W.N + 1):
         assert f.coeff(n) == qint(n) * qint(n) / qint(2 * n)
@@ -64,35 +81,61 @@ def test_kernel_values():
     assert B.kappa_cent == -S_I * dq * dq
 
 
-def test_antisymmetry_records():
-    all_pass(antisymmetry_check(QVirasoroBracket(False), W))
-    all_pass(antisymmetry_check(QVirasoroBracket(True), W))
+def test_antisymmetry_records(closed):
+    all_pass(antisymmetry_check(closed))
+    # the residual-weight kernels, checked as if they were the absorbed ones
+    all_pass(antisymmetry_check(
+        _closed_with(closed, quad=closed.quad_residual, cent=closed.cent_residual)))
 
 
-def test_weighted_unweighted_differ_by_weight():
-    plain = QVirasoroBracket(False)
-    residual = QVirasoroBracket(True)
-    assert residual.quad_kernel(W) == weight_abs(plain.quad_kernel(W), -2)
-    assert residual.central_kernel(W) == weight_abs(plain.central_kernel(W), -2)
+def test_weighted_unweighted_differ_by_weight(closed):
+    assert closed.quad_residual == weight_abs(closed.quad, -2)
+    assert closed.cent_residual == weight_abs(closed.cent, -2)
+
+
+def _shifted(D, shifts):
+    return Dist2(D.N, {**D.c, **{n: D.coeff(n) + v for n, v in shifts.items()}})
+
+
+_ANTISYMMETRY_CONTROLS = {
+    # f(2) += 1, the residual form following it
+    "quad-even-part": (lambda B: _closed_with(B, quad=_shifted(B.quad, {2: S_ONE})),
+                       {"qvir-quad-kernel-odd", "qvir-bracket-antisymmetry"}),
+    "central-zero-mode": (lambda B: _closed_with(B, cent=_shifted(B.cent, {0: S_ONE})),
+                          {"qvir-central-zero-mode", "qvir-bracket-antisymmetry"}),
+    # +-sqrt2 at modes +-2 keeps f odd
+    "surd-leak": (lambda B: _closed_with(B, quad=_shifted(B.quad, {2: S_T, -2: -S_T})),
+                  {"qvir-rational-sector"}),
+    "residual-off-at-one-mode": (
+        lambda B: _closed_with(B, quad_residual=_shifted(B.quad_residual, {3: S_ONE})),
+        {"qvir-weight-relation"}),
+}
+
+
+@pytest.mark.parametrize("control", sorted(_ANTISYMMETRY_CONTROLS))
+def test_antisymmetry_check_negative_controls(closed, control):
+    perturb, want = _ANTISYMMETRY_CONTROLS[control]
+    records = antisymmetry_check(perturb(closed))
+    assert len(records) == 5
+    assert {r.id for r in records if r.status == FAIL} == want
 
 
 # ---------------------------------------------------------------------------
 # classical limit
 # ---------------------------------------------------------------------------
 
-def test_limit_suite(reductions):
+def test_limit_suite(reductions, closed):
     rq, rc = reductions
-    all_pass(classical_limit_check(rq, rc, W))
+    all_pass(classical_limit_check(rq.contents, rc.contents, closed, W))
 
 
-def test_limit_h4_values_by_hand(reductions):
+def test_limit_h4_values_by_hand(reductions, closed):
     # independent expansion: the central content is i (q-1/q)^4 q^(-2|n|) [n]^4/[2n],
     # whose h^4 coefficient is 16 * n^3/2 * i; the linear content is
     # -i[2](q-1/q)^4 q^(-2|n|) [n]^2/[2n] with h^4 coefficient -16 i n.
     rq, _ = reductions
-    from qvir.dirac import AffineMap
-    amap = AffineMap.standard()
-    parts = split_reduced(rq, W.N)
+    amap = closed.amap
+    parts = rq.contents
     for n in (1, 2, 3):
         lin = taylor_q1(amap.ab * parts.quad.coeff(n), 4)
         assert lin.coeff(4) == -16 * n * S_I
@@ -102,20 +145,21 @@ def test_limit_h4_values_by_hand(reductions):
         assert cn.coeff(4) == Fraction(16 * n ** 3, 2) * S_I
 
 
-def test_limit_detects_wrong_central(reductions):
+def test_limit_detects_wrong_central(reductions, closed):
     rq, rc = reductions
-    broken = rc.scale(Scalar.from_rat(3))
-    recs = classical_limit_check(rq, broken, W)
+    broken = rc.reduced.scale(Scalar.from_rat(3))
+    recs = classical_limit_check(rq.contents, split_reduced(broken, W.N), closed, W)
     assert any(r.status == FAIL for r in recs)
 
 
-def test_limit_reports_the_first_bad_mode(reductions):
+def test_limit_reports_the_first_bad_mode(reductions, closed):
     # the q-bracket's quadratic part off by one at modes 2 and 5: every limit
     # record names mode 2, the first failing mode of the window
     rq, rc = reductions
     quad = (FieldFactor("E-", "z"), FieldFactor("E-", "w"))
-    broken = rq + TermSum.single(quad, Dist2(W.N, {2: S_ONE, 5: S_ONE}))
-    recs = {r.id: r for r in classical_limit_check(broken, rc, W)}
+    broken = rq.reduced + TermSum.single(quad, Dist2(W.N, {2: S_ONE, 5: S_ONE}))
+    recs = {r.id: r for r in classical_limit_check(split_reduced(broken, W.N), rc.contents,
+                                                    closed, W)}
     for check_id in ("limit-subleading-cancellation", "limit-h4-linear", "limit-h4-central"):
         assert recs[check_id].status == FAIL
         assert recs[check_id].mode == 2
@@ -127,13 +171,13 @@ def test_limit_reports_the_first_bad_mode(reductions):
 
 def test_jacobi_passes(reductions):
     _, rc = reductions
-    V = ClassicalVirasoro.from_reduced(rc, W.N)
+    V = ClassicalVirasoro.from_reduced(rc.contents)
     all_pass(classical_jacobi_check(V, 6))
 
 
 def test_jacobi_specific_triples(reductions):
     _, rc = reductions
-    V = ClassicalVirasoro.from_reduced(rc, W.N)
+    V = ClassicalVirasoro.from_reduced(rc.contents)
     # (1,-1,0): antisymmetry and grading force cancellation
     for triple in ((1, -1, 0), (2, -1, -1), (3, -2, 1)):
         a, b, c = triple
@@ -158,7 +202,7 @@ def test_jacobi_detects_wrong_central():
 
 def test_mode_bracket_extraction(reductions):
     _, rc = reductions
-    V = ClassicalVirasoro.from_reduced(rc, W.N)
+    V = ClassicalVirasoro.from_reduced(rc.contents)
     # {L_a, L_b} = -i(a-b) L_{a+b} + (i/2) a^3 delta
     coef, cent = V.bracket(2, 1)
     assert coef == -S_I * Scalar.from_rat(1)

@@ -14,6 +14,7 @@ from qvir.vertexcalc import (
     contract,
     contraction_kernel,
     exchange_kernel,
+    exchange_suite,
     fuse,
     h_e_commutator_dist,
     oscillator_norm,
@@ -118,8 +119,27 @@ def test_non_integer_multiplicity_is_a_typed_error():
 def test_non_integer_multiplicity_fails_the_exchange_check(monkeypatch):
     monkeypatch.setattr(vc, "_CONTRACTION_MEMO", {})
     records = verify_exchange(half_psi(), F["Phi"], kernel_step_pair(), W, "ope1", "x")
-    assert [r.status for r in records] == [FAIL]
-    assert records[0].engine_value.startswith("error: not an integer product")
+    assert [(r.id, r.status) for r in records] == [("x-kernel", FAIL), ("x-window", FAIL)]
+    for r in records:
+        assert r.engine_value.startswith("error: not an integer product")
+
+
+def test_underivable_exchange_kernel_keeps_the_passing_ids(monkeypatch):
+    # a kernel that cannot be derived fails its two records under their own ids
+    Wx = ModeWindow(6)
+    passing = [r.id for r in exchange_suite(Wx)]
+
+    def fails_for_psi_phi(A, B, _real=exchange_kernel):
+        if (A.name, B.name) == ("Psi", "Phi"):
+            raise ReconstructionError("not an integer product")
+        return _real(A, B)
+
+    monkeypatch.setattr(vc, "exchange_kernel", fails_for_psi_phi)
+    records = exchange_suite(Wx)
+    assert len(passing) == 18
+    assert [r.id for r in records] == passing
+    assert [r.id for r in records if r.status == FAIL] == \
+        ["exchange-psi-phi-kernel", "exchange-psi-phi-window"]
 
 
 # ---------------------------------------------------------------------------
