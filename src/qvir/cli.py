@@ -115,12 +115,16 @@ def run(config: RunConfig) -> Report:
     rep = Report(config.scenario, config.window)
 
     # one Dirac chain per scenario variant, and on q-sl2 one set of closed
-    # forms, shared by the suites that read them
+    # forms, shared by the suites that read them and built only for them
     chain = Reduction(scenario(config.scenario), W)
+    classical = closed = None
     if config.scenario == "classical-sl2":
-        classical, closed = chain, None
+        classical = chain
     else:
-        classical, closed = Reduction(scenario("classical-sl2"), W), QVirasoroBracket(W)
+        if "modes" in suites or "limit" in suites:
+            classical = Reduction(scenario("classical-sl2"), W)
+        if "dirac" in suites or "reduce" in suites or "limit" in suites:
+            closed = QVirasoroBracket(W)
 
     for name in suites:
         if name == "exchange":

@@ -15,7 +15,8 @@ reduced bracket exists the chain drops its brackets, matrix and inverse.
 The degeneration, dirac, reduce and limit suites all read the run's chains.
 `QVirasoroBracket(W)` is the closed form the reduced bracket is matched
 against: its kernels in both forms, their prefactors and the affine map,
-built once per q-sl2 run and passed to every check that reads them.
+built once per q-sl2 run whose suites read it and passed to every check
+that reads them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 from .qcoeff import (S_I, S_ONE, S_T, S_ZERO, Scalar, eval_q1, q_minus_qinv, qint,
                      qint_over_qsum)
-from .distcalc import Dist2, ModeWindow, pair, weight_abs
+from .distcalc import Dist2, ModeWindow, _dist2, pair, weight_abs
 from .currents import (
     FieldFactor,
     TermSum,
@@ -250,8 +251,8 @@ def invert(dm: DiracMatrix, W: ModeWindow) -> DiracMatrix:
             v = v * idet
             if not v.is_zero():
                 inv[i][j][n] = v
-    return DiracMatrix(Dist2(W.N, inv[0][0]), Dist2(W.N, inv[0][1]),
-                       Dist2(W.N, inv[1][0]), Dist2(W.N, inv[1][1]))
+    return DiracMatrix(_dist2(W.N, inv[0][0]), _dist2(W.N, inv[0][1]),
+                       _dist2(W.N, inv[1][0]), _dist2(W.N, inv[1][1]))
 
 
 def matrix_pair(A: DiracMatrix, B: DiracMatrix) -> list[list[Dist2]]:
@@ -411,7 +412,7 @@ def classical_central_pattern(W: ModeWindow) -> Dist2:
 # ---------------------------------------------------------------------------
 
 def _drop0(D: Dist2) -> Dist2:
-    return Dist2(D.N, {n: v for n, v in D.c.items() if n != 0})
+    return _dist2(D.N, {n: v for n, v in D.c.items() if n != 0})
 
 
 def affine_check(parts: ReducedContents, amap: AffineMap, B: QVirasoroBracket,

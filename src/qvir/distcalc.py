@@ -110,7 +110,7 @@ class Dist2:
                 out.pop(n, None)
             else:
                 out[n] = w
-        return Dist2(self.N, out)
+        return _dist2(self.N, out)
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -119,16 +119,16 @@ class Dist2:
         return self._combine(other, sub)
 
     def __neg__(self):
-        return Dist2(self.N, {n: -v for n, v in self.c.items()})
+        return _dist2(self.N, {n: -v for n, v in self.c.items()})
 
     def scale(self, a: Scalar):
         if a.is_zero():
             return Dist2.zero(self.N)
-        return Dist2(self.N, {n: a * v for n, v in self.c.items()})
+        return _dist2(self.N, {n: a * v for n, v in self.c.items()})
 
     def reflect(self):
         """z <-> w, i.e. mode reflection n -> -n."""
-        return Dist2(self.N, {-n: v for n, v in self.c.items()})
+        return _dist2(self.N, {-n: v for n, v in self.c.items()})
 
     def mul_laurent(self, poly: dict[int, Scalar]) -> "Dist2":
         """Multiply by a finite Laurent polynomial in x.
@@ -182,6 +182,25 @@ class Dist2:
 
     def __repr__(self):
         return f"Dist2<N={self.N}; {self}>"
+
+
+_set_N = Dist2.N.__set__
+_set_c = Dist2.c.__set__
+
+
+def _dist2(N, c):
+    """The Dist2 of a dict c already inside |n| <= N and free of zeros, built
+    without __init__'s filtering pass.
+
+    Sums drop the modes that cancel, and a product of nonzero coefficients
+    is nonzero (Q(i)(s)[t] with t^2 = 2 is a field), so the results of
+    +, -, negation, reflection, nonzero scaling, pairing and mode weights
+    hold by construction.
+    """
+    D = object.__new__(Dist2)
+    _set_N(D, N)
+    _set_c(D, c)
+    return D
 
 
 class RatKernel:
@@ -381,14 +400,12 @@ def pair(D1: Dist2, D2: Dist2) -> Dist2:
     for n, v in small.items():
         w = large.get(n)
         if w is not None:
-            p = v * w
-            if not p.is_zero():
-                out[n] = p
-    return Dist2(D1.N, out)
+            out[n] = v * w
+    return _dist2(D1.N, out)
 
 
 def weight_abs(D: Dist2, a: int) -> Dist2:
     """Multiply mode n by q^(a*|n|)."""
     if a == 0:
         return D
-    return Dist2(D.N, {n: Scalar.s_power(2 * a * abs(n)) * v for n, v in D.c.items()})
+    return _dist2(D.N, {n: Scalar.s_power(2 * a * abs(n)) * v for n, v in D.c.items()})

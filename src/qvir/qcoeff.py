@@ -446,9 +446,12 @@ RF_TWO = RatFunc.const(2)
 class Scalar:
     """Element of Q(i)(s)[t] with t^2 = 2.
 
-    Stored as two RatFunc components on the basis (1, t).  Every operation
-    skips the products of a zero t-component, so values in the rational
-    sector cost one RatFunc operation.
+    Stored as two RatFunc components on the basis (1, t).  The identities
+    cost no RatFunc work: a sum or difference with a zero operand returns
+    (or negates) the other operand, and a product with a zero operand is
+    ``S_ZERO``.  Products skip the RatFunc products of a zero t-component,
+    so values in the rational sector cost one RatFunc product, and a
+    product of two t-only values (c0 = 0) costs two: (a1 t)(b1 t) = 2 a1 b1.
     """
 
     __slots__ = ("c",)
@@ -500,6 +503,10 @@ class Scalar:
             other = _as_scalar(other)
         a0, a1 = self.c
         b0, b1 = other.c
+        if not (b0.num or b1.num):
+            return self
+        if not (a0.num or a1.num):
+            return other
         return _scalar(a0 + b0, a1 + b1)
 
     __radd__ = __add__
@@ -509,6 +516,10 @@ class Scalar:
             other = _as_scalar(other)
         a0, a1 = self.c
         b0, b1 = other.c
+        if not (b0.num or b1.num):
+            return self
+        if not (a0.num or a1.num):
+            return _scalar(-b0, -b1)
         return _scalar(a0 - b0, a1 - b1)
 
     def __rsub__(self, other):
@@ -523,12 +534,16 @@ class Scalar:
             other = _as_scalar(other)
         a0, a1 = self.c
         b0, b1 = other.c
+        if not (a0.num or a1.num) or not (b0.num or b1.num):
+            return S_ZERO
         if not a1.num:
             if not b1.num:
                 return _scalar(a0 * b0, RF_ZERO)
             return _scalar(a0 * b0, a0 * b1)
         if not b1.num:
             return _scalar(a0 * b0, a1 * b0)
+        if not (a0.num or b0.num):      # t-only times t-only
+            return _scalar(RF_TWO * (a1 * b1), RF_ZERO)
         return _scalar(a0 * b0 + RF_TWO * (a1 * b1), a0 * b1 + a1 * b0)
 
     __rmul__ = __mul__

@@ -4,8 +4,8 @@ of the undeformed endpoint."""
 
 from __future__ import annotations
 
-from .qcoeff import S_ZERO, Scalar, q_minus_qinv, taylor_q1
-from .distcalc import Dist2, ModeWindow, weight_abs
+from .qcoeff import S_ZERO, Scalar, q_minus_qinv, qint, qint_over_qsum, taylor_q1
+from .distcalc import Dist2, ModeWindow
 from .dirac import QVirasoroBracket, ReducedContents
 from .report import CheckRecord, compare_dists, record
 
@@ -21,7 +21,9 @@ LIMIT_ORDER = 4
 
 def antisymmetry_check(B: QVirasoroBracket) -> list[CheckRecord]:
     """Swapping the two points negates the bracket exactly, mode by mode;
-    the residual-weight forms are the absorbed ones times q^(-2|n|)."""
+    the residual-weight forms are the printed q^(-2|n|)[n]^2/[2n] and
+    q^(-2|n|)[2n], built here from the q-integers and not through the
+    mode weight that builds ``B``."""
     f = B.quad
     g = B.cent
     out = []
@@ -34,9 +36,13 @@ def antisymmetry_check(B: QVirasoroBracket) -> list[CheckRecord]:
     surd_free = all(v.is_rational_sector() for v in f.c.values()) and \
         all(v.is_rational_sector() for v in g.c.values())
     out.append(record("qvir-rational-sector", "qvir", surd_free))
+    N = B.quad_residual.N
+    quad = Dist2.from_func(N, lambda n: Scalar.q_power(-2 * abs(n)) * qint_over_qsum(n, 1)
+                           if n else S_ZERO)
+    cent = Dist2.from_func(N, lambda n: Scalar.q_power(-2 * abs(n)) * qint(2 * n))
     out.append(record(
         "qvir-weight-relation", "qdirb/qvir",
-        B.quad_residual == weight_abs(f, -2) and B.cent_residual == weight_abs(g, -2),
+        B.quad_residual == quad and B.cent_residual == cent,
         engine="residual-weight form = weight_abs(absorbed form, -2)"))
     return out
 

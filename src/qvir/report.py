@@ -56,12 +56,16 @@ def record(check_id: str, paper_eq: str, ok: bool, mode=None,
 
 
 def compare_dists(check_id: str, paper_eq: str, engine, expected) -> CheckRecord:
-    """Per-mode comparison of two distributions; on failure records the first bad mode."""
-    bad = engine.first_mismatch(expected)
-    if bad is None:
-        # every mode compared equal, and equal canonical values print alike
+    """Per-mode comparison of two distributions; on failure records the first bad mode.
+
+    A Dist2 stores no zero coefficient, so one comparison of the coefficient
+    dicts decides every mode; the window is scanned only on a mismatch.
+    """
+    if engine == expected:
+        # equal canonical values print alike
         text = _dist_str(engine)
         return record(check_id, paper_eq, True, engine=text, expected=text)
+    bad = engine.first_mismatch(expected)
     return CheckRecord(check_id, paper_eq, FAIL, bad,
                        str(engine.coeff(bad)), str(expected.coeff(bad)))
 

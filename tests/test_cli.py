@@ -333,10 +333,16 @@ def test_dirac_stage_counts(monkeypatch, scenario, window, suites, want):
     ("q-sl2", "all", {"QVirasoroBracket": 1, "split_reduced": 3}),
     ("q-sl2", "reduce,limit", {"QVirasoroBracket": 1, "split_reduced": 3}),
     ("classical-sl2", "all", {"QVirasoroBracket": 0, "split_reduced": 1}),
+    # the suites that read neither the closed forms nor a reduced bracket;
+    # only the modes suite reads the classical chain
+    ("q-sl2", "exchange", {"QVirasoroBracket": 0, "split_reduced": 0, "Reduction": 1}),
+    ("q-sl2", "commutators", {"QVirasoroBracket": 0, "split_reduced": 0, "Reduction": 1}),
+    ("q-sl2", "modes", {"QVirasoroBracket": 0, "split_reduced": 0, "Reduction": 2}),
 ))
 def test_closed_forms_and_contents_built_once_per_run(monkeypatch, scenario, suites, want):
-    # one set of closed forms per q-sl2 run and none per classical-sl2 run;
-    # each chain's reduced bracket is split once, whichever suites read it
+    # one set of closed forms per q-sl2 run that reads them and none per
+    # classical-sl2 run; each chain's reduced bracket is split once, whichever
+    # suites read it
     counts = _count_dirac_stages(monkeypatch, names=tuple(want))
     rep = run(RunConfig(scenario=scenario, window=5, suites=(suites,)))
     assert rep.ok()

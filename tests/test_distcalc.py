@@ -11,7 +11,8 @@ import pytest
 import sympy
 from hypothesis import Phase, given, settings, strategies as st
 
-from qvir.qcoeff import S_I, S_ONE, S_ZERO, Scalar, q_minus_qinv, qint
+from qvir.qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, q_minus_qinv, qint
+from qvir.dirac import DiracMatrix, invert
 from qvir.distcalc import (
     Dist2,
     ModeWindow,
@@ -273,9 +274,9 @@ mode_values = st.sampled_from((S_ZERO, S_ONE, -S_ONE, S_I, qint(2), qpow(1) - S_
 
 
 @st.composite
-def dist_pairs(draw):
+def dist_pairs(draw, values=mode_values):
     N = draw(st.integers(1, 6))
-    modes = st.dictionaries(st.integers(-N, N), mode_values, max_size=2 * N + 1)
+    modes = st.dictionaries(st.integers(-N, N), values, max_size=2 * N + 1)
     a, b = Dist2(N, draw(modes)), Dist2(N, draw(modes))
     if draw(st.booleans()):     # b cancels some of a's modes
         b = Dist2(N, b.c | {n: v for n, v in a.c.items() if draw(st.booleans())})
@@ -296,6 +297,51 @@ def test_sub_subtracts_per_mode_without_negating(ab):
     assert got == want and got.N == a.N
     assert all(not v.is_zero() for v in got.c.values())
     assert (a - a).is_zero() and b - Dist2.zero(b.N) == b
+
+
+# t-only and mixed values too, so products reach every Scalar shortcut
+tower_mode_values = st.sampled_from((S_ZERO, S_ONE, -S_ONE, S_I, S_T, -S_T, qint(2) * S_T,
+                                     qint(2), qpow(1) - S_I + S_T,
+                                     Scalar.from_rat(Fraction(1, 3))))
+
+
+def assert_trusted(D, N):
+    # what Dist2's public constructor would keep: modes |n| <= N, no zeros
+    assert D.N == N
+    assert all(abs(n) <= N and not v.is_zero() for n, v in D.c.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(dist_pairs(tower_mode_values), tower_mode_values, st.integers(-2, 2))
+def test_trusted_results_keep_the_window_and_no_zeros(ab, a, k):
+    # the results built without the constructor's filtering pass
+    x, y = ab
+    for D in (x + y, x - y, x - x, -x, x.reflect(), x.scale(a), pair(x, y), pair(x, x),
+              weight_abs(x, k)):
+        assert_trusted(D, x.N)
+
+
+@st.composite
+def invertible_matrices(draw):
+    N = draw(st.integers(1, 4))
+    entries = [{}, {}, {}, {}]
+    for n in range(-N, N + 1):
+        m = draw(st.tuples(*[tower_mode_values] * 4).filter(
+            lambda m: not (m[0] * m[3] - m[1] * m[2]).is_zero()))
+        for e, v in zip(entries, m):
+            e[n] = v
+    return N, DiracMatrix(*(Dist2(N, e) for e in entries))
+
+
+@settings(max_examples=40, deadline=None)
+@given(invertible_matrices())
+def test_inverse_entries_keep_the_window_and_no_zeros(Nm):
+    N, dm = Nm
+    inv = invert(dm, ModeWindow(N))
+    for i in (0, 1):
+        for j in (0, 1):
+            assert_trusted(inv.entry(i, j), N)
+    assert invert(inv, ModeWindow(N)) == dm
 
 
 def test_mul_laurent_by_zero_keeps_the_window():

@@ -430,6 +430,49 @@ def test_unit_denominator_is_the_shared_one(x, steps):
     assert qcoeff.LP_ONE == (0, 1, (1,), (0,)) and qcoeff.LP_ZERO == ()
 
 
+# zero, t-only, rational-sector and mixed values, each drawn about a quarter
+# of the time, with components that are genuine rational functions
+tower_components = st.one_of(st.just(qcoeff.RF_ZERO), ratfuncs)
+tower_values = st.builds(Scalar, tower_components, tower_components)
+
+TOWER_OPS = {
+    "add": (lambda a, b: a + b, lambda a, b: (a[0] + b[0], a[1] + b[1])),
+    "sub": (lambda a, b: a - b, lambda a, b: (a[0] - b[0], a[1] - b[1])),
+    "mul": (lambda a, b: a * b,
+            lambda a, b: (a[0] * b[0] + qcoeff.RF_TWO * (a[1] * b[1]),
+                          a[0] * b[1] + a[1] * b[0])),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(TOWER_OPS)), tower_values, tower_values)
+def test_tower_ops_match_the_componentwise_reference(op, x, y):
+    # the zero and t-only shortcuts of +, - and * give the value of the
+    # component formulas on (1, t), with t^2 = 2, in canonical components
+    engine, reference = TOWER_OPS[op]
+    for a, b in ((x, y), (y, x), (x, qcoeff.S_ZERO), (qcoeff.S_ZERO, x)):
+        got = engine(a, b)
+        assert got.c == reference(a.c, b.c)
+        for f in got.c:
+            assert_canonical_ratfunc(f)
+    assert engine(x, 0) == engine(x, qcoeff.S_ZERO) and engine(0, x) == engine(qcoeff.S_ZERO, x)
+
+
+def test_tower_identities_cost_no_ratfunc_products(monkeypatch):
+    # a zero operand makes no RatFunc product, a t-only product makes two
+    x = (S_ONE + spow(1)) / (spow(2) + 3) + S_T * spow(-1)
+    a, b = S_T * (spow(1) - S_I), S_T * spow(3)
+    want = Scalar(RatFunc(gauss_lp({4: (2, 0), 3: (0, -2)})))
+    calls = []
+    mul = RatFunc.__mul__
+    monkeypatch.setattr(RatFunc, "__mul__", lambda f, g: calls.append(1) or mul(f, g))
+    for p, q in ((S_ZERO, x), (x, S_ZERO), (S_ZERO, a), (a, S_ZERO), (S_ZERO, S_ZERO)):
+        assert (p * q) is S_ZERO
+    assert (x * 0).is_zero() and calls == []
+    got = a * b
+    assert len(calls) == 2 and got == want
+
+
 # ---------------------------------------------------------------------------
 # reference: polynomials as dicts {exponent: nonzero (re, im) Fraction pair}
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from qvir.qcoeff import (
     taylor_q1,
 )
 from qvir.distcalc import Dist2, ModeWindow, weight_abs
+from qvir import dirac, distcalc, qvirasoro
 from qvir.currents import FieldFactor, TermSum
 from qvir.dirac import (
     Reduction,
@@ -53,13 +54,13 @@ def closed():
 
 
 def _closed_with(B, quad=None, cent=None, quad_residual=None):
-    """A copy of the closed forms with the given kernels; each residual-weight
-    form is the absorbed one times q^(-2|n|) unless given."""
+    """A copy of the closed forms with the given kernels; the residual-weight
+    forms stay B's unless given, as the weight relation checks them against
+    the printed forms and not against the absorbed kernels."""
     C = copy.copy(B)
     C.quad = B.quad if quad is None else quad
     C.cent = B.cent if cent is None else cent
-    C.quad_residual = weight_abs(C.quad, -2) if quad_residual is None else quad_residual
-    C.cent_residual = weight_abs(C.cent, -2)
+    C.quad_residual = B.quad_residual if quad_residual is None else quad_residual
     return C
 
 
@@ -118,6 +119,19 @@ def test_antisymmetry_check_negative_controls(closed, control):
     records = antisymmetry_check(perturb(closed))
     assert len(records) == 5
     assert {r.id for r in records if r.status == FAIL} == want
+
+
+@pytest.mark.parametrize("shift", (-1, 1))
+def test_weight_relation_fails_on_a_wrong_mode_weight(monkeypatch, shift):
+    # the mode weight off by one in its exponent wherever it is bound: only the
+    # record that compares the residual-weight forms with the printed ones fails
+    for module in (distcalc, dirac, qvirasoro):
+        if getattr(module, "weight_abs", None) is weight_abs:
+            monkeypatch.setattr(module, "weight_abs",
+                                lambda D, a: weight_abs(D, a + shift))
+    records = antisymmetry_check(QVirasoroBracket(W))
+    assert len(records) == 5
+    assert {r.id for r in records if r.status == FAIL} == {"qvir-weight-relation"}
 
 
 # ---------------------------------------------------------------------------
