@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import namedtuple
 
 from .distcalc import ModeWindow
 from .currents import (
@@ -52,16 +53,11 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
-class RunConfig:
+class RunConfig(namedtuple("RunConfig", "scenario window suites fmt output",
+                           defaults=("q-sl2", 12, ("all",), "json", None))):
     """One batch run: scenario, window, suites and output."""
 
-    def __init__(self, scenario: str = "q-sl2", window: int = 12, suites: tuple = ("all",),
-                 fmt: str = "json", output: str | None = None):
-        self.scenario = scenario
-        self.window = window
-        self.suites = suites
-        self.fmt = fmt
-        self.output = output
+    __slots__ = ()
 
     def resolve_suites(self):
         if self.scenario not in SUITES:
@@ -102,10 +98,8 @@ class RunConfig:
 def _timed(records_fn):
     t0 = time.perf_counter()
     records = records_fn()
-    dt = time.perf_counter() - t0
-    for r in records:
-        r.seconds = dt / max(1, len(records))
-    return records
+    seconds = (time.perf_counter() - t0) / max(1, len(records))
+    return [r._replace(seconds=seconds) for r in records]
 
 
 def run(config: RunConfig) -> Report:

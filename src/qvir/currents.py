@@ -11,6 +11,7 @@ live here too.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from operator import add, sub
 
@@ -41,33 +42,13 @@ class MissingPairError(KeyError):
 # Terms and term sums
 # ---------------------------------------------------------------------------
 
-class FieldFactor:
-    """A field symbol at one variable, with argument shifted by q^(shift/2).
+class FieldFactor(namedtuple("FieldFactor", "symbol var shift", defaults=(0,))):
+    """A field symbol at one variable, 'z' (first slot) or 'w' (second slot),
+    with argument shifted by q^(shift/2).
 
     Factors compare, hash and sort by (symbol, var, shift)."""
 
-    __slots__ = ("symbol", "var", "shift")
-
-    def __init__(self, symbol: str, var: str, shift: int = 0):
-        object.__setattr__(self, "symbol", symbol)
-        object.__setattr__(self, "var", var)        # 'z' (first slot) or 'w' (second slot)
-        object.__setattr__(self, "shift", shift)    # in units of sqrt(q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldFactor is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldFactor):
-            return NotImplemented
-        return (self.symbol, self.var, self.shift) == (other.symbol, other.var, other.shift)
-
-    def __lt__(self, other):
-        if not isinstance(other, FieldFactor):
-            return NotImplemented
-        return (self.symbol, self.var, self.shift) < (other.symbol, other.var, other.shift)
-
-    def __hash__(self):
-        return hash((self.symbol, self.var, self.shift))
+    __slots__ = ()
 
     def reflected(self):
         return FieldFactor(self.symbol, "w" if self.var == "z" else "z", self.shift)
@@ -76,9 +57,6 @@ class FieldFactor:
         if self.shift == 0:
             return f"{self.symbol}({self.var})"
         return f"{self.symbol}({self.var}*q^{Fraction(self.shift, 2)})"
-
-    def __repr__(self):
-        return f"FieldFactor(symbol={self.symbol!r}, var={self.var!r}, shift={self.shift!r})"
 
 
 class TermSum:

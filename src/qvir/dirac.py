@@ -21,6 +21,7 @@ that reads them.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 
@@ -59,18 +60,11 @@ class UnknownScenarioError(ValueError):
 # Constraints and scenarios
 # ---------------------------------------------------------------------------
 
-class ConstraintSet:
+class ConstraintSet(namedtuple("ConstraintSet",
+                               "chi1_symbol chi2_symbol chi1 chi2 on_surface")):
     """The two constraints, their symbols, and the on-surface substitution."""
 
-    __slots__ = ("chi1_symbol", "chi2_symbol", "chi1", "chi2", "on_surface")
-
-    def __init__(self, chi1_symbol: str, chi2_symbol: str, chi1: TermSum, chi2: TermSum,
-                 on_surface: dict):
-        self.chi1_symbol = chi1_symbol
-        self.chi2_symbol = chi2_symbol
-        self.chi1 = chi1
-        self.chi2 = chi2
-        self.on_surface = on_surface
+    __slots__ = ()
 
     def symbols(self):
         return (self.chi1_symbol, self.chi2_symbol)
@@ -105,7 +99,7 @@ def classical_constraints() -> ConstraintSet:
     return ConstraintSet("H", "E+", chi1, chi2, {"H": 0, "E+": 1})
 
 
-class AffineMap:
+class AffineMap(namedtuple("AffineMap", "a2 ab b2")):
     """Affine redefinition Et- = a*E- + b of the surviving current.
 
     a and b themselves are surd-valued, but the reduced-bracket comparisons
@@ -113,28 +107,15 @@ class AffineMap:
     all that is stored.
     """
 
-    __slots__ = ("a2", "ab", "b2")
+    __slots__ = ()
 
-    def __init__(self, a2: Scalar, ab: Scalar, b2: Scalar):
-        self.a2 = a2
-        self.ab = ab
-        self.b2 = b2
-
-    def consistent(self, closed: "AffineMap") -> bool:
-        """a^2 b^2 == (ab)^2, and each product equals the closed form's."""
-        return (self.a2 * self.b2 == self.ab * self.ab
-                and (self.a2, self.ab, self.b2) == (closed.a2, closed.ab, closed.b2))
+    def consistent(self) -> bool:
+        """a^2 b^2 == (ab)^2."""
+        return self.a2 * self.b2 == self.ab * self.ab
 
 
-class Scenario:
-    __slots__ = ("key", "table", "constraints", "weighted")
-
-    def __init__(self, key: str, table: dict, constraints: ConstraintSet,
-                 weighted: bool = False):
-        self.key = key
-        self.table = table
-        self.constraints = constraints
-        self.weighted = weighted    # the table carries q^(WEIGHT_EXPONENT |n|)
+# A reduction scenario; a weighted one's table carries q^(WEIGHT_EXPONENT |n|).
+Scenario = namedtuple("Scenario", "key table constraints weighted", defaults=(False,))
 
 
 SCENARIO_KEYS = ("classical-sl2", "q-sl2")
@@ -184,36 +165,26 @@ def _at_q1(T: TermSum) -> TermSum:
 # The Dirac matrix
 # ---------------------------------------------------------------------------
 
-class DiracMatrix:
+class DiracMatrix(namedtuple("DiracMatrix", "d11 d12 d21 d22")):
     """2x2 matrix of c-number distributions on the constraint surface."""
 
-    __slots__ = ("N", "e")
+    __slots__ = ()
 
-    def __init__(self, d11: Dist2, d12: Dist2, d21: Dist2, d22: Dist2):
-        N = d11.N
-        if not (d12.N == d21.N == d22.N == N):
+    def __new__(cls, d11: Dist2, d12: Dist2, d21: Dist2, d22: Dist2):
+        if not (d12.N == d21.N == d22.N == d11.N):
             raise ValueError("entries live on different windows")
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "e", ((d11, d12), (d21, d22)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiracMatrix is immutable")
+        return super().__new__(cls, d11, d12, d21, d22)
 
     def entry(self, i: int, j: int) -> Dist2:
-        return self.e[i][j]
+        return self[2 * i + j]
 
     def mode_matrix(self, n: int):
-        return ((self.e[0][0].coeff(n), self.e[0][1].coeff(n)),
-                (self.e[1][0].coeff(n), self.e[1][1].coeff(n)))
+        return ((self.d11.coeff(n), self.d12.coeff(n)),
+                (self.d21.coeff(n), self.d22.coeff(n)))
 
     def det(self, n: int) -> Scalar:
         (a, b), (c, d) = self.mode_matrix(n)
         return a * d - b * c
-
-    def __eq__(self, other):
-        if not isinstance(other, DiracMatrix):
-            return NotImplemented
-        return all(self.e[i][j] == other.e[i][j] for i in (0, 1) for j in (0, 1))
 
 
 def _onsurface_cnumber(chain: "Reduction", a: str, b: str) -> Dist2:
@@ -332,16 +303,9 @@ class Reduction:
         return split_reduced(self.reduced, self.W.N)
 
 
-class ReducedContents:
-    """The three contents of the reduced bracket in the current's variables."""
-
-    __slots__ = ("quad", "lin_z", "lin_w", "cnum")
-
-    def __init__(self, quad: Dist2, lin_z: Dist2, lin_w: Dist2, cnum: Dist2):
-        self.quad = quad        # E(z)E(w) coefficient
-        self.lin_z = lin_z      # E(z) coefficient
-        self.lin_w = lin_w      # E(w) coefficient
-        self.cnum = cnum        # field-free part
+# The contents of the reduced bracket in the current's variables: the
+# E(z)E(w), E(z) and E(w) coefficients and the field-free part.
+ReducedContents = namedtuple("ReducedContents", "quad lin_z lin_w cnum")
 
 
 def split_reduced(T: TermSum, N: int) -> ReducedContents:
@@ -415,15 +379,16 @@ def _drop0(D: Dist2) -> Dist2:
     return _dist2(D.N, {n: v for n, v in D.c.items() if n != 0})
 
 
-def affine_check(parts: ReducedContents, amap: AffineMap, B: QVirasoroBracket,
+def affine_check(parts: ReducedContents, B: QVirasoroBracket,
                  weighted: bool) -> list[CheckRecord]:
-    """Compare the reduced bracket's contents, rewritten through
-    Et- = a E- + b, with the closed-form quadratic algebra ``B``; modes
+    """Compare the reduced bracket's contents, rewritten through B's affine
+    map Et- = a E- + b, with the closed-form quadratic algebra ``B``; modes
     n != 0, with the zero mode reported separately."""
     tag = "qvir" if weighted else "qdirb"
+    amap = B.amap
     out = []
 
-    out.append(record(f"affine-map-consistency[{tag}]", "qdirb", amap.consistent(B.amap),
+    out.append(record(f"affine-map-consistency[{tag}]", "qdirb", amap.consistent(),
                       engine=f"a^2={amap.a2}, ab={amap.ab}, b^2={amap.b2}"))
 
     # x-orientation closed forms; the unweighted pass keeps the residual weight
@@ -591,5 +556,5 @@ def reduce_suite(red: Reduction, B: QVirasoroBracket | None = None) -> list[Chec
     else:
         tag = "qvir" if sc.weighted else "qdirb"
         out.append(record(f"reduce-antisymmetry[{tag}]", "dirb", ok))
-        out.extend(affine_check(red.contents, B.amap, B, sc.weighted))
+        out.extend(affine_check(red.contents, B, sc.weighted))
     return out

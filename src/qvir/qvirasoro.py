@@ -43,7 +43,7 @@ def antisymmetry_check(B: QVirasoroBracket) -> list[CheckRecord]:
     out.append(record(
         "qvir-weight-relation", "qdirb/qvir",
         B.quad_residual == quad and B.cent_residual == cent,
-        engine="residual-weight form = weight_abs(absorbed form, -2)"))
+        engine="residual-weight forms = q^(-2|n|)[n]^2/[2n], q^(-2|n|)[2n] (printed)"))
     return out
 
 

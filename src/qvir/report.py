@@ -3,50 +3,17 @@
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 
 PASS = "pass"
 FAIL = "fail"
 DOCUMENTED = "discrepancy-documented"
 
 
-class CheckRecord:
-    """Outcome of a single exact check; ``seconds`` is set once it is timed."""
-
-    __slots__ = ("id", "paper_eq", "status", "mode", "engine_value", "expected_value",
-                 "seconds")
-
-    def __init__(self, id: str, paper_eq: str, status: str, mode: int | None = None,
-                 engine_value: str = "", expected_value: str = "", seconds: float = 0.0):
-        self.id = id
-        self.paper_eq = paper_eq
-        self.status = status
-        self.mode = mode
-        self.engine_value = engine_value
-        self.expected_value = expected_value
-        self.seconds = seconds
-
-    def to_dict(self):
-        return {
-            "id": self.id,
-            "paper_eq": self.paper_eq,
-            "status": self.status,
-            "mode": self.mode,
-            "engine_value": self.engine_value,
-            "expected_value": self.expected_value,
-            "seconds": self.seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            id=d["id"],
-            paper_eq=d["paper_eq"],
-            status=d["status"],
-            mode=d["mode"],
-            engine_value=d["engine_value"],
-            expected_value=d["expected_value"],
-            seconds=d["seconds"],
-        )
+# Outcome of a single exact check; ``seconds`` is set once it is timed, by
+# ``_replace``.  The field order is the JSON key order.
+CheckRecord = namedtuple("CheckRecord", "id paper_eq status mode engine_value "
+                         "expected_value seconds", defaults=(None, "", "", 0.0))
 
 
 def record(check_id: str, paper_eq: str, ok: bool, mode=None,
@@ -101,7 +68,7 @@ class Report:
         return {
             "scenario": self.scenario,
             "window": self.window,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
         }
 
     def to_json(self) -> str:
@@ -111,7 +78,7 @@ class Report:
     def from_json(cls, text: str) -> "Report":
         d = json.loads(text)
         rep = cls(d["scenario"], d["window"])
-        rep.checks = [CheckRecord.from_dict(c) for c in d["checks"]]
+        rep.checks = [CheckRecord(**c) for c in d["checks"]]
         return rep
 
     def to_markdown(self) -> str:

@@ -13,6 +13,7 @@ and reconstructed as a RatKernel with those roots and multiplicities.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,26 +30,10 @@ class ReconstructionError(ArithmeticError):
 # Field data
 # ---------------------------------------------------------------------------
 
-class ModeTerm:
-    """One closed-form contribution c * q^(spow*n/2) / [n] to a mode coefficient."""
-
-    __slots__ = ("coef", "spow", "over_qint")
-
-    def __init__(self, coef: Scalar, spow: int, over_qint: bool):
-        object.__setattr__(self, "coef", coef)
-        object.__setattr__(self, "spow", spow)              # coefficient of n in the s-exponent
-        object.__setattr__(self, "over_qint", over_qint)    # divide by [n]
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModeTerm is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, ModeTerm):
-            return NotImplemented
-        return (self.coef, self.spow, self.over_qint) == (other.coef, other.spow, other.over_qint)
-
-    def __hash__(self):
-        return hash((self.coef, self.spow, self.over_qint))
+# One closed-form contribution coef * q^(spow*n/2) / [n] to a mode
+# coefficient: spow is the coefficient of n in the s-exponent, and
+# over_qint says whether to divide by [n].
+ModeTerm = namedtuple("ModeTerm", "coef spow over_qint")
 
 
 class ExpField:
@@ -142,21 +127,8 @@ def oscillator_norm(n: int) -> Scalar:
 # Contraction of two exponentials
 # ---------------------------------------------------------------------------
 
-class ContractionData:
-    """Exact contraction C(z,w) = const * z^zdeg * kernel(x)."""
-
-    __slots__ = ("const", "zdeg", "kernel")
-
-    def __init__(self, const: Scalar, zdeg: int, kernel: RatKernel):
-        self.const = const
-        self.zdeg = zdeg
-        self.kernel = kernel
-
-    def __eq__(self, other):
-        if not isinstance(other, ContractionData):
-            return NotImplemented
-        return ((self.const, self.zdeg, self.kernel)
-                == (other.const, other.zdeg, other.kernel))
+# Exact contraction C(z,w) = const * z^zdeg * kernel(x).
+ContractionData = namedtuple("ContractionData", "const zdeg kernel")
 
 
 def z_degree(A: ExpField, B: ExpField) -> int:

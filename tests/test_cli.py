@@ -378,7 +378,7 @@ def table(_build=dirac.q_bracket_table):
 
 dirac.q_bracket_table = table
 rep = run(RunConfig(window=3, suites=("modes",)))
-print(json.dumps([c.to_dict() | {"seconds": 0} for c in rep.failed]))
+print(json.dumps([c._asdict() | {"seconds": 0} for c in rep.failed]))
 """
 
 
@@ -421,6 +421,41 @@ def test_runs_leave_no_state_behind():
     run(RunConfig(scenario="classical-sl2", window=16))
     again = run(RunConfig(scenario="q-sl2", window=5))
     assert again.strip_durations() == first.strip_durations()
+
+
+@pytest.mark.parametrize("scenario,window", (("q-sl2", 5), ("classical-sl2", 8)))
+def test_a_run_is_its_single_suite_runs_joined(scenario, window):
+    # a subset run builds every shared chain and closed form it reads, and
+    # the values it reads do not depend on which other suites ran
+    whole = run(RunConfig(scenario=scenario, window=window)).strip_durations()["checks"]
+    joined = []
+    for suite in cli.SUITES[scenario]:
+        config = RunConfig(scenario=scenario, window=window, suites=(suite,))
+        joined += run(config).strip_durations()["checks"]
+    assert len(whole) == (103 if scenario == "q-sl2" else 14)
+    assert joined == whole
+
+
+def test_shared_values_are_immutable():
+    # values held by the contraction memo, a chain, the scenario registry,
+    # the closed forms and a run
+    W = ModeWindow(3)
+    E = vc.standard_fields()["E-"]
+    sc = dirac.scenario("q-sl2")
+    shared = (
+        (vc.contraction_kernel(E, E), "const zdeg kernel"),
+        (dirac.Reduction(sc, W).contents, "quad lin_z lin_w cnum"),
+        (sc, "key table constraints weighted"),
+        (sc.constraints, "chi1_symbol chi2_symbol chi1 chi2 on_surface"),
+        (dirac.QVirasoroBracket(W).amap, "a2 ab b2"),
+        (run(RunConfig(window=3, suites=("dirac",))).checks[0],
+         "id paper_eq status mode engine_value expected_value seconds"),
+        (RunConfig(), "scenario window suites fmt output"),
+    )
+    for value, fields in shared:
+        for name in fields.split():
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
 
 
 def test_determinism_identical_config():

@@ -1,5 +1,6 @@
 """Constraint matrix, per-mode inversion, and the reduced brackets."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from qvir.distcalc import Dist2, ModeWindow
 from qvir import dirac
 from qvir.currents import TermSum, classical_bracket
 from qvir.dirac import (
-    AffineMap,
     ConstraintSet,
     DiracMatrix,
     QVirasoroBracket,
@@ -244,28 +244,37 @@ def test_q_reduction_correction_structure():
 
 def test_affine_map_consistency(closed):
     amap = closed.amap
-    assert amap.consistent(closed.amap)
+    assert amap.consistent()
     assert amap.a2 == q_minus_qinv() ** 4 * qint(2) * HALF
     assert amap.ab == Scalar.from_rat(2) * q_minus_qinv() ** 2
     assert amap.b2 == Scalar.from_rat(8) / qint(2)
     assert amap.a2.is_rational_sector()
 
 
+def _with_map(B, amap):
+    """A copy of the closed forms ``B`` with another affine map."""
+    C = copy.copy(B)
+    C.amap = amap
+    return C
+
+
 def test_affine_map_consistency_negative_controls(closed):
     amap = closed.amap
     two = Scalar.from_rat(2)
-    # b^2 doubled breaks a^2 b^2 == (ab)^2
-    doubled = AffineMap(amap.a2, amap.ab, two * amap.b2)
-    assert doubled.a2 * doubled.b2 != doubled.ab * doubled.ab
-    assert not doubled.consistent(closed.amap)
-    # ab negated keeps the identity; only the closed form catches it
-    negated = AffineMap(amap.a2, -amap.ab, amap.b2)
-    assert negated.a2 * negated.b2 == negated.ab * negated.ab
-    assert not negated.consistent(closed.amap)
-    for bad in (doubled, negated):
-        rec = next(r for r in affine_check(split_reduced(TermSum([]), W.N), bad, closed, False)
-                   if r.id == "affine-map-consistency[qdirb]")
-        assert rec.status == FAIL
+    # b^2 doubled breaks a^2 b^2 == (ab)^2 and the central content
+    doubled = amap._replace(b2=two * amap.b2)
+    assert not doubled.consistent()
+    # ab negated keeps the identity; only the absorbed linear content catches it
+    negated = amap._replace(ab=-amap.ab)
+    assert negated.consistent()
+    for weighted, tag in ((False, "qdirb"), (True, "qvir")):
+        parts = Reduction(scenario("q-sl2", weighted=weighted), W).contents
+        for bad, want in ((doubled, {"affine-map-consistency", "reduce-central"}),
+                          (negated, {"reduce-linear-cancellation"})):
+            failed = {r.id for r in affine_check(parts, _with_map(closed, bad), weighted)
+                      if r.status == FAIL}
+            assert failed == {f"{name}[{tag}]" for name in want}
+        assert not [r for r in affine_check(parts, closed, weighted) if r.status == FAIL]
 
 
 def test_weighted_reduction_is_weighted_unweighted():
@@ -434,5 +443,5 @@ def test_table_degeneration_negative_controls(pair):
 def test_affine_check_detects_wrong_bracket(closed):
     reduced = Reduction(scenario("q-sl2"), W).reduced
     broken = reduced.scale(Scalar.from_rat(2))
-    recs = affine_check(split_reduced(broken, W.N), closed.amap, closed, weighted=False)
+    recs = affine_check(split_reduced(broken, W.N), closed, weighted=False)
     assert any(r.status == FAIL for r in recs)
