@@ -22,7 +22,6 @@ from .dirac import (
     SCENARIO_KEYS,
     QVirasoroBracket,
     Reduction,
-    UnknownScenarioError,
     dirac_suite,
     reduce_suite,
     scenario,
@@ -197,12 +196,10 @@ def main(argv=None) -> int:
         output=args.output,
     )
     try:
-        config.validate()
-    except (ConfigError, UnknownScenarioError) as err:
+        report = run(config)
+    except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-
-    report = run(config)
     text = emit(report, config.fmt)
     if config.output:
         try:

@@ -92,9 +92,6 @@ class TermSum:
     def zero(cls):
         return cls()
 
-    def items(self):
-        return self.terms.items()
-
     def is_zero(self):
         return not self.terms
 

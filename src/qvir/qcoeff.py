@@ -24,8 +24,10 @@ integer, so a monic integral divisor costs a plain multiply-subtract; the
 gcd is the primitive Euclidean algorithm, each remainder times the
 conjugate of its lead and over its integer content.
 
-The degeneration maps stay in the tower: :func:`eval_q1` gives a constant
-:class:`Scalar` a + b*t, and :class:`HSeries` coefficients are constant
+A :class:`Scalar` is one rational function f and a t-parity p, the value
+f*t^p: every value of the level-1 realization is free of t or a multiple of
+it.  The degeneration maps stay in the tower: :func:`eval_q1` gives a
+constant Scalar f(1)*t^p, and :class:`HSeries` coefficients are constant
 Scalars, so Scalar's own arithmetic is the constant arithmetic at q = 1.
 """
 
@@ -443,21 +445,32 @@ RF_TWO = RatFunc.const(2)
 # The field tower element
 # ---------------------------------------------------------------------------
 
-class Scalar:
-    """Element of Q(i)(s)[t] with t^2 = 2.
+class MixedParityError(ArithmeticError):
+    """A sum or difference of a t-free and a t-odd nonzero value, which no Scalar holds."""
 
-    Stored as two RatFunc components on the basis (1, t).  The identities
-    cost no RatFunc work: a sum or difference with a zero operand returns
-    (or negates) the other operand, and a product with a zero operand is
-    ``S_ZERO``.  Products skip the RatFunc products of a zero t-component,
-    so values in the rational sector cost one RatFunc product, and a
-    product of two t-only values (c0 = 0) costs two: (a1 t)(b1 t) = 2 a1 b1.
+    def __init__(self, a, op, b):
+        super().__init__(f"({a}) {op} ({b}) mixes t-parities {a.p} and {b.p}")
+
+
+class Scalar:
+    """Element f*t^p of Q(i)(s)[t] with t^2 = 2: a RatFunc f and a t-parity p.
+
+    In the level-1 realization t enters only through the field couplings, so
+    every value is free of t (p = 0) or a multiple of t (p = 1); zero has
+    p = 0, and a sum or difference of two nonzero values of different parity
+    raises MixedParityError.  The identities cost no RatFunc work: a sum or
+    difference with a zero operand returns (or negates) the other operand,
+    and a product with a zero operand is ``S_ZERO``.  A product adds the
+    parities: it costs one RatFunc product, and (f t)(g t) = 2 f g costs two.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("f", "p")
 
-    def __init__(self, c0=RF_ZERO, c1=RF_ZERO):
-        _set_sc(self, (c0, c1))
+    def __init__(self, f=RF_ZERO, p=0):
+        if p not in (0, 1):
+            raise ValueError(f"t-parity must be 0 or 1, got {p!r}")
+        _set_f(self, f)
+        _set_p(self, p if f.num else 0)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -474,7 +487,7 @@ class Scalar:
 
     @classmethod
     def t(cls):
-        return cls(RF_ZERO, RF_ONE)
+        return cls(RF_ONE, 1)
 
     @classmethod
     def s_power(cls, k):
@@ -489,78 +502,63 @@ class Scalar:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self):
-        c0, c1 = self.c
-        return not c0.num and not c1.num
+        return not self.f.num
 
     def is_rational_sector(self):
-        """True when the t-component vanishes."""
-        return not self.c[1].num
+        """True when the value is free of t."""
+        return not self.p
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         if type(other) is not Scalar:
             other = _as_scalar(other)
-        a0, a1 = self.c
-        b0, b1 = other.c
-        if not (b0.num or b1.num):
+        if not other.f.num:
             return self
-        if not (a0.num or a1.num):
+        if not self.f.num:
             return other
-        return _scalar(a0 + b0, a1 + b1)
+        if self.p != other.p:
+            raise MixedParityError(self, "+", other)
+        return _scalar(self.f + other.f, self.p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if type(other) is not Scalar:
             other = _as_scalar(other)
-        a0, a1 = self.c
-        b0, b1 = other.c
-        if not (b0.num or b1.num):
+        if not other.f.num:
             return self
-        if not (a0.num or a1.num):
-            return _scalar(-b0, -b1)
-        return _scalar(a0 - b0, a1 - b1)
+        if not self.f.num:
+            return _scalar(-other.f, other.p)
+        if self.p != other.p:
+            raise MixedParityError(self, "-", other)
+        return _scalar(self.f - other.f, self.p)
 
     def __rsub__(self, other):
         return _as_scalar(other) - self
 
     def __neg__(self):
-        c0, c1 = self.c
-        return _scalar(-c0, -c1)
+        return _scalar(-self.f, self.p)
 
     def __mul__(self, other):
         if type(other) is not Scalar:
             other = _as_scalar(other)
-        a0, a1 = self.c
-        b0, b1 = other.c
-        if not (a0.num or a1.num) or not (b0.num or b1.num):
+        f, g = self.f, other.f
+        if not f.num or not g.num:
             return S_ZERO
-        if not a1.num:
-            if not b1.num:
-                return _scalar(a0 * b0, RF_ZERO)
-            return _scalar(a0 * b0, a0 * b1)
-        if not b1.num:
-            return _scalar(a0 * b0, a1 * b0)
-        if not (a0.num or b0.num):      # t-only times t-only
-            return _scalar(RF_TWO * (a1 * b1), RF_ZERO)
-        return _scalar(a0 * b0 + RF_TWO * (a1 * b1), a0 * b1 + a1 * b0)
+        if self.p and other.p:
+            return _scalar(RF_TWO * (f * g), 0)
+        return _scalar(f * g, self.p + other.p)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        c0, c1 = self.c
-        if not c1.num:
-            if not c0.num:
-                raise ZeroDivisionError("inverse of zero Scalar")
-            return _scalar(RatFunc(c0.den, c0.num, _coprime=True), RF_ZERO)
-        if not c0.num:
-            return _scalar(RF_ZERO, RatFunc(c1.den, _lp_add(c1.num, c1.num), _coprime=True))
-        # norm form: 1/(c0 + c1 t) = (c0 - c1 t)/(c0^2 - 2 c1^2); the norm is
-        # nonzero because sqrt(2) is not in Q(i)(s)
-        norm = c0 * c0 - RF_TWO * (c1 * c1)
-        inv_norm = RatFunc(norm.den, norm.num, _coprime=True)
-        return _scalar(c0 * inv_norm, -(c1 * inv_norm))
+        f = self.f
+        if not f.num:
+            raise ZeroDivisionError("inverse of zero Scalar")
+        if self.p:      # 1/(f t) = t/(2 f)
+            return _scalar(RatFunc(f.den, _lp_add(f.num, f.num), _coprime=True), 1)
+        return _scalar(RatFunc(f.den, f.num, _coprime=True), 0)
 
     def __truediv__(self, other):
         return self * _as_scalar(other).inverse()
@@ -585,17 +583,15 @@ class Scalar:
             other = _as_scalar(other)
         except TypeError:
             return NotImplemented
-        return self.c == other.c
+        return self.f == other.f and self.p == other.p
 
     def __hash__(self):
-        return hash(self.c)
+        return hash((self.f, self.p))
 
     def as_int(self):
         """Return the value as a plain int when it is one, else None."""
-        if not self.is_rational_sector():
-            return None
-        f = self.c[0]
-        if f.den is not LP_ONE:
+        f = self.f
+        if self.p or f.den is not LP_ONE:
             return None
         if not f.num:
             return 0
@@ -603,36 +599,30 @@ class Scalar:
         return re[0] if not v and d == 1 and len(re) == 1 and not im[0] else None
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for f, name in zip(self.c, ("", "t")):
-            if f.is_zero():
-                continue
-            fs = str(f)
-            if not name:
-                parts.append(fs)
-            elif fs == "1":
-                parts.append(name)
-            elif fs == "-1":
-                parts.append(f"-{name}")
-            else:
-                if (" " in fs or "/" in fs) and not _one_group(fs):
-                    fs = f"({fs})"
-                parts.append(f"{fs}*{name}")
-        return " + ".join(parts).replace("+ -", "- ")
+        fs = str(self.f)
+        if not self.p:
+            return fs
+        if fs == "1":
+            return "t"
+        if fs == "-1":
+            return "-t"
+        if (" " in fs or "/" in fs) and not _one_group(fs):
+            fs = f"({fs})"
+        return f"{fs}*t"
 
     def __repr__(self):
         return f"Scalar<{self}>"
 
 
-_set_sc = Scalar.c.__set__
+_set_f = Scalar.f.__set__
+_set_p = Scalar.p.__set__
 
 
-def _scalar(c0, c1):
-    """The Scalar c0 + c1*t, built without going through __init__."""
+def _scalar(f, p):
+    """The Scalar f*t^p (zero has p = 0), built without going through __init__."""
     x = _new(Scalar)
-    _set_sc(x, (c0, c1))
+    _set_f(x, f)
+    _set_p(x, p if f.num else 0)
     return x
 
 
@@ -694,12 +684,11 @@ def q_minus_qinv() -> Scalar:
 # ---------------------------------------------------------------------------
 
 def eval_q1(x: Scalar) -> Scalar:
-    """Substitute s = 1, keeping t formal: a constant Scalar a + b*t.
+    """Substitute s = 1, keeping t formal: the constant Scalar f(1)*t^p.
 
-    Raises PoleAtQ1Error when any normalized denominator vanishes at s = 1.
+    Raises PoleAtQ1Error when the normalized denominator vanishes at s = 1.
     """
-    c0, c1 = x.c
-    return _scalar(c0.eval_one(), c1.eval_one())
+    return _scalar(x.f.eval_one(), x.p)
 
 
 # ---------------------------------------------------------------------------
@@ -809,8 +798,7 @@ def _lp_to_hseries(p: tuple, prec: int) -> HSeries:
         a, b = _moment(terms, m)
         for _ in range(m % 4):      # times i^m
             a, b = -b, a
-        out[m] = _scalar(_ratfunc(_canon(0, d * 2 ** m * factorial(m), [a], [b]), LP_ONE),
-                         RF_ZERO)
+        out[m] = _scalar(_ratfunc(_canon(0, d * 2 ** m * factorial(m), [a], [b]), LP_ONE), 0)
     return HSeries(out, prec)
 
 
@@ -831,24 +819,18 @@ def _order_at_one(p: tuple) -> int:
 def taylor_q1(x: Scalar, order: int) -> HSeries:
     """Exact Laurent expansion in h of x under q = exp(i h), through h^order.
 
-    Each component num/den is expanded once: a denominator of order v in h
-    loses 2v orders of precision in the division, so the series are taken
-    to order + 1 + 2v.
+    x = f*t^p expands as f does, each coefficient times t^p.  f = num/den is
+    expanded once: a denominator of order v in h loses 2v orders of
+    precision in the division, so the series are taken to order + 1 + 2v.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    target = order + 1
-    parts = []
-    for f in x.c:
-        if not f.num:
-            parts.append({})
-            continue
-        prec = target + 2 * _order_at_one(f.den)
-        series = _lp_to_hseries(f.num, prec) / _lp_to_hseries(f.den, prec)
-        if series.prec < target:
-            raise ArithmeticError(f"taylor_q1 reached O(h^{series.prec}), "
-                                  f"short of O(h^{target})")
-        parts.append({k: c.c[0] for k, c in series.c.items()})
-    rat, tco = parts
-    return HSeries({k: _scalar(rat.get(k, RF_ZERO), tco.get(k, RF_ZERO))
-                    for k in rat.keys() | tco.keys()}, target)
+    target, f = order + 1, x.f
+    if not f.num:
+        return HSeries({}, target)
+    prec = target + 2 * _order_at_one(f.den)
+    series = _lp_to_hseries(f.num, prec) / _lp_to_hseries(f.den, prec)
+    if series.prec < target:
+        raise ArithmeticError(f"taylor_q1 reached O(h^{series.prec}), "
+                              f"short of O(h^{target})")
+    return HSeries({k: _scalar(c.f, x.p) for k, c in series.c.items()}, target)

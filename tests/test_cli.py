@@ -489,6 +489,18 @@ def test_main_config_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_main_validates_the_config_once(monkeypatch, tmp_path, capsys):
+    # run validates; main maps its ConfigError to exit 2 without a check of its own
+    calls = []
+    validate = RunConfig.validate
+    monkeypatch.setattr(RunConfig, "validate", lambda c: calls.append(c) or validate(c))
+    assert main(["--scenario", "classical-sl2", "--window", "2", "--suite", "reduce",
+                 "--output", str(tmp_path / "report.json")]) == EXIT_OK
+    assert len(calls) == 1
+    assert main(["--window", "0"]) == EXIT_CONFIG_ERROR and len(calls) == 2
+    assert "error: window must be >= 1" in capsys.readouterr().err
+
+
 def test_main_unknown_scenario_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--scenario", "liouville"])

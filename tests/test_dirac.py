@@ -324,11 +324,18 @@ def test_constraints_check_fails_off_the_surface(closed):
     assert status["dirac-matrix-11"] == PASS
 
 
+def _unit_of_parity(values):
+    """S_ONE, or S_T when the first of the values is a multiple of t: a unit
+    that can be added to values of one t-parity."""
+    return S_ONE if next(iter(values)).is_rational_sector() else S_T
+
+
 def _perturbed(dm, i, j, n):
-    """dm with entry (i, j) shifted by one at mode n."""
+    """dm with entry (i, j) shifted by a unit of its own t-parity at mode n."""
     e = [[dm.entry(a, b) for b in (0, 1)] for a in (0, 1)]
     D = e[i][j]
-    e[i][j] = Dist2(D.N, {**D.c, n: D.coeff(n) + S_ONE})
+    v = D.coeff(n)
+    e[i][j] = Dist2(D.N, {**D.c, n: v + _unit_of_parity([v])})
     return DiracMatrix(e[0][0], e[0][1], e[1][0], e[1][1])
 
 
@@ -428,11 +435,18 @@ _Q_TABLE_RECORDS = {
 
 @pytest.mark.parametrize("pair", sorted(_Q_TABLE_RECORDS))
 def test_table_degeneration_negative_controls(pair):
-    # one unit at mode 0 added to one q-table rule fails its record alone
+    # one unit of the rule's t-parity at mode 0 added to one q-table rule
+    # fails its record alone
     sc = scenario("q-sl2")
     table = dict(sc.table)
     rule = table[pair]
-    table[pair] = lambda W_: rule(W_) + TermSum.single((), Dist2.unit0(W_.N, S_ONE))
+
+    def perturbed(W_):
+        T = rule(W_)
+        unit = _unit_of_parity(v for d in T.terms.values() for v in d.c.values())
+        return T + TermSum.single((), Dist2.unit0(W_.N, unit))
+
+    table[pair] = perturbed
     records = verify_table_degeneration(
         Reduction(Scenario(sc.key, table, sc.constraints), W),
         Reduction(scenario("classical-sl2"), W))

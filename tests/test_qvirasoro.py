@@ -104,8 +104,8 @@ _ANTISYMMETRY_CONTROLS = {
                        {"qvir-quad-kernel-odd", "qvir-bracket-antisymmetry"}),
     "central-zero-mode": (lambda B: _closed_with(B, cent=_shifted(B.cent, {0: S_ONE})),
                           {"qvir-central-zero-mode", "qvir-bracket-antisymmetry"}),
-    # +-sqrt2 at modes +-2 keeps f odd
-    "surd-leak": (lambda B: _closed_with(B, quad=_shifted(B.quad, {2: S_T, -2: -S_T})),
+    # f(+-2) = +-sqrt2, a pure-t value that keeps f odd
+    "surd-leak": (lambda B: _closed_with(B, quad=Dist2(B.quad.N, {**B.quad.c, 2: S_T, -2: -S_T})),
                   {"qvir-rational-sector"}),
     "residual-off-at-one-mode": (
         lambda B: _closed_with(B, quad_residual=_shifted(B.quad_residual, {3: S_ONE})),
