@@ -107,8 +107,8 @@ def run(config: RunConfig) -> Report:
     W = ModeWindow(config.window)
     rep = Report(config.scenario, config.window)
 
-    # one Dirac chain per scenario variant, and on q-sl2 one set of closed
-    # forms, shared by the suites that read them and built only for them
+    # one Dirac chain per scenario, and on q-sl2 one set of closed forms,
+    # shared by the suites that read them and built only for them
     chain = Reduction(scenario(config.scenario), W)
     classical = closed = None
     if config.scenario == "classical-sl2":
@@ -135,10 +135,7 @@ def run(config: RunConfig) -> Report:
             rep.extend(_timed(lambda: dirac_suite(chain, closed)))
         elif name == "reduce":
             rep.extend(_timed(lambda: reduce_suite(chain, closed)))
-            if config.scenario == "q-sl2":
-                weighted = scenario("q-sl2", weighted=True)
-                rep.extend(_timed(lambda: reduce_suite(Reduction(weighted, W), closed)))
-            else:
+            if config.scenario == "classical-sl2":
                 rep.extend(_timed(lambda: _classical_jacobi(chain)))
         elif name == "limit":
             rep.extend(_timed(lambda: _limit_suite(chain, classical, closed)))

@@ -17,7 +17,7 @@ from operator import add, sub
 
 from .qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, q_minus_qinv, qint, qint_ratio
 from .distcalc import Dist2, ModeWindow, expand_inner, expand_outer
-from .report import CheckRecord, compare_dists, record
+from .report import CheckRecord, compare_dists, compare_pairs, record
 from .vertexcalc import (
     ExpField,
     contraction_kernel,
@@ -550,21 +550,10 @@ def modes_from_ope(level: KacMoodyLevel, W: ModeWindow) -> list[CheckRecord]:
     # E+E- sector: extract z^-a w^-m coefficients from the delta-pair
     # distribution form and compare with the printed mode relation
     T = opposite_charge_bracket(W, k)
-    bad = None
-    for a in W.modes():
-        for m in W.modes():
-            if abs(a + m) > W.N:
-                continue
-            got = _extract_ee_modes(T, a, m)
-            want = level.ee(a, m)
-            if got != want:
-                bad = (a, m, {k_: str(v) for k_, v in got.items()},
-                       {k_: str(v) for k_, v in want.items()})
-                break
-        if bad:
-            break
-    out.append(record(f"modes-ee-k{k}", "kac-moody/eva", bad is None,
-                      engine="all window mode pairs" if bad is None else str(bad)))
+    pairs = ((a, m) for a in W.modes() for m in W.modes() if abs(a + m) <= W.N)
+    out.append(compare_pairs(f"modes-ee-k{k}", "kac-moody/eva", pairs,
+                             lambda a, m: _extract_ee_modes(T, a, m), level.ee,
+                             agree="all window mode pairs"))
     return out
 
 
@@ -600,35 +589,26 @@ def verify_serre_mode_equivalence(W: ModeWindow) -> list[CheckRecord]:
         K = exchange_kernel(E, E)
         moved = [-(K.c * p) for p in K.num]     # the cleared kernel, moved to the left
         minus_q2 = -Scalar.q_power(2 * sign)
-        bad = None
-        for n in W.modes():
-            for m in W.modes():
-                # x^j E(z)E(w) contributes the word E_(n+1-j) E_(m+j), and
-                # x^j E(w)E(z) the reversed word E_(m+j) E_(n+1-j)
-                lhs = {}
-                for j, d in enumerate(K.den):
-                    _word_add(lhs, (n + 1 - j, m + j), d)
-                for j, p in enumerate(moved, start=K.m):
-                    _word_add(lhs, (m + j, n + 1 - j), p)
-                rhs = {}
-                _word_add(rhs, (n + 1, m), S_ONE)
-                _word_add(rhs, (m, n + 1), minus_q2)
-                _word_add(rhs, (n, m + 1), minus_q2)
-                _word_add(rhs, (m + 1, n), S_ONE)
-                if lhs != rhs:
-                    bad = (n, m, lhs, rhs)
-                    break
-            if bad:
-                break
-        name = "serre-mode+" if sign > 0 else "serre-mode-"
-        out.append(record(name, "ncom", bad is None,
-                          engine="all mode pairs in window" if bad is None else str(bad)))
+
+        def lhs(n, m):
+            # x^j E(z)E(w) contributes the word E_(n+1-j) E_(m+j), and
+            # x^j E(w)E(z) the reversed word E_(m+j) E_(n+1-j)
+            return _words([((n + 1 - j, m + j), d) for j, d in enumerate(K.den)]
+                          + [((m + j, n + 1 - j), p) for j, p in enumerate(moved, start=K.m)])
+
+        def rhs(n, m):
+            return _words((((n + 1, m), S_ONE), ((m, n + 1), minus_q2),
+                           ((n, m + 1), minus_q2), ((m + 1, n), S_ONE)))
+
+        pairs = ((n, m) for n in W.modes() for m in W.modes())
+        out.append(compare_pairs("serre-mode+" if sign > 0 else "serre-mode-", "ncom",
+                                 pairs, lhs, rhs, agree="all mode pairs in window"))
     return out
 
 
-def _word_add(d, word, coef):
-    v = d.get(word, S_ZERO) + coef
-    if v.is_zero():
-        d.pop(word, None)
-    else:
-        d[word] = v
+def _words(terms):
+    """Free words with their summed coefficients; zero sums are dropped."""
+    out = {}
+    for word, coef in terms:
+        out[word] = out.get(word, S_ZERO) + coef
+    return {word: coef for word, coef in out.items() if not coef.is_zero()}

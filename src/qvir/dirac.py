@@ -12,7 +12,8 @@ on-surface bracket once and computes the Dirac matrix, its per-mode inverse,
 the reduced bracket and that bracket's split contents at most once each, on
 first use; the involution check still inverts the inverse afresh.  Once the
 reduced bracket exists the chain drops its brackets, matrix and inverse.
-The degeneration, dirac, reduce and limit suites all read the run's chains.
+The degeneration, dirac, reduce and limit suites all read the run's chains,
+one per scenario; the reduce suite reweights the q-sl2 one for `[qvir]`.
 `QVirasoroBracket(W)` is the closed form the reduced bracket is matched
 against: its kernels in both forms, their prefactors and the affine map,
 built once per q-sl2 run whose suites read it and passed to every check
@@ -77,8 +78,8 @@ class ConstraintSet(namedtuple("ConstraintSet",
 # The surviving current: both scenarios reduce onto the lowering current.
 CURRENT = "E-"
 
-# The mode weight q^(WEIGHT_EXPONENT |n|) that the weighted q-sl2 table
-# carries; the reduced bracket takes the absorbed [qvir] form at 2 only.
+# The mode weight q^(WEIGHT_EXPONENT |n|) of the [qvir] pass; the reduced
+# bracket takes the absorbed form at 2 only.
 WEIGHT_EXPONENT = 2
 
 
@@ -114,8 +115,8 @@ class AffineMap(namedtuple("AffineMap", "a2 ab b2")):
         return self.a2 * self.b2 == self.ab * self.ab
 
 
-# A reduction scenario; a weighted one's table carries q^(WEIGHT_EXPONENT |n|).
-Scenario = namedtuple("Scenario", "key table constraints weighted", defaults=(False,))
+# A reduction scenario: its bracket table and its constraints.
+Scenario = namedtuple("Scenario", "key table constraints")
 
 
 SCENARIO_KEYS = ("classical-sl2", "q-sl2")
@@ -126,12 +127,12 @@ def scenario(key: str, weighted: bool = False) -> Scenario:
     if key == "q-sl2":
         table = q_bracket_table()
         if weighted:
-            # every rule has z-degree 0, so the weight commutes with the
-            # reflection that serves a pair's other orientation
+            # a reference for the tests only, never built by a run; every rule has
+            # z-degree 0, so the weight commutes with the reflection of a pair
             h = WEIGHT_EXPONENT
             table = {pair: lambda W, rule=rule: rule(W).map_dist(lambda d: weight_abs(d, h))
                      for pair, rule in table.items()}
-        return Scenario(key, table, q_constraints(), weighted)
+        return Scenario(key, table, q_constraints())
     if key == "classical-sl2":
         if weighted:
             raise UnknownScenarioError("the undeformed scenario takes no mode weight")
@@ -242,14 +243,14 @@ def matrix_pair(A: DiracMatrix, B: DiracMatrix) -> list[list[Dist2]]:
 # The reduced bracket
 # ---------------------------------------------------------------------------
 
-def reduce(chain: "Reduction", dinv: DiracMatrix) -> TermSum:
-    """Dirac bracket of the surviving current with itself: the direct
-    bracket minus the constraint-chain correction through the per-mode
-    inverse ``dinv`` of the constraint matrix, all on-surface."""
-    reduced = chain.on_surface(CURRENT, CURRENT)
+def dirac_bracket(chain: "Reduction", a: str, b: str, dinv: DiracMatrix) -> TermSum:
+    """Dirac bracket {a, b}_D of two symbols of the chain's table: the
+    direct bracket minus the constraint-chain correction through the
+    per-mode inverse ``dinv`` of the constraint matrix, all on-surface."""
+    out = chain.on_surface(a, b)
     syms = chain.scenario.constraints.symbols()
-    left = [chain.on_surface(CURRENT, c) for c in syms]
-    right = [chain.on_surface(c, CURRENT) for c in syms]
+    left = [chain.on_surface(a, c) for c in syms]
+    right = [chain.on_surface(c, b) for c in syms]
     for i, Ti in enumerate(left):
         for j, Tj in enumerate(right):
             for (mono_i, zi), di in Ti.terms.items():
@@ -257,8 +258,13 @@ def reduce(chain: "Reduction", dinv: DiracMatrix) -> TermSum:
                     if zi or zj:
                         raise SubstitutionError("constraint-chain terms must be degree-free")
                     dist = pair(pair(di, dinv.entry(i, j)), dj)
-                    reduced = reduced - TermSum.single(mono_i + mono_j, dist)
-    return reduced
+                    out = out - TermSum.single(mono_i + mono_j, dist)
+    return out
+
+
+def reduce(chain: "Reduction", dinv: DiracMatrix) -> TermSum:
+    """Dirac bracket of the surviving current with itself."""
+    return dirac_bracket(chain, CURRENT, CURRENT, dinv)
 
 
 class Reduction:
@@ -398,14 +404,12 @@ def affine_check(parts: ReducedContents, B: QVirasoroBracket,
     out.append(compare_dists(f"reduce-quadratic[{tag}]", tag, _drop0(parts.quad), fpat))
 
     # linear content is absorbed exactly: a^2 * lin == a*b * quad
-    lin_ok = (_drop0(parts.lin_z) == _drop0(parts.lin_w))
-    scaled_lin = _drop0(parts.lin_z).scale(amap.a2)
-    absorbed = _drop0(parts.quad).scale(amap.ab)
-    r = compare_dists(f"reduce-linear-cancellation[{tag}]", tag, scaled_lin, absorbed)
-    if not lin_ok:
-        r = record(f"reduce-linear-cancellation[{tag}]", tag, False,
-                   engine="lin_z != lin_w")
-    out.append(r)
+    lin_id = f"reduce-linear-cancellation[{tag}]"
+    if _drop0(parts.lin_z) != _drop0(parts.lin_w):
+        out.append(record(lin_id, tag, False, engine="lin_z != lin_w"))
+    else:
+        out.append(compare_dists(lin_id, tag, _drop0(parts.lin_z).scale(amap.a2),
+                                 _drop0(parts.quad).scale(amap.ab)))
 
     # central content: a^2 * cnum == b^2 * quad_pattern + central_pattern
     lhs = _drop0(parts.cnum).scale(amap.a2)
@@ -417,8 +421,7 @@ def affine_check(parts: ReducedContents, B: QVirasoroBracket,
     if not weighted:
         eng0 = (f"quad(0)={parts.quad.coeff(0)}, lin(0)={parts.lin_z.coeff(0)}, "
                 f"cnum(0)={parts.cnum.coeff(0)}")
-        zero_ok = (parts.quad.coeff(0).is_zero() and parts.lin_z.coeff(0).is_zero()
-                   and parts.lin_w.coeff(0).is_zero() and parts.cnum.coeff(0).is_zero())
+        zero_ok = all(D.coeff(0).is_zero() for D in parts)
         out.append(CheckRecord(
             f"reduce-mode0[{tag}]", tag, DOCUMENTED, 0, eng0,
             "closed form is 0/0 at n=0 ([n]^2/[2n]); odd-limit reading gives 0"
@@ -426,10 +429,7 @@ def affine_check(parts: ReducedContents, B: QVirasoroBracket,
         ))
 
     # surd-freeness of every final coefficient
-    surd_free = all(
-        v.is_rational_sector()
-        for D in (parts.quad, parts.lin_z, parts.lin_w, parts.cnum)
-        for v in D.c.values())
+    surd_free = all(v.is_rational_sector() for D in parts for v in D.c.values())
     out.append(record(f"reduce-rational-sector[{tag}]", tag, surd_free,
                       engine="all coefficients free of t and r" if surd_free
                       else "surd leakage detected"))
@@ -466,15 +466,15 @@ def printed_inverse_patterns(W: ModeWindow, B: QVirasoroBracket):
 
 
 def dirac_suite(red: Reduction, B: QVirasoroBracket | None = None) -> list[CheckRecord]:
-    """Build, compare, invert and pair the constraint matrix; an unweighted
-    q-sl2 chain also compares its inverse with the printed one, through the
-    closed forms ``B``."""
+    """Build, compare, invert and pair the constraint matrix; a q-sl2 chain
+    also compares its inverse with the printed one, through the closed
+    forms ``B``."""
     out = []
     sc, W = red.scenario, red.W
     out.append(record("constraints-idempotent", "ain1/ain2", sc.constraints.vanish_on_surface()))
     dm = red.matrix
 
-    if sc.key == "q-sl2" and not sc.weighted:
+    if sc.key == "q-sl2":
         half2 = qint(2) * Scalar.from_rat(Fraction(1, 2))
         dq = q_minus_qinv()
         elem11 = Dist2.from_func(W.N, lambda n: -S_I * half2 * qint(n))
@@ -516,7 +516,7 @@ def dirac_suite(red: Reduction, B: QVirasoroBracket | None = None) -> list[Check
     out.append(record("dirac-invert-involution", "inver",
                       invert(dinv, W) == dm))
 
-    if sc.key == "q-sl2" and not sc.weighted:
+    if sc.key == "q-sl2":
         printed = printed_inverse_patterns(W, B)
         names = {(0, 0): "11", (0, 1): "12", (1, 0): "21", (1, 1): "22"}
         for ij, pat in printed.items():
@@ -536,15 +536,18 @@ def dirac_suite(red: Reduction, B: QVirasoroBracket | None = None) -> list[Check
 
 def reduce_suite(red: Reduction, B: QVirasoroBracket | None = None) -> list[CheckRecord]:
     """Run the reduction and compare with the closed forms: the Virasoro
-    patterns for the undeformed chain, ``B`` for a q-sl2 chain."""
+    patterns for the undeformed chain; for a q-sl2 chain, ``B`` with the
+    residual weight (`[qdirb]`), then the weight-absorbed ``B`` (`[qvir]`).
+    Every rule has z-degree 0 and the pairing is mode-diagonal, so folding a
+    weight w(n) into every rule would scale the matrix by w, its inverse by
+    1/w and the reduced bracket by w: `[qvir]` reads the one chain's reduced
+    bracket and contents reweighted by q^(WEIGHT_EXPONENT |n|)."""
     out = []
-    sc, W = red.scenario, red.W
+    W = red.W
     reduced = red.reduced
-
     # reflect(A) == -A, tested as reflect(A) + A == 0 to build no negated copy
-    ok = (reduced.reflect() + reduced).is_zero()
-    if sc.key == "classical-sl2":
-        out.append(record("reduce-antisymmetry", "dirb", ok))
+    if red.scenario.key == "classical-sl2":
+        out.append(record("reduce-antisymmetry", "dirb", (reduced.reflect() + reduced).is_zero()))
         parts = red.contents
         lin = classical_linear_pattern(W)
         out.append(compare_dists("reduce-linear-z", "virasoro", parts.lin_z, lin))
@@ -554,7 +557,10 @@ def reduce_suite(red: Reduction, B: QVirasoroBracket | None = None) -> list[Chec
         out.append(record("reduce-no-quadratic", "virasoro", parts.quad.is_zero(),
                           engine=str(parts.quad)))
     else:
-        tag = "qvir" if sc.weighted else "qdirb"
-        out.append(record(f"reduce-antisymmetry[{tag}]", "dirb", ok))
-        out.extend(affine_check(red.contents, B, sc.weighted))
+        h = WEIGHT_EXPONENT
+        for tag, T, parts in (("qdirb", reduced, red.contents),
+                              ("qvir", reduced.map_dist(lambda d: weight_abs(d, h)),
+                               ReducedContents(*(weight_abs(d, h) for d in red.contents)))):
+            out.append(record(f"reduce-antisymmetry[{tag}]", "dirb", (T.reflect() + T).is_zero()))
+            out.extend(affine_check(parts, B, weighted=(tag == "qvir")))
     return out

@@ -37,6 +37,20 @@ def compare_dists(check_id: str, paper_eq: str, engine, expected) -> CheckRecord
                        str(engine.coeff(bad)), str(expected.coeff(bad)))
 
 
+def compare_pairs(check_id: str, paper_eq: str, pairs, engine, expected,
+                  agree: str) -> CheckRecord:
+    """Compare the coefficient dicts ``engine(n, m)`` and ``expected(n, m)``
+    over the mode pairs in order; on failure records the first bad pair as
+    ``mode`` and both dicts there, in key order.  A pass prints ``agree``."""
+    for n, m in pairs:
+        got, want = engine(n, m), expected(n, m)
+        if got != want:
+            got, want = ("; ".join(f"{k}: {v}" for k, v in sorted(d.items())) or "0"
+                         for d in (got, want))
+            return CheckRecord(check_id, paper_eq, FAIL, [n, m], got, want)
+    return record(check_id, paper_eq, True, engine=agree)
+
+
 def _dist_str(D):
     N = D.N
     return "[" + ", ".join(f"{n}: {D.coeff(n)}" for n in range(-N, N + 1)) + "]"

@@ -121,9 +121,8 @@ def test_criterion_5_classical_pipeline(classical_scenario, reductions):
 
 
 def test_criterion_6_q_pipeline(q_scenario, closed):
+    # one chain gives both passes: [qvir] is its reduced bracket reweighted
     records = reduce_suite(Reduction(q_scenario, W), closed)
-    weighted = scenario("q-sl2", weighted=True)
-    records += reduce_suite(Reduction(weighted, W), closed)
     ids = {r.id for r in records}
     assert {"reduce-quadratic[qdirb]", "reduce-quadratic[qvir]",
             "reduce-linear-cancellation[qdirb]", "reduce-linear-cancellation[qvir]",

@@ -74,9 +74,10 @@ def test_every_suite_runs_at_small_windows(tmp_path, window):
 
 @pytest.mark.parametrize("h", (0, -2, 4))
 def test_weight_exponent_off_two_keeps_ids_unique_and_fails(monkeypatch, tmp_path, h):
-    # the weighted pass is told apart by the scenario, not by its exponent;
-    # the absorbed closed form holds at exponent 2 only, so any other
-    # exponent is a negative control that must fail both [qvir] kernels
+    # the reduce suite reads the [qvir] pass off the one q-sl2 chain,
+    # reweighted by the exponent it reads at call time; the absorbed closed
+    # form holds at exponent 2 only, so any other exponent is a negative
+    # control that must fail both [qvir] kernels and leave [qdirb] alone
     monkeypatch.setattr(dirac, "WEIGHT_EXPONENT", h)
     out = tmp_path / "r.json"
     code = main(["--window", "5", "--suite", "reduce", "--output", str(out)])
@@ -306,7 +307,7 @@ def _count_dirac_stages(monkeypatch, names=("build_dirac_matrix", "invert", "red
     return counts
 
 
-_Q_STAGES = {"build_dirac_matrix": 3, "invert": 4, "reduce": 3, "classical_bracket": 24}
+_Q_STAGES = {"build_dirac_matrix": 2, "invert": 3, "reduce": 2, "classical_bracket": 16}
 
 
 @pytest.mark.parametrize("scenario,window,suites,want", (
@@ -319,8 +320,9 @@ _Q_STAGES = {"build_dirac_matrix": 3, "invert": 4, "reduce": 3, "classical_brack
     pytest.param("q-sl2", 5, "dirac,reduce,limit", _Q_STAGES, id="q-sl2-5-dirac,reduce,limit"),
 ))
 def test_dirac_stage_counts(monkeypatch, scenario, window, suites, want):
-    # each scenario variant (q unweighted, q weighted, classical) builds,
-    # inverts and reduces once; the involution check inverts once more.
+    # each scenario's chain (q, classical) builds, inverts and reduces once,
+    # the [qvir] pass reweights the q chain's result, and the involution
+    # check inverts once more.
     # Each chain builds its 8 on-surface brackets once, and the degeneration
     # check reads the run's q and classical chains instead of building its own
     counts = _count_dirac_stages(monkeypatch)
@@ -330,8 +332,8 @@ def test_dirac_stage_counts(monkeypatch, scenario, window, suites, want):
 
 
 @pytest.mark.parametrize("scenario,suites,want", (
-    ("q-sl2", "all", {"QVirasoroBracket": 1, "split_reduced": 3}),
-    ("q-sl2", "reduce,limit", {"QVirasoroBracket": 1, "split_reduced": 3}),
+    ("q-sl2", "all", {"QVirasoroBracket": 1, "split_reduced": 2, "Reduction": 2}),
+    ("q-sl2", "reduce,limit", {"QVirasoroBracket": 1, "split_reduced": 2}),
     ("classical-sl2", "all", {"QVirasoroBracket": 0, "split_reduced": 1}),
     # the suites that read neither the closed forms nor a reduced bracket;
     # only the modes suite reads the classical chain
@@ -445,7 +447,7 @@ def test_shared_values_are_immutable():
     shared = (
         (vc.contraction_kernel(E, E), "const zdeg kernel"),
         (dirac.Reduction(sc, W).contents, "quad lin_z lin_w cnum"),
-        (sc, "key table constraints weighted"),
+        (sc, "key table constraints"),
         (sc.constraints, "chi1_symbol chi2_symbol chi1 chi2 on_surface"),
         (dirac.QVirasoroBracket(W).amap, "a2 ab b2"),
         (run(RunConfig(window=3, suites=("dirac",))).checks[0],

@@ -287,6 +287,28 @@ def test_modes_from_ope(k):
     all_pass(modes_from_ope(KacMoodyLevel(k), W))
 
 
+def test_perturbed_ee_mode_relation_fails_at_its_pair(monkeypatch):
+    # one unit added to [E+_2, E-_-3] at level 1 fails modes-ee-k1 alone, and
+    # the record names that pair and both coefficient sets there
+    ee = KacMoodyLevel.ee
+
+    def perturbed(self, n, m):
+        out = ee(self, n, m)
+        if (self.k, n, m) == (1, 2, -3):
+            out[("Psi", -1)] = out[("Psi", -1)] + S_ONE
+        return out
+
+    monkeypatch.setattr(KacMoodyLevel, "ee", perturbed)
+    records = modes_from_ope(KacMoodyLevel(1), W)
+    failed = [r for r in records if r.status == FAIL]
+    assert [(r.id, r.mode) for r in failed] == [("modes-ee-k1", [2, -3])]
+    assert failed[0].engine_value == \
+        "('Phi', -1): -s^-3/(s^4 - 1); ('Psi', -1): s^7/(s^4 - 1)"
+    assert failed[0].expected_value == \
+        "('Phi', -1): -s^-3/(s^4 - 1); ('Psi', -1): (s^7 + s^4 - 1)/(s^4 - 1)"
+    all_pass(modes_from_ope(KacMoodyLevel(2), W))
+
+
 def test_hh_mode_value_k2():
     level = KacMoodyLevel(2)
     n = 3
@@ -326,3 +348,7 @@ def test_serre_mode_fails_with_the_opposite_self_exchange_kernel(monkeypatch):
     records = verify_serre_mode_equivalence(W)
     assert [(r.id, r.status) for r in records] == [("serre-mode+", FAIL),
                                                     ("serre-mode-", FAIL)]
+    # each names the first pair of the loop order, with the words there
+    assert [r.mode for r in records] == [[-W.N, -W.N]] * 2
+    assert records[0].engine_value == "(-8, -7): -2*s^-4; (-7, -8): 2"
+    assert records[0].expected_value == "(-8, -7): -2*s^4; (-7, -8): 2"

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from qvir.qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, q_minus_qinv, qint
-from qvir.distcalc import Dist2, ModeWindow
+from qvir.distcalc import Dist2, ModeWindow, weight_abs
 from qvir import dirac
 from qvir.currents import TermSum, classical_bracket
 from qvir.dirac import (
+    CURRENT,
     ConstraintSet,
     DiracMatrix,
     QVirasoroBracket,
@@ -20,6 +21,7 @@ from qvir.dirac import (
     UnknownScenarioError,
     affine_check,
     build_dirac_matrix,
+    dirac_bracket,
     dirac_suite,
     invert,
     matrix_pair,
@@ -53,7 +55,10 @@ def all_pass(records):
 # ---------------------------------------------------------------------------
 
 def test_scenario_registry():
-    assert scenario("q-sl2", weighted=True).weighted
+    # the weighted q-sl2 table is a reference for the tests: a scenario
+    # carries no weight flag, and a run reads [qvir] off the plain chain
+    assert Scenario._fields == ("key", "table", "constraints")
+    assert sorted(scenario("q-sl2", weighted=True).table) == sorted(scenario("q-sl2").table)
     with pytest.raises(UnknownScenarioError):
         scenario("su3-wzw")
     # the undeformed scenario has no mode weight to carry
@@ -267,23 +272,41 @@ def test_affine_map_consistency_negative_controls(closed):
     # ab negated keeps the identity; only the absorbed linear content catches it
     negated = amap._replace(ab=-amap.ab)
     assert negated.consistent()
-    for weighted, tag in ((False, "qdirb"), (True, "qvir")):
-        parts = Reduction(scenario("q-sl2", weighted=weighted), W).contents
-        for bad, want in ((doubled, {"affine-map-consistency", "reduce-central"}),
-                          (negated, {"reduce-linear-cancellation"})):
-            failed = {r.id for r in affine_check(parts, _with_map(closed, bad), weighted)
-                      if r.status == FAIL}
-            assert failed == {f"{name}[{tag}]" for name in want}
-        assert not [r for r in affine_check(parts, closed, weighted) if r.status == FAIL]
+    # both passes read the one q-sl2 chain, and each fails alike
+    chain = Reduction(scenario("q-sl2"), W)
+    for bad, want in ((doubled, {"affine-map-consistency", "reduce-central"}),
+                      (negated, {"reduce-linear-cancellation"})):
+        failed = {r.id for r in reduce_suite(chain, _with_map(closed, bad))
+                  if r.status == FAIL}
+        assert failed == {f"{name}[{tag}]" for name in want for tag in ("qdirb", "qvir")}
+    assert not [r for r in reduce_suite(chain, closed) if r.status == FAIL]
+
+
+def _reweighted(T):
+    return T.map_dist(lambda d: weight_abs(d, dirac.WEIGHT_EXPONENT))
 
 
 def test_weighted_reduction_is_weighted_unweighted():
-    p = split_reduced(Reduction(scenario("q-sl2"), W).reduced, W.N)
-    w = split_reduced(Reduction(scenario("q-sl2", weighted=True), W).reduced, W.N)
-    for n in W.modes():
-        factor = Q(2 * abs(n))
-        assert w.quad.coeff(n) == factor * p.quad.coeff(n)
-        assert w.cnum.coeff(n) == factor * p.cnum.coeff(n)
+    # every rule has z-degree 0 and the pairing is mode-diagonal, so the
+    # chain of the table with q^(2|n|) folded into every rule reduces to the
+    # plain reduced bracket reweighted, term for term: the [qvir] pass
+    # rests on this
+    for N in (1, 3, 6, 12):
+        Wn = ModeWindow(N)
+        folded = Reduction(scenario("q-sl2", weighted=True), Wn).reduced
+        assert folded == _reweighted(Reduction(scenario("q-sl2"), Wn).reduced), N
+
+
+@pytest.mark.parametrize("only", (True, False), ids=("only-E-E-", "all-but-E-E-"))
+def test_weight_on_some_rules_breaks_the_reweighting_identity(only):
+    # a weight folded into (E-, E-) alone weights the direct bracket but not
+    # the chain correction, and the converse weights the correction alone
+    sc = scenario("q-sl2")
+    table = {pair: (lambda W_, rule=rule: _reweighted(rule(W_)))
+             if (pair == (CURRENT, CURRENT)) == only else rule
+             for pair, rule in sc.table.items()}
+    partial = Reduction(Scenario(sc.key, table, sc.constraints), W).reduced
+    assert partial != _reweighted(Reduction(sc, W).reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +318,22 @@ def test_dirac_suite(key, closed):
     all_pass(dirac_suite(Reduction(scenario(key), W), closed))
 
 
+# the records of each q-sl2 pass; the zero mode is documented once, on [qdirb]
+_QVIR_IDS = {"reduce-antisymmetry", "affine-map-consistency", "reduce-quadratic",
+             "reduce-linear-cancellation", "reduce-central", "reduce-rational-sector"}
+_PASS_IDS = {"qdirb": _QVIR_IDS | {"reduce-mode0"}, "qvir": _QVIR_IDS}
+
+
 @pytest.mark.parametrize("key,weighted", (("q-sl2", False), ("q-sl2", True),
                                           ("classical-sl2", False)))
 def test_reduce_suite(key, weighted, closed):
-    sc = scenario(key, weighted=weighted) if key == "q-sl2" else scenario(key)
-    all_pass(reduce_suite(Reduction(sc, W), closed))
+    # one q-sl2 chain gives both passes; ``weighted`` picks the [qvir] one
+    records = reduce_suite(Reduction(scenario(key), W), closed)
+    all_pass(records)
+    if key == "q-sl2":
+        tag = "qvir" if weighted else "qdirb"
+        assert {r.id for r in records if r.id.endswith(f"[{tag}]")} == \
+            {f"{name}[{tag}]" for name in _PASS_IDS[tag]}
 
 
 def test_mode0_documented_records(closed):
@@ -319,7 +353,7 @@ def test_constraints_check_fails_off_the_surface(closed):
     off = ConstraintSet(c.chi1_symbol, c.chi2_symbol, c.chi1, c.chi2,
                         {"Psi": 1, "Phi": 1, "E+": 0})
     status = {r.id: r.status for r in dirac_suite(Reduction(
-        Scenario(sc.key, sc.table, off, sc.weighted), W), closed)}
+        Scenario(sc.key, sc.table, off), W), closed)}
     assert status["constraints-idempotent"] == FAIL
     assert status["dirac-matrix-11"] == PASS
 
@@ -363,7 +397,8 @@ def test_pairing_identity_reads_the_shared_inverse(closed):
     assert status["dirac-pairing-identity"] == FAIL
 
 
-@pytest.mark.parametrize("key,tag", (("q-sl2", "[qdirb]"), ("classical-sl2", "")))
+@pytest.mark.parametrize("key,tag", (("q-sl2", "[qdirb]"), ("q-sl2", "[qvir]"),
+                                     ("classical-sl2", "")))
 def test_antisymmetry_check_fails_on_symmetric_part(key, tag, closed):
     chain = Reduction(scenario(key), W)
     chain.reduced = chain.reduced + TermSum.single((), Dist2.delta(W.N))
@@ -416,6 +451,27 @@ def test_chain_builds_each_on_surface_bracket_once(monkeypatch):
     q_chain.on_surface("E-", "chi1")
     assert built.count((id(q_chain.scenario.table), "E-", "chi1")) == 2
     assert not q_chain._brackets
+
+
+def _casimir_brackets(chain, dinv):
+    """{chi_k, E-}_D and {E-, chi_k}_D for both constraints of the chain."""
+    return [dirac_bracket(chain, a, b, dinv)
+            for c in chain.scenario.constraints.symbols()
+            for a, b in ((c, CURRENT), (CURRENT, c))]
+
+
+@pytest.mark.parametrize("key", ("q-sl2", "classical-sl2"))
+def test_constraints_are_casimirs_of_the_dirac_bracket(key):
+    # a second-class constraint has a zero Dirac bracket with anything, at
+    # every mode, mode 0 included
+    chain = Reduction(scenario(key), W)
+    dinv = chain.inverse
+    assert all(T.is_zero() for T in _casimir_brackets(chain, dinv))
+    # so the identity tests the chain's assembly, which the pairing identity
+    # cannot see: the inverse's index order and each of its entries
+    transposed = DiracMatrix(dinv.d11, dinv.d21, dinv.d12, dinv.d22)
+    for bad in (transposed, _perturbed(dinv, 0, 0, 3)):
+        assert not any(T.is_zero() for T in _casimir_brackets(chain, bad))
 
 
 def test_table_degeneration_to_undeformed():
