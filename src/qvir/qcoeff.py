@@ -12,28 +12,32 @@ canonical form: a rational function whose numerator and denominator are
 coprime, with a monic denominator of lowest exponent zero.
 
 Every polynomial and every constant has one integer form: the tuple
-(v, d, re, im) is s^v (re + i*im)/d, with re and im tuples of Python ints
-over one common denominator d, canonical when both ends are nonzero and
-gcd(d, re, im) = 1 (:func:`laurent` builds one from int or Fraction
-coefficients).  A constant of Q(i) is the degree-0 tuple (0, d, (a,), (b,)).
-Sums, products (an integer convolution over the nonzero entries) and the
-gcd path (cross-reduction of products, normalization, the polynomial gcd
-and the exact divisions by it) all run on it, with one content gcd per
-result.  Division is pseudo-division by a divisor whose lead is a positive
-integer, so a monic integral divisor costs a plain multiply-subtract; the
-gcd is the primitive Euclidean algorithm, each remainder times the
-conjugate of its lead and over its integer content.
+(v, d, re) is s^v re/d, with re a tuple of Python ints over one common
+denominator d, canonical when both ends are nonzero and gcd(d, re) = 1
+(:func:`laurent` builds one from int or Fraction coefficients).  A rational
+constant is the degree-0 tuple (0, d, (a,)).  The coefficients are rational,
+so every cyclotomic factor of a q-integer stays irreducible.  Sums, products
+(an integer convolution over the nonzero entries) and the gcd path
+(cross-reduction of products, normalization, the polynomial gcd and the
+exact divisions by it) all run on it, with one content gcd per result.
+Division is pseudo-division by a divisor whose lead is a positive integer,
+so a monic integral divisor costs a plain multiply-subtract; the gcd is the
+primitive Euclidean algorithm, each remainder over its signed integer
+content.
 
-A :class:`Scalar` is one rational function f and a t-parity p, the value
-f*t^p: every value of the level-1 realization is free of t or a multiple of
-it.  The degeneration maps stay in the tower: :func:`eval_q1` gives a
-constant Scalar f(1)*t^p, and :class:`HSeries` coefficients are constant
+A :class:`Scalar` is one real rational function f and a grade p in 0..3,
+the value f*i^(p>>1)*t^(p&1): every value of the level-1 realization is real
+or purely imaginary, and free of t or a multiple of it, because i enters
+only through the correspondence sign and the couplings i*t.  The
+degeneration maps stay in the tower: :func:`eval_q1` gives a constant
+Scalar of the same grade, and :class:`HSeries` coefficients are constant
 Scalars, so Scalar's own arithmetic is the constant arithmetic at q = 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import add
 
@@ -42,37 +46,29 @@ class PoleAtQ1Error(ArithmeticError):
     """The value has a genuine pole at q = 1 (use taylor_q1 instead)."""
 
 
-def _ratio_str(n, d):
-    """n/d (d > 0) printed in lowest terms, as str(Fraction(n, d)) prints it."""
+def _coef_str(n, d, imag):
+    """n/d (d > 0) printed in lowest terms as str(Fraction(n, d)) prints it, times i when imag."""
+    if imag and abs(n) == d:
+        return "i" if n > 0 else "-i"
     g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
-
-
-def _gaussian_str(a, b, d):
-    """(a + b*i)/d (d > 0) printed as its two Fraction parts print."""
-    re = _ratio_str(a, d)
-    if not b:
-        return re
-    ims = "i" if abs(b) == d else f"{_ratio_str(abs(b), d)}*i"
-    if not a:
-        return ims if b > 0 else "-" + ims
-    return f"{re}{'+' if b > 0 else '-'}{ims}"
+    r = str(n // g) if g == d else f"{n // g}/{d // g}"
+    return f"{r}*i" if imag else r
 
 
 _new = object.__new__
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in s: integer tuples (v, d, re, im), constant term first
+# Laurent polynomials in s: integer tuples (v, d, re), constant term first
 # ---------------------------------------------------------------------------
 # Canonical tuples (module docstring) are equal exactly when the polynomials are.
 
 LP_ZERO = ()
-LP_ONE = (0, 1, (1,), (0,))
+LP_ONE = (0, 1, (1,))
 
 
 def laurent(coeffs):
-    """The real polynomial of {exponent: int or Fraction}, zeros dropped."""
+    """The polynomial of {exponent: int or Fraction}, zeros dropped."""
     cs = {k: x for k, x in coeffs.items() if x}
     if not cs:
         return LP_ZERO
@@ -80,24 +76,24 @@ def laurent(coeffs):
     re = [0] * (max(cs) - v + 1)
     for k, x in cs.items():
         re[k - v] = x.numerator * (d // x.denominator)
-    return _canon(v, d, re, [0] * len(re))
+    return _canon(v, d, re)
 
 
-def _canon(v, d, re, im):
-    """The canonical s^v (re + i*im)/d: zero ends trimmed, content divided out."""
+def _canon(v, d, re):
+    """The canonical s^v re/d: zero ends trimmed, content divided out."""
     lo, hi = 0, len(re)
-    while hi and not (re[hi - 1] or im[hi - 1]):
+    while hi and not re[hi - 1]:
         hi -= 1
     if not hi:
         return LP_ZERO
-    while not (re[lo] or im[lo]):
+    while not re[lo]:
         lo += 1
     if d != 1:
-        g = gcd(d, *re, *im)
+        g = gcd(d, *re)
         if g != 1:
             d //= g
-            re, im = [x // g for x in re], [y // g for y in im]
-    return v + lo, d, tuple(re[lo:hi]), tuple(im[lo:hi])
+            re = [x // g for x in re]
+    return v + lo, d, tuple(re[lo:hi])
 
 
 def _lp_add(p, q):
@@ -107,73 +103,65 @@ def _lp_add(p, q):
         return p
     if p[0] > q[0]:
         p, q = q, p
-    v, dp, pr, pi = p
-    vq, dq, qr, qi = q
+    v, dp, pr = p
+    vq, dq, qr = q
     if v == vq and len(pr) == 1 == len(qr):     # a sum of monomials
-        return _canon(v, dp * dq, (pr[0] * dq + qr[0] * dp,), (pi[0] * dq + qi[0] * dp,))
+        return _canon(v, dp * dq, (pr[0] * dq + qr[0] * dp,))
     d = dp // gcd(dp, dq) * dq
-    pr, pi = _scale(pr, pi, d // dp, 0)
-    qr, qi = _scale(qr, qi, d // dq, 0)
+    if d != dp:
+        pr = [x * (d // dp) for x in pr]
+    if d != dq:
+        qr = [x * (d // dq) for x in qr]
     o, n = vq - v, len(qr)
-    pad = [0] * (o + n - len(pr))
-    re, im = [*pr, *pad], [*pi, *pad]
+    re = [*pr, *[0] * (o + n - len(pr))]
     re[o:o + n] = map(add, re[o:o + n], qr)
-    im[o:o + n] = map(add, im[o:o + n], qi)
-    return _canon(v, d, re, im)
+    return _canon(v, d, re)
 
 
 def _lp_neg(p):
     if not p:
         return p
-    v, d, re, im = p
-    return v, d, tuple([-x for x in re]), tuple([-y for y in im])
+    v, d, re = p
+    return v, d, tuple([-x for x in re])
 
 
 def _lp_mul(p, q):
     """The product, an integer convolution over the nonzero entries only."""
     if not p or not q:
         return LP_ZERO
-    vp, dp, pr, pi = p
-    vq, dq, qr, qi = q
+    vp, dp, pr = p
+    vq, dq, qr = q
     if len(pr) == 1 == len(qr):     # a nonzero product of monomials
-        a, b, c, e = pr[0], pi[0], qr[0], qi[0]
-        x, y, d = a * c - b * e, a * e + b * c, dp * dq
+        x, d = pr[0] * qr[0], dp * dq
         if d != 1:
-            g = gcd(x, y, d)
+            g = gcd(x, d)
             if g != 1:
-                x, y, d = x // g, y // g, d // g
-        return vp + vq, d, (x,), (y,)
-    n = len(pr) + len(qr) - 1
-    re, im = [0] * n, [0] * n
-    tq = [(j, c, e) for j, (c, e) in enumerate(zip(qr, qi)) if c or e]
-    real = not any(qi)
-    for i, (a, b) in enumerate(zip(pr, pi)):
-        if b or (a and not real):
-            for j, c, e in tq:
-                re[i + j] += a * c - b * e
-                im[i + j] += a * e + b * c
-        elif a:
-            for j, c, _ in tq:
+                x, d = x // g, d // g
+        return vp + vq, d, (x,)
+    re = [0] * (len(pr) + len(qr) - 1)
+    tq = [(j, c) for j, c in enumerate(qr) if c]
+    for i, a in enumerate(pr):
+        if a:
+            for j, c in tq:
                 re[i + j] += a * c
-    return _canon(vp + vq, dp * dq, re, im)
+    return _canon(vp + vq, dp * dq, re)
 
 
 def _lp_eval_one(p):
     """Value at s = 1, a constant."""
-    return _canon(0, p[1], [sum(p[2])], [sum(p[3])]) if p else LP_ZERO
+    return _canon(0, p[1], [sum(p[2])]) if p else LP_ZERO
 
 
-def _lp_str(p):
+def _lp_str(p, imag=False):
+    """p printed, or p*i when imag, every coefficient then printed times i."""
     if not p:
         return "0"
-    v, d, re, im = p
+    v, d, re = p
     parts = []
     for j in range(len(re) - 1, -1, -1):
-        if not (re[j] or im[j]):
+        if not re[j]:
             continue
-        k, vs = v + j, _gaussian_str(re[j], im[j], d)
-        if ("+" in vs[1:]) or ("-" in vs[1:]):
-            vs = f"({vs})"
+        k, vs = v + j, _coef_str(re[j], d, imag)
         if k == 0:
             parts.append(vs)
         else:
@@ -182,97 +170,65 @@ def _lp_str(p):
     return " + ".join(parts).replace("+ -", "- ")
 
 
-def _one_group(s):
-    """Whether s is one bracketed group: its first "(" closes at its end."""
-    depth = 0
-    for j, ch in enumerate(s):
-        depth += (ch == "(") - (ch == ")")
-        if not depth:
-            return j == len(s) - 1
-    return False
+def _primitive(a):
+    """The integer list a over its integer content, signed to a positive lead,
+    as a divisor's must be."""
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else [x // g for x in a]
 
 
-def _scale(re, im, cr, ci):
-    """(re + i*im) * (cr + i*ci) coefficientwise."""
-    if ci:
-        return ([x * cr - y * ci for x, y in zip(re, im)],
-                [x * ci + y * cr for x, y in zip(re, im)])
-    if cr == 1:
-        return re, im
-    return [x * cr for x in re], [y * cr for y in im]
-
-
-def _primitive(re, im):
-    """re + i*im times the conjugate of its lead, over its integer content.
-
-    The lead becomes a positive integer, as a divisor's must be.
-    """
-    if im[-1] or re[-1] < 0:
-        re, im = _scale(re, im, re[-1], -im[-1])
-    g = gcd(*re, *im)
-    if g != 1:
-        re, im = [x // g for x in re], [y // g for y in im]
-    return re, im
-
-
-def _pdivmod(ar, ai, br, bi):
+def _pdivmod(a, b):
     """Pseudo-division L^k a = quo*b + rem of integer coefficient lists.
 
     b's lead L is a positive integer and k = len(a) - len(b) + 1 is the number
     of steps; with L = 1 each step is a plain multiply-subtract.  Returns
-    (qr, qi), (rr, ri) with the remainder trimmed, shorter than b.
+    quo, rem with the remainder trimmed, shorter than b.
     """
-    ar, ai = list(ar), list(ai)
-    L, real = br[-1], not any(bi)
-    br, bi = br[:-1], bi[:-1]
-    k = max(0, len(ar) - len(br))
-    qr, qi = [0] * k, [0] * k
+    a = list(a)
+    L, b = b[-1], b[:-1]
+    k = max(0, len(a) - len(b))
+    quo = [0] * k
     for i in range(k - 1, -1, -1):
-        fr, fi = ar.pop(), ai.pop()     # the lead cancels: L*f - f*L
-        qr[i], qi[i] = fr, fi
+        f = a.pop()     # the lead cancels: L*f - f*L
+        quo[i] = f
         if L != 1:
-            ar, ai = [x * L for x in ar], [y * L for y in ai]
-        if real:
-            if fr:
-                ar[i:] = [x - fr * y for x, y in zip(ar[i:], br)]
-            if fi:
-                ai[i:] = [x - fi * y for x, y in zip(ai[i:], br)]
-        elif fr or fi:
-            ar[i:], ai[i:] = ([x - fr * y + fi * z for x, y, z in zip(ar[i:], br, bi)],
-                              [x - fr * z - fi * y for x, y, z in zip(ai[i:], br, bi)])
+            a = [x * L for x in a]
+        if f:
+            a[i:] = [x - f * y for x, y in zip(a[i:], b)]
     if L != 1:      # the step for s^i leaves i further steps to scale it by L
-        qr, qi = [x * L ** i for i, x in enumerate(qr)], [y * L ** i for i, y in enumerate(qi)]
-    while ar and not ar[-1] and not ai[-1]:
-        ar.pop()
-        ai.pop()
-    return (qr, qi), (ar, ai)
+        quo = [x * L ** i for i, x in enumerate(quo)]
+    while a and not a[-1]:
+        a.pop()
+    return quo, a
 
 
-def _divide(re, im, d, g):
-    """(re + i*im)/d over g/L, for g with positive integer lead L.
+def _divide(a, d, g):
+    """a/d over g/L, for g with positive integer lead L.
 
-    Returns the quotient as (d', re', im') and the pseudo-remainder, which is
-    zero exactly when g divides: L^k x = quo*g in k steps gives
+    Returns the quotient as (d', a') and the pseudo-remainder, which is empty
+    exactly when g divides: L^k x = quo*g in k steps gives
     x/(g/L) = quo/L^(k-1).
     """
-    quo, rem = _pdivmod(re, im, *g)
-    return (d * g[0][-1] ** (len(re) - len(g[0])), *quo), rem
+    quo, rem = _pdivmod(a, g)
+    return (d * g[-1] ** (len(a) - len(g)), quo), rem
 
 
 def _poly_gcd(a, b):
-    """Primitive gcd (re, im) of integer coefficient lists a and b.
+    """Primitive gcd of integer coefficient lists a and b.
 
     b has a positive integer lead.  Every pseudo-remainder is made primitive
     (_primitive), which keeps the integers from exploding during the
     Euclidean descent, which ends because each remainder is shorter than its
     divisor (else ArithmeticError).  The gcd has a positive integer lead.
     """
-    while b[0]:
-        _, r = _pdivmod(*a, *b)
-        if len(r[0]) >= len(b[0]):
-            raise ArithmeticError(f"remainder of length {len(r[0])} is not shorter "
-                                  f"than its divisor of length {len(b[0])}")
-        a, b = b, _primitive(*r) if r[0] else r
+    while b:
+        _, r = _pdivmod(a, b)
+        if len(r) >= len(b):
+            raise ArithmeticError(f"remainder of length {len(r)} is not shorter "
+                                  f"than its divisor of length {len(b)}")
+        a, b = b, _primitive(r) if r else r
     return a
 
 
@@ -304,7 +260,7 @@ class RatFunc:
     @classmethod
     def const(cls, v):
         """The constant v, an int or Fraction."""
-        return _ratfunc((0, v.denominator, (v.numerator,), (0,)) if v else LP_ZERO, LP_ONE)
+        return _ratfunc((0, v.denominator, (v.numerator,)) if v else LP_ZERO, LP_ONE)
 
     def is_zero(self):
         return not self.num
@@ -363,14 +319,7 @@ class RatFunc:
         return RatFunc(_lp_eval_one(self.num), d)
 
     def __str__(self):
-        if self.den is LP_ONE:
-            return _lp_str(self.num)
-        ns, ds = _lp_str(self.num), _lp_str(self.den)
-        if " " in ns:
-            ns = f"({ns})"
-        if " " in ds:
-            ds = f"({ds})"
-        return f"{ns}/{ds}"
+        return _ratfunc_str(self, False)
 
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den!r})"
@@ -388,24 +337,38 @@ def _ratfunc(num, den):
     return f
 
 
+def _ratfunc_str(f, imag):
+    """f printed, or f*i when imag (the numerator's coefficients times i)."""
+    ns = _lp_str(f.num, imag)
+    if f.den is LP_ONE:
+        return ns
+    ds = _lp_str(f.den)
+    if " " in ns:
+        ns = f"({ns})"
+    if " " in ds:
+        ds = f"({ds})"
+    return f"{ns}/{ds}"
+
+
 def _normalize(num, den, skip_gcd=False):
     if not num:
         return LP_ZERO, LP_ONE
-    vn, dn, nr, ni = num
-    vd, dd, dr, di = den
+    vn, dn, nr = num
+    vd, dd, dr = den
     if not skip_gcd and len(nr) > 1 and len(dr) > 1:
-        g = _poly_gcd((nr, ni), _primitive(dr, di))
-        if len(g[0]) > 1:
-            dn, nr, ni = _divide(nr, ni, dn, g)[0]
-            dd, dr, di = _divide(dr, di, dd, g)[0]
-    # fold the denominator's monomial into the numerator; both times
-    # dd*conj(c)/|c|^2, for c the denominator's integer lead, make it monic
-    cr, ci = dr[-1], -di[-1]
-    norm = cr * cr + ci * ci
-    num = _canon(vn - vd, dn * norm, *_scale(nr, ni, cr * dd, ci * dd))
+        g = _poly_gcd(nr, _primitive(dr))
+        if len(g) > 1:
+            dn, nr = _divide(nr, dn, g)[0]
+            dd, dr = _divide(dr, dd, g)[0]
+    # fold the denominator's monomial into the numerator; both over c, the
+    # denominator's integer lead, make it monic
+    c = dr[-1]
+    if c < 0:
+        c, nr, dr = -c, [-x for x in nr], [-x for x in dr]
+    num = _canon(vn - vd, dn * c, [x * dd for x in nr])
     if len(dr) == 1:
         return num, LP_ONE
-    return num, _canon(0, norm, *_scale(dr, di, cr, ci))
+    return num, _canon(0, c, dr)
 
 
 def _cross_reduce(p, q):
@@ -415,25 +378,25 @@ def _cross_reduce(p, q):
     longer operand by the shorter; when that is exact the quotient is the
     answer and no gcd runs.  A denominator reduced to 1 is ``LP_ONE``.
     """
-    vp, dp, pr, pi = p
+    vp, dp, pr = p
     if q is LP_ONE or len(pr) == 1:
         return p, q
-    _, dq, qr, qi = q       # q is monic, so its integer lead is dq
+    _, dq, qr = q       # q is monic, so its integer lead is dq
     if len(pr) >= len(qr):
-        quo, rem = _divide(pr, pi, dp, (qr, qi))
-        if not rem[0]:      # q | p
+        quo, rem = _divide(pr, dp, qr)
+        if not rem:     # q | p
             return _canon(vp, *quo), LP_ONE
-        g = _poly_gcd((qr, qi), _primitive(*rem))
+        g = _poly_gcd(qr, _primitive(rem))
     else:
-        pp = _primitive(pr, pi)
-        quo, rem = _divide(qr, qi, dq, pp)
-        if not rem[0]:      # p | q: the gcd is p/lead(p)
-            return _canon(vp, dp, pr[-1:], pi[-1:]), _canon(0, *quo)
-        g = _poly_gcd(pp, _primitive(*rem))
-    if len(g[0]) == 1:
+        pp = _primitive(pr)
+        quo, rem = _divide(qr, dq, pp)
+        if not rem:     # p | q: the gcd is p/lead(p)
+            return _canon(vp, dp, pr[-1:]), _canon(0, *quo)
+        g = _poly_gcd(pp, _primitive(rem))
+    if len(g) == 1:
         return p, q
     # g is a proper divisor of q here, so q/g is not a constant
-    return _canon(vp, *_divide(pr, pi, dp, g)[0]), _canon(0, *_divide(qr, qi, dq, g)[0])
+    return _canon(vp, *_divide(pr, dp, g)[0]), _canon(0, *_divide(qr, dq, g)[0])
 
 
 RF_ZERO = RatFunc.const(0)
@@ -445,30 +408,36 @@ RF_TWO = RatFunc.const(2)
 # The field tower element
 # ---------------------------------------------------------------------------
 
+_UNITS = ("1", "t", "i", "i*t")     # the unit i^(p>>1)*t^(p&1) of each grade p
+
+
 class MixedParityError(ArithmeticError):
-    """A sum or difference of a t-free and a t-odd nonzero value, which no Scalar holds."""
+    """A sum or difference of two nonzero values of different grades, which no Scalar holds."""
 
     def __init__(self, a, op, b):
-        super().__init__(f"({a}) {op} ({b}) mixes t-parities {a.p} and {b.p}")
+        super().__init__(f"({a}) {op} ({b}) mixes grades {_UNITS[a.p]} and {_UNITS[b.p]}")
 
 
 class Scalar:
-    """Element f*t^p of Q(i)(s)[t] with t^2 = 2: a RatFunc f and a t-parity p.
+    """Element f*i^(p>>1)*t^(p&1) of Q(i)(s)[t] with t^2 = 2: a real RatFunc
+    f and a grade p in 0..3.
 
-    In the level-1 realization t enters only through the field couplings, so
-    every value is free of t (p = 0) or a multiple of t (p = 1); zero has
-    p = 0, and a sum or difference of two nonzero values of different parity
-    raises MixedParityError.  The identities cost no RatFunc work: a sum or
-    difference with a zero operand returns (or negates) the other operand,
-    and a product with a zero operand is ``S_ZERO``.  A product adds the
-    parities: it costs one RatFunc product, and (f t)(g t) = 2 f g costs two.
+    In the level-1 realization i enters only through the correspondence sign
+    and the couplings i*t, so every value is real or purely imaginary, and
+    free of t or a multiple of it; zero has p = 0, and a sum or difference of
+    two nonzero values of different grades raises MixedParityError.  The
+    identities cost no RatFunc work: a sum or difference with a zero operand
+    returns (or negates) the other operand, and a product with a zero
+    operand is ``S_ZERO``.  A product XORs the grades: it costs one RatFunc
+    product, then a negation when both factors are i-odd (i*i = -1) and a
+    second product when both are t-odd (t*t = 2).
     """
 
     __slots__ = ("f", "p")
 
     def __init__(self, f=RF_ZERO, p=0):
-        if p not in (0, 1):
-            raise ValueError(f"t-parity must be 0 or 1, got {p!r}")
+        if p not in (0, 1, 2, 3):
+            raise ValueError(f"grade must be in 0..3, got {p!r}")
         _set_f(self, f)
         _set_p(self, p if f.num else 0)
 
@@ -483,7 +452,7 @@ class Scalar:
 
     @classmethod
     def i(cls):
-        return cls(_ratfunc((0, 1, (0,), (1,)), LP_ONE))
+        return cls(RF_ONE, 2)
 
     @classmethod
     def t(cls):
@@ -492,7 +461,7 @@ class Scalar:
     @classmethod
     def s_power(cls, k):
         """The monomial s^k."""
-        return cls(_ratfunc((k, 1, (1,), (0,)), LP_ONE))
+        return cls(_ratfunc((k, 1, (1,)), LP_ONE))
 
     @classmethod
     def q_power(cls, k):
@@ -506,7 +475,7 @@ class Scalar:
 
     def is_rational_sector(self):
         """True when the value is free of t."""
-        return not self.p
+        return not self.p & 1
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -546,19 +515,24 @@ class Scalar:
         f, g = self.f, other.f
         if not f.num or not g.num:
             return S_ZERO
-        if self.p and other.p:
-            return _scalar(RF_TWO * (f * g), 0)
-        return _scalar(f * g, self.p + other.p)
+        h, both = f * g, self.p & other.p
+        if both & 1:        # t*t = 2
+            h = RF_TWO * h
+        if both & 2:        # i*i = -1
+            h = -h
+        return _scalar(h, self.p ^ other.p)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        f = self.f
+        """1/(f*i^a*t^b) = i^a*t^b/((-1)^a*2^b*f), built canonical."""
+        f, p = self.f, self.p
         if not f.num:
             raise ZeroDivisionError("inverse of zero Scalar")
-        if self.p:      # 1/(f t) = t/(2 f)
-            return _scalar(RatFunc(f.den, _lp_add(f.num, f.num), _coprime=True), 1)
-        return _scalar(RatFunc(f.den, f.num, _coprime=True), 0)
+        num = _lp_add(f.num, f.num) if p & 1 else f.num
+        if p & 2:
+            num = _lp_neg(num)
+        return _scalar(RatFunc(f.den, num, _coprime=True), p)
 
     def __truediv__(self, other):
         return self * _as_scalar(other).inverse()
@@ -595,18 +569,18 @@ class Scalar:
             return None
         if not f.num:
             return 0
-        v, d, re, im = f.num
-        return re[0] if not v and d == 1 and len(re) == 1 and not im[0] else None
+        v, d, re = f.num
+        return re[0] if not v and d == 1 and len(re) == 1 else None
 
     def __str__(self):
-        fs = str(self.f)
-        if not self.p:
+        fs = _ratfunc_str(self.f, self.p & 2)
+        if not self.p & 1:
             return fs
         if fs == "1":
             return "t"
         if fs == "-1":
             return "-t"
-        if (" " in fs or "/" in fs) and not _one_group(fs):
+        if " " in fs or "/" in fs:
             fs = f"({fs})"
         return f"{fs}*t"
 
@@ -619,7 +593,7 @@ _set_p = Scalar.p.__set__
 
 
 def _scalar(f, p):
-    """The Scalar f*t^p (zero has p = 0), built without going through __init__."""
+    """The Scalar f of grade p (zero has p = 0), built without going through __init__."""
     x = _new(Scalar)
     _set_f(x, f)
     _set_p(x, p if f.num else 0)
@@ -638,9 +612,6 @@ S_ZERO = Scalar()
 S_ONE = Scalar.from_rat(1)
 S_I = Scalar.i()
 S_T = Scalar.t()
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=512)     # a q-sl2 run at window 48 asks for 198 distinct n
@@ -684,7 +655,7 @@ def q_minus_qinv() -> Scalar:
 # ---------------------------------------------------------------------------
 
 def eval_q1(x: Scalar) -> Scalar:
-    """Substitute s = 1, keeping t formal: the constant Scalar f(1)*t^p.
+    """Substitute s = 1, keeping i and t formal: the constant Scalar f(1) of x's grade.
 
     Raises PoleAtQ1Error when the normalized denominator vanishes at s = 1.
     """
@@ -779,26 +750,27 @@ class HSeries:
 
 
 def _terms(p: tuple) -> list:
-    """The nonzero terms (j, re_j, im_j) of p, j the exponent of s."""
-    v, _, re, im = p
-    return [(j, x, y) for j, (x, y) in enumerate(zip(re, im), start=v) if x or y]
+    """The nonzero terms (j, c_j) of p, j the exponent of s."""
+    v, _, re = p
+    return [(j, x) for j, x in enumerate(re, start=v) if x]
 
 
-def _moment(terms: list, k: int) -> tuple:
-    """The Gaussian integer sum_j (re_j + i*im_j) j^k, as (real, imaginary)."""
-    return sum(x * j ** k for j, x, _ in terms), sum(y * j ** k for j, _, y in terms)
+def _moment(terms: list, k: int) -> int:
+    """The integer sum_j c_j j^k."""
+    return sum(x * j ** k for j, x in terms)
 
 
 def _lp_to_hseries(p: tuple, prec: int) -> HSeries:
     """Substitute s = exp(i h / 2) exactly: the h^m coefficient of p is
-    (i/2)^m/m! * sum_j (re_j + i*im_j) j^m / d, over the exponents j."""
+    (i/2)^m/m! * sum_j c_j j^m / d, over the exponents j.  Its factor i^m is
+    the grade 2*(m & 1) and the sign (-1)^(m//2)."""
     d, terms = p[1], _terms(p)
     out = {}
     for m in range(prec):
-        a, b = _moment(terms, m)
-        for _ in range(m % 4):      # times i^m
-            a, b = -b, a
-        out[m] = _scalar(_ratfunc(_canon(0, d * 2 ** m * factorial(m), [a], [b]), LP_ONE), 0)
+        a = _moment(terms, m)
+        if m & 2:
+            a = -a
+        out[m] = _scalar(_ratfunc(_canon(0, d * 2 ** m * factorial(m), [a]), LP_ONE), 2 * (m & 1))
     return HSeries(out, prec)
 
 
@@ -811,7 +783,7 @@ def _order_at_one(p: tuple) -> int:
     """
     terms = _terms(p)
     for k in range(len(terms)):
-        if any(_moment(terms, k)):
+        if _moment(terms, k):
             return k
     raise ArithmeticError(f"no nonzero moment below {len(terms)} for {_lp_str(p)}")
 
@@ -819,9 +791,10 @@ def _order_at_one(p: tuple) -> int:
 def taylor_q1(x: Scalar, order: int) -> HSeries:
     """Exact Laurent expansion in h of x under q = exp(i h), through h^order.
 
-    x = f*t^p expands as f does, each coefficient times t^p.  f = num/den is
-    expanded once: a denominator of order v in h loses 2v orders of
-    precision in the division, so the series are taken to order + 1 + 2v.
+    x = f times the unit of its grade expands as f does, each coefficient
+    times that unit.  f = num/den is expanded once: a denominator of order v
+    in h loses 2v orders of precision in the division, so the series are
+    taken to order + 1 + 2v.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -833,4 +806,6 @@ def taylor_q1(x: Scalar, order: int) -> HSeries:
     if series.prec < target:
         raise ArithmeticError(f"taylor_q1 reached O(h^{series.prec}), "
                               f"short of O(h^{target})")
-    return HSeries({k: _scalar(c.f, x.p) for k, c in series.c.items()}, target)
+    # each coefficient has grade 0 or 2 (no t), so times x's unit only i*i = -1 can arise
+    return HSeries({k: _scalar(-c.f if c.p & x.p & 2 else c.f, c.p ^ x.p)
+                    for k, c in series.c.items()}, target)

@@ -67,7 +67,7 @@ def test_termsum_sub_subtracts_per_term_without_negating(monkeypatch):
     mono = (FieldFactor("E-", "z"), FieldFactor("E-", "w"))
     other = (FieldFactor("Psi", "z"), FieldFactor("Phi", "w"))
     d1 = Dist2.from_func(W.N, lambda n: qint(n))
-    d2 = Dist2.from_func(W.N, lambda n: Q(n) + S_I)
+    d2 = Dist2.from_func(W.N, lambda n: Q(n) + HALF)
     a = TermSum([(mono, 0, d1), (other, 1, d2)])
     b = TermSum([(tuple(reversed(mono)), 0, d2), (other, 1, d2), (other, 0, d1)])
     want = a + (-b)

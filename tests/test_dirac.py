@@ -358,18 +358,29 @@ def test_constraints_check_fails_off_the_surface(closed):
     assert status["dirac-matrix-11"] == PASS
 
 
-def _unit_of_parity(values):
-    """S_ONE, or S_T when the first of the values is a multiple of t: a unit
-    that can be added to values of one t-parity."""
-    return S_ONE if next(iter(values)).is_rational_sector() else S_T
+# the unit i^(p>>1)*t^(p&1) of each grade p
+UNITS = (S_ONE, S_T, S_I, S_I * S_T)
+
+
+def _grade(values):
+    """The grade of the first of the values, which all share it."""
+    return next(iter(values)).p
 
 
 def _perturbed(dm, i, j, n):
-    """dm with entry (i, j) shifted by a unit of its own t-parity at mode n."""
+    """dm with entry (i, j) shifted at mode n by a unit of the entry's grade.
+
+    A zero entry takes the grade its row and column give it, the XOR of the
+    other three entries' grades, so the perturbed matrix still multiplies.
+    """
     e = [[dm.entry(a, b) for b in (0, 1)] for a in (0, 1)]
     D = e[i][j]
-    v = D.coeff(n)
-    e[i][j] = Dist2(D.N, {**D.c, n: v + _unit_of_parity([v])})
+    if D.c:
+        p = _grade(D.c.values())
+    else:
+        p = (_grade(e[i][1 - j].c.values()) ^ _grade(e[1 - i][1 - j].c.values())
+             ^ _grade(e[1 - i][j].c.values()))
+    e[i][j] = Dist2(D.N, {**D.c, n: D.coeff(n) + UNITS[p]})
     return DiracMatrix(e[0][0], e[0][1], e[1][0], e[1][1])
 
 
@@ -400,8 +411,9 @@ def test_pairing_identity_reads_the_shared_inverse(closed):
 @pytest.mark.parametrize("key,tag", (("q-sl2", "[qdirb]"), ("q-sl2", "[qvir]"),
                                      ("classical-sl2", "")))
 def test_antisymmetry_check_fails_on_symmetric_part(key, tag, closed):
+    # every reduced value is imaginary, so the symmetric part is i at every mode
     chain = Reduction(scenario(key), W)
-    chain.reduced = chain.reduced + TermSum.single((), Dist2.delta(W.N))
+    chain.reduced = chain.reduced + TermSum.single((), Dist2.from_func(W.N, lambda n: S_I))
     status = {r.id: r.status for r in reduce_suite(chain, closed)}
     assert status[f"reduce-antisymmetry{tag}"] == FAIL
 
@@ -491,7 +503,7 @@ _Q_TABLE_RECORDS = {
 
 @pytest.mark.parametrize("pair", sorted(_Q_TABLE_RECORDS))
 def test_table_degeneration_negative_controls(pair):
-    # one unit of the rule's t-parity at mode 0 added to one q-table rule
+    # one unit of the rule's grade at mode 0 added to one q-table rule
     # fails its record alone
     sc = scenario("q-sl2")
     table = dict(sc.table)
@@ -499,7 +511,7 @@ def test_table_degeneration_negative_controls(pair):
 
     def perturbed(W_):
         T = rule(W_)
-        unit = _unit_of_parity(v for d in T.terms.values() for v in d.c.values())
+        unit = UNITS[_grade(v for d in T.terms.values() for v in d.c.values())]
         return T + TermSum.single((), Dist2.unit0(W_.N, unit))
 
     table[pair] = perturbed

@@ -43,19 +43,16 @@ _x = sympy.symbols("x")
 
 def scalar_to_sympy(v: Scalar):
     assert v.is_rational_sector(), "oracle only handles the rational sector"
-    f = v.f
+    f, unit = v.f, sympy.I ** (v.p >> 1)
 
     def lp(p):
-        # the engine's polynomial s^v (re + i*im)/d, or () for zero
+        # the engine's polynomial s^v re/d, or () for zero
         if not p:
             return sympy.Integer(0)
-        v, d, re, im = p
-        return sum(
-            (sympy.Rational(x, d) + sympy.I * sympy.Rational(y, d)) * _s**k
-            for k, (x, y) in enumerate(zip(re, im), start=v)
-        )
+        v, d, re = p
+        return sum(sympy.Rational(x, d) * _s**k for k, x in enumerate(re, start=v))
 
-    return sympy.cancel(lp(f.num) / lp(f.den))
+    return sympy.cancel(unit * lp(f.num) / lp(f.den))
 
 
 def kernel_to_sympy(K: RatKernel):
@@ -232,7 +229,7 @@ def test_region_difference_odd_for_qint_generator():
 # ---------------------------------------------------------------------------
 
 def test_pair_delta_identity():
-    D = Dist2.from_func(W.N, lambda n: qint(n) + S_I)
+    D = Dist2.from_func(W.N, lambda n: (qint(n) + S_ONE) * S_I)
     assert pair(Dist2.delta(W.N), D) == D
 
 
@@ -268,9 +265,16 @@ def test_window_mismatch_fails_loudly(op):
         op(Dist2.delta(1), Dist2.delta(5))
 
 
-# a sparse window of small mode values, zeros and shared modes drawn often
-mode_values = st.sampled_from((S_ZERO, S_ONE, -S_ONE, S_I, qint(2), qpow(1) - S_I,
-                               Scalar.from_rat(Fraction(1, 3))))
+# small real mode values, and the same times the unit i^(p>>1)*t^(p&1) of
+# each grade p, so products reach every Scalar shortcut and grade; a sum adds
+# values of one grade, as every sum in the chain does
+REAL_MODE_VALUES = (S_ZERO, S_ONE, -S_ONE, qint(2), qpow(1) - S_ONE,
+                    Scalar.from_rat(Fraction(1, 3)))
+mode_values_of_grade = tuple(st.sampled_from([v * unit for v in REAL_MODE_VALUES])
+                             for unit in (S_ONE, S_T, S_I, S_I * S_T))
+tower_mode_values = st.one_of(mode_values_of_grade)
+# a sparse window of one grade, zeros and shared modes drawn often
+mode_values = mode_values_of_grade[0]
 
 
 @st.composite
@@ -299,14 +303,6 @@ def test_sub_subtracts_per_mode_without_negating(ab):
     assert (a - a).is_zero() and b - Dist2.zero(b.N) == b
 
 
-# the t-free values and their multiples by t, so products reach every Scalar
-# shortcut; a sum adds values of one t-parity, as every sum in the chain does
-t_odd_mode_values = st.sampled_from((S_ZERO, S_T, -S_T, qint(2) * S_T, (qpow(1) - S_I) * S_T,
-                                     Scalar.from_rat(Fraction(1, 3)) * S_T))
-mode_values_of_parity = (mode_values, t_odd_mode_values)
-tower_mode_values = st.one_of(mode_values_of_parity)
-
-
 def assert_trusted(D, N):
     # what Dist2's public constructor would keep: modes |n| <= N, no zeros
     assert D.N == N
@@ -314,7 +310,7 @@ def assert_trusted(D, N):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(mode_values_of_parity).flatmap(dist_pairs), tower_mode_values,
+@given(st.sampled_from(mode_values_of_grade).flatmap(dist_pairs), tower_mode_values,
        st.integers(-2, 2))
 def test_trusted_results_keep_the_window_and_no_zeros(ab, a, k):
     # the results built without the constructor's filtering pass
@@ -326,14 +322,14 @@ def test_trusted_results_keep_the_window_and_no_zeros(ab, a, k):
 
 @st.composite
 def invertible_matrices(draw):
-    # entry (i, j) at mode n has t-parity r_i + c_j, so both products of
-    # the determinant have one parity, as in the Dirac matrix
+    # entry (i, j) at mode n has grade r_i ^ c_j, so both products of the
+    # determinant have one grade, as in the Dirac matrix
     N = draw(st.integers(1, 4))
     entries = [{}, {}, {}, {}]
     for n in range(-N, N + 1):
-        r0, r1, c0, c1 = draw(st.tuples(*[st.integers(0, 1)] * 4))
-        m = draw(st.tuples(*[mode_values_of_parity[p % 2]
-                             for p in (r0 + c0, r0 + c1, r1 + c0, r1 + c1)]).filter(
+        r0, r1, c0, c1 = draw(st.tuples(*[st.integers(0, 3)] * 4))
+        m = draw(st.tuples(*[mode_values_of_grade[p]
+                             for p in (r0 ^ c0, r0 ^ c1, r1 ^ c0, r1 ^ c1)]).filter(
             lambda m: not (m[0] * m[3] - m[1] * m[2]).is_zero()))
         for e, v in zip(entries, m):
             e[n] = v
@@ -382,7 +378,7 @@ def test_weight_on_delta():
 
 
 def test_weight_inverse_pair():
-    D = Dist2.from_func(W.N, lambda n: qint(n) + S_I)
+    D = Dist2.from_func(W.N, lambda n: (qint(n) + S_ONE) * S_I)
     assert weight_abs(weight_abs(D, 2), -2) == D
 
 
@@ -539,10 +535,11 @@ def assert_matches_reference(K, A):
 NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 # a small pool, so that two kernels often share roots: monomials s^e,
-# Gaussian monomials i s^e and roots that are not monomials
+# negated monomials -s^e and roots that are not monomials, all real, so that
+# each coefficient of a product of factors (1 - r z) has one grade
 _ROOTS = [Scalar.s_power(e) for e in (-3, -2, 1, 2)] + \
-    [S_I * Scalar.s_power(e) for e in (-1, 2)] + \
-    [S_ONE + Scalar.s_power(2), Scalar.from_rat(Fraction(1, 2)) - S_I * Scalar.s_power(-1)]
+    [-Scalar.s_power(e) for e in (-1, 2)] + \
+    [S_ONE + Scalar.s_power(2), Scalar.from_rat(Fraction(1, 2)) - Scalar.s_power(-1)]
 _CONSTS = [S_ONE, -S_ONE, Scalar.from_rat(Fraction(2, 3)), S_I * Q(1), Q(-2) + S_ONE]
 
 consts = st.sampled_from(_CONSTS)

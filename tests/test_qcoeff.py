@@ -1,5 +1,6 @@
 """Field-tower arithmetic: q-integers, canonical forms, degeneration maps."""
 
+import operator
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -31,44 +32,82 @@ def spow(k):
     return Scalar.s_power(k)
 
 
+# the unit i^(p>>1)*t^(p&1) of each grade p
+UNITS = (S_ONE, S_T, S_I, S_I * S_T)
 ZERO = (Fraction(0), Fraction(0))
+REF_ONE = {0: (Fraction(1), Fraction(0))}
+
+
+def lp(coeffs):
+    """The polynomial of {exponent: int or Fraction}, zeros dropped, built
+    over the lcm of the denominators (which leaves no common content) and not
+    through the engine."""
+    cs = {k: Fraction(x) for k, x in coeffs.items() if x}
+    if not cs:
+        return qcoeff.LP_ZERO
+    v, d = min(cs), lcm(*(x.denominator for x in cs.values()))
+    return v, d, tuple(int(cs.get(k, 0) * d) for k in range(v, max(cs) + 1))
 
 
 def as_dict(p):
-    """The engine's polynomial s^v (re + i*im)/d as {exponent: nonzero (re, im) Fraction pair}."""
+    """The engine's polynomial s^v re/d as {exponent: nonzero Fraction}."""
     if not p:
         return {}
-    v, d, re, im = p
-    return {v + j: (Fraction(x, d), Fraction(y, d))
-            for j, (x, y) in enumerate(zip(re, im)) if x or y}
+    v, d, re = p
+    return {v + j: Fraction(x, d) for j, x in enumerate(re) if x}
 
 
-def gauss_lp(coeffs):
-    """The polynomial of {exponent: (re, im) pair of ints or Fractions}, zeros
-    dropped, built from the parts over the lcm of their denominators (which
-    leaves no common content) and not through the engine."""
-    cs = {k: (Fraction(a), Fraction(b)) for k, (a, b) in coeffs.items() if (a, b) != (0, 0)}
-    if not cs:
-        return qcoeff.LP_ZERO
-    v = min(cs)
-    d = lcm(*(x.denominator for c in cs.values() for x in c))
-    terms = [cs.get(k, ZERO) for k in range(v, max(cs) + 1)]
-    return v, d, tuple(int(a * d) for a, _ in terms), tuple(int(b * d) for _, b in terms)
+# ---------------------------------------------------------------------------
+# the Gaussian reference: values as Fraction pairs (re, im)
+# ---------------------------------------------------------------------------
+# The reference knows nothing of grades: it runs Gaussian arithmetic on
+# pairs.  The engine's t-free values are real or imaginary, so they meet the
+# reference through these conversions.
+
+def to_pairs(p, imag):
+    """A dict {exponent: Fraction} as Fraction pairs, times i when imag."""
+    return {k: (Fraction(0), x) if imag else (x, Fraction(0)) for k, x in p.items()}
+
+
+def graded_dict(p):
+    """A dict of Fraction pairs, all real or all imaginary, as its dict of
+    Fractions and its grade, 0 or 2."""
+    imag = any(b for _, b in p.values())
+    assert not (imag and any(a for a, _ in p.values())), f"{p} is neither real nor imaginary"
+    return {k: pair[imag] for k, pair in p.items()}, 2 * imag
+
+
+def ref_of(x):
+    """A t-free Scalar as its (num, den) dicts of Fraction pairs."""
+    assert not x.p & 1
+    return to_pairs(as_dict(x.f.num), x.p), to_pairs(as_dict(x.f.den), False)
+
+
+def from_ref(num, den=REF_ONE):
+    """The Scalar num/den of canonical pair dicts (num real or imaginary, den
+    real and monic of lowest exponent 0), built without the engine's
+    normalization."""
+    num, p = graded_dict(num)
+    den, dp = graded_dict(den)
+    assert dp == 0
+    return Scalar(qcoeff._ratfunc(lp(num), qcoeff.LP_ONE if den == {0: 1} else lp(den)), p)
 
 
 def const(x):
-    """The constant Scalar re + im*i of a pair x = (re, im)."""
-    return Scalar(RatFunc(gauss_lp({0: x})))
+    """The constant Scalar re + im*i of a pair x = (re, im) with a zero part."""
+    return from_ref({0: x} if x != ZERO else {})
 
 
-def pair_of(f):
-    """A constant RatFunc as its (re, im) Fraction pair."""
-    assert f.den is qcoeff.LP_ONE
-    if not f.num:
-        return ZERO
-    v, d, re, im = f.num
-    assert v == 0 and len(re) == 1
-    return Fraction(re[0], d), Fraction(im[0], d)
+def pair_of(x):
+    """A constant Scalar, times 1/t when it is t-odd, as its (re, im) Fraction pair."""
+    num, den = ref_of(Scalar(x.f, x.p & 2))
+    assert den == REF_ONE and set(num) <= {0}
+    return num.get(0, ZERO)
+
+
+def is_mixed(p, q):
+    """Whether two nonzero Scalars differ in grade, so that they have no sum."""
+    return not p.is_zero() and not q.is_zero() and p.p != q.p
 
 
 # the same examples, without hypothesis shrinking: the draws of the
@@ -77,7 +116,7 @@ NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
 # ---------------------------------------------------------------------------
-# constants in Q(i): degree-0 integer tuples against a reference on Fraction pairs
+# constants in Q(i): real or imaginary constants against Fraction pairs
 # ---------------------------------------------------------------------------
 
 # integers too, so the d = 1 fast paths are drawn often
@@ -85,21 +124,28 @@ fractions = st.one_of(
     st.integers(-40, 40).map(Fraction),
     st.fractions(min_value=-40, max_value=40, max_denominator=60),
 )
-pairs = st.tuples(fractions, fractions)
-nonzero_pairs = pairs.filter(lambda p: p != (0, 0))
+# a real or an imaginary constant, each half the time
+pairs = st.tuples(fractions, st.booleans()).map(lambda xi: to_pairs({0: xi[0]}, xi[1])[0])
+nonzero_pairs = pairs.filter(lambda p: p != ZERO)
 
 
 def assert_matches(g, ref):
-    """g is a canonical constant of Q(i) and equals the Fraction pair ref, also in its hash."""
-    assert g.p == 0
+    """g is a canonical real or imaginary constant and equals the Fraction
+    pair ref, also in its hash and in print."""
+    assert g.p in (0, 2)
     assert_canonical_ratfunc(g.f)
-    assert pair_of(g.f) == ref
+    assert pair_of(g) == ref
     want = const(ref)
     assert g == want and hash(g) == hash(want)
+    assert str(g) == ref_gaussian_str(*ref)
 
 
 def ref_add(x, y):
     return (x[0] + y[0], x[1] + y[1])
+
+
+def ref_neg(x):
+    return (-x[0], -x[1])
 
 
 def ref_mul(x, y):
@@ -114,14 +160,21 @@ def ref_inverse(x):
 @settings(max_examples=200, deadline=None)
 @given(pairs, pairs)
 def test_gaussian_ring_ops_match_reference(x, y):
+    # products of any two constants; sums and differences of one grade, while
+    # a nonzero real and a nonzero imaginary constant have no sum and raise
     gx, gy = const(x), const(y)
     assert_matches(gx, x)
-    assert_matches(gx + gy, (x[0] + y[0], x[1] + y[1]))
-    assert_matches(gx - gy, (x[0] - y[0], x[1] - y[1]))
     assert_matches(gx * gy, ref_mul(x, y))
-    assert_matches(-gx, (-x[0], -x[1]))
+    assert_matches(-gx, ref_neg(x))
+    if is_mixed(gx, gy):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(qcoeff.MixedParityError):
+                op(gx, gy)
+    else:
+        assert_matches(gx + gy, ref_add(x, y))
+        assert_matches(gx - gy, ref_add(x, ref_neg(y)))
     assert (gx == gy) == (x == y)
-    assert gx.is_zero() == (x == (0, 0))
+    assert gx.is_zero() == (x == ZERO)
 
 
 @settings(max_examples=200, deadline=None)
@@ -136,27 +189,32 @@ def test_gaussian_division_matches_reference(x, y):
 @given(pairs, fractions, st.integers(-50, 50))
 def test_gaussian_mixed_with_int_and_fraction(x, f, n):
     gx = const(x)
-    assert_matches(gx + n, (x[0] + n, x[1]))
-    assert_matches(n - gx, (n - x[0], -x[1]))
+    if is_mixed(gx, Scalar.from_rat(n)):
+        for bad in (lambda: gx + n, lambda: n - gx):
+            with pytest.raises(qcoeff.MixedParityError):
+                bad()
+    else:
+        assert_matches(gx + n, (x[0] + n, x[1]))
+        assert_matches(n - gx, (n - x[0], -x[1]))
     assert_matches(n * gx, (n * x[0], n * x[1]))
     assert_matches(gx * f, (x[0] * f, x[1] * f))
     if f:
         assert_matches(gx / f, (x[0] / f, x[1] / f))
-    if x != (0, 0):
+    if x != ZERO:
         assert_matches(f / gx, ref_mul((f, Fraction(0)), ref_inverse(x)))
     assert (Scalar.from_rat(f) == f) and (Scalar.from_rat(n) == n)
 
 
 @settings(max_examples=100, deadline=None)
-@given(pairs, pairs, pairs)
+@given(fractions, fractions, fractions)
 def test_polynomial_product_accumulates_exactly(w, x, y):
     # the s^0 coefficient of (w + x s)(1 + y/s) is w + x*y, summed in place
-    p = qcoeff._lp_mul(gauss_lp({0: w, 1: x}), gauss_lp({0: (1, 0), -1: y}))
-    assert as_dict(p).get(0, ZERO) == ref_add(w, ref_mul(x, y))
+    p = qcoeff._lp_mul(lp({0: w, 1: x}), lp({0: 1, -1: y}))
+    assert as_dict(p).get(0, 0) == w + x * y
 
 
 def test_gaussian_zero_and_inverse_of_zero():
-    zero = const((3, 4)) - const((3, 4))
+    zero = const((0, 4)) - const((0, 4))
     assert (zero.f, zero.p) == (qcoeff.RF_ZERO, 0) and zero.f.num == qcoeff.LP_ZERO
     assert (const((Fraction(-5, 7), 0)) * 0).f.num == qcoeff.LP_ZERO
     with pytest.raises(ZeroDivisionError):
@@ -166,19 +224,19 @@ def test_gaussian_zero_and_inverse_of_zero():
 
 
 def test_gaussian_from_fractions():
-    g = Scalar.from_rat(Fraction(-3, 4)) + S_I * Scalar.from_rat(Fraction(5, 6))
-    assert g.f.num == (0, 12, (-9,), (10,)) and g.f.den is qcoeff.LP_ONE
-    assert pair_of(g.f) == (Fraction(-3, 4), Fraction(5, 6))
-    # a constant prints as a polynomial's s^0 coefficient, bracketed when it has two parts
-    assert qcoeff._gaussian_str(-9, 10, 12) == "-3/4+5/6*i" and str(g) == "(-3/4+5/6*i)"
+    g = Scalar.from_rat(Fraction(5, 6)) * S_I
+    assert g.f.num == (0, 6, (5,)) and g.f.den is qcoeff.LP_ONE and g.p == 2
+    assert pair_of(g) == (0, Fraction(5, 6))
+    # a constant prints as a polynomial's s^0 coefficient
+    assert str(g) == "5/6*i" and str(-g) == "-5/6*i" and str(-S_I) == "-i"
     assert str(Scalar.from_rat(Fraction(-3, 4))) == "-3/4" and str(S_I * 5) == "5*i"
     with pytest.raises(AttributeError):
         g.f = qcoeff.RF_ONE
     with pytest.raises(AttributeError):
         g.p = 1
     # unreduced input lands on the same canonical tuple
-    half = RatFunc((0, 4, (2,), (0,)))
-    assert half == RatFunc.const(Fraction(1, 2)) and half.num == (0, 2, (1,), (0,))
+    half = RatFunc((0, 4, (2,)))
+    assert half == RatFunc.const(Fraction(1, 2)) and half.num == (0, 2, (1,))
     assert hash(half) == hash(RatFunc.const(Fraction(1, 2)))
 
 
@@ -193,21 +251,27 @@ def ref_gaussian_str(re, im):
 
 
 def test_gaussian_str_matches_the_fraction_reference():
-    # every (a + b*i)/d on the grid, where the two parts reduce by different
-    # gcds, one of them or both vanish, or |im| is 1
-    for a, b, d in product(range(-7, 8), range(-7, 8), range(1, 7)):
-        assert qcoeff._gaussian_str(a, b, d) == ref_gaussian_str(Fraction(a, d), Fraction(b, d))
+    # every real a/d and imaginary a*i/d on the grid, where the part reduces
+    # or not and |a/d| is 1 or not: the coefficient printer and the printed
+    # constant print as the Gaussian printer prints (a/d, 0) and (0, a/d)
+    for a, d in product(range(-7, 8), range(1, 7)):
+        x = Fraction(a, d)
+        assert qcoeff._coef_str(a, d, False) == ref_gaussian_str(x, 0)
+        assert str(const((x, 0))) == ref_gaussian_str(x, 0)
+        if a:
+            assert qcoeff._coef_str(a, d, True) == ref_gaussian_str(0, x)
+            assert str(const((0, x))) == ref_gaussian_str(0, x)
 
 
 def test_laurent_takes_ints_and_fractions():
     # the real input path: one denominator for every coefficient, zeros dropped
     p = laurent({3: Fraction(1, 2), -1: 2, 0: 0, 1: Fraction(-2, 3)})
-    assert p == (-1, 6, (12, 0, -4, 0, 3), (0, 0, 0, 0, 0))
-    assert p == gauss_lp({3: (Fraction(1, 2), 0), -1: (2, 0), 1: (Fraction(-2, 3), 0)})
+    assert p == (-1, 6, (12, 0, -4, 0, 3))
+    assert p == lp({3: Fraction(1, 2), -1: 2, 1: Fraction(-2, 3)})
     assert laurent({}) == laurent({2: 0}) == qcoeff.LP_ZERO
-    assert RatFunc.const(Fraction(-4, 6)).num == (0, 3, (-2,), (0,))
-    assert RatFunc.const(0).num == qcoeff.LP_ZERO and Scalar.s_power(-3).f.num == (-3, 1, (1,), (0,))
-    assert Scalar.i() == S_I == const((0, 1)) and S_I.f.num == (0, 1, (0,), (1,))
+    assert RatFunc.const(Fraction(-4, 6)).num == (0, 3, (-2,))
+    assert RatFunc.const(0).num == qcoeff.LP_ZERO and Scalar.s_power(-3).f.num == (-3, 1, (1,))
+    assert Scalar.i() == S_I == const((0, 1)) and (S_I.f, S_I.p) == (qcoeff.RF_ONE, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +292,17 @@ def test_gaussian_rationals_hold_only_ints():
     den = qcoeff._lp_mul(common, laurent({1: 1, 0: -3}))
     f = RatFunc(num, den)
     assert f == RatFunc(laurent({1: Fraction(1, 3), 0: 2}), laurent({1: 1, 0: -3}))
-    # every polynomial is a tuple (v, d, re, im) of ints and tuples of ints
+    # every polynomial is a tuple (v, d, re) of ints and a tuple of ints,
     # and so is every constant of the degeneration maps
-    at_one = eval_q1((Scalar.from_rat(Fraction(1, 3)) + S_I) * S_T)
+    at_one = eval_q1((Scalar.from_rat(Fraction(1, 3)) + S_ONE) * S_I * S_T)
     h = taylor_q1(S_ONE / q_minus_qinv(), 2).coeff(-1)
     seen = [p for y in (x, f, at_one, h) for p in polys_in(y)]
     assert any(p[1] != 1 for p in seen)
     for p in seen:
-        assert type(p) is tuple and len(p) == 4
-        v, d, re, im = p
-        assert type(re) is tuple and type(im) is tuple
-        assert all(type(n) is int for n in (v, d, *re, *im))
+        assert type(p) is tuple and len(p) == 3
+        v, d, re = p
+        assert type(re) is tuple
+        assert all(type(n) is int for n in (v, d, *re))
 
 
 # ---------------------------------------------------------------------------
@@ -308,60 +372,110 @@ def test_surd_relations():
 
 
 def test_scalar_is_a_ratfunc_and_a_t_parity():
-    # f*t^p with p in {0, 1}; zero has p = 0, however it is built
+    # f*i^(p>>1)*t^(p&1) with p in 0..3; zero has p = 0, however it is built
     assert Scalar.__slots__ == ("f", "p")
-    assert (S_T.f, S_T.p) == (qcoeff.RF_ONE, 1) and (S_I.p, (S_T * S_T).p) == (0, 0)
-    for zero in (Scalar(), Scalar(qcoeff.RF_ZERO, 1), S_T - S_T, S_T * 0,
-                 eval_q1(S_T * (spow(2) - 1))):
+    for p, unit in enumerate(UNITS):
+        assert (unit.f, unit.p) == (qcoeff.RF_ONE, p) and Scalar(qcoeff.RF_ONE, p) == unit
+    assert (S_T * S_T).p == (S_I * S_I).p == 0 and (S_T * S_I).p == 3
+    for zero in (Scalar(), Scalar(qcoeff.RF_ZERO, 1), Scalar(qcoeff.RF_ZERO, 3), S_T - S_T,
+                 S_T * 0, S_I * S_T - S_T * S_I, eval_q1(S_I * S_T * (spow(2) - 1))):
         assert (zero.f, zero.p) == (qcoeff.RF_ZERO, 0) and zero == S_ZERO
-    with pytest.raises(ValueError):
-        Scalar(qcoeff.RF_ONE, 2)
+    for p in (-1, 4):
+        with pytest.raises(ValueError):
+            Scalar(qcoeff.RF_ONE, p)
+
+
+GRADE_NAMES = ("1", "t", "i", "i*t")
 
 
 def test_mixed_parity_sums_raise():
-    # a t-free and a t-odd nonzero value have no sum a Scalar can hold: + and -
-    # raise in both orders, also with an int operand, naming both operands
-    even, odd = spow(1) + S_I, S_T * spow(-1)
-    for a, b in ((even, odd), (odd, even), (odd, 3), (3, odd), (S_ONE, S_T)):
-        for op in (lambda x, y: x + y, lambda x, y: x - y):
+    # two nonzero values of different grades have no sum a Scalar can hold:
+    # + and - raise in both orders, also with an int operand, naming both
+    # operands and both grades (an int + a Scalar names the Scalar first)
+    values = [spow(1) + S_ONE, S_T * spow(-1), S_I * (spow(2) - 3), S_I * S_T * spow(1)]
+    cases = [(values[p], values[q], p, q) for p, q in product(range(4), repeat=2) if p != q]
+    cases += [c for p in (1, 2, 3) for c in ((values[p], 3, p, 0), (3, values[p], 0, p))]
+    for a, b, p, q in cases:
+        for op in (operator.add, operator.sub):
             with pytest.raises(qcoeff.MixedParityError) as err:
                 op(a, b)
-            assert str(a) in str(err.value) and str(b) in str(err.value)
-    # a zero operand of either parity is the identity, and equal parities add
-    assert odd + 0 == odd == S_ZERO + odd and 0 - odd == -odd and even - S_ZERO == even
-    assert (odd + odd) == 2 * odd and (odd - odd).is_rational_sector()
+            message = str(err.value)
+            assert str(a) in message and str(b) in message
+            names = message.rsplit(" mixes grades ", 1)[1]
+            assert names in (f"{GRADE_NAMES[p]} and {GRADE_NAMES[q]}",
+                             f"{GRADE_NAMES[q]} and {GRADE_NAMES[p]}")
+    # a zero operand of any grade is the identity, and equal grades add
+    for x in values:
+        assert x + 0 == x == S_ZERO + x and 0 - x == -x and x - S_ZERO == x
+        assert (x + x) == 2 * x and (x - x) is not x and (x - x).p == 0
 
 
 def test_i_squares_to_minus_one():
     assert S_I * S_I == -S_ONE
 
 
-gaussians = st.tuples(
-    st.fractions(min_value=-3, max_value=3, max_denominator=4),
-    st.fractions(min_value=-3, max_value=3, max_denominator=4),
-)
-nonzero_gaussians = gaussians.filter(lambda g: g != (0, 0))
+# the value x as its components on the basis (1, t), each a Gaussian pair
+# (re, im) of real RatFuncs: the reference knows i only through the product
+# of pairs and t only through t^2 = 2
+def components(x):
+    out = [[qcoeff.RF_ZERO, qcoeff.RF_ZERO], [qcoeff.RF_ZERO, qcoeff.RF_ZERO]]
+    out[x.p & 1][x.p >> 1] = x.f
+    return tuple(map(tuple, out))
+
+
+def ref_cadd(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def ref_cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def ref_tower_mul(x, y):
+    two = (qcoeff.RF_TWO, qcoeff.RF_ZERO)
+    return (ref_cadd(ref_cmul(x[0], y[0]), ref_cmul(two, ref_cmul(x[1], y[1]))),
+            ref_cadd(ref_cmul(x[0], y[1]), ref_cmul(x[1], y[0])))
+
+
+def ref_tower_inverse(x):
+    # 1/(x0 + x1 t) = (x0 - x1 t)/(x0^2 - 2 x1^2), and 1/(a + bi) = (a - bi)/(a^2 + b^2)
+    minus_x1 = (-x[1][0], -x[1][1])
+    (a, b), _ = ref_tower_mul(x, (x[0], minus_x1))
+    n = a * a + b * b
+    inv = (a / n, -b / n)
+    return ref_cmul(x[0], inv), ref_cmul(minus_x1, inv)
+
+
+def test_grade_table_matches_the_componentwise_reference():
+    # every product of two units and every unit's inverse; among them
+    # i*i = -1, t*t = 2, (it)^2 = -2 and 1/(it) = -it/2
+    for a, b in product(UNITS, repeat=2):
+        assert components(a * b) == ref_tower_mul(components(a), components(b))
+    for a in UNITS:
+        assert components(a.inverse()) == ref_tower_inverse(components(a))
+    it = S_I * S_T
+    assert (S_I * S_I, S_T * S_T, it * it) == (-1, 2, -2)
+    assert it.inverse() == it * Fraction(-1, 2) and S_T * S_I == it
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+nonzero_fractions = small_fractions.filter(bool)
 
 
 @st.composite
-def scalars(draw, parity=None):
-    # sparse Laurent content, t-free or times t (drawn when parity is None)
-    def comp():
-        n_terms = draw(st.integers(0, 2))
-        out = S_ZERO
-        for _ in range(n_terms):
-            k = draw(st.integers(-4, 4))
-            g = draw(gaussians)
-            out = out + Scalar.s_power(k) * const(g)
-        return out
-
-    if parity is None:
-        parity = draw(st.integers(0, 1))
-    return comp() * (S_T if parity else S_ONE)
+def scalars(draw, grade=None):
+    # sparse Laurent content times the unit of a grade (drawn when None)
+    out = S_ZERO
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(-4, 4))
+        out = out + spow(k) * Scalar.from_rat(draw(small_fractions))
+    if grade is None:
+        grade = draw(st.integers(0, 3))
+    return out * UNITS[grade]
 
 
-# two values that can be added: both t-free or both multiples of t
-same_parity_pairs = st.integers(0, 1).flatmap(lambda p: st.tuples(scalars(p), scalars(p)))
+# two values that can be added: both of one grade
+same_grade_pairs = st.integers(0, 3).flatmap(lambda p: st.tuples(scalars(p), scalars(p)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -371,7 +485,7 @@ def test_mul_associative(a, b, c):
 
 
 @settings(max_examples=25, deadline=None)
-@given(same_parity_pairs)
+@given(same_grade_pairs)
 def test_mul_commutative_and_distributive(ab):
     a, b = ab
     assert a * b == b * a
@@ -387,26 +501,28 @@ def test_normalization_canonicity(x):
         assert x * x.inverse() == S_ONE
 
 
-# a nonzero rational-sector value: one or two monomials at distinct exponents
+# a nonzero real value: one or two monomials at distinct exponents
 nonzero_components = st.dictionaries(
-    st.integers(-4, 4), nonzero_gaussians, min_size=1, max_size=2,
-).map(lambda terms: sum((Scalar.s_power(k) * const(g) for k, g in terms.items()), S_ZERO))
+    st.integers(-4, 4), nonzero_fractions, min_size=1, max_size=2,
+).map(lambda terms: Scalar(RatFunc(lp(terms))))
 
 
 @settings(max_examples=25, deadline=None)
 @given(nonzero_components)
 def test_inverse_is_canonical_as_built(c):
-    # 1/c and 1/(c t) = t/(2c) are built directly, canonical as built
+    # 1/(c i^a t^b) = i^a t^b/((-1)^a 2^b c) is built directly, canonical as built
+    it = S_I * S_T
     assert (c * S_T).inverse() == S_T / (2 * c)
-    for y in (c, c * S_T):
+    assert (c * S_I).inverse() == -S_I / c and (c * it).inverse() == -it / (2 * c)
+    for y in (c * unit for unit in UNITS):
         assert y * y.inverse() == S_ONE
         assert y.inverse().p == y.p
         assert_canonical_ratfunc(y.inverse().f)
 
 
 small_polys = st.dictionaries(
-    st.integers(-2, 2), nonzero_gaussians, min_size=1, max_size=2,
-).map(gauss_lp)
+    st.integers(-2, 2), nonzero_fractions, min_size=1, max_size=2,
+).map(lp)
 ratfuncs = st.builds(RatFunc, small_polys, small_polys)
 OPS = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
        "mul": lambda a, b: a * b, "div": lambda a, b: a / b}
@@ -417,19 +533,19 @@ def assert_canonical_lp(p):
     if not p:
         assert type(p) is tuple and p == qcoeff.LP_ZERO
         return
-    v, d, re, im = p
-    assert type(re) is tuple and type(im) is tuple and len(re) == len(im) >= 1
-    assert all(type(n) is int for n in (v, d, *re, *im))
-    assert d > 0 and gcd(d, *re, *im) == 1
-    assert (re[0] or im[0]) and (re[-1] or im[-1])
+    v, d, re = p
+    assert type(re) is tuple and len(re) >= 1
+    assert all(type(n) is int for n in (v, d, *re))
+    assert d > 0 and gcd(d, *re) == 1
+    assert re[0] and re[-1]
 
 
 def assert_canonical_ratfunc(r):
     # a monic denominator of lowest exponent 0, the shared LP_ONE when it is 1
     assert_canonical_lp(r.num)
     assert_canonical_lp(r.den)
-    v, d, re, im = r.den
-    assert v == 0 and re[-1] == d and im[-1] == 0
+    v, d, re = r.den
+    assert v == 0 and re[-1] == d
     assert (r.den == qcoeff.LP_ONE) == (r.den is qcoeff.LP_ONE)
     assert r.num or r.den is qcoeff.LP_ONE
 
@@ -453,53 +569,49 @@ def test_unit_denominator_is_the_shared_one(x, steps):
         assert polys(prev, y, acc) == before + after_op
         for r in results:
             assert_canonical_ratfunc(r)
-    assert qcoeff.LP_ONE == (0, 1, (1,), (0,)) and qcoeff.LP_ZERO == ()
+    assert qcoeff.LP_ONE == (0, 1, (1,)) and qcoeff.LP_ZERO == ()
 
 
-# zero, t-free and t-odd values, zero drawn about half the time, with
+# zero and values of every grade, zero drawn about half the time, with
 # rational functions that are genuine fractions
-tower_values = st.builds(Scalar, st.one_of(st.just(qcoeff.RF_ZERO), ratfuncs), st.integers(0, 1))
-
-
-def components(x):
-    """x = f*t^p as its components (c0, c1) on the basis (1, t)."""
-    return (qcoeff.RF_ZERO, x.f) if x.p else (x.f, qcoeff.RF_ZERO)
-
+tower_values = st.builds(Scalar, st.one_of(st.just(qcoeff.RF_ZERO), ratfuncs), st.integers(0, 3))
 
 TOWER_OPS = {
-    "add": (lambda a, b: a + b, lambda a, b: (a[0] + b[0], a[1] + b[1])),
-    "sub": (lambda a, b: a - b, lambda a, b: (a[0] - b[0], a[1] - b[1])),
-    "mul": (lambda a, b: a * b,
-            lambda a, b: (a[0] * b[0] + qcoeff.RF_TWO * (a[1] * b[1]),
-                          a[0] * b[1] + a[1] * b[0])),
+    "add": (lambda a, b: a + b, lambda a, b: tuple(map(ref_cadd, a, b))),
+    "sub": (lambda a, b: a - b,
+            lambda a, b: tuple(ref_cadd(x, (-y[0], -y[1])) for x, y in zip(a, b))),
+    "mul": (lambda a, b: a * b, ref_tower_mul),
 }
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(TOWER_OPS)), tower_values, tower_values)
 def test_tower_ops_match_the_componentwise_reference(op, x, y):
-    # the zero shortcuts and the parity rule of +, - and * give the value of
-    # the component formulas on (1, t), with t^2 = 2, in canonical form; a
-    # sum or difference of nonzero values of different parity raises
+    # the zero shortcuts and the grade rule of +, -, * and the inverse give
+    # the value of the component formulas on (1, t) over Gaussian pairs, in
+    # canonical form; a sum or difference of nonzero values of different
+    # grades raises
     engine, reference = TOWER_OPS[op]
     for a, b in ((x, y), (y, x), (x, qcoeff.S_ZERO), (qcoeff.S_ZERO, x)):
-        if op != "mul" and a.p != b.p and not (a.is_zero() or b.is_zero()):
+        if op != "mul" and is_mixed(a, b):
             with pytest.raises(qcoeff.MixedParityError):
                 engine(a, b)
             continue
         got = engine(a, b)
         assert components(got) == reference(components(a), components(b))
         assert_canonical_ratfunc(got.f)
-        assert got.p in (0, 1) and (got.p == 0 or not got.is_zero())
+        assert got.p in range(4) and (got.p == 0 or not got.is_zero())
     assert engine(x, 0) == engine(x, qcoeff.S_ZERO) and engine(0, x) == engine(qcoeff.S_ZERO, x)
+    if not x.is_zero():
+        assert components(x.inverse()) == ref_tower_inverse(components(x))
 
 
 def test_tower_identities_cost_no_ratfunc_products(monkeypatch):
-    # a zero operand makes no RatFunc product, a t-free factor makes one and
-    # a product of two multiples of t makes two
+    # a zero operand makes no RatFunc product, a factor free of t makes one
+    # and a product of two multiples of t makes two; i*i costs a negation
     x = (S_ONE + spow(1)) / (spow(2) + 3)
-    a, b = S_T * (spow(1) - S_I), S_T * spow(3)
-    want = Scalar(RatFunc(gauss_lp({4: (2, 0), 3: (0, -2)})))
+    a, b = S_T * (spow(1) - S_ONE), S_T * spow(3)
+    c = S_I * spow(1)
     calls = []
     mul = RatFunc.__mul__
     monkeypatch.setattr(RatFunc, "__mul__", lambda f, g: calls.append(1) or mul(f, g))
@@ -507,17 +619,21 @@ def test_tower_identities_cost_no_ratfunc_products(monkeypatch):
         assert (p * q) is S_ZERO
     assert (x * 0).is_zero() and calls == []
     got = a * b
-    assert len(calls) == 2 and got == want
+    assert len(calls) == 2 and got == Scalar(RatFunc(lp({4: 2, 3: -2})))
     got = x * a
-    assert len(calls) == 3 and got.p == 1 and got == a * x
+    assert len(calls) == 3 and got.p == 1
+    assert got == a * x and len(calls) == 4
+    got = c * c
+    assert len(calls) == 5 and got == -spow(2)
 
 
 # ---------------------------------------------------------------------------
 # reference: polynomials as dicts {exponent: nonzero (re, im) Fraction pair}
 # ---------------------------------------------------------------------------
-# The engine's polynomials are integer tuples over one common denominator;
-# this is coefficientwise arithmetic on Fraction pairs, one exact reduction
-# per part.  Both must agree term by term and in print.
+# The engine's polynomials are integer tuples over one common denominator,
+# real or imaginary by the grade; this is coefficientwise arithmetic on
+# Fraction pairs, one exact reduction per part.  Both must agree term by
+# term and in print.
 
 def ref_lp_add(p, q):
     out = dict(p)
@@ -528,10 +644,6 @@ def ref_lp_add(p, q):
         else:
             out[k] = w
     return out
-
-
-def ref_neg(x):
-    return (-x[0], -x[1])
 
 
 def ref_lp_neg(p):
@@ -567,55 +679,66 @@ def ref_lp_str(p):
 
 
 # sparse q-integer-like polynomials c*s^shift*[n]_(s^2), one term in every 4th
-# power, and dense ones with non-integral and Gaussian coefficients, zero included
-lp_dicts = st.one_of(
+# power, and dense ones with non-integral coefficients, zero included
+real_lp_dicts = st.one_of(
     st.builds(lambda n, c, shift: {shift + 2 * (n - 1 - 2 * j): c for j in range(n)},
-              st.integers(1, 8), st.one_of(st.just((Fraction(1), Fraction(0))), nonzero_gaussians),
+              st.integers(1, 8), st.one_of(st.just(Fraction(1)), nonzero_fractions),
               st.integers(-3, 3)),
-    st.dictionaries(st.integers(-6, 6), nonzero_gaussians, max_size=5),
+    st.dictionaries(st.integers(-6, 6), nonzero_fractions, max_size=5),
 )
 
 
 @st.composite
 def lp_pairs(draw):
-    """(p, q) as dicts; in about half the draws p + q cancels p's top term,
-    its lowest term or all of p."""
-    p, q = draw(lp_dicts), draw(lp_dicts)
+    """(p, q) as pair dicts, each real or imaginary; in about half the draws
+    q has p's grade and p + q cancels p's top term, its lowest term or all of
+    p, else q's grade is drawn on its own."""
+    imag = draw(st.booleans())
+    p = to_pairs(draw(real_lp_dicts), imag)
     if p and draw(st.booleans()):
+        q = to_pairs(draw(real_lp_dicts), imag)
         keys = {"top": [max(p)], "low": [min(p)], "all": list(p)}[
             draw(st.sampled_from(("top", "low", "all")))]
         q = {k: v for k, v in q.items() if k not in keys} | {k: ref_neg(p[k]) for k in keys}
+    else:
+        q = to_pairs(draw(real_lp_dicts), draw(st.booleans()))
     return p, q
 
 
 @settings(max_examples=200, deadline=None, phases=NO_SHRINK)
 @given(lp_pairs())
 def test_polynomial_ops_match_the_dict_reference(pq):
-    # sum, difference, product and negation of integer tuples are the
-    # canonical tuples of the dict results, with the same value at s = 1 and
-    # the same printed form
+    # products of real and imaginary polynomials, and sums, differences and
+    # negations of one grade, are the canonical tuples of the dict results,
+    # with the same value at s = 1 and the same printed form; a sum of two
+    # grades raises
     p, q = pq
-    tp, tq = gauss_lp(p), gauss_lp(q)
-    assert as_dict(tp) == p and as_dict(tq) == q
-    for got, want in ((qcoeff._lp_add(tp, tq), ref_lp_add(p, q)),
-                      (qcoeff._lp_add(tp, qcoeff._lp_neg(tq)), ref_lp_add(p, ref_lp_neg(q))),
-                      (qcoeff._lp_mul(tp, tq), ref_lp_mul(p, q)),
-                      (qcoeff._lp_mul(tq, tp), ref_lp_mul(p, q)),
-                      (qcoeff._lp_neg(tp), ref_lp_neg(p))):
-        assert_canonical_lp(got)
-        assert as_dict(got) == want and got == gauss_lp(want)
-        at_one = qcoeff._lp_eval_one(got)
-        assert_canonical_lp(at_one)
-        assert as_dict(at_one).get(0, ZERO) == ref_lp_eval_one(want)
-        assert qcoeff._lp_str(got) == ref_lp_str(want)
+    x, y = from_ref(p), from_ref(q)
+    assert ref_of(x) == (p, REF_ONE) and ref_of(y) == (q, REF_ONE)
+    cases = [(x * y, ref_lp_mul(p, q)), (y * x, ref_lp_mul(p, q)), (-x, ref_lp_neg(p))]
+    if is_mixed(x, y):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(qcoeff.MixedParityError):
+                op(x, y)
+    else:
+        cases += [(x + y, ref_lp_add(p, q)), (x - y, ref_lp_add(p, ref_lp_neg(q)))]
+    for got, want in cases:
+        assert_canonical_lp(got.f.num)
+        assert got.f.den is qcoeff.LP_ONE
+        assert ref_of(got)[0] == want and got == from_ref(want)
+        at_one = eval_q1(got)
+        assert_canonical_lp(at_one.f.num)
+        assert pair_of(at_one) == ref_lp_eval_one(want)
+        assert str(got) == ref_lp_str(want)
 
 
 # ---------------------------------------------------------------------------
 # reference: the Euclidean algorithm over Fraction-pair coefficients
 # ---------------------------------------------------------------------------
 # The engine's gcd path runs in integers (pseudo-division, primitive
-# remainders); this is an independent field-arithmetic version.
-# Canonical forms are unique, so both must give the same RatFunc.
+# remainders) on real polynomials; this is an independent field-arithmetic
+# version over the Gaussian rationals, fed real and imaginary numerators.
+# Canonical forms are unique, so both must give the same Scalar.
 
 def ref_dense(p):
     """Shift to nonnegative exponents; return (valuation, coefficient list)."""
@@ -666,9 +789,6 @@ def ref_from_dense(v, coeffs):
     return {v + i: g for i, g in enumerate(coeffs) if g != ZERO}
 
 
-REF_ONE = {0: (Fraction(1), Fraction(0))}
-
-
 def ref_normalize(num, den):
     """Canonical (num, den) of dicts: gcd divided out, denominator monic of
     lowest exponent 0."""
@@ -687,24 +807,29 @@ def ref_normalize(num, den):
 
 
 def ref_ratfunc(num, den):
-    """The RatFunc of dicts num/den, in canonical form by the reference Euclid."""
-    num, den = ref_normalize(num, den)
-    return qcoeff._ratfunc(gauss_lp(num), qcoeff.LP_ONE if den == REF_ONE else gauss_lp(den))
+    """The Scalar of dicts num/den, in canonical form by the reference Euclid."""
+    return from_ref(*ref_normalize(num, den))
+
+
+def pairs_of(p, imag=False):
+    """An engine polynomial as a dict of Fraction pairs, times i when imag."""
+    return to_pairs(as_dict(p), imag)
 
 
 def test_reference_euclid_reduces_by_hand():
-    # (s^2 - 1)/(s^2 + (1/2 - i) s - i/2) = (s - 1)/(s + 1/2) over the common
-    # factor s + 1, with s - i cancelled: a non-integral and a Gaussian root
-    one, minus_i = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1))
+    # (s^2 - 1)/(s^2 + s/2 - 1/2) = (s - 1)/(s - 1/2) over the common factor
+    # s + 1, a non-integral root; times i, and with s - 3 cancelled too
+    one, half, i = (Fraction(1), Fraction(0)), (Fraction(-1, 2), Fraction(0)), (0, Fraction(1))
     common = {1: one, 0: one}
     num = ref_lp_mul(common, {1: one, 0: ref_neg(one)})
-    den = ref_lp_mul(common, {1: one, 0: (Fraction(1, 2), Fraction(0))})
-    den_i = ref_lp_mul(den, {1: one, 0: minus_i})
-    num_i = ref_lp_mul(num, {1: one, 0: minus_i})
-    want = ({1: (1, 0), 0: (-1, 0)}, {1: (1, 0), 0: (Fraction(1, 2), 0)})
-    assert ref_normalize(num, den) == want == ref_normalize(num_i, den_i)
-    got = RatFunc(gauss_lp(num_i), gauss_lp(den_i))
-    assert (as_dict(got.num), as_dict(got.den)) == want
+    den = ref_lp_mul(common, {1: one, 0: half})
+    extra = {1: one, 0: (Fraction(-3), Fraction(0))}
+    num_i, den_i = ref_lp_mul(ref_lp_mul(num, extra), {0: i}), ref_lp_mul(den, extra)
+    want = ({1: one, 0: ref_neg(one)}, {1: one, 0: half})
+    assert ref_normalize(num, den) == want
+    assert ref_normalize(num_i, den_i) == (ref_lp_mul(want[0], {0: i}), want[1])
+    got = Scalar(RatFunc(lp(graded_dict(num_i)[0]), lp(graded_dict(den_i)[0])), 2)
+    assert ref_of(got) == ref_normalize(num_i, den_i)
 
 
 def cross_branch(p, q):
@@ -713,22 +838,21 @@ def cross_branch(p, q):
     Read off the engine's integer pseudo-division, and checked against the
     reference division over the Gaussian rationals.
     """
-    pr, pi = p[2:]
-    qr, qi = q[2:]
-    dp, dq = ref_dense(as_dict(p))[1], ref_dense(as_dict(q))[1]
+    pr, qr = p[2], q[2]
+    dp, dq = ref_dense(pairs_of(p))[1], ref_dense(pairs_of(q))[1]
     if len(pr) >= len(qr):
-        exact = not qcoeff._pdivmod(pr, pi, qr, qi)[1][0]
+        exact = not qcoeff._pdivmod(pr, qr)[1]
         assert exact == (not ref_poly_divmod(dp, dq)[1])
         return "q|p" if exact else "gcd"
-    exact = not qcoeff._pdivmod(qr, qi, *qcoeff._primitive(pr, pi))[1][0]
+    exact = not qcoeff._pdivmod(qr, qcoeff._primitive(pr))[1]
     assert exact == (not ref_poly_divmod(dq, dp)[1])
     return "p|q" if exact else "gcd"
 
 
 # at least two terms, so no factor is a monomial (a unit of the Laurent ring)
 factors = st.dictionaries(
-    st.integers(-2, 2), nonzero_gaussians, min_size=2, max_size=3,
-).map(gauss_lp)
+    st.integers(-2, 2), nonzero_fractions, min_size=2, max_size=3,
+).map(lp)
 
 
 @st.composite
@@ -766,70 +890,74 @@ def test_products_are_canonical_by_construction(case):
 
 
 # four kinds of polynomial factor for the reference property, each of at
-# least two terms: non-integral monic (s^k + 1/2), a Gaussian lead (i s + 1,
-# monic s - i), cyclotomic products (s^k +- 1) of degree up to 96, and the
-# small Gaussian-rational ones of `factors`
+# least two terms: non-integral monic (s^k + 1/2), an integer lead other
+# than 1 (-s + 2, 3s - 1/2), cyclotomic products (s^k +- 1) of degree up to
+# 96, and the small rational ones of `factors`
 half_factors = st.builds(
     lambda k, c: laurent({k: 1, 0: c}), st.integers(1, 3),
     st.fractions(-3, 3, max_denominator=6).filter(lambda c: c.denominator > 1))
-gaussian_factors = st.builds(
-    lambda lead, c: gauss_lp({1: lead, 0: c}),
-    gaussians.filter(lambda g: g[1] != 0), nonzero_gaussians)
+lead_factors = st.builds(
+    lambda lead, c: lp({1: lead, 0: c}),
+    st.integers(-4, 4).filter(lambda n: n not in (0, 1)), nonzero_fractions)
 cyclotomic_factors = st.lists(
     st.tuples(st.integers(1, 96), st.sampled_from((1, -1))), min_size=1, max_size=3,
 ).filter(lambda ks: sum(k for k, _ in ks) <= 96).map(
     lambda ks: reduce(qcoeff._lp_mul, [laurent({k: 1, 0: e}) for k, e in ks]))
-any_factors = st.one_of(half_factors, gaussian_factors, cyclotomic_factors, factors)
-small_factors = st.one_of(half_factors, gaussian_factors, factors)
+any_factors = st.one_of(half_factors, lead_factors, cyclotomic_factors, factors)
+small_factors = st.one_of(half_factors, lead_factors, factors)
 
 
 @st.composite
 def reference_pairs(draw):
-    """(branch, a, b), canonical by the reference, a.num against b.den taking
-    the drawn _cross_reduce path, with denominators of every kind."""
+    """(branch, a, b), canonical by the reference with real or imaginary
+    numerators, a.num against b.den taking the drawn _cross_reduce path, with
+    denominators of every kind."""
     branch = draw(st.sampled_from(("q|p", "p|q", "gcd")))
     f, g, h = draw(any_factors), draw(small_factors), draw(small_factors)
     num_a, den_b = {"q|p": (qcoeff._lp_mul(f, g), f),
                     "p|q": (f, qcoeff._lp_mul(f, g)),
                     "gcd": (qcoeff._lp_mul(f, g), qcoeff._lp_mul(f, h))}[branch]
-    a = ref_ratfunc(as_dict(num_a), as_dict(draw(st.one_of(any_factors, small_polys))))
-    b = ref_ratfunc(as_dict(draw(st.one_of(small_factors, small_polys))), as_dict(den_b))
-    assume(cross_branch(a.num, b.den) == branch)
+    a = ref_ratfunc(pairs_of(num_a, draw(st.booleans())),
+                    pairs_of(draw(st.one_of(any_factors, small_polys))))
+    b = ref_ratfunc(pairs_of(draw(st.one_of(small_factors, small_polys)), draw(st.booleans())),
+                    pairs_of(den_b))
+    assume(cross_branch(a.f.num, b.f.den) == branch)
     return branch, a, b
 
 
 @settings(max_examples=80, deadline=None, phases=NO_SHRINK)
 @given(reference_pairs())
 def test_arithmetic_matches_the_reference_euclid(case):
-    # products, quotients, sums and fresh fractions from the integer gcd path
-    # are the canonical fractions of the Fraction-pair Euclid, with the
-    # unreduced numerators and denominators built by the dict reference
+    # products, quotients, sums of one grade and fresh fractions from the
+    # integer gcd path are the canonical fractions of the Fraction-pair
+    # Euclid, with the unreduced numerators and denominators built by the
+    # dict reference
     _, a, b = case
     mul, add = ref_lp_mul, ref_lp_add
-    an, ad, bn, bd = (as_dict(p) for p in (a.num, a.den, b.num, b.den))
-    for got, num, den in ((a * b, mul(an, bn), mul(ad, bd)),
-                          (a / b, mul(an, bd), mul(ad, bn)),
-                          (a + b, add(mul(an, bd), mul(bn, ad)), mul(ad, bd)),
-                          (RatFunc(a.num, b.den), an, bd)):
+    (an, ad), (bn, bd) = ref_of(a), ref_of(b)
+    cases = [(a * b, mul(an, bn), mul(ad, bd)), (a / b, mul(an, bd), mul(ad, bn)),
+             (Scalar(RatFunc(a.f.num, b.f.den), a.p), an, bd)]
+    if a.p == b.p:
+        cases.append((a + b, add(mul(an, bd), mul(bn, ad)), mul(ad, bd)))
+    for got, num, den in cases:
         want = ref_ratfunc(num, den)
-        assert (got.num, got.den) == (want.num, want.den)
-        assert_canonical_ratfunc(got)
+        assert (got.f.num, got.f.den, got.p) == (want.f.num, want.f.den, want.p)
+        assert_canonical_ratfunc(got.f)
 
 
 def test_division_with_surds():
-    x = S_T * (spow(1) + S_I) * spow(3)
-    y = spow(2) - S_I * spow(-2)
-    for d in (y, S_T * y):
-        assert (x / d) * d == x and (x / d).p == 1 - d.p
+    x = S_I * S_T * (spow(1) + S_ONE) * spow(3)
+    y = spow(2) - 3 * spow(-2)
+    for d in (y * unit for unit in UNITS):
+        assert (x / d) * d == x and (x / d).p == x.p ^ d.p
 
 
 def test_gcd_raises_when_a_remainder_does_not_shrink(monkeypatch):
     # a division that hands the dividend back as its remainder would make the
     # Euclidean loop swap the two polynomials forever
-    monkeypatch.setattr(qcoeff, "_pdivmod",
-                        lambda ar, ai, br, bi: (([], []), (list(ar), list(ai))))
+    monkeypatch.setattr(qcoeff, "_pdivmod", lambda a, b: ([], list(a)))
     with pytest.raises(ArithmeticError, match="not shorter than its divisor"):
-        qcoeff._poly_gcd(([1, 1, 1], [0, 0, 0]), ([1, 1], [0, 0]))
+        qcoeff._poly_gcd([1, 1, 1], [1, 1])
     # and the guard is reached from the public arithmetic
     with pytest.raises(ArithmeticError, match="not shorter than its divisor"):
         RatFunc(laurent({2: 1, 1: 1, 0: 1}), laurent({1: 1, 0: 1}))
@@ -840,9 +968,9 @@ def test_gcd_raises_when_a_remainder_does_not_shrink(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def assert_constant(x):
-    """x is a constant Scalar f*t^p: f is a canonical constant."""
+    """x is a constant Scalar: f is a canonical constant."""
     assert_canonical_ratfunc(x.f)
-    pair_of(x.f)
+    pair_of(x)
 
 
 @pytest.mark.parametrize("n", list(range(-24, 25)))
@@ -858,18 +986,18 @@ def test_eval_q1_constants_fixed():
 def test_eval_q1_surds():
     assert eval_q1(S_T) == S_T
     assert eval_q1(S_T * S_T) == 2
-    for p in (0, 1):
-        x = eval_q1(S_T ** p * spow(3) / (qint(2) + S_I))
+    for p, unit in enumerate(UNITS):
+        x = eval_q1(unit * spow(3) / (qint(2) + Fraction(1, 2)))
         assert_constant(x)
-        assert x.p == p and pair_of(x.f) == (Fraction(2, 5), Fraction(-1, 5))
+        assert x.p == p and x.f == RatFunc.const(Fraction(2, 5))
 
 
 @settings(max_examples=40, deadline=None)
-@given(same_parity_pairs, scalars(0))
+@given(same_grade_pairs, scalars(0))
 def test_eval_q1_is_a_ring_map_onto_surd_rationals(ab, c):
     # a / c, for c nonzero at q = 1, has a denominator that stays regular
-    # there; the constants f*t^p at q = 1 are Scalars, and t^2 = 2 holds
-    # in their arithmetic as in every Scalar's
+    # there; the constants at q = 1 are Scalars of the same grade, and
+    # i^2 = -1 and t^2 = 2 hold in their arithmetic as in every Scalar's
     a, b = ab
     if not eval_q1(c).is_zero():
         a = a / c
@@ -897,12 +1025,12 @@ def test_surd_rational_inverse_of_zero_raises():
 @settings(max_examples=100, deadline=None)
 @given(nonzero_pairs, st.integers(0, 1))
 def test_constant_inverse_matches_the_reference(a, p):
-    # 1/a and 1/(a t) = t/(2a) on constants, against Fraction pairs
+    # 1/a and 1/(a t) = t/(2a) on real and imaginary constants, against Fraction pairs
     x = const(a) * S_T ** p
     y = x.inverse()
     assert x * y == 1
     assert_constant(y)
-    assert y.p == p and pair_of(y.f) == ref_mul((Fraction(1, 2 ** p), 0), ref_inverse(a))
+    assert y.p == x.p and pair_of(y) == ref_mul((Fraction(1, 2 ** p), 0), ref_inverse(a))
 
 
 def test_eval_q1_pole_raises():
@@ -912,7 +1040,7 @@ def test_eval_q1_pole_raises():
 
 
 def test_taylor_order0_agrees_with_eval():
-    xs = [qint(5), S_T * qint(3) / (qint(2) + S_ONE), S_T * qint(2)]
+    xs = [qint(5), S_T * qint(3) / (qint(2) + S_ONE), S_T * qint(2), S_I * S_T * qint(2)]
     for x in xs:
         h = taylor_q1(x, 0)
         assert h.coeff(0) == eval_q1(x)
@@ -924,10 +1052,11 @@ def test_taylor_order0_agrees_with_eval():
 
 def test_taylor_qint2():
     # [2] = 2 cos h = 2 - h^2 + h^4/12 - ...
-    h = taylor_q1(qint(2), 2)
+    h = taylor_q1(qint(2), 4)
     assert h.coeff(0) == 2
     assert h.coeff(1) == 0
     assert h.coeff(2) == -1
+    assert h.coeff(4) == Fraction(1, 12)
 
 
 def test_taylor_q_minus_qinv():
@@ -992,7 +1121,7 @@ def test_qint_taylor_limit():
         assert h.coeff(2) == Fraction(-n * (n * n - 1), 6)
 
 
-# values with t-parts and poles of order 0..3 at q = 1
+# values of every grade with poles of order 0..3 at q = 1
 poled = st.builds(lambda x, p: x / q_minus_qinv() ** p,
                   scalars().filter(lambda x: not x.is_zero()), st.integers(0, 3))
 
@@ -1010,29 +1139,32 @@ def test_hseries_division_inverts_the_product(x, y, ox, oy):
 
 
 def test_taylor_matches_sympy_series_with_t_part_and_third_order_pole():
+    # the value times each unit 1, t, i and i*t, against sympy's series of
+    # the value times i^(p>>1), coefficient by coefficient
     import sympy
 
     h = sympy.symbols("h")
-    x = (qint(3) + Scalar.q_power(1) + S_I * spow(-1)) / q_minus_qinv() ** 3
+    x = (qint(3) + Scalar.q_power(1) + Fraction(2, 3) * spow(-1)) / q_minus_qinv() ** 3
     order = 2
 
     def gauss(z):
         return sympy.Rational(z[0]) + sympy.I * sympy.Rational(z[1])
 
     def at_exp(f):
-        def lp(p):
-            return sum(gauss(g) * sympy.exp(sympy.I * k * h / 2) for k, g in as_dict(p).items())
-        return lp(f.num) / lp(f.den)
+        def poly(p):
+            return sum(sympy.Rational(c) * sympy.exp(sympy.I * k * h / 2)
+                       for k, c in as_dict(p).items())
+        return poly(f.num) / poly(f.den)
 
     series = sympy.series(at_exp(x.f), h, 0, order + 1).removeO()
-    for value in (x, S_T * x):
+    for value in (x * unit for unit in UNITS):
         engine = taylor_q1(value, order)
         assert engine.valuation() == -3
         for k in range(-3, order + 1):
-            want = sympy.expand(series.coeff(h, k))
+            want = sympy.expand(series.coeff(h, k) * sympy.I ** (value.p >> 1))
             got = engine.coeff(k)
-            assert got.is_zero() or got.p == value.p, (k, want)
-            assert sympy.simplify(gauss(pair_of(got.f)) - want) == 0, (k, want)
+            assert got.is_zero() or got.p & 1 == value.p & 1, (k, want)
+            assert sympy.simplify(gauss(pair_of(got)) - want) == 0, (k, want)
 
 
 def test_hseries_arithmetic_roundtrip():
@@ -1050,9 +1182,11 @@ def test_scalar_str_deterministic():
 def test_scalar_str_brackets_a_t_coefficient_once():
     s = Scalar.s_power(1)
     half = Scalar.from_rat(Fraction(1, 2))
-    # a complex constant already prints as one bracketed group
-    assert str(S_T * (half + S_I)) == "(1/2+i)*t"
-    assert str(S_T * half) == "(1/2)*t"
+    # an imaginary coefficient prints times i and is bracketed as a real one is
+    assert str(S_I * S_T) == "i*t" and str(-S_I * S_T) == "-i*t"
+    assert str(S_I * S_T * half) == "(1/2*i)*t" and str(S_T * half) == "(1/2)*t"
     assert str(S_T * (s + 1)) == "(s + 1)*t"
+    assert str(S_I * S_T * (s - 1)) == "(i*s - i)*t"
     # starts with "(" and ends with ")", but is two groups over a "/"
     assert str(S_T * (s + 1) / (s * s + 1)) == "((s + 1)/(s^2 + 1))*t"
+    assert str(S_I * (s + 1) / (s * s + 1)) == "(i*s + i)/(s^2 + 1)"

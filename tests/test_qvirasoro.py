@@ -167,11 +167,11 @@ def test_limit_detects_wrong_central(reductions, closed):
 
 
 def test_limit_reports_the_first_bad_mode(reductions, closed):
-    # the q-bracket's quadratic part off by one at modes 2 and 5: every limit
-    # record names mode 2, the first failing mode of the window
+    # the q-bracket's quadratic part, which is imaginary, off by i at modes 2
+    # and 5: every limit record names mode 2, the first failing mode of the window
     rq, rc = reductions
     quad = (FieldFactor("E-", "z"), FieldFactor("E-", "w"))
-    broken = rq.reduced + TermSum.single(quad, Dist2(W.N, {2: S_ONE, 5: S_ONE}))
+    broken = rq.reduced + TermSum.single(quad, Dist2(W.N, {2: S_I, 5: S_I}))
     recs = {r.id: r for r in classical_limit_check(split_reduced(broken, W.N), rc.contents,
                                                     closed, W)}
     for check_id in ("limit-subleading-cancellation", "limit-h4-linear", "limit-h4-central"):
@@ -262,7 +262,8 @@ def _jacobi_reference(V, K):
 
 def _virasoro_variants(N):
     """The true mode data, two other cocycles (n passes, n^2 fails), and the
-    true data with one central or one linear mode shifted."""
+    true data with one central or one linear mode shifted by i (the data are
+    imaginary)."""
     W = ModeWindow(N)
     lin, cnum = classical_linear_pattern(W), classical_central_pattern(W)
 
@@ -273,8 +274,8 @@ def _virasoro_variants(N):
         "true": ClassicalVirasoro(lin, cnum),
         "cocycle-n2": ClassicalVirasoro(lin, cocycle(2)),
         "cocycle-n": ClassicalVirasoro(lin, cocycle(1)),
-        "shifted-central": ClassicalVirasoro(lin, cnum + Dist2(N, {min(2, N): S_ONE})),
-        "shifted-linear": ClassicalVirasoro(lin + Dist2(N, {min(3, N): S_ONE}), cnum),
+        "shifted-central": ClassicalVirasoro(lin, cnum + Dist2(N, {min(2, N): S_I})),
+        "shifted-linear": ClassicalVirasoro(lin + Dist2(N, {min(3, N): S_I}), cnum),
     }
 
 
