@@ -17,7 +17,7 @@ from operator import add, sub
 
 from .qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, q_minus_qinv, qint, qint_ratio
 from .distcalc import Dist2, ModeWindow, expand_inner, expand_outer
-from .report import CheckRecord, compare_dists, compare_pairs, record
+from .report import CheckRecord, compare_dists, compare_pairs, compare_termsums, record
 from .vertexcalc import (
     ExpField,
     contraction_kernel,
@@ -245,15 +245,22 @@ def combo_commutator(left, right, comm) -> TermSum:
 
 
 # ---------------------------------------------------------------------------
-# Printed commutator forms (ordered products normalized exactly)
+# Printed commutator forms
 # ---------------------------------------------------------------------------
 
-def ordered_product_laurent(first: ExpField, second: ExpField, first_at_w: bool):
-    """The ordered product first*second as (Laurent dict in x, zdeg) times
-    the normal-ordered monomial; requires a Laurent contraction."""
-    data = contraction_kernel(first, second)
-    R = xform_of_contraction(data, swap=first_at_w)
-    return R.as_laurent(), data.zdeg
+def normal_ordered(terms) -> TermSum:
+    """Ordered-product terms ((first, second), dist), the two FieldFactors in
+    product order as the printed step forms give them, rewritten against the
+    normal-ordered monomial: each product first*second is its exact
+    contraction, a Laurent polynomial in x at the contraction's z-degree,
+    times the normal-ordered pair."""
+    F = standard_fields()
+    out = []
+    for (first, second), dist in terms:
+        data = contraction_kernel(F[first.symbol], F[second.symbol])
+        lau = xform_of_contraction(data, swap=first.var == "w").as_laurent()
+        out.append(((first, second), data.zdeg, dist.mul_laurent(lau)))
+    return TermSum(out)
 
 
 def printed_pair_exchange_bracket(W: ModeWindow) -> TermSum:
@@ -267,48 +274,31 @@ def printed_pair_exchange_bracket(W: ModeWindow) -> TermSum:
     return TermSum([t1, t2])
 
 
-def printed_chi_e_bracket(sign: int, W: ModeWindow, normalized: bool) -> TermSum:
-    """[chi1(z), E^sign(w)] as printed: two one-sided geometric sums with the
-    -q^(-sign)/[2] constants.  With ``normalized`` the ordered-product
-    monomials are converted to normal-ordered ones by their exact
-    contraction constants (needed for comparison against the derived form).
-    """
-    F = standard_fields()
-    E = F["E+"] if sign > 0 else F["E-"]
+def printed_chi_e_bracket(sign: int, W: ModeWindow) -> list:
+    """[chi1(z), E^sign(w)] as printed, in ordered-product terms: E(w)Psi(z)
+    and Phi(z)E(w) against two one-sided geometric sums with the
+    -q^(-sign)/[2] constants."""
+    E = "E+" if sign > 0 else "E-"
     coef = Scalar.from_rat(sign) * qint(2) * S_T * Scalar.from_rat(Fraction(1, 2))  # +-[2]/sqrt2
     cconst = Scalar.q_power(-sign) / qint(2)
     d1 = Dist2.one_sided(W.N, Scalar.s_power(3 * sign), +1) - Dist2.unit0(W.N, cconst)
     d2 = Dist2.one_sided(W.N, Scalar.s_power(3 * sign), -1) - Dist2.unit0(W.N, cconst)
-    if normalized:
-        # E(w)Psi(z) is already normal ordered; Phi(z)E(w) carries q^(-2 sign)
-        lau1, z1 = ordered_product_laurent(E, F["Psi"], first_at_w=True)
-        lau2, z2 = ordered_product_laurent(F["Phi"], E, first_at_w=False)
-        (c1,), (c2,) = lau1.values(), lau2.values()
-        d1 = d1.scale(c1)
-        d2 = d2.scale(c2)
-    t1 = ((FieldFactor(E.name, "w"), FieldFactor("Psi", "z")), 0, d1.scale(coef))
-    t2 = ((FieldFactor("Phi", "z"), FieldFactor(E.name, "w")), 0, d2.scale(coef))
-    return TermSum([t1, t2])
+    return [((FieldFactor(E, "w"), FieldFactor("Psi", "z")), d1.scale(coef)),
+            ((FieldFactor("Phi", "z"), FieldFactor(E, "w")), d2.scale(coef))]
 
 
-def printed_ee_same_bracket(sign: int, W: ModeWindow, normalized: bool) -> TermSum:
-    """[E^s(z), E^s(w)] as printed: half-weighted ordered products against
-    geometric sums with ratio q^(2s) and constants -q^(-s)."""
-    F = standard_fields()
-    E = F["E+"] if sign > 0 else F["E-"]
+def printed_ee_same_bracket(sign: int, W: ModeWindow) -> list:
+    """[E^s(z), E^s(w)] as printed, in ordered-product terms: E(w)E(z) and
+    E(z)E(w), half-weighted, against geometric sums with ratio q^(2s) and
+    constants -q^(-s)."""
+    E = "E+" if sign > 0 else "E-"
     coef = Scalar.from_rat(sign) * q_minus_qinv() * Scalar.from_rat(Fraction(1, 2))
     two = qint(2)
     cconst = Scalar.q_power(-sign)
     d1 = Dist2.one_sided(W.N, Scalar.q_power(2 * sign), +1, two) - Dist2.unit0(W.N, cconst)
     d2 = Dist2.one_sided(W.N, Scalar.q_power(2 * sign), -1, two) - Dist2.unit0(W.N, cconst)
-    mono = (FieldFactor(E.name, "z"), FieldFactor(E.name, "w"))
-    if not normalized:
-        return TermSum([(mono, 0, d1.scale(coef)), (mono, 0, d2.scale(-coef))])
-    lau_wz, zd = ordered_product_laurent(E, E, first_at_w=True)
-    lau_zw, zd2 = ordered_product_laurent(E, E, first_at_w=False)
-    t1 = (mono, zd, d1.scale(coef).mul_laurent(lau_wz))
-    t2 = (mono, zd2, d2.scale(-coef).mul_laurent(lau_zw))
-    return TermSum([t1, t2])
+    return [((FieldFactor(E, "w"), FieldFactor(E, "z")), d1.scale(coef)),
+            ((FieldFactor(E, "z"), FieldFactor(E, "w")), d2.scale(-coef))]
 
 
 def opposite_charge_bracket(W: ModeWindow, k: int = 1) -> TermSum:
@@ -352,13 +342,13 @@ def verify_commutators(W: ModeWindow) -> list[CheckRecord]:
                             printed_pair_exchange_bracket(W))]
 
     for sign, tag in ((+1, "eva2+"), (-1, "eva2-")):
-        printed = printed_chi_e_bracket(sign, pad, normalized=True).truncate(W.N)
+        printed = normal_ordered(printed_chi_e_bracket(sign, pad)).truncate(W.N)
         out.append(compare_termsums(f"commutator-constraint-step{tag[-1]}", tag,
                                     chi_e[sign].truncate(W.N), printed))
 
     for sign, tag in ((+1, "eva3+"), (-1, "eva3-")):
         E = "E+" if sign > 0 else "E-"
-        printed = printed_ee_same_bracket(sign, pad, normalized=True).truncate(W.N)
+        printed = normal_ordered(printed_ee_same_bracket(sign, pad)).truncate(W.N)
         out.append(compare_termsums(f"commutator-step-same{tag[-1]}", tag,
                                     comm[(E, E)].truncate(W.N), printed))
 
@@ -372,22 +362,6 @@ def verify_commutators(W: ModeWindow) -> list[CheckRecord]:
     ok = chi_e[+1].reflect().truncate(W.N) == (-e_chi).truncate(W.N)
     out.append(record("antisymmetry-mixed", "eva2", ok))
     return out
-
-
-def compare_termsums(check_id, tag, engine: TermSum, printed: TermSum, agree=None) -> CheckRecord:
-    """First bad term and mode, or a pass printing both sums (or ``agree``)."""
-    bad = engine.first_mismatch(printed)
-    if bad is None:
-        if agree is not None:
-            return record(check_id, tag, True, engine=agree)
-        return record(check_id, tag, True, engine=str(engine), expected=str(printed))
-    key, n = bad
-    e = engine.terms.get(key)
-    p = printed.terms.get(key)
-    ev = str(e.coeff(n)) if e is not None else "<term absent>"
-    pv = str(p.coeff(n)) if p is not None else "<term absent>"
-    mono = "*".join(str(f) for f in key[0]) or "1"
-    return CheckRecord(check_id, tag, "fail", n, f"{mono}: {ev}", f"{mono}: {pv}")
 
 
 # ---------------------------------------------------------------------------
@@ -411,23 +385,21 @@ def classical_bracket(a: str, b: str, table: dict, W: ModeWindow) -> TermSum:
 def q_bracket_table() -> dict:
     """The deformed table: each quantum commutator rule in its printed form,
     times the correspondence sign sigma, +i for an equal step-operator pair
-    and -i otherwise."""
+    and -i otherwise.  The printed step forms' ordered products are read as
+    commuting products at z-degree 0."""
 
     def signed(sigma, rule):
         return lambda W: rule(W).scale(sigma)
 
-    def rule_chi_e(sign):
-        return lambda W: printed_chi_e_bracket(sign, W, normalized=False)
-
-    def rule_ee_same(sign):
-        return lambda W: printed_ee_same_bracket(sign, W, normalized=False)
+    def products(form, sign):
+        return lambda W: TermSum([(mono, 0, d) for mono, d in form(sign, W)])
 
     return {
         ("chi1", "chi1"): signed(-S_I, printed_pair_exchange_bracket),
-        ("chi1", "E+"): signed(-S_I, rule_chi_e(+1)),
-        ("chi1", "E-"): signed(-S_I, rule_chi_e(-1)),
-        ("E+", "E+"): signed(S_I, rule_ee_same(+1)),
-        ("E-", "E-"): signed(S_I, rule_ee_same(-1)),
+        ("chi1", "E+"): signed(-S_I, products(printed_chi_e_bracket, +1)),
+        ("chi1", "E-"): signed(-S_I, products(printed_chi_e_bracket, -1)),
+        ("E+", "E+"): signed(S_I, products(printed_ee_same_bracket, +1)),
+        ("E-", "E-"): signed(S_I, products(printed_ee_same_bracket, -1)),
         ("E+", "E-"): signed(-S_I, opposite_charge_bracket),
     }
 

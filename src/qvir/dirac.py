@@ -34,11 +34,10 @@ from .currents import (
     TermSum,
     classical_bracket,
     classical_bracket_table,
-    compare_termsums,
     difference_constraint_combo,
     q_bracket_table,
 )
-from .report import CheckRecord, DOCUMENTED, compare_dists, record
+from .report import CheckRecord, DOCUMENTED, compare_dists, compare_termsums, record
 
 
 class SingularModeError(ArithmeticError):
@@ -61,18 +60,14 @@ class UnknownScenarioError(ValueError):
 # Constraints and scenarios
 # ---------------------------------------------------------------------------
 
-class ConstraintSet(namedtuple("ConstraintSet",
-                               "chi1_symbol chi2_symbol chi1 chi2 on_surface")):
-    """The two constraints, their symbols, and the on-surface substitution."""
+class ConstraintSet(namedtuple("ConstraintSet", "symbols exprs on_surface")):
+    """The constraints' symbols and expressions, in matrix order, and the
+    on-surface substitution."""
 
     __slots__ = ()
 
-    def symbols(self):
-        return (self.chi1_symbol, self.chi2_symbol)
-
     def vanish_on_surface(self) -> bool:
-        return (self.chi1.substitute(self.on_surface).is_zero()
-                and self.chi2.substitute(self.on_surface).is_zero())
+        return all(chi.substitute(self.on_surface).is_zero() for chi in self.exprs)
 
 
 # The surviving current: both scenarios reduce onto the lowering current.
@@ -90,14 +85,13 @@ def _unit_term(symbol, coef):
 def q_constraints() -> ConstraintSet:
     chi1 = TermSum([_unit_term(sym, c) for c, sym in difference_constraint_combo()])
     chi2 = TermSum([_unit_term("E+", S_ONE), ((), 0, Dist2.unit0(1, -S_ONE))])
-    return ConstraintSet("chi1", "E+", chi1, chi2,
-                         {"Psi": 1, "Phi": 1, "E+": 1})
+    return ConstraintSet(("chi1", "E+"), (chi1, chi2), {"Psi": 1, "Phi": 1, "E+": 1})
 
 
 def classical_constraints() -> ConstraintSet:
     chi1 = TermSum([_unit_term("H", S_ONE)])
     chi2 = TermSum([_unit_term("E+", S_ONE), ((), 0, Dist2.unit0(1, -S_ONE))])
-    return ConstraintSet("H", "E+", chi1, chi2, {"H": 0, "E+": 1})
+    return ConstraintSet(("H", "E+"), (chi1, chi2), {"H": 0, "E+": 1})
 
 
 class AffineMap(namedtuple("AffineMap", "a2 ab b2")):
@@ -201,7 +195,7 @@ def _onsurface_cnumber(chain: "Reduction", a: str, b: str) -> Dist2:
 
 def build_dirac_matrix(chain: "Reduction") -> DiracMatrix:
     """Mutual constraint brackets of the chain, on the constraint surface."""
-    c1, c2 = chain.scenario.constraints.symbols()
+    c1, c2 = chain.scenario.constraints.symbols
     d11 = _onsurface_cnumber(chain, c1, c1)
     d12 = _onsurface_cnumber(chain, c1, c2)
     d22 = _onsurface_cnumber(chain, c2, c2)
@@ -248,7 +242,7 @@ def dirac_bracket(chain: "Reduction", a: str, b: str, dinv: DiracMatrix) -> Term
     direct bracket minus the constraint-chain correction through the
     per-mode inverse ``dinv`` of the constraint matrix, all on-surface."""
     out = chain.on_surface(a, b)
-    syms = chain.scenario.constraints.symbols()
+    syms = chain.scenario.constraints.symbols
     left = [chain.on_surface(a, c) for c in syms]
     right = [chain.on_surface(c, b) for c in syms]
     for i, Ti in enumerate(left):

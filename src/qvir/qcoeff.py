@@ -490,7 +490,8 @@ class Scalar:
             raise MixedParityError(self, "+", other)
         return _scalar(self.f + other.f, self.p)
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        return _as_scalar(other) + self
 
     def __sub__(self, other):
         if type(other) is not Scalar:

@@ -51,6 +51,23 @@ def compare_pairs(check_id: str, paper_eq: str, pairs, engine, expected,
     return record(check_id, paper_eq, True, engine=agree)
 
 
+def compare_termsums(check_id, paper_eq: str, engine, printed, agree=None) -> CheckRecord:
+    """Term-by-term comparison of two TermSums; on failure records the first
+    bad term and mode, else a pass printing both sums (or ``agree``)."""
+    bad = engine.first_mismatch(printed)
+    if bad is None:
+        if agree is not None:
+            return record(check_id, paper_eq, True, engine=agree)
+        return record(check_id, paper_eq, True, engine=str(engine), expected=str(printed))
+    key, n = bad
+    e = engine.terms.get(key)
+    p = printed.terms.get(key)
+    ev = str(e.coeff(n)) if e is not None else "<term absent>"
+    pv = str(p.coeff(n)) if p is not None else "<term absent>"
+    mono = "*".join(str(f) for f in key[0]) or "1"
+    return CheckRecord(check_id, paper_eq, FAIL, n, f"{mono}: {ev}", f"{mono}: {pv}")
+
+
 def _dist_str(D):
     N = D.N
     return "[" + ", ".join(f"{n}: {D.coeff(n)}" for n in range(-N, N + 1)) + "]"

@@ -169,14 +169,19 @@ def test_derived_ee_same_collapses_to_polynomial():
 # bracket tables
 # ---------------------------------------------------------------------------
 
+def products(terms):
+    """Ordered-product terms read as commuting products at z-degree 0."""
+    return TermSum([(mono, 0, d) for mono, d in terms])
+
+
 def test_q_table_rules_are_printed_forms_times_sigma():
     # sigma: +i for an equal step-operator pair, -i for every other pair
     printed = {
         ("chi1", "chi1"): (-S_I, printed_pair_exchange_bracket(W)),
-        ("chi1", "E+"): (-S_I, printed_chi_e_bracket(+1, W, normalized=False)),
-        ("chi1", "E-"): (-S_I, printed_chi_e_bracket(-1, W, normalized=False)),
-        ("E+", "E+"): (S_I, printed_ee_same_bracket(+1, W, normalized=False)),
-        ("E-", "E-"): (S_I, printed_ee_same_bracket(-1, W, normalized=False)),
+        ("chi1", "E+"): (-S_I, products(printed_chi_e_bracket(+1, W))),
+        ("chi1", "E-"): (-S_I, products(printed_chi_e_bracket(-1, W))),
+        ("E+", "E+"): (S_I, products(printed_ee_same_bracket(+1, W))),
+        ("E-", "E-"): (S_I, products(printed_ee_same_bracket(-1, W))),
         ("E+", "E-"): (-S_I, opposite_charge_bracket(W)),
     }
     table = q_bracket_table()
@@ -217,11 +222,11 @@ def test_classical_table_brackets_are_not_scaled_by_sigma(monkeypatch):
 
 def test_q_table_brackets_still_carry_sigma():
     table = q_bracket_table()
-    plain = printed_ee_same_bracket(+1, W, normalized=False)
+    plain = products(printed_ee_same_bracket(+1, W))
     T = classical_bracket("E+", "E+", table, W)
     assert T == plain.scale(S_I) and T != plain
     # a reflected lookup carries the same sigma
-    plain = printed_chi_e_bracket(-1, W, normalized=False)
+    plain = products(printed_chi_e_bracket(-1, W))
     T = classical_bracket("E-", "chi1", table, W)
     assert T == -(plain.scale(-S_I).reflect()) and T != -(plain.reflect())
 

@@ -186,8 +186,7 @@ def test_singular_matrix_raises():
 
 def test_substitution_error_on_incomplete_surface():
     sc = scenario("q-sl2")
-    broken = ConstraintSet(sc.constraints.chi1_symbol, sc.constraints.chi2_symbol,
-                           sc.constraints.chi1, sc.constraints.chi2,
+    broken = ConstraintSet(sc.constraints.symbols, sc.constraints.exprs,
                            {"E+": 1})  # Psi and Phi survive
     with pytest.raises(SubstitutionError):
         build_dirac_matrix(Reduction(Scenario(sc.key, sc.table, broken), W))
@@ -350,8 +349,7 @@ def test_constraints_check_fails_off_the_surface(closed):
     # matrix entry reads only Psi and Phi and still matches
     sc = scenario("q-sl2")
     c = sc.constraints
-    off = ConstraintSet(c.chi1_symbol, c.chi2_symbol, c.chi1, c.chi2,
-                        {"Psi": 1, "Phi": 1, "E+": 0})
+    off = ConstraintSet(c.symbols, c.exprs, {"Psi": 1, "Phi": 1, "E+": 0})
     status = {r.id: r.status for r in dirac_suite(Reduction(
         Scenario(sc.key, sc.table, off), W), closed)}
     assert status["constraints-idempotent"] == FAIL
@@ -468,7 +466,7 @@ def test_chain_builds_each_on_surface_bracket_once(monkeypatch):
 def _casimir_brackets(chain, dinv):
     """{chi_k, E-}_D and {E-, chi_k}_D for both constraints of the chain."""
     return [dirac_bracket(chain, a, b, dinv)
-            for c in chain.scenario.constraints.symbols()
+            for c in chain.scenario.constraints.symbols
             for a, b in ((c, CURRENT), (CURRENT, c))]
 
 
