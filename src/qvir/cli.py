@@ -10,6 +10,7 @@ import argparse
 import sys
 import time
 from collections import namedtuple
+from functools import cached_property
 
 from .distcalc import ModeWindow
 from .currents import (
@@ -19,7 +20,6 @@ from .currents import (
     verify_serre_mode_equivalence,
 )
 from .dirac import (
-    SCENARIO_KEYS,
     QVirasoroBracket,
     Reduction,
     dirac_suite,
@@ -40,12 +40,57 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 
-SUITES = {
-    "q-sl2": ("exchange", "commutators", "modes", "dirac", "reduce", "limit"),
-    "classical-sl2": ("dirac", "reduce"),
-}
-
 JACOBI_CUTOFF = 6
+
+
+class Run:
+    """One run's window and the values its suites share: each scenario's
+    Dirac chain and the q-sl2 closed forms, each built on first use."""
+
+    def __init__(self, W: ModeWindow):
+        self.W = W
+        self._chains = {}
+
+    def chain(self, key: str) -> Reduction:
+        red = self._chains.get(key)
+        if red is None:
+            red = self._chains[key] = Reduction(scenario(key), self.W)
+        return red
+
+    @cached_property
+    def closed(self) -> QVirasoroBracket:
+        return QVirasoroBracket(self.W)
+
+
+# The run plan: each scenario's suites in dependency order, each a tuple of
+# check groups timed one by one.  A group is a function of the `Run` and looks
+# its suite up by module attribute when called, so a rebound name (a tracer's
+# or a test's counting wrapper) sees the call.
+SUITES = {
+    "q-sl2": {
+        "exchange": (lambda r: exchange_suite(r.W),),
+        "commutators": (lambda r: verify_commutators(r.W),
+                        lambda r: verify_ee_ope(r.W, +1),
+                        lambda r: verify_ee_ope(r.W, -1)),
+        "modes": (*(lambda r, k=k: modes_from_ope(KacMoodyLevel(k), r.W)
+                    for k in (1, 2, 3)),
+                  lambda r: verify_serre_mode_equivalence(r.W),
+                  lambda r: verify_table_degeneration(r.chain("q-sl2"),
+                                                      r.chain("classical-sl2"))),
+        "dirac": (lambda r: dirac_suite(r.chain("q-sl2"), r.closed),),
+        "reduce": (lambda r: reduce_suite(r.chain("q-sl2"), r.closed),),
+        "limit": (lambda r: antisymmetry_check(r.closed)
+                  + classical_limit_check(r.chain("q-sl2").contents,
+                                          r.chain("classical-sl2").contents,
+                                          r.closed, r.W),),
+    },
+    "classical-sl2": {
+        "dirac": (lambda r: dirac_suite(r.chain("classical-sl2")),),
+        "reduce": (lambda r: reduce_suite(r.chain("classical-sl2")),
+                   lambda r: classical_jacobi_check(ClassicalVirasoro.from_reduced(
+                       r.chain("classical-sl2").contents), JACOBI_CUTOFF)),
+    },
+}
 
 
 class ConfigError(ValueError):
@@ -59,31 +104,25 @@ class RunConfig(namedtuple("RunConfig", "scenario window suites fmt output",
     __slots__ = ()
 
     def resolve_suites(self):
-        if self.scenario not in SUITES:
+        plan = SUITES.get(self.scenario)
+        if plan is None:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; known: {sorted(SUITES)}")
-        available = SUITES[self.scenario]
-        wanted = []
+        wanted = set()
         for s in self.suites:
             for name in s.split(","):
                 name = name.strip()
-                if not name:
-                    continue
                 if name == "all":
-                    wanted.extend(available)
-                elif name in available:
-                    wanted.append(name)
-                else:
+                    wanted.update(plan)
+                elif name in plan:
+                    wanted.add(name)
+                elif name:
                     raise ConfigError(
                         f"suite {name!r} is not available for scenario "
-                        f"{self.scenario!r}; available: {list(available)} or 'all'")
-        seen = []
-        for name in available:        # dependency order is fixed
-            if name in wanted and name not in seen:
-                seen.append(name)
-        if not seen:
+                        f"{self.scenario!r}; available: {list(plan)} or 'all'")
+        if not wanted:
             raise ConfigError("no suites selected")
-        return seen
+        return [n for n in plan if n in wanted]     # dependency order is fixed
 
     def validate(self):
         """Raise ConfigError on a bad value; return the resolved suites."""
@@ -94,64 +133,22 @@ class RunConfig(namedtuple("RunConfig", "scenario window suites fmt output",
         return self.resolve_suites()
 
 
-def _timed(records_fn):
+def _timed(group, shared):
     t0 = time.perf_counter()
-    records = records_fn()
+    records = group(shared)
     seconds = (time.perf_counter() - t0) / max(1, len(records))
     return [r._replace(seconds=seconds) for r in records]
 
 
 def run(config: RunConfig) -> Report:
-    """Execute the selected suites in dependency order."""
+    """Run the plan's check groups of the selected suites, in dependency order."""
     suites = config.validate()
-    W = ModeWindow(config.window)
+    shared = Run(ModeWindow(config.window))
     rep = Report(config.scenario, config.window)
-
-    # one Dirac chain per scenario, and on q-sl2 one set of closed forms,
-    # shared by the suites that read them and built only for them
-    chain = Reduction(scenario(config.scenario), W)
-    classical = closed = None
-    if config.scenario == "classical-sl2":
-        classical = chain
-    else:
-        if "modes" in suites or "limit" in suites:
-            classical = Reduction(scenario("classical-sl2"), W)
-        if "dirac" in suites or "reduce" in suites or "limit" in suites:
-            closed = QVirasoroBracket(W)
-
     for name in suites:
-        if name == "exchange":
-            rep.extend(_timed(lambda: exchange_suite(W)))
-        elif name == "commutators":
-            rep.extend(_timed(lambda: verify_commutators(W)))
-            rep.extend(_timed(lambda: verify_ee_ope(W, +1)))
-            rep.extend(_timed(lambda: verify_ee_ope(W, -1)))
-        elif name == "modes":
-            for k in (1, 2, 3):
-                rep.extend(_timed(lambda k=k: modes_from_ope(KacMoodyLevel(k), W)))
-            rep.extend(_timed(lambda: verify_serre_mode_equivalence(W)))
-            rep.extend(_timed(lambda: verify_table_degeneration(chain, classical)))
-        elif name == "dirac":
-            rep.extend(_timed(lambda: dirac_suite(chain, closed)))
-        elif name == "reduce":
-            rep.extend(_timed(lambda: reduce_suite(chain, closed)))
-            if config.scenario == "classical-sl2":
-                rep.extend(_timed(lambda: _classical_jacobi(chain)))
-        elif name == "limit":
-            rep.extend(_timed(lambda: _limit_suite(chain, classical, closed)))
+        for group in SUITES[config.scenario][name]:
+            rep.extend(_timed(group, shared))
     return rep
-
-
-def _classical_jacobi(chain):
-    return classical_jacobi_check(ClassicalVirasoro.from_reduced(chain.contents),
-                                  JACOBI_CUTOFF)
-
-
-def _limit_suite(q_chain, classical_chain, closed):
-    out = antisymmetry_check(closed)
-    out.extend(classical_limit_check(q_chain.contents, classical_chain.contents,
-                                     closed, q_chain.W))
-    return out
 
 
 def emit(report: Report, fmt: str) -> str:
@@ -169,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=("Exact verification of the q-deformed Virasoro algebra "
                      "obtained by Dirac reduction of the quantum affine sl(2) "
                      "current algebra at level 1."))
-    p.add_argument("--scenario", default="q-sl2", choices=SCENARIO_KEYS,
+    p.add_argument("--scenario", default="q-sl2", choices=sorted(SUITES),
                    help="which reduction to verify")
     p.add_argument("--window", type=int, default=12, metavar="N",
                    help="mode window: checks run for |n| <= N (default 12)")

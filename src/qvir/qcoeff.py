@@ -18,8 +18,9 @@ denominator d, canonical when both ends are nonzero and gcd(d, re) = 1
 constant is the degree-0 tuple (0, d, (a,)).  The coefficients are rational,
 so every cyclotomic factor of a q-integer stays irreducible.  Sums, products
 (an integer convolution over the nonzero entries) and the gcd path
-(cross-reduction of products, normalization, the polynomial gcd and the
-exact divisions by it) all run on it, with one content gcd per result.
+(cross-reduction, the one way a common factor is cancelled; the polynomial
+gcd; the exact divisions by it) all run on it, with one content gcd per
+result.
 Division is pseudo-division by a divisor whose lead is a positive integer,
 so a monic integral divisor costs a plain multiply-subtract; the gcd is the
 primitive Euclidean algorithm, each remainder over its signed integer
@@ -247,10 +248,10 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: tuple, den: tuple = LP_ONE, _coprime=False):
+    def __init__(self, num: tuple, den: tuple = LP_ONE):
         if not den:
             raise ZeroDivisionError("zero denominator")
-        num, den = _normalize(num, den, skip_gcd=_coprime)
+        num, den = _cross_reduce(*_monic(num, den))
         _set_num(self, num)
         _set_den(self, den)
 
@@ -301,7 +302,7 @@ class RatFunc:
     def __truediv__(self, other):
         if not other.num:
             raise ZeroDivisionError("division by zero RatFunc")
-        return self * RatFunc(other.den, other.num, _coprime=True)
+        return self * _ratfunc(*_monic(other.den, other.num))
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
@@ -350,18 +351,14 @@ def _ratfunc_str(f, imag):
     return f"{ns}/{ds}"
 
 
-def _normalize(num, den, skip_gcd=False):
+def _monic(num, den):
+    """num/den over the denominator's monomial and integer lead: a monic
+    denominator of lowest exponent zero (``LP_ONE`` for a monomial), with
+    any common factor left in place."""
     if not num:
         return LP_ZERO, LP_ONE
     vn, dn, nr = num
     vd, dd, dr = den
-    if not skip_gcd and len(nr) > 1 and len(dr) > 1:
-        g = _poly_gcd(nr, _primitive(dr))
-        if len(g) > 1:
-            dn, nr = _divide(nr, dn, g)[0]
-            dd, dr = _divide(dr, dd, g)[0]
-    # fold the denominator's monomial into the numerator; both over c, the
-    # denominator's integer lead, make it monic
     c = dr[-1]
     if c < 0:
         c, nr, dr = -c, [-x for x in nr], [-x for x in dr]
@@ -378,9 +375,9 @@ def _cross_reduce(p, q):
     longer operand by the shorter; when that is exact the quotient is the
     answer and no gcd runs.  A denominator reduced to 1 is ``LP_ONE``.
     """
-    vp, dp, pr = p
-    if q is LP_ONE or len(pr) == 1:
+    if q is LP_ONE or len(p[2]) == 1:
         return p, q
+    vp, dp, pr = p
     _, dq, qr = q       # q is monic, so its integer lead is dq
     if len(pr) >= len(qr):
         quo, rem = _divide(pr, dp, qr)
@@ -533,7 +530,7 @@ class Scalar:
         num = _lp_add(f.num, f.num) if p & 1 else f.num
         if p & 2:
             num = _lp_neg(num)
-        return _scalar(RatFunc(f.den, num, _coprime=True), p)
+        return _scalar(_ratfunc(*_monic(f.den, num)), p)
 
     def __truediv__(self, other):
         return self * _as_scalar(other).inverse()

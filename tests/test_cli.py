@@ -62,9 +62,8 @@ def test_bad_window_rejected():
 def test_every_suite_runs_at_small_windows(tmp_path, window):
     # contractions are reconstructed on the padded contraction window, so no
     # suite has a window floor above 1 and none ends in a traceback
-    for scenario, names in (("q-sl2", cli.SUITES["q-sl2"] + ("all",)),
-                            ("classical-sl2", ("dirac", "reduce", "all"))):
-        for name in names:
+    for scenario, plan in cli.SUITES.items():
+        for name in (*plan, "all"):
             out = tmp_path / f"{scenario}-{name}-{window}.json"
             code = main(["--scenario", scenario, "--window", str(window),
                          "--suite", name, "--output", str(out)])
@@ -335,11 +334,13 @@ def test_dirac_stage_counts(monkeypatch, scenario, window, suites, want):
     ("q-sl2", "all", {"QVirasoroBracket": 1, "split_reduced": 2, "Reduction": 2}),
     ("q-sl2", "reduce,limit", {"QVirasoroBracket": 1, "split_reduced": 2}),
     ("classical-sl2", "all", {"QVirasoroBracket": 0, "split_reduced": 1}),
-    # the suites that read neither the closed forms nor a reduced bracket;
-    # only the modes suite reads the classical chain
-    ("q-sl2", "exchange", {"QVirasoroBracket": 0, "split_reduced": 0, "Reduction": 1}),
-    ("q-sl2", "commutators", {"QVirasoroBracket": 0, "split_reduced": 0, "Reduction": 1}),
+    # the suites that read neither the closed forms nor a reduced bracket
+    # build no chain; only the modes suite reads the classical chain, and the
+    # dirac suite reads the q chain's matrix and inverse, not its contents
+    ("q-sl2", "exchange", {"QVirasoroBracket": 0, "split_reduced": 0, "Reduction": 0}),
+    ("q-sl2", "commutators", {"QVirasoroBracket": 0, "split_reduced": 0, "Reduction": 0}),
     ("q-sl2", "modes", {"QVirasoroBracket": 0, "split_reduced": 0, "Reduction": 2}),
+    ("q-sl2", "dirac", {"QVirasoroBracket": 1, "split_reduced": 0, "Reduction": 1}),
 ))
 def test_closed_forms_and_contents_built_once_per_run(monkeypatch, scenario, suites, want):
     # one set of closed forms per q-sl2 run that reads them and none per
@@ -609,6 +610,13 @@ def test_benchmark_probe_trace_contract(tmp_path):
     assert trace["stats"]["dirac.reduce"][0] > 0
     assert trace["stats"]["dirac.build_dirac_matrix"][0] > 0
     assert trace["stats"]["qvirasoro.classical_limit_check"][0] > 0
+    # the run plan looks every suite up when it calls it, so each call counts
+    for name, calls in (("vertexcalc.exchange_suite", 1), ("vertexcalc.verify_ee_ope", 2),
+                        ("currents.verify_commutators", 1),
+                        ("currents.modes_from_ope.k3", 1), ("dirac.dirac_suite", 1),
+                        ("dirac.reduce_suite", 1), ("qvirasoro.antisymmetry_check", 1)):
+        assert trace["stats"][name][0] == calls, name
+    assert classical["stats"]["qvirasoro.classical_jacobi_check"][0] == 1
     # the h-expansion and the gcd are wrapped by name as well
     assert trace["stats"]["qcoeff.taylor_q1"][0] > 0
     assert "qcoeff.gcd" in trace["stats"]

@@ -484,6 +484,50 @@ def test_constraints_are_casimirs_of_the_dirac_bracket(key):
         assert not any(T.is_zero() for T in _casimir_brackets(chain, bad))
 
 
+def _jacobi_defects(f, g, K):
+    """The triples |a|, |b|, |c| <= K at which a bracket
+    {T(z), T(w)} = f(w/z) T(z)T(w) + g(w/z), its kernels odd and given as
+    {mode: value} in the orientation of Dist2, breaks the Jacobi identity.
+
+    With T(z) = sum_m T_m z^(-m) the modes obey
+    {T_a, T_b} = sum_n f_n T_(a-n) T_(b+n) + g_a delta_(a+b,0).  The cubic
+    terms of the cyclic sum cancel because f is odd.  In {T_a, {T_b, T_c}}
+    the linear terms come from the central part of {T_a, T_(b-n)} at
+    n = a+b and of {T_a, T_(c+n)} at n = -a-c, which gives
+    g_a (f_(a+b) - f_(a+c)) T_(a+b+c); their cyclic sum is J(a, b, c) T_(a+b+c).
+    """
+    def J(a, b, c):
+        return (g[a] * (f[a + b] - f[a + c]) + g[b] * (f[b + c] - f[b + a])
+                + g[c] * (f[c + a] - f[c + b]))
+
+    r = range(-K, K + 1)
+    return [(a, b, c) for a in r for b in r for c in r if not J(a, b, c).is_zero()]
+
+
+def test_deformed_reduced_bracket_obeys_jacobi():
+    # T = a E- + b turns the reduced bracket's contents into quad T(z)T(w)
+    # plus the central a^2 cnum - b^2 quad (the linear content cancels, as
+    # reduce-linear-cancellation checks); J is bilinear in (g, f), so the
+    # overall factors kappa drop out.  Every pair sum stays in the window.
+    chain = Reduction(scenario("q-sl2"), W)
+    amap = QVirasoroBracket(W).amap
+    K = W.N // 2
+
+    def kernels(parts):
+        f = {n: parts.quad.coeff(n) for n in W.modes()}
+        g = {n: amap.a2 * parts.cnum.coeff(n) - amap.b2 * f[n] for n in W.modes()}
+        return f, g
+
+    f, g = kernels(dirac.ReducedContents(
+        *(weight_abs(d, dirac.WEIGHT_EXPONENT) for d in chain.contents)))
+    assert _jacobi_defects(f, g, K) == []
+    # negative controls: the residual-weight [qdirb] bracket, a nonzero f_0
+    # (the values are imaginary) and a perturbed central kernel
+    for bad_f, bad_g in (kernels(chain.contents), (f | {0: f[0] + S_I}, g),
+                         (f, g | {3: g[3] + S_I})):
+        assert _jacobi_defects(bad_f, bad_g, K)
+
+
 def test_table_degeneration_to_undeformed():
     all_pass(verify_table_degeneration(Reduction(scenario("q-sl2"), W),
                                        Reduction(scenario("classical-sl2"), W)))
