@@ -5,7 +5,8 @@ half-integer power of q is a monomial in s.  ``t`` is a formal surd with
 t^2 = 2; it stays symbolic under both degeneration maps:
 
 * :func:`eval_q1` substitutes s = 1,
-* :func:`taylor_q1` expands in h after substituting s = exp(i h / 2).
+* :func:`taylor_q1` reads the leading term in h after substituting
+  s = exp(i h / 2).
 
 All values are immutable; equality is exact and decidable through a
 canonical form: a rational function whose numerator and denominator are
@@ -31,15 +32,16 @@ the value f*i^(p>>1)*t^(p&1): every value of the level-1 realization is real
 or purely imaginary, and free of t or a multiple of it, because i enters
 only through the correspondence sign and the couplings i*t.  The
 degeneration maps stay in the tower: :func:`eval_q1` gives a constant
-Scalar of the same grade, and :class:`HSeries` coefficients are constant
-Scalars, so Scalar's own arithmetic is the constant arithmetic at q = 1.
+Scalar of the same grade, and the leading coefficient from :func:`taylor_q1`
+is a constant Scalar, so Scalar's own arithmetic is the constant arithmetic
+at q = 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd, inf, lcm
 from operator import add
 
 
@@ -661,149 +663,49 @@ def eval_q1(x: Scalar) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# Degeneration map 2: exact Laurent expansion in h, q = exp(i h)
+# Degeneration map 2: the leading term in h, q = exp(i h)
 # ---------------------------------------------------------------------------
 
-class HSeries:
-    """Truncated Laurent series in h with constant Scalar coefficients.
+# The leading term of zero: order +inf (the valuation of 0) and coefficient 0.
+ZERO_TERM = (inf, S_ZERO)
 
-    Coefficients are exact for every exponent below ``prec``; the tail is
-    O(h^prec).  A finite principal part (pole in h) is allowed.
+
+def _leading_moment(p: tuple) -> tuple:
+    """The order a in h of p(exp(i h / 2)), the number of factors (s - 1)
+    of p, and its integer moment M_a = sum_j c_j j^a over the exponents j.
+
+    The h^m coefficient of p = sum_j c_j s^j / d is (i/2)^m/m! M_m/d, so a
+    is the first m with M_m != 0.  The moments m < k of k distinct exponents
+    cannot all vanish (Vandermonde), so a is below the number of terms.
     """
-
-    __slots__ = ("c", "prec")
-
-    def __init__(self, coeffs, prec):
-        object.__setattr__(self, "c", {k: v for k, v in coeffs.items()
-                                       if k < prec and not v.is_zero()})
-        object.__setattr__(self, "prec", prec)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HSeries is immutable")
-
-    def coeff(self, k):
-        """Coefficient of h^k as a constant Scalar (must be below precision)."""
-        if k >= self.prec:
-            raise ValueError(f"coefficient h^{k} is beyond precision O(h^{self.prec})")
-        return self.c.get(k, S_ZERO)
-
-    def valuation(self):
-        return min(self.c, default=None)
-
-    def truncate(self, prec):
-        return HSeries(self.c, min(self.prec, prec))
-
-    def __mul__(self, other):
-        # a zero factor counts as valuation 0 in the precision of the product
-        va, vb = min(self.c, default=0), min(other.c, default=0)
-        prec = min(self.prec + vb, other.prec + va)
-        out = {}
-        for k1, x in self.c.items():
-            for k2, y in other.c.items():
-                k = k1 + k2
-                if k < prec:
-                    out[k] = out.get(k, S_ZERO) + x * y
-        return HSeries(out, prec)
-
-    def __truediv__(self, other):
-        """a/b in one pass of q_k = (a_(k+v) - sum_(j>=1) b_j q_(k-j)) / b_0,
-        b = h^v (b_0 + b_1 h + ...); exact below min(p_a - v, p_b - 2v + v_a)."""
-        if not other.c:
-            raise ZeroDivisionError("division by a (truncated) zero series")
-        v = min(other.c)
-        va = min(self.c, default=0)
-        prec = min(self.prec - v, other.prec - 2 * v + va)
-        inv0 = other.c[v].inverse()
-        tail = [(k - v, b) for k, b in other.c.items() if k > v]
-        q = {}
-        for k in range(va - v, prec):
-            acc = self.c.get(k + v, S_ZERO)
-            for j, b in tail:
-                if k - j in q:
-                    acc = acc - b * q[k - j]
-            q[k] = acc * inv0
-        return HSeries(q, prec)
-
-    def __eq__(self, other):
-        if not isinstance(other, HSeries):
-            return NotImplemented
-        return self.truncate(other.prec).c == other.truncate(self.prec).c
-
-    def __str__(self):
-        parts = []
-        for k in sorted(self.c):
-            cs = str(self.c[k])
-            if " " in cs:
-                cs = f"({cs})"
-            if k == 0:
-                parts.append(cs)
-            else:
-                mono = "h" if k == 1 else f"h^{k}"
-                parts.append(mono if cs == "1" else f"-{mono}" if cs == "-1" else f"{cs}*{mono}")
-        parts.append(f"O(h^{self.prec})")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"HSeries<{self}>"
-
-
-def _terms(p: tuple) -> list:
-    """The nonzero terms (j, c_j) of p, j the exponent of s."""
     v, _, re = p
-    return [(j, x) for j, x in enumerate(re, start=v) if x]
-
-
-def _moment(terms: list, k: int) -> int:
-    """The integer sum_j c_j j^k."""
-    return sum(x * j ** k for j, x in terms)
-
-
-def _lp_to_hseries(p: tuple, prec: int) -> HSeries:
-    """Substitute s = exp(i h / 2) exactly: the h^m coefficient of p is
-    (i/2)^m/m! * sum_j c_j j^m / d, over the exponents j.  Its factor i^m is
-    the grade 2*(m & 1) and the sign (-1)^(m//2)."""
-    d, terms = p[1], _terms(p)
-    out = {}
-    for m in range(prec):
-        a = _moment(terms, m)
-        if m & 2:
-            a = -a
-        out[m] = _scalar(_ratfunc(_canon(0, d * 2 ** m * factorial(m), [a]), LP_ONE), 2 * (m & 1))
-    return HSeries(out, prec)
-
-
-def _order_at_one(p: tuple) -> int:
-    """The order in h of p(exp(i h / 2)): the number of factors (s - 1) of p.
-
-    The h^k coefficient is proportional to the moment sum_j c_j j^k, and the
-    moments k < m of m distinct exponents cannot all vanish (Vandermonde),
-    so the order is below the number of terms.
-    """
-    terms = _terms(p)
-    for k in range(len(terms)):
-        if _moment(terms, k):
-            return k
+    terms = [(j, x) for j, x in enumerate(re, start=v) if x]
+    for m in range(len(terms)):
+        moment = sum(x * j ** m for j, x in terms)
+        if moment:
+            return m, moment
     raise ArithmeticError(f"no nonzero moment below {len(terms)} for {_lp_str(p)}")
 
 
-def taylor_q1(x: Scalar, order: int) -> HSeries:
-    """Exact Laurent expansion in h of x under q = exp(i h), through h^order.
+def taylor_q1(x: Scalar) -> tuple:
+    """The leading term of x under q = exp(i h): (k, c) with
+    x = c h^k + O(h^(k+1)) and c a nonzero constant Scalar, or ZERO_TERM
+    for x = 0.
 
-    x = f times the unit of its grade expands as f does, each coefficient
-    times that unit.  f = num/den is expanded once: a denominator of order v
-    in h loses 2v orders of precision in the division, so the series are
-    taken to order + 1 + 2v.
+    f = num/den, with num of order a and den of order b (_leading_moment),
+    has order k = a - b, negative at a pole, and leading coefficient
+    (i/2)^k (M_a/(a! d_num)) / (M_b/(b! d_den)).  With x's own unit the
+    factor is i^e, e = k + (p >> 1): the grade bit 2*(e & 1) and the sign
+    (-1)^(e >> 1).
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    target, f = order + 1, x.f
+    f = x.f
     if not f.num:
-        return HSeries({}, target)
-    prec = target + 2 * _order_at_one(f.den)
-    series = _lp_to_hseries(f.num, prec) / _lp_to_hseries(f.den, prec)
-    if series.prec < target:
-        raise ArithmeticError(f"taylor_q1 reached O(h^{series.prec}), "
-                              f"short of O(h^{target})")
-    # each coefficient has grade 0 or 2 (no t), so times x's unit only i*i = -1 can arise
-    return HSeries({k: _scalar(-c.f if c.p & x.p & 2 else c.f, c.p ^ x.p)
-                    for k, c in series.c.items()}, target)
+        return ZERO_TERM
+    (a, ma), (b, mb) = _leading_moment(f.num), _leading_moment(f.den)
+    k = a - b
+    c = Fraction(ma * factorial(b) * f.den[1] * 2 ** max(-k, 0),
+                 mb * factorial(a) * f.num[1] * 2 ** max(k, 0))
+    e = k + (x.p >> 1)
+    if e & 2:
+        c = -c
+    return k, _scalar(RatFunc.const(c), 2 * (e & 1) | x.p & 1)

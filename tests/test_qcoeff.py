@@ -295,7 +295,7 @@ def test_gaussian_rationals_hold_only_ints():
     # every polynomial is a tuple (v, d, re) of ints and a tuple of ints,
     # and so is every constant of the degeneration maps
     at_one = eval_q1((Scalar.from_rat(Fraction(1, 3)) + S_ONE) * S_I * S_T)
-    h = taylor_q1(S_ONE / q_minus_qinv(), 2).coeff(-1)
+    _, h = taylor_q1(S_ONE / q_minus_qinv())
     seen = [p for y in (x, f, at_one, h) for p in polys_in(y)]
     assert any(p[1] != 1 for p in seen)
     for p in seen:
@@ -1040,83 +1040,62 @@ def test_eval_q1_pole_raises():
 def test_taylor_order0_agrees_with_eval():
     xs = [qint(5), S_T * qint(3) / (qint(2) + S_ONE), S_T * qint(2), S_I * S_T * qint(2)]
     for x in xs:
-        h = taylor_q1(x, 0)
-        assert h.coeff(0) == eval_q1(x)
+        assert taylor_q1(x) == (0, eval_q1(x))
 
 
 # ---------------------------------------------------------------------------
-# taylor_q1
+# taylor_q1: the leading term (k, c) of x = c h^k + O(h^(k+1)), q = exp(i h)
 # ---------------------------------------------------------------------------
 
 def test_taylor_qint2():
-    # [2] = 2 cos h = 2 - h^2 + h^4/12 - ...
-    h = taylor_q1(qint(2), 4)
-    assert h.coeff(0) == 2
-    assert h.coeff(1) == 0
-    assert h.coeff(2) == -1
-    assert h.coeff(4) == Fraction(1, 12)
+    # [2] = 2 cos h = 2 - h^2 + ...
+    assert taylor_q1(qint(2)) == (0, 2)
+    # [2] - 2 = -h^2 + h^4/12 - ...
+    assert taylor_q1(qint(2) - 2) == (2, -1)
 
 
 def test_taylor_q_minus_qinv():
     # q - 1/q = 2i sin h = 2i h - i h^3 / 3 + ...
-    h = taylor_q1(q_minus_qinv(), 3)
-    assert h.coeff(0) == 0
-    assert h.coeff(1) == 2 * S_I
-    assert h.coeff(2) == 0
-    assert h.coeff(3) == Fraction(-1, 3) * S_I
-    for k in range(4):
-        assert_constant(h.coeff(k))
+    k, c = taylor_q1(q_minus_qinv())
+    assert (k, c) == (1, 2 * S_I)
+    assert_constant(c)
 
 
 def test_taylor_constant():
-    for k in (0, 2, 5):
-        h = taylor_q1(S_ONE, k)
-        assert h.coeff(0) == 1
-        assert all(h.coeff(m) == 0 for m in range(1, k + 1))
+    for v in (1, Fraction(-2, 3)):
+        assert taylor_q1(Scalar.from_rat(v)) == (0, v)
+    # zero has order +inf, past every finite order, and coefficient 0
+    assert taylor_q1(S_ZERO) == qcoeff.ZERO_TERM == (float("inf"), S_ZERO)
 
 
 def test_taylor_pole_in_h():
-    # 1/(q - 1/q) = 1/(2i h) + O(h): principal part is representable
-    h = taylor_q1(S_ONE / q_minus_qinv(), 1)
-    assert h.valuation() == -1
-    assert h.coeff(-1) == Fraction(-1, 2) * S_I
+    # 1/(q - 1/q) = 1/(2i h) + O(h): a pole gives a negative order
+    assert taylor_q1(S_ONE / q_minus_qinv()) == (-1, Fraction(-1, 2) * S_I)
 
 
 def test_taylor_third_order_pole_in_one_pass(monkeypatch):
     # 1/(q - 1/q)^3 = 1/(2i sin h)^3 = (i/8) h^-3 (1 + h^2/2 + ...): the
     # denominator vanishes to third order in h, and numerator and denominator
-    # are each expanded once
+    # are each read once
     calls = []
-    expand = qcoeff._lp_to_hseries
-    monkeypatch.setattr(qcoeff, "_lp_to_hseries",
-                        lambda p, prec: calls.append(prec) or expand(p, prec))
-    dq3 = q_minus_qinv() ** 3
-    h = taylor_q1(S_ONE / dq3, 2)
+    lead = qcoeff._leading_moment
+    monkeypatch.setattr(qcoeff, "_leading_moment", lambda p: calls.append(p) or lead(p))
+    assert taylor_q1(S_ONE / q_minus_qinv() ** 3) == (-3, Fraction(1, 8) * S_I)
     assert len(calls) == 2
-    assert h.prec == 3 and h.valuation() == -3
-    assert h.coeff(-3) == Fraction(1, 8) * S_I
-    assert h.coeff(-2) == 0
-    assert h.coeff(-1) == Fraction(1, 16) * S_I
-    # the product with the expansion of (q - 1/q)^3 is one through h^2
-    one = h * taylor_q1(dq3, 5)
-    assert one.prec >= 3
-    assert [one.coeff(k) for k in range(3)] == [S_ONE, S_ZERO, S_ZERO]
 
 
 def test_taylor_of_t_component():
-    # t*[2] = t*(2 - h^2 + ...): a multiple of t expands like a rational value
-    h = taylor_q1(S_T * qint(2), 2)
-    assert h.coeff(0) == 2 * S_T
-    assert h.coeff(1) == 0
-    assert h.coeff(2) == -S_T
+    # t*[2] = t*(2 - h^2 + ...): a multiple of t has the leading term of its
+    # rational part, times t
+    assert taylor_q1(S_T * qint(2)) == (0, 2 * S_T)
+    assert taylor_q1(S_I * S_T / q_minus_qinv()) == (-1, Fraction(1, 2) * S_T)
 
 
 def test_qint_taylor_limit():
     # [n] -> n with the first correction -n(n^2-1)/6 * h^2
     for n in (2, 3, 5):
-        h = taylor_q1(qint(n), 2)
-        assert h.coeff(0) == n
-        assert h.coeff(2) == Fraction(-n * (n * n - 1), 6)
+        assert taylor_q1(qint(n)) == (0, n)
+        assert taylor_q1(qint(n) - n) == (2, Fraction(-n * (n * n - 1), 6))
 
 
 # values of every grade with poles of order 0..3 at q = 1
@@ -1124,51 +1103,59 @@ poled = st.builds(lambda x, p: x / q_minus_qinv() ** p,
                   scalars().filter(lambda x: not x.is_zero()), st.integers(0, 3))
 
 
-@settings(max_examples=30, deadline=None)
-@given(poled, poled, st.integers(0, 4), st.integers(0, 4))
-def test_hseries_division_inverts_the_product(x, y, ox, oy):
-    a, b = taylor_q1(x, ox), taylor_q1(y, oy)
-    assume(b.c)
-    q = a / b
-    va, vb = a.valuation() or 0, b.valuation()
-    assert q.prec == min(a.prec - vb, b.prec - 2 * vb + va)
-    back = q * b
-    assert back == a.truncate(back.prec)
+@settings(max_examples=50, deadline=None)
+@given(poled, poled)
+def test_taylor_of_a_product_is_the_product_of_the_terms(x, y):
+    (kx, cx), (ky, cy) = taylor_q1(x), taylor_q1(y)
+    assert taylor_q1(x * y) == (kx + ky, cx * cy)
 
 
-def test_taylor_matches_sympy_series_with_t_part_and_third_order_pole():
-    # the value times each unit 1, t, i and i*t, against sympy's series of
-    # the value times i^(p>>1), coefficient by coefficient
+def _sympy_leading_term(value):
+    """The leading term (k, c) of value at s = exp(i h / 2), with c as a
+    sympy number times i^(p>>1) (the t factor left out): each exponential
+    is expanded by sympy through h^7, past the order of every polynomial of
+    a poled value, and a ratio leads with the ratio of the leading terms."""
     import sympy
 
     h = sympy.symbols("h")
+
+    def lead(p):
+        series = sum(sympy.Rational(c) * sympy.exp(sympy.I * k * h / 2).series(h, 0, 8).removeO()
+                     for k, c in as_dict(p).items())
+        terms = sympy.Poly(sympy.expand(series), h).terms()
+        (m,), c = min(terms)
+        return m, c
+
+    (a, ca), (b, cb) = lead(value.f.num), lead(value.f.den)
+    return a - b, sympy.expand(ca / cb * sympy.I ** (value.p >> 1))
+
+
+def _sympy_of(c):
+    """A constant Scalar, times 1/t when it is t-odd, as a sympy number."""
+    import sympy
+
+    re, im = pair_of(c)
+    return sympy.Rational(re) + sympy.I * sympy.Rational(im)
+
+
+@settings(max_examples=20, deadline=None, phases=NO_SHRINK)
+@given(poled)
+def test_taylor_matches_the_sympy_leading_term(x):
+    k, c = taylor_q1(x)
+    assert_constant(c)
+    assert c.p & 1 == x.p & 1
+    want_k, want_c = _sympy_leading_term(x)
+    assert k == want_k
+    assert _sympy_of(c) == want_c
+
+
+def test_taylor_matches_sympy_series_with_t_part_and_third_order_pole():
+    # the value times each unit 1, t, i and i*t, against sympy's series
     x = (qint(3) + Scalar.q_power(1) + Fraction(2, 3) * spow(-1)) / q_minus_qinv() ** 3
-    order = 2
-
-    def gauss(z):
-        return sympy.Rational(z[0]) + sympy.I * sympy.Rational(z[1])
-
-    def at_exp(f):
-        def poly(p):
-            return sum(sympy.Rational(c) * sympy.exp(sympy.I * k * h / 2)
-                       for k, c in as_dict(p).items())
-        return poly(f.num) / poly(f.den)
-
-    series = sympy.series(at_exp(x.f), h, 0, order + 1).removeO()
     for value in (x * unit for unit in UNITS):
-        engine = taylor_q1(value, order)
-        assert engine.valuation() == -3
-        for k in range(-3, order + 1):
-            want = sympy.expand(series.coeff(h, k) * sympy.I ** (value.p >> 1))
-            got = engine.coeff(k)
-            assert got.is_zero() or got.p & 1 == value.p & 1, (k, want)
-            assert sympy.simplify(gauss(pair_of(got)) - want) == 0, (k, want)
-
-
-def test_hseries_arithmetic_roundtrip():
-    a = taylor_q1(qint(3), 6)
-    b = taylor_q1(qint(2) * S_T, 6)
-    assert (a * b) / b == a.truncate((a * b / b).prec)
+        k, c = taylor_q1(value)
+        assert k == -3 and c.p & 1 == value.p & 1
+        assert (k, _sympy_of(c)) == _sympy_leading_term(value)
 
 
 def test_scalar_str_deterministic():

@@ -145,18 +145,17 @@ def test_limit_suite(reductions, closed):
 
 def test_limit_h4_values_by_hand(reductions, closed):
     # independent expansion: the central content is i (q-1/q)^4 q^(-2|n|) [n]^4/[2n],
-    # whose h^4 coefficient is 16 * n^3/2 * i; the linear content is
-    # -i[2](q-1/q)^4 q^(-2|n|) [n]^2/[2n] with h^4 coefficient -16 i n.
+    # whose leading term is 16 * n^3/2 * i h^4; the linear content is
+    # -i[2](q-1/q)^4 q^(-2|n|) [n]^2/[2n], with leading term -16 i n h^4.
     rq, _ = reductions
     amap = closed.amap
     parts = rq.contents
     for n in (1, 2, 3):
-        lin = taylor_q1(amap.ab * parts.quad.coeff(n), 4)
-        assert lin.coeff(4) == -16 * n * S_I
-        cn = taylor_q1(Scalar.from_rat(2) * amap.b2 * parts.quad.coeff(n)
-                       - Scalar.from_rat(2) * amap.ab * parts.lin_z.coeff(n)
-                       + amap.a2 * parts.cnum.coeff(n), 4)
-        assert cn.coeff(4) == Fraction(16 * n ** 3, 2) * S_I
+        assert taylor_q1(amap.ab * parts.quad.coeff(n)) == (4, -16 * n * S_I)
+        cn = (Scalar.from_rat(2) * amap.b2 * parts.quad.coeff(n)
+              - Scalar.from_rat(2) * amap.ab * parts.lin_z.coeff(n)
+              + amap.a2 * parts.cnum.coeff(n))
+        assert taylor_q1(cn) == (4, 8 * n ** 3 * S_I)
 
 
 def test_limit_detects_wrong_central(reductions, closed):
@@ -177,6 +176,41 @@ def test_limit_reports_the_first_bad_mode(reductions, closed):
     for check_id in ("limit-subleading-cancellation", "limit-h4-linear", "limit-h4-central"):
         assert recs[check_id].status == FAIL
         assert recs[check_id].mode == 2
+
+
+@pytest.mark.parametrize("j, want", [
+    (-1, {"limit-subleading-cancellation", "limit-h4-central"}),    # O(h^3): no limit
+    (0, {"limit-h4-central"}),     # O(h^4): a wrong limit
+    (1, set()),                    # O(h^5): the limit unchanged
+], ids=("order3", "order4", "order5"))
+def test_limit_reads_the_order_boundary(reductions, closed, j, want):
+    # i (q - 1/q)^j added to the q contents' cnum at mode 2 enters the central
+    # content times a^2 = O(h^4), so it is of order h^(4 + j) there
+    rq, rc = reductions
+    assert taylor_q1(closed.amap.a2)[0] == 4
+    q = rq.contents._replace(cnum=rq.contents.cnum + Dist2(W.N, {2: S_I * q_minus_qinv() ** j}))
+    records = classical_limit_check(q, rc.contents, closed, W)
+    assert len(records) == 5
+    failed = [r for r in records if r.status == FAIL]
+    assert {r.id for r in failed} == want
+    assert all(r.mode == 2 for r in failed)
+
+
+def test_limit_h2_pieces_fail_with_a_doubled_central_piece(reductions, closed):
+    rq, rc = reductions
+    B = copy.copy(closed)
+    B.cent_residual = _shifted(closed.cent_residual, {1: closed.cent_residual.coeff(1)})
+    records = classical_limit_check(rq.contents, rc.contents, B, W)
+    assert {r.id for r in records if r.status == FAIL} == {"limit-h2-piece-cancellation"}
+
+
+def test_limit_overall_factor_fails_with_q2_minus_qinv2(monkeypatch, reductions, closed):
+    # (q^2 - q^-2)^4 = 256 h^4 + ...: only the overall factor reads q - 1/q
+    monkeypatch.setattr(qvirasoro, "q_minus_qinv",
+                        lambda: Scalar.q_power(2) - Scalar.q_power(-2))
+    rq, rc = reductions
+    records = classical_limit_check(rq.contents, rc.contents, closed, W)
+    assert {r.id for r in records if r.status == FAIL} == {"limit-overall-factor"}
 
 
 # ---------------------------------------------------------------------------
