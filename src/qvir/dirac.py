@@ -213,8 +213,10 @@ def invert(dm: DiracMatrix, W: ModeWindow) -> DiracMatrix:
         if det.is_zero():
             raise SingularModeError(n)
         idet = det.inverse()
-        for (i, j), v in (((0, 0), d), ((0, 1), -b), ((1, 0), -c), ((1, 1), a)):
-            v = v * idet
+        nidet = -idet
+        for (i, j), v, w in (((0, 0), d, idet), ((0, 1), b, nidet), ((1, 0), c, nidet),
+                             ((1, 1), a, idet)):
+            v = v * w
             if not v.is_zero():
                 inv[i][j][n] = v
     return DiracMatrix(_dist2(W.N, inv[0][0]), _dist2(W.N, inv[0][1]),

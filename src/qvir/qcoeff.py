@@ -34,7 +34,10 @@ only through the correspondence sign and the couplings i*t.  The
 degeneration maps stay in the tower: :func:`eval_q1` gives a constant
 Scalar of the same grade, and the leading coefficient from :func:`taylor_q1`
 is a constant Scalar, so Scalar's own arithmetic is the constant arithmetic
-at q = 1.
+at q = 1.  Each operation is one step on the tuples: a product applies the
+unit of the grades' shared bits (t*t = 2, i*i = -1) inside its one
+polynomial product, which for two monomials over the unit denominator is one
+integer product and one gcd, and a difference adds the negated numerator.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ def _lp_add(p, q):
     v, dp, pr = p
     vq, dq, qr = q
     if v == vq and len(pr) == 1 == len(qr):     # a sum of monomials
-        return _canon(v, dp * dq, (pr[0] * dq + qr[0] * dp,))
+        return _mono(v, pr[0] * dq + qr[0] * dp, dp * dq)
     d = dp // gcd(dp, dq) * dq
     if d != dp:
         pr = [x * (d // dp) for x in pr]
@@ -128,19 +131,25 @@ def _lp_neg(p):
     return v, d, tuple([-x for x in re])
 
 
-def _lp_mul(p, q):
-    """The product, an integer convolution over the nonzero entries only."""
+def _mono(v, x, d):
+    """The canonical monomial s^v x/d of integers x and d > 0."""
+    if not x:
+        return LP_ZERO
+    g = gcd(x, d)
+    return (v, d, (x,)) if g == 1 else (v, d // g, (x // g,))
+
+
+def _lp_mul(p, q, u=1):
+    """The product times the integer u, an integer convolution over the
+    nonzero entries only."""
     if not p or not q:
         return LP_ZERO
     vp, dp, pr = p
     vq, dq, qr = q
     if len(pr) == 1 == len(qr):     # a nonzero product of monomials
-        x, d = pr[0] * qr[0], dp * dq
-        if d != 1:
-            g = gcd(x, d)
-            if g != 1:
-                x, d = x // g, d // g
-        return vp + vq, d, (x,)
+        return _mono(vp + vq, pr[0] * qr[0] * u, dp * dq)
+    if u != 1:
+        pr = [a * u for a in pr]
     re = [0] * (len(pr) + len(qr) - 1)
     tq = [(j, c) for j, c in enumerate(qr) if c]
     for i, a in enumerate(pr):
@@ -273,33 +282,31 @@ class RatFunc:
             return other
         if not other.num:
             return self
-        if self.den is LP_ONE and other.den is LP_ONE:
-            return _ratfunc(_lp_add(self.num, other.num), LP_ONE)
-        if self.den == other.den:
-            return RatFunc(_lp_add(self.num, other.num), self.den)
-        return RatFunc(_lp_add(_lp_mul(self.num, other.den), _lp_mul(other.num, self.den)),
-                       _lp_mul(self.den, other.den))
+        return _rf_sum(self, other.num, other.den)
 
     def __sub__(self, other):
-        return self + -other
+        if not other.num:
+            return self
+        return _rf_sum(self, _lp_neg(other.num), other.den)
 
     def __neg__(self):
         if not self.num:
             return self
         return _ratfunc(_lp_neg(self.num), self.den)
 
-    def __mul__(self, other):
+    def __mul__(self, other, u=1):
+        """The product times the integer u (Scalar's grade unit)."""
         if not self.num or not other.num:
             return RF_ZERO
         if self.den is LP_ONE and other.den is LP_ONE:
-            return _ratfunc(_lp_mul(self.num, other.num), LP_ONE)
+            return _ratfunc(_lp_mul(self.num, other.num, u), LP_ONE)
         # a product of reduced fractions needs only cross-cancellation: monic
         # denominators divided by monic gcds stay monic with a nonzero
         # constant term, so the product is canonical as built
         n1, d2 = _cross_reduce(self.num, other.den)
         n2, d1 = _cross_reduce(other.num, self.den)
         den = d2 if d1 is LP_ONE else d1 if d2 is LP_ONE else _lp_mul(d1, d2)
-        return _ratfunc(_lp_mul(n1, n2), den)
+        return _ratfunc(_lp_mul(n1, n2, u), den)
 
     def __truediv__(self, other):
         if not other.num:
@@ -338,6 +345,17 @@ def _ratfunc(num, den):
     _set_num(f, num)
     _set_den(f, den)
     return f
+
+
+def _rf_sum(f, num, den):
+    """f + num/den for a canonical pair num/den with num nonzero."""
+    if not f.num:
+        return _ratfunc(num, den)
+    if f.den is LP_ONE and den is LP_ONE:
+        return _ratfunc(_lp_add(f.num, num), LP_ONE)
+    if f.den == den:
+        return RatFunc(_lp_add(f.num, num), den)
+    return RatFunc(_lp_add(_lp_mul(f.num, den), _lp_mul(num, f.den)), _lp_mul(f.den, den))
 
 
 def _ratfunc_str(f, imag):
@@ -400,7 +418,6 @@ def _cross_reduce(p, q):
 
 RF_ZERO = RatFunc.const(0)
 RF_ONE = RatFunc.const(1)
-RF_TWO = RatFunc.const(2)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +425,9 @@ RF_TWO = RatFunc.const(2)
 # ---------------------------------------------------------------------------
 
 _UNITS = ("1", "t", "i", "i*t")     # the unit i^(p>>1)*t^(p&1) of each grade p
+# the factor u of a product from the grade bits p & q both factors share:
+# t*t = 2 and i*i = -1
+_SHARED_UNIT = (1, 2, -1, -2)
 
 
 class MixedParityError(ArithmeticError):
@@ -427,9 +447,10 @@ class Scalar:
     two nonzero values of different grades raises MixedParityError.  The
     identities cost no RatFunc work: a sum or difference with a zero operand
     returns (or negates) the other operand, and a product with a zero
-    operand is ``S_ZERO``.  A product XORs the grades: it costs one RatFunc
-    product, then a negation when both factors are i-odd (i*i = -1) and a
-    second product when both are t-odd (t*t = 2).
+    operand is ``S_ZERO``.  A product XORs the grades and costs one step: the
+    unit u the shared grade bits give (t*t = 2, i*i = -1) scales the
+    numerator inside one RatFunc product, and two monomials over the unit
+    denominator skip RatFunc for one integer product over one gcd.
     """
 
     __slots__ = ("f", "p")
@@ -487,7 +508,7 @@ class Scalar:
             return other
         if self.p != other.p:
             raise MixedParityError(self, "+", other)
-        return _scalar(self.f + other.f, self.p)
+        return _scalar(_rf_sum(self.f, other.f.num, other.f.den), self.p)
 
     def __radd__(self, other):
         return _as_scalar(other) + self
@@ -495,43 +516,49 @@ class Scalar:
     def __sub__(self, other):
         if type(other) is not Scalar:
             other = _as_scalar(other)
-        if not other.f.num:
+        g = other.f
+        if not g.num:
             return self
-        if not self.f.num:
-            return _scalar(-other.f, other.p)
-        if self.p != other.p:
+        if self.p != other.p and self.f.num:
             raise MixedParityError(self, "-", other)
-        return _scalar(self.f - other.f, self.p)
+        return _scalar(_rf_sum(self.f, _lp_neg(g.num), g.den), other.p)
 
     def __rsub__(self, other):
         return _as_scalar(other) - self
 
     def __neg__(self):
-        return _scalar(-self.f, self.p)
+        f = self.f
+        if not f.num:
+            return self
+        return _scalar(_ratfunc(_lp_neg(f.num), f.den), self.p)
 
     def __mul__(self, other):
         if type(other) is not Scalar:
             other = _as_scalar(other)
         f, g = self.f, other.f
-        if not f.num or not g.num:
+        a, b = f.num, g.num
+        if not a or not b:
             return S_ZERO
-        h, both = f * g, self.p & other.p
-        if both & 1:        # t*t = 2
-            h = RF_TWO * h
-        if both & 2:        # i*i = -1
-            h = -h
+        u = _SHARED_UNIT[self.p & other.p]
+        if f.den is LP_ONE is g.den and len(a[2]) == 1 == len(b[2]):
+            # two unit-denominator monomials: one integer product over one gcd
+            x, d = a[2][0] * b[2][0] * u, a[1] * b[1]
+            c = gcd(x, d)
+            h = _ratfunc((a[0] + b[0], d, (x,)) if c == 1 else (a[0] + b[0], d // c, (x // c,)),
+                         LP_ONE)
+        else:
+            h = f.__mul__(g, u)
         return _scalar(h, self.p ^ other.p)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """1/(f*i^a*t^b) = i^a*t^b/((-1)^a*2^b*f), built canonical."""
+        """1/(f*i^a*t^b) = i^a*t^b/(u*f) with u = (-1)^a*2^b, the grade's own
+        shared unit, built canonical."""
         f, p = self.f, self.p
         if not f.num:
             raise ZeroDivisionError("inverse of zero Scalar")
-        num = _lp_add(f.num, f.num) if p & 1 else f.num
-        if p & 2:
-            num = _lp_neg(num)
+        num = _lp_mul(f.num, LP_ONE, _SHARED_UNIT[p]) if p else f.num
         return _scalar(_ratfunc(*_monic(f.den, num)), p)
 
     def __truediv__(self, other):

@@ -22,7 +22,7 @@ from qvir.cli import (
     run,
 )
 from qvir.distcalc import Dist2, ModeWindow
-from qvir.qcoeff import S_ZERO, qint, qint_over_qsum
+from qvir.qcoeff import S_ZERO, RatFunc, qint, qint_over_qsum
 from qvir.report import DOCUMENTED, FAIL, PASS, CheckRecord, Report, _dist_str, compare_dists
 
 SMALL = 4
@@ -328,6 +328,21 @@ def test_dirac_stage_counts(monkeypatch, scenario, window, suites, want):
     rep = run(RunConfig(scenario=scenario, window=window, suites=(suites,)))
     assert rep.ok()
     assert counts == want
+
+
+def test_classical_products_take_the_integer_path(monkeypatch):
+    # every value of the classical chain is a constant, so each product of
+    # two nonzero values multiplies two monomials over the unit denominator
+    # as integers and none reaches RatFunc.__mul__; the q chain's
+    # polynomials and fractions do
+    calls = []
+    mul = RatFunc.__mul__
+    monkeypatch.setattr(RatFunc, "__mul__",
+                        lambda f, g, *u: calls.append(1) or mul(f, g, *u))
+    assert run(RunConfig(scenario="classical-sl2", window=8)).ok()
+    assert calls == []
+    assert run(RunConfig(scenario="q-sl2", window=3, suites=("dirac",))).ok()
+    assert calls
 
 
 @pytest.mark.parametrize("scenario,suites,want", (

@@ -7,7 +7,7 @@ from itertools import product
 from math import gcd, lcm
 
 import pytest
-from hypothesis import Phase, assume, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from qvir import qcoeff
 from qvir.qcoeff import (
@@ -430,7 +430,7 @@ def ref_cmul(a, b):
 
 
 def ref_tower_mul(x, y):
-    two = (qcoeff.RF_TWO, qcoeff.RF_ZERO)
+    two = (RatFunc.const(2), qcoeff.RF_ZERO)
     return (ref_cadd(ref_cmul(x[0], y[0]), ref_cmul(two, ref_cmul(x[1], y[1]))),
             ref_cadd(ref_cmul(x[0], y[1]), ref_cmul(x[1], y[0])))
 
@@ -582,6 +582,32 @@ TOWER_OPS = {
 }
 
 
+def mono(c, k, p):
+    """The monomial c s^k of grade p, over the unit denominator."""
+    return Scalar(RatFunc(lp({k: c})), p)
+
+
+# two monomials over the unit denominator, the integer path of a product:
+# every grade pair, (i*t)*(i*t) among them; a content gcd that cancels,
+# (2/3)t * (3/4)t = s^3; a same-exponent sum and difference that cancel to
+# zero; and a sum and a difference of monomials of different grades
+MONOMIAL_EXAMPLES = (
+    [("mul", mono(Fraction(2, 3), 1, p), mono(-3, -2, q)) for p in range(4) for q in range(p, 4)]
+    + [("mul", mono(Fraction(2, 3), 1, 1), mono(Fraction(3, 4), 2, 1)),
+       ("add", mono(Fraction(2, 3), 2, 2), mono(Fraction(-2, 3), 2, 2)),
+       ("sub", mono(Fraction(5, 4), -1, 3), mono(Fraction(5, 4), -1, 3)),
+       ("add", mono(1, 0, 1), mono(1, 0, 2)), ("sub", mono(2, 1, 3), mono(-1, 1, 0))])
+
+
+def with_examples(cases):
+    def apply(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+    return apply
+
+
+@with_examples(MONOMIAL_EXAMPLES)
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(TOWER_OPS)), tower_values, tower_values)
 def test_tower_ops_match_the_componentwise_reference(op, x, y):
@@ -605,24 +631,37 @@ def test_tower_ops_match_the_componentwise_reference(op, x, y):
 
 
 def test_tower_identities_cost_no_ratfunc_products(monkeypatch):
-    # a zero operand makes no RatFunc product, a factor free of t makes one
-    # and a product of two multiples of t makes two; i*i costs a negation
+    # a zero operand makes no RatFunc product; any other product makes at
+    # most one whatever the grades, with the grade unit (t*t = 2, i*i = -1)
+    # applied inside it, and two monomials over the unit denominator make
+    # none; no product negates
     x = (S_ONE + spow(1)) / (spow(2) + 3)
-    a, b = S_T * (spow(1) - S_ONE), S_T * spow(3)
-    c = S_I * spow(1)
+    polys = [v * unit for v in (x, spow(1) - S_ONE) for unit in UNITS]
+    monos = [Scalar.from_rat(c) * spow(k) * unit
+             for c, k in ((Fraction(2, 3), -1), (-3, 2)) for unit in UNITS]
     calls = []
-    mul = RatFunc.__mul__
-    monkeypatch.setattr(RatFunc, "__mul__", lambda f, g: calls.append(1) or mul(f, g))
-    for p, q in ((S_ZERO, x), (x, S_ZERO), (S_ZERO, a), (a, S_ZERO), (S_ZERO, S_ZERO)):
+    mul, neg = RatFunc.__mul__, RatFunc.__neg__
+    monkeypatch.setattr(RatFunc, "__mul__",
+                        lambda f, g, *u: calls.append("mul") or mul(f, g, *u))
+    monkeypatch.setattr(RatFunc, "__neg__", lambda f: calls.append("neg") or neg(f))
+    for p, q in ((S_ZERO, x), (x, S_ZERO), (S_ZERO, polys[3]), (monos[3], S_ZERO),
+                 (S_ZERO, S_ZERO)):
         assert (p * q) is S_ZERO
     assert (x * 0).is_zero() and calls == []
-    got = a * b
-    assert len(calls) == 2 and got == Scalar(RatFunc(lp({4: 2, 3: -2})))
-    got = x * a
-    assert len(calls) == 3 and got.p == 1
-    assert got == a * x and len(calls) == 4
-    got = c * c
-    assert len(calls) == 5 and got == -spow(2)
+    for a, b in product(polys, polys + monos):
+        for p, q in ((a, b), (b, a)):
+            calls.clear()
+            assert (p * q).p == p.p ^ q.p and calls == ["mul"]
+    calls.clear()
+    for a, b in product(monos, repeat=2):
+        assert (a * b).p == a.p ^ b.p
+    assert calls == []
+    # t*t, i*i and (i*t)*(i*t) by value: only a * b has a polynomial factor
+    a, b, c, it = polys[5], monos[5], monos[2], monos[3]
+    want = (Scalar(RatFunc(lp({3: -6, 2: 6}))), Scalar(RatFunc(lp({-2: Fraction(-4, 9)}))),
+            Scalar(RatFunc(lp({-2: Fraction(-8, 9)}))))
+    calls.clear()
+    assert (a * b, c * c, it * it) == want and calls == ["mul"]
 
 
 # ---------------------------------------------------------------------------
