@@ -27,17 +27,20 @@ so a monic integral divisor costs a plain multiply-subtract; the gcd is the
 primitive Euclidean algorithm, each remainder over its signed integer
 content.
 
-A :class:`Scalar` is one real rational function f and a grade p in 0..3,
-the value f*i^(p>>1)*t^(p&1): every value of the level-1 realization is real
-or purely imaginary, and free of t or a multiple of it, because i enters
-only through the correspondence sign and the couplings i*t.  The
-degeneration maps stay in the tower: :func:`eval_q1` gives a constant
-Scalar of the same grade, and the leading coefficient from :func:`taylor_q1`
-is a constant Scalar, so Scalar's own arithmetic is the constant arithmetic
-at q = 1.  Each operation is one step on the tuples: a product applies the
-unit of the grades' shared bits (t*t = 2, i*i = -1) inside its one
-polynomial product, which for two monomials over the unit denominator is one
-integer product and one gcd, and a difference adds the negated numerator.
+A :class:`Scalar` is one object: a canonical real fraction num/den of such
+tuples and a grade p in 0..3, the value (num/den)*i^(p>>1)*t^(p&1).  Every
+value of the level-1 realization is real or purely imaginary, and free of t
+or a multiple of it, because i enters only through the correspondence sign
+and the couplings i*t.  The degeneration maps stay in the tower:
+:func:`eval_q1` gives a constant Scalar of the same grade, and the leading
+coefficient from :func:`taylor_q1` is a constant Scalar, so Scalar's own
+arithmetic is the constant arithmetic at q = 1.  Each operation is one step
+on the tuples and builds one object: a product applies the unit of the
+grades' shared bits (t*t = 2, i*i = -1) inside its one polynomial product,
+which for two monomials over the unit denominator is one integer product and
+one gcd, and a difference adds the negated numerator.  :class:`RatFunc` is
+the one normalizing constructor, used only where a sum or a value at q = 1
+needs a gcd.
 """
 
 from __future__ import annotations
@@ -245,16 +248,18 @@ def _poly_gcd(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Rational functions in s
+# Canonical fractions of Laurent polynomials
 # ---------------------------------------------------------------------------
+# A fraction num/den is canonical when num and den are coprime and den is
+# monic of lowest exponent zero; a unit denominator is always the shared
+# ``LP_ONE``, so the polynomial fast paths test it by identity.
 
 class RatFunc:
-    """Ratio of Laurent polynomials in s, kept in canonical form.
+    """The canonical form of num/den: the one normalizing constructor.
 
-    The denominator is gcd-coprime to the numerator, has lowest exponent
-    zero and leading (top) coefficient one; this makes equality a plain
-    component comparison.  A unit denominator is always the shared
-    ``LP_ONE``, so the polynomial fast paths test it by identity.
+    Sums over a denominator other than 1, the values at q = 1 and the public
+    Scalar constructor read their pair off it; products and inverses are
+    canonical as built and never normalize.
     """
 
     __slots__ = ("num", "den")
@@ -262,108 +267,28 @@ class RatFunc:
     def __init__(self, num: tuple, den: tuple = LP_ONE):
         if not den:
             raise ZeroDivisionError("zero denominator")
-        num, den = _cross_reduce(*_monic(num, den))
-        _set_num(self, num)
-        _set_den(self, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
-
-    @classmethod
-    def const(cls, v):
-        """The constant v, an int or Fraction."""
-        return _ratfunc((0, v.denominator, (v.numerator,)) if v else LP_ZERO, LP_ONE)
-
-    def is_zero(self):
-        return not self.num
-
-    def __add__(self, other):
-        if not self.num:
-            return other
-        if not other.num:
-            return self
-        return _rf_sum(self, other.num, other.den)
-
-    def __sub__(self, other):
-        if not other.num:
-            return self
-        return _rf_sum(self, _lp_neg(other.num), other.den)
-
-    def __neg__(self):
-        if not self.num:
-            return self
-        return _ratfunc(_lp_neg(self.num), self.den)
-
-    def __mul__(self, other, u=1):
-        """The product times the integer u (Scalar's grade unit)."""
-        if not self.num or not other.num:
-            return RF_ZERO
-        if self.den is LP_ONE and other.den is LP_ONE:
-            return _ratfunc(_lp_mul(self.num, other.num, u), LP_ONE)
-        # a product of reduced fractions needs only cross-cancellation: monic
-        # denominators divided by monic gcds stay monic with a nonzero
-        # constant term, so the product is canonical as built
-        n1, d2 = _cross_reduce(self.num, other.den)
-        n2, d1 = _cross_reduce(other.num, self.den)
-        den = d2 if d1 is LP_ONE else d1 if d2 is LP_ONE else _lp_mul(d1, d2)
-        return _ratfunc(_lp_mul(n1, n2, u), den)
-
-    def __truediv__(self, other):
-        if not other.num:
-            raise ZeroDivisionError("division by zero RatFunc")
-        return self * _ratfunc(*_monic(other.den, other.num))
-
-    def __eq__(self, other):
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def eval_one(self):
-        """The value at s = 1, a constant RatFunc."""
-        d = _lp_eval_one(self.den)
-        if not d:
-            raise PoleAtQ1Error("denominator vanishes at q = 1")
-        return RatFunc(_lp_eval_one(self.num), d)
-
-    def __str__(self):
-        return _ratfunc_str(self, False)
-
-    def __repr__(self):
-        return f"RatFunc({self.num!r}, {self.den!r})"
+        self.num, self.den = _cross_reduce(*_monic(num, den))
 
 
-_set_num = RatFunc.num.__set__
-_set_den = RatFunc.den.__set__
+def _sum(a, b, c, d):
+    """a/b + c/d for canonical pairs with c nonzero, as a canonical pair."""
+    if not a:
+        return c, d
+    if b is LP_ONE and d is LP_ONE:
+        return _lp_add(a, c), LP_ONE
+    if b == d:
+        f = RatFunc(_lp_add(a, c), d)
+    else:
+        f = RatFunc(_lp_add(_lp_mul(a, d), _lp_mul(c, b)), _lp_mul(b, d))
+    return f.num, f.den
 
 
-def _ratfunc(num, den):
-    """The RatFunc num/den for a pair already in canonical form, built without __init__."""
-    f = _new(RatFunc)
-    _set_num(f, num)
-    _set_den(f, den)
-    return f
-
-
-def _rf_sum(f, num, den):
-    """f + num/den for a canonical pair num/den with num nonzero."""
-    if not f.num:
-        return _ratfunc(num, den)
-    if f.den is LP_ONE and den is LP_ONE:
-        return _ratfunc(_lp_add(f.num, num), LP_ONE)
-    if f.den == den:
-        return RatFunc(_lp_add(f.num, num), den)
-    return RatFunc(_lp_add(_lp_mul(f.num, den), _lp_mul(num, f.den)), _lp_mul(f.den, den))
-
-
-def _ratfunc_str(f, imag):
-    """f printed, or f*i when imag (the numerator's coefficients times i)."""
-    ns = _lp_str(f.num, imag)
-    if f.den is LP_ONE:
+def _frac_str(num, den, imag):
+    """num/den printed, or num*i/den when imag (the numerator's coefficients times i)."""
+    ns = _lp_str(num, imag)
+    if den is LP_ONE:
         return ns
-    ds = _lp_str(f.den)
+    ds = _lp_str(den)
     if " " in ns:
         ns = f"({ns})"
     if " " in ds:
@@ -416,8 +341,9 @@ def _cross_reduce(p, q):
     return _canon(vp, *_divide(pr, dp, g)[0]), _canon(0, *_divide(qr, dq, g)[0])
 
 
-RF_ZERO = RatFunc.const(0)
-RF_ONE = RatFunc.const(1)
+def _rat(v):
+    """The constant polynomial of an int or Fraction v."""
+    return (0, v.denominator, (v.numerator,)) if v else LP_ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -438,27 +364,31 @@ class MixedParityError(ArithmeticError):
 
 
 class Scalar:
-    """Element f*i^(p>>1)*t^(p&1) of Q(i)(s)[t] with t^2 = 2: a real RatFunc
-    f and a grade p in 0..3.
+    """Element (num/den)*i^(p>>1)*t^(p&1) of Q(i)(s)[t] with t^2 = 2: one
+    object holding a canonical real fraction num/den and a grade p in 0..3.
 
     In the level-1 realization i enters only through the correspondence sign
     and the couplings i*t, so every value is real or purely imaginary, and
     free of t or a multiple of it; zero has p = 0, and a sum or difference of
-    two nonzero values of different grades raises MixedParityError.  The
-    identities cost no RatFunc work: a sum or difference with a zero operand
-    returns (or negates) the other operand, and a product with a zero
-    operand is ``S_ZERO``.  A product XORs the grades and costs one step: the
-    unit u the shared grade bits give (t*t = 2, i*i = -1) scales the
-    numerator inside one RatFunc product, and two monomials over the unit
-    denominator skip RatFunc for one integer product over one gcd.
+    two nonzero values of different grades raises MixedParityError.  Every
+    result is one new object built from its tuples by ``_scalar``, and the
+    identities build none: a sum or difference with a zero operand returns
+    (or negates) the other operand, and a product with a zero operand is
+    ``S_ZERO``.  A product XORs the grades: the unit u the shared grade bits
+    give (t*t = 2, i*i = -1) scales the numerator inside its one polynomial
+    product, and two monomials over the unit denominator multiply as one
+    integer product over one gcd.
     """
 
-    __slots__ = ("f", "p")
+    __slots__ = ("num", "den", "p")
 
-    def __init__(self, f=RF_ZERO, p=0):
+    def __init__(self, num=LP_ZERO, den=LP_ONE, p=0):
+        """The value num/den of grade p, normalized by RatFunc."""
         if p not in (0, 1, 2, 3):
             raise ValueError(f"grade must be in 0..3, got {p!r}")
-        _set_f(self, f)
+        f = RatFunc(num, den)
+        _set_num(self, f.num)
+        _set_den(self, f.den)
         _set_p(self, p if f.num else 0)
 
     def __setattr__(self, name, value):
@@ -468,20 +398,20 @@ class Scalar:
 
     @classmethod
     def from_rat(cls, v):
-        return cls(RatFunc.const(v))
+        return _scalar(_rat(v), LP_ONE, 0)
 
     @classmethod
     def i(cls):
-        return cls(RF_ONE, 2)
+        return _scalar(LP_ONE, LP_ONE, 2)
 
     @classmethod
     def t(cls):
-        return cls(RF_ONE, 1)
+        return _scalar(LP_ONE, LP_ONE, 1)
 
     @classmethod
     def s_power(cls, k):
         """The monomial s^k."""
-        return cls(_ratfunc((k, 1, (1,)), LP_ONE))
+        return _scalar((k, 1, (1,)), LP_ONE, 0)
 
     @classmethod
     def q_power(cls, k):
@@ -491,7 +421,7 @@ class Scalar:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self):
-        return not self.f.num
+        return not self.num
 
     def is_rational_sector(self):
         """True when the value is free of t."""
@@ -502,13 +432,14 @@ class Scalar:
     def __add__(self, other):
         if type(other) is not Scalar:
             other = _as_scalar(other)
-        if not other.f.num:
+        if not other.num:
             return self
-        if not self.f.num:
+        if not self.num:
             return other
         if self.p != other.p:
             raise MixedParityError(self, "+", other)
-        return _scalar(_rf_sum(self.f, other.f.num, other.f.den), self.p)
+        num, den = _sum(self.num, self.den, other.num, other.den)
+        return _scalar(num, den, self.p)
 
     def __radd__(self, other):
         return _as_scalar(other) + self
@@ -516,50 +447,58 @@ class Scalar:
     def __sub__(self, other):
         if type(other) is not Scalar:
             other = _as_scalar(other)
-        g = other.f
-        if not g.num:
+        if not other.num:
             return self
-        if self.p != other.p and self.f.num:
+        if self.p != other.p and self.num:
             raise MixedParityError(self, "-", other)
-        return _scalar(_rf_sum(self.f, _lp_neg(g.num), g.den), other.p)
+        num, den = _sum(self.num, self.den, _lp_neg(other.num), other.den)
+        return _scalar(num, den, other.p)
 
     def __rsub__(self, other):
         return _as_scalar(other) - self
 
     def __neg__(self):
-        f = self.f
-        if not f.num:
+        if not self.num:
             return self
-        return _scalar(_ratfunc(_lp_neg(f.num), f.den), self.p)
+        return _scalar(_lp_neg(self.num), self.den, self.p)
 
     def __mul__(self, other):
         if type(other) is not Scalar:
             other = _as_scalar(other)
-        f, g = self.f, other.f
-        a, b = f.num, g.num
+        a, b = self.num, other.num
         if not a or not b:
             return S_ZERO
         u = _SHARED_UNIT[self.p & other.p]
-        if f.den is LP_ONE is g.den and len(a[2]) == 1 == len(b[2]):
-            # two unit-denominator monomials: one integer product over one gcd
-            x, d = a[2][0] * b[2][0] * u, a[1] * b[1]
-            c = gcd(x, d)
-            h = _ratfunc((a[0] + b[0], d, (x,)) if c == 1 else (a[0] + b[0], d // c, (x // c,)),
-                         LP_ONE)
-        else:
-            h = f.__mul__(g, u)
-        return _scalar(h, self.p ^ other.p)
+        c, d = self.den, other.den
+        if c is LP_ONE is d:
+            if len(a[2]) == 1 == len(b[2]):
+                # two unit-denominator monomials: one integer product over one gcd
+                x, e = a[2][0] * b[2][0] * u, a[1] * b[1]
+                g = gcd(x, e)
+                num = (a[0] + b[0], e, (x,)) if g == 1 else (a[0] + b[0], e // g, (x // g,))
+            else:
+                num = _lp_mul(a, b, u)
+            return _scalar(num, LP_ONE, self.p ^ other.p)
+        # a product of canonical fractions needs only cross-cancellation:
+        # monic denominators divided by monic gcds stay monic with a nonzero
+        # constant term, so the product is canonical as built
+        n1, d2 = _cross_reduce(a, d)
+        n2, d1 = _cross_reduce(b, c)
+        den = d2 if d1 is LP_ONE else d1 if d2 is LP_ONE else _lp_mul(d1, d2)
+        return _scalar(_lp_mul(n1, n2, u), den, self.p ^ other.p)
 
     __rmul__ = __mul__
 
     def inverse(self):
         """1/(f*i^a*t^b) = i^a*t^b/(u*f) with u = (-1)^a*2^b, the grade's own
         shared unit, built canonical."""
-        f, p = self.f, self.p
-        if not f.num:
+        num, p = self.num, self.p
+        if not num:
             raise ZeroDivisionError("inverse of zero Scalar")
-        num = _lp_mul(f.num, LP_ONE, _SHARED_UNIT[p]) if p else f.num
-        return _scalar(_ratfunc(*_monic(f.den, num)), p)
+        if p:
+            num = _lp_mul(num, LP_ONE, _SHARED_UNIT[p])
+        num, den = _monic(self.den, num)
+        return _scalar(num, den, p)
 
     def __truediv__(self, other):
         return self * _as_scalar(other).inverse()
@@ -580,27 +519,33 @@ class Scalar:
         return out
 
     def __eq__(self, other):
-        try:
-            other = _as_scalar(other)
-        except TypeError:
-            return NotImplemented
-        return self.f == other.f and self.p == other.p
+        if type(other) is not Scalar:
+            try:
+                other = _as_scalar(other)
+            except TypeError:
+                return NotImplemented
+        return self.p == other.p and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.f, self.p))
+        num = self.num
+        if not num:
+            return 0        # hash(0), as zero == 0
+        if self.p or self.den is not LP_ONE or num[0] or len(num[2]) != 1:
+            return hash((num, self.den, self.p))
+        # a rational constant equals its int or Fraction, so it hashes as one
+        return hash(Fraction(num[2][0], num[1]))
 
     def as_int(self):
         """Return the value as a plain int when it is one, else None."""
-        f = self.f
-        if self.p or f.den is not LP_ONE:
+        if self.p or self.den is not LP_ONE:
             return None
-        if not f.num:
+        if not self.num:
             return 0
-        v, d, re = f.num
+        v, d, re = self.num
         return re[0] if not v and d == 1 and len(re) == 1 else None
 
     def __str__(self):
-        fs = _ratfunc_str(self.f, self.p & 2)
+        fs = _frac_str(self.num, self.den, self.p & 2)
         if not self.p & 1:
             return fs
         if fs == "1":
@@ -615,15 +560,18 @@ class Scalar:
         return f"Scalar<{self}>"
 
 
-_set_f = Scalar.f.__set__
+_set_num = Scalar.num.__set__
+_set_den = Scalar.den.__set__
 _set_p = Scalar.p.__set__
 
 
-def _scalar(f, p):
-    """The Scalar f of grade p (zero has p = 0), built without going through __init__."""
+def _scalar(num, den, p):
+    """The Scalar num/den of grade p (zero has p = 0) for a canonical pair,
+    built without going through __init__."""
     x = _new(Scalar)
-    _set_f(x, f)
-    _set_p(x, p if f.num else 0)
+    _set_num(x, num)
+    _set_den(x, den)
+    _set_p(x, p if num else 0)
     return x
 
 
@@ -648,7 +596,7 @@ def qint(n: int) -> Scalar:
         return S_ZERO
     if n < 0:
         return -qint(-n)
-    return Scalar(_ratfunc(laurent({2 * (n - 1 - 2 * j): 1 for j in range(n)}), LP_ONE))
+    return _scalar(laurent({2 * (n - 1 - 2 * j): 1 for j in range(n)}), LP_ONE, 0)
 
 
 def qint_over_qsum(n: int, a: int) -> Scalar:
@@ -662,19 +610,19 @@ def qint_over_qsum(n: int, a: int) -> Scalar:
         raise ValueError(f"[n]^a/(q^n + q^-n) needs n != 0 and a in {{0, 1}}, got {n}, {a}")
     m, sign = abs(n), 1 if n > 0 else -1
     num = {4 * m - 2 - 4 * j: sign for j in range(m)} if a else {2 * m: 1}
-    return Scalar(_ratfunc(laurent(num), laurent({4 * m: 1, 0: 1})))
+    return _scalar(laurent(num), laurent({4 * m: 1, 0: 1}), 0)
 
 
 def qint_ratio(k: int, n: int) -> Scalar:
     """[kn]/[n] = sum_(j<k) q^((k-1-2j)n) for k >= 1 and n != 0, a Laurent polynomial."""
     if k < 1 or n == 0:
         raise ValueError(f"[kn]/[n] needs k >= 1 and n != 0, got {k}, {n}")
-    return Scalar(_ratfunc(laurent({2 * (k - 1 - 2 * j) * n: 1 for j in range(k)}), LP_ONE))
+    return _scalar(laurent({2 * (k - 1 - 2 * j) * n: 1 for j in range(k)}), LP_ONE, 0)
 
 
 def q_minus_qinv() -> Scalar:
     """q - 1/q = s^2 - s^-2."""
-    return Scalar(_ratfunc(laurent({2: 1, -2: -1}), LP_ONE))
+    return _scalar(laurent({2: 1, -2: -1}), LP_ONE, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +634,11 @@ def eval_q1(x: Scalar) -> Scalar:
 
     Raises PoleAtQ1Error when the normalized denominator vanishes at s = 1.
     """
-    return _scalar(x.f.eval_one(), x.p)
+    d = _lp_eval_one(x.den)
+    if not d:
+        raise PoleAtQ1Error("denominator vanishes at q = 1")
+    f = RatFunc(_lp_eval_one(x.num), d)
+    return _scalar(f.num, f.den, x.p)
 
 
 # ---------------------------------------------------------------------------
@@ -719,20 +671,20 @@ def taylor_q1(x: Scalar) -> tuple:
     x = c h^k + O(h^(k+1)) and c a nonzero constant Scalar, or ZERO_TERM
     for x = 0.
 
-    f = num/den, with num of order a and den of order b (_leading_moment),
+    num/den, with num of order a and den of order b (_leading_moment),
     has order k = a - b, negative at a pole, and leading coefficient
     (i/2)^k (M_a/(a! d_num)) / (M_b/(b! d_den)).  With x's own unit the
     factor is i^e, e = k + (p >> 1): the grade bit 2*(e & 1) and the sign
     (-1)^(e >> 1).
     """
-    f = x.f
-    if not f.num:
+    num, den = x.num, x.den
+    if not num:
         return ZERO_TERM
-    (a, ma), (b, mb) = _leading_moment(f.num), _leading_moment(f.den)
+    (a, ma), (b, mb) = _leading_moment(num), _leading_moment(den)
     k = a - b
-    c = Fraction(ma * factorial(b) * f.den[1] * 2 ** max(-k, 0),
-                 mb * factorial(a) * f.num[1] * 2 ** max(k, 0))
+    c = Fraction(ma * factorial(b) * den[1] * 2 ** max(-k, 0),
+                 mb * factorial(a) * num[1] * 2 ** max(k, 0))
     e = k + (x.p >> 1)
     if e & 2:
         c = -c
-    return k, _scalar(RatFunc.const(c), 2 * (e & 1) | x.p & 1)
+    return k, _scalar(_rat(c), LP_ONE, 2 * (e & 1) | x.p & 1)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qvir import cli, dirac
+from qvir import cli, dirac, qcoeff
 from qvir import vertexcalc as vc
 from qvir.cli import (
     EXIT_CHECK_FAILED,
@@ -330,19 +330,21 @@ def test_dirac_stage_counts(monkeypatch, scenario, window, suites, want):
     assert counts == want
 
 
-def test_classical_products_take_the_integer_path(monkeypatch):
-    # every value of the classical chain is a constant, so each product of
-    # two nonzero values multiplies two monomials over the unit denominator
-    # as integers and none reaches RatFunc.__mul__; the q chain's
-    # polynomials and fractions do
-    calls = []
-    mul = RatFunc.__mul__
-    monkeypatch.setattr(RatFunc, "__mul__",
-                        lambda f, g, *u: calls.append(1) or mul(f, g, *u))
+def test_classical_run_builds_only_scalars_and_normalizes_nothing(monkeypatch):
+    # every value of the classical chain is a constant, so each result is one
+    # Scalar built from its tuples and none is normalized through RatFunc; the
+    # q chain's sums of fractions are, and still build no value object but
+    # the Scalar
+    built, normalized = [], []
+    new, init = qcoeff._new, RatFunc.__init__
+    monkeypatch.setattr(qcoeff, "_new", lambda cls: built.append(cls) or new(cls))
+    monkeypatch.setattr(RatFunc, "__init__",
+                        lambda f, *args: normalized.append(1) or init(f, *args))
     assert run(RunConfig(scenario="classical-sl2", window=8)).ok()
-    assert calls == []
+    assert built and set(built) == {qcoeff.Scalar} and normalized == []
+    built.clear()
     assert run(RunConfig(scenario="q-sl2", window=3, suites=("dirac",))).ok()
-    assert calls
+    assert set(built) == {qcoeff.Scalar} and normalized
 
 
 @pytest.mark.parametrize("scenario,suites,want", (

@@ -43,7 +43,7 @@ _x = sympy.symbols("x")
 
 def scalar_to_sympy(v: Scalar):
     assert v.is_rational_sector(), "oracle only handles the rational sector"
-    f, unit = v.f, sympy.I ** (v.p >> 1)
+    unit = sympy.I ** (v.p >> 1)
 
     def lp(p):
         # the engine's polynomial s^v re/d, or () for zero
@@ -52,7 +52,7 @@ def scalar_to_sympy(v: Scalar):
         v, d, re = p
         return sum(sympy.Rational(x, d) * _s**k for k, x in enumerate(re, start=v))
 
-    return sympy.cancel(unit * lp(f.num) / lp(f.den))
+    return sympy.cancel(unit * lp(v.num) / lp(v.den))
 
 
 def kernel_to_sympy(K: RatKernel):

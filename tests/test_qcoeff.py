@@ -77,10 +77,16 @@ def graded_dict(p):
     return {k: pair[imag] for k, pair in p.items()}, 2 * imag
 
 
+def ref_parts(x):
+    """A Scalar, times 1/t when it is t-odd, as its (num, den) dicts of
+    Fraction pairs, read off its tuples."""
+    return to_pairs(as_dict(x.num), x.p & 2), to_pairs(as_dict(x.den), False)
+
+
 def ref_of(x):
     """A t-free Scalar as its (num, den) dicts of Fraction pairs."""
     assert not x.p & 1
-    return to_pairs(as_dict(x.f.num), x.p), to_pairs(as_dict(x.f.den), False)
+    return ref_parts(x)
 
 
 def from_ref(num, den=REF_ONE):
@@ -90,7 +96,7 @@ def from_ref(num, den=REF_ONE):
     num, p = graded_dict(num)
     den, dp = graded_dict(den)
     assert dp == 0
-    return Scalar(qcoeff._ratfunc(lp(num), qcoeff.LP_ONE if den == {0: 1} else lp(den)), p)
+    return qcoeff._scalar(lp(num), qcoeff.LP_ONE if den == {0: 1} else lp(den), p)
 
 
 def const(x):
@@ -100,7 +106,7 @@ def const(x):
 
 def pair_of(x):
     """A constant Scalar, times 1/t when it is t-odd, as its (re, im) Fraction pair."""
-    num, den = ref_of(Scalar(x.f, x.p & 2))
+    num, den = ref_parts(x)
     assert den == REF_ONE and set(num) <= {0}
     return num.get(0, ZERO)
 
@@ -133,7 +139,7 @@ def assert_matches(g, ref):
     """g is a canonical real or imaginary constant and equals the Fraction
     pair ref, also in its hash and in print."""
     assert g.p in (0, 2)
-    assert_canonical_ratfunc(g.f)
+    assert_canonical_fraction(g)
     assert pair_of(g) == ref
     want = const(ref)
     assert g == want and hash(g) == hash(want)
@@ -215,8 +221,8 @@ def test_polynomial_product_accumulates_exactly(w, x, y):
 
 def test_gaussian_zero_and_inverse_of_zero():
     zero = const((0, 4)) - const((0, 4))
-    assert (zero.f, zero.p) == (qcoeff.RF_ZERO, 0) and zero.f.num == qcoeff.LP_ZERO
-    assert (const((Fraction(-5, 7), 0)) * 0).f.num == qcoeff.LP_ZERO
+    assert (zero.num, zero.den, zero.p) == (qcoeff.LP_ZERO, qcoeff.LP_ONE, 0)
+    assert (const((Fraction(-5, 7), 0)) * 0).num == qcoeff.LP_ZERO
     with pytest.raises(ZeroDivisionError):
         zero.inverse()
     with pytest.raises(ZeroDivisionError):
@@ -225,19 +231,20 @@ def test_gaussian_zero_and_inverse_of_zero():
 
 def test_gaussian_from_fractions():
     g = Scalar.from_rat(Fraction(5, 6)) * S_I
-    assert g.f.num == (0, 6, (5,)) and g.f.den is qcoeff.LP_ONE and g.p == 2
+    assert g.num == (0, 6, (5,)) and g.den is qcoeff.LP_ONE and g.p == 2
     assert pair_of(g) == (0, Fraction(5, 6))
     # a constant prints as a polynomial's s^0 coefficient
     assert str(g) == "5/6*i" and str(-g) == "-5/6*i" and str(-S_I) == "-i"
     assert str(Scalar.from_rat(Fraction(-3, 4))) == "-3/4" and str(S_I * 5) == "5*i"
     with pytest.raises(AttributeError):
-        g.f = qcoeff.RF_ONE
+        g.num = qcoeff.LP_ONE
     with pytest.raises(AttributeError):
         g.p = 1
     # unreduced input lands on the same canonical tuple
-    half = RatFunc((0, 4, (2,)))
-    assert half == RatFunc.const(Fraction(1, 2)) and half.num == (0, 2, (1,))
-    assert hash(half) == hash(RatFunc.const(Fraction(1, 2)))
+    half = Scalar((0, 4, (2,)))
+    assert half == Scalar.from_rat(Fraction(1, 2)) and half.num == (0, 2, (1,))
+    assert hash(half) == hash(Scalar.from_rat(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert RatFunc((0, 4, (2,)), (0, 1, (-2,))).num == (0, 4, (-1,))
 
 
 def ref_gaussian_str(re, im):
@@ -269,9 +276,10 @@ def test_laurent_takes_ints_and_fractions():
     assert p == (-1, 6, (12, 0, -4, 0, 3))
     assert p == lp({3: Fraction(1, 2), -1: 2, 1: Fraction(-2, 3)})
     assert laurent({}) == laurent({2: 0}) == qcoeff.LP_ZERO
-    assert RatFunc.const(Fraction(-4, 6)).num == (0, 3, (-2,))
-    assert RatFunc.const(0).num == qcoeff.LP_ZERO and Scalar.s_power(-3).f.num == (-3, 1, (1,))
-    assert Scalar.i() == S_I == const((0, 1)) and (S_I.f, S_I.p) == (qcoeff.RF_ONE, 2)
+    assert Scalar.from_rat(Fraction(-4, 6)).num == (0, 3, (-2,))
+    assert Scalar.from_rat(0).num == qcoeff.LP_ZERO and Scalar.s_power(-3).num == (-3, 1, (1,))
+    assert Scalar.i() == S_I == const((0, 1))
+    assert (S_I.num, S_I.den, S_I.p) == (qcoeff.LP_ONE, qcoeff.LP_ONE, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +287,8 @@ def test_laurent_takes_ints_and_fractions():
 # ---------------------------------------------------------------------------
 
 def polys_in(x):
-    """Every nonzero polynomial tuple held by a Scalar or a RatFunc."""
-    f = x.f if isinstance(x, Scalar) else x
-    return [p for p in (f.num, f.den) if p]
+    """Every nonzero polynomial tuple held by a Scalar."""
+    return [p for p in (x.num, x.den) if p]
 
 
 def test_gaussian_rationals_hold_only_ints():
@@ -290,8 +297,8 @@ def test_gaussian_rationals_hold_only_ints():
     common = laurent({2: 1, 0: -1})
     num = qcoeff._lp_mul(common, laurent({1: Fraction(1, 3), 0: 2}))
     den = qcoeff._lp_mul(common, laurent({1: 1, 0: -3}))
-    f = RatFunc(num, den)
-    assert f == RatFunc(laurent({1: Fraction(1, 3), 0: 2}), laurent({1: 1, 0: -3}))
+    f = Scalar(num, den)
+    assert f == Scalar(laurent({1: Fraction(1, 3), 0: 2}), laurent({1: 1, 0: -3}))
     # every polynomial is a tuple (v, d, re) of ints and a tuple of ints,
     # and so is every constant of the degeneration maps
     at_one = eval_q1((Scalar.from_rat(Fraction(1, 3)) + S_ONE) * S_I * S_T)
@@ -337,10 +344,10 @@ def test_qint_over_qsum_matches_the_gcd_path():
     # [n]^2/[2n] and [n]/[2n], reduced by the polynomial gcd of the plain
     # quotients, against the closed form built in lowest terms
     for n in [m for m in range(-48, 49) if m]:
-        qn, q2n = qint(n).f.num, qint(2 * n).f.num
+        qn, q2n = qint(n).num, qint(2 * n).num
         for a, num in ((1, qcoeff._lp_mul(qn, qn)), (0, qn)):
             got = qint_over_qsum(n, a)
-            assert got.f == RatFunc(num, q2n) and got.is_rational_sector(), (n, a)
+            assert got == Scalar(num, q2n) and got.is_rational_sector(), (n, a)
         assert qint_over_qsum(n, 1) == qint(n) * qint(n) / qint(2 * n)
         assert qint_over_qsum(n, 0) == qint(n) / qint(2 * n)
     for n, a in ((0, 1), (0, 0), (3, 2)):
@@ -355,8 +362,8 @@ def test_qint_ratio_matches_the_division_path():
         for n in [m for m in range(-48, 49) if m]:
             got = qint_ratio(k, n)
             assert got == qint(k * n) / qint(n), (k, n)
-            assert got.f == RatFunc(qint(k * n).f.num, qint(n).f.num), (k, n)
-            assert got.f.den is qcoeff.LP_ONE and got.is_rational_sector()
+            assert got == Scalar(qint(k * n).num, qint(n).num), (k, n)
+            assert got.den is qcoeff.LP_ONE and got.is_rational_sector()
     for k, n in ((0, 1), (2, 0)):
         with pytest.raises(ValueError):
             qint_ratio(k, n)
@@ -371,18 +378,59 @@ def test_surd_relations():
     assert (S_T * spow(1)) * (S_T * spow(-1)) == Scalar.from_rat(2)
 
 
-def test_scalar_is_a_ratfunc_and_a_t_parity():
-    # f*i^(p>>1)*t^(p&1) with p in 0..3; zero has p = 0, however it is built
-    assert Scalar.__slots__ == ("f", "p")
+def holds_no_value_object(x):
+    """Whether a Scalar's slots hold only its polynomial tuples and its grade."""
+    return (all(type(q) is tuple and all(type(n) in (int, tuple) for n in q)
+                for q in (x.num, x.den))
+            and type(x.p) is int)
+
+
+def test_scalar_is_one_fraction_and_a_grade():
+    # (num/den)*i^(p>>1)*t^(p&1) with p in 0..3, the tuples and the grade in
+    # the Scalar's own slots; zero has p = 0, however it is built
+    one = qcoeff.LP_ONE
+    assert Scalar.__slots__ == ("num", "den", "p")
     for p, unit in enumerate(UNITS):
-        assert (unit.f, unit.p) == (qcoeff.RF_ONE, p) and Scalar(qcoeff.RF_ONE, p) == unit
+        assert (unit.num, unit.den, unit.p) == (one, one, p) and Scalar(one, one, p) == unit
     assert (S_T * S_T).p == (S_I * S_I).p == 0 and (S_T * S_I).p == 3
-    for zero in (Scalar(), Scalar(qcoeff.RF_ZERO, 1), Scalar(qcoeff.RF_ZERO, 3), S_T - S_T,
-                 S_T * 0, S_I * S_T - S_T * S_I, eval_q1(S_I * S_T * (spow(2) - 1))):
-        assert (zero.f, zero.p) == (qcoeff.RF_ZERO, 0) and zero == S_ZERO
+    x = (S_ONE + spow(1)) / (spow(2) + 3) * S_I
+    for y in (x, -x, x * x, x + x, x - S_I, x.inverse(), eval_q1(x), taylor_q1(x)[1]):
+        assert holds_no_value_object(y)
+    for zero in (Scalar(), Scalar(qcoeff.LP_ZERO, one, 1), Scalar(qcoeff.LP_ZERO, lp({1: 1}), 3),
+                 S_T - S_T, S_T * 0, S_I * S_T - S_T * S_I, x - x,
+                 eval_q1(S_I * S_T * (spow(2) - 1))):
+        assert (zero.num, zero.den, zero.p) == (qcoeff.LP_ZERO, one, 0) and zero == S_ZERO
     for p in (-1, 4):
         with pytest.raises(ValueError):
-            Scalar(qcoeff.RF_ONE, p)
+            Scalar(one, one, p)
+
+
+# 1, 0 (at a grade that zero drops) and 1/2: the constants whose hash once
+# differed from that of the number they equal
+@example(Fraction(1), 0, 0)
+@example(Fraction(0), 0, 2)
+@example(Fraction(1, 2), 0, 0)
+@settings(max_examples=200, deadline=None)
+@given(fractions, st.integers(-3, 3), st.integers(0, 3))
+def test_equal_values_hash_equal_and_never_across_grades(c, k, p):
+    # c*s^k at grade p, built by arithmetic and from its tuples: equal values
+    # hash equal, a constant of grade 0 equals its int or Fraction and a dict
+    # keyed by the number finds it (and the other way round), and the same
+    # fraction at another grade is another value
+    x = Scalar.from_rat(c) * spow(k) * UNITS[p]
+    same = [Scalar(x.num, x.den, q) for q in range(4)]
+    assert x == same[x.p] and hash(x) == hash(same[x.p])
+    numbers = [c, int(c)] if c == int(c) else [c]
+    for a, b in product([x, *same, *numbers], repeat=2):
+        if a == b:
+            assert hash(a) == hash(b), (a, b)
+    if c and p:
+        assert x != c and all((x == y) == (q == p) for q, y in enumerate(same))
+    if not k or not c:
+        assert (x == c) == (x.p == 0)
+    for n in numbers:
+        if x == n:
+            assert {n: "v"}.get(x) == "v" and {x: "v"}.get(n) == "v"
 
 
 GRADE_NAMES = ("1", "t", "i", "i*t")
@@ -412,36 +460,44 @@ def test_i_squares_to_minus_one():
     assert S_I * S_I == -S_ONE
 
 
-# the value x as its components on the basis (1, t), each a Gaussian pair
-# (re, im) of real RatFuncs: the reference knows i only through the product
-# of pairs and t only through t^2 = 2
+# the value x as its components on the basis (1, t), each a Gaussian fraction
+# (num, den) of Fraction-pair dicts in the canonical form of the reference
+# Euclid below: the reference knows i only through the product of pairs and
+# t only through t^2 = 2, and runs none of the engine's fraction arithmetic
+REF_FRAC_ZERO = ({}, REF_ONE)
+REF_FRAC_TWO = ({0: (Fraction(2), Fraction(0))}, REF_ONE)
+
+
 def components(x):
-    out = [[qcoeff.RF_ZERO, qcoeff.RF_ZERO], [qcoeff.RF_ZERO, qcoeff.RF_ZERO]]
-    out[x.p & 1][x.p >> 1] = x.f
-    return tuple(map(tuple, out))
+    out = [REF_FRAC_ZERO, REF_FRAC_ZERO]
+    out[x.p & 1] = ref_parts(x)
+    return tuple(out)
 
 
-def ref_cadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
+def ref_fadd(a, b):
+    return ref_normalize(ref_lp_add(ref_lp_mul(a[0], b[1]), ref_lp_mul(b[0], a[1])),
+                         ref_lp_mul(a[1], b[1]))
 
 
-def ref_cmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+def ref_fneg(a):
+    return ref_lp_neg(a[0]), a[1]
+
+
+def ref_fmul(a, b):
+    return ref_normalize(ref_lp_mul(a[0], b[0]), ref_lp_mul(a[1], b[1]))
 
 
 def ref_tower_mul(x, y):
-    two = (RatFunc.const(2), qcoeff.RF_ZERO)
-    return (ref_cadd(ref_cmul(x[0], y[0]), ref_cmul(two, ref_cmul(x[1], y[1]))),
-            ref_cadd(ref_cmul(x[0], y[1]), ref_cmul(x[1], y[0])))
+    return (ref_fadd(ref_fmul(x[0], y[0]), ref_fmul(REF_FRAC_TWO, ref_fmul(x[1], y[1]))),
+            ref_fadd(ref_fmul(x[0], y[1]), ref_fmul(x[1], y[0])))
 
 
 def ref_tower_inverse(x):
-    # 1/(x0 + x1 t) = (x0 - x1 t)/(x0^2 - 2 x1^2), and 1/(a + bi) = (a - bi)/(a^2 + b^2)
-    minus_x1 = (-x[1][0], -x[1][1])
-    (a, b), _ = ref_tower_mul(x, (x[0], minus_x1))
-    n = a * a + b * b
-    inv = (a / n, -b / n)
-    return ref_cmul(x[0], inv), ref_cmul(minus_x1, inv)
+    # 1/(x0 + x1 t) = (x0 - x1 t)/(x0^2 - 2 x1^2), the norm a Gaussian fraction
+    minus_x1 = ref_fneg(x[1])
+    (num, den), _ = ref_tower_mul(x, (x[0], minus_x1))
+    inv = ref_normalize(den, num)
+    return ref_fmul(x[0], inv), ref_fmul(minus_x1, inv)
 
 
 def test_grade_table_matches_the_componentwise_reference():
@@ -502,7 +558,7 @@ def test_normalization_canonicity(x):
 # a nonzero real value: one or two monomials at distinct exponents
 nonzero_components = st.dictionaries(
     st.integers(-4, 4), nonzero_fractions, min_size=1, max_size=2,
-).map(lambda terms: Scalar(RatFunc(lp(terms))))
+).map(lambda terms: Scalar(lp(terms)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -515,13 +571,14 @@ def test_inverse_is_canonical_as_built(c):
     for y in (c * unit for unit in UNITS):
         assert y * y.inverse() == S_ONE
         assert y.inverse().p == y.p
-        assert_canonical_ratfunc(y.inverse().f)
+        assert_canonical_fraction(y.inverse())
 
 
 small_polys = st.dictionaries(
     st.integers(-2, 2), nonzero_fractions, min_size=1, max_size=2,
 ).map(lp)
-ratfuncs = st.builds(RatFunc, small_polys, small_polys)
+# real values num/den, normalized by the Scalar constructor
+real_fractions = st.builds(Scalar, small_polys, small_polys)
 OPS = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
        "mul": lambda a, b: a * b, "div": lambda a, b: a / b}
 
@@ -538,7 +595,7 @@ def assert_canonical_lp(p):
     assert re[0] and re[-1]
 
 
-def assert_canonical_ratfunc(r):
+def assert_canonical_fraction(r):
     # a monic denominator of lowest exponent 0, the shared LP_ONE when it is 1
     assert_canonical_lp(r.num)
     assert_canonical_lp(r.den)
@@ -549,11 +606,11 @@ def assert_canonical_ratfunc(r):
 
 
 @settings(max_examples=50, deadline=None)
-@given(ratfuncs, st.lists(st.tuples(st.sampled_from(sorted(OPS)), ratfuncs),
-                          min_size=1, max_size=4))
+@given(real_fractions, st.lists(st.tuples(st.sampled_from(sorted(OPS)), real_fractions),
+                                min_size=1, max_size=4))
 def test_unit_denominator_is_the_shared_one(x, steps):
     # whatever arithmetic leaves a denominator of 1 holds LP_ONE itself, the
-    # identity the polynomial fast paths of RatFunc rely on; every result is
+    # identity the polynomial fast paths of Scalar rely on; every result is
     # in canonical form, and no operation mutates an operand's polynomials
     def polys(*values):
         return [(v.num, v.den) for v in values]
@@ -563,28 +620,28 @@ def test_unit_denominator_is_the_shared_one(x, steps):
         prev, before = acc, polys(acc, y)
         acc = OPS[op](acc, y)
         after_op = polys(acc)
-        results = (acc, y / y, (acc * y) / y, acc - acc + RatFunc(y.num))
+        results = (acc, y / y, (acc * y) / y, acc - acc + Scalar(y.num))
         assert polys(prev, y, acc) == before + after_op
         for r in results:
-            assert_canonical_ratfunc(r)
+            assert_canonical_fraction(r)
     assert qcoeff.LP_ONE == (0, 1, (1,)) and qcoeff.LP_ZERO == ()
 
 
 # zero and values of every grade, zero drawn about half the time, with
 # rational functions that are genuine fractions
-tower_values = st.builds(Scalar, st.one_of(st.just(qcoeff.RF_ZERO), ratfuncs), st.integers(0, 3))
+tower_values = st.builds(Scalar, st.one_of(st.just(qcoeff.LP_ZERO), small_polys), small_polys,
+                         st.integers(0, 3))
 
 TOWER_OPS = {
-    "add": (lambda a, b: a + b, lambda a, b: tuple(map(ref_cadd, a, b))),
-    "sub": (lambda a, b: a - b,
-            lambda a, b: tuple(ref_cadd(x, (-y[0], -y[1])) for x, y in zip(a, b))),
+    "add": (lambda a, b: a + b, lambda a, b: tuple(map(ref_fadd, a, b))),
+    "sub": (lambda a, b: a - b, lambda a, b: tuple(map(ref_fadd, a, map(ref_fneg, b)))),
     "mul": (lambda a, b: a * b, ref_tower_mul),
 }
 
 
 def mono(c, k, p):
     """The monomial c s^k of grade p, over the unit denominator."""
-    return Scalar(RatFunc(lp({k: c})), p)
+    return Scalar(lp({k: c}), qcoeff.LP_ONE, p)
 
 
 # two monomials over the unit denominator, the integer path of a product:
@@ -623,45 +680,57 @@ def test_tower_ops_match_the_componentwise_reference(op, x, y):
             continue
         got = engine(a, b)
         assert components(got) == reference(components(a), components(b))
-        assert_canonical_ratfunc(got.f)
+        assert_canonical_fraction(got)
         assert got.p in range(4) and (got.p == 0 or not got.is_zero())
     assert engine(x, 0) == engine(x, qcoeff.S_ZERO) and engine(0, x) == engine(qcoeff.S_ZERO, x)
     if not x.is_zero():
         assert components(x.inverse()) == ref_tower_inverse(components(x))
 
 
-def test_tower_identities_cost_no_ratfunc_products(monkeypatch):
-    # a zero operand makes no RatFunc product; any other product makes at
-    # most one whatever the grades, with the grade unit (t*t = 2, i*i = -1)
-    # applied inside it, and two monomials over the unit denominator make
-    # none; no product negates
+def test_each_tower_result_builds_one_object(monkeypatch):
+    # an identity builds nothing: a product with a zero operand is S_ZERO and
+    # a sum or difference with one returns the other operand.  Every other
+    # product, sum, difference, negation and inverse builds exactly one
+    # object, its Scalar, whatever the grades; only a sum or difference over a
+    # denominator other than 1 normalizes, once, through RatFunc
     x = (S_ONE + spow(1)) / (spow(2) + 3)
     polys = [v * unit for v in (x, spow(1) - S_ONE) for unit in UNITS]
     monos = [Scalar.from_rat(c) * spow(k) * unit
              for c, k in ((Fraction(2, 3), -1), (-3, 2)) for unit in UNITS]
-    calls = []
-    mul, neg = RatFunc.__mul__, RatFunc.__neg__
-    monkeypatch.setattr(RatFunc, "__mul__",
-                        lambda f, g, *u: calls.append("mul") or mul(f, g, *u))
-    monkeypatch.setattr(RatFunc, "__neg__", lambda f: calls.append("neg") or neg(f))
-    for p, q in ((S_ZERO, x), (x, S_ZERO), (S_ZERO, polys[3]), (monos[3], S_ZERO),
-                 (S_ZERO, S_ZERO)):
-        assert (p * q) is S_ZERO
-    assert (x * 0).is_zero() and calls == []
-    for a, b in product(polys, polys + monos):
-        for p, q in ((a, b), (b, a)):
-            calls.clear()
-            assert (p * q).p == p.p ^ q.p and calls == ["mul"]
-    calls.clear()
-    for a, b in product(monos, repeat=2):
-        assert (a * b).p == a.p ^ b.p
-    assert calls == []
-    # t*t, i*i and (i*t)*(i*t) by value: only a * b has a polynomial factor
+    built, normalized = [], []
+    new, init = qcoeff._new, RatFunc.__init__
+    monkeypatch.setattr(qcoeff, "_new", lambda cls: built.append(cls) or new(cls))
+    monkeypatch.setattr(RatFunc, "__init__",
+                        lambda f, *args: normalized.append(1) or init(f, *args))
+
+    def cost(op, *args):
+        built.clear()
+        normalized.clear()
+        got = op(*args)
+        assert holds_no_value_object(got)
+        return got, built, len(normalized)
+
+    for op, a, b in ((operator.mul, S_ZERO, x), (operator.mul, x, S_ZERO),
+                     (operator.mul, monos[3], S_ZERO), (operator.mul, S_ZERO, S_ZERO)):
+        assert cost(op, a, b) == (S_ZERO, [], 0) and op(a, b) is S_ZERO
+    for y in polys + monos:
+        for op, a, b, want in ((operator.add, y, S_ZERO, y), (operator.add, S_ZERO, y, y),
+                               (operator.sub, y, S_ZERO, y)):
+            assert cost(op, a, b)[1] == [] and op(a, b) is want
+        for op in (operator.neg, Scalar.inverse):
+            assert cost(op, y)[1:] == ([Scalar], 0)
+    for a, b in product(polys + monos, repeat=2):
+        got, objects, norm = cost(operator.mul, a, b)
+        assert got.p == a.p ^ b.p and (objects, norm) == ([Scalar], 0)
+        if a.p == b.p:
+            unit = a.den is qcoeff.LP_ONE is b.den
+            for op in (operator.add, operator.sub):
+                assert cost(op, a, b)[1:] == ([Scalar], 0 if unit else 1)
+    # t*t, i*i and (i*t)*(i*t) by value
     a, b, c, it = polys[5], monos[5], monos[2], monos[3]
-    want = (Scalar(RatFunc(lp({3: -6, 2: 6}))), Scalar(RatFunc(lp({-2: Fraction(-4, 9)}))),
-            Scalar(RatFunc(lp({-2: Fraction(-8, 9)}))))
-    calls.clear()
-    assert (a * b, c * c, it * it) == want and calls == ["mul"]
+    want = (Scalar(lp({3: -6, 2: 6})), Scalar(lp({-2: Fraction(-4, 9)})),
+            Scalar(lp({-2: Fraction(-8, 9)})))
+    assert (a * b, c * c, it * it) == want
 
 
 # ---------------------------------------------------------------------------
@@ -760,11 +829,11 @@ def test_polynomial_ops_match_the_dict_reference(pq):
     else:
         cases += [(x + y, ref_lp_add(p, q)), (x - y, ref_lp_add(p, ref_lp_neg(q)))]
     for got, want in cases:
-        assert_canonical_lp(got.f.num)
-        assert got.f.den is qcoeff.LP_ONE
+        assert_canonical_lp(got.num)
+        assert got.den is qcoeff.LP_ONE
         assert ref_of(got)[0] == want and got == from_ref(want)
         at_one = eval_q1(got)
-        assert_canonical_lp(at_one.f.num)
+        assert_canonical_lp(at_one.num)
         assert pair_of(at_one) == ref_lp_eval_one(want)
         assert str(got) == ref_lp_str(want)
 
@@ -865,7 +934,7 @@ def test_reference_euclid_reduces_by_hand():
     want = ({1: one, 0: ref_neg(one)}, {1: one, 0: half})
     assert ref_normalize(num, den) == want
     assert ref_normalize(num_i, den_i) == (ref_lp_mul(want[0], {0: i}), want[1])
-    got = Scalar(RatFunc(lp(graded_dict(num_i)[0]), lp(graded_dict(den_i)[0])), 2)
+    got = Scalar(lp(graded_dict(num_i)[0]), lp(graded_dict(den_i)[0]), 2)
     assert ref_of(got) == ref_normalize(num_i, den_i)
 
 
@@ -904,26 +973,26 @@ def cross_pairs(draw):
     num_a, den_b = {"q|p": (qcoeff._lp_mul(f, g), f),
                     "p|q": (f, qcoeff._lp_mul(f, g)),
                     "gcd": (qcoeff._lp_mul(f, g), qcoeff._lp_mul(f, h))}[branch]
-    a, b = RatFunc(num_a, draw(small_polys)), RatFunc(draw(small_polys), den_b)
+    a, b = Scalar(num_a, draw(small_polys)), Scalar(draw(small_polys), den_b)
     # a draw whose factors cancel or divide one another takes another path
     assume(cross_branch(a.num, b.den) == branch)
     return branch, a, b
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(cross_pairs(), st.tuples(st.just("any"), ratfuncs, ratfuncs)))
+@given(st.one_of(cross_pairs(), st.tuples(st.just("any"), real_fractions, real_fractions)))
 def test_products_are_canonical_by_construction(case):
     # a product of canonical fractions, built by cross-reduction alone, is
     # the fully gcd-normalized fraction of the plain products
     _, a, b = case
-    b_inv = RatFunc(b.den, b.num)
+    b_inv = Scalar(b.den, b.num)
     mul = qcoeff._lp_mul
     for got, num, den in ((a * b, mul(a.num, b.num), mul(a.den, b.den)),
                           (b * a, mul(a.num, b.num), mul(a.den, b.den)),
                           (a / b_inv, mul(a.num, b_inv.den), mul(a.den, b_inv.num)),
                           (a / b, mul(a.num, b.den), mul(a.den, b.num))):
-        assert got == RatFunc(num, den)
-        assert_canonical_ratfunc(got)
+        assert got == Scalar(num, den)
+        assert_canonical_fraction(got)
 
 
 # four kinds of polynomial factor for the reference property, each of at
@@ -958,7 +1027,7 @@ def reference_pairs(draw):
                     pairs_of(draw(st.one_of(any_factors, small_polys))))
     b = ref_ratfunc(pairs_of(draw(st.one_of(small_factors, small_polys)), draw(st.booleans())),
                     pairs_of(den_b))
-    assume(cross_branch(a.f.num, b.f.den) == branch)
+    assume(cross_branch(a.num, b.den) == branch)
     return branch, a, b
 
 
@@ -973,13 +1042,13 @@ def test_arithmetic_matches_the_reference_euclid(case):
     mul, add = ref_lp_mul, ref_lp_add
     (an, ad), (bn, bd) = ref_of(a), ref_of(b)
     cases = [(a * b, mul(an, bn), mul(ad, bd)), (a / b, mul(an, bd), mul(ad, bn)),
-             (Scalar(RatFunc(a.f.num, b.f.den), a.p), an, bd)]
+             (Scalar(a.num, b.den, a.p), an, bd)]
     if a.p == b.p:
         cases.append((a + b, add(mul(an, bd), mul(bn, ad)), mul(ad, bd)))
     for got, num, den in cases:
         want = ref_ratfunc(num, den)
-        assert (got.f.num, got.f.den, got.p) == (want.f.num, want.f.den, want.p)
-        assert_canonical_ratfunc(got.f)
+        assert (got.num, got.den, got.p) == (want.num, want.den, want.p)
+        assert_canonical_fraction(got)
 
 
 def test_division_with_surds():
@@ -1005,8 +1074,8 @@ def test_gcd_raises_when_a_remainder_does_not_shrink(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def assert_constant(x):
-    """x is a constant Scalar: f is a canonical constant."""
-    assert_canonical_ratfunc(x.f)
+    """x is a constant Scalar: a canonical constant over the unit denominator."""
+    assert_canonical_fraction(x)
     pair_of(x)
 
 
@@ -1026,7 +1095,7 @@ def test_eval_q1_surds():
     for p, unit in enumerate(UNITS):
         x = eval_q1(unit * spow(3) / (qint(2) + Fraction(1, 2)))
         assert_constant(x)
-        assert x.p == p and x.f == RatFunc.const(Fraction(2, 5))
+        assert (x.num, x.den, x.p) == ((0, 5, (2,)), qcoeff.LP_ONE, p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1165,7 +1234,7 @@ def _sympy_leading_term(value):
         (m,), c = min(terms)
         return m, c
 
-    (a, ca), (b, cb) = lead(value.f.num), lead(value.f.den)
+    (a, ca), (b, cb) = lead(value.num), lead(value.den)
     return a - b, sympy.expand(ca / cb * sympy.I ** (value.p >> 1))
 
 
