@@ -28,7 +28,6 @@ from .dirac import (
     verify_table_degeneration,
 )
 from .qvirasoro import (
-    ClassicalVirasoro,
     antisymmetry_check,
     classical_jacobi_check,
     classical_limit_check,
@@ -87,8 +86,8 @@ SUITES = {
     "classical-sl2": {
         "dirac": (lambda r: dirac_suite(r.chain("classical-sl2")),),
         "reduce": (lambda r: reduce_suite(r.chain("classical-sl2")),
-                   lambda r: classical_jacobi_check(ClassicalVirasoro.from_reduced(
-                       r.chain("classical-sl2").contents), JACOBI_CUTOFF)),
+                   lambda r: classical_jacobi_check(r.chain("classical-sl2").contents,
+                                                    JACOBI_CUTOFF)),
     },
 }
 

@@ -8,13 +8,13 @@ reduction is an exact per-mode computation: a 2x2 inversion followed by
 coefficient products.
 
 A `Reduction` holds one scenario's chain on one window.  It builds each
-on-surface bracket once and computes the Dirac matrix, its per-mode inverse,
-the reduced bracket and that bracket's split contents at most once each, on
-first use; the involution check still inverts the inverse afresh.  Once the
-reduced bracket exists the chain drops its brackets, matrix and inverse.
+on-surface bracket once and computes the Dirac matrix, its per-mode inverse
+and the reduced bracket's split contents, its one result, at most once each,
+on first use; the involution check still inverts the inverse afresh.  Once
+the contents exist the chain drops its brackets, matrix and inverse.
 The degeneration, dirac, reduce and limit suites all read the run's chains,
-one per scenario; the reduce suite reweights the q-sl2 one for `[qvir]`.
-`QVirasoroBracket(W)` is the closed form the reduced bracket is matched
+one per scenario; the reduce suite reweights the q-sl2 contents for `[qvir]`.
+`QVirasoroBracket(W)` is the closed form the contents are matched
 against: its kernels in both forms, their prefactors and the affine map,
 built once per q-sl2 run whose suites read it and passed to every check
 that reads them.
@@ -265,13 +265,13 @@ def reduce(chain: "Reduction", dinv: DiracMatrix) -> TermSum:
 
 class Reduction:
     """One scenario's Dirac chain on one window: its on-surface brackets, the
-    constraint matrix, its per-mode inverse, the reduced bracket and its
+    constraint matrix, its per-mode inverse and the reduced bracket's split
     contents, each computed at most once."""
 
     def __init__(self, scenario: Scenario, W: ModeWindow):
         self.scenario = scenario
         self.W = W
-        self._brackets = {}     # <= 9 pairs of the table's symbols, until `reduced`
+        self._brackets = {}     # <= 9 pairs of the table's symbols, until `contents`
 
     def on_surface(self, a: str, b: str) -> TermSum:
         """{a(z), b(w)} with the constraint surface substituted."""
@@ -279,7 +279,7 @@ class Reduction:
         if T is None:
             sc = self.scenario
             T = classical_bracket(a, b, sc.table, self.W).substitute(sc.constraints.on_surface)
-            if "reduced" not in vars(self):
+            if "contents" not in vars(self):
                 self._brackets[(a, b)] = T
         return T
 
@@ -292,17 +292,13 @@ class Reduction:
         return invert(self.matrix, self.W)
 
     @cached_property
-    def reduced(self) -> TermSum:
-        reduced = reduce(self, self.inverse)
+    def contents(self) -> "ReducedContents":
+        contents = split_reduced(reduce(self, self.inverse), self.W.N)
         # nothing reads a bracket, the matrix or the inverse after this
         self._brackets.clear()
         vars(self).pop("matrix", None)
         vars(self).pop("inverse", None)
-        return reduced
-
-    @cached_property
-    def contents(self) -> "ReducedContents":
-        return split_reduced(self.reduced, self.W.N)
+        return contents
 
 
 # The contents of the reduced bracket in the current's variables: the
@@ -311,24 +307,26 @@ ReducedContents = namedtuple("ReducedContents", "quad lin_z lin_w cnum")
 
 
 def split_reduced(T: TermSum, N: int) -> ReducedContents:
-    quad = lin_z = lin_w = cnum = Dist2.zero(N)
-    fz = FieldFactor(CURRENT, "z")
-    fw = FieldFactor(CURRENT, "w")
+    """The contents of a reduced bracket; a TermSum holds each sorted monomial
+    once, so each term fills its field.  Any other term raises ValueError."""
+    fz, fw = FieldFactor(CURRENT, "z"), FieldFactor(CURRENT, "w")
+    slots = {tuple(sorted((fz, fw))): "quad", (fz,): "lin_z", (fw,): "lin_w", (): "cnum"}
+    parts = {}
     for (mono, zdeg), dist in T.terms.items():
         if zdeg != 0:
             raise ValueError("reduced bracket should carry no z-degree")
-        key = tuple(sorted(mono))
-        if key == tuple(sorted((fz, fw))):
-            quad = quad + dist
-        elif key == (fz,):
-            lin_z = lin_z + dist
-        elif key == (fw,):
-            lin_w = lin_w + dist
-        elif key == ():
-            cnum = cnum + dist
-        else:
-            raise ValueError(f"unexpected monomial in reduced bracket: {key}")
-    return ReducedContents(quad, lin_z, lin_w, cnum)
+        if mono not in slots:
+            raise ValueError(f"unexpected monomial in reduced bracket: {mono}")
+        parts[slots[mono]] = dist
+    zero = Dist2.zero(N)
+    return ReducedContents(*(parts.get(f, zero) for f in ReducedContents._fields))
+
+
+def is_antisymmetric(parts: ReducedContents) -> bool:
+    """reflect(A) == -A for the reduced bracket A: quad and cnum are odd and
+    lin_w is -reflect(lin_z), each tested as reflect(a) + b == 0."""
+    return all((a.reflect() + b).is_zero() for a, b in (
+        (parts.quad, parts.quad), (parts.lin_z, parts.lin_w), (parts.cnum, parts.cnum)))
 
 
 # ---------------------------------------------------------------------------
@@ -531,20 +529,18 @@ def dirac_suite(red: Reduction, B: QVirasoroBracket | None = None) -> list[Check
 
 
 def reduce_suite(red: Reduction, B: QVirasoroBracket | None = None) -> list[CheckRecord]:
-    """Run the reduction and compare with the closed forms: the Virasoro
-    patterns for the undeformed chain; for a q-sl2 chain, ``B`` with the
-    residual weight (`[qdirb]`), then the weight-absorbed ``B`` (`[qvir]`).
+    """Compare the chain's reduced contents with the closed forms: the
+    Virasoro patterns for the undeformed chain; for a q-sl2 chain, ``B`` with
+    the residual weight (`[qdirb]`), then the weight-absorbed ``B`` (`[qvir]`).
     Every rule has z-degree 0 and the pairing is mode-diagonal, so folding a
     weight w(n) into every rule would scale the matrix by w, its inverse by
-    1/w and the reduced bracket by w: `[qvir]` reads the one chain's reduced
-    bracket and contents reweighted by q^(WEIGHT_EXPONENT |n|)."""
+    1/w and the reduced bracket by w: `[qvir]` reads the one chain's contents
+    reweighted by q^(WEIGHT_EXPONENT |n|)."""
     out = []
     W = red.W
-    reduced = red.reduced
-    # reflect(A) == -A, tested as reflect(A) + A == 0 to build no negated copy
+    parts = red.contents
     if red.scenario.key == "classical-sl2":
-        out.append(record("reduce-antisymmetry", "dirb", (reduced.reflect() + reduced).is_zero()))
-        parts = red.contents
+        out.append(record("reduce-antisymmetry", "dirb", is_antisymmetric(parts)))
         lin = classical_linear_pattern(W)
         out.append(compare_dists("reduce-linear-z", "virasoro", parts.lin_z, lin))
         out.append(compare_dists("reduce-linear-w", "virasoro", parts.lin_w, lin))
@@ -553,10 +549,8 @@ def reduce_suite(red: Reduction, B: QVirasoroBracket | None = None) -> list[Chec
         out.append(record("reduce-no-quadratic", "virasoro", parts.quad.is_zero(),
                           engine=str(parts.quad)))
     else:
-        h = WEIGHT_EXPONENT
-        for tag, T, parts in (("qdirb", reduced, red.contents),
-                              ("qvir", reduced.map_dist(lambda d: weight_abs(d, h)),
-                               ReducedContents(*(weight_abs(d, h) for d in red.contents)))):
-            out.append(record(f"reduce-antisymmetry[{tag}]", "dirb", (T.reflect() + T).is_zero()))
-            out.extend(affine_check(parts, B, weighted=(tag == "qvir")))
+        weighted = ReducedContents(*(weight_abs(d, WEIGHT_EXPONENT) for d in parts))
+        for tag, contents in (("qdirb", parts), ("qvir", weighted)):
+            out.append(record(f"reduce-antisymmetry[{tag}]", "dirb", is_antisymmetric(contents)))
+            out.extend(affine_check(contents, B, weighted=(tag == "qvir")))
     return out

@@ -129,57 +129,27 @@ def classical_limit_check(q: ReducedContents, c: ReducedContents, B: QVirasoroBr
 # The undeformed endpoint: mode form and Jacobi identity
 # ---------------------------------------------------------------------------
 
-class ClassicalVirasoro:
-    """Mode data {L_a, L_b} = (lin(a) + lin(-b)) L_{a+b} + cnum(a) delta_{a+b,0}."""
-
-    __slots__ = ("lin", "cnum")
-
-    def __init__(self, lin: Dist2, cnum: Dist2):
-        self.lin = lin
-        self.cnum = cnum
-
-    @classmethod
-    def from_reduced(cls, parts: ReducedContents) -> "ClassicalVirasoro":
-        if parts.lin_z != parts.lin_w:
-            raise ValueError("reduced bracket is not slot-symmetric in its linear part")
-        if not parts.quad.is_zero():
-            raise ValueError("undeformed reduced bracket should have no quadratic part")
-        return cls(parts.lin_z, parts.cnum)
-
-    def bracket(self, a: int, b: int):
-        """Returns (coefficient of L_{a+b}, central Scalar)."""
-        coef = self.lin.coeff(a) + self.lin.coeff(-b)
-        central = self.cnum.coeff(a) if a + b == 0 else S_ZERO
-        return coef, central
-
-    def antisymmetric(self, K: int) -> bool:
-        K = min(K, self.lin.N)
-        for a in range(-K, K + 1):
-            for b in range(-K, K + 1):
-                ab, cab = self.bracket(a, b)
-                ba, cba = self.bracket(b, a)
-                if ab != -ba or cab != -cba:
-                    return False
-        return True
-
-
-def classical_jacobi_check(V: ClassicalVirasoro, K: int) -> list[CheckRecord]:
-    """{L_a, {L_b, L_c}} + cyclic = 0 for all |a|,|b|,|c| <= K whose
+def classical_jacobi_check(parts: ReducedContents, K: int) -> list[CheckRecord]:
+    """Antisymmetry of the mode bracket read off the undeformed contents,
+    {L_a, L_b} = C(a, b) L_(a+b) + cnum(a) delta_(a+b,0) with
+    C(a, b) = lin_z(a) + lin_z(-b), for |a|, |b| <= K; then
+    {L_a, {L_b, L_c}} + cyclic = 0 for all |a|,|b|,|c| <= K whose
     intermediate modes stay inside the available mode range.
 
     The rotations of a triple are triples of the same loop, so each bracket
     coefficient C(y, z) and each term C(y, z) C(x, y + z) is computed once,
-    in memos local to the call (at most (2K+1)^3 entries); the central sum
-    can only be nonzero when a + b + c = 0."""
-    N = V.lin.N
-    out = [record("virasoro-mode-antisymmetry", "virasoro", V.antisymmetric(K))]
+    in memos local to the call (at most (2K+1)^3 entries) that the
+    antisymmetry loop shares; the central sum can only be nonzero when
+    a + b + c = 0."""
+    lin, cnum = parts.lin_z, parts.cnum
+    N = lin.N
     coefs = {}
     terms = {}
 
     def coef(y, z):
         v = coefs.get((y, z))
         if v is None:
-            v = coefs[(y, z)] = V.bracket(y, z)[0]
+            v = coefs[(y, z)] = lin.coeff(y) + lin.coeff(-z)
         return v
 
     def term(x, y, z):
@@ -188,6 +158,10 @@ def classical_jacobi_check(V: ClassicalVirasoro, K: int) -> list[CheckRecord]:
             v = terms[(x, y, z)] = coef(y, z) * coef(x, y + z)
         return v
 
+    r = range(-min(K, N), min(K, N) + 1)
+    antisymmetric = (all((coef(a, b) + coef(b, a)).is_zero() for a in r for b in r)
+                     and all((cnum.coeff(a) + cnum.coeff(-a)).is_zero() for a in r))
+    out = [record("virasoro-mode-antisymmetry", "virasoro", antisymmetric)]
     bad = None
     checked = 0
     for a in range(-K, K + 1):
@@ -200,8 +174,8 @@ def classical_jacobi_check(V: ClassicalVirasoro, K: int) -> list[CheckRecord]:
                 lcoef = term(a, b, c) + term(b, c, a) + term(c, a, b)
                 central = S_ZERO
                 if a + b + c == 0:
-                    central = (coef(b, c) * V.cnum.coeff(a) + coef(c, a) * V.cnum.coeff(b)
-                               + coef(a, b) * V.cnum.coeff(c))
+                    central = (coef(b, c) * cnum.coeff(a) + coef(c, a) * cnum.coeff(b)
+                               + coef(a, b) * cnum.coeff(c))
                 if not (lcoef.is_zero() and central.is_zero()):
                     bad = (a, b, c, str(lcoef), str(central))
                     break

@@ -22,7 +22,7 @@ from qvir.cli import (
     run,
 )
 from qvir.distcalc import Dist2, ModeWindow
-from qvir.qcoeff import S_ZERO, RatFunc, qint, qint_over_qsum
+from qvir.qcoeff import S_I, S_ZERO, RatFunc, qint, qint_over_qsum
 from qvir.report import DOCUMENTED, FAIL, PASS, CheckRecord, Report, _dist_str, compare_dists
 
 SMALL = 4
@@ -540,6 +540,29 @@ def test_main_check_failure_exit(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr("qvir.cli.run", lambda cfg: rep)
     code = main(["--window", "5", "--output", str(tmp_path / "r.json")])
     assert code == EXIT_CHECK_FAILED
+
+
+@pytest.mark.parametrize("field,failed", (
+    ("quad", {"reduce-antisymmetry", "reduce-no-quadratic"}),
+    ("lin_w", {"reduce-antisymmetry", "reduce-linear-w"}),
+), ids=("stray-quad", "lin_w-off-lin_z"))
+def test_broken_classical_chain_reports_its_failures(monkeypatch, tmp_path, field, failed):
+    # a stray quadratic term, or a lin_w off lin_z at one mode, in the
+    # classical contents: the run still writes its report, names the failing
+    # records and exits 1, and the Jacobi check reads the contents as they are
+    split = dirac.split_reduced
+
+    def perturbed(T, N):
+        parts = split(T, N)
+        return parts._replace(**{field: getattr(parts, field) + Dist2(N, {2: S_I})})
+
+    monkeypatch.setattr(dirac, "split_reduced", perturbed)
+    out = tmp_path / "r.json"
+    code = main(["--scenario", "classical-sl2", "--window", "4", "--output", str(out)])
+    assert code == EXIT_CHECK_FAILED
+    status = {c["id"]: c["status"] for c in json.loads(out.read_text())["checks"]}
+    assert len(status) == 14
+    assert {i for i, st in status.items() if st == FAIL} == failed
 
 
 def test_main_stdout(capsys):

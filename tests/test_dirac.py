@@ -8,12 +8,13 @@ import pytest
 from qvir.qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, q_minus_qinv, qint
 from qvir.distcalc import Dist2, ModeWindow, weight_abs
 from qvir import dirac
-from qvir.currents import TermSum, classical_bracket
+from qvir.currents import FieldFactor, TermSum, classical_bracket
 from qvir.dirac import (
     CURRENT,
     ConstraintSet,
     DiracMatrix,
     QVirasoroBracket,
+    ReducedContents,
     Reduction,
     Scenario,
     SingularModeError,
@@ -24,6 +25,7 @@ from qvir.dirac import (
     dirac_bracket,
     dirac_suite,
     invert,
+    is_antisymmetric,
     matrix_pair,
     printed_inverse_patterns,
     reduce,
@@ -205,8 +207,14 @@ def test_classical_matrix_entries():
 # the reduced brackets
 # ---------------------------------------------------------------------------
 
+def _reduced(sc, W_=W):
+    """The reduced bracket of a fresh chain of ``sc`` as one TermSum."""
+    chain = Reduction(sc, W_)
+    return reduce(chain, chain.inverse)
+
+
 def test_classical_reduction_exact():
-    parts = split_reduced(Reduction(scenario("classical-sl2"), W).reduced, W.N)
+    parts = Reduction(scenario("classical-sl2"), W).contents
     for n in W.modes():
         assert parts.lin_z.coeff(n) == -S_I * Scalar.from_rat(n)
         assert parts.lin_w.coeff(n) == -S_I * Scalar.from_rat(n)
@@ -216,7 +224,7 @@ def test_classical_reduction_exact():
 
 def test_q_reduction_contents():
     # frozen from the hand computation of the chain corrections
-    parts = split_reduced(Reduction(scenario("q-sl2"), W).reduced, W.N)
+    parts = Reduction(scenario("q-sl2"), W).contents
     dq = q_minus_qinv()
     for n in W.modes():
         if n == 0:
@@ -231,6 +239,21 @@ def test_q_reduction_contents():
         assert parts.lin_w.coeff(n) == parts.lin_z.coeff(n)
         cn = (Scalar.from_rat(2) * S_I / qint(2)) * wq * qint(n) ** 4 / qint(2 * n)
         assert parts.cnum.coeff(n) == cn
+
+
+def test_split_reduced_fills_each_field_and_rejects_other_terms():
+    fz, fw = FieldFactor(CURRENT, "z"), FieldFactor(CURRENT, "w")
+    d = {mono: Dist2.unit0(W.N, S_I * Scalar.from_rat(k))
+         for k, mono in enumerate(((fw, fz), (fz,), (fw,), ()), 1)}
+    parts = split_reduced(TermSum([(mono, 0, dist) for mono, dist in d.items()]), W.N)
+    assert parts == ReducedContents(*d.values())
+    # an absent term is a zero field of the window
+    assert split_reduced(TermSum.single((fz,), d[(fz,)]), W.N) == ReducedContents(
+        Dist2.zero(W.N), d[(fz,)], Dist2.zero(W.N), Dist2.zero(W.N))
+    for bad in (TermSum.single((fz, fz), d[()]), TermSum.single((FieldFactor("E+", "z"),), d[()]),
+                TermSum.single((), d[()], zdeg=1)):
+        with pytest.raises(ValueError):
+            split_reduced(bad, W.N)
 
 
 def test_q_reduction_correction_structure():
@@ -288,12 +311,15 @@ def _reweighted(T):
 def test_weighted_reduction_is_weighted_unweighted():
     # every rule has z-degree 0 and the pairing is mode-diagonal, so the
     # chain of the table with q^(2|n|) folded into every rule reduces to the
-    # plain reduced bracket reweighted, term for term: the [qvir] pass
-    # rests on this
+    # plain reduced bracket reweighted, term for term, and so are its
+    # contents: the [qvir] pass reweights the plain chain's contents
     for N in (1, 3, 6, 12):
         Wn = ModeWindow(N)
-        folded = Reduction(scenario("q-sl2", weighted=True), Wn).reduced
-        assert folded == _reweighted(Reduction(scenario("q-sl2"), Wn).reduced), N
+        folded = _reduced(scenario("q-sl2", weighted=True), Wn)
+        assert folded == _reweighted(_reduced(scenario("q-sl2"), Wn)), N
+        assert Reduction(scenario("q-sl2", weighted=True), Wn).contents == ReducedContents(
+            *(weight_abs(d, dirac.WEIGHT_EXPONENT)
+              for d in Reduction(scenario("q-sl2"), Wn).contents)), N
 
 
 @pytest.mark.parametrize("only", (True, False), ids=("only-E-E-", "all-but-E-E-"))
@@ -304,8 +330,8 @@ def test_weight_on_some_rules_breaks_the_reweighting_identity(only):
     table = {pair: (lambda W_, rule=rule: _reweighted(rule(W_)))
              if (pair == (CURRENT, CURRENT)) == only else rule
              for pair, rule in sc.table.items()}
-    partial = Reduction(Scenario(sc.key, table, sc.constraints), W).reduced
-    assert partial != _reweighted(Reduction(sc, W).reduced)
+    partial = _reduced(Scenario(sc.key, table, sc.constraints))
+    assert partial != _reweighted(_reduced(sc))
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +432,44 @@ def test_pairing_identity_reads_the_shared_inverse(closed):
     assert status["dirac-pairing-identity"] == FAIL
 
 
-@pytest.mark.parametrize("key,tag", (("q-sl2", "[qdirb]"), ("q-sl2", "[qvir]"),
-                                     ("classical-sl2", "")))
-def test_antisymmetry_check_fails_on_symmetric_part(key, tag, closed):
-    # every reduced value is imaginary, so the symmetric part is i at every mode
+# i at every mode is an even part of any of the reduced bracket's fields, all
+# of whose values are imaginary; in lin_w it breaks lin_w == -reflect(lin_z)
+@pytest.mark.parametrize("key,tag,field", [
+    pytest.param(key, tag, field, id=f"{key}-{tag}" + ("" if field == "cnum" else f"-{field}"))
+    for field in ("cnum", "quad", "lin_w")
+    for key, tag in (("q-sl2", "[qdirb]"), ("q-sl2", "[qvir]"), ("classical-sl2", ""))])
+def test_antisymmetry_check_fails_on_symmetric_part(key, tag, field, closed):
     chain = Reduction(scenario(key), W)
-    chain.reduced = chain.reduced + TermSum.single((), Dist2.from_func(W.N, lambda n: S_I))
+    parts = chain.contents
+    even = Dist2.from_func(W.N, lambda n: S_I)
+    chain.contents = parts._replace(**{field: getattr(parts, field) + even})
     status = {r.id: r.status for r in reduce_suite(chain, closed)}
     assert status[f"reduce-antisymmetry{tag}"] == FAIL
+
+
+def _antisymmetric_reference(T):
+    """reflect(T) == -T for a reduced bracket as one TermSum."""
+    return (T.reflect() + T).is_zero()
+
+
+def test_contents_antisymmetry_agrees_with_the_termsum_reference():
+    # an even (i) or odd (i n) part on each monomial of the reduced bracket,
+    # alone, and the odd part on both linear monomials together, on both
+    # chains' brackets and the [qvir] reweighting of the q one
+    fz, fw = FieldFactor(CURRENT, "z"), FieldFactor(CURRENT, "w")
+    even = Dist2.from_func(W.N, lambda n: S_I)
+    odd = Dist2.from_func(W.N, lambda n: S_I * Scalar.from_rat(n))
+    perturbations = [TermSum()] + [TermSum.single(mono, d) for d in (even, odd)
+                                   for mono in ((fz, fw), (fz,), (fw,), ())]
+    perturbations.append(TermSum([((fz,), 0, odd), ((fw,), 0, odd)]))
+    q = _reduced(scenario("q-sl2"))
+    verdicts = []
+    for T in (q, _reweighted(q), _reduced(scenario("classical-sl2"))):
+        for P in perturbations:
+            want = _antisymmetric_reference(T + P)
+            assert is_antisymmetric(split_reduced(T + P, W.N)) == want, (T, P)
+            verdicts.append(want)
+    assert verdicts.count(True) == 3 * 4 and verdicts.count(False) == 3 * 6
 
 
 def test_reduction_computes_each_stage_once(monkeypatch):
@@ -424,22 +480,22 @@ def test_reduction_computes_each_stage_once(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(dirac, name, counted)
     # the matrix and the inverse are read first, as the dirac suite does
-    # before the reduce suite; the chain drops both once it has reduced
+    # before the reduce suite; the chain drops both once it has its contents
     chain = Reduction(scenario("classical-sl2"), W)
     assert chain.matrix is chain.matrix and chain.inverse is chain.inverse
-    assert chain.reduced is chain.reduced
     assert chain.contents is chain.contents
     assert "matrix" not in vars(chain) and "inverse" not in vars(chain)
+    assert not hasattr(chain, "reduced")
     assert counts == {"build_dirac_matrix": 1, "invert": 1, "reduce": 1}
     fresh = Reduction(chain.scenario, W)
     dinv = invert(build_dirac_matrix(fresh), W)
-    assert chain.reduced == reduce(fresh, dinv)
+    assert chain.contents == split_reduced(reduce(fresh, dinv), W.N)
 
 
 def test_chain_builds_each_on_surface_bracket_once(monkeypatch):
     # the degeneration check, the matrix and the reduction share a chain's
     # brackets; the store holds at most its 9 symbol pairs, and it is
-    # emptied once the reduced bracket exists
+    # emptied once the contents exist
     built = []
 
     def counted(a, b, table, W_, _fn=classical_bracket):
@@ -453,8 +509,8 @@ def test_chain_builds_each_on_surface_bracket_once(monkeypatch):
     all_pass(verify_table_degeneration(q_chain, classical_chain))
     q_chain.matrix
     assert len(q_chain._brackets) == 6     # the matrix reads three of these
-    q_chain.reduced
-    classical_chain.reduced
+    q_chain.contents
+    classical_chain.contents
     assert len(built) == len(set(built)) == 16
     assert not q_chain._brackets and not classical_chain._brackets
     # a bracket asked for after the reduction is rebuilt, not stored again
@@ -565,7 +621,7 @@ def test_table_degeneration_negative_controls(pair):
 
 
 def test_affine_check_detects_wrong_bracket(closed):
-    reduced = Reduction(scenario("q-sl2"), W).reduced
-    broken = reduced.scale(Scalar.from_rat(2))
-    recs = affine_check(split_reduced(broken, W.N), closed, weighted=False)
+    parts = Reduction(scenario("q-sl2"), W).contents
+    broken = ReducedContents(*(d.scale(Scalar.from_rat(2)) for d in parts))
+    recs = affine_check(broken, closed, weighted=False)
     assert any(r.status == FAIL for r in recs)
