@@ -12,7 +12,6 @@ import time
 from collections import namedtuple
 from functools import cached_property
 
-from .distcalc import ModeWindow
 from .currents import (
     KacMoodyLevel,
     modes_from_ope,
@@ -22,6 +21,7 @@ from .currents import (
 from .dirac import (
     QVirasoroBracket,
     Reduction,
+    SingularModeError,
     dirac_suite,
     reduce_suite,
     scenario,
@@ -32,7 +32,7 @@ from .qvirasoro import (
     classical_jacobi_check,
     classical_limit_check,
 )
-from .report import Report
+from .report import Report, record
 from .vertexcalc import exchange_suite, verify_ee_ope
 
 EXIT_OK = 0
@@ -43,22 +43,22 @@ JACOBI_CUTOFF = 6
 
 
 class Run:
-    """One run's window and the values its suites share: each scenario's
-    Dirac chain and the q-sl2 closed forms, each built on first use."""
+    """One run's window size N and the values its suites share: each
+    scenario's Dirac chain and the q-sl2 closed forms, each built on first use."""
 
-    def __init__(self, W: ModeWindow):
-        self.W = W
+    def __init__(self, N: int):
+        self.N = N
         self._chains = {}
 
     def chain(self, key: str) -> Reduction:
         red = self._chains.get(key)
         if red is None:
-            red = self._chains[key] = Reduction(scenario(key), self.W)
+            red = self._chains[key] = Reduction(scenario(key), self.N)
         return red
 
     @cached_property
     def closed(self) -> QVirasoroBracket:
-        return QVirasoroBracket(self.W)
+        return QVirasoroBracket(self.N)
 
 
 # The run plan: each scenario's suites in dependency order, each a tuple of
@@ -67,13 +67,13 @@ class Run:
 # or a test's counting wrapper) sees the call.
 SUITES = {
     "q-sl2": {
-        "exchange": (lambda r: exchange_suite(r.W),),
-        "commutators": (lambda r: verify_commutators(r.W),
-                        lambda r: verify_ee_ope(r.W, +1),
-                        lambda r: verify_ee_ope(r.W, -1)),
-        "modes": (*(lambda r, k=k: modes_from_ope(KacMoodyLevel(k), r.W)
+        "exchange": (lambda r: exchange_suite(r.N),),
+        "commutators": (lambda r: verify_commutators(r.N),
+                        lambda r: verify_ee_ope(r.N, +1),
+                        lambda r: verify_ee_ope(r.N, -1)),
+        "modes": (*(lambda r, k=k: modes_from_ope(KacMoodyLevel(k), r.N)
                     for k in (1, 2, 3)),
-                  lambda r: verify_serre_mode_equivalence(r.W),
+                  lambda r: verify_serre_mode_equivalence(r.N),
                   lambda r: verify_table_degeneration(r.chain("q-sl2"),
                                                       r.chain("classical-sl2"))),
         "dirac": (lambda r: dirac_suite(r.chain("q-sl2"), r.closed),),
@@ -81,7 +81,7 @@ SUITES = {
         "limit": (lambda r: antisymmetry_check(r.closed)
                   + classical_limit_check(r.chain("q-sl2").contents,
                                           r.chain("classical-sl2").contents,
-                                          r.closed, r.W),),
+                                          r.closed),),
     },
     "classical-sl2": {
         "dirac": (lambda r: dirac_suite(r.chain("classical-sl2")),),
@@ -132,21 +132,30 @@ class RunConfig(namedtuple("RunConfig", "scenario window suites fmt output",
         return self.resolve_suites()
 
 
-def _timed(group, shared):
-    t0 = time.perf_counter()
-    records = group(shared)
-    seconds = (time.perf_counter() - t0) / max(1, len(records))
-    return [r._replace(seconds=seconds) for r in records]
+def _timed(start, records):
+    """The records, each timed from the previous one (the first from ``start``)
+    to its creation, so a shared stage's build lands on the first record that
+    needs it."""
+    for r in records:
+        yield r._replace(seconds=r.seconds - start)
+        start = r.seconds
 
 
 def run(config: RunConfig) -> Report:
-    """Run the plan's check groups of the selected suites, in dependency order."""
+    """Run the plan's check groups of the selected suites, in dependency order.
+    A singular constraint matrix ends its suite, whose later groups read the
+    same chain, in one failing record naming the singular mode."""
     suites = config.validate()
-    shared = Run(ModeWindow(config.window))
+    shared = Run(config.window)
     rep = Report(config.scenario, config.window)
     for name in suites:
-        for group in SUITES[config.scenario][name]:
-            rep.extend(_timed(group, shared))
+        try:
+            for group in SUITES[config.scenario][name]:
+                start = time.perf_counter()
+                rep.extend(_timed(start, group(shared)))
+        except SingularModeError as err:
+            rep.extend(_timed(start, [record(f"{name}-dirac-inverse", "inver", False, err.mode,
+                                             str(err), "invertible at every mode")]))
     return rep
 
 

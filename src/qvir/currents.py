@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import add, sub
 
 from .qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, q_minus_qinv, qint, qint_ratio
-from .distcalc import Dist2, ModeWindow, expand_inner, expand_outer
+from .distcalc import Dist2, expand_inner, expand_outer
 from .report import CheckRecord, compare_dists, compare_pairs, compare_termsums, record
 from .vertexcalc import (
     ExpField,
@@ -168,17 +168,12 @@ class TermSum:
         bad = [k for k in self.terms if k[0] or k[1] != 0]
         if bad:
             raise ValueError(f"TermSum is not a plain c-number distribution: {bad}")
-        total = None
-        for (_, _zdeg), dist in self.terms.items():
-            total = dist if total is None else total + dist
-        return total
+        return self.terms[((), 0)]     # each key is held once
 
     def __eq__(self, other):
         if not isinstance(other, TermSum):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
+        return self.terms == other.terms
 
     def first_mismatch(self, other):
         """(key, mode) of the first differing coefficient, or None."""
@@ -214,7 +209,7 @@ class TermSum:
 # Quantum commutators from contraction data
 # ---------------------------------------------------------------------------
 
-def field_commutator(A: ExpField, B: ExpField, W: ModeWindow) -> TermSum:
+def field_commutator(A: ExpField, B: ExpField, N: int) -> TermSum:
     """Quantum [A(z), B(w)] as (normal-ordered monomial) x distribution: the
     region difference of the two orderings' contraction kernels, A(z)B(w)
     expanded at |z| > |w| minus B(w)A(z) expanded at |w| > |z|."""
@@ -222,8 +217,8 @@ def field_commutator(A: ExpField, B: ExpField, W: ModeWindow) -> TermSum:
     ba = contraction_kernel(B, A)
     if ab.zdeg != ba.zdeg:
         raise ArithmeticError("exchange kernel is not of degree zero")
-    dist = (expand_inner(xform_of_contraction(ab, swap=False), W)
-            - expand_outer(xform_of_contraction(ba, swap=True), W))
+    dist = (expand_inner(xform_of_contraction(ab, swap=False), N)
+            - expand_outer(xform_of_contraction(ba, swap=True), N))
     mono = (FieldFactor(A.name, "z"), FieldFactor(B.name, "w"))
     return TermSum.single(mono, dist, ab.zdeg)
 
@@ -263,31 +258,31 @@ def normal_ordered(terms) -> TermSum:
     return TermSum(out)
 
 
-def printed_pair_exchange_bracket(W: ModeWindow) -> TermSum:
+def printed_pair_exchange_bracket(N: int) -> TermSum:
     """[chi1(z), chi1(w)] as printed: step-pair monomials against the odd
     q-integer sums, coefficient [2]/2."""
     half2 = qint(2) * Scalar.from_rat(Fraction(1, 2))
     t1 = ((FieldFactor("Psi", "z"), FieldFactor("Phi", "w")), 0,
-          Dist2(W.N, {n: half2 * qint(n) for n in range(1, W.N + 1)}))
+          Dist2(N, {n: half2 * qint(n) for n in range(1, N + 1)}))
     t2 = ((FieldFactor("Phi", "z"), FieldFactor("Psi", "w")), 0,
-          Dist2(W.N, {-n: -(half2 * qint(n)) for n in range(1, W.N + 1)}))
+          Dist2(N, {-n: -(half2 * qint(n)) for n in range(1, N + 1)}))
     return TermSum([t1, t2])
 
 
-def printed_chi_e_bracket(sign: int, W: ModeWindow) -> list:
+def printed_chi_e_bracket(sign: int, N: int) -> list:
     """[chi1(z), E^sign(w)] as printed, in ordered-product terms: E(w)Psi(z)
     and Phi(z)E(w) against two one-sided geometric sums with the
     -q^(-sign)/[2] constants."""
     E = "E+" if sign > 0 else "E-"
     coef = Scalar.from_rat(sign) * qint(2) * S_T * Scalar.from_rat(Fraction(1, 2))  # +-[2]/sqrt2
     cconst = Scalar.q_power(-sign) / qint(2)
-    d1 = Dist2.one_sided(W.N, Scalar.s_power(3 * sign), +1) - Dist2.unit0(W.N, cconst)
-    d2 = Dist2.one_sided(W.N, Scalar.s_power(3 * sign), -1) - Dist2.unit0(W.N, cconst)
+    d1 = Dist2.one_sided(N, Scalar.s_power(3 * sign), +1) - Dist2.unit0(N, cconst)
+    d2 = Dist2.one_sided(N, Scalar.s_power(3 * sign), -1) - Dist2.unit0(N, cconst)
     return [((FieldFactor(E, "w"), FieldFactor("Psi", "z")), d1.scale(coef)),
             ((FieldFactor("Phi", "z"), FieldFactor(E, "w")), d2.scale(coef))]
 
 
-def printed_ee_same_bracket(sign: int, W: ModeWindow) -> list:
+def printed_ee_same_bracket(sign: int, N: int) -> list:
     """[E^s(z), E^s(w)] as printed, in ordered-product terms: E(w)E(z) and
     E(z)E(w), half-weighted, against geometric sums with ratio q^(2s) and
     constants -q^(-s)."""
@@ -295,21 +290,21 @@ def printed_ee_same_bracket(sign: int, W: ModeWindow) -> list:
     coef = Scalar.from_rat(sign) * q_minus_qinv() * Scalar.from_rat(Fraction(1, 2))
     two = qint(2)
     cconst = Scalar.q_power(-sign)
-    d1 = Dist2.one_sided(W.N, Scalar.q_power(2 * sign), +1, two) - Dist2.unit0(W.N, cconst)
-    d2 = Dist2.one_sided(W.N, Scalar.q_power(2 * sign), -1, two) - Dist2.unit0(W.N, cconst)
+    d1 = Dist2.one_sided(N, Scalar.q_power(2 * sign), +1, two) - Dist2.unit0(N, cconst)
+    d2 = Dist2.one_sided(N, Scalar.q_power(2 * sign), -1, two) - Dist2.unit0(N, cconst)
     return [((FieldFactor(E, "w"), FieldFactor(E, "z")), d1.scale(coef)),
             ((FieldFactor(E, "z"), FieldFactor(E, "w")), d2.scale(-coef))]
 
 
-def opposite_charge_bracket(W: ModeWindow, k: int = 1) -> TermSum:
+def opposite_charge_bracket(N: int, k: int = 1) -> TermSum:
     """[E+(z), E-(w)] in the mode-algebra normalization: the delta pair
     at z = w q^(+-k) against the shifted step operators, over (q - 1/q)."""
     psi = TermSum.single(
         (FieldFactor("Psi", "w", k),),
-        Dist2.from_func(W.N, lambda n: INV_DQ * Scalar.q_power(k * n)))
+        Dist2.from_func(N, lambda n: INV_DQ * Scalar.q_power(k * n)))
     phi = TermSum.single(
         (FieldFactor("Phi", "w", -k),),
-        Dist2.from_func(W.N, lambda n: -(INV_DQ * Scalar.q_power(-k * n))))
+        Dist2.from_func(N, lambda n: -(INV_DQ * Scalar.q_power(-k * n))))
     return psi + phi
 
 
@@ -325,41 +320,41 @@ COMMUTATOR_PAIRS = (
     + (("E+", "E+"), ("E-", "E-"), ("E+", "Psi"), ("E+", "Phi")))
 
 
-def verify_commutators(W: ModeWindow) -> list[CheckRecord]:
+def verify_commutators(N: int) -> list[CheckRecord]:
     """Derive each field pair's commutator once on a padded window; compare
     the printed commutators exactly, term by term and mode by mode, then
     check that each flips sign under reflection + slot swap."""
     F = standard_fields()
     # reflecting a term of z-degree D, or multiplying by its ordered-product
     # polynomial of x-degree |D|, loses |D| boundary modes
-    pad = ModeWindow(W.N + max(abs(z_degree(F[a], F[b])) for a, b in COMMUTATOR_PAIRS))
+    pad = N + max(abs(z_degree(F[a], F[b])) for a, b in COMMUTATOR_PAIRS)
     comm = {(a, b): field_commutator(F[a], F[b], pad) for a, b in COMMUTATOR_PAIRS}
     chi = difference_constraint_combo()
     chi_chi = combo_commutator(chi, chi, comm)
     chi_e = {sign: combo_commutator(chi, [(S_ONE, E)], comm)
              for sign, E in ((+1, "E+"), (-1, "E-"))}
-    out = [compare_termsums("commutator-constraint-pair", "eva1", chi_chi.truncate(W.N),
-                            printed_pair_exchange_bracket(W))]
+    out = [compare_termsums("commutator-constraint-pair", "eva1", chi_chi.truncate(N),
+                            printed_pair_exchange_bracket(N))]
 
     for sign, tag in ((+1, "eva2+"), (-1, "eva2-")):
-        printed = normal_ordered(printed_chi_e_bracket(sign, pad)).truncate(W.N)
+        printed = normal_ordered(printed_chi_e_bracket(sign, pad)).truncate(N)
         out.append(compare_termsums(f"commutator-constraint-step{tag[-1]}", tag,
-                                    chi_e[sign].truncate(W.N), printed))
+                                    chi_e[sign].truncate(N), printed))
 
     for sign, tag in ((+1, "eva3+"), (-1, "eva3-")):
         E = "E+" if sign > 0 else "E-"
-        printed = normal_ordered(printed_ee_same_bracket(sign, pad)).truncate(W.N)
+        printed = normal_ordered(printed_ee_same_bracket(sign, pad)).truncate(N)
         out.append(compare_termsums(f"commutator-step-same{tag[-1]}", tag,
-                                    comm[(E, E)].truncate(W.N), printed))
+                                    comm[(E, E)].truncate(N), printed))
 
     # antisymmetry: rho([A, A]) == -[A, A], and rho([A, B]) == -[B, A]
     for name, T in (("constraint-pair", chi_chi), ("step-same+", comm[("E+", "E+")]),
                     ("step-same-", comm[("E-", "E-")])):
-        ok = T.reflect().truncate(W.N) == (-T).truncate(W.N)
+        ok = T.reflect().truncate(N) == (-T).truncate(N)
         out.append(record(f"antisymmetry-{name}", "eva1/eva3", ok,
                           engine="reflection equals negation" if ok else str(T)))
     e_chi = combo_commutator([(S_ONE, "E+")], chi, comm)
-    ok = chi_e[+1].reflect().truncate(W.N) == (-e_chi).truncate(W.N)
+    ok = chi_e[+1].reflect().truncate(N) == (-e_chi).truncate(N)
     out.append(record("antisymmetry-mixed", "eva2", ok))
     return out
 
@@ -369,16 +364,16 @@ def verify_commutators(W: ModeWindow) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 
 # A bracket table maps a field-symbol pair (a, b) to its rule, the function
-# of the mode window that gives {a(z), b(w)}.  One orientation per pair is
+# of the window size N that gives {a(z), b(w)} for |n| <= N.  One orientation per pair is
 # stored; the other follows by antisymmetry.
 
-def classical_bracket(a: str, b: str, table: dict, W: ModeWindow) -> TermSum:
+def classical_bracket(a: str, b: str, table: dict, N: int) -> TermSum:
     """{a(z), b(w)} from the table's rule for (a, b), or else by antisymmetry
     from its rule for (b, a): reflected and negated."""
     if (a, b) in table:
-        return table[(a, b)](W)
+        return table[(a, b)](N)
     if (b, a) in table:
-        return -(table[(b, a)](W).reflect())
+        return -(table[(b, a)](N).reflect())
     raise MissingPairError(f"no bracket rule for ({a}, {b})")
 
 
@@ -389,10 +384,10 @@ def q_bracket_table() -> dict:
     commuting products at z-degree 0."""
 
     def signed(sigma, rule):
-        return lambda W: rule(W).scale(sigma)
+        return lambda N: rule(N).scale(sigma)
 
     def products(form, sign):
-        return lambda W: TermSum([(mono, 0, d) for mono, d in form(sign, W)])
+        return lambda N: TermSum([(mono, 0, d) for mono, d in form(sign, N)])
 
     return {
         ("chi1", "chi1"): signed(-S_I, printed_pair_exchange_bracket),
@@ -408,24 +403,24 @@ def classical_bracket_table() -> dict:
     """The undeformed Poisson table at level 1."""
     minus_i, minus_it = -S_I, -S_I * S_T
 
-    def rule_hh(W):
-        return TermSum.single((), Dist2.from_func(W.N, lambda n: minus_i * Scalar.from_rat(n)))
+    def rule_hh(N):
+        return TermSum.single((), Dist2.from_func(N, lambda n: minus_i * Scalar.from_rat(n)))
 
     def rule_he(sign):
         # the emitted field rides the delta support, so it may be placed at
         # the second slot: E(z) delta(w/z) = E(w) delta(w/z)
-        def rule(W):
+        def rule(N):
             E = "E+" if sign > 0 else "E-"
             c = -Scalar.from_rat(sign) * S_I * S_T
             return TermSum.single((FieldFactor(E, "w"),),
-                                  Dist2.from_func(W.N, lambda n: c))
+                                  Dist2.from_func(N, lambda n: c))
         return rule
 
-    def rule_ee_opposite(W):
-        field = TermSum.single((FieldFactor("H", "z"),), Dist2.from_func(W.N, lambda n: minus_it))
-        return field + rule_hh(W)       # the same central term as {H, H}
+    def rule_ee_opposite(N):
+        field = TermSum.single((FieldFactor("H", "z"),), Dist2.from_func(N, lambda n: minus_it))
+        return field + rule_hh(N)       # the same central term as {H, H}
 
-    def rule_zero(W):
+    def rule_zero(N):
         return TermSum.zero()
 
     return {
@@ -472,7 +467,7 @@ class KacMoodyLevel:
         }
 
 
-def _he_ope_dists(level: KacMoodyLevel, sign: int, W: ModeWindow):
+def _he_ope_dists(level: KacMoodyLevel, sign: int, N: int):
     """One-sided singular parts of H(z)E^s(w) and E^s(w)H(z) at level k.
 
     The reversed ordering contracts the step operator's annihilation side,
@@ -484,30 +479,30 @@ def _he_ope_dists(level: KacMoodyLevel, sign: int, W: ModeWindow):
     ratio = Scalar.s_power(-sign * level.k)
     fwd = {0: s2}
     rev = {}
-    for n in range(1, W.N + 1):
+    for n in range(1, N + 1):
         c = s2 * (ratio ** n) * qint(2 * n) * Scalar.from_rat(Fraction(1, 2 * n))
         fwd[n] = c
         rev[n] = -c
-    return Dist2(W.N, fwd), Dist2(W.N, rev)
+    return Dist2(N, fwd), Dist2(N, rev)
 
 
-def modes_from_ope(level: KacMoodyLevel, W: ModeWindow) -> list[CheckRecord]:
+def modes_from_ope(level: KacMoodyLevel, N: int) -> list[CheckRecord]:
     """Extract mode brackets from the distribution forms and compare with
-    the printed mode algebra, over the whole window."""
+    the printed mode algebra, over the whole window |n| <= N."""
     out = []
     k = level.k
 
     # H-H sector: commutator = one-sided entry minus its reflection
-    entry = Dist2(W.N, {n: oscillator_norm(n) * qint_ratio(k, n) for n in range(1, W.N + 1)})
+    entry = Dist2(N, {n: oscillator_norm(n) * qint_ratio(k, n) for n in range(1, N + 1)})
     D = entry - entry.reflect()
-    expected = Dist2.from_func(W.N, lambda n: level.hh(n))
+    expected = Dist2.from_func(N, lambda n: level.hh(n))
     out.append(compare_dists(f"modes-hh-k{k}", "kac-moody", D, expected))
 
     # H-E sector, both signs
     for sign in (+1, -1):
-        fwd, rev = _he_ope_dists(level, sign, W)
+        fwd, rev = _he_ope_dists(level, sign, N)
         D = fwd - rev.reflect()
-        expected = Dist2.from_func(W.N, lambda n: level.he(sign, n))
+        expected = Dist2.from_func(N, lambda n: level.he(sign, n))
         tag = "kac-moody"
         out.append(compare_dists(f"modes-he{'+' if sign > 0 else '-'}-k{k}", tag, D, expected))
         # the constant entry is the charge of the zero mode
@@ -515,14 +510,14 @@ def modes_from_ope(level: KacMoodyLevel, W: ModeWindow) -> list[CheckRecord]:
         out.append(record(f"modes-h0-e{'+' if sign > 0 else '-'}-k{k}", "kac-moody", ok,
                           engine=str(D.coeff(0)), expected=str(Scalar.from_rat(sign) * S_T)))
         if k == 1:
-            vertex = h_e_commutator_dist(sign, W)
+            vertex = h_e_commutator_dist(sign, N)
             out.append(compare_dists(
                 f"modes-he{'+' if sign > 0 else '-'}-vertex", "camp1-camp3", D, vertex))
 
     # E+E- sector: extract z^-a w^-m coefficients from the delta-pair
     # distribution form and compare with the printed mode relation
-    T = opposite_charge_bracket(W, k)
-    pairs = ((a, m) for a in W.modes() for m in W.modes() if abs(a + m) <= W.N)
+    T = opposite_charge_bracket(N, k)
+    pairs = ((a, m) for a in range(-N, N + 1) for m in range(-N, N + 1) if abs(a + m) <= N)
     out.append(compare_pairs(f"modes-ee-k{k}", "kac-moody/eva", pairs,
                              lambda a, m: _extract_ee_modes(T, a, m), level.ee,
                              agree="all window mode pairs"))
@@ -549,7 +544,7 @@ def _extract_ee_modes(T: TermSum, a: int, m: int):
     return out
 
 
-def verify_serre_mode_equivalence(W: ModeWindow) -> list[CheckRecord]:
+def verify_serre_mode_equivalence(N: int) -> list[CheckRecord]:
     """The engine's self-exchange kernel of E^s, K = c x^m P(x)/Q(x), cleared
     of its denominator, Q(x) E(z)E(w) = c x^m P(x) E(w)E(z), and read off at
     z^(-n-2) w^(-m-1), yields exactly the printed quadratic mode relation,
@@ -572,7 +567,7 @@ def verify_serre_mode_equivalence(W: ModeWindow) -> list[CheckRecord]:
             return _words((((n + 1, m), S_ONE), ((m, n + 1), minus_q2),
                            ((n, m + 1), minus_q2), ((m + 1, n), S_ONE)))
 
-        pairs = ((n, m) for n in W.modes() for m in W.modes())
+        pairs = ((n, m) for n in range(-N, N + 1) for m in range(-N, N + 1))
         out.append(compare_pairs("serre-mode+" if sign > 0 else "serre-mode-", "ncom",
                                  pairs, lhs, rhs, agree="all mode pairs in window"))
     return out

@@ -7,14 +7,14 @@ covariance makes every contour pairing diagonal in modes, so the whole
 reduction is an exact per-mode computation: a 2x2 inversion followed by
 coefficient products.
 
-A `Reduction` holds one scenario's chain on one window.  It builds each
-on-surface bracket once and computes the Dirac matrix, its per-mode inverse
-and the reduced bracket's split contents, its one result, at most once each,
-on first use; the involution check still inverts the inverse afresh.  Once
-the contents exist the chain drops its brackets, matrix and inverse.
+A `Reduction(scenario, N)` holds one scenario's chain on the modes |n| <= N.
+It builds each on-surface bracket once, and the Dirac matrix, its per-mode
+inverse and the reduced bracket's split contents (its one result) at most once
+each, on first use; the involution check still inverts the inverse afresh.
+Once the contents exist the chain drops its brackets, matrix and inverse.
 The degeneration, dirac, reduce and limit suites all read the run's chains,
 one per scenario; the reduce suite reweights the q-sl2 contents for `[qvir]`.
-`QVirasoroBracket(W)` is the closed form the contents are matched
+`QVirasoroBracket(N)` is the closed form the contents are matched
 against: its kernels in both forms, their prefactors and the affine map,
 built once per q-sl2 run whose suites read it and passed to every check
 that reads them.
@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .qcoeff import (S_I, S_ONE, S_T, S_ZERO, Scalar, eval_q1, q_minus_qinv, qint,
                      qint_over_qsum)
-from .distcalc import Dist2, ModeWindow, _dist2, pair, weight_abs
+from .distcalc import Dist2, _dist2, pair, weight_abs
 from .currents import (
     FieldFactor,
     TermSum,
@@ -124,7 +124,7 @@ def scenario(key: str, weighted: bool = False) -> Scenario:
             # a reference for the tests only, never built by a run; every rule has
             # z-degree 0, so the weight commutes with the reflection of a pair
             h = WEIGHT_EXPONENT
-            table = {pair: lambda W, rule=rule: rule(W).map_dist(lambda d: weight_abs(d, h))
+            table = {pair: lambda N, rule=rule: rule(N).map_dist(lambda d: weight_abs(d, h))
                      for pair, rule in table.items()}
         return Scenario(key, table, q_constraints())
     if key == "classical-sl2":
@@ -185,7 +185,7 @@ class DiracMatrix(namedtuple("DiracMatrix", "d11 d12 d21 d22")):
 def _onsurface_cnumber(chain: "Reduction", a: str, b: str) -> Dist2:
     T = chain.on_surface(a, b)
     if T.is_zero():
-        return Dist2.zero(chain.W.N)
+        return Dist2.zero(chain.N)
     try:
         return T.field_free_dist()
     except ValueError as err:
@@ -194,20 +194,18 @@ def _onsurface_cnumber(chain: "Reduction", a: str, b: str) -> Dist2:
 
 
 def build_dirac_matrix(chain: "Reduction") -> DiracMatrix:
-    """Mutual constraint brackets of the chain, on the constraint surface."""
-    c1, c2 = chain.scenario.constraints.symbols
-    d11 = _onsurface_cnumber(chain, c1, c1)
-    d12 = _onsurface_cnumber(chain, c1, c2)
-    d22 = _onsurface_cnumber(chain, c2, c2)
-    d21 = -(d12.reflect())
-    return DiracMatrix(d11, d12, d21, d22)
+    """Mutual constraint brackets of the chain, on the constraint surface,
+    each read from the chain's table."""
+    syms = chain.scenario.constraints.symbols
+    return DiracMatrix(*(_onsurface_cnumber(chain, a, b) for a in syms for b in syms))
 
 
-def invert(dm: DiracMatrix, W: ModeWindow) -> DiracMatrix:
-    """Per-mode 2x2 inversion; raises SingularModeError naming the first
-    singular mode."""
+def invert(dm: DiracMatrix) -> DiracMatrix:
+    """Per-mode 2x2 inversion on the entries' window; raises
+    SingularModeError naming the first singular mode."""
+    N = dm.d11.N
     inv = [[{}, {}], [{}, {}]]
-    for n in W.modes():
+    for n in range(-N, N + 1):
         (a, b), (c, d) = dm.mode_matrix(n)
         det = a * d - b * c
         if det.is_zero():
@@ -219,8 +217,8 @@ def invert(dm: DiracMatrix, W: ModeWindow) -> DiracMatrix:
             v = v * w
             if not v.is_zero():
                 inv[i][j][n] = v
-    return DiracMatrix(_dist2(W.N, inv[0][0]), _dist2(W.N, inv[0][1]),
-                       _dist2(W.N, inv[1][0]), _dist2(W.N, inv[1][1]))
+    return DiracMatrix(_dist2(N, inv[0][0]), _dist2(N, inv[0][1]),
+                       _dist2(N, inv[1][0]), _dist2(N, inv[1][1]))
 
 
 def matrix_pair(A: DiracMatrix, B: DiracMatrix) -> list[list[Dist2]]:
@@ -268,9 +266,9 @@ class Reduction:
     constraint matrix, its per-mode inverse and the reduced bracket's split
     contents, each computed at most once."""
 
-    def __init__(self, scenario: Scenario, W: ModeWindow):
+    def __init__(self, scenario: Scenario, N: int):
         self.scenario = scenario
-        self.W = W
+        self.N = N
         self._brackets = {}     # <= 9 pairs of the table's symbols, until `contents`
 
     def on_surface(self, a: str, b: str) -> TermSum:
@@ -278,7 +276,7 @@ class Reduction:
         T = self._brackets.get((a, b))
         if T is None:
             sc = self.scenario
-            T = classical_bracket(a, b, sc.table, self.W).substitute(sc.constraints.on_surface)
+            T = classical_bracket(a, b, sc.table, self.N).substitute(sc.constraints.on_surface)
             if "contents" not in vars(self):
                 self._brackets[(a, b)] = T
         return T
@@ -289,11 +287,11 @@ class Reduction:
 
     @cached_property
     def inverse(self) -> DiracMatrix:
-        return invert(self.matrix, self.W)
+        return invert(self.matrix)
 
     @cached_property
     def contents(self) -> "ReducedContents":
-        contents = split_reduced(reduce(self, self.inverse), self.W.N)
+        contents = split_reduced(reduce(self, self.inverse), self.N)
         # nothing reads a bracket, the matrix or the inverse after this
         self._brackets.clear()
         vars(self).pop("matrix", None)
@@ -347,12 +345,12 @@ class QVirasoroBracket:
     __slots__ = ("quad", "cent", "quad_residual", "cent_residual",
                  "kappa_quad", "kappa_cent", "amap")
 
-    def __init__(self, W: ModeWindow):
+    def __init__(self, N: int):
         dq2 = q_minus_qinv() ** 2
         half2 = qint(2) * Scalar.from_rat(Fraction(1, 2))
         # [n]^2/[2n] in lowest terms
-        self.quad = Dist2.from_func(W.N, lambda n: qint_over_qsum(n, 1) if n else S_ZERO)
-        self.cent = Dist2.from_func(W.N, lambda n: qint(2 * n))
+        self.quad = Dist2.from_func(N, lambda n: qint_over_qsum(n, 1) if n else S_ZERO)
+        self.cent = Dist2.from_func(N, lambda n: qint(2 * n))
         self.quad_residual = weight_abs(self.quad, -2)
         self.cent_residual = weight_abs(self.cent, -2)
         self.kappa_quad = S_I * half2 * dq2
@@ -361,14 +359,14 @@ class QVirasoroBracket:
                               Scalar.from_rat(8) / qint(2))
 
 
-def classical_linear_pattern(W: ModeWindow) -> Dist2:
+def classical_linear_pattern(N: int) -> Dist2:
     minus_i = -S_I
-    return Dist2.from_func(W.N, lambda n: minus_i * Scalar.from_rat(n))
+    return Dist2.from_func(N, lambda n: minus_i * Scalar.from_rat(n))
 
 
-def classical_central_pattern(W: ModeWindow) -> Dist2:
+def classical_central_pattern(N: int) -> Dist2:
     half_i = S_I * Scalar.from_rat(Fraction(1, 2))
-    return Dist2.from_func(W.N, lambda n: half_i * Scalar.from_rat(n ** 3))
+    return Dist2.from_func(N, lambda n: half_i * Scalar.from_rat(n ** 3))
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +428,8 @@ def affine_check(parts: ReducedContents, B: QVirasoroBracket,
     return out
 
 
-def printed_inverse_patterns(W: ModeWindow, B: QVirasoroBracket):
-    """The printed entries of the inverse constraint matrix (modes n != 0)."""
+def printed_inverse_patterns(B: QVirasoroBracket):
+    """The printed entries of the inverse constraint matrix (modes n != 0) on B's window."""
     dq = q_minus_qinv()
     two_i = Scalar.from_rat(2) * S_I
     br2 = qint(2)
@@ -452,9 +450,9 @@ def printed_inverse_patterns(W: ModeWindow, B: QVirasoroBracket):
     # (2i/[2]) q^(-2|n|) [n]^2/[2n]: the residual-weight quadratic kernel
     inv22 = B.quad_residual.scale(two_i / br2)
     return {
-        (0, 0): Dist2.from_func(W.N, inv11),
-        (0, 1): Dist2.from_func(W.N, inv12),
-        (1, 0): Dist2.from_func(W.N, lambda n: -inv12(n)),
+        (0, 0): Dist2.from_func(B.quad.N, inv11),
+        (0, 1): Dist2.from_func(B.quad.N, inv12),
+        (1, 0): Dist2.from_func(B.quad.N, lambda n: -inv12(n)),
         (1, 1): inv22,
     }
 
@@ -464,33 +462,33 @@ def dirac_suite(red: Reduction, B: QVirasoroBracket | None = None) -> list[Check
     also compares its inverse with the printed one, through the closed
     forms ``B``."""
     out = []
-    sc, W = red.scenario, red.W
+    sc, N = red.scenario, red.N
     out.append(record("constraints-idempotent", "ain1/ain2", sc.constraints.vanish_on_surface()))
     dm = red.matrix
 
     if sc.key == "q-sl2":
         half2 = qint(2) * Scalar.from_rat(Fraction(1, 2))
         dq = q_minus_qinv()
-        elem11 = Dist2.from_func(W.N, lambda n: -S_I * half2 * qint(n))
+        elem11 = Dist2.from_func(N, lambda n: -S_I * half2 * qint(n))
         elem12 = Dist2.from_func(
-            W.N, lambda n: (-S_I * qint(2) * S_T * Scalar.from_rat(Fraction(1, 2))
+            N, lambda n: (-S_I * qint(2) * S_T * Scalar.from_rat(Fraction(1, 2))
                             * Scalar.s_power(3 * abs(n))) if n
             else -S_I * S_T * Scalar.q_power(1))
         elem22 = Dist2.from_func(
-            W.N, lambda n: S_I * half2 * dq * Scalar.from_rat(1 if n > 0 else -1)
+            N, lambda n: S_I * half2 * dq * Scalar.from_rat(1 if n > 0 else -1)
             * Scalar.q_power(2 * abs(n)) if n else S_ZERO)
         out.append(compare_dists("dirac-matrix-11", "elem1", dm.entry(0, 0), elem11))
         out.append(compare_dists("dirac-matrix-12", "elem2", dm.entry(0, 1), elem12))
         out.append(compare_dists("dirac-matrix-21", "elem2", dm.entry(1, 0), -(elem12.reflect())))
         out.append(compare_dists("dirac-matrix-22", "elem3", dm.entry(1, 1), elem22))
     elif sc.key == "classical-sl2":
-        elem11 = classical_linear_pattern(W)
+        elem11 = classical_linear_pattern(N)
         minus_it = -S_I * S_T
-        elem12 = Dist2.from_func(W.N, lambda n: minus_it)
+        elem12 = Dist2.from_func(N, lambda n: minus_it)
         out.append(compare_dists("dirac-matrix-11", "cor1", dm.entry(0, 0), elem11))
         out.append(compare_dists("dirac-matrix-12", "cor2", dm.entry(0, 1), elem12))
         out.append(compare_dists("dirac-matrix-22", "cor-trivial", dm.entry(1, 1),
-                                 Dist2.zero(W.N)))
+                                 Dist2.zero(N)))
 
     try:
         dinv = red.inverse
@@ -502,16 +500,16 @@ def dirac_suite(red: Reduction, B: QVirasoroBracket | None = None) -> list[Check
         return out
 
     prod = matrix_pair(dm, dinv)
-    ident_ok = (prod[0][0] == Dist2.delta(W.N) and prod[1][1] == Dist2.delta(W.N)
+    ident_ok = (prod[0][0] == Dist2.delta(N) and prod[1][1] == Dist2.delta(N)
                 and prod[0][1].is_zero() and prod[1][0].is_zero())
     out.append(record("dirac-pairing-identity", "inver", ident_ok,
                       engine="Delta * Delta^-1 = delta identity on all modes"
                       if ident_ok else str(prod)))
     out.append(record("dirac-invert-involution", "inver",
-                      invert(dinv, W) == dm))
+                      invert(dinv) == dm))
 
     if sc.key == "q-sl2":
-        printed = printed_inverse_patterns(W, B)
+        printed = printed_inverse_patterns(B)
         names = {(0, 0): "11", (0, 1): "12", (1, 0): "21", (1, 1): "22"}
         for ij, pat in printed.items():
             got = _drop0(dinv.entry(*ij))
@@ -537,15 +535,14 @@ def reduce_suite(red: Reduction, B: QVirasoroBracket | None = None) -> list[Chec
     1/w and the reduced bracket by w: `[qvir]` reads the one chain's contents
     reweighted by q^(WEIGHT_EXPONENT |n|)."""
     out = []
-    W = red.W
     parts = red.contents
     if red.scenario.key == "classical-sl2":
         out.append(record("reduce-antisymmetry", "dirb", is_antisymmetric(parts)))
-        lin = classical_linear_pattern(W)
+        lin = classical_linear_pattern(red.N)
         out.append(compare_dists("reduce-linear-z", "virasoro", parts.lin_z, lin))
         out.append(compare_dists("reduce-linear-w", "virasoro", parts.lin_w, lin))
         out.append(compare_dists("reduce-central", "virasoro", parts.cnum,
-                                 classical_central_pattern(W)))
+                                 classical_central_pattern(red.N)))
         out.append(record("reduce-no-quadratic", "virasoro", parts.quad.is_zero(),
                           engine=str(parts.quad)))
     else:

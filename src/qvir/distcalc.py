@@ -1,10 +1,10 @@
-"""Two-point formal distribution calculus on a symmetric mode window.
+"""Two-point formal distribution calculus on a symmetric mode window, |n| <= N.
 
 A two-point distribution is a bilateral series sum_n c_n x^n in x = w/z,
-held as exact per-mode coefficients for |n| <= N.  Rational exchange
-kernels, products of linear factors (1 - r x)^(-k), expand into either
-region (|z|>|w| or |w|>|z|); the difference of the two expansions is the
-delta-supported content of a commutator.  The residue pairing of
+held as exact per-mode coefficients for |n| <= N; the window is that int N.
+Rational exchange kernels, products of linear factors (1 - r x)^(-k), expand
+into either region (|z|>|w| or |w|>|z|); the difference of the two expansions
+is the delta-supported content of a commutator.  The residue pairing of
 translation-covariant distributions is diagonal in modes, which is what
 makes the whole calculus windowable without loss.
 """
@@ -18,20 +18,6 @@ from .qcoeff import S_ONE, S_ZERO, Scalar
 
 class WindowMismatchError(ValueError):
     """Operands live on different mode windows."""
-
-
-class ModeWindow:
-    """Symmetric mode range -N..N."""
-
-    __slots__ = ("N",)
-
-    def __init__(self, N: int):
-        if N < 1:
-            raise ValueError("window size must be >= 1")
-        self.N = N
-
-    def modes(self):
-        return range(-self.N, self.N + 1)
 
 
 class Dist2:
@@ -351,25 +337,25 @@ def _poly_derivative(p):
 # Region expansions
 # ---------------------------------------------------------------------------
 
-def expand_inner(K: RatKernel, W: ModeWindow) -> Dist2:
-    """Power-series expansion around x = 0 (region |z| > |w|)."""
+def expand_inner(K: RatKernel, N: int) -> Dist2:
+    """Power-series expansion around x = 0 (region |z| > |w|), for |n| <= N."""
     if K.is_zero():
-        return Dist2.zero(W.N)
-    length = W.N - K.m + 1
+        return Dist2.zero(N)
+    length = N - K.m + 1
     if length <= 0:
-        return Dist2.zero(W.N)
+        return Dist2.zero(N)
     u = _series_from_recurrence(K.num, K.den, length)
-    return Dist2(W.N, {K.m + j: K.c * v for j, v in enumerate(u) if not v.is_zero()})
+    return Dist2(N, {K.m + j: K.c * v for j, v in enumerate(u) if not v.is_zero()})
 
 
-def expand_outer(K: RatKernel, W: ModeWindow) -> Dist2:
-    """Expansion in 1/x around x = infinity (region |w| > |z|)."""
-    return expand_inner(K.reciprocal_arg(), W).reflect()
+def expand_outer(K: RatKernel, N: int) -> Dist2:
+    """Expansion in 1/x around x = infinity (region |w| > |z|), for |n| <= N."""
+    return expand_inner(K.reciprocal_arg(), N).reflect()
 
 
-def region_difference(K: RatKernel, W: ModeWindow) -> Dist2:
+def region_difference(K: RatKernel, N: int) -> Dist2:
     """expand_inner - expand_outer: the delta-supported commutator content."""
-    return expand_inner(K, W) - expand_outer(K, W)
+    return expand_inner(K, N) - expand_outer(K, N)
 
 
 def _series_from_recurrence(num, den, length):

@@ -5,7 +5,7 @@ term in h, and the Jacobi identity of the undeformed endpoint."""
 from __future__ import annotations
 
 from .qcoeff import S_ZERO, Scalar, q_minus_qinv, qint, qint_over_qsum, taylor_q1
-from .distcalc import Dist2, ModeWindow
+from .distcalc import Dist2
 from .dirac import QVirasoroBracket, ReducedContents
 from .report import CheckRecord, compare_dists, record
 
@@ -56,8 +56,8 @@ def _lead_str(term) -> str:
     return f"{c}*h^{k} + O(h^{k + 1})"
 
 
-def classical_limit_check(q: ReducedContents, c: ReducedContents, B: QVirasoroBracket,
-                          W: ModeWindow) -> list[CheckRecord]:
+def classical_limit_check(q: ReducedContents, c: ReducedContents,
+                          B: QVirasoroBracket) -> list[CheckRecord]:
     """Read the deformed reduced bracket's contents ``q`` (written through
     the affine map of ``B``) in h with q = exp(i h): each starts at order h^4
     or later, and its h^4 coefficient, divided by the leading coefficient of
@@ -90,7 +90,7 @@ def classical_limit_check(q: ReducedContents, c: ReducedContents, B: QVirasoroBr
     bad = {"linear": None, "central": None}
     shown = {"linear": "", "central": ""}
     bad_low = None
-    for n in [m for m in W.modes() if m != 0]:
+    for n in (m for m in range(-q.quad.N, q.quad.N + 1) if m != 0):
         values = {"linear": amap.ab * q.quad.coeff(n),
                   "central": (Scalar.from_rat(2) * amap.b2 * q.quad.coeff(n)
                               - Scalar.from_rat(2) * amap.ab * q.lin_z.coeff(n)

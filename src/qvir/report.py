@@ -4,16 +4,25 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from time import perf_counter
 
 PASS = "pass"
 FAIL = "fail"
 DOCUMENTED = "discrepancy-documented"
 
 
-# Outcome of a single exact check; ``seconds`` is set once it is timed, by
-# ``_replace``.  The field order is the JSON key order.
-CheckRecord = namedtuple("CheckRecord", "id paper_eq status mode engine_value "
-                         "expected_value seconds", defaults=(None, "", "", 0.0))
+class CheckRecord(namedtuple("CheckRecord", "id paper_eq status mode engine_value "
+                             "expected_value seconds")):
+    """Outcome of a single exact check, its fields in JSON key order.  Unless
+    given, ``seconds`` is the record's creation time on the perf_counter clock
+    until a run replaces it with the record's own time."""
+
+    __slots__ = ()
+
+    def __new__(cls, id, paper_eq, status, mode=None, engine_value="", expected_value="",
+                seconds=None):
+        return super().__new__(cls, id, paper_eq, status, mode, engine_value, expected_value,
+                               perf_counter() if seconds is None else seconds)
 
 
 def record(check_id: str, paper_eq: str, ok: bool, mode=None,

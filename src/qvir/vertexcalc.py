@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, qint, q_minus_qinv
-from .distcalc import Dist2, ModeWindow, RatKernel, expand_inner, region_difference
+from .distcalc import Dist2, RatKernel, expand_inner, region_difference
 from .report import CheckRecord, compare_dists, record
 
 
@@ -90,11 +90,11 @@ class ExpField:
         return ExpField(f"{self.name}@q^{Fraction(half, 2)}", self.qt, self.lnv, qpow,
                         move(self.pos), move(self.neg))
 
-    def matches(self, other: "ExpField", W: ModeWindow) -> bool:
-        """Exact equality of the exponents on the window."""
+    def matches(self, other: "ExpField", N: int) -> bool:
+        """Exact equality of the exponents on the modes 0 < |n| <= N."""
         if (self.qt, self.lnv, self.qpow) != (other.qt, other.lnv, other.qpow):
             return False
-        return all(self.mode(n) == other.mode(n) for n in W.modes() if n != 0)
+        return all(self.mode(n) == other.mode(n) for n in range(-N, N + 1) if n != 0)
 
     def __repr__(self):
         return f"ExpField<{self.name}>"
@@ -243,10 +243,10 @@ def exchange_kernel(A: ExpField, B: ExpField) -> RatKernel:
 # Exchange verification
 # ---------------------------------------------------------------------------
 
-def verify_exchange(A: ExpField, B: ExpField, K: RatKernel, W: ModeWindow,
+def verify_exchange(A: ExpField, B: ExpField, K: RatKernel, N: int,
                     tag: str, check_id: str) -> list[CheckRecord]:
     """Assert A(z)B(w) = K * B(w)A(z) exactly: rational identity plus
-    per-mode agreement of the region expansion on the window.  A kernel that
+    per-mode agreement of the region expansion for |n| <= N.  A kernel that
     cannot be derived fails both records."""
     try:
         engine = exchange_kernel(A, B)
@@ -256,7 +256,7 @@ def verify_exchange(A: ExpField, B: ExpField, K: RatKernel, W: ModeWindow,
                 for part in ("kernel", "window")]
     return [record(f"{check_id}-kernel", tag, engine == K, engine=str(engine), expected=str(K)),
             compare_dists(f"{check_id}-window", tag,
-                          expand_inner(engine, W), expand_inner(K, W))]
+                          expand_inner(engine, N), expand_inner(K, N))]
 
 
 def step_pair_exchange_kernel() -> RatKernel:
@@ -280,7 +280,7 @@ def self_exchange_kernel(sign: int) -> RatKernel:
         [Scalar.q_power(-2 * sign)], [Scalar.q_power(2 * sign)])
 
 
-def exchange_suite(W: ModeWindow) -> list[CheckRecord]:
+def exchange_suite(N: int) -> list[CheckRecord]:
     """All exchange relations of the vertex realization, both signs."""
     F = standard_fields()
     one = RatKernel.const(S_ONE)
@@ -297,7 +297,7 @@ def exchange_suite(W: ModeWindow) -> list[CheckRecord]:
     ]
     out = []
     for check_id, tag, A, B, K in cases:
-        out.extend(verify_exchange(A, B, K, W, tag, check_id))
+        out.extend(verify_exchange(A, B, K, N, tag, check_id))
     return out
 
 
@@ -318,7 +318,7 @@ def fuse(A: ExpField, B: ExpField, half: int) -> ExpField:
 # The opposite-charge operator product: poles, residues, fusion content
 # ---------------------------------------------------------------------------
 
-def verify_ee_ope(W: ModeWindow, sign: int = +1) -> list[CheckRecord]:
+def verify_ee_ope(N: int, sign: int) -> list[CheckRecord]:
     """Checks on E^sgn(z) E^-sgn(w): read off its contraction kernel, pin
     the poles at x = q and 1/q, match the residue scalars against
     -+1/(q - 1/q), and fuse the residue fields into the shifted step
@@ -359,19 +359,19 @@ def verify_ee_ope(W: ModeWindow, sign: int = +1) -> list[CheckRecord]:
     up = fuse(A, B, +2)
     down = fuse(A, B, -2)
     if sign > 0:
-        up_ok = up.matches(psi_like.shifted(+1), W)
-        down_ok = down.matches(phi_like.shifted(-1), W)
+        up_ok = up.matches(psi_like.shifted(+1), N)
+        down_ok = down.matches(phi_like.shifted(-1), N)
         expected_fusion = "z=wq -> Psi(w q^1/2); z=w/q -> Phi(w q^-1/2)"
     else:
-        up_ok = up.matches(phi_like.shifted(+1), W)
-        down_ok = down.matches(psi_like.shifted(-1), W)
+        up_ok = up.matches(phi_like.shifted(+1), N)
+        down_ok = down.matches(psi_like.shifted(-1), N)
         expected_fusion = "z=wq -> Phi(w q^1/2); z=w/q -> Psi(w q^-1/2)"
     out.append(record(f"ee-ope-fusion{suffix}", tag, up_ok and down_ok,
                       engine=f"z=wq match: {up_ok}; z=w/q match: {down_ok}",
                       expected=expected_fusion))
     # delta-pair content of the commutator: region difference has c_n = [n+1]
-    D = region_difference(K, W)
-    expected = Dist2.from_func(W.N, lambda n: qint(n + 1))
+    D = region_difference(K, N)
+    expected = Dist2.from_func(N, lambda n: qint(n + 1))
     out.append(compare_dists(f"ee-ope-region-difference{suffix}", "eva", D, expected))
     return out
 
@@ -380,12 +380,12 @@ def verify_ee_ope(W: ModeWindow, sign: int = +1) -> list[CheckRecord]:
 # The diagonal current against the step operators
 # ---------------------------------------------------------------------------
 
-def h_e_commutator_dist(sign: int, W: ModeWindow) -> Dist2:
+def h_e_commutator_dist(sign: int, N: int) -> Dist2:
     """Full commutator content of [H(z), E^sign(w)] as a c-number times E^sign(w)."""
     F = standard_fields()
     E = F["E+"] if sign > 0 else F["E-"]
     out = {0: (-S_I) * E.qt}
-    for n in range(1, W.N + 1):
+    for n in range(1, N + 1):
         out[n] = E.mode(-n) * oscillator_norm(n)
         out[-n] = -(E.mode(n) * oscillator_norm(n))
-    return Dist2(W.N, out)
+    return Dist2(N, out)

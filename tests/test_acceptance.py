@@ -17,7 +17,6 @@ import pytest
 import qvir
 
 from qvir.qcoeff import Scalar, eval_q1, qint
-from qvir.distcalc import ModeWindow
 from qvir.currents import (
     KacMoodyLevel,
     classical_bracket,
@@ -43,7 +42,6 @@ from qvir.report import DOCUMENTED, FAIL
 from qvir.vertexcalc import exchange_suite, verify_ee_ope
 
 N = 12
-W = ModeWindow(N)
 
 
 def _verdict(criterion: str, records=None, ok: bool | None = None):
@@ -73,24 +71,24 @@ def classical_scenario():
 
 @pytest.fixture(scope="module")
 def reductions(q_scenario, classical_scenario):
-    return (Reduction(q_scenario, W), Reduction(classical_scenario, W))
+    return (Reduction(q_scenario, N), Reduction(classical_scenario, N))
 
 
 @pytest.fixture(scope="module")
 def closed():
-    return QVirasoroBracket(W)
+    return QVirasoroBracket(N)
 
 
 def test_criterion_1_exchange_suite():
-    records = exchange_suite(W)
+    records = exchange_suite(N)
     assert len(records) >= 18      # nine relations, kernel + window check each
     _verdict("criterion 1: exchange relations exact for |n| <= 12", records)
 
 
 def test_criterion_2_commutator_suite():
-    records = verify_commutators(W)
-    records += verify_ee_ope(W, +1)
-    records += verify_ee_ope(W, -1)
+    records = verify_commutators(N)
+    records += verify_ee_ope(N, +1)
+    records += verify_ee_ope(N, -1)
     ids = {r.id for r in records}
     assert {"ee-ope-poles[+]", "ee-ope-poles[-]",
             "ee-ope-fusion[+]", "ee-ope-fusion[-]"} <= ids
@@ -101,14 +99,14 @@ def test_criterion_2_commutator_suite():
 def test_criterion_3_mode_algebra():
     records = []
     for k in (1, 2, 3):
-        records += modes_from_ope(KacMoodyLevel(k), W)
-    records += verify_serre_mode_equivalence(W)
+        records += modes_from_ope(KacMoodyLevel(k), N)
+    records += verify_serre_mode_equivalence(N)
     _verdict("criterion 3: mode algebra for k in {1,2,3} and the quadratic relation",
              records)
 
 
 def test_criterion_4_dirac_matrix(q_scenario, closed):
-    records = dirac_suite(Reduction(q_scenario, W), closed)
+    records = dirac_suite(Reduction(q_scenario, N), closed)
     docs = [r for r in records if r.status == DOCUMENTED]
     assert [r.id for r in docs] == ["dirac-inverse-mode0"]
     assert docs[0].engine_value and docs[0].expected_value
@@ -120,7 +118,7 @@ def test_criterion_4_dirac_matrix(q_scenario, closed):
 
 
 def test_criterion_5_classical_pipeline(classical_scenario, reductions):
-    records = reduce_suite(Reduction(classical_scenario, W))
+    records = reduce_suite(Reduction(classical_scenario, N))
     _, rc = reductions
     records += classical_jacobi_check(rc.contents, 6)
     _verdict("criterion 5: undeformed reduction and Jacobi identity (K=6)", records)
@@ -128,7 +126,7 @@ def test_criterion_5_classical_pipeline(classical_scenario, reductions):
 
 def test_criterion_6_q_pipeline(q_scenario, closed):
     # one chain gives both passes: [qvir] is its contents reweighted
-    records = reduce_suite(Reduction(q_scenario, W), closed)
+    records = reduce_suite(Reduction(q_scenario, N), closed)
     ids = {r.id for r in records}
     assert {"reduce-quadratic[qdirb]", "reduce-quadratic[qvir]",
             "reduce-linear-cancellation[qdirb]", "reduce-linear-cancellation[qvir]",
@@ -141,7 +139,7 @@ def test_criterion_6_q_pipeline(q_scenario, closed):
 
 def test_criterion_7_classical_limit(reductions, closed):
     rq, rc = reductions
-    records = classical_limit_check(rq.contents, rc.contents, closed, W)
+    records = classical_limit_check(rq.contents, rc.contents, closed)
     central = [r for r in records if r.id == "limit-h4-central"]
     assert central and central[0].engine_value, \
         "the adjudicating record must carry the engine's exact value"
@@ -159,17 +157,17 @@ def test_criterion_8_property_suites(q_scenario, classical_scenario, reductions)
     # antisymmetry of every produced bracket
     for sc in (q_scenario, classical_scenario):
         for a, b in sorted(sc.table):
-            ab = classical_bracket(a, b, sc.table, W)
-            ba = classical_bracket(b, a, sc.table, W)
+            ab = classical_bracket(a, b, sc.table, N)
+            ba = classical_bracket(b, a, sc.table, N)
             ok &= ab == -(ba.reflect())
     # the reduced brackets, as one TermSum and as the contents the runs read
     for sc in (q_scenario, classical_scenario):
-        chain = Reduction(sc, W)
+        chain = Reduction(sc, N)
         T = reduce(chain, chain.inverse)
         ok &= T.reflect() == -T
     for chain in reductions:
         ok &= is_antisymmetric(chain.contents)
-    for r in verify_commutators(W):
+    for r in verify_commutators(N):
         if r.id.startswith("antisymmetry-"):
             ok &= r.status != FAIL
     # determinism of the batch driver

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,8 @@ from qvir.cli import (
     main,
     run,
 )
-from qvir.distcalc import Dist2, ModeWindow
+from qvir.currents import TermSum
+from qvir.distcalc import Dist2
 from qvir.qcoeff import S_I, S_ZERO, RatFunc, qint, qint_over_qsum
 from qvir.report import DOCUMENTED, FAIL, PASS, CheckRecord, Report, _dist_str, compare_dists
 
@@ -53,9 +55,11 @@ def test_suite_unavailable_for_classical():
         RunConfig(scenario="classical-sl2", window=4, suites=("exchange",)).validate()
 
 
-def test_bad_window_rejected():
-    with pytest.raises(ConfigError):
-        RunConfig(window=0).validate()
+@pytest.mark.parametrize("window", (0, -1))
+def test_bad_window_rejected(window):
+    # the run's one window check: the stages take N as a plain int
+    with pytest.raises(ConfigError, match="window must be >= 1"):
+        RunConfig(window=window).validate()
 
 
 @pytest.mark.parametrize("window", (1, 2, 3, 4, 5, 6))
@@ -155,9 +159,9 @@ def test_failing_check_serializes_both_values():
 def test_passing_comparison_prints_the_expected_value_itself():
     # a pass formats one distribution for both strings; it must read exactly
     # as the expected distribution formatted on its own
-    W = ModeWindow(3)
-    engine = Dist2.from_func(W.N, lambda n: qint(n) * qint(n) / qint(2 * n) if n else S_ZERO)
-    expected = Dist2.from_func(W.N, lambda n: qint_over_qsum(n, 1) if n else S_ZERO)
+    N = 3
+    engine = Dist2.from_func(N, lambda n: qint(n) * qint(n) / qint(2 * n) if n else S_ZERO)
+    expected = Dist2.from_func(N, lambda n: qint_over_qsum(n, 1) if n else S_ZERO)
     rec = compare_dists("x", "qdirb", engine, expected)
     assert rec.status == PASS
     assert rec.expected_value == _dist_str(expected) == rec.engine_value
@@ -306,12 +310,12 @@ def _count_dirac_stages(monkeypatch, names=("build_dirac_matrix", "invert", "red
     return counts
 
 
-_Q_STAGES = {"build_dirac_matrix": 2, "invert": 3, "reduce": 2, "classical_bracket": 16}
+_Q_STAGES = {"build_dirac_matrix": 2, "invert": 3, "reduce": 2, "classical_bracket": 18}
 
 
 @pytest.mark.parametrize("scenario,window,suites,want", (
     pytest.param("classical-sl2", 8, "all",
-                 {"build_dirac_matrix": 1, "invert": 2, "reduce": 1, "classical_bracket": 8},
+                 {"build_dirac_matrix": 1, "invert": 2, "reduce": 1, "classical_bracket": 9},
                  id="classical-sl2-8-want0"),
     pytest.param("q-sl2", 5, "all", _Q_STAGES, id="q-sl2-5-want1"),
     # the dirac suite reads the q chain's matrix and inverse before the reduce
@@ -322,7 +326,7 @@ def test_dirac_stage_counts(monkeypatch, scenario, window, suites, want):
     # each scenario's chain (q, classical) builds, inverts and reduces once,
     # the [qvir] pass reweights the q chain's result, and the involution
     # check inverts once more.
-    # Each chain builds its 8 on-surface brackets once, and the degeneration
+    # Each chain builds its 9 on-surface brackets once, and the degeneration
     # check reads the run's q and classical chains instead of building its own
     counts = _count_dirac_stages(monkeypatch)
     rep = run(RunConfig(scenario=scenario, window=window, suites=(suites,)))
@@ -392,8 +396,8 @@ from qvir.distcalc import Dist2
 def table(_build=dirac.q_bracket_table):
     t = _build()
     rule = t[("E-", "E-")]
-    t[("E-", "E-")] = lambda W: rule(W) + TermSum(
-        [((FieldFactor("E-", v),), 0, Dist2.unit0(W.N)) for v in ("z", "w")])
+    t[("E-", "E-")] = lambda N: rule(N) + TermSum(
+        [((FieldFactor("E-", v),), 0, Dist2.unit0(N)) for v in ("z", "w")])
     return t
 
 dirac.q_bracket_table = table
@@ -459,15 +463,15 @@ def test_a_run_is_its_single_suite_runs_joined(scenario, window):
 def test_shared_values_are_immutable():
     # values held by the contraction memo, a chain, the scenario registry,
     # the closed forms and a run
-    W = ModeWindow(3)
+    N = 3
     E = vc.standard_fields()["E-"]
     sc = dirac.scenario("q-sl2")
     shared = (
         (vc.contraction_kernel(E, E), "const zdeg kernel"),
-        (dirac.Reduction(sc, W).contents, "quad lin_z lin_w cnum"),
+        (dirac.Reduction(sc, N).contents, "quad lin_z lin_w cnum"),
         (sc, "key table constraints"),
         (sc.constraints, "symbols exprs on_surface"),
-        (dirac.QVirasoroBracket(W).amap, "a2 ab b2"),
+        (dirac.QVirasoroBracket(N).amap, "a2 ab b2"),
         (run(RunConfig(window=3, suites=("dirac",))).checks[0],
          "id paper_eq status mode engine_value expected_value seconds"),
         (RunConfig(), "scenario window suites fmt output"),
@@ -563,6 +567,57 @@ def test_broken_classical_chain_reports_its_failures(monkeypatch, tmp_path, fiel
     status = {c["id"]: c["status"] for c in json.loads(out.read_text())["checks"]}
     assert len(status) == 14
     assert {i for i, st in status.items() if st == FAIL} == failed
+
+
+@pytest.mark.parametrize("scenario,selected,table,pair,suites", (
+    ("classical-sl2", "all", "classical_bracket_table", ("H", "E+"), ("reduce",)),
+    ("q-sl2", "dirac,reduce,limit", "q_bracket_table", ("chi1", "E+"), ("reduce", "limit")),
+))
+def test_singular_constraint_matrix_is_reported(monkeypatch, tmp_path, scenario, selected,
+                                                table, pair, suites):
+    # a zero rule for the constraints' mutual bracket makes the constraint
+    # matrix singular: the run still writes its report and exits 1, and each
+    # suite that reads the chain's contents ends in one failing record naming
+    # the singular mode that dirac-invertible names
+    build = getattr(dirac, table)
+
+    def singular():
+        t = build()
+        t[pair] = lambda N: TermSum.zero()
+        return t
+
+    monkeypatch.setattr(dirac, table, singular)
+    out = tmp_path / "r.json"
+    code = main(["--scenario", scenario, "--window", "3", "--suite", selected,
+                 "--output", str(out)])
+    assert code == EXIT_CHECK_FAILED
+    rep = Report.from_json(out.read_text())
+    ids = [c.id for c in rep.checks]
+    assert len(ids) == len(set(ids))
+    failed = {c.id: c for c in rep.failed}
+    mode = failed["dirac-invertible"].mode
+    for suite in suites:
+        rec = failed[f"{suite}-dirac-inverse"]
+        assert rec.mode == mode and rec.engine_value == f"constraint matrix is singular at mode {mode}"
+    assert ids[-1] == f"{suites[-1]}-dirac-inverse"
+
+
+def test_each_record_carries_its_own_time(monkeypatch):
+    # a delay inside one check lands on that record alone, not spread over
+    # its group
+    delay = 0.25
+    compare = dirac.compare_dists
+
+    def slowed(check_id, *args):
+        if check_id == "dirac-matrix-12":
+            time.sleep(delay)
+        return compare(check_id, *args)
+
+    monkeypatch.setattr(dirac, "compare_dists", slowed)
+    rep = run(RunConfig(scenario="classical-sl2", window=3, suites=("dirac",)))
+    seconds = {c.id: c.seconds for c in rep.checks}
+    assert seconds.pop("dirac-matrix-12") >= delay
+    assert all(0 <= t < delay / 2 for t in seconds.values()), seconds
 
 
 def test_main_stdout(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qvir.qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, q_minus_qinv, qint
-from qvir.distcalc import Dist2, ModeWindow, weight_abs
+from qvir.distcalc import Dist2, weight_abs
 from qvir import dirac
 from qvir.currents import FieldFactor, TermSum, classical_bracket
 from qvir.dirac import (
@@ -36,14 +36,14 @@ from qvir.dirac import (
 )
 from qvir.report import DOCUMENTED, FAIL, PASS
 
-W = ModeWindow(8)
+N = 8
 Q = Scalar.q_power
 HALF = Scalar.from_rat(Fraction(1, 2))
 
 
 @pytest.fixture(scope="module")
 def closed():
-    return QVirasoroBracket(W)
+    return QVirasoroBracket(N)
 
 
 def all_pass(records):
@@ -80,7 +80,7 @@ def test_constraints_idempotent_and_vanishing():
 
 @pytest.fixture(scope="module")
 def q_matrix():
-    return build_dirac_matrix(Reduction(scenario("q-sl2"), W))
+    return build_dirac_matrix(Reduction(scenario("q-sl2"), N))
 
 
 def test_matrix_entry_values(q_matrix):
@@ -89,7 +89,7 @@ def test_matrix_entry_values(q_matrix):
     assert q_matrix.entry(0, 1).coeff(0) == -S_I * S_T * Q(1)
     assert q_matrix.entry(1, 1).coeff(0) == S_ZERO
     # D21(n) = -D12(-n)
-    for n in W.modes():
+    for n in range(-N, N + 1):
         assert q_matrix.entry(1, 0).coeff(n) == -q_matrix.entry(0, 1).coeff(-n)
 
 
@@ -110,7 +110,7 @@ def test_matrix_determinant(q_matrix):
 
 
 def test_inverse_mode0_offdiagonal(q_matrix):
-    dinv = invert(q_matrix, W)
+    dinv = invert(q_matrix)
     # by hand: inverse of ((0, -i sqrt2 q), (i sqrt2 q, 0)) with det -2q^2
     want01 = -S_I * S_T * HALF * Q(-1)       # -i/(sqrt2 q)
     assert dinv.entry(0, 0).coeff(0) == S_ZERO
@@ -120,10 +120,10 @@ def test_inverse_mode0_offdiagonal(q_matrix):
 
 
 def test_inverse_matches_printed_away_from_zero(q_matrix, closed):
-    dinv = invert(q_matrix, W)
-    printed = printed_inverse_patterns(W, closed)
+    dinv = invert(q_matrix)
+    printed = printed_inverse_patterns(closed)
     for (i, j), pat in printed.items():
-        for n in W.modes():
+        for n in range(-N, N + 1):
             if n == 0:
                 continue
             assert dinv.entry(i, j).coeff(n) == pat.coeff(n), (i, j, n)
@@ -140,12 +140,12 @@ def test_closed_forms_match_the_quotients_of_q_integers(closed):
 
     for weight in (False, True):
         D = closed.quad_residual if weight else closed.quad
-        for n in W.modes():
+        for n in range(-N, N + 1):
             want = ratio(n, 2) * (Q(-2 * abs(n)) if weight else S_ONE)
             assert D.coeff(n) == want, (weight, n)
-    printed = printed_inverse_patterns(W, closed)
+    printed = printed_inverse_patterns(closed)
     dq, two_i = q_minus_qinv(), Scalar.from_rat(2) * S_I
-    for n in W.modes():
+    for n in range(-N, N + 1):
         sign = Scalar.from_rat(1 if n > 0 else -1)
         inv11 = -(two_i * dq / qint(2)) * sign * ratio(n, 1)
         inv12 = -(two_i * S_T / qint(2)) * Scalar.s_power(-abs(n)) * ratio(n, 1)
@@ -157,23 +157,23 @@ def test_closed_forms_match_the_quotients_of_q_integers(closed):
 
 
 def test_pairing_identity_all_modes(q_matrix):
-    dinv = invert(q_matrix, W)
+    dinv = invert(q_matrix)
     prod = matrix_pair(q_matrix, dinv)
-    assert prod[0][0] == Dist2.delta(W.N)
-    assert prod[1][1] == Dist2.delta(W.N)
+    assert prod[0][0] == Dist2.delta(N)
+    assert prod[1][1] == Dist2.delta(N)
     assert prod[0][1].is_zero()
     assert prod[1][0].is_zero()
 
 
 def test_invert_involution(q_matrix):
-    dinv = invert(q_matrix, W)
-    assert invert(dinv, W) == q_matrix
+    dinv = invert(q_matrix)
+    assert invert(dinv) == q_matrix
 
 
 def test_printed_inverse_fails_pairing_at_mode0(q_matrix, closed):
     # the printed inverse vanishes at n=0, so the pairing identity cannot
     # hold there; this is the documented discrepancy
-    printed = printed_inverse_patterns(W, closed)
+    printed = printed_inverse_patterns(closed)
     pm = DiracMatrix(printed[(0, 0)], printed[(0, 1)], printed[(1, 0)], printed[(1, 1)])
     prod = matrix_pair(q_matrix, pm)
     assert prod[0][0].coeff(0) == S_ZERO != S_ONE
@@ -181,9 +181,9 @@ def test_printed_inverse_fails_pairing_at_mode0(q_matrix, closed):
 
 
 def test_singular_matrix_raises():
-    d = Dist2.delta(W.N)
+    d = Dist2.delta(N)
     with pytest.raises(SingularModeError):
-        invert(DiracMatrix(d, d, d, d), W)
+        invert(DiracMatrix(d, d, d, d))
 
 
 def test_substitution_error_on_incomplete_surface():
@@ -191,12 +191,12 @@ def test_substitution_error_on_incomplete_surface():
     broken = ConstraintSet(sc.constraints.symbols, sc.constraints.exprs,
                            {"E+": 1})  # Psi and Phi survive
     with pytest.raises(SubstitutionError):
-        build_dirac_matrix(Reduction(Scenario(sc.key, sc.table, broken), W))
+        build_dirac_matrix(Reduction(Scenario(sc.key, sc.table, broken), N))
 
 
 def test_classical_matrix_entries():
-    dm = build_dirac_matrix(Reduction(scenario("classical-sl2"), W))
-    for n in W.modes():
+    dm = build_dirac_matrix(Reduction(scenario("classical-sl2"), N))
+    for n in range(-N, N + 1):
         assert dm.entry(0, 0).coeff(n) == -S_I * Scalar.from_rat(n)
         assert dm.entry(0, 1).coeff(n) == -S_I * S_T
         assert dm.entry(1, 1).coeff(n) == S_ZERO
@@ -207,15 +207,15 @@ def test_classical_matrix_entries():
 # the reduced brackets
 # ---------------------------------------------------------------------------
 
-def _reduced(sc, W_=W):
+def _reduced(sc, n_max=N):
     """The reduced bracket of a fresh chain of ``sc`` as one TermSum."""
-    chain = Reduction(sc, W_)
+    chain = Reduction(sc, n_max)
     return reduce(chain, chain.inverse)
 
 
 def test_classical_reduction_exact():
-    parts = Reduction(scenario("classical-sl2"), W).contents
-    for n in W.modes():
+    parts = Reduction(scenario("classical-sl2"), N).contents
+    for n in range(-N, N + 1):
         assert parts.lin_z.coeff(n) == -S_I * Scalar.from_rat(n)
         assert parts.lin_w.coeff(n) == -S_I * Scalar.from_rat(n)
         assert parts.cnum.coeff(n) == S_I * Scalar.from_rat(Fraction(n ** 3, 2))
@@ -224,9 +224,9 @@ def test_classical_reduction_exact():
 
 def test_q_reduction_contents():
     # frozen from the hand computation of the chain corrections
-    parts = Reduction(scenario("q-sl2"), W).contents
+    parts = Reduction(scenario("q-sl2"), N).contents
     dq = q_minus_qinv()
-    for n in W.modes():
+    for n in range(-N, N + 1):
         if n == 0:
             assert parts.quad.coeff(0) == S_ZERO
             assert parts.lin_z.coeff(0) == S_ZERO
@@ -243,24 +243,24 @@ def test_q_reduction_contents():
 
 def test_split_reduced_fills_each_field_and_rejects_other_terms():
     fz, fw = FieldFactor(CURRENT, "z"), FieldFactor(CURRENT, "w")
-    d = {mono: Dist2.unit0(W.N, S_I * Scalar.from_rat(k))
+    d = {mono: Dist2.unit0(N, S_I * Scalar.from_rat(k))
          for k, mono in enumerate(((fw, fz), (fz,), (fw,), ()), 1)}
-    parts = split_reduced(TermSum([(mono, 0, dist) for mono, dist in d.items()]), W.N)
+    parts = split_reduced(TermSum([(mono, 0, dist) for mono, dist in d.items()]), N)
     assert parts == ReducedContents(*d.values())
     # an absent term is a zero field of the window
-    assert split_reduced(TermSum.single((fz,), d[(fz,)]), W.N) == ReducedContents(
-        Dist2.zero(W.N), d[(fz,)], Dist2.zero(W.N), Dist2.zero(W.N))
+    assert split_reduced(TermSum.single((fz,), d[(fz,)]), N) == ReducedContents(
+        Dist2.zero(N), d[(fz,)], Dist2.zero(N), Dist2.zero(N))
     for bad in (TermSum.single((fz, fz), d[()]), TermSum.single((FieldFactor("E+", "z"),), d[()]),
                 TermSum.single((), d[()], zdeg=1)):
         with pytest.raises(ValueError):
-            split_reduced(bad, W.N)
+            split_reduced(bad, N)
 
 
 def test_q_reduction_correction_structure():
     # the (2,2) chain is a pure c-number; (1,1) carries the quadratic monomial
-    chain = Reduction(scenario("q-sl2"), W)
+    chain = Reduction(scenario("q-sl2"), N)
     dm = build_dirac_matrix(chain)
-    dinv = invert(dm, W)
+    dinv = invert(dm)
     e_chi1 = chain.on_surface("E-", "chi1")
     chi2_e = chain.on_surface("E+", "E-")
     (k1, d1), = e_chi1.terms.items()
@@ -295,7 +295,7 @@ def test_affine_map_consistency_negative_controls(closed):
     negated = amap._replace(ab=-amap.ab)
     assert negated.consistent()
     # both passes read the one q-sl2 chain, and each fails alike
-    chain = Reduction(scenario("q-sl2"), W)
+    chain = Reduction(scenario("q-sl2"), N)
     for bad, want in ((doubled, {"affine-map-consistency", "reduce-central"}),
                       (negated, {"reduce-linear-cancellation"})):
         failed = {r.id for r in reduce_suite(chain, _with_map(closed, bad))
@@ -313,13 +313,12 @@ def test_weighted_reduction_is_weighted_unweighted():
     # chain of the table with q^(2|n|) folded into every rule reduces to the
     # plain reduced bracket reweighted, term for term, and so are its
     # contents: the [qvir] pass reweights the plain chain's contents
-    for N in (1, 3, 6, 12):
-        Wn = ModeWindow(N)
-        folded = _reduced(scenario("q-sl2", weighted=True), Wn)
-        assert folded == _reweighted(_reduced(scenario("q-sl2"), Wn)), N
-        assert Reduction(scenario("q-sl2", weighted=True), Wn).contents == ReducedContents(
+    for n_max in (1, 3, 6, 12):
+        folded = _reduced(scenario("q-sl2", weighted=True), n_max)
+        assert folded == _reweighted(_reduced(scenario("q-sl2"), n_max)), n_max
+        assert Reduction(scenario("q-sl2", weighted=True), n_max).contents == ReducedContents(
             *(weight_abs(d, dirac.WEIGHT_EXPONENT)
-              for d in Reduction(scenario("q-sl2"), Wn).contents)), N
+              for d in Reduction(scenario("q-sl2"), n_max).contents)), n_max
 
 
 @pytest.mark.parametrize("only", (True, False), ids=("only-E-E-", "all-but-E-E-"))
@@ -327,7 +326,7 @@ def test_weight_on_some_rules_breaks_the_reweighting_identity(only):
     # a weight folded into (E-, E-) alone weights the direct bracket but not
     # the chain correction, and the converse weights the correction alone
     sc = scenario("q-sl2")
-    table = {pair: (lambda W_, rule=rule: _reweighted(rule(W_)))
+    table = {pair: (lambda N, rule=rule: _reweighted(rule(N)))
              if (pair == (CURRENT, CURRENT)) == only else rule
              for pair, rule in sc.table.items()}
     partial = _reduced(Scenario(sc.key, table, sc.constraints))
@@ -340,7 +339,7 @@ def test_weight_on_some_rules_breaks_the_reweighting_identity(only):
 
 @pytest.mark.parametrize("key", ("q-sl2", "classical-sl2"))
 def test_dirac_suite(key, closed):
-    all_pass(dirac_suite(Reduction(scenario(key), W), closed))
+    all_pass(dirac_suite(Reduction(scenario(key), N), closed))
 
 
 # the records of each q-sl2 pass; the zero mode is documented once, on [qdirb]
@@ -353,7 +352,7 @@ _PASS_IDS = {"qdirb": _QVIR_IDS | {"reduce-mode0"}, "qvir": _QVIR_IDS}
                                           ("classical-sl2", False)))
 def test_reduce_suite(key, weighted, closed):
     # one q-sl2 chain gives both passes; ``weighted`` picks the [qvir] one
-    records = reduce_suite(Reduction(scenario(key), W), closed)
+    records = reduce_suite(Reduction(scenario(key), N), closed)
     all_pass(records)
     if key == "q-sl2":
         tag = "qvir" if weighted else "qdirb"
@@ -362,7 +361,7 @@ def test_reduce_suite(key, weighted, closed):
 
 
 def test_mode0_documented_records(closed):
-    chain = Reduction(scenario("q-sl2"), W)
+    chain = Reduction(scenario("q-sl2"), N)
     recs = dirac_suite(chain, closed) + reduce_suite(chain, closed)
     docs = [r for r in recs if r.status == DOCUMENTED]
     assert sorted(r.id for r in docs) == ["dirac-inverse-mode0", "reduce-mode0[qdirb]"]
@@ -377,7 +376,7 @@ def test_constraints_check_fails_off_the_surface(closed):
     c = sc.constraints
     off = ConstraintSet(c.symbols, c.exprs, {"Psi": 1, "Phi": 1, "E+": 0})
     status = {r.id: r.status for r in dirac_suite(Reduction(
-        Scenario(sc.key, sc.table, off), W), closed)}
+        Scenario(sc.key, sc.table, off), N), closed)}
     assert status["constraints-idempotent"] == FAIL
     assert status["dirac-matrix-11"] == PASS
 
@@ -413,23 +412,39 @@ def test_involution_check_inverts_the_inverse_again(monkeypatch, closed):
     # make a second one and compare it with the matrix
     real_invert, calls = dirac.invert, []
 
-    def second_call_perturbed(dm, W):
+    def second_call_perturbed(dm):
         calls.append(dm)
-        dinv = real_invert(dm, W)
+        dinv = real_invert(dm)
         return _perturbed(dinv, 0, 1, 1) if len(calls) == 2 else dinv
 
     monkeypatch.setattr(dirac, "invert", second_call_perturbed)
-    status = {r.id: r.status for r in dirac_suite(Reduction(scenario("q-sl2"), W), closed)}
+    status = {r.id: r.status for r in dirac_suite(Reduction(scenario("q-sl2"), N), closed)}
     assert len(calls) == 2
     assert status["dirac-pairing-identity"] == PASS
     assert status["dirac-invert-involution"] == FAIL
 
 
 def test_pairing_identity_reads_the_shared_inverse(closed):
-    chain = Reduction(scenario("q-sl2"), W)
+    chain = Reduction(scenario("q-sl2"), N)
     chain.inverse = _perturbed(chain.inverse, 1, 1, 2)
     status = {r.id: r.status for r in dirac_suite(chain, closed)}
     assert status["dirac-pairing-identity"] == FAIL
+
+
+def test_dirac_matrix_21_reads_its_own_bracket(monkeypatch, closed):
+    # every matrix entry is read from the table: a perturbed on-surface
+    # {E+, chi1} fails the 21 record alone, not a reflection of the 12 entry
+    chain = Reduction(scenario("q-sl2"), N)
+    on_surface = chain.on_surface
+
+    def perturbed(a, b):
+        T = on_surface(a, b)
+        return T + T if (a, b) == ("E+", "chi1") else T
+
+    monkeypatch.setattr(chain, "on_surface", perturbed)
+    status = {r.id: r.status for r in dirac_suite(chain, closed)}
+    assert [status[f"dirac-matrix-{ij}"] for ij in ("11", "12", "21", "22")] == \
+        [PASS, PASS, FAIL, PASS]
 
 
 # i at every mode is an even part of any of the reduced bracket's fields, all
@@ -439,9 +454,9 @@ def test_pairing_identity_reads_the_shared_inverse(closed):
     for field in ("cnum", "quad", "lin_w")
     for key, tag in (("q-sl2", "[qdirb]"), ("q-sl2", "[qvir]"), ("classical-sl2", ""))])
 def test_antisymmetry_check_fails_on_symmetric_part(key, tag, field, closed):
-    chain = Reduction(scenario(key), W)
+    chain = Reduction(scenario(key), N)
     parts = chain.contents
-    even = Dist2.from_func(W.N, lambda n: S_I)
+    even = Dist2.from_func(N, lambda n: S_I)
     chain.contents = parts._replace(**{field: getattr(parts, field) + even})
     status = {r.id: r.status for r in reduce_suite(chain, closed)}
     assert status[f"reduce-antisymmetry{tag}"] == FAIL
@@ -457,8 +472,8 @@ def test_contents_antisymmetry_agrees_with_the_termsum_reference():
     # alone, and the odd part on both linear monomials together, on both
     # chains' brackets and the [qvir] reweighting of the q one
     fz, fw = FieldFactor(CURRENT, "z"), FieldFactor(CURRENT, "w")
-    even = Dist2.from_func(W.N, lambda n: S_I)
-    odd = Dist2.from_func(W.N, lambda n: S_I * Scalar.from_rat(n))
+    even = Dist2.from_func(N, lambda n: S_I)
+    odd = Dist2.from_func(N, lambda n: S_I * Scalar.from_rat(n))
     perturbations = [TermSum()] + [TermSum.single(mono, d) for d in (even, odd)
                                    for mono in ((fz, fw), (fz,), (fw,), ())]
     perturbations.append(TermSum([((fz,), 0, odd), ((fw,), 0, odd)]))
@@ -467,7 +482,7 @@ def test_contents_antisymmetry_agrees_with_the_termsum_reference():
     for T in (q, _reweighted(q), _reduced(scenario("classical-sl2"))):
         for P in perturbations:
             want = _antisymmetric_reference(T + P)
-            assert is_antisymmetric(split_reduced(T + P, W.N)) == want, (T, P)
+            assert is_antisymmetric(split_reduced(T + P, N)) == want, (T, P)
             verdicts.append(want)
     assert verdicts.count(True) == 3 * 4 and verdicts.count(False) == 3 * 6
 
@@ -481,37 +496,37 @@ def test_reduction_computes_each_stage_once(monkeypatch):
         monkeypatch.setattr(dirac, name, counted)
     # the matrix and the inverse are read first, as the dirac suite does
     # before the reduce suite; the chain drops both once it has its contents
-    chain = Reduction(scenario("classical-sl2"), W)
+    chain = Reduction(scenario("classical-sl2"), N)
     assert chain.matrix is chain.matrix and chain.inverse is chain.inverse
     assert chain.contents is chain.contents
     assert "matrix" not in vars(chain) and "inverse" not in vars(chain)
     assert not hasattr(chain, "reduced")
     assert counts == {"build_dirac_matrix": 1, "invert": 1, "reduce": 1}
-    fresh = Reduction(chain.scenario, W)
-    dinv = invert(build_dirac_matrix(fresh), W)
-    assert chain.contents == split_reduced(reduce(fresh, dinv), W.N)
+    fresh = Reduction(chain.scenario, N)
+    dinv = invert(build_dirac_matrix(fresh))
+    assert chain.contents == split_reduced(reduce(fresh, dinv), N)
 
 
 def test_chain_builds_each_on_surface_bracket_once(monkeypatch):
     # the degeneration check, the matrix and the reduction share a chain's
-    # brackets; the store holds at most its 9 symbol pairs, and it is
-    # emptied once the contents exist
+    # brackets; the store fills with all 9 symbol pairs, each built once,
+    # and it is emptied once the contents exist
     built = []
 
-    def counted(a, b, table, W_, _fn=classical_bracket):
+    def counted(a, b, table, N, _fn=classical_bracket):
         built.append((id(table), a, b))
-        return _fn(a, b, table, W_)
+        return _fn(a, b, table, N)
 
     monkeypatch.setattr(dirac, "classical_bracket", counted)
-    q_chain = Reduction(scenario("q-sl2"), W)
-    classical_chain = Reduction(scenario("classical-sl2"), W)
+    q_chain = Reduction(scenario("q-sl2"), N)
+    classical_chain = Reduction(scenario("classical-sl2"), N)
     assert q_chain.on_surface("E-", "chi1") is q_chain.on_surface("E-", "chi1")
     all_pass(verify_table_degeneration(q_chain, classical_chain))
     q_chain.matrix
-    assert len(q_chain._brackets) == 6     # the matrix reads three of these
+    assert len(q_chain._brackets) == 7     # the matrix adds (E+, chi1)
     q_chain.contents
     classical_chain.contents
-    assert len(built) == len(set(built)) == 16
+    assert len(built) == len(set(built)) == 18
     assert not q_chain._brackets and not classical_chain._brackets
     # a bracket asked for after the reduction is rebuilt, not stored again
     q_chain.on_surface("E-", "chi1")
@@ -530,7 +545,7 @@ def _casimir_brackets(chain, dinv):
 def test_constraints_are_casimirs_of_the_dirac_bracket(key):
     # a second-class constraint has a zero Dirac bracket with anything, at
     # every mode, mode 0 included
-    chain = Reduction(scenario(key), W)
+    chain = Reduction(scenario(key), N)
     dinv = chain.inverse
     assert all(T.is_zero() for T in _casimir_brackets(chain, dinv))
     # so the identity tests the chain's assembly, which the pairing identity
@@ -565,13 +580,13 @@ def test_deformed_reduced_bracket_obeys_jacobi():
     # plus the central a^2 cnum - b^2 quad (the linear content cancels, as
     # reduce-linear-cancellation checks); J is bilinear in (g, f), so the
     # overall factors kappa drop out.  Every pair sum stays in the window.
-    chain = Reduction(scenario("q-sl2"), W)
-    amap = QVirasoroBracket(W).amap
-    K = W.N // 2
+    chain = Reduction(scenario("q-sl2"), N)
+    amap = QVirasoroBracket(N).amap
+    K = N // 2
 
     def kernels(parts):
-        f = {n: parts.quad.coeff(n) for n in W.modes()}
-        g = {n: amap.a2 * parts.cnum.coeff(n) - amap.b2 * f[n] for n in W.modes()}
+        f = {n: parts.quad.coeff(n) for n in range(-N, N + 1)}
+        g = {n: amap.a2 * parts.cnum.coeff(n) - amap.b2 * f[n] for n in range(-N, N + 1)}
         return f, g
 
     f, g = kernels(dirac.ReducedContents(
@@ -585,8 +600,8 @@ def test_deformed_reduced_bracket_obeys_jacobi():
 
 
 def test_table_degeneration_to_undeformed():
-    all_pass(verify_table_degeneration(Reduction(scenario("q-sl2"), W),
-                                       Reduction(scenario("classical-sl2"), W)))
+    all_pass(verify_table_degeneration(Reduction(scenario("q-sl2"), N),
+                                       Reduction(scenario("classical-sl2"), N)))
 
 
 _Q_TABLE_RECORDS = {
@@ -607,21 +622,21 @@ def test_table_degeneration_negative_controls(pair):
     table = dict(sc.table)
     rule = table[pair]
 
-    def perturbed(W_):
-        T = rule(W_)
+    def perturbed(N):
+        T = rule(N)
         unit = UNITS[_grade(v for d in T.terms.values() for v in d.c.values())]
-        return T + TermSum.single((), Dist2.unit0(W_.N, unit))
+        return T + TermSum.single((), Dist2.unit0(N, unit))
 
     table[pair] = perturbed
     records = verify_table_degeneration(
-        Reduction(Scenario(sc.key, table, sc.constraints), W),
-        Reduction(scenario("classical-sl2"), W))
+        Reduction(Scenario(sc.key, table, sc.constraints), N),
+        Reduction(scenario("classical-sl2"), N))
     failed = [(r.id, r.mode) for r in records if r.status == FAIL]
     assert failed == [(_Q_TABLE_RECORDS[pair], 0)]
 
 
 def test_affine_check_detects_wrong_bracket(closed):
-    parts = Reduction(scenario("q-sl2"), W).contents
+    parts = Reduction(scenario("q-sl2"), N).contents
     broken = ReducedContents(*(d.scale(Scalar.from_rat(2)) for d in parts))
     recs = affine_check(broken, closed, weighted=False)
     assert any(r.status == FAIL for r in recs)

@@ -15,7 +15,6 @@ from qvir.qcoeff import S_I, S_ONE, S_T, S_ZERO, Scalar, q_minus_qinv, qint
 from qvir.dirac import DiracMatrix, invert
 from qvir.distcalc import (
     Dist2,
-    ModeWindow,
     RatKernel,
     WindowMismatchError,
     expand_inner,
@@ -25,7 +24,7 @@ from qvir.distcalc import (
     weight_abs,
 )
 
-W = ModeWindow(8)
+N = 8
 Q = Scalar.q_power
 
 
@@ -90,47 +89,41 @@ def assert_matches_oracle(D: Dist2, oracle: dict, N: int):
         assert sympy.simplify(scalar_to_sympy(got) - want) == 0, f"mode {n}: {got} vs {want}"
 
 
-@pytest.mark.parametrize("N", (0, -1))
-def test_mode_window_rejects_empty_windows(N):
-    with pytest.raises(ValueError, match="window size must be >= 1"):
-        ModeWindow(N)
-
-
 # ---------------------------------------------------------------------------
 # expand_inner
 # ---------------------------------------------------------------------------
 
 def test_inner_geometric():
     K = RatKernel.from_linear_factors(S_ONE, 0, [], [S_ONE])  # 1/(1-x)
-    D = expand_inner(K, W)
-    for n in W.modes():
+    D = expand_inner(K, N)
+    for n in range(-N, N + 1):
         assert D.coeff(n) == (S_ONE if n >= 0 else S_ZERO)
 
 
 def test_inner_geometric_shifted():
     K = RatKernel.from_linear_factors(S_ONE, 0, [], [Q(1)])  # 1/(1-qx)
-    D = expand_inner(K, W)
-    for n in W.modes():
+    D = expand_inner(K, N)
+    for n in range(-N, N + 1):
         assert D.coeff(n) == (qpow(n) if n >= 0 else S_ZERO)
 
 
 def test_inner_qint_kernel():
     # x/((1-qx)(1-1/q x)) has coefficients [n] for n >= 1 (partial fractions by hand)
     K = RatKernel.from_linear_factors(S_ONE, 1, [], [Q(1), Q(-1)])
-    D = expand_inner(K, W)
-    for n in W.modes():
+    D = expand_inner(K, N)
+    for n in range(-N, N + 1):
         assert D.coeff(n) == (qint(n) if n >= 1 else S_ZERO)
 
 
 def test_inner_against_sympy_oracle():
     K = RatKernel.from_linear_factors(Scalar.from_rat(Fraction(2, 3)), -1, [Q(3)], [Q(1), Q(-1)])
-    assert_matches_oracle(expand_inner(K, ModeWindow(6)), oracle_inner(K, 6), 6)
+    assert_matches_oracle(expand_inner(K, 6), oracle_inner(K, 6), 6)
 
 
 def test_inner_times_denominator_recovers_numerator():
     # series-division soundness on the window
     K = RatKernel.from_linear_factors(S_I, 2, [Q(2)], [Q(1), Q(-2)])
-    D = expand_inner(K, W)
+    D = expand_inner(K, N)
     back = D.mul_laurent({j: a for j, a in enumerate(K.den)})
     target = {K.m + j: K.c * a for j, a in enumerate(K.num)}
     for n in range(-back.N, back.N + 1):
@@ -143,29 +136,29 @@ def test_inner_times_denominator_recovers_numerator():
 
 def test_outer_geometric():
     K = RatKernel.from_linear_factors(S_ONE, 0, [], [S_ONE])  # 1/(1-x) -> -sum_{n>=1} x^-n
-    D = expand_outer(K, W)
-    for n in W.modes():
+    D = expand_outer(K, N)
+    for n in range(-N, N + 1):
         assert D.coeff(n) == (-S_ONE if n <= -1 else S_ZERO)
 
 
 def test_outer_constant_both_regions():
     K = RatKernel.const(S_I)
-    assert expand_inner(K, W) == Dist2.unit0(W.N, S_I)
-    assert expand_outer(K, W) == Dist2.unit0(W.N, S_I)
+    assert expand_inner(K, N) == Dist2.unit0(N, S_I)
+    assert expand_outer(K, N) == Dist2.unit0(N, S_I)
 
 
 def test_outer_qint_kernel():
     # x/((1-qx)(1-1/q x)): coefficient at mode n <= -1 is [-n] (odd partner
     # of the inner side; substitution x -> 1/x reuses the inner expansion)
     K = RatKernel.from_linear_factors(S_ONE, 1, [], [Q(1), Q(-1)])
-    D = expand_outer(K, W)
-    for n in W.modes():
+    D = expand_outer(K, N)
+    for n in range(-N, N + 1):
         assert D.coeff(n) == (qint(-n) if n <= -1 else S_ZERO)
 
 
 def test_outer_against_sympy_oracle():
     K = RatKernel.from_linear_factors(Scalar.from_rat(3), 0, [Q(-3)], [Q(2)])
-    assert_matches_oracle(expand_outer(K, ModeWindow(6)), oracle_outer(K, 6), 6)
+    assert_matches_oracle(expand_outer(K, 6), oracle_outer(K, 6), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +167,15 @@ def test_outer_against_sympy_oracle():
 
 def test_region_difference_delta():
     K = RatKernel.from_linear_factors(S_ONE, 0, [], [Q(1)])  # 1/(1-qx)
-    D = region_difference(K, W)
-    for n in W.modes():
+    D = region_difference(K, N)
+    for n in range(-N, N + 1):
         assert D.coeff(n) == qpow(n)
 
 
 def test_region_difference_polynomial_vanishes():
     # i x^-2 (1 - q x)(1 - q^-3 x): a Laurent kernel needs linear factors
     K = RatKernel.from_linear_factors(S_I, -2, [Q(1), Q(-3)], [])
-    assert region_difference(K, W).is_zero()
+    assert region_difference(K, N).is_zero()
 
 
 def ope_exchange_kernel():
@@ -193,9 +186,9 @@ def ope_exchange_kernel():
 def test_region_difference_exchange_kernel():
     # hand derivation: K = 1 - [2](q-1/q)^2 x/((1-qx)(1-1/q x)), so the
     # difference is -[2](q-1/q)^2 [n] at every mode (odd in n)
-    D = region_difference(ope_exchange_kernel(), W)
+    D = region_difference(ope_exchange_kernel(), N)
     pref = -qint(2) * q_minus_qinv() * q_minus_qinv()
-    for n in W.modes():
+    for n in range(-N, N + 1):
         assert D.coeff(n) == pref * qint(n)
     assert D.reflect() == -D
 
@@ -203,10 +196,10 @@ def test_region_difference_exchange_kernel():
 def test_region_difference_matches_constraint_bracket_pattern():
     # scaled by -1/(2(q-1/q)^2) this is the self-bracket content of the
     # difference constraint: ([2]/2)[n] for n>0 and -([2]/2)[-n] for n<0
-    D = region_difference(ope_exchange_kernel(), W)
+    D = region_difference(ope_exchange_kernel(), N)
     scale = (-S_ONE / Scalar.from_rat(2)) / (q_minus_qinv() * q_minus_qinv())
     half2 = qint(2) / Scalar.from_rat(2)
-    for n in W.modes():
+    for n in range(-N, N + 1):
         if n > 0:
             assert scale * D.coeff(n) == half2 * qint(n)
         elif n < 0:
@@ -218,8 +211,8 @@ def test_region_difference_matches_constraint_bracket_pattern():
 def test_region_difference_odd_for_qint_generator():
     # x/((1-qx)(1-1/q x)) generates the odd extension [n] over all modes
     K = RatKernel.from_linear_factors(S_ONE, 1, [], [Q(1), Q(-1)])
-    D = region_difference(K, W)
-    for n in W.modes():
+    D = region_difference(K, N)
+    for n in range(-N, N + 1):
         assert D.coeff(n) == qint(n)
     assert D.reflect() == -D
 
@@ -229,25 +222,25 @@ def test_region_difference_odd_for_qint_generator():
 # ---------------------------------------------------------------------------
 
 def test_pair_delta_identity():
-    D = Dist2.from_func(W.N, lambda n: (qint(n) + S_ONE) * S_I)
-    assert pair(Dist2.delta(W.N), D) == D
+    D = Dist2.from_func(N, lambda n: (qint(n) + S_ONE) * S_I)
+    assert pair(Dist2.delta(N), D) == D
 
 
 def test_pair_zero():
-    D = Dist2.from_func(W.N, lambda n: Scalar.from_rat(n * n))
-    assert pair(D, Dist2.zero(W.N)).is_zero()
+    D = Dist2.from_func(N, lambda n: Scalar.from_rat(n * n))
+    assert pair(D, Dist2.zero(N)).is_zero()
 
 
 def test_pair_inverse_geometrics():
-    D1 = Dist2.from_func(W.N, lambda n: qpow(n))
-    D2 = Dist2.from_func(W.N, lambda n: qpow(-n))
-    assert pair(D1, D2) == Dist2.delta(W.N)
+    D1 = Dist2.from_func(N, lambda n: qpow(n))
+    D2 = Dist2.from_func(N, lambda n: qpow(-n))
+    assert pair(D1, D2) == Dist2.delta(N)
 
 
 def test_pair_commutative_associative():
-    A = Dist2.from_func(W.N, lambda n: qint(n + 1))
-    B = Dist2.from_func(W.N, lambda n: qpow(n) + S_ONE)
-    C = Dist2.from_func(W.N, lambda n: Scalar.from_rat(n))
+    A = Dist2.from_func(N, lambda n: qint(n + 1))
+    B = Dist2.from_func(N, lambda n: qpow(n) + S_ONE)
+    C = Dist2.from_func(N, lambda n: Scalar.from_rat(n))
     assert pair(A, B) == pair(B, A)
     assert pair(pair(A, B), C) == pair(A, pair(B, C))
 
@@ -340,25 +333,25 @@ def invertible_matrices(draw):
 @given(invertible_matrices())
 def test_inverse_entries_keep_the_window_and_no_zeros(Nm):
     N, dm = Nm
-    inv = invert(dm, ModeWindow(N))
+    inv = invert(dm)
     for i in (0, 1):
         for j in (0, 1):
             assert_trusted(inv.entry(i, j), N)
-    assert invert(inv, ModeWindow(N)) == dm
+    assert invert(inv) == dm
 
 
 def test_mul_laurent_by_zero_keeps_the_window():
-    D = Dist2.delta(W.N).mul_laurent({})
-    assert D.N == W.N
+    D = Dist2.delta(N).mul_laurent({})
+    assert D.N == N
     assert D.is_zero()
 
 
 def test_pair_mode_diagonality_no_leakage():
-    big, small = ModeWindow(12), ModeWindow(6)
-    A_big = Dist2.from_func(big.N, lambda n: qint(n) + S_ONE)
-    B_big = Dist2.from_func(big.N, lambda n: qpow(-n))
-    restricted = pair(A_big, B_big).truncate(small.N)
-    direct = pair(A_big.truncate(small.N), B_big.truncate(small.N))
+    big, small = 12, 6
+    A_big = Dist2.from_func(big, lambda n: qint(n) + S_ONE)
+    B_big = Dist2.from_func(big, lambda n: qpow(-n))
+    restricted = pair(A_big, B_big).truncate(small)
+    direct = pair(A_big.truncate(small), B_big.truncate(small))
     assert restricted == direct
 
 
@@ -367,18 +360,18 @@ def test_pair_mode_diagonality_no_leakage():
 # ---------------------------------------------------------------------------
 
 def test_weight_identity():
-    D = Dist2.from_func(W.N, lambda n: qint(n))
+    D = Dist2.from_func(N, lambda n: qint(n))
     assert weight_abs(D, 0) == D
 
 
 def test_weight_on_delta():
-    D = weight_abs(Dist2.delta(W.N), 2)
-    for n in W.modes():
+    D = weight_abs(Dist2.delta(N), 2)
+    for n in range(-N, N + 1):
         assert D.coeff(n) == qpow(2 * abs(n))
 
 
 def test_weight_inverse_pair():
-    D = Dist2.from_func(W.N, lambda n: (qint(n) + S_ONE) * S_I)
+    D = Dist2.from_func(N, lambda n: (qint(n) + S_ONE) * S_I)
     assert weight_abs(weight_abs(D, 2), -2) == D
 
 

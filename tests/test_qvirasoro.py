@@ -15,7 +15,7 @@ from qvir.qcoeff import (
     qint,
     taylor_q1,
 )
-from qvir.distcalc import Dist2, ModeWindow, weight_abs
+from qvir.distcalc import Dist2, weight_abs
 from qvir import dirac, distcalc, qvirasoro
 from qvir.currents import FieldFactor, TermSum
 from qvir.dirac import (
@@ -35,7 +35,7 @@ from qvir.qvirasoro import (
 )
 from qvir.report import FAIL, record
 
-W = ModeWindow(8)
+N = 8
 
 
 def all_pass(records):
@@ -46,12 +46,12 @@ def all_pass(records):
 
 @pytest.fixture(scope="module")
 def reductions():
-    return (Reduction(scenario("q-sl2"), W), Reduction(scenario("classical-sl2"), W))
+    return (Reduction(scenario("q-sl2"), N), Reduction(scenario("classical-sl2"), N))
 
 
 @pytest.fixture(scope="module")
 def closed():
-    return QVirasoroBracket(W)
+    return QVirasoroBracket(N)
 
 
 def _closed_with(B, quad=None, cent=None, quad_residual=None):
@@ -74,7 +74,7 @@ def test_kernel_values(closed):
     f = B.quad
     g = B.cent
     assert f.coeff(0) == S_ZERO
-    for n in range(1, W.N + 1):
+    for n in range(1, N + 1):
         assert f.coeff(n) == qint(n) * qint(n) / qint(2 * n)
         assert f.coeff(-n) == -f.coeff(n)
         assert g.coeff(n) == qint(2 * n)
@@ -130,7 +130,7 @@ def test_weight_relation_fails_on_a_wrong_mode_weight(monkeypatch, shift):
         if getattr(module, "weight_abs", None) is weight_abs:
             monkeypatch.setattr(module, "weight_abs",
                                 lambda D, a: weight_abs(D, a + shift))
-    records = antisymmetry_check(QVirasoroBracket(W))
+    records = antisymmetry_check(QVirasoroBracket(N))
     assert len(records) == 5
     assert {r.id for r in records if r.status == FAIL} == {"qvir-weight-relation"}
 
@@ -141,7 +141,7 @@ def test_weight_relation_fails_on_a_wrong_mode_weight(monkeypatch, shift):
 
 def test_limit_suite(reductions, closed):
     rq, rc = reductions
-    all_pass(classical_limit_check(rq.contents, rc.contents, closed, W))
+    all_pass(classical_limit_check(rq.contents, rc.contents, closed))
 
 
 def test_limit_h4_values_by_hand(reductions, closed):
@@ -162,7 +162,7 @@ def test_limit_h4_values_by_hand(reductions, closed):
 def test_limit_detects_wrong_central(reductions, closed):
     rq, rc = reductions
     broken = ReducedContents(*(d.scale(Scalar.from_rat(3)) for d in rc.contents))
-    recs = classical_limit_check(rq.contents, broken, closed, W)
+    recs = classical_limit_check(rq.contents, broken, closed)
     assert any(r.status == FAIL for r in recs)
 
 
@@ -171,10 +171,10 @@ def test_limit_reports_the_first_bad_mode(reductions, closed):
     # and 5: every limit record names mode 2, the first failing mode of the window
     rq, rc = reductions
     quad = (FieldFactor("E-", "z"), FieldFactor("E-", "w"))
-    chain = Reduction(scenario("q-sl2"), W)
-    broken = reduce(chain, chain.inverse) + TermSum.single(quad, Dist2(W.N, {2: S_I, 5: S_I}))
-    recs = {r.id: r for r in classical_limit_check(split_reduced(broken, W.N), rc.contents,
-                                                    closed, W)}
+    chain = Reduction(scenario("q-sl2"), N)
+    broken = reduce(chain, chain.inverse) + TermSum.single(quad, Dist2(N, {2: S_I, 5: S_I}))
+    recs = {r.id: r for r in classical_limit_check(split_reduced(broken, N), rc.contents,
+                                                    closed)}
     for check_id in ("limit-subleading-cancellation", "limit-h4-linear", "limit-h4-central"):
         assert recs[check_id].status == FAIL
         assert recs[check_id].mode == 2
@@ -190,8 +190,8 @@ def test_limit_reads_the_order_boundary(reductions, closed, j, want):
     # content times a^2 = O(h^4), so it is of order h^(4 + j) there
     rq, rc = reductions
     assert taylor_q1(closed.amap.a2)[0] == 4
-    q = rq.contents._replace(cnum=rq.contents.cnum + Dist2(W.N, {2: S_I * q_minus_qinv() ** j}))
-    records = classical_limit_check(q, rc.contents, closed, W)
+    q = rq.contents._replace(cnum=rq.contents.cnum + Dist2(N, {2: S_I * q_minus_qinv() ** j}))
+    records = classical_limit_check(q, rc.contents, closed)
     assert len(records) == 5
     failed = [r for r in records if r.status == FAIL]
     assert {r.id for r in failed} == want
@@ -202,7 +202,7 @@ def test_limit_h2_pieces_fail_with_a_doubled_central_piece(reductions, closed):
     rq, rc = reductions
     B = copy.copy(closed)
     B.cent_residual = _shifted(closed.cent_residual, {1: closed.cent_residual.coeff(1)})
-    records = classical_limit_check(rq.contents, rc.contents, B, W)
+    records = classical_limit_check(rq.contents, rc.contents, B)
     assert {r.id for r in records if r.status == FAIL} == {"limit-h2-piece-cancellation"}
 
 
@@ -211,7 +211,7 @@ def test_limit_overall_factor_fails_with_q2_minus_qinv2(monkeypatch, reductions,
     monkeypatch.setattr(qvirasoro, "q_minus_qinv",
                         lambda: Scalar.q_power(2) - Scalar.q_power(-2))
     rq, rc = reductions
-    records = classical_limit_check(rq.contents, rc.contents, closed, W)
+    records = classical_limit_check(rq.contents, rc.contents, closed)
     assert {r.id for r in records if r.status == FAIL} == {"limit-overall-factor"}
 
 
@@ -254,8 +254,8 @@ def test_jacobi_specific_triples(reductions):
 
 def test_jacobi_detects_wrong_central():
     # replacing the n^3 cocycle by n^2 (an even function) breaks the identity
-    lin = Dist2.from_func(W.N, lambda n: -S_I * Scalar.from_rat(n))
-    bad_cnum = Dist2.from_func(W.N, lambda n: S_I * Scalar.from_rat(n * n))
+    lin = Dist2.from_func(N, lambda n: -S_I * Scalar.from_rat(n))
+    bad_cnum = Dist2.from_func(N, lambda n: S_I * Scalar.from_rat(n * n))
     recs = classical_jacobi_check(_contents(lin, bad_cnum), 4)
     assert any(r.status == FAIL for r in recs)
 
@@ -321,8 +321,7 @@ def _virasoro_variants(N):
     """The true mode data, two other cocycles (n passes, n^2 fails), and the
     true data with one central or one linear mode shifted by i (the data are
     imaginary)."""
-    W = ModeWindow(N)
-    lin, cnum = classical_linear_pattern(W), classical_central_pattern(W)
+    lin, cnum = classical_linear_pattern(N), classical_central_pattern(N)
 
     def cocycle(power):
         return Dist2.from_func(N, lambda n: S_I * Scalar.from_rat(n ** power))

@@ -6,7 +6,7 @@ import pytest
 
 from qvir import vertexcalc as vc
 from qvir.qcoeff import S_ONE, S_T, S_ZERO, Scalar, q_minus_qinv, qint
-from qvir.distcalc import Dist2, ModeWindow, RatKernel, expand_inner, region_difference
+from qvir.distcalc import Dist2, RatKernel, expand_inner, region_difference
 from qvir.vertexcalc import (
     ExpField,
     ModeTerm,
@@ -24,7 +24,7 @@ from qvir.vertexcalc import (
 )
 from qvir.report import FAIL
 
-W = ModeWindow(10)
+N = 10
 F = standard_fields()
 Q = Scalar.q_power
 SP = Scalar.s_power
@@ -77,17 +77,17 @@ def exp_series(L: Dist2) -> Dist2:
     return Dist2(L.N, out)
 
 
-def contraction_series(A, B, W):
+def contraction_series(A, B, N):
     """exp(sum_n A.mode(n) B.mode(-n) [2n][n]/(2n) x^n) on the window."""
-    log = {n: A.mode(n) * B.mode(-n) * oscillator_norm(n) for n in range(1, W.N + 1)}
-    return exp_series(Dist2(W.N, log))
+    log = {n: A.mode(n) * B.mode(-n) * oscillator_norm(n) for n in range(1, N + 1)}
+    return exp_series(Dist2(N, log))
 
 
 def test_exp_series_geometric():
     # exp(sum x^n/n) = 1/(1-x)
-    log = Dist2(W.N, {n: Scalar.from_rat(Fraction(1, n)) for n in range(1, W.N + 1)})
+    log = Dist2(N, {n: Scalar.from_rat(Fraction(1, n)) for n in range(1, N + 1)})
     E = exp_series(log)
-    for n in range(0, W.N + 1):
+    for n in range(0, N + 1):
         assert E.coeff(n) == S_ONE
 
 
@@ -95,12 +95,12 @@ def test_exp_series_geometric():
 @pytest.mark.parametrize("b", ("E+", "E-", "Psi", "Phi"))
 def test_contraction_product_matches_mode_products(a, b):
     kernel = contraction_kernel(F[a], F[b]).kernel
-    assert expand_inner(kernel, W) == contraction_series(F[a], F[b], W)
+    assert expand_inner(kernel, N) == contraction_series(F[a], F[b], N)
 
 
 def test_mode_oracle_tells_the_charges_apart():
     kernel = contraction_kernel(F["E+"], F["E+"]).kernel
-    assert expand_inner(kernel, W) != contraction_series(F["E+"], F["E-"], W)
+    assert expand_inner(kernel, N) != contraction_series(F["E+"], F["E-"], N)
 
 
 def half_psi():
@@ -118,7 +118,7 @@ def test_non_integer_multiplicity_is_a_typed_error():
 
 def test_non_integer_multiplicity_fails_the_exchange_check(monkeypatch):
     monkeypatch.setattr(vc, "_CONTRACTION_MEMO", {})
-    records = verify_exchange(half_psi(), F["Phi"], kernel_step_pair(), W, "ope1", "x")
+    records = verify_exchange(half_psi(), F["Phi"], kernel_step_pair(), N, "ope1", "x")
     assert [(r.id, r.status) for r in records] == [("x-kernel", FAIL), ("x-window", FAIL)]
     for r in records:
         assert r.engine_value.startswith("error: not an integer product")
@@ -126,8 +126,8 @@ def test_non_integer_multiplicity_fails_the_exchange_check(monkeypatch):
 
 def test_underivable_exchange_kernel_keeps_the_passing_ids(monkeypatch):
     # a kernel that cannot be derived fails its two records under their own ids
-    Wx = ModeWindow(6)
-    passing = [r.id for r in exchange_suite(Wx)]
+    n_max = 6
+    passing = [r.id for r in exchange_suite(n_max)]
 
     def fails_for_psi_phi(A, B, _real=exchange_kernel):
         if (A.name, B.name) == ("Psi", "Phi"):
@@ -135,7 +135,7 @@ def test_underivable_exchange_kernel_keeps_the_passing_ids(monkeypatch):
         return _real(A, B)
 
     monkeypatch.setattr(vc, "exchange_kernel", fails_for_psi_phi)
-    records = exchange_suite(Wx)
+    records = exchange_suite(n_max)
     assert len(passing) == 18
     assert [r.id for r in records] == passing
     assert [r.id for r in records if r.status == FAIL] == \
@@ -147,7 +147,7 @@ def test_underivable_exchange_kernel_keeps_the_passing_ids(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_oscillator_norm_is_ope_entry():
-    for n in range(1, W.N + 1):
+    for n in range(1, N + 1):
         assert oscillator_norm(n) == qint(2 * n) * qint(n) / Scalar.from_rat(2 * n)
 
 
@@ -242,35 +242,35 @@ def test_contract_ee_same_kernel_is_polynomial():
 # ---------------------------------------------------------------------------
 
 def test_exchange_psi_phi():
-    all_pass(verify_exchange(F["Psi"], F["Phi"], kernel_step_pair(), W, "ope1", "x"))
+    all_pass(verify_exchange(F["Psi"], F["Phi"], kernel_step_pair(), N, "ope1", "x"))
 
 
 @pytest.mark.parametrize("sign", (+1, -1))
 def test_exchange_psi_e(sign):
     E = F["E+"] if sign > 0 else F["E-"]
-    all_pass(verify_exchange(F["Psi"], E, kernel_step_vertex(sign), W, "ope2", "x"))
+    all_pass(verify_exchange(F["Psi"], E, kernel_step_vertex(sign), N, "ope2", "x"))
 
 
 @pytest.mark.parametrize("sign", (+1, -1))
 def test_exchange_e_phi(sign):
     E = F["E+"] if sign > 0 else F["E-"]
-    all_pass(verify_exchange(E, F["Phi"], kernel_step_vertex(sign), W, "ope3", "x"))
+    all_pass(verify_exchange(E, F["Phi"], kernel_step_vertex(sign), N, "ope3", "x"))
 
 
 @pytest.mark.parametrize("sign", (+1, -1))
 def test_exchange_e_e_same(sign):
     E = F["E+"] if sign > 0 else F["E-"]
-    all_pass(verify_exchange(E, E, kernel_self_exchange(sign), W, "ncom", "x"))
+    all_pass(verify_exchange(E, E, kernel_self_exchange(sign), N, "ncom", "x"))
 
 
 def test_exchange_psi_psi_trivial_kernel():
-    all_pass(verify_exchange(F["Psi"], F["Psi"], RatKernel.const(S_ONE), W, "trivial", "x"))
-    all_pass(verify_exchange(F["Phi"], F["Phi"], RatKernel.const(S_ONE), W, "trivial", "x"))
+    all_pass(verify_exchange(F["Psi"], F["Psi"], RatKernel.const(S_ONE), N, "trivial", "x"))
+    all_pass(verify_exchange(F["Phi"], F["Phi"], RatKernel.const(S_ONE), N, "trivial", "x"))
 
 
 def test_exchange_wrong_kernel_fails():
     bad = RatKernel.from_linear_factors(S_ONE, 0, [Q(2)], [Q(1)])
-    records = verify_exchange(F["Psi"], F["Phi"], bad, W, "ope1", "x")
+    records = verify_exchange(F["Psi"], F["Phi"], bad, N, "ope1", "x")
     assert any(r.status == FAIL for r in records)
 
 
@@ -285,12 +285,12 @@ def test_exchange_kernel_engine_value():
 
 def test_fuse_to_raising_field():
     got = fuse(F["E+"], F["E-"], +2)     # z = w*q
-    assert got.matches(F["Psi"].shifted(+1), W)
+    assert got.matches(F["Psi"].shifted(+1), N)
 
 
 def test_fuse_to_lowering_field():
     got = fuse(F["E+"], F["E-"], -2)     # z = w/q
-    assert got.matches(F["Phi"].shifted(-1), W)
+    assert got.matches(F["Phi"].shifted(-1), N)
 
 
 def test_fuse_with_inverse_exponent_is_identity():
@@ -301,13 +301,13 @@ def test_fuse_with_inverse_exponent_is_identity():
 
     Ainv = ExpField("E+inv", -A.qt, -A.lnv, -A.qpow, negated(A.pos), negated(A.neg))
     got = fuse(A, Ainv, 0)
-    assert got.matches(ExpField("1"), W)
-    assert not A.matches(ExpField("1"), W)
+    assert got.matches(ExpField("1"), N)
+    assert not A.matches(ExpField("1"), N)
 
 
 def test_fuse_mismatch_detected():
     got = fuse(F["E+"], F["E-"], +2)
-    assert not got.matches(F["Phi"].shifted(-1), W)
+    assert not got.matches(F["Phi"].shifted(-1), N)
 
 
 @pytest.mark.parametrize("sign", (+1, -1))
@@ -316,7 +316,7 @@ def test_ee_ope_fusion_fails_without_the_pole_shift(monkeypatch, sign):
     unshifted = vc.fuse
     monkeypatch.setattr(vc, "fuse", lambda A, B, half: unshifted(A, B, 0))
     suffix = "[+]" if sign > 0 else "[-]"
-    status = {r.id: r.status for r in verify_ee_ope(W, sign)}
+    status = {r.id: r.status for r in verify_ee_ope(N, sign)}
     assert status[f"ee-ope-fusion{suffix}"] == FAIL
     assert [i for i, st in status.items() if st == FAIL] == [f"ee-ope-fusion{suffix}"]
 
@@ -327,15 +327,15 @@ def test_ee_ope_fusion_fails_without_the_pole_shift(monkeypatch, sign):
 
 @pytest.mark.parametrize("sign", (+1, -1))
 def test_ee_ope_suite(sign):
-    all_pass(verify_ee_ope(W, sign))
+    all_pass(verify_ee_ope(N, sign))
 
 
 def test_ee_region_difference_is_shifted_delta_pair():
     # independent: [n+1] = (q*q^n - q^-1 q^-n)/(q - 1/q), the weighted delta pair
     data = contraction_kernel(F["E+"], F["E-"])
-    D = region_difference(data.kernel, W)
+    D = region_difference(data.kernel, N)
     dq = q_minus_qinv()
-    for n in W.modes():
+    for n in range(-N, N + 1):
         want = (Q(1) * Q(n) - Q(-1) * Q(-n)) / dq
         assert D.coeff(n) == want
 
@@ -346,10 +346,10 @@ def test_ee_region_difference_is_shifted_delta_pair():
 
 @pytest.mark.parametrize("sign", (+1, -1))
 def test_h_e_commutator_even_pattern(sign):
-    D = h_e_commutator_dist(sign, W)
+    D = h_e_commutator_dist(sign, N)
     rt2 = Scalar.from_rat(sign) * S_T
     assert D.coeff(0) == rt2
-    for n in range(1, W.N + 1):
+    for n in range(1, N + 1):
         want = rt2 * SP(-sign * n) * qint(2 * n) / Scalar.from_rat(2 * n)
         assert D.coeff(n) == want
         assert D.coeff(-n) == want
